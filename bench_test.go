@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's analysis,
-// plus the ablations DESIGN.md §5 calls out. Each benchmark prints or
+// plus the ablations (BenchmarkAblation*) and the fast read's three hot
+// spots (BenchmarkFastRead*). Each benchmark prints or
 // reports the same quantities the paper's artifact shows; absolute
 // nanoseconds are incidental (the substrate is a simulator) — the reported
 // custom metrics (RTTs, verdicts) carry the reproduction.
@@ -25,6 +26,7 @@ import (
 	"fastreg/internal/opkit"
 	"fastreg/internal/proto"
 	"fastreg/internal/quorum"
+	"fastreg/internal/register"
 	"fastreg/internal/sweep"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
@@ -173,7 +175,7 @@ func BenchmarkFig9Boundary(b *testing.B) {
 
 // BenchmarkAblationAdmissible compares the exact subset-enumeration
 // admissibility test (Algorithm 1 line 32) against the greedy
-// approximation (DESIGN.md §5).
+// approximation.
 func BenchmarkAblationAdmissible(b *testing.B) {
 	cfg := opkit.AdmissibleConfig{S: 9, T: 2, MaxDegree: 4}
 	rng := rand.New(rand.NewSource(1))
@@ -202,6 +204,73 @@ func BenchmarkAblationAdmissible(b *testing.B) {
 			}
 		}
 	})
+}
+
+// steadyFastRead builds the steady state of the one-round read at
+// tcp-fastread's shape: five replicas holding six 256-byte values each and a
+// reader that has read them, so its next read changes nothing anywhere. It
+// returns the replicas, the read and the replies to its request.
+func steadyFastRead(b *testing.B) ([]register.ServerLogic, *opkit.FastReadOp, []register.Reply) {
+	b.Helper()
+	servers := make([]register.ServerLogic, 5)
+	for i := range servers {
+		servers[i] = opkit.NewVectorServer(types.Server(i + 1))
+	}
+	for i := 0; i < 5; i++ {
+		w := opkit.NewQueryThenUpdateWrite(types.Writer(1+i%2), fmt.Sprintf("%0256d", i), 4)
+		if _, _, err := register.CountRounds(w, servers); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op := opkit.NewFastReadOp(types.Reader(1), opkit.NewReaderState(), opkit.AdmissibleConfig{S: 5, T: 1, MaxDegree: 3}, 4)
+	if _, _, err := register.CountRounds(op, servers); err != nil {
+		b.Fatal(err)
+	}
+	replies := make([]register.Reply, len(servers))
+	for i, s := range servers {
+		replies[i] = register.Reply{From: s.ID(), Msg: s.Handle(op.Client(), op.Begin().Payload)}
+	}
+	return servers, op, replies
+}
+
+// BenchmarkFastReadServerHandle is a replica answering a steady-state
+// FastRead: the reply is its vector, not a copy.
+func BenchmarkFastReadServerHandle(b *testing.B) {
+	servers, op, _ := steadyFastRead(b)
+	req := op.Begin().Payload
+	b.ReportAllocs()
+	for b.Loop() {
+		servers[0].Handle(op.Client(), req)
+	}
+}
+
+// BenchmarkFastReadReaderNext is the reader's side of the same read: merge
+// five six-entry replies into the valQueue and select the admissible value.
+func BenchmarkFastReadReaderNext(b *testing.B) {
+	_, op, replies := steadyFastRead(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		op.Begin()
+		if _, _, done, err := op.Next(replies); err != nil || !done {
+			b.Fatal(done, err)
+		}
+	}
+}
+
+// BenchmarkFastReadDecode decodes one of those replies off the wire.
+func BenchmarkFastReadDecode(b *testing.B) {
+	_, op, replies := steadyFastRead(b)
+	frame, err := proto.Encode(proto.Envelope{From: replies[0].From, To: op.Client(), Key: "key-0001", OpID: 1, Round: 1, IsReply: true, Payload: replies[0].Msg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := proto.Decode(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkAblationWriteBack measures what the read write-back costs (and

@@ -63,7 +63,9 @@ func (s *LyingServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 		r.Val = s.forge
 		return r
 	case proto.FastReadAck:
-		r.Vector = append(r.Vector, proto.VectorEntry{
+		// The inner server's reply is its own state (a frozen vector):
+		// clip it so the append copies and the forgery stays in this reply.
+		r.Vector = append(r.Vector[:len(r.Vector):len(r.Vector)], proto.VectorEntry{
 			Val: s.forge,
 			// The liar claims everyone has seen it, maximizing the chance
 			// the admissibility predicate accepts it.

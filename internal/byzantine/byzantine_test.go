@@ -147,3 +147,35 @@ func TestFilterUnvouchedMechanics(t *testing.T) {
 		t.Fatalf("real value kept %d times, want 3", kept)
 	}
 }
+
+// TestLyingServerLeavesTheHonestStateAlone: a VectorServer's reply is its
+// own vector, so the liar has to copy before it appends. The forgery must
+// appear in the reply it was added to and nowhere else — not in the inner
+// server's state, not in a reply captured earlier, not in the next one.
+func TestLyingServerLeavesTheHonestStateAlone(t *testing.T) {
+	inner := w2r1.New().NewServer(types.Server(1), feasible())
+	liar := NewLyingServer(inner)
+	v := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "real"}
+	liar.Handle(types.Writer(1), proto.Update{Val: v})
+
+	forgedIn := func(m proto.Message) bool {
+		_, ok := m.(proto.FastReadAck).Entry(liar.Forged())
+		return ok
+	}
+	req := proto.FastRead{ValQueue: []types.Value{types.InitialValue()}}
+	honestBefore := inner.Handle(types.Reader(1), req)
+	for i := 0; i < 3; i++ {
+		if !forgedIn(liar.Handle(types.Reader(1), req)) {
+			t.Fatalf("lying reply %d lacks the forgery", i)
+		}
+		if honest := inner.Handle(types.Reader(1), req); forgedIn(honest) {
+			t.Fatalf("after lie %d the honest server's own reply carries the forgery: %v", i, honest)
+		}
+	}
+	if forgedIn(honestBefore) {
+		t.Fatalf("a reply captured before the lies now carries the forgery: %v", honestBefore)
+	}
+	if n := len(honestBefore.(proto.FastReadAck).Vector); n != 2 {
+		t.Fatalf("honest reply has %d entries, want 2", n)
+	}
+}

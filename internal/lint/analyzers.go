@@ -13,6 +13,7 @@ func All() []*Analyzer {
 		ShardLock,
 		NilRecv,
 		CaptureOrder,
+		FrozenSlice,
 	}
 }
 

@@ -27,6 +27,10 @@ func TestCaptureOrder(t *testing.T) {
 	linttest.Run(t, "testdata/captureorder", lint.CaptureOrder)
 }
 
+func TestFrozenSlice(t *testing.T) {
+	linttest.Run(t, "testdata/frozenslice", lint.FrozenSlice)
+}
+
 // TestRepoClean runs the full suite over the whole module, the same
 // check CI's fastreglint step performs: the tree must stay clean (or
 // explicitly suppressed) at all times.

@@ -1,0 +1,159 @@
+package opkit
+
+import (
+	"fmt"
+	"testing"
+	"unsafe"
+
+	"fastreg/internal/proto"
+	"fastreg/internal/register"
+	"fastreg/internal/types"
+)
+
+func cloneVector(vec []proto.VectorEntry) []proto.VectorEntry {
+	out := make([]proto.VectorEntry, len(vec))
+	for i, e := range vec {
+		out[i] = e.Clone()
+	}
+	return out
+}
+
+func sameVector(a, b []proto.VectorEntry) bool {
+	return fmt.Sprint(a) == fmt.Sprint(b)
+}
+
+// A reply is the replica's own vector, and an in-process backend hands the
+// reader that very slice: nothing the replica does afterwards may show
+// through it.
+func TestVectorServerRepliesAreFrozen(t *testing.T) {
+	s := NewVectorServer(types.Server(1))
+	v1, v2, v3 := val(1, 1, "a"), val(2, 2, "b"), val(3, 1, "c")
+	s.Handle(types.Writer(1), proto.Update{Val: v1})
+	s.Handle(types.Writer(2), proto.Update{Val: v3})
+
+	var replies, copies [][]proto.VectorEntry
+	capture := func(m proto.Message) {
+		vec := m.(proto.FastReadAck).Vector
+		replies, copies = append(replies, vec), append(copies, cloneVector(vec))
+	}
+	capture(s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{types.InitialValue()}}))
+	capture(s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{types.InitialValue(), v1, v3}}))
+	// Other clients move the replica on: a value below the largest, a new
+	// largest, a second reader joining every entry, a writer joining one.
+	s.Handle(types.Writer(2), proto.Update{Val: v2})
+	capture(s.Handle(types.Reader(2), proto.FastRead{ValQueue: []types.Value{val(9, 2, "z"), v2}}))
+	s.Handle(types.Writer(1), proto.Update{Val: v3})
+	capture(s.Handle(types.Reader(1), proto.FastRead{ValQueue: nil}))
+	s.Handle(types.Writer(2), proto.Update{Val: val(10, 2, "y")})
+
+	for i := range replies {
+		if !sameVector(replies[i], copies[i]) {
+			t.Errorf("reply %d changed after it was sent:\n now %v\n was %v", i, replies[i], copies[i])
+		}
+		if n := len(replies[i]); cap(replies[i]) != n {
+			t.Errorf("reply %d has spare capacity (len %d cap %d): an append would write into the replica's array", i, n, cap(replies[i]))
+		}
+	}
+	if got := s.Handle(types.Reader(1), proto.FastRead{}).(proto.FastReadAck).Vector; len(got) != 6 {
+		t.Fatalf("final vector has %d entries, want 6: %v", len(got), got)
+	}
+}
+
+// The valQueue travels in the request as it is; a later merge builds a new
+// queue and leaves the one in flight alone.
+func TestReaderStateQueueIsFrozen(t *testing.T) {
+	st := NewReaderState()
+	st.Merge(val(2, 1, "b"), val(4, 1, "d"))
+	q := st.Queue()
+	was := append([]types.Value(nil), q...)
+	st.Merge(val(1, 1, "a"), val(3, 1, "c"), val(5, 1, "e"))
+	st.Merge(val(4, 1, "d"))
+	for i := range q {
+		if q[i] != was[i] {
+			t.Fatalf("captured queue changed at %d: %v, was %v", i, q[i], was[i])
+		}
+	}
+	if cap(q) != len(q) {
+		t.Errorf("Queue() has spare capacity (len %d cap %d)", len(q), cap(q))
+	}
+	if got := st.Queue(); len(got) != 6 {
+		t.Fatalf("queue = %v, want six values", got)
+	}
+	// Merging nothing new publishes nothing new.
+	before := st.Queue()
+	st.Merge(val(3, 1, "c"))
+	if after := st.Queue(); &after[0] != &before[0] {
+		t.Error("a merge without a new value rebuilt the queue")
+	}
+}
+
+// steadyFleet returns five replicas holding six values each, and a reader
+// that has read them: its next read changes nothing anywhere.
+func steadyFleet(tb testing.TB) ([]register.ServerLogic, *FastReadOp) {
+	tb.Helper()
+	servers := vectorServers(5)
+	for i := 1; i <= 5; i++ {
+		if _, _, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(1+i%2), "payload", 4), servers); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	op := NewFastReadOp(types.Reader(1), NewReaderState(), AdmissibleConfig{S: 5, T: 1, MaxDegree: 3}, 4)
+	if _, _, err := register.CountRounds(op, servers); err != nil {
+		tb.Fatal(err)
+	}
+	return servers, op
+}
+
+// The steady-state read — reader on every entry, nothing new in its
+// valQueue — copies nothing: a replica allocates the reply's interface
+// value, the reader the request's, and the search works on the stack.
+func TestFastReadSteadyStateAllocs(t *testing.T) {
+	servers, op := steadyFleet(t)
+	req := op.Begin().Payload
+	if n := len(servers[0].Handle(op.Client(), req).(proto.FastReadAck).Vector); n != 6 {
+		t.Fatalf("replies carry %d entries, want 6", n)
+	}
+	if got := testing.AllocsPerRun(200, func() { servers[0].Handle(op.Client(), req) }); got > 1 {
+		t.Errorf("steady-state VectorServer.Handle(FastRead): %v allocs, want ≤ 1", got)
+	}
+	replies := make([]register.Reply, len(servers))
+	for i, s := range servers {
+		replies[i] = register.Reply{From: s.ID(), Msg: s.Handle(op.Client(), req)}
+	}
+	want := servers[0].CurrentValue()
+	got := testing.AllocsPerRun(200, func() {
+		op.Begin()
+		if _, v, done, err := op.Next(replies); err != nil || !done || v != want {
+			t.Fatalf("Next = %v, %v, %v; want %v", v, done, err, want)
+		}
+	})
+	if got > 2 {
+		t.Errorf("steady-state FastReadOp.Begin+Next over 5 six-entry replies: %v allocs, want ≤ 2", got)
+	}
+}
+
+// What a read returns is the valQueue's copy of the value, whichever
+// reply's copy the search picked: reads of one value share one payload, and
+// a payload cut from a frame (proto.Decode) is not kept alive by a history.
+func TestFastReadReturnsTheQueuesCopy(t *testing.T) {
+	servers, op := steadyFleet(t)
+	want := servers[0].CurrentValue()
+	replies := make([]register.Reply, len(servers))
+	for i, s := range servers {
+		// Every reply carries its own copy of every payload, as decoded
+		// frames do.
+		vec := cloneVector(s.Handle(op.Client(), op.Begin().Payload).(proto.FastReadAck).Vector)
+		for j := range vec {
+			vec[j].Val.Data = string([]byte(vec[j].Val.Data))
+		}
+		replies[i] = register.Reply{From: s.ID(), Msg: proto.FastReadAck{Vector: vec}}
+	}
+	_, got, _, err := op.Next(replies)
+	if err != nil || got != want {
+		t.Fatalf("Next = %v, %v; want %v", got, err, want)
+	}
+	q := op.state.Queue()
+	if top := q[len(q)-1]; unsafe.StringData(got.Data) != unsafe.StringData(top.Data) {
+		t.Error("the value returned does not share the valQueue's payload")
+	}
+}

@@ -2,7 +2,8 @@ package opkit
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"fastreg/internal/proto"
 	"fastreg/internal/register"
@@ -179,7 +180,7 @@ func (r *ReadWriteBack) Next(replies []register.Reply) (*register.Round, types.V
 // ReadNoWriteBack is the ablation variant of ReadWriteBack with the second
 // round removed: a one-round "read max" that is NOT atomic (it exhibits
 // new-old inversions). It exists so the ablation benchmark can measure what
-// the write-back buys (DESIGN.md §5).
+// the write-back buys (BenchmarkAblationWriteBack).
 type ReadNoWriteBack struct {
 	client types.ProcID
 	need   int
@@ -222,29 +223,57 @@ func (r *ReadNoWriteBack) Next(replies []register.Reply) (*register.Round, types
 // ReaderState is the persistent local state of an Algorithm 1 reader: its
 // valQueue, initialized to {(0,⊥)} (line 17).
 type ReaderState struct {
-	queue map[types.Value]bool
+	// frozen: requests are this slice. Strictly ascending by Value.Compare;
+	// a merge that adds a value builds a new queue.
+	queue []types.Value
 }
 
 // NewReaderState initializes the valQueue with the initial value.
 func NewReaderState() *ReaderState {
-	return &ReaderState{queue: map[types.Value]bool{types.InitialValue(): true}}
+	return &ReaderState{queue: []types.Value{types.InitialValue()}}
 }
 
-// Queue returns the valQueue in ascending tag order.
-func (s *ReaderState) Queue() []types.Value {
-	out := make([]types.Value, 0, len(s.queue))
-	for v := range s.queue {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+// Queue returns the valQueue, ascending. The slice is shared with the
+// requests in flight: read it, do not write through it.
+func (s *ReaderState) Queue() []types.Value { return s.queue[:len(s.queue):len(s.queue)] }
+
+func (s *ReaderState) find(v types.Value) (int, bool) {
+	return slices.BinarySearchFunc(s.queue, v, types.Value.Compare)
 }
 
 // Merge adds values to the valQueue (line 22).
 func (s *ReaderState) Merge(vs ...types.Value) {
+	var buf [8]types.Value
+	fresh := buf[:0]
 	for _, v := range vs {
-		s.queue[v] = true
+		fresh = s.missing(fresh, v)
 	}
+	s.add(fresh)
+}
+
+// missing appends v to fresh unless the valQueue or fresh holds it.
+func (s *ReaderState) missing(fresh []types.Value, v types.Value) []types.Value {
+	if _, ok := s.find(v); ok || slices.Contains(fresh, v) {
+		return fresh
+	}
+	return append(fresh, v)
+}
+
+// add publishes a new valQueue that also holds the fresh values, if there
+// are any. They may have been cut from a reply's frame (proto.Decode), so
+// the queue stores a private copy of each payload.
+func (s *ReaderState) add(fresh []types.Value) {
+	if len(fresh) == 0 {
+		return
+	}
+	queue := make([]types.Value, 0, len(s.queue)+len(fresh))
+	queue = append(queue, s.queue...)
+	for _, v := range fresh {
+		v.Data = strings.Clone(v.Data)
+		queue = append(queue, v)
+	}
+	slices.SortFunc(queue, types.Value.Compare)
+	s.queue = queue
 }
 
 // FastReadOp is the one-round read of Algorithm 1 (lines 18–31), shared by
@@ -273,14 +302,22 @@ func (r *FastReadOp) Kind() types.OpKind { return types.OpRead }
 // Arg implements register.Operation.
 func (r *FastReadOp) Arg() types.Value { return types.Value{} }
 
-// Begin implements register.Operation.
+// Begin implements register.Operation. The request carries the valQueue
+// itself, not a copy.
 func (r *FastReadOp) Begin() register.Round {
 	return register.Round{Payload: proto.FastRead{ValQueue: r.state.Queue()}, Need: r.need}
 }
 
-// Next implements register.Operation.
+// Next implements register.Operation. The value it returns is the
+// valQueue's copy of the chosen one, so that every read of a value, and the
+// history that records them, share one payload that pins no reply.
 func (r *FastReadOp) Next(replies []register.Reply) (*register.Round, types.Value, bool, error) {
-	acks := make([]proto.FastReadAck, 0, len(replies))
+	// Working memory on the stack: a handful of replies allocates nothing.
+	var (
+		ackBuf   [8]proto.FastReadAck
+		freshBuf [8]types.Value
+	)
+	acks, fresh := ackBuf[:0], freshBuf[:0]
 	for _, rep := range replies {
 		ack, ok := rep.Msg.(proto.FastReadAck)
 		if !ok {
@@ -290,11 +327,15 @@ func (r *FastReadOp) Next(replies []register.Reply) (*register.Round, types.Valu
 	}
 	// Line 22: merge every received value into the valQueue.
 	for _, ack := range acks {
-		r.state.Merge(ack.Values()...)
+		for i := range ack.Vector {
+			fresh = r.state.missing(fresh, ack.Vector[i].Val)
+		}
 	}
+	r.state.add(fresh)
 	val, err := SelectAdmissible(acks, r.cfg)
 	if err != nil {
 		return nil, types.Value{}, false, err
 	}
-	return nil, val, true, nil
+	i, _ := r.state.find(val)
+	return nil, r.state.queue[i], true, nil
 }

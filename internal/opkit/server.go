@@ -8,10 +8,43 @@
 // exact same admissibility machinery, as they do in the paper (the W2R1
 // algorithm is derived from the W1R1 single-writer algorithm of Dutta et
 // al.).
+//
+// # Who owns a valuevector
+//
+// The fast read's data is sorted slices that are frozen once published. A
+// VectorServer's reply IS its vector and a reader's request IS its valQueue:
+// an in-process backend hands that very slice to the other side, a network
+// one encodes it, neither copies. The rules that make this safe:
+//
+//   - Publish: only the owner of a `// frozen:` field (VectorServer.vec,
+//     ReaderState.queue) assigns it, and only with a slice it has just
+//     built and not yet shown to anyone. Once a vector, an Updated set or a
+//     valQueue has been returned from Handle or Begin, no code writes
+//     through it again; a change builds a new slice (and new Updated slices
+//     for just the entries it touches) and assigns the field. fastreglint's
+//     frozenslice analyzer holds the fields to this.
+//   - Receive: whoever is handed a FastRead or a FastReadAck reads it and
+//     nothing else. Code that wants a changed vector (byzantine.LyingServer,
+//     byzantine.FilterUnvouched) builds its own. What came over a wire is
+//     checked, not trusted: SelectAdmissible verifies that each vector and
+//     updated set is strictly ascending and sorts a private copy when it is
+//     not.
+//   - Keep: proto.Decode cuts every payload of a FastRead or FastReadAck
+//     from one string per frame, so any of them keeps the whole frame alive.
+//     Whoever stores a value beyond the message it came in takes a private
+//     copy (strings.Clone) at the moment it first stores it: a replica
+//     adding a valQueue's value to its vector, a reader adding a reply's
+//     value to its valQueue. An Update's value owns its bytes and is stored
+//     as it is.
+//   - Return: a read returns the valQueue's copy of the value it selected,
+//     not the copy in the reply the search happened to find it in. Every
+//     read of one value by one reader, and every history that records them,
+//     then share one payload, and none of them pins a reply.
 package opkit
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"fastreg/internal/proto"
 	"fastreg/internal/types"
@@ -57,22 +90,22 @@ func (s *StoreServer) Handle(_ types.ProcID, m proto.Message) proto.Message {
 // known to have updated (proposed or relayed) it. FastRead requests both
 // merge the reader's valQueue and return the whole vector.
 type VectorServer struct {
-	id     types.ProcID
-	cur    types.Value
-	vector map[types.Value]map[types.ProcID]bool
-	order  []types.Value // insertion order for deterministic replies
+	id  types.ProcID
+	cur types.Value
+	// frozen: replies are this slice. Strictly ascending by Value.Compare,
+	// every Updated set ascending; a change builds a new vector, and new
+	// Updated slices for the entries it touches.
+	vec []proto.VectorEntry
 }
 
 // NewVectorServer creates a VectorServer initialized per Algorithm 2 lines
 // 3–6: vali = (0,⊥) with an empty updated set.
 func NewVectorServer(id types.ProcID) *VectorServer {
-	s := &VectorServer{
-		id:     id,
-		cur:    types.InitialValue(),
-		vector: make(map[types.Value]map[types.ProcID]bool),
+	return &VectorServer{
+		id:  id,
+		cur: types.InitialValue(),
+		vec: []proto.VectorEntry{{Val: types.InitialValue()}},
 	}
-	s.ensure(types.InitialValue())
-	return s
 }
 
 // ID implements register.ServerLogic.
@@ -81,24 +114,94 @@ func (s *VectorServer) ID() types.ProcID { return s.id }
 // CurrentValue implements register.ServerLogic.
 func (s *VectorServer) CurrentValue() types.Value { return s.cur }
 
-func (s *VectorServer) ensure(v types.Value) map[types.ProcID]bool {
-	set, ok := s.vector[v]
-	if !ok {
-		set = make(map[types.ProcID]bool)
-		s.vector[v] = set
-		s.order = append(s.order, v)
-	}
-	return set
+// findEntry locates v in an ascending vector: its index, or the index it
+// would be inserted at.
+func findEntry(vec []proto.VectorEntry, v types.Value) (int, bool) {
+	return slices.BinarySearchFunc(vec, v, func(e proto.VectorEntry, v types.Value) int { return e.Val.Compare(v) })
+}
+
+// inserted returns a new slice, s with v at index i, and leaves s alone.
+func inserted[T any](s []T, i int, v T) []T {
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = v
+	copy(out[i+1:], s[i:])
+	return out
+}
+
+// withProc returns a new ascending set: set and c, which set lacks.
+func withProc(set []types.ProcID, c types.ProcID) []types.ProcID {
+	i, _ := slices.BinarySearchFunc(set, c, types.ProcID.Compare)
+	return inserted(set, i, c)
 }
 
 // update is Algorithm 2's update(val, c) procedure: record that client c
-// holds val, and raise vali if val is newer.
+// holds val, and raise vali if val is newer. val owns its payload (it comes
+// from an Update), so the vector stores it as it is.
 func (s *VectorServer) update(val types.Value, c types.ProcID) {
-	set := s.ensure(val)
-	set[c] = true
+	i, ok := findEntry(s.vec, val)
+	switch {
+	case !ok:
+		s.vec = inserted(s.vec, i, proto.VectorEntry{Val: val, Updated: []types.ProcID{c}})
+	case !s.vec[i].HasUpdated(c):
+		vec := slices.Clone(s.vec)
+		vec[i].Updated = withProc(vec[i].Updated, c)
+		s.vec = vec
+	}
 	if s.cur.Less(val) {
 		s.cur = val
 	}
+}
+
+// fastRead is update(val, c) for every val in the reader's valQueue, after
+// which c joins the updated set of every entry: the reader witnesses every
+// value in the reply. Lemma 8's proof relies on this: "every server which
+// replies to r2 in rd2 adds r2 to its updated set before replying". (With a
+// single stored value, as in Dutta et al., this is the original algorithm's
+// behaviour; the valuevector generalizes it per value.)
+//
+// One pass finds what that would change. Usually nothing — the reader is on
+// every entry and its valQueue holds nothing new — and the reply is the
+// current vector. Otherwise one new vector is built. The valQueue may have
+// been cut from a frame (proto.Decode), so an entry stores a private copy
+// of a new value's payload, and vali takes the entry's copy.
+func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) []proto.VectorEntry {
+	old := s.vec
+	var buf [8]types.Value
+	fresh, stale := buf[:0], false
+	for _, v := range queue {
+		if _, ok := findEntry(old, v); !ok && !slices.Contains(fresh, v) {
+			fresh = append(fresh, v)
+		}
+	}
+	for i := range old {
+		stale = stale || !old[i].HasUpdated(c)
+	}
+	if len(fresh) > 0 || stale {
+		vec := make([]proto.VectorEntry, len(old), len(old)+len(fresh))
+		copy(vec, old)
+		for i := range vec {
+			if !vec[i].HasUpdated(c) {
+				vec[i].Updated = withProc(vec[i].Updated, c)
+			}
+		}
+		if len(fresh) > 0 {
+			only := []types.ProcID{c} // never written again, so the new entries share it
+			for _, v := range fresh {
+				v.Data = strings.Clone(v.Data)
+				vec = append(vec, proto.VectorEntry{Val: v, Updated: only})
+			}
+			slices.SortFunc(vec, func(a, b proto.VectorEntry) int { return a.Val.Compare(b.Val) })
+		}
+		s.vec = vec
+		for _, v := range queue {
+			if s.cur.Less(v) {
+				i, _ := findEntry(vec, v)
+				s.cur = vec[i].Val
+			}
+		}
+	}
+	return s.vec[:len(s.vec):len(s.vec)]
 }
 
 // Handle implements register.ServerLogic.
@@ -115,40 +218,18 @@ func (s *VectorServer) Handle(from types.ProcID, m proto.Message) proto.Message 
 		s.update(msg.Val, from)
 		return proto.UpdateAck{}
 	case proto.FastRead:
-		for _, v := range msg.ValQueue {
-			s.update(v, from)
-		}
-		// The reader witnesses every value in the reply, so it joins every
-		// updated set before the reply is built. Lemma 8's proof relies on
-		// this: "every server which replies to r2 in rd2 adds r2 to its
-		// updated set before replying". (With a single stored value, as in
-		// Dutta et al., this is the original algorithm's behaviour; the
-		// valuevector generalizes it per value.)
-		for _, set := range s.vector {
-			set[from] = true
-		}
-		return proto.FastReadAck{Vector: s.snapshotVector()}
+		return proto.FastReadAck{Vector: s.fastRead(msg.ValQueue, from)}
 	default:
 		return nil
 	}
 }
 
-// snapshotVector deep-copies the valuevector in insertion order with
-// normalized updated sets so replies are deterministic and unaliased.
-func (s *VectorServer) snapshotVector() []proto.VectorEntry {
-	out := make([]proto.VectorEntry, 0, len(s.order))
-	for _, v := range s.order {
-		set := s.vector[v]
-		ids := make([]types.ProcID, 0, len(set))
-		for p := range set {
-			ids = append(ids, p)
-		}
-		ids = proto.NormalizeUpdated(ids)
-		out = append(out, proto.VectorEntry{Val: v, Updated: ids})
+// VectorSnapshot deep-copies the vector for tests and the crucial-info
+// analysis, which may keep or change what they get.
+func (s *VectorServer) VectorSnapshot() []proto.VectorEntry {
+	out := make([]proto.VectorEntry, len(s.vec))
+	for i, e := range s.vec {
+		out[i] = e.Clone()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Val.Less(out[j].Val) })
 	return out
 }
-
-// VectorSnapshot exposes the vector for tests and the crucial-info analysis.
-func (s *VectorServer) VectorSnapshot() []proto.VectorEntry { return s.snapshotVector() }

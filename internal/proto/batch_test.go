@@ -20,6 +20,10 @@ func batchEnvs(tb testing.TB) []Envelope {
 		{From: types.Writer(1), To: types.Server(2), Key: "b", OpID: 4, Round: 2, Payload: Update{Val: val}},
 		{From: types.Server(2), To: types.Reader(3), Key: "a", OpID: 9, Round: 1, IsReply: true, Payload: QueryAck{Val: val}},
 		{From: types.Reader(3), To: types.Server(2), Key: "c/deep", OpID: 2, Round: 1, Payload: FastRead{ValQueue: []types.Value{val}}},
+		{From: types.Server(2), To: types.Reader(3), Key: "c/deep", OpID: 2, Round: 1, IsReply: true, Payload: FastReadAck{Vector: []VectorEntry{
+			{Val: types.InitialValue(), Updated: []types.ProcID{types.Reader(3)}},
+			{Val: val, Updated: []types.ProcID{types.Reader(3), types.Writer(1)}},
+		}}},
 	}
 }
 

@@ -86,10 +86,22 @@ func (w *writer) value(v types.Value) {
 	w.str(v.Data)
 }
 
+// Smallest encodings of the repeated elements. A declared count is checked
+// against the bytes left in the frame divided by these before anything
+// count-sized is allocated, so a 9-byte frame cannot ask for a megabyte.
+const (
+	procSize     = 1 + 4
+	minValueSize = 8 + procSize + 4 // ts, wid, payload length
+	minEntrySize = minValueSize + 4 // value, updated count
+)
+
 type reader struct {
 	buf []byte
-	off int
-	err error
+	// text, once set, is a copy of buf that str cuts its results from
+	// instead of copying each one.
+	text string
+	off  int
+	err  error
 }
 
 func (r *reader) fail(err error) {
@@ -144,7 +156,51 @@ func (r *reader) str() string {
 		return ""
 	}
 	b := r.take(int(n))
+	if r.text != "" {
+		return r.text[r.off-len(b) : r.off]
+	}
 	return string(b)
+}
+
+// count reads an element count and rejects it unless that many elements of
+// at least min bytes each fit in the rest of the frame.
+func (r *reader) count(min int) int {
+	n := r.u32()
+	if r.err != nil {
+		return 0
+	}
+	if n > MaxFrame/8 {
+		r.fail(ErrOversize)
+		return 0
+	}
+	if int(n) > (len(r.buf)-r.off)/min {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	return int(n)
+}
+
+// countUpdated sums the updated-set sizes of the n vector entries encoded
+// at b, reading lengths only, so Decode can cut every set from one array of
+// exactly that size. It stops at the first length that overruns b (the
+// decode proper reports it), so the sum is at most len(b)/procSize.
+func countUpdated(b []byte, n int) int {
+	total := 0
+	for ; n > 0 && len(b) >= minEntrySize; n-- {
+		d := uint64(binary.BigEndian.Uint32(b[minValueSize-4:]))
+		if d > uint64(len(b)-minEntrySize) {
+			break
+		}
+		b = b[minValueSize+int(d):]
+		k := uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+		if k > uint64(len(b)/procSize) {
+			break
+		}
+		total += int(k)
+		b = b[int(k)*procSize:]
+	}
+	return total
 }
 
 func (r *reader) proc() types.ProcID {
@@ -240,6 +296,16 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 
 // Decode parses one frame produced by Encode. It returns the envelope and
 // the number of bytes consumed, so callers can decode from a stream buffer.
+//
+// Nothing in the envelope refers to buf. Key, a QueryAck's, an Update's and
+// a LogAck's values each own a string. A FastRead's valQueue and a
+// FastReadAck's vector are made of three allocations whatever their length:
+// the slice, one array that every Updated set is cut from (each clipped to
+// its length), and ONE string holding the frame body, from which every
+// value's Data is cut. Any one of those Data strings therefore keeps the
+// whole frame's bytes alive: code that stores such a value beyond the
+// message's life stores strings.Clone of its Data (opkit does, see its
+// package doc).
 func Decode(buf []byte) (Envelope, int, error) {
 	if len(buf) < 4 {
 		return Envelope{}, 0, ErrTruncated
@@ -281,40 +347,42 @@ func Decode(buf []byte) (Envelope, int, error) {
 	case KindUpdateAck:
 		e.Payload = UpdateAck{}
 	case KindFastRead:
-		n := r.u32()
-		if r.err == nil && int(n) > MaxFrame/8 {
-			r.fail(ErrOversize)
-		}
 		m := FastRead{}
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			m.ValQueue = append(m.ValQueue, r.value())
+		if n := r.count(minValueSize); n > 0 {
+			r.text = string(r.buf)
+			m.ValQueue = make([]types.Value, n)
+			for i := 0; i < n && r.err == nil; i++ {
+				m.ValQueue[i] = r.value()
+			}
 		}
 		e.Payload = m
 	case KindFastReadAck:
-		n := r.u32()
-		if r.err == nil && int(n) > MaxFrame/8 {
-			r.fail(ErrOversize)
-		}
 		m := FastReadAck{}
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			ent := VectorEntry{Val: r.value()}
-			k := r.u32()
-			if r.err == nil && int(k) > MaxFrame/8 {
-				r.fail(ErrOversize)
+		if n := r.count(minEntrySize); n > 0 {
+			r.text = string(r.buf)
+			m.Vector = make([]VectorEntry, n)
+			ups := make([]types.ProcID, countUpdated(r.buf[r.off:], n))
+			for i := 0; i < n && r.err == nil; i++ {
+				ent := &m.Vector[i]
+				ent.Val = r.value()
+				k := r.count(procSize)
+				if k > len(ups) {
+					r.fail(ErrTruncated)
+					break
+				}
+				if k > 0 {
+					ent.Updated, ups = ups[:k:k], ups[k:]
+					for j := range ent.Updated {
+						ent.Updated[j] = r.proc()
+					}
+				}
 			}
-			for j := uint32(0); j < k && r.err == nil; j++ {
-				ent.Updated = append(ent.Updated, r.proc())
-			}
-			m.Vector = append(m.Vector, ent)
 		}
 		e.Payload = m
 	case KindLogAck:
-		n := r.u32()
-		if r.err == nil && int(n) > MaxFrame/8 {
-			r.fail(ErrOversize)
-		}
+		n := r.count(procSize + minValueSize)
 		m := LogAck{}
-		for i := uint32(0); i < n && r.err == nil; i++ {
+		for i := 0; i < n && r.err == nil; i++ {
 			m.Events = append(m.Events, LogEvent{Client: r.proc(), Val: r.value()})
 		}
 		e.Payload = m

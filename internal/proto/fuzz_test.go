@@ -153,7 +153,13 @@ func fuzzAppendDecode(t *testing.T, data []byte) {
 	t.Helper()
 	sentinel := Envelope{From: types.Writer(1), Key: "sentinel", OpID: 99}
 	dst := append(GetEnvs(), sentinel)
-	out, n, err := AppendDecode(dst, data)
+	// Decode from a buffer that is overwritten straight afterwards, as a
+	// pooled read buffer is: no Key, Data or Updated may be a view of it.
+	buf := bytes.Clone(data)
+	out, n, err := AppendDecode(dst, buf)
+	for i := range buf {
+		buf[i] ^= 0xFF
+	}
 	var wantEnvs []Envelope
 	var wantN int
 	var wantErr error

@@ -16,7 +16,7 @@ package proto
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"fastreg/internal/types"
@@ -164,18 +164,17 @@ func (e VectorEntry) String() string {
 // returns it. Entries travel on the wire, so a canonical form keeps
 // executions deterministic and comparisons cheap.
 func NormalizeUpdated(ps []types.ProcID) []types.ProcID {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
-	out := ps[:0]
-	for i, p := range ps {
-		if i == 0 || ps[i-1] != p {
-			out = append(out, p)
-		}
-	}
-	return out
+	slices.SortFunc(ps, types.ProcID.Compare)
+	return slices.Compact(ps)
 }
 
 // FastReadAck is the server's reply to FastRead: its full valuevector
 // (Algorithm 2 replies with everything needed for the admissibility test).
+//
+// An honest replica sends the vector strictly ascending by Value.Compare
+// and shares it with its own state (opkit.VectorServer): a holder of a
+// FastReadAck reads Vector and the Updated slices and never writes through
+// them. Receivers check the order instead of trusting it.
 type FastReadAck struct {
 	Vector []VectorEntry
 }
@@ -208,6 +207,6 @@ func (m FastReadAck) Values() []types.Value {
 	for _, e := range m.Vector {
 		vs = append(vs, e.Val)
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Less(vs[j]) })
+	slices.SortStableFunc(vs, func(a, b types.Value) int { return a.Tag.Compare(b.Tag) })
 	return vs
 }

@@ -1,0 +1,138 @@
+package proto
+
+import (
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"fastreg/internal/types"
+)
+
+// sixEntries builds a FastRead and a FastReadAck of six values with 256-byte
+// payloads, the shape of a tcp-fastread reply.
+func sixEntries() (FastRead, FastReadAck) {
+	var q FastRead
+	var ack FastReadAck
+	for i := 0; i < 6; i++ {
+		v := types.Value{Tag: types.Tag{TS: int64(i + 1), WID: types.Writer(1 + i%2)}, Data: fmt.Sprintf("%0256d", i)}
+		q.ValQueue = append(q.ValQueue, v)
+		ack.Vector = append(ack.Vector, VectorEntry{Val: v, Updated: []types.ProcID{types.Reader(1), types.Reader(2), types.Writer(1 + i%2)}})
+	}
+	return q, ack
+}
+
+// A vector decodes into a fixed number of allocations whatever its length:
+// the key, the one string the payloads are cut from, the slice, the one
+// array the updated sets are cut from, and the interface value.
+func TestDecodeVectorAllocs(t *testing.T) {
+	q, ack := sixEntries()
+	for _, c := range []struct {
+		name string
+		msg  Message
+		max  float64
+	}{
+		{"FastRead", q, 4},
+		{"FastReadAck", ack, 5},
+	} {
+		frame, err := Encode(Envelope{From: types.Server(1), To: types.Reader(1), Key: "key-0001", OpID: 1, Round: 1, Payload: c.msg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if _, _, err := Decode(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("Decode of a six-entry %s: %v allocs, want ≤ %v", c.name, got, c.max)
+		}
+	}
+}
+
+// Every updated set is cut from one array, so each is clipped to its
+// length: appending to one must not run into the next.
+func TestDecodeVectorUpdatedSetsAreClipped(t *testing.T) {
+	_, ack := sixEntries()
+	frame, err := Encode(Envelope{From: types.Server(1), To: types.Reader(1), Payload: ack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := e.Payload.(FastReadAck).Vector
+	_ = append(vec[0].Updated, types.Reader(99))
+	if vec[1].Updated[0] != types.Reader(1) {
+		t.Errorf("append to one entry's updated set overwrote the next entry's: %v", vec[1])
+	}
+}
+
+// A count is checked against the bytes that are left before anything of
+// that size is allocated. The counts just under MaxFrame/8 are the ones the
+// append-as-it-goes decoder accepted until the bytes ran out, and that an
+// exactly-sized allocation would turn into megabytes.
+func TestDecodeRejectsCountsBeyondTheFrame(t *testing.T) {
+	header := func(kind Kind) []byte {
+		w := writer{}
+		w.u32(0)
+		w.proc(types.Server(1))
+		w.proc(types.Reader(1))
+		w.str("k")
+		w.u64(1)
+		w.u8(1)
+		w.u8(1)
+		w.u64(0)
+		w.u64(0)
+		w.u8(uint8(kind))
+		return w.buf
+	}
+	finish := func(b []byte) []byte {
+		binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
+		return b
+	}
+	one := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "x"}
+	type frameCase struct {
+		name  string
+		frame []byte
+	}
+	var cases []frameCase
+	for _, n := range []uint32{2, 1000, MaxFrame/8 - 1, MaxFrame / 8, MaxFrame/8 + 1, 1<<32 - 1} {
+		// A valQueue, a vector and an updated set that each declare n
+		// elements and hold one, and a vector that holds none.
+		w := writer{buf: header(KindFastRead)}
+		w.u32(n)
+		w.value(one)
+		cases = append(cases, frameCase{fmt.Sprintf("valQueue count %d, one value", n), finish(w.buf)})
+
+		w = writer{buf: header(KindFastReadAck)}
+		w.u32(n)
+		w.value(one)
+		w.u32(0)
+		cases = append(cases, frameCase{fmt.Sprintf("vector count %d, one entry", n), finish(w.buf)})
+
+		w = writer{buf: header(KindFastReadAck)}
+		w.u32(1)
+		w.value(one)
+		w.u32(n)
+		w.proc(types.Reader(1))
+		cases = append(cases, frameCase{fmt.Sprintf("updated count %d, one client", n), finish(w.buf)})
+
+		w = writer{buf: header(KindFastReadAck)}
+		w.u32(n)
+		cases = append(cases, frameCase{fmt.Sprintf("vector count %d, nothing after it", n), finish(w.buf)})
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, used, err := Decode(c.frame)
+		runtime.ReadMemStats(&after)
+		if err == nil || used != 0 {
+			t.Errorf("%s: accepted (%d bytes used)", c.name, used)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+			t.Errorf("%s: a %d-byte frame made Decode allocate %d bytes", c.name, len(c.frame), got)
+		}
+	}
+}

@@ -1,9 +1,10 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -526,7 +527,7 @@ func (s *Server) handleReqs(reqs []connReq, out []proto.Envelope) []proto.Envelo
 		t0 = time.Now()
 	}
 	if len(reqs) > 1 {
-		sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].shard < reqs[j].shard })
+		slices.SortStableFunc(reqs, func(a, b connReq) int { return cmp.Compare(a.shard, b.shard) })
 	}
 	epoch := s.reg.Epoch()
 	var caps []capturedHandle // only allocated when capture is on

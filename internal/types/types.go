@@ -8,8 +8,10 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Role distinguishes the three disjoint process sets of the system model.
@@ -76,6 +78,15 @@ func (p ProcID) Less(q ProcID) bool {
 	return p.Index < q.Index
 }
 
+// Compare returns -1, 0, or +1 as p is less than, equal to, or greater
+// than q in the (Role, Index) order of Less.
+func (p ProcID) Compare(q ProcID) int {
+	if c := cmp.Compare(p.Role, q.Role); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Index, q.Index)
+}
+
 // Tag is the version identifier (ts, wid) of a written value.
 //
 // Two tags are ordered by timestamp first and writer ID second:
@@ -105,14 +116,10 @@ func (t Tag) Equal(o Tag) bool { return t == o }
 // Compare returns -1, 0, or +1 as t is less than, equal to, or greater
 // than o.
 func (t Tag) Compare(o Tag) int {
-	switch {
-	case t.Less(o):
-		return -1
-	case o.Less(t):
-		return 1
-	default:
-		return 0
+	if c := cmp.Compare(t.TS, o.TS); c != 0 {
+		return c
 	}
+	return t.WID.Compare(o.WID)
 }
 
 // String renders "(ts,wid)".
@@ -132,6 +139,17 @@ func InitialValue() Value { return Value{Tag: ZeroTag()} }
 
 // Less orders values by tag.
 func (v Value) Less(o Value) bool { return v.Tag.Less(o.Tag) }
+
+// Compare is the total order that sorted valuevectors and valQueues use:
+// by tag, then by payload. A tag names one write, so only a faulty process
+// produces two values that share a tag but not a payload; ordering them too
+// keeps such values distinct entries in a deterministic place.
+func (v Value) Compare(o Value) int {
+	if c := v.Tag.Compare(o.Tag); c != 0 {
+		return c
+	}
+	return strings.Compare(v.Data, o.Data)
+}
 
 // Equal reports whether both tag and payload match.
 func (v Value) Equal(o Value) bool { return v == o }
