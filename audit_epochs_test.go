@@ -11,6 +11,7 @@ import (
 	"fastreg"
 	"fastreg/internal/audit"
 	"fastreg/internal/mwabd"
+	"fastreg/internal/proto"
 	"fastreg/internal/quorum"
 	"fastreg/internal/transport"
 )
@@ -136,7 +137,8 @@ func TestAuditEpochsLive(t *testing.T) {
 	}
 }
 
-// TestAuditEpochsValidation pins WithAuditEpochs' backend requirements.
+// TestAuditEpochsValidation pins what WithAuditEpochs and
+// WithCaptureRotation require.
 func TestAuditEpochsValidation(t *testing.T) {
 	cfg := fastreg.DefaultConfig()
 	if s, err := fastreg.Open(cfg, fastreg.W2R2,
@@ -145,13 +147,83 @@ func TestAuditEpochsValidation(t *testing.T) {
 		t.Fatal("WithAuditEpochs without WithCapture must fail")
 	}
 	if s, err := fastreg.Open(cfg, fastreg.W2R2,
-		fastreg.WithCapture(t.TempDir()), fastreg.WithAuditEpochs(time.Second)); err == nil {
-		s.Close()
-		t.Fatal("WithAuditEpochs on the in-process backend must fail")
-	}
-	if s, err := fastreg.Open(cfg, fastreg.W2R2,
 		fastreg.WithCaptureRotation(1024)); err == nil {
 		s.Close()
 		t.Fatal("WithCaptureRotation without WithCapture must fail")
+	}
+}
+
+// TestAuditEpochsInProcess is the continuous audit with no fleet to
+// host: the in-process store captures its own replica logs, stamps their
+// epoch boundaries itself, and the follower finalizes the run CLEAN. The
+// replica records carry the real per-key handled counter the served-value
+// cross-check orders by.
+func TestAuditEpochsInProcess(t *testing.T) {
+	dir := t.TempDir()
+	s, err := fastreg.Open(fastreg.DefaultConfig(), fastreg.W2R2,
+		fastreg.WithCapture(dir), fastreg.WithAuditEpochs(20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	wr, _ := s.Writer(1)
+	rd, _ := s.Reader(1)
+	for n := 0; n < 40; n++ {
+		k := fmt.Sprintf("k%d", n%4)
+		if _, err := wr.Put(ctx, k, fmt.Sprintf("v%d", n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := rd.Get(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+audit.TraceExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != fastreg.DefaultConfig().Servers+1 {
+		t.Fatalf("%d logs, want one client and one per replica: %v", len(paths), paths)
+	}
+	handles := 0
+	for _, p := range paths {
+		f, err := audit.ReadTraceFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range f.Records {
+			if rec.Kind != proto.TraceServerHandle {
+				continue
+			}
+			handles++
+			if rec.Seq == 0 {
+				t.Fatalf("%s: replica record without a handled seq: %+v", p, rec)
+			}
+		}
+	}
+	if handles == 0 {
+		t.Fatal("no replica records captured")
+	}
+
+	f := audit.NewFollower(audit.FollowOptions{})
+	defer f.Close()
+	for _, p := range paths {
+		if err := f.AddLog(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Poll()
+	f.Drain()
+	if f.ViolatedEpochs != 0 || len(f.PendingStale()) != 0 {
+		t.Fatalf("in-process run flagged: %d violated epochs, %d stale (warnings: %v)",
+			f.ViolatedEpochs, len(f.PendingStale()), f.Warnings)
+	}
+	if f.CleanEpochs < 1 {
+		t.Fatal("no epoch closed")
+	}
+	if f.TotalOps != 80 {
+		t.Fatalf("follower saw %d completed ops, want 80", f.TotalOps)
 	}
 }

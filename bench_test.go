@@ -299,8 +299,7 @@ func BenchmarkAblationWriteBack(b *testing.B) {
 }
 
 // BenchmarkAblationScheduler compares the deterministic discrete-event
-// simulator against the goroutine-per-server live network on the same
-// workload.
+// simulator against the live in-process fleet on the same workload.
 func BenchmarkAblationScheduler(b *testing.B) {
 	cfg := fastreg.Config{Servers: 5, MaxCrashes: 1, Readers: 2, Writers: 2}
 	b.Run("discrete-event", func(b *testing.B) {
@@ -315,7 +314,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	b.Run("live-goroutines", func(b *testing.B) {
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithPerKey())
+			s, err := fastreg.Open(cfg, fastreg.W2R2)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -334,37 +333,23 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	})
 }
 
-// BenchmarkKVMultiplexed compares the KV store's two in-process backends
-// on the same keyspace and client mix: the legacy per-key-cluster backend
-// (one full goroutine fleet per key, fastreg.WithPerKey) against the
-// multiplexed backend (one shared fleet serving every key through
-// key-tagged messages and sharded per-key state, the fastreg.Open
-// default). Reported metrics: end-to-end ops/sec and the steady-state
-// goroutine count — O(keys × servers) vs O(servers).
+// BenchmarkKVMultiplexed drives the in-process backend — one fleet
+// serving every key through key-tagged messages and sharded per-key
+// state, the fastreg.Open default — over 64 keys. Reported metrics:
+// end-to-end ops/sec and the steady-state goroutine count, O(servers).
 func BenchmarkKVMultiplexed(b *testing.B) {
 	cfg := fastreg.Config{Servers: 5, MaxCrashes: 1, Readers: 4, Writers: 4}
-	for _, rt := range []struct {
-		name string
-		opts []fastreg.Option
-	}{
-		{"per-key-clusters", []fastreg.Option{fastreg.WithPerKey()}},
-		{"multiplexed", nil},
-	} {
-		rt := rt
-		b.Run(rt.name, func(b *testing.B) {
-			s, err := fastreg.Open(cfg, fastreg.W2R2, rt.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			benchKVStore(b, s, cfg, true)
-		})
+	s, err := fastreg.Open(cfg, fastreg.W2R2)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer s.Close()
+	benchKVStore(b, s, cfg, true)
 }
 
 // benchKVStore drives a store through the shared client mix (one
 // goroutine per writer/reader handle over 64 keys), reporting ops/sec
-// and — for the in-process backends — the steady-state goroutine count.
+// and — in-process — the steady-state goroutine count.
 func benchKVStore(b *testing.B, s *fastreg.Store, cfg fastreg.Config, reportGoroutines bool) {
 	b.Helper()
 	const nKeys = 64
@@ -440,15 +425,12 @@ func benchKVStore(b *testing.B, s *fastreg.Store, cfg fastreg.Config, reportGoro
 // replica servers, the deployment shape cmd/regserver + cmd/regclient
 // run. The gap between the two benchmarks is the price of the wire.
 //
-// Three wire modes isolate what each layer buys: "unbatched" sends one
-// frame per envelope (the pre-batching behavior, via
+// Two wire modes isolate what batching buys: "unbatched" sends one frame
+// per envelope (the pre-batching behavior, via
 // transport.WithUnbatchedSends); "batched" (the default) coalesces
 // concurrent rounds to the same server into multi-envelope frames, and
-// replicas reply in kind; "multiconn" adds two client connections per
-// replica with round-robin steering (fastreg.WithConnsPerLink) — a win
-// only where the single per-server stream is the bottleneck, so expect
-// it to trail "batched" on a single CPU. The client counts show how the
-// wins grow with the per-connection overlap the optimizations feed on.
+// replicas reply in kind. The client counts show how the win grows with
+// the per-connection overlap batching feeds on.
 func BenchmarkKVTCP(b *testing.B) {
 	for _, clients := range []int{8, 16} {
 		cfg := fastreg.Config{Servers: 5, MaxCrashes: 1, Readers: clients / 2, Writers: clients / 2}
@@ -458,7 +440,6 @@ func BenchmarkKVTCP(b *testing.B) {
 		}{
 			{"unbatched", []fastreg.Option{fastreg.WithUnbatchedSends()}},
 			{"batched", nil},
-			{"multiconn", []fastreg.Option{fastreg.WithConnsPerLink(2)}},
 		} {
 			mode := mode
 			b.Run(fmt.Sprintf("clients=%d/%s", clients, mode.name), func(b *testing.B) {

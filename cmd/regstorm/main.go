@@ -1,6 +1,6 @@
 // Command regstorm runs one declarative storm scenario end to end:
 // it hosts a replica fleet (real loopback TCP behind internal/faultnet's
-// fault-injecting listeners, or the in-process backend as a clean
+// fault-injecting listeners, or the store's in-process fleet as a clean
 // baseline), drives it with internal/loadgen's open-loop workload, and
 // finishes by merging every capture log and replaying the atomicity
 // checker over the joint history — the process exit code IS the
@@ -10,7 +10,7 @@
 // Usage:
 //
 //	regstorm -spec scenarios/storm-smoke.json [-seed N] [-capture DIR]
-//	         [-bench-out BENCH.json] [diagnostics flags]
+//	         [diagnostics flags]
 //
 // Exit codes follow regaudit check: 0 when every key's merged history
 // checks atomic, 2 on a violation, 1 on any operational error. The spec
@@ -31,19 +31,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 
 	"fastreg"
 	"fastreg/internal/audit"
 	"fastreg/internal/cliflags"
 	"fastreg/internal/faultnet"
-	"fastreg/internal/lint"
 	"fastreg/internal/loadgen"
 	"fastreg/internal/obs"
 )
@@ -56,9 +53,7 @@ func main() {
 func run() int {
 	var (
 		specPath = flag.String("spec", "", "scenario spec file (required; see scenarios/*.json)")
-		benchOut = flag.String("bench-out", "", "also write a fastreg-bench/v1 document for the workload's throughput/latency")
 		capDir   = flag.String("capture", "", "directory for the run's trace logs (default: a temp dir, removed after a clean verdict)")
-		pr       = flag.Int("pr", 10, "PR number recorded in the -bench-out document")
 	)
 	seedFlag := cliflags.RegisterSeed(flag.CommandLine)
 	diag := cliflags.RegisterDiag(flag.CommandLine)
@@ -119,15 +114,12 @@ func run() int {
 			return fail(err)
 		}
 		opts = append(opts, fastreg.WithTCP(flt.addrs...))
-		if spec.Fleet.ConnsPerLink > 1 {
-			opts = append(opts, fastreg.WithConnsPerLink(spec.Fleet.ConnsPerLink))
-		}
-		if spec.VouchedReads > 0 {
-			opts = append(opts, fastreg.WithVouchedReads(spec.VouchedReads))
-		}
-		if spec.EpochMS > 0 {
-			opts = append(opts, fastreg.WithAuditEpochs(ms(spec.EpochMS)))
-		}
+	}
+	if spec.VouchedReads > 0 {
+		opts = append(opts, fastreg.WithVouchedReads(spec.VouchedReads))
+	}
+	if spec.EpochMS > 0 {
+		opts = append(opts, fastreg.WithAuditEpochs(ms(spec.EpochMS)))
 	}
 	if spec.RotateBytes > 0 {
 		opts = append(opts, fastreg.WithCaptureRotation(spec.RotateBytes))
@@ -145,7 +137,8 @@ func run() int {
 	}
 	if spec.EpochMS > 0 && flt != nil {
 		// The replica logs live in this process, so the coordinator can
-		// stamp them directly when each epoch's weight comes home.
+		// stamp them directly when each epoch's weight comes home (an
+		// in-process store stamps its own replica logs).
 		if err := store.OnAuditEpoch(flt.StampEpoch); err != nil {
 			store.Close()
 			flt.Close()
@@ -167,12 +160,6 @@ func run() int {
 		return fail(err)
 	}
 	fmt.Printf("regstorm: workload %s\n", rep)
-
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, spec, *pr, rep); err != nil {
-			return fail(err)
-		}
-	}
 
 	code, err := verdict(dir)
 	if err != nil {
@@ -281,59 +268,6 @@ func verdict(dir string) (int, error) {
 		return 2, nil
 	}
 	return 0, nil
-}
-
-// writeBench emits the workload's numbers as a fastreg-bench/v1 document
-// — the same schema benchwire writes, so storm runs land in the repo's
-// perf record the same way wire benchmarks do.
-func writeBench(path string, spec *Spec, pr int, rep *loadgen.Report) error {
-	type benchCase struct {
-		Name        string  `json:"name"`
-		Clients     int     `json:"clients"`
-		OpsPerSec   float64 `json:"ops_per_sec"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-		P50Ns       float64 `json:"p50_ns"`
-		P95Ns       float64 `json:"p95_ns"`
-		P99Ns       float64 `json:"p99_ns"`
-	}
-	doc := struct {
-		Schema     string      `json:"schema"`
-		Toolchain  string      `json:"toolchain"`
-		PR         int         `json:"pr"`
-		GoMaxProcs int         `json:"go_maxprocs"`
-		Samples    int         `json:"samples"`
-		Results    []benchCase `json:"results"`
-	}{
-		Schema:     "fastreg-bench/v1",
-		Toolchain:  fmt.Sprintf("%s fastreglint/%s", runtime.Version(), lint.Version),
-		PR:         pr,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Samples:    1,
-	}
-	c := benchCase{
-		Name:        "storm/" + spec.Name,
-		Clients:     spec.Fleet.Writers + spec.Fleet.Readers,
-		OpsPerSec:   rep.OpsPerSec(),
-		AllocsPerOp: rep.AllocsPerOp,
-		P50Ns:       float64(rep.Merged.P50),
-		P95Ns:       float64(rep.Merged.P95),
-		P99Ns:       float64(rep.Merged.P99),
-	}
-	if rep.Completed > 0 {
-		c.NsPerOp = float64(rep.Elapsed.Nanoseconds()) / float64(rep.Completed)
-	}
-	doc.Results = append(doc.Results, c)
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if err := os.WriteFile(path, enc, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("regstorm: wrote %s\n", path)
-	return nil
 }
 
 func fail(err error) int {

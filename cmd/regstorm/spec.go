@@ -21,8 +21,8 @@ type Spec struct {
 	Name     string `json:"name"`
 	Protocol string `json:"protocol"`
 	// Backend is "tcp" (default: a real loopback fleet, the only backend
-	// faults/byzantine apply to) or "inprocess" (the multiplexed in-memory
-	// fleet — a workload-only baseline).
+	// faults/byzantine apply to) or "inprocess" (the store's in-memory
+	// fleet — a fault-free baseline).
 	Backend      string     `json:"backend"`
 	Seed         int64      `json:"seed"`
 	Fleet        FleetSpec  `json:"fleet"`
@@ -33,14 +33,13 @@ type Spec struct {
 	// EpochMS arms the continuous audit: the store cuts a weight-throwing
 	// epoch this often, every capture log (client and replica) gets the
 	// boundary stamps, and `regaudit follow` can verify the run live.
-	// Needs the tcp backend — the weight rides the wire envelopes.
 	EpochMS int `json:"epoch_ms"`
 	// RotateBytes caps each capture log segment; rotation exercises the
 	// .trlog.N segment families the streaming follower tails.
 	RotateBytes int64 `json:"rotate_bytes"`
 }
 
-// FleetSpec is the cluster shape plus how the client fans out to it.
+// FleetSpec is the cluster shape.
 type FleetSpec struct {
 	Servers int `json:"servers"`
 	T       int `json:"t"`
@@ -49,8 +48,7 @@ type FleetSpec struct {
 	// Byzantine marks the LAST N replicas as liars (internal/byzantine's
 	// LyingServer on the wire) — last, so s1 stays honest and log names
 	// alone tell who lied.
-	Byzantine    int `json:"byzantine"`
-	ConnsPerLink int `json:"conns_per_link"`
+	Byzantine int `json:"byzantine"`
 }
 
 // WorkSpec parameterizes the open-loop generator (internal/loadgen).
@@ -130,18 +128,12 @@ func (s *Spec) validate() error {
 		if len(s.Faults) > 0 {
 			return fmt.Errorf("fault schedules need the tcp backend (faults inject at the framing layer)")
 		}
-		if s.VouchedReads > 0 {
-			return fmt.Errorf("vouched reads need the tcp backend")
-		}
 	}
 	if s.VouchedReads < 0 {
 		return fmt.Errorf("vouched_reads must be >= 0")
 	}
 	if s.EpochMS < 0 {
 		return fmt.Errorf("epoch_ms must be >= 0")
-	}
-	if s.EpochMS > 0 && s.Backend != "tcp" {
-		return fmt.Errorf("epoch_ms needs the tcp backend (epoch weight rides the wire envelopes)")
 	}
 	if s.RotateBytes < 0 {
 		return fmt.Errorf("rotate_bytes must be >= 0")

@@ -1,39 +1,38 @@
-// Backend conformance: one table-driven suite executed against all three
-// Open backends through identical code — the point of the Backend seam.
+// Backend conformance: one table-driven suite executed against every
+// Open backend through identical code — the point of the Backend seam.
 // Every backend must serve puts and gets through session handles, reject
 // out-of-range identities at handle creation, honor context deadlines,
-// survive ≤ t crashes, pass the atomicity checker over a concurrent
-// workload, and (where supported) evict idle keys on sweep. CI runs this
-// under -race.
+// survive ≤ t crashes and fail fast beyond t, pass the atomicity checker
+// over a concurrent workload, reproduce a sequential script's exact
+// values, and evict idle keys on sweep. CI runs this under -race.
 package fastreg_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"fastreg"
 	"fastreg/internal/mwabd"
+	"fastreg/internal/netsim"
 	"fastreg/internal/quorum"
+	"fastreg/internal/register"
 	"fastreg/internal/transport"
 )
 
-// sweeper is the optional capability eviction-supporting backends expose
-// (netsim.MultiLive and transport.Client both do).
+// sweeper is the client registry's eviction sweep both backends expose.
 type sweeper interface{ Sweep() int }
 
 // backendCase describes one Open backend under conformance test. open
 // boots whatever the backend needs (replica servers for TCP), registers
-// cleanup, and returns the store plus a sweep hook that advances every
-// eviction epoch the deployment has (client and servers) and reports
-// whether NO key state remains anywhere — client registry and every
-// replica; sweep is nil when the backend does not support eviction.
+// cleanup, and returns the store plus the replicas it runs against.
 type backendCase struct {
 	name string
-	open func(t *testing.T, cfg fastreg.Config) (s *fastreg.Store, sweep func() bool)
+	open func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, []*transport.Server)
 }
 
 // bootTCPFleet starts qcfg.S loopback replica servers (closed on test
@@ -58,98 +57,66 @@ func bootTCPFleet(tb testing.TB, qcfg quorum.Config, sopts ...transport.ServerOp
 	return servers, addrs
 }
 
+// openTCP opens a store against a fresh loopback fleet.
+func openTCP(t *testing.T, cfg fastreg.Config, sopts ...transport.ServerOption) (*fastreg.Store, []*transport.Server) {
+	t.Helper()
+	qcfg := quorum.Config{S: cfg.Servers, T: cfg.MaxCrashes, R: cfg.Readers, W: cfg.Writers}
+	servers, addrs := bootTCPFleet(t, qcfg, sopts...)
+	s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithTCP(addrs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s, servers
+}
+
 func backendCases() []backendCase {
 	return []backendCase{
 		{
 			name: "inprocess",
-			open: func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, func() bool) {
+			open: func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, []*transport.Server) {
 				t.Helper()
 				s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithInProcess())
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(s.Close)
-				// MultiLive drops client and server state together, so an
-				// empty client registry means the servers are clean too.
-				return s, func() bool {
-					s.Backend().(sweeper).Sweep()
-					return len(s.Keys()) == 0
-				}
-			},
-		},
-		{
-			name: "perkey",
-			open: func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, func() bool) {
-				t.Helper()
-				s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithPerKey())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(s.Close)
-				return s, nil // the per-key backend has no eviction
+				return s, s.Backend().(*netsim.MultiLive).Servers()
 			},
 		},
 		{
 			name: "tcp",
-			open: func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, func() bool) {
-				t.Helper()
-				qcfg := quorum.Config{S: cfg.Servers, T: cfg.MaxCrashes, R: cfg.Readers, W: cfg.Writers}
-				servers, addrs := bootTCPFleet(t, qcfg)
-				s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithTCP(addrs...))
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(s.Close)
-				// A full deployment sweep: the client registry plus every
-				// replica's (eviction is server state AND client state in
-				// separate processes on this backend). Eviction converges
-				// only when no replica holds the key either — a straggler
-				// request can land at the slow S−t'th server after its
-				// sweeps started and keep it alive for extra epochs.
-				return s, func() bool {
-					s.Backend().(sweeper).Sweep()
-					empty := len(s.Keys()) == 0
-					for _, srv := range servers {
-						srv.Sweep()
-						if srv.KeyCount() != 0 {
-							empty = false
-						}
-					}
-					return empty
-				}
+			open: func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, []*transport.Server) {
+				return openTCP(t, cfg)
 			},
 		},
 		{
-			// The TCP backend with both wire knobs turned up: 4 client
-			// connections per replica (round-robin steering, replies
-			// correlated by opID across sockets) against replicas running a
-			// 4-worker shard-affine pool. The whole conformance surface —
-			// handles, deadlines, crashes, eviction, atomicity — must be
-			// indistinguishable from the default tcp case.
-			name: "tcp-multiconn",
-			open: func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, func() bool) {
-				t.Helper()
-				qcfg := quorum.Config{S: cfg.Servers, T: cfg.MaxCrashes, R: cfg.Readers, W: cfg.Writers}
-				servers, addrs := bootTCPFleet(t, qcfg, transport.WithServerWorkers(4))
-				s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithTCP(addrs...), fastreg.WithConnsPerLink(4))
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(s.Close)
-				return s, func() bool {
-					s.Backend().(sweeper).Sweep()
-					empty := len(s.Keys()) == 0
-					for _, srv := range servers {
-						srv.Sweep()
-						if srv.KeyCount() != 0 {
-							empty = false
-						}
-					}
-					return empty
-				}
+			// Replicas running a 4-worker shard-affine pool: the whole
+			// conformance surface must be indistinguishable from inline
+			// serving (and -race covers the worker handoffs).
+			name: "tcp-workers",
+			open: func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, []*transport.Server) {
+				return openTCP(t, cfg, transport.WithServerWorkers(4))
 			},
 		},
 	}
+}
+
+// deploymentSweep sweeps the whole deployment once — the client registry
+// and every replica — and reports whether NO key state remains anywhere.
+// Eviction converges only when no replica holds the key either: a
+// straggler request can land at the slow S−t'th server after its sweeps
+// started and keep it alive for extra epochs.
+func deploymentSweep(s *fastreg.Store, servers []*transport.Server) bool {
+	s.Backend().(sweeper).Sweep()
+	empty := len(s.Keys()) == 0
+	for _, srv := range servers {
+		srv.Sweep()
+		if srv.KeyCount() != 0 {
+			empty = false
+		}
+	}
+	return empty
 }
 
 func conformanceCfg() fastreg.Config {
@@ -282,11 +249,87 @@ func TestBackendConformance(t *testing.T) {
 				}
 			})
 
-			t.Run("Eviction", func(t *testing.T) {
-				s, sweep := bc.open(t, conformanceCfg())
-				if sweep == nil {
-					t.Skipf("backend %s does not support eviction", bc.name)
+			t.Run("CrashBeyondT", func(t *testing.T) {
+				s, _ := bc.open(t, conformanceCfg())
+				cfg := s.Config()
+				w, _ := s.Writer(1)
+				r, _ := s.Reader(1)
+				if _, err := w.Put(context.Background(), "k", "v"); err != nil {
+					t.Fatal(err)
 				}
+				for i := 0; i <= cfg.MaxCrashes; i++ {
+					s.CrashServer(cfg.Servers - i)
+				}
+				// No quorum can form: both kinds fail fast with a protocol
+				// error, long before the context would expire.
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				if _, err := w.Put(ctx, "k", "v2"); !errors.Is(err, register.ErrProtocol) {
+					t.Fatalf("Put with t+1 crashes = %v, want ErrProtocol", err)
+				}
+				if _, _, _, err := r.Get(ctx, "fresh"); !errors.Is(err, register.ErrProtocol) {
+					t.Fatalf("Get with t+1 crashes = %v, want ErrProtocol", err)
+				}
+			})
+
+			t.Run("SequentialScript", func(t *testing.T) {
+				// One deterministic script of puts, a crash within t, then
+				// gets: every backend must return exactly these values.
+				s, _ := bc.open(t, conformanceCfg())
+				ctx := context.Background()
+				keys := []string{"users:alice", "users:bob", "config:flags", "queue:jobs"}
+				for i := 0; i < 12; i++ {
+					w, _ := s.Writer(1 + i%2)
+					if _, err := w.Put(ctx, keys[i%len(keys)], fmt.Sprintf("v%d", i)); err != nil {
+						t.Fatalf("put %d: %v", i, err)
+					}
+					if i == 6 {
+						s.CrashServer(2)
+					}
+				}
+				r, _ := s.Reader(1)
+				got := map[string]string{}
+				for _, k := range append(keys, "never-written") {
+					v, _, ok, err := r.Get(ctx, k)
+					if err != nil {
+						t.Fatalf("get %q: %v", k, err)
+					}
+					got[k] = fmt.Sprintf("%q %v", v, ok)
+				}
+				want := map[string]string{
+					"users:alice":   `"v8" true`,
+					"users:bob":     `"v9" true`,
+					"config:flags":  `"v10" true`,
+					"queue:jobs":    `"v11" true`,
+					"never-written": `"" false`,
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("gets = %v, want %v", got, want)
+				}
+				wantKeys := []string{"config:flags", "never-written", "queue:jobs", "users:alice", "users:bob"}
+				if k := s.Keys(); !reflect.DeepEqual(k, wantKeys) {
+					t.Fatalf("Keys() = %v, want %v", k, wantKeys)
+				}
+				// Three puts and one get per written key, one get of the
+				// unwritten one — all completed, all atomic.
+				ops := 0
+				for k, h := range s.Backend().Histories() {
+					n, want := len(h.Completed()), 4
+					if k == "never-written" {
+						want = 1
+					}
+					if n != want {
+						t.Fatalf("key %q: %d completed ops, want %d", k, n, want)
+					}
+					ops += n
+				}
+				if res := s.Check(); !res.Atomic || res.Operations != ops || ops != 17 {
+					t.Fatalf("check = %+v over %d ops, want atomic over 17", res, ops)
+				}
+			})
+
+			t.Run("Eviction", func(t *testing.T) {
+				s, servers := bc.open(t, conformanceCfg())
 				ctx := context.Background()
 				w, _ := s.Writer(1)
 				r, _ := s.Reader(1)
@@ -298,7 +341,7 @@ func TestBackendConformance(t *testing.T) {
 				// replies), it is idle for a full epoch and must be evicted
 				// from every component of the deployment.
 				deadline := time.Now().Add(5 * time.Second)
-				for !sweep() {
+				for !deploymentSweep(s, servers) {
 					if time.Now().After(deadline) {
 						t.Fatal("sweeps never drained the key state")
 					}

@@ -13,11 +13,11 @@
 // The three entry points:
 //
 //   - Open: a replicated key-value store (one atomic register per key)
-//     over a configurable backend — the in-process multiplexed fleet by
-//     default, WithTCP for a deployed regserver fleet, WithPerKey for
-//     the legacy cluster-per-key runtime — driven through context-first
-//     session handles (Store.Writer / Store.Reader). Cluster is the
-//     single-register special case;
+//     over a configurable backend — an in-process fleet by default,
+//     WithTCP for a deployed regserver fleet; both run the same
+//     transport client — driven through context-first session handles
+//     (Store.Writer / Store.Reader). After Store.Close, operations fail
+//     with the transport's "closed" error (transport.ErrClosed);
 //   - Simulation: a deterministic discrete-event run for latency and
 //     adversarial-schedule experiments;
 //   - the analysis functions (FastReadFeasible, ProveFastWriteImpossible,
@@ -25,11 +25,9 @@
 package fastreg
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
-	"fastreg/internal/atomicity"
 	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
@@ -140,81 +138,3 @@ type CheckResult struct {
 	// Operations is the number of completed operations checked.
 	Operations int
 }
-
-// Cluster is a running register: one goroutine per server, blocking client
-// calls, crash injection — the Fig 1 system live. It is a single-key
-// Store: the register is the store's one (unnamed) key, served by the
-// per-key backend, so a Cluster and a Store run identical runtime code.
-//
-// Prefer Open with session handles for new code; Cluster remains for the
-// single-register experiments the paper's figures are built from.
-type Cluster struct {
-	s   *Store
-	cfg Config
-}
-
-// clusterKey is the single register's key — the empty string, matching
-// the empty key tag single-register envelopes always carried.
-const clusterKey = ""
-
-// NewCluster starts a cluster of the given shape running the protocol.
-func NewCluster(cfg Config, p Protocol) (*Cluster, error) {
-	s, err := Open(cfg, p, WithPerKey())
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{s: s, cfg: cfg}, nil
-}
-
-// Write stores value through writer w_i (1-based) and returns the version
-// assigned. Writers must be used sequentially; distinct writers may run
-// concurrently.
-func (c *Cluster) Write(writer int, value string) (Version, error) {
-	return c.WriteCtx(context.Background(), writer, value)
-}
-
-// WriteCtx is Write with a deadline: when ctx expires before the write's
-// reply quorums arrive (e.g. more than MaxCrashes servers have crashed),
-// the operation is abandoned with an error wrapping ErrTimeout — its
-// effect at the servers is indeterminate.
-func (c *Cluster) WriteCtx(ctx context.Context, writer int, value string) (Version, error) {
-	w, err := c.s.Writer(writer)
-	if err != nil {
-		return Version{}, err
-	}
-	return w.Put(ctx, clusterKey, value)
-}
-
-// Read returns the register's value through reader r_i (1-based).
-func (c *Cluster) Read(reader int) (string, Version, error) {
-	return c.ReadCtx(context.Background(), reader)
-}
-
-// ReadCtx is Read with a deadline; see WriteCtx.
-func (c *Cluster) ReadCtx(ctx context.Context, reader int) (string, Version, error) {
-	r, err := c.s.Reader(reader)
-	if err != nil {
-		return "", Version{}, err
-	}
-	v, ver, _, err := r.Get(ctx, clusterKey)
-	return v, ver, err
-}
-
-// CrashServer crashes server s_i (1-based): it silently drops every
-// subsequent request. Crashing more than MaxCrashes servers voids the
-// protocol's guarantees (operations may block); an index outside
-// [1, Servers] panics.
-func (c *Cluster) CrashServer(i int) { c.s.CrashServer(i) }
-
-// Check runs the atomicity checker (Definition 2.1) over everything this
-// cluster has executed so far.
-func (c *Cluster) Check() CheckResult {
-	h := c.s.store.Histories()[clusterKey]
-	res := atomicity.Check(h)
-	out := CheckResult{Atomic: res.Atomic, Operations: len(h.Completed())}
-	out.Explanation = res.String()
-	return out
-}
-
-// Close shuts the cluster down.
-func (c *Cluster) Close() { c.s.Close() }

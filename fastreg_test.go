@@ -1,6 +1,7 @@
 package fastreg
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -62,42 +63,51 @@ func TestVersionOrderAndString(t *testing.T) {
 	}
 }
 
-func TestClusterReadYourWrites(t *testing.T) {
-	c, err := NewCluster(DefaultConfig(), W2R2)
+// The TestCluster* cases drive a store through one key: the paper's
+// Fig 1 cluster of a single register.
+
+// openStore opens an in-process store closed at test cleanup.
+func openStore(t *testing.T, cfg Config, p Protocol) *Store {
+	t.Helper()
+	s, err := Open(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	ver, err := c.Write(1, "hello")
+	t.Cleanup(s.Close)
+	return s
+}
+
+func TestClusterReadYourWrites(t *testing.T) {
+	s := openStore(t, DefaultConfig(), W2R2)
+	ctx := context.Background()
+	w, _ := s.Writer(1)
+	r, _ := s.Reader(1)
+	ver, err := w.Put(ctx, "", "hello")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ver.TS < 1 || ver.Writer != 1 {
 		t.Fatalf("version = %v", ver)
 	}
-	val, rver, err := c.Read(1)
+	val, rver, _, err := r.Get(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if val != "hello" || rver != ver {
 		t.Fatalf("read %q %v", val, rver)
 	}
-	res := c.Check()
+	res := s.Check()
 	if !res.Atomic || res.Operations != 2 {
 		t.Fatalf("check = %+v", res)
 	}
 }
 
 func TestClusterRangeValidation(t *testing.T) {
-	c, err := NewCluster(DefaultConfig(), W2R1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Write(0, "x"); err == nil {
+	s := openStore(t, DefaultConfig(), W2R1)
+	if _, err := s.Writer(0); err == nil {
 		t.Error("writer 0 accepted")
 	}
-	if _, _, err := c.Read(3); err == nil {
+	if _, err := s.Reader(3); err == nil {
 		t.Error("reader 3 accepted")
 	}
 }
@@ -106,20 +116,17 @@ func TestClusterConcurrentAtomic(t *testing.T) {
 	for _, p := range []Protocol{W2R2, W2R1} {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
-			cfg := Config{Servers: 7, MaxCrashes: 1, Readers: 2, Writers: 2}
-			c, err := NewCluster(cfg, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			s := openStore(t, Config{Servers: 7, MaxCrashes: 1, Readers: 2, Writers: 2}, p)
+			ctx := context.Background()
 			var wg sync.WaitGroup
 			for i := 1; i <= 2; i++ {
-				i := i
+				w, _ := s.Writer(i)
+				r, _ := s.Reader(i)
 				wg.Add(2)
 				go func() {
 					defer wg.Done()
 					for j := 0; j < 10; j++ {
-						if _, err := c.Write(i, "v"); err != nil {
+						if _, err := w.Put(ctx, "", "v"); err != nil {
 							t.Errorf("write: %v", err)
 							return
 						}
@@ -128,7 +135,7 @@ func TestClusterConcurrentAtomic(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for j := 0; j < 10; j++ {
-						if _, _, err := c.Read(i); err != nil {
+						if _, _, _, err := r.Get(ctx, ""); err != nil {
 							t.Errorf("read: %v", err)
 							return
 						}
@@ -136,7 +143,7 @@ func TestClusterConcurrentAtomic(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			res := c.Check()
+			res := s.Check()
 			if !res.Atomic {
 				t.Fatalf("not atomic: %s", res.Explanation)
 			}
@@ -148,16 +155,15 @@ func TestClusterConcurrentAtomic(t *testing.T) {
 }
 
 func TestClusterCrashTolerance(t *testing.T) {
-	c, err := NewCluster(DefaultConfig(), W2R2)
-	if err != nil {
+	s := openStore(t, DefaultConfig(), W2R2)
+	ctx := context.Background()
+	w, _ := s.Writer(1)
+	r, _ := s.Reader(2)
+	if _, err := w.Put(ctx, "", "before"); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Write(1, "before"); err != nil {
-		t.Fatal(err)
-	}
-	c.CrashServer(3)
-	val, _, err := c.Read(2)
+	s.CrashServer(3)
+	val, _, _, err := r.Get(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,8 @@
 //   - Writer appends proto.TraceRecord frames to a per-process .trlog
 //     file: TraceClientOp records via the history recorder's capture
 //     sink (fastreg.WithCapture, regclient -capture), TraceServerHandle
-//     records via the server hooks (regserver -capture,
-//     netsim.WithMultiServerCapture);
+//     records via transport.WithServerCapture (regserver -capture, and
+//     the in-process fleet fastreg.WithCapture hosts);
 //   - MergeFiles parses any set of logs — S−t of S replica logs and a
 //     partial client log are still useful, just annotated — and joins
 //     them into per-key histories with domain maps;
@@ -303,8 +303,7 @@ func (w *Writer) Epoch(n uint64) {
 
 // Op is the client-capture sink (history recorder signature): it appends
 // one TraceClientOp record per responded operation. Wire it via
-// transport.WithOpCapture / netsim.WithMultiOpCapture, or let
-// fastreg.WithCapture do so.
+// transport.WithOpCapture, or let fastreg.WithCapture do so.
 func (w *Writer) Op(key string, op history.Op) {
 	rec := proto.TraceRecord{
 		Kind:     proto.TraceClientOp,
@@ -331,18 +330,12 @@ func (w *Writer) Op(key string, op history.Op) {
 // has none) — the per-(replica,key) total order the served-value
 // cross-check relies on.
 func (w *Writer) Handle(env proto.Envelope, reply proto.Message, seq uint64) {
-	w.HandleAt(env.To, env, reply, seq)
-}
-
-// HandleAt is Handle with an explicit replica identity, for hooks whose
-// envelopes don't carry the destination (netsim.WithMultiServerCapture).
-func (w *Writer) HandleAt(server types.ProcID, env proto.Envelope, reply proto.Message, seq uint64) {
 	rec := proto.TraceRecord{
 		Kind:    proto.TraceServerHandle,
 		Key:     env.Key,
 		Client:  env.From,
 		OpID:    env.OpID,
-		Server:  server,
+		Server:  env.To,
 		Round:   env.Round,
 		Payload: env.Payload.Kind(),
 		Epoch:   env.Epoch,
@@ -360,17 +353,6 @@ func (w *Writer) HandleAt(server types.ProcID, env proto.Envelope, reply proto.M
 		}
 	}
 	w.append(rec)
-}
-
-// MultiServerHook adapts a slice of per-replica writers (index i−1 for
-// replica s_i) to netsim.WithMultiServerCapture's callback shape, so an
-// in-process fleet writes the same per-replica logs a deployed one does.
-func MultiServerHook(replicas []*Writer) func(types.ProcID, proto.Envelope, proto.Message, uint64) {
-	return func(server types.ProcID, env proto.Envelope, reply proto.Message, seq uint64) {
-		if i := server.Index - 1; i >= 0 && i < len(replicas) {
-			replicas[i].HandleAt(server, env, reply, seq)
-		}
-	}
 }
 
 // Err reports the first latched I/O error.

@@ -409,9 +409,9 @@ func TestMergeIdentityCollision(t *testing.T) {
 	}
 }
 
-// TestMultiLiveCaptureMatchesTransport: the in-process backend's capture
-// hooks produce logs the same merge consumes — one Open-shaped store,
-// full coverage, clean verdict.
+// TestMultiLiveCapture: the in-process fleet's capture hooks — the
+// transport's own, passed through — produce logs the merge consumes:
+// full coverage, clean verdict, replica records ordered by handled seq.
 func TestMultiLiveCapture(t *testing.T) {
 	dir := t.TempDir()
 	cfg := w2r2Shape
@@ -432,12 +432,11 @@ func TestMultiLiveCapture(t *testing.T) {
 		sw = append(sw, w)
 		paths = append(paths, path)
 	}
-	handleAt := func(server types.ProcID, env proto.Envelope, reply proto.Message, seq uint64) {
-		sw[server.Index-1].HandleAt(server, env, reply, seq)
-	}
 	ml, err := netsim.NewMultiLive(cfg, p,
-		netsim.WithMultiOpCapture(cw.Op),
-		netsim.WithMultiServerCapture(handleAt))
+		netsim.WithMultiClient(transport.WithOpCapture(cw.Op)),
+		netsim.WithMultiServers(func(i int) []transport.ServerOption {
+			return []transport.ServerOption{transport.WithServerCapture(sw[i-1].Handle)}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +468,16 @@ func TestMultiLiveCapture(t *testing.T) {
 	}
 	if rep := m.Check(); !rep.Clean {
 		t.Fatalf("MultiLive capture flagged:\n%s", rep.Summary())
+	}
+	for _, path := range paths[1:] {
+		f, err := ReadTraceFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range f.Records {
+			if rec.Kind == proto.TraceServerHandle && rec.Seq == 0 {
+				t.Fatalf("%s: replica record without a handled seq", path)
+			}
+		}
 	}
 }

@@ -130,8 +130,7 @@ func (m *serveMonitor) drain(key string, sk *serveKey, skipGaps bool) []StaleSer
 // log's records. Each file gets a fresh monitor: a restarted replica
 // legitimately restarts its handled counters (and its state), so
 // monotonicity is only claimed within one process lifetime. Records
-// with Seq 0 predate the counter (or come from the in-process runtime)
-// and are skipped.
+// with Seq 0 predate the counter and are skipped.
 func crossCheckFile(replica int, recs []proto.TraceRecord) []StaleServe {
 	m := newServeMonitor(replica)
 	var out []StaleServe

@@ -1,9 +1,10 @@
-package byzantine
+package byzantine_test
 
 import (
 	"testing"
 
 	"fastreg/internal/atomicity"
+	"fastreg/internal/byzantine"
 	"fastreg/internal/mwabd"
 	"fastreg/internal/netsim"
 	"fastreg/internal/proto"
@@ -24,7 +25,7 @@ func (p byzProtocol) Name() string { return p.Protocol.Name() + "+byz" }
 func (p byzProtocol) NewServer(id types.ProcID, cfg quorum.Config) register.ServerLogic {
 	inner := p.Protocol.NewServer(id, cfg)
 	if id == types.Server(1) {
-		return NewLyingServer(inner)
+		return byzantine.NewLyingServer(inner)
 	}
 	return inner
 }
@@ -78,7 +79,7 @@ func TestW2R1AdmissibilityResistsSingleLiar(t *testing.T) {
 // histories are atomic again under this attack.
 func TestVouchingFiltersForgedValues(t *testing.T) {
 	cfg := feasible()
-	p := NewVouched(byzProtocol{w2r1.New()}, cfg.T)
+	p := byzantine.NewVouched(byzProtocol{w2r1.New()}, cfg.T)
 	for seed := int64(1); seed <= 10; seed++ {
 		sim := netsim.MustNew(cfg, p, netsim.WithSeed(seed))
 		h := workload.Run(sim, workload.Mix{WritesPerWriter: 3, ReadsPerReader: 3})
@@ -97,7 +98,7 @@ func TestVouchingFiltersForgedValues(t *testing.T) {
 // changes nothing — all histories stay atomic and reads see real values.
 func TestVouchingHarmlessWithoutByzantine(t *testing.T) {
 	cfg := feasible()
-	p := NewVouched(w2r1.New(), cfg.T)
+	p := byzantine.NewVouched(w2r1.New(), cfg.T)
 	if p.Name() != "W2R1+vouch" {
 		t.Fatalf("name = %q", p.Name())
 	}
@@ -124,7 +125,7 @@ func TestFilterUnvouchedMechanics(t *testing.T) {
 		return register.Reply{From: types.Server(1), Msg: ack}
 	}
 	replies := []register.Reply{mk(real, forged), mk(real), mk(real)}
-	out := FilterUnvouched(replies, 1)
+	out := byzantine.FilterUnvouched(replies, 1)
 	for _, rep := range out {
 		ack := rep.Msg.(proto.FastReadAck)
 		for _, e := range ack.Vector {
@@ -154,7 +155,7 @@ func TestFilterUnvouchedMechanics(t *testing.T) {
 // server's state, not in a reply captured earlier, not in the next one.
 func TestLyingServerLeavesTheHonestStateAlone(t *testing.T) {
 	inner := w2r1.New().NewServer(types.Server(1), feasible())
-	liar := NewLyingServer(inner)
+	liar := byzantine.NewLyingServer(inner)
 	v := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "real"}
 	liar.Handle(types.Writer(1), proto.Update{Val: v})
 

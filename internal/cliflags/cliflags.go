@@ -38,19 +38,18 @@ type Flags struct {
 	Writers  int
 	Protocol string
 
-	EvictTTL     time.Duration
-	Unbatched    bool
-	Shards       int
-	Workers      int
-	ConnsPerLink int
-	CaptureDir   string
-	Seed         int64
+	EvictTTL   time.Duration
+	Unbatched  bool
+	Shards     int
+	Workers    int
+	CaptureDir string
+	Seed       int64
 
 	*DiagFlags
 }
 
 // DiagFlags is the diagnostics surface EVERY fleet binary exposes the
-// same way — regserver, regclient, regaudit and benchwire all register
+// same way — regserver, regclient, regaudit and regstorm all register
 // it, so an operator can point -debug-addr or -cpuprofile at any process
 // of a deployment without checking which binary it is. Flags embeds it;
 // binaries without the full shared surface use RegisterDiag alone.
@@ -87,7 +86,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Unbatched, "unbatched", false, "disable message-level send coalescing (client side; baseline measurements only)")
 	fs.IntVar(&f.Shards, "shards", transport.DefaultServerShards, "key-space shards (replica side; clients always use the default partition)")
 	fs.IntVar(&f.Workers, "workers", 0, "shard-affine request workers per replica: 0 = auto (GOMAXPROCS on multicore, inline on one CPU), -1 = force inline per-connection handling, n>0 = fixed pool of n workers")
-	fs.IntVar(&f.ConnsPerLink, "conns-per-link", 1, "TCP connections a client opens per replica (sends steered round-robin, replies correlated by operation ID)")
 	fs.StringVar(&f.CaptureDir, "capture", "", "append audit trace logs (.trlog) to this directory — servers log every handled request, clients every completed operation; `regaudit check DIR` then verifies the whole multi-process run")
 	registerSeed(fs, &f.Seed)
 	f.DiagFlags = RegisterDiag(fs)
@@ -166,9 +164,6 @@ func (f *Flags) StoreOptions() []fastreg.Option {
 	}
 	if f.EvictTTL > 0 {
 		opts = append(opts, fastreg.WithEvictionTTL(f.EvictTTL))
-	}
-	if f.ConnsPerLink > 1 {
-		opts = append(opts, fastreg.WithConnsPerLink(f.ConnsPerLink))
 	}
 	if f.CaptureDir != "" {
 		opts = append(opts, fastreg.WithCapture(f.CaptureDir))

@@ -6,6 +6,7 @@
 package integration_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -82,11 +83,14 @@ func TestMatrixSimAtomicUnderAdversaries(t *testing.T) {
 	}
 }
 
+// TestMatrixLiveConcurrent runs every protocol on the in-process fleet
+// with every batch through the wire codec, one register (key "").
 func TestMatrixLiveConcurrent(t *testing.T) {
+	ctx := context.Background()
 	for _, tc := range matrix() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			l, err := netsim.NewLive(tc.cfg, tc.p, netsim.WithWireEncoding())
+			l, err := netsim.NewMultiLive(tc.cfg, tc.p, netsim.WithMultiWireEncoding())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +102,7 @@ func TestMatrixLiveConcurrent(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 6; i++ {
-						if _, err := l.Exec(l.Writer(w).WriteOp(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+						if _, err := l.Write(ctx, "", w, fmt.Sprintf("w%d-%d", w, i)); err != nil {
 							t.Errorf("write: %v", err)
 							return
 						}
@@ -111,7 +115,7 @@ func TestMatrixLiveConcurrent(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 6; i++ {
-						if _, err := l.Exec(l.Reader(r).ReadOp()); err != nil {
+						if _, err := l.Read(ctx, "", r); err != nil {
 							t.Errorf("read: %v", err)
 							return
 						}
@@ -119,7 +123,7 @@ func TestMatrixLiveConcurrent(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			h := l.History()
+			h := l.History("")
 			if err := h.WellFormed(); err != nil {
 				t.Fatal(err)
 			}
@@ -175,19 +179,20 @@ func TestSimAndLiveAgreeOnSequentialSemantics(t *testing.T) {
 	}
 
 	runLive := func() []string {
-		l, err := netsim.NewLive(cfg, mwabd.New())
+		l, err := netsim.NewMultiLive(cfg, mwabd.New())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l.Close()
+		ctx := context.Background()
 		var out []string
 		for i, s := range script {
 			var v types.Value
 			var err error
 			if s.write {
-				_, err = l.Exec(l.Writer(s.client).WriteOp(s.data))
+				_, err = l.Write(ctx, "", s.client, s.data)
 			} else {
-				v, err = l.Exec(l.Reader(s.client).ReadOp())
+				v, err = l.Read(ctx, "", s.client)
 				out = append(out, v.Data)
 			}
 			if err != nil {

@@ -1,24 +1,17 @@
 // Package keyreg is the single implementation of the sharded per-key
-// state registries every multi-key runtime needs. Before it existed the
-// same two structures were written out three times, nearly line for line:
+// state registries the transport layer's Client and Server keep:
 //
-//   - client side: netsim.MultiLive's keyShard/keyState and
-//     transport.Registry's clientShard/keyClients both kept, per key, the
-//     protocol's writer/reader state machines, per-client operation
-//     counters and the key's history recorder, lazily created under a
-//     shard lock;
-//   - server side: netsim's regShard and transport's serverShard both
-//     kept one replica's lazily-instantiated register.ServerLogic per
-//     key, with the shard mutex doubling as the per-key Handle serializer
-//     the protocols' model requires.
+//   - client side: per key, the protocol's writer/reader state machines,
+//     per-client operation counters and the key's history recorder,
+//     lazily created under a shard lock;
+//   - server side: one replica's lazily-instantiated register.ServerLogic
+//     per key, with the shard mutex doubling as the per-key Handle
+//     serializer the protocols' model requires.
 //
-// keyreg extracts both, the way shard.Index was extracted for the hash:
-// ClientRegistry and ServerRegistry are the shared sharded maps, with the
-// eviction bookkeeping (epochs, in-flight counts, mid-flight operation
-// records) that the TTL sweeps of both stacks need. The partition is
+// Both carry the eviction bookkeeping (epochs, active operations,
+// mid-flight operation records) their TTL sweeps need. The partition is
 // always shard.Index, so a key lives at the same shard index in every
-// registry of a deployment — the cross-stack invariant the batching paths
-// rely on.
+// registry of a deployment — the invariant the batching paths rely on.
 package keyreg
 
 import (
@@ -40,13 +33,9 @@ import (
 // 1's valQueue), per-client operation counters, and the key's history
 // recorder with its own clock domain.
 //
-// The exported atomic counters are the eviction bookkeeping the owning
-// runtime maintains: Active counts operations between acquire and
-// release; Inflight counts the key's messages sitting in server inboxes
-// (an operation can complete with a quorum while its request to a slow
-// server is still queued — evicting then would let the straggler
-// resurrect pre-eviction server state). A key is evictable only when
-// both are zero and its last acquire is a full epoch old.
+// Active is the eviction bookkeeping: it counts operations between
+// acquire and release, and a key is evictable only when it is zero and
+// its last acquire is a full epoch old.
 type ClientState struct {
 	mu      sync.Mutex
 	writers map[types.ProcID]register.Writer // guardedby: mu
@@ -54,8 +43,7 @@ type ClientState struct {
 	opSeq   map[types.ProcID]uint64          // guardedby: mu
 	rec     *history.Recorder
 
-	Active   atomic.Int64
-	Inflight atomic.Int64
+	Active atomic.Int64
 
 	// Per-key workload counters, maintained always (two uncontended atomic
 	// adds per operation — cheaper than gating them): the read/write mix
@@ -280,39 +268,18 @@ func (r *ClientRegistry) KeyStats() []KeyStats {
 	return out
 }
 
-// PendingInflight sums the Inflight counters across all keys (tests and
-// diagnostics: it is the number of already-sent messages not yet retired
-// by a server worker).
-func (r *ClientRegistry) PendingInflight() int64 {
-	var n int64
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for _, st := range sh.m {
-			n += st.Inflight.Load()
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Sweep advances the eviction epoch and evicts every key that has no
-// operation in flight, no message pending at a server, and was untouched
-// for a full epoch. onEvict (may be nil) runs for each victim while the
-// key's shard lock is held — the owning runtime uses it to drop the
-// matching server-side state atomically, so no new operation can slip in
-// between (Acquire needs the same lock). Returns the number of keys
-// evicted.
-func (r *ClientRegistry) Sweep(onEvict func(shardIdx int, key string)) int {
+// operation in flight and was untouched for a full epoch, under the key's
+// shard lock (Acquire needs the same lock, so no operation can slip in).
+// Returns the number of keys evicted.
+func (r *ClientRegistry) Sweep() int {
 	cutoff := r.epoch.Add(1) - 2
 	evicted := 0
-	for si, sh := range r.shards {
+	for _, sh := range r.shards {
 		sh.mu.Lock()
 		for key, st := range sh.m {
-			if st.Active.Load() != 0 || st.Inflight.Load() != 0 || st.lastEpoch > cutoff {
+			if st.Active.Load() != 0 || st.lastEpoch > cutoff {
 				continue
-			}
-			if onEvict != nil {
-				onEvict(si, key)
 			}
 			delete(sh.m, key)
 			evicted++

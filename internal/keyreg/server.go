@@ -18,8 +18,8 @@ import (
 type ServerState struct {
 	Logic     register.ServerLogic
 	lastEpoch int64
-	handled   int64            // requests Touch has seen for this key
-	open      map[openOp]int64 // mid-flight op → epoch last seen (nil until first Query)
+	handled   int64    // requests Touch has seen for this key
+	open      []openOp // mid-flight ops: one per live client identity, plus abandoned ones until Sweep ages them out
 }
 
 // Handled reports how many requests this replica has handled for the key
@@ -27,10 +27,12 @@ type ServerState struct {
 // harnesses key deterministic misbehavior off it.
 func (sk *ServerState) Handled() int64 { return sk.handled }
 
-// openOp names one client operation from the replica's point of view.
+// openOp names one client operation from the replica's point of view,
+// with the epoch it was last seen in.
 type openOp struct {
 	client types.ProcID
 	opID   uint64
+	epoch  int64
 }
 
 // Touch stamps the key into the current epoch and maintains the
@@ -52,14 +54,22 @@ func (sk *ServerState) Touch(env proto.Envelope, epoch int64, maxRounds int) {
 	if maxRounds <= 1 {
 		return
 	}
-	ref := openOp{client: env.From, opID: env.OpID}
-	if env.Payload.Kind() == proto.KindQuery && int(env.Round) < maxRounds {
-		if sk.open == nil {
-			sk.open = make(map[openOp]int64)
+	opening := env.Payload.Kind() == proto.KindQuery && int(env.Round) < maxRounds
+	for i := range sk.open {
+		if sk.open[i].client != env.From || sk.open[i].opID != env.OpID {
+			continue
 		}
-		sk.open[ref] = epoch
-	} else if len(sk.open) > 0 {
-		delete(sk.open, ref)
+		if opening {
+			sk.open[i].epoch = epoch
+		} else { // swap-remove: order is irrelevant, capacity is kept
+			last := len(sk.open) - 1
+			sk.open[i] = sk.open[last]
+			sk.open = sk.open[:last]
+		}
+		return
+	}
+	if opening {
+		sk.open = append(sk.open, openOp{client: env.From, opID: env.OpID, epoch: epoch})
 	}
 }
 
@@ -68,7 +78,7 @@ func (sk *ServerState) Touch(env proto.Envelope, epoch int64, maxRounds int) {
 // one shard, so holding the lock across a batch run gives the
 // single-threaded server state the protocols' model requires while
 // letting distinct shards proceed in parallel. Callers take Lock, run
-// GetLocked/DeleteLocked and the protocol Handles, then Unlock.
+// GetLocked and the protocol Handles, then Unlock.
 type ServerShard struct {
 	reg *ServerRegistry
 
@@ -93,12 +103,9 @@ func (sh *ServerShard) GetLocked(key string) *ServerState {
 	return st
 }
 
-// DeleteLocked drops the key's state. The caller holds the shard lock.
-func (sh *ServerShard) DeleteLocked(key string) { delete(sh.m, key) }
-
 // ServerRegistry is one replica's sharded key → server-logic map — the
-// state behind netsim.MultiLive's per-replica shards and
-// transport.Server's, created lazily from the protocol factory.
+// state behind a transport.Server, created lazily from the protocol
+// factory.
 type ServerRegistry struct {
 	nshards int
 	mk      func() register.ServerLogic
@@ -175,15 +182,14 @@ func (r *ServerRegistry) Sweep() int {
 			// point before being written off as crashed: a live
 			// multi-round operation must never lose server state between
 			// its rounds.
-			inflight := false
-			for ref, ep := range sk.open {
-				if ep >= cutoff {
-					inflight = true
-				} else {
-					delete(sk.open, ref)
+			kept := sk.open[:0]
+			for _, o := range sk.open {
+				if o.epoch >= cutoff {
+					kept = append(kept, o)
 				}
 			}
-			if inflight || sk.lastEpoch > cutoff {
+			sk.open = kept
+			if len(kept) > 0 || sk.lastEpoch > cutoff {
 				continue
 			}
 			delete(sh.m, key)

@@ -20,7 +20,6 @@ var CtxFirst = &Analyzer{
 // the ctx-first rule (the struct-field rule applies everywhere).
 var ctxFirstPkgs = map[string]bool{
 	"fastreg":                    true,
-	"fastreg/internal/kv":        true,
 	"fastreg/internal/transport": true,
 	"fastreg/internal/netsim":    true,
 }

@@ -1,6 +1,6 @@
 // Fixture for the captureorder analyzer: durable-before-visible. The
-// clean functions mirror transport.Server.handleReqs and
-// netsim.MultiLive.handleGroup; the broken ones emit replies before
+// clean functions mirror transport.Server.handleReqs and the gated
+// capture hook shape; the broken ones emit replies before
 // the capture flush — the ordering that lets a crash forge history.
 package fixture
 
@@ -28,7 +28,7 @@ func goodOrder(s *server, reqs []request, replies []proto.Envelope) {
 	_ = s.c.SendBatch(replies)
 }
 
-// conditionalCapture is the handleGroup shape: the hook is gated on
+// conditionalCapture is the gated-hook shape: the hook is gated on
 // configuration; the join after the gate still precedes every send.
 func conditionalCapture(s *server, reqs []request, replies []proto.Envelope) {
 	if s.capture != nil {

@@ -1,646 +1,171 @@
 package netsim
 
 import (
-	"context"
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"fastreg/internal/history"
-	"fastreg/internal/keyreg"
-	"fastreg/internal/obs"
 	"fastreg/internal/proto"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
-	"fastreg/internal/shard"
+	"fastreg/internal/transport"
 	"fastreg/internal/types"
 )
 
-// Multiplexed-runtime defaults. Shards bound lock contention between keys
-// that hash together; workers bound how many batches one server replica
-// processes concurrently; the batch cap bounds how much of the inbox one
-// drain may claim.
-const (
-	DefaultShards        = shard.Default
-	DefaultServerWorkers = 4
-	maxBatch             = 32
-)
-
-// MultiLive is the multiplexed counterpart of Live: one fixed fleet of
-// server goroutines serves *every* key. Where Live dedicates a full cluster
-// to a single register, MultiLive gives each server replica a sharded
-// key → register.ServerLogic map (lazily populated on first touch), so the
-// goroutine count stays O(servers · workers) no matter how many keys exist.
+// MultiLive is the in-process fleet: S transport.Servers listening on one
+// transport.ChanNetwork plus one transport.Client dialled to all of them
+// — a TCP deployment's shape with channels for sockets. The in-process
+// backend therefore runs the same round engine, replica loop, batching,
+// capture, audit epochs, eviction and metrics as the TCP one, configured
+// by the same transport options. One fleet serves every key (key-tagged
+// envelopes, sharded per-key state at each replica), so the goroutine
+// count is O(servers) however many keys exist.
 //
-// Requests carry their key in the key-tagged proto.Envelope; a server
-// worker drains its inbox in batches, groups the batch by shard, and
-// handles each group under that shard's lock — which serializes the
-// protocol's per-key server state exactly as the model requires (a key
-// lives in exactly one shard) while letting distinct keys proceed in
-// parallel. Crashing a server closes its one inbox, killing it for every
-// key at once.
-//
-// Both sharded per-key registries — the client side (writers/readers,
-// op counters, recorders) and each replica's key → server-logic map —
-// are the shared keyreg implementations, the same ones the transport
-// layer deploys over real sockets.
-//
-// Per-key histories are recorded independently; atomicity is a per-key
-// (per-register) property, and by locality the composition is atomic.
-//
-// MultiLive satisfies kv.Backend: Write and Read are context-first, and
-// Crash/Histories/Keys/Close complete the store seam.
+// The embedded Client supplies Write, Read, Histories, Keys, Sweep and
+// the rest of the fastreg.Backend seam; MultiLive adds the replica side:
+// Crash kills a replica for every key, Close stops the whole fleet.
 type MultiLive struct {
-	cfg      quorum.Config
-	protocol register.Protocol
+	*transport.Client
+	servers []*transport.Server
 
-	wire    bool
-	shards  int
-	workers int
-
-	// evictTTL (off unless WithMultiEviction) drives the sweeper; the
-	// eviction epoch itself lives in the client registry.
-	evictTTL time.Duration
-
-	// Audit capture hooks (both off by default): opCapture observes every
-	// completed client operation, serverCapture every request a replica
-	// handles — the in-process counterparts of the transport layer's
-	// WithOpCapture / WithServerCapture, so a single-process store can
-	// produce the same trace logs a deployed fleet does.
-	opCapture     func(key string, op history.Op)
-	serverCapture func(server types.ProcID, env proto.Envelope, reply proto.Message, seq uint64)
-
-	inboxes map[types.ProcID]chan multiRequest
-	servers map[types.ProcID]*multiServer
-	gates   map[types.ProcID]*crashGate
-
-	creg *keyreg.ClientRegistry
-
-	// Observability (nil when disabled — WithMultiObs). om records under
-	// the SAME "client.<protocol>.*" names the transport client uses, so
-	// the in-process and TCP backends' numbers are directly comparable;
-	// batchFanin mirrors the replica-side "server.batch_fanin".
-	obsReg     *obs.Registry
-	om         *obs.OpMetrics
-	batchFanin *obs.Histogram
-
-	wg     sync.WaitGroup
-	closed chan struct{}
-	once   sync.Once
+	wire  bool
+	copts []transport.ClientOption
+	sopts func(replica int) []transport.ServerOption
 }
 
-// MultiOption configures a MultiLive cluster.
+// MultiOption configures a MultiLive fleet.
 type MultiOption func(*MultiLive)
 
-// WithMultiShards sets the number of shards each server partitions its
-// key space into (default DefaultShards).
-func WithMultiShards(n int) MultiOption {
-	return func(m *MultiLive) {
-		if n > 0 {
-			m.shards = n
-		}
-	}
-}
-
-// WithMultiServerWorkers sets how many worker goroutines drain each
-// server's inbox (default DefaultServerWorkers). One worker degenerates to
-// Live's fully serialized server loop.
-func WithMultiServerWorkers(n int) MultiOption {
-	return func(m *MultiLive) {
-		if n > 0 {
-			m.workers = n
-		}
-	}
-}
-
-// WithMultiWireEncoding passes every request and reply through the binary
-// codec — including the envelope's key tag — exactly as a TCP transport
-// multiplexing all keys over one connection would.
+// WithMultiWireEncoding passes every batch a connection carries, in both
+// directions, through the binary codec — encoded into one frame and
+// decoded back, the pass a TCP link runs — so the wire format is
+// exercised without sockets.
 func WithMultiWireEncoding() MultiOption { return func(m *MultiLive) { m.wire = true } }
 
-// WithMultiEviction enables the idle-key sweep: every ttl, keys untouched
-// for at least one full ttl window (and at most two) are evicted — their
-// per-key protocol state is removed from every server's shard map AND the
-// client-side registry in one step, so a long-running process serving a
-// churning key population stops growing without bound.
-//
-// Eviction gives the store TTL-expiry semantics (Redis EXPIRE, Cassandra
-// TTL): an evicted key reads as never-written again, and its recorded
-// history is discarded (Histories no longer includes it). Keys with an
-// operation in flight are never evicted, and because client and server
-// state go together, the protocol invariants (e.g. timestamp monotonicity
-// within a key's lifetime) are preserved across eviction epochs. Choose a
-// ttl far above operation latency; ttl must be positive.
-func WithMultiEviction(ttl time.Duration) MultiOption {
-	return func(m *MultiLive) {
-		if ttl > 0 {
-			m.evictTTL = ttl
-		}
-	}
+// WithMultiClient passes options through to the fleet's transport.Client.
+func WithMultiClient(opts ...transport.ClientOption) MultiOption {
+	return func(m *MultiLive) { m.copts = append(m.copts, opts...) }
 }
 
-// WithMultiOpCapture streams every operation the cluster completes (or
-// fails) into fn, keyed by the register it ran against — the client half
-// of the audit capture layer (see internal/audit). fn runs under the
-// key recorder's lock; keep it brief. Do not combine with
-// WithMultiEviction: evicting a key resets its history clock, which
-// corrupts the trace log's time domain (fastreg.Open rejects the
-// combination at the public surface).
-func WithMultiOpCapture(fn func(key string, op history.Op)) MultiOption {
-	return func(m *MultiLive) { m.opCapture = fn }
+// WithMultiServers passes options through to the replicas: fn returns
+// replica i's (1-based) transport.Server options.
+func WithMultiServers(fn func(replica int) []transport.ServerOption) MultiOption {
+	return func(m *MultiLive) { m.sopts = fn }
 }
 
-// WithMultiServerCapture streams every request each in-process replica
-// handles (with the reply it produced, nil for none) into fn — the
-// replica half of the audit capture layer. fn runs on the server worker
-// goroutines after the shard lock is released; per-key order within a
-// batch is handle order, and the merge engine does not rely on order
-// across batches. The in-process path bypasses the registry's handled
-// counter, so seq is always zero here — the served-value cross-check
-// skips unordered records.
-func WithMultiServerCapture(fn func(server types.ProcID, env proto.Envelope, reply proto.Message, seq uint64)) MultiOption {
-	return func(m *MultiLive) { m.serverCapture = fn }
-}
-
-// WithMultiObs wires the in-process fleet into an observability
-// registry. Client-side operation metrics register under the same
-// "client.<protocol>.*" names transport.WithClientObs uses — that name
-// identity is what makes an in-process run's /metrics directly
-// comparable with a deployed fleet's. Replica-side, each server gets
-// pull gauges for its inbox depth and busy workers
-// ("server.s<i>.inbox_depth", "server.s<i>.busy_workers") plus the
-// shared "server.batch_fanin" drain-size histogram. A nil registry
-// disables everything here.
-func WithMultiObs(reg *obs.Registry) MultiOption {
-	return func(m *MultiLive) { m.obsReg = reg }
-}
-
-// crashGate coordinates crashing a server with in-flight sends: senders
-// hold the read side while they send, Crash takes the write side to flip
-// the flag and close the inbox. Closing therefore never races a send, and
-// a message that was counted as sent is guaranteed to sit in the inbox
-// buffer, which the workers drain before exiting — so no operation waits
-// for a reply that can never come.
-type crashGate struct {
-	mu      sync.RWMutex
-	crashed bool
-}
-
-// multiRequest is one key-tagged message in flight to a server. The shard
-// index is computed once by the client, so the server path never hashes.
-// st backlinks to the key's client state so the worker can retire the
-// message from the eviction bookkeeping once it has been handled.
-type multiRequest struct {
-	key     string
-	shard   int
-	from    types.ProcID
-	opID    uint64 // client-local per-key operation number (capture metadata)
-	round   uint8  // round-trip index within the operation
-	payload proto.Message
-	reply   chan<- register.Reply
-	st      *keyreg.ClientState
-}
-
-// multiServer is one replica's state: the key space partitioned into
-// shards by the shared keyreg.ServerRegistry. The replica's workers all
-// share it; the shard mutex both guards the map and serializes Handle per
-// key.
-type multiServer struct {
-	id  types.ProcID
-	reg *keyreg.ServerRegistry
-
-	// busy counts workers currently inside handleBatch; maintained only
-	// when observability is on, read by the "server.s<i>.busy_workers"
-	// pull gauge.
-	busy atomic.Int64
-}
-
-// NewMultiLive builds and starts the shared server fleet.
+// NewMultiLive starts the fleet and dials every replica before it
+// returns, so the first operations find their links up rather than
+// waiting out a resend tick.
 func NewMultiLive(cfg quorum.Config, p register.Protocol, opts ...MultiOption) (*MultiLive, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &MultiLive{
-		cfg:      cfg,
-		protocol: p,
-		shards:   DefaultShards,
-		workers:  DefaultServerWorkers,
-		inboxes:  make(map[types.ProcID]chan multiRequest, cfg.S),
-		servers:  make(map[types.ProcID]*multiServer, cfg.S),
-		gates:    make(map[types.ProcID]*crashGate, cfg.S),
-		closed:   make(chan struct{}),
-	}
+	m := &MultiLive{}
 	for _, o := range opts {
 		o(m)
 	}
-	m.creg = keyreg.NewClientRegistry(m.shards)
-	if m.opCapture != nil {
-		m.creg.SetCapture(m.opCapture)
-	}
-	// Metrics settle before any worker goroutine starts (serveMulti reads
-	// batchFanin), so the hot path never races construction.
-	if m.obsReg != nil {
-		m.om = obs.NewOpMetrics(m.obsReg, "client."+p.Name())
-		m.batchFanin = m.obsReg.Histogram("server.batch_fanin")
-	}
+	net := transport.NewChanNetwork()
+	addrs := make([]string, cfg.S)
 	for i := 1; i <= cfg.S; i++ {
-		id := types.Server(i)
-		sv := &multiServer{id: id, reg: keyreg.NewServerRegistry(m.shards, func() register.ServerLogic {
-			return p.NewServer(id, cfg)
-		})}
-		inbox := make(chan multiRequest, 64*m.workers)
-		m.servers[id] = sv
-		m.inboxes[id] = inbox
-		m.gates[id] = &crashGate{}
-		if m.obsReg != nil {
-			m.obsReg.GaugeFunc(fmt.Sprintf("server.s%d.inbox_depth", i),
-				func() int64 { return int64(len(inbox)) })
-			m.obsReg.GaugeFunc(fmt.Sprintf("server.s%d.busy_workers", i), sv.busy.Load)
+		addrs[i-1] = types.Server(i).String()
+		lis, err := net.Listen(addrs[i-1])
+		if err != nil {
+			m.Close()
+			return nil, err
 		}
-		for w := 0; w < m.workers; w++ {
-			m.wg.Add(1)
-			go m.serveMulti(sv, inbox)
+		if m.wire {
+			lis = wireListener{lis}
+		}
+		var sopts []transport.ServerOption
+		if m.sopts != nil {
+			sopts = m.sopts(i)
+		}
+		srv, err := transport.NewServer(cfg, p, i, lis, sopts...)
+		if err != nil {
+			lis.Close()
+			m.Close()
+			return nil, err
+		}
+		m.servers = append(m.servers, srv)
+	}
+	dial := net.Dial
+	if m.wire {
+		dial = func(addr string) (transport.Conn, error) {
+			c, err := net.Dial(addr)
+			if err != nil {
+				return nil, err
+			}
+			return wireConn{c}, nil
 		}
 	}
-	if m.evictTTL > 0 {
-		m.wg.Add(1)
-		go m.sweeper()
+	c, err := transport.NewClient(cfg, p, addrs, dial, m.copts...)
+	if err != nil {
+		m.Close()
+		return nil, err
 	}
+	m.Client = c
+	c.Connect()
 	return m, nil
 }
 
-// sweeper ticks the eviction epoch every TTL and evicts what went idle.
-func (m *MultiLive) sweeper() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.evictTTL)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.closed:
-			return
-		case <-t.C:
-			m.Sweep()
-		}
-	}
-}
-
-// Sweep advances the eviction epoch and evicts every key that has no
-// operation in flight and was untouched for a full epoch: its protocol
-// state is deleted from every server shard and from the client registry
-// under the key-shard lock, so no new operation can slip in between. It
-// returns the number of keys evicted. The TTL sweeper calls this on its
-// tick; tests and embedding servers may call it directly (it is
-// meaningful even without WithMultiEviction).
-func (m *MultiLive) Sweep() int {
-	return m.creg.Sweep(func(si int, key string) {
-		// A key's server-side state lives at the same shard index on
-		// every replica (same hash, same shard count); dropping it
-		// together with the client state resets the key atomically —
-		// the acquire path can't run concurrently (it needs the client
-		// shard's lock, which the sweep holds).
-		for _, sv := range m.servers {
-			sh := sv.reg.Shard(si)
-			sh.Lock()
-			sh.DeleteLocked(key)
-			sh.Unlock()
-		}
-	})
-}
-
-// shardOf maps a key to its shard index (same partition on every server and
-// in the client registry, so a key's state is always found in one place —
-// and the same function the transport layer uses, via internal/shard).
-func (m *MultiLive) shardOf(key string) int { return shard.Index(key, m.shards) }
-
-// serveMulti is one server worker: it drains the replica's inbox in
-// batches and hands each batch over, shard group by shard group.
-func (m *MultiLive) serveMulti(sv *multiServer, inbox <-chan multiRequest) {
-	defer m.wg.Done()
-	batch := make([]multiRequest, 0, maxBatch)
-	msgs := make([]proto.Message, maxBatch) // worker-owned reply scratch
-	for {
-		select {
-		case <-m.closed:
-			return
-		case req, ok := <-inbox:
-			if !ok {
-				return
-			}
-			batch = batch[:0]
-			batch = append(batch, req)
-		drain:
-			// Opportunistically drain what already queued up: one lock
-			// acquisition then serves every request that hashed to the same
-			// shard in this batch.
-			for len(batch) < maxBatch {
-				select {
-				case r, ok := <-inbox:
-					if !ok {
-						break drain
-					}
-					batch = append(batch, r)
-				default:
-					break drain
-				}
-			}
-			m.batchFanin.Observe(int64(len(batch)))
-			if m.obsReg != nil {
-				sv.busy.Add(1)
-			}
-			m.handleBatch(sv, batch, msgs)
-			if m.obsReg != nil {
-				sv.busy.Add(-1)
-			}
-		}
-	}
-}
-
-// handleBatch sorts the drained requests into runs of equal shard (stable,
-// preserving arrival order per key) and handles each run under a single
-// acquisition of its shard lock — the batching payoff.
-func (m *MultiLive) handleBatch(sv *multiServer, batch []multiRequest, msgs []proto.Message) {
-	if len(batch) > 1 {
-		sort.SliceStable(batch, func(i, j int) bool { return batch[i].shard < batch[j].shard })
-	}
-	for start := 0; start < len(batch); {
-		end := start + 1
-		for end < len(batch) && batch[end].shard == batch[start].shard {
-			end++
-		}
-		m.handleGroup(sv, sv.reg.Shard(batch[start].shard), batch[start:end], msgs[start:end])
-		start = end
-	}
-}
-
-// handleGroup runs one shard's run of requests: the wire codec pass happens
-// outside the lock, the per-key server logic (lazily instantiated) runs for
-// the whole group under one shard-lock acquisition, and replies are sent
-// after release — strictly after the capture flush, which is what keeps
-// the audit layer's durable-before-visible contract.
-//
-//lint:captureflush
-func (m *MultiLive) handleGroup(sv *multiServer, sh *keyreg.ServerShard, reqs []multiRequest, msgs []proto.Message) {
-	if m.wire {
-		for i := range reqs {
-			p, err := codecPass(reqs[i].from, sv.id, reqs[i].key, reqs[i].payload, false)
-			if err != nil {
-				p = nil // a corrupt frame is dropped like a lost message
-			}
-			reqs[i].payload = p
-		}
-	}
-	sh.Lock()
-	for i := range reqs {
-		if reqs[i].payload == nil {
-			msgs[i] = nil
-			continue
-		}
-		msgs[i] = sh.GetLocked(reqs[i].key).Logic.Handle(reqs[i].from, reqs[i].payload)
-	}
-	sh.Unlock()
-	// Retire the handled messages only after releasing the shard lock: a
-	// sweep that then observes inflight == 0 will re-acquire the lock and
-	// so delete any state these messages just touched, never the reverse.
-	for i := range reqs {
-		if reqs[i].st != nil {
-			reqs[i].st.Inflight.Add(-1)
-		}
-	}
-	if m.serverCapture != nil {
-		for i := range reqs {
-			if reqs[i].payload == nil {
-				continue // corrupt wire frame, dropped above
-			}
-			m.serverCapture(sv.id, proto.Envelope{
-				From:    reqs[i].from,
-				To:      sv.id,
-				Key:     reqs[i].key,
-				OpID:    reqs[i].opID,
-				Round:   reqs[i].round,
-				Payload: reqs[i].payload,
-			}, msgs[i], 0)
-		}
-	}
-	for i := range reqs {
-		msg := msgs[i]
-		if msg == nil {
-			continue
-		}
-		if m.wire {
-			var err error
-			msg, err = codecPass(sv.id, reqs[i].from, reqs[i].key, msg, true)
-			if err != nil {
-				continue
-			}
-		}
-		select {
-		case reqs[i].reply <- register.Reply{From: sv.id, Msg: msg}:
-		case <-m.closed:
-			return
-		}
-	}
-}
-
-// Write stores data under key as writer w_i (1-based), blocking until the
-// protocol's write completes or ctx expires — when ctx is done before a
-// reply quorum arrives (e.g. more than t servers have crashed), the
-// operation is abandoned with register.ErrTimeout and recorded as failed;
-// its effect at the servers is indeterminate. Each (key, writer) pair
-// must be used sequentially; everything else may run concurrently.
-func (m *MultiLive) Write(ctx context.Context, key string, writer int, data string) (types.Value, error) {
-	if writer < 1 || writer > m.cfg.W {
-		return types.Value{}, fmt.Errorf("netsim: writer %d out of range [1,%d]", writer, m.cfg.W)
-	}
-	st := m.creg.Acquire(key)
-	return m.exec(ctx, st, key, st.Writer(types.Writer(writer), m.protocol, m.cfg).WriteOp(data))
-}
-
-// Read reads key as reader r_i (1-based); see Write for the deadline
-// contract.
-func (m *MultiLive) Read(ctx context.Context, key string, reader int) (types.Value, error) {
-	if reader < 1 || reader > m.cfg.R {
-		return types.Value{}, fmt.Errorf("netsim: reader %d out of range [1,%d]", reader, m.cfg.R)
-	}
-	st := m.creg.Acquire(key)
-	return m.exec(ctx, st, key, st.Reader(types.Reader(reader), m.protocol, m.cfg).ReadOp())
-}
-
-// exec drives one operation over the shared fleet — the same round engine
-// as Live.Exec, with every message tagged by key. It releases the
-// in-flight registration Acquire took.
-func (m *MultiLive) exec(ctx context.Context, st *keyreg.ClientState, key string, op register.Operation) (types.Value, error) {
-	defer m.creg.Release(st)
-	select {
-	case <-m.closed:
-		return types.Value{}, ErrLiveClosed
-	default:
-	}
-	rec := st.Recorder()
-	opID := st.NextOpID(op.Client())
-	hkey := rec.Invoke(op.Client(), opID, op.Kind(), op.Arg())
-	isWrite := op.Kind() == types.OpWrite
-	var t0 time.Time
-	if m.om != nil {
-		t0 = time.Now()
-	}
-	round := op.Begin()
-	roundNo := uint8(0)
-	// finish folds one operation outcome into the always-on per-key
-	// workload counters and, when enabled, the op metric set — shared by
-	// the fail and done paths.
-	finish := func(failed bool) {
-		if isWrite {
-			st.WriteOps.Add(1)
-		} else {
-			st.ReadOps.Add(1)
-		}
-		if m.om != nil {
-			m.om.Op(isWrite, int64(time.Since(t0)), int(roundNo), failed)
-		}
-	}
-	fail := func(err error) (types.Value, error) {
-		finish(true)
-		rec.RespondFailed(hkey, op.Kind(), op.Arg(), err)
-		return types.Value{}, err
-	}
-	shard := m.shardOf(key)
-	for {
-		roundNo++
-		replyCh := make(chan register.Reply, m.cfg.S)
-		sent := 0
-		for i := 1; i <= m.cfg.S; i++ {
-			req := multiRequest{key: key, shard: shard, from: op.Client(), opID: opID, round: roundNo, payload: round.Payload, reply: replyCh, st: st}
-			// Register the message before it can be consumed, un-register
-			// if it was never sent — the worker retires delivered ones.
-			st.Inflight.Add(1)
-			if m.trySend(types.Server(i), req) == 1 {
-				sent++
-			} else {
-				st.Inflight.Add(-1)
-			}
-		}
-		if sent < round.Need {
-			return fail(fmt.Errorf("%w: only %d of %d required servers reachable", register.ErrProtocol, sent, round.Need))
-		}
-		replies := make([]register.Reply, 0, round.Need)
-		for len(replies) < round.Need {
-			// Expiry wins deterministically over ready replies: an
-			// already-cancelled ctx never completes the operation.
-			if ctx.Err() != nil {
-				return fail(fmt.Errorf("%w: %v", register.ErrTimeout, ctx.Err()))
-			}
-			select {
-			case <-m.closed:
-				return fail(ErrLiveClosed)
-			case <-ctx.Done():
-				return fail(fmt.Errorf("%w: %v", register.ErrTimeout, ctx.Err()))
-			case rep := <-replyCh:
-				replies = append(replies, rep)
-			}
-		}
-		next, res, done, err := op.Next(replies)
-		switch {
-		case err != nil:
-			return fail(err)
-		case done:
-			finish(false)
-			rec.Respond(hkey, res, nil)
-			return res, nil
-		default:
-			round = *next
-		}
-	}
-}
-
-// trySend delivers the request to the server's inbox under the crash
-// gate's read side. Returns 1 on success, 0 if the server is crashed or
-// the cluster shut down. The send may block (backpressure from a full
-// inbox); the workers keep draining, so it always completes.
-func (m *MultiLive) trySend(id types.ProcID, req multiRequest) int {
-	g := m.gates[id]
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.crashed {
-		return 0
-	}
-	select {
-	case m.inboxes[id] <- req:
-		return 1
-	case <-m.closed:
-		return 0
-	}
-}
-
-// Crash stops server s_i for every key at once — the whole point of the
-// multiplexed runtime: one closed inbox fails the replica of every
-// register it hosts, with no per-key bookkeeping. The gate's write side
-// waits out in-flight sends, so already-counted requests are still in the
-// buffer and get handled; everything after is silently dropped, like a
-// crashed process.
+// Crash kills replica s_i for every key at once: the client abandons its
+// link and the server stops. With more than t replicas crashed every
+// round fails fast with register.ErrProtocol. An index outside [1, S]
+// panics.
 func (m *MultiLive) Crash(i int) {
-	id := types.Server(i)
-	g, ok := m.gates[id]
-	if !ok {
-		panic("netsim: Crash of unknown server " + id.String())
+	if i < 1 || i > len(m.servers) {
+		panic("netsim: Crash of unknown server " + types.Server(i).String())
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.crashed {
-		g.crashed = true
-		close(m.inboxes[id])
-	}
+	m.Client.Crash(i)
+	m.servers[i-1].Close()
 }
 
-// Metrics returns the fleet's operation metric set, nil when built
-// without WithMultiObs (the store layer reaches it by type assertion).
-func (m *MultiLive) Metrics() *obs.OpMetrics { return m.om }
+// Servers returns the replicas, s_1 first — for inspection and for their
+// eviction sweeps (Sweep on MultiLive sweeps the client's registry only).
+func (m *MultiLive) Servers() []*transport.Server { return m.servers }
 
-// KeyStats returns the per-key workload profiles (read/write mix,
-// contention) the client registry maintains unconditionally.
-func (m *MultiLive) KeyStats() []keyreg.KeyStats { return m.creg.KeyStats() }
-
-// History returns the execution recorded so far for one key.
-func (m *MultiLive) History(key string) history.History { return m.creg.History(key) }
-
-// Histories returns a snapshot of every key's recorded execution.
-func (m *MultiLive) Histories() map[string]history.History { return m.creg.Histories() }
-
-// Keys returns the keys touched so far, sorted.
-func (m *MultiLive) Keys() []string { return m.creg.Keys() }
-
-// ServerValue inspects the value server s_i currently stores for key
-// (tests and traces only; protocol code never calls it). ok is false when
-// the server has no state for the key yet.
-func (m *MultiLive) ServerValue(key string, i int) (types.Value, bool) {
-	sv, found := m.servers[types.Server(i)]
-	if !found {
-		return types.Value{}, false
-	}
-	return sv.reg.Value(key)
-}
-
-// Config returns the cluster shape.
-func (m *MultiLive) Config() quorum.Config { return m.cfg }
-
-// Close shuts the fleet down and waits for all server workers.
+// Close stops the client — operations then fail with transport.ErrClosed
+// — and every replica. Safe to call more than once.
 func (m *MultiLive) Close() {
-	m.once.Do(func() { close(m.closed) })
-	m.wg.Wait()
+	if m.Client != nil {
+		m.Client.Close()
+	}
+	for _, s := range m.servers {
+		s.Close()
+	}
 }
 
-// codecPass encodes a message into the key-tagged wire envelope and decodes
-// it back — the byte-level journey a real multiplexing transport would give
-// it. Shared by Live (key = "") and MultiLive.
-func codecPass(from, to types.ProcID, key string, msg proto.Message, isReply bool) (proto.Message, error) {
-	b, err := proto.Encode(proto.Envelope{From: from, To: to, Key: key, IsReply: isReply, Payload: msg})
+// wireConn runs every batch sent on a chan connection through the codec:
+// one frame encoded (proto.AppendBatch) and decoded (proto.AppendDecode),
+// so the peer receives freshly decoded envelopes.
+type wireConn struct{ transport.Conn }
+
+func (c wireConn) Send(e proto.Envelope) error {
+	return c.SendBatch(append(proto.GetEnvs(), e))
+}
+
+//lint:consumes envs
+func (c wireConn) SendBatch(envs []proto.Envelope) error {
+	if len(envs) == 0 {
+		return c.Conn.SendBatch(envs)
+	}
+	frame, err := proto.AppendBatch(proto.GetBuf(), envs)
+	proto.PutEnvs(envs)
+	if err != nil {
+		return err
+	}
+	out, _, err := proto.AppendDecode(proto.GetEnvs(), frame)
+	proto.PutBuf(frame)
+	if err != nil {
+		proto.PutEnvs(out)
+		return err
+	}
+	return c.Conn.SendBatch(out)
+}
+
+// wireListener hands out wireConns, the server end of the codec pass.
+type wireListener struct{ transport.Listener }
+
+func (l wireListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
 	}
-	env, _, err := proto.Decode(b)
-	if err != nil {
-		return nil, err
-	}
-	return env.Payload, nil
+	return wireConn{c}, nil
 }

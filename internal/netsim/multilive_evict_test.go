@@ -10,23 +10,16 @@ import (
 	"fastreg/internal/mwabd"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
+	"fastreg/internal/transport"
 )
 
-// waitDrained blocks until no key has a message still queued in a server
-// inbox — completed operations can leave stragglers behind (they only
-// needed S−t replies), and the sweeper deliberately refuses to evict
-// such keys.
-func waitDrained(t *testing.T, m *MultiLive) {
+// eventually polls cond for up to five seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		pending := int64(0)
-		pending = m.creg.PendingInflight()
-		if pending == 0 {
-			return
-		}
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d messages never drained", pending)
+			t.Fatalf("never: %s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -35,31 +28,61 @@ func waitDrained(t *testing.T, m *MultiLive) {
 // countServerKeys sums per-key server state entries across all replicas.
 func countServerKeys(m *MultiLive) int {
 	n := 0
-	for _, sv := range m.servers {
-		n += sv.reg.KeyCount()
+	for _, srv := range m.Servers() {
+		n += srv.KeyCount()
 	}
 	return n
 }
 
+// settled waits until every replica stores data for key: the write's
+// stragglers (it completed on S−t replies) have all been handled.
+func settled(t *testing.T, m *MultiLive, key, data string) {
+	t.Helper()
+	eventually(t, key+" reaching every replica", func() bool {
+		for _, srv := range m.Servers() {
+			if v, ok := srv.Value(key); !ok || v.Data != data {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// evictionOpts turns on the in-process eviction fastreg.WithEvictionTTL
+// configures: the client's sweep plus every replica's.
+func evictionOpts(ttl time.Duration) []MultiOption {
+	return []MultiOption{
+		WithMultiClient(transport.WithClientEviction(ttl)),
+		serverOpts(transport.WithServerEviction(ttl)),
+	}
+}
+
 // TestMultiLiveSweep drives the epoch machinery directly: a key untouched
-// for a full epoch is evicted from both the client registry and every
-// server's shard map; a key touched each epoch survives.
+// for a full epoch is evicted from the client registry and every
+// replica's shard map; a key touched each epoch survives.
 func TestMultiLiveSweep(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	m, err := NewMultiLive(cfg, mwabd.New())
-	if err != nil {
-		t.Fatal(err)
+	m := newMulti(t, cfg, mwabd.New())
+	ctx := context.Background()
+	sweep := func() (client, servers int) {
+		client = m.Sweep()
+		for _, srv := range m.Servers() {
+			servers += srv.Sweep()
+		}
+		return client, servers
 	}
-	defer m.Close()
 
 	for i := 0; i < 8; i++ {
-		if _, err := m.Write(context.Background(), fmt.Sprintf("idle-%d", i), 1, "v"); err != nil {
+		k := fmt.Sprintf("idle-%d", i)
+		if _, err := m.Write(ctx, k, 1, "v"); err != nil {
 			t.Fatal(err)
 		}
+		settled(t, m, k, "v")
 	}
-	if _, err := m.Write(context.Background(), "hot", 1, "v"); err != nil {
+	if _, err := m.Write(ctx, "hot", 1, "v"); err != nil {
 		t.Fatal(err)
 	}
+	settled(t, m, "hot", "v")
 	if got := len(m.Keys()); got != 9 {
 		t.Fatalf("%d keys before sweep, want 9", got)
 	}
@@ -69,19 +92,18 @@ func TestMultiLiveSweep(t *testing.T) {
 
 	// Epoch 0 → 1: everything was stamped in epoch 0, nothing is a full
 	// epoch old yet.
-	if n := m.Sweep(); n != 0 {
-		t.Fatalf("first sweep evicted %d keys, want 0", n)
+	if c, s := sweep(); c != 0 || s != 0 {
+		t.Fatalf("first sweep evicted %d client / %d server keys, want 0", c, s)
 	}
-	// Keep "hot" alive in epoch 1.
-	if _, err := m.Read(context.Background(), "hot", 1); err != nil {
+	// Keep "hot" alive in epoch 1, at the client and every replica.
+	if _, err := m.Write(ctx, "hot", 1, "v2"); err != nil {
 		t.Fatal(err)
 	}
+	settled(t, m, "hot", "v2")
 	// Epoch 1 → 2: the idle keys (stamp 0 ≤ cutoff 0) go; "hot" (stamp 1)
-	// stays. Wait for straggler messages first — ops complete on S−t
-	// replies and the sweeper refuses to evict keys with one in flight.
-	waitDrained(t, m)
-	if n := m.Sweep(); n != 8 {
-		t.Fatalf("second sweep evicted %d keys, want 8", n)
+	// stays.
+	if c, s := sweep(); c != 8 || s != 8*cfg.S {
+		t.Fatalf("second sweep evicted %d client / %d server keys, want 8 / %d", c, s, 8*cfg.S)
 	}
 	if got := m.Keys(); len(got) != 1 || got[0] != "hot" {
 		t.Fatalf("keys after sweep: %v, want [hot]", got)
@@ -89,63 +111,48 @@ func TestMultiLiveSweep(t *testing.T) {
 	if got := countServerKeys(m); got != cfg.S {
 		t.Fatalf("%d server entries after sweep, want %d", got, cfg.S)
 	}
-	if _, ok := m.ServerValue("idle-0", 1); ok {
-		t.Fatal("evicted key still has server state")
-	}
 
 	// An evicted key reads as never written again (TTL-expiry semantics)
 	// and is fully usable afterward.
-	v, err := m.Read(context.Background(), "idle-0", 1)
+	v, err := m.Read(ctx, "idle-0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.IsInitial() {
 		t.Fatalf("evicted key read %v, want initial", v)
 	}
-	if _, err := m.Write(context.Background(), "idle-0", 1, "again"); err != nil {
+	if _, err := m.Write(ctx, "idle-0", 1, "again"); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := m.Read(context.Background(), "idle-0", 1); err != nil || v.Data != "again" {
+	if v, err := m.Read(ctx, "idle-0", 1); err != nil || v.Data != "again" {
 		t.Fatalf("rewrite after eviction: %v %v", v, err)
 	}
 }
 
-// TestMultiLiveEvictionTTL exercises the background sweeper end to end
+// TestMultiLiveEvictionTTL exercises the background sweepers end to end
 // with a real (short) TTL.
 func TestMultiLiveEvictionTTL(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	m, err := NewMultiLive(cfg, mwabd.New(), WithMultiEviction(20*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := newMulti(t, cfg, mwabd.New(), evictionOpts(20*time.Millisecond)...)
 	for i := 0; i < 4; i++ {
 		if _, err := m.Write(context.Background(), fmt.Sprintf("k%d", i), 1, "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(m.Keys()) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("keys never evicted: %v", m.Keys())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	eventually(t, "keys evicted everywhere", func() bool {
+		return len(m.Keys()) == 0 && countServerKeys(m) == 0
+	})
 }
 
-// TestMultiLiveEvictionUnderLoad races an aggressive sweeper against a
+// TestMultiLiveEvictionUnderLoad races aggressive sweepers against a
 // concurrent workload: operations must never fail or trip the race
-// detector, and every key's history that survives must stay atomic.
+// detector.
 func TestMultiLiveEvictionUnderLoad(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
-	m, err := NewMultiLive(cfg, mwabd.New(), WithMultiEviction(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := newMulti(t, cfg, mwabd.New(), evictionOpts(time.Millisecond)...)
 	done := make(chan error, cfg.R+cfg.W)
 	for w := 1; w <= cfg.W; w++ {
-		go func(w int) {
+		go func() {
 			for i := 0; i < 200; i++ {
 				if _, err := m.Write(context.Background(), fmt.Sprintf("k%d", i%5), w, "v"); err != nil {
 					done <- err
@@ -153,10 +160,10 @@ func TestMultiLiveEvictionUnderLoad(t *testing.T) {
 				}
 			}
 			done <- nil
-		}(w)
+		}()
 	}
 	for r := 1; r <= cfg.R; r++ {
-		go func(r int) {
+		go func() {
 			for i := 0; i < 200; i++ {
 				if _, err := m.Read(context.Background(), fmt.Sprintf("k%d", i%5), r); err != nil {
 					done <- err
@@ -164,7 +171,7 @@ func TestMultiLiveEvictionUnderLoad(t *testing.T) {
 				}
 			}
 			done <- nil
-		}(r)
+		}()
 	}
 	for i := 0; i < cfg.R+cfg.W; i++ {
 		if err := <-done; err != nil {
@@ -173,37 +180,27 @@ func TestMultiLiveEvictionUnderLoad(t *testing.T) {
 	}
 }
 
-// TestMultiLiveEvictionOffByDefault: without the option, nothing ever
-// disappears (the ticker isn't even running).
+// TestMultiLiveEvictionOffByDefault: without the options, nothing ever
+// disappears (no sweeper is even running).
 func TestMultiLiveEvictionOffByDefault(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	m, err := NewMultiLive(cfg, mwabd.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.evictTTL != 0 {
-		t.Fatal("eviction enabled by default")
-	}
+	m := newMulti(t, cfg, mwabd.New())
 	if _, err := m.Write(context.Background(), "k", 1, "v"); err != nil {
 		t.Fatal(err)
 	}
+	settled(t, m, "k", "v")
 	time.Sleep(50 * time.Millisecond)
-	if len(m.Keys()) != 1 {
-		t.Fatalf("keys vanished without eviction: %v", m.Keys())
+	if len(m.Keys()) != 1 || countServerKeys(m) != cfg.S {
+		t.Fatalf("keys vanished without eviction: %v, %d server entries", m.Keys(), countServerKeys(m))
 	}
 }
 
-// TestMultiLiveTimeout: with more than t servers crashed, a bounded
-// operation must come back with register.ErrTimeout instead of blocking
-// forever (the pre-context behavior).
+// TestMultiLiveTimeout: with more than t servers crashed an operation
+// fails fast with register.ErrProtocol, and a context deadline bounds
+// every operation with register.ErrTimeout.
 func TestMultiLiveTimeout(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	m, err := NewMultiLive(cfg, mwabd.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := newMulti(t, cfg, mwabd.New())
 	if _, err := m.Write(context.Background(), "k", 1, "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -213,28 +210,19 @@ func TestMultiLiveTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Crash(2)
-	// Two crashes exceed t=1. The round still reaches S−t=2 inboxes is
-	// impossible — only one server is left, so the send itself fails
-	// fast; no timeout needed.
+	// Two crashes exceed t=1: only one link is left for a round that
+	// needs S−t=2 replies, so the round fails before it waits.
 	if _, err := m.Read(context.Background(), "k", 1); !errors.Is(err, register.ErrProtocol) {
 		t.Fatalf("got %v, want ErrProtocol (quorum unreachable)", err)
 	}
-	// A context deadline bounds the genuinely-blocking case: servers
-	// reachable but replies withheld. Simulate by sending to a cluster
-	// whose remaining quorum is reachable while we hold the deadline at
-	// zero — the ctx expires before the replies can be consumed.
+	// An already-expired context wins deterministically over replies.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m2, err := NewMultiLive(cfg, mwabd.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
+	m2 := newMulti(t, cfg, mwabd.New())
 	if _, err := m2.Write(ctx, "k", 1, "v"); !errors.Is(err, register.ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
 	}
-	h := m2.History("k")
-	if n := len(h.Failed()); n != 1 {
+	if n := len(m2.History("k").Failed()); n != 1 {
 		t.Fatalf("%d failed ops, want 1", n)
 	}
 }

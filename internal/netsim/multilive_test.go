@@ -12,6 +12,7 @@ import (
 	"fastreg/internal/mwabd"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
+	"fastreg/internal/transport"
 	"fastreg/internal/w2r1"
 )
 
@@ -23,6 +24,148 @@ func newMulti(t *testing.T, cfg quorum.Config, p register.Protocol, opts ...Mult
 	}
 	t.Cleanup(m.Close)
 	return m
+}
+
+// serverOpts gives every replica the same transport.Server options.
+func serverOpts(opts ...transport.ServerOption) MultiOption {
+	return WithMultiServers(func(int) []transport.ServerOption { return opts })
+}
+
+// runMix drives every writer and reader of cfg concurrently on key, n
+// operations each, and checks the key's history atomic with every
+// operation completed.
+func runMix(t *testing.T, m *MultiLive, key string, n int) {
+	t.Helper()
+	cfg := m.Config()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for c := 1; c <= cfg.W; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if _, err := m.Write(ctx, key, c, fmt.Sprintf("w%d-%d", c, i)); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for c := 1; c <= cfg.R; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if _, err := m.Read(ctx, key, c); err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	h := m.History(key)
+	if err := h.WellFormed(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(h.Completed()), (cfg.W+cfg.R)*n; got != want {
+		t.Fatalf("completed = %d, want %d", got, want)
+	}
+	if res := atomicity.Check(h); !res.Atomic {
+		t.Fatalf("non-atomic history: %v\n%s", res, h)
+	}
+}
+
+// The TestLive* cases run the host as the single-register cluster of
+// Fig 1: one key, the empty one.
+
+func TestLiveBasic(t *testing.T) {
+	m := newMulti(t, cfg521(), mwabd.New())
+	w, err := m.Write(context.Background(), "", 1, "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Read(context.Background(), "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r != w {
+		t.Fatalf("read %v, wrote %v", r, w)
+	}
+	if res := atomicity.Check(m.History("")); !res.Atomic {
+		t.Fatalf("non-atomic: %v", res)
+	}
+}
+
+func TestLiveConcurrentClientsAtomic(t *testing.T) {
+	for name, p := range map[string]register.Protocol{"W2R2": mwabd.New(), "W2R1": w2r1.New()} {
+		t.Run(name, func(t *testing.T) {
+			runMix(t, newMulti(t, quorum.Config{S: 7, T: 1, R: 2, W: 2}, p), "", 15)
+		})
+	}
+}
+
+func TestLiveWireEncodingEndToEnd(t *testing.T) {
+	// Every batch crosses the binary codec; protocols must be oblivious.
+	for name, p := range map[string]register.Protocol{"W2R2": mwabd.New(), "W2R1": w2r1.New()} {
+		t.Run(name, func(t *testing.T) {
+			runMix(t, newMulti(t, quorum.Config{S: 5, T: 1, R: 2, W: 2}, p, WithMultiWireEncoding()), "", 8)
+		})
+	}
+}
+
+func TestLiveCrashWithinT(t *testing.T) {
+	m := newMulti(t, cfg521(), mwabd.New())
+	ctx := context.Background()
+	if _, err := m.Write(ctx, "", 1, "before"); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash(2)
+	if v, err := m.Read(ctx, "", 1); err != nil || v.Data != "before" {
+		t.Fatalf("read after crash: %v %v", v, err)
+	}
+	if _, err := m.Write(ctx, "", 2, "after"); err != nil {
+		t.Fatalf("write after crash: %v", err)
+	}
+}
+
+func TestLiveCrashUnknownServerPanics(t *testing.T) {
+	m := newMulti(t, cfg521(), mwabd.New())
+	defer func() {
+		if recover() == nil {
+			t.Error("Crash of unknown server must panic")
+		}
+	}()
+	m.Crash(99)
+}
+
+func TestLiveCrashDoubleSafe(t *testing.T) {
+	m := newMulti(t, cfg521(), mwabd.New())
+	m.Crash(1)
+	m.Crash(1)
+	if _, err := m.Read(context.Background(), "", 1); err != nil {
+		t.Fatalf("read with one crash: %v", err)
+	}
+}
+
+func TestLiveExecAfterClose(t *testing.T) {
+	m := newMulti(t, cfg521(), mwabd.New())
+	m.Close()
+	if _, err := m.Write(context.Background(), "", 1, "x"); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("write after Close = %v, want transport.ErrClosed", err)
+	}
+}
+
+func TestLiveRejectsBadConfig(t *testing.T) {
+	if _, err := NewMultiLive(quorum.Config{S: -1}, mwabd.New()); err == nil {
+		t.Fatal("bad config accepted")
+	}
+}
+
+func TestLiveDoubleCloseSafe(t *testing.T) {
+	m := newMulti(t, cfg521(), mwabd.New())
+	m.Close()
+	m.Close()
 }
 
 func TestMultiLiveBasic(t *testing.T) {
@@ -70,9 +213,9 @@ func TestMultiLiveKeysAreIndependent(t *testing.T) {
 }
 
 func TestMultiLiveServerStateSharded(t *testing.T) {
-	// Every touched key materializes protocol state on every reachable
-	// server, found via the same shard partition the handlers use.
-	m := newMulti(t, cfg521(), mwabd.New(), WithMultiShards(4))
+	// Every touched key materializes protocol state on the replicas that
+	// handled it, found via the same shard partition the handlers use.
+	m := newMulti(t, cfg521(), mwabd.New(), serverOpts(transport.WithServerShards(4)))
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for i, k := range keys {
 		if _, err := m.Write(context.Background(), k, 1, fmt.Sprintf("v%d", i)); err != nil {
@@ -82,12 +225,8 @@ func TestMultiLiveServerStateSharded(t *testing.T) {
 	cfg := m.Config()
 	for i, k := range keys {
 		stored := 0
-		for s := 1; s <= cfg.S; s++ {
-			v, ok := m.ServerValue(k, s)
-			if !ok {
-				continue
-			}
-			if v.Data == fmt.Sprintf("v%d", i) {
+		for _, srv := range m.Servers() {
+			if v, ok := srv.Value(k); ok && v.Data == fmt.Sprintf("v%d", i) {
 				stored++
 			}
 		}
@@ -96,8 +235,8 @@ func TestMultiLiveServerStateSharded(t *testing.T) {
 			t.Fatalf("key %q stored on %d servers, want ≥ %d", k, stored, cfg.ReplyQuorum())
 		}
 	}
-	// Untouched servers/keys report no state.
-	if _, ok := m.ServerValue("never-written", 1); ok {
+	// Untouched keys report no state.
+	if _, ok := m.Servers()[0].Value("never-written"); ok {
 		t.Fatal("state materialized for an untouched key")
 	}
 }
@@ -157,14 +296,14 @@ func TestMultiLiveClientValidationAndClose(t *testing.T) {
 		t.Error("reader out of range accepted")
 	}
 	m.Close()
-	if _, err := m.Write(context.Background(), "k", 1, "v"); !errors.Is(err, ErrLiveClosed) {
+	if _, err := m.Write(context.Background(), "k", 1, "v"); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("write after close: %v", err)
 	}
 	m.Close() // idempotent
 }
 
-// TestMultiLiveStressManyKeys is the -race stress test of the multiplexed
-// runtime: many keys × concurrent readers and writers × a mid-run server
+// TestMultiLiveStressManyKeys is the -race stress test of the in-process
+// fleet: many keys × concurrent readers and writers × a mid-run server
 // crash, with every per-key history checked for atomicity afterwards.
 func TestMultiLiveStressManyKeys(t *testing.T) {
 	const (
@@ -180,13 +319,11 @@ func TestMultiLiveStressManyKeys(t *testing.T) {
 		{"W2R2", mwabd.New(), quorum.Config{S: 5, T: 1, R: 3, W: 3}},
 		{"W2R1", w2r1.New(), quorum.Config{S: 9, T: 1, R: 3, W: 3}},
 	} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			m := newMulti(t, tc.cfg, tc.p, WithMultiShards(8))
+			m := newMulti(t, tc.cfg, tc.p, serverOpts(transport.WithServerShards(8)))
 			var wg sync.WaitGroup
 			crash := make(chan struct{})
 			for c := 1; c <= tc.cfg.W; c++ {
-				c := c
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -203,7 +340,6 @@ func TestMultiLiveStressManyKeys(t *testing.T) {
 				}()
 			}
 			for c := 1; c <= tc.cfg.R; c++ {
-				c := c
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -240,19 +376,21 @@ func TestMultiLiveStressManyKeys(t *testing.T) {
 	}
 }
 
-// TestMultiLiveGoroutineFootprint pins the tentpole claim: the goroutine
-// count of the multiplexed runtime is O(servers), independent of keys.
+// TestMultiLiveGoroutineFootprint pins the point of one shared fleet: the
+// goroutine count is O(servers), independent of the number of keys.
 func TestMultiLiveGoroutineFootprint(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 1, W: 1}
 	before := runtime.NumGoroutine()
-	m := newMulti(t, cfg, mwabd.New(), WithMultiServerWorkers(2))
+	m := newMulti(t, cfg, mwabd.New(), serverOpts(transport.WithServerWorkers(2)))
 	for i := 0; i < 100; i++ {
 		if _, err := m.Write(context.Background(), fmt.Sprintf("key-%03d", i), 1, "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	during := runtime.NumGoroutine()
-	fleet := cfg.S * 2 // servers × workers
+	// Per replica: accept loop, connection loop, 2 workers, reply
+	// collector; per client link: flusher and receive loop.
+	fleet := cfg.S * (5 + 2)
 	if during > before+fleet+3 {
 		t.Fatalf("goroutines grew with keys: before=%d during=%d fleet=%d", before, during, fleet)
 	}
@@ -262,9 +400,9 @@ func TestMultiLiveGoroutineFootprint(t *testing.T) {
 }
 
 func TestMultiLiveSingleWorkerSerial(t *testing.T) {
-	// One worker per server degenerates to Live's fully serialized loop;
+	// Inline serving on one shard is a fully serialized replica loop;
 	// correctness must be identical.
-	m := newMulti(t, cfg521(), mwabd.New(), WithMultiServerWorkers(1), WithMultiShards(1))
+	m := newMulti(t, cfg521(), mwabd.New(), serverOpts(transport.WithServerWorkers(-1), transport.WithServerShards(1)))
 	for i := 0; i < 8; i++ {
 		k := fmt.Sprintf("k%d", i%2)
 		if _, err := m.Write(context.Background(), k, 1+i%2, fmt.Sprintf("v%d", i)); err != nil {

@@ -3,22 +3,18 @@
 // with no server-to-server communication, a discrete global clock the
 // processes cannot access, and up to t server crashes.
 //
-// Three execution environments are provided:
+// Two execution environments are provided:
 //
 //   - Sim: a deterministic discrete-event simulator driven by a virtual
 //     clock. Message delays are arbitrary (asynchrony) but reproducible from
 //     a seed; latency is measured in exact virtual time, so round-trip
 //     counts — the quantity the paper reasons about — translate directly
 //     into latency shapes.
-//   - Live (live.go): a goroutine-per-server network exercising the same
-//     protocol code under real concurrency, for race-detector coverage.
-//     One Live cluster hosts exactly one register.
-//   - MultiLive (multilive.go): the multiplexed production-shaped runtime.
-//     One fixed fleet of server goroutines serves every key: each replica
-//     owns a sharded key → server-state map (lazily populated, per-shard
-//     locking), drains its inbox in batches, and routes by the key-tagged
-//     proto.Envelope. Goroutine count is O(servers), not O(keys × servers);
-//     crashing a server kills it for all keys at once.
+//   - MultiLive (multilive.go): the in-process live fleet. It hosts S
+//     transport.Servers and one transport.Client on a transport.ChanNetwork
+//     — the same round engine and replica loop a TCP deployment runs,
+//     with channels for sockets — so one fleet serves every key with
+//     O(servers) goroutines, and crashing a server kills it for all keys.
 package netsim
 
 import (

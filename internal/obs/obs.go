@@ -13,9 +13,9 @@
 // (internal/obs's benchmark pair locks that contract in.)
 //
 // Metric names are dotted paths ("client.W2R2.write.latency_ns",
-// "server.worker.3.busy"). The transport backend and the in-process
-// netsim backend register the same client-side names, which is what
-// makes the two backends' numbers directly comparable.
+// "server.worker.3.busy"). The TCP and in-process backends run the same
+// transport.Client and Server and so register the same names, which is
+// what makes the two backends' numbers directly comparable.
 package obs
 
 import (
@@ -211,9 +211,8 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// OpMetrics is the client-side operation metric set both round engines
-// (transport.Client and netsim.MultiLive) record into under the same
-// names — per-protocol operation latency split by kind, rounds per
+// OpMetrics is the client-side operation metric set the round engine
+// (transport.Client) records into — per-protocol operation latency split by kind, rounds per
 // operation, retries, and completed/failed counters. A nil *OpMetrics is
 // the disabled set; every method no-ops.
 //

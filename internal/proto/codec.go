@@ -15,7 +15,7 @@ import (
 // them for byte-stream transports.
 //
 // Key routes the payload to one register inside a multiplexed server
-// (netsim.MultiLive): a single server fleet hosts every key's protocol
+// (transport.Server): a single server fleet hosts every key's protocol
 // state, and the envelope's key selects which one handles the message. The
 // empty key addresses the sole register of a single-register cluster, so
 // the per-register runtimes need no special casing.

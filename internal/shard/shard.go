@@ -1,7 +1,6 @@
 // Package shard is the single definition of the key → shard partition
-// used on both sides of the system: netsim.MultiLive's in-process fleet
-// and the transport layer's Server/Client. One definition keeps the
-// cross-stack invariant — a key lives at the same shard index everywhere
+// used on both sides of the system, the transport layer's Server and
+// Client. One definition keeps the invariant — a key lives at the same shard index everywhere
 // — true by construction.
 package shard
 

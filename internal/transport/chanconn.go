@@ -95,7 +95,7 @@ func (l *chanListener) Close() error {
 // and receives on in; its peer holds the channels swapped. The channels
 // carry whole batches — a Send is a batch of one — so the in-process
 // transport pays the same per-batch (not per-envelope) channel cost the
-// TCP transport pays in frames, keeping netsim-vs-TCP benchmarks
+// TCP transport pays in frames, keeping in-process and TCP benchmarks
 // comparable. closed is shared so either side's Close kills both
 // directions at once, like a socket teardown.
 type chanConn struct {

@@ -37,8 +37,8 @@ const resendInterval = 20 * time.Millisecond
 
 // Client drives register operations against a fleet of replica servers
 // over any transport — the client half of a deployed cluster, and the
-// network-facing counterpart of netsim.MultiLive's in-process round
-// engine.
+// round engine of every backend: netsim.MultiLive runs one over a
+// ChanNetwork.
 //
 // One Client hosts all of a process's reader/writer identities and
 // multiplexes every key's operations over a single connection per server.
@@ -60,20 +60,20 @@ const resendInterval = 20 * time.Millisecond
 // used sequentially; everything else may run concurrently. Per-key
 // histories are recorded client-side for the atomicity checker.
 //
-// Client satisfies kv.Backend: Write and Read are context-first, and
-// Crash/Histories/Keys/Close complete the store seam.
+// Client satisfies fastreg.Backend: Write and Read are context-first,
+// and Crash/Histories/Keys/Close complete the store seam.
 type Client struct {
 	cfg      quorum.Config
 	protocol register.Protocol
 
-	links        []*serverLink
-	reg          *Registry
-	unbatched    bool
-	connsPerLink int
-	vouchT       int
-	evictTTL     time.Duration
-	capture      func(key string, op history.Op)
-	coord        *epoch.Coordinator
+	links     []*serverLink
+	live      atomic.Int64 // links not abandoned; a round needing more fails fast
+	reg       *Registry
+	unbatched bool
+	vouchT    int
+	evictTTL  time.Duration
+	capture   func(key string, op history.Op)
+	coord     *epoch.Coordinator
 
 	// Observability, all nil when disabled (the nil members ARE the off
 	// switch — see internal/obs): om records per-operation latency/rounds/
@@ -123,26 +123,6 @@ func WithRegistry(r *Registry) ClientOption {
 // production clients should leave batching on.
 func WithUnbatchedSends() ClientOption {
 	return func(c *Client) { c.unbatched = true }
-}
-
-// WithConnsPerLink opens n connections to each server instead of one
-// (default 1, today's behavior — n ≤ 0 is treated as 1). Each connection
-// gets its own outbound queue, flusher goroutine and receive loop; sends
-// are steered round-robin across the link's connections and replies land
-// on the client's shared pending table correlated by operation ID, so a
-// reply may return on a different connection's receive loop than the one
-// that carried the request — the protocols only require the reply to
-// reach the operation, not the socket. At high client counts this removes
-// the single flusher goroutine (and the single TCP stream's writer) as
-// the per-server throughput ceiling; it multiplies sockets and dilutes
-// per-connection batching, so keep the default unless a profile shows a
-// link-side bottleneck.
-func WithConnsPerLink(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.connsPerLink = n
-		}
-	}
 }
 
 // WithOpCapture streams every operation this client completes (or fails)
@@ -244,9 +224,8 @@ type pendingRound struct {
 
 // Registry is the sharded per-key client-side state — protocol state
 // machines, op counters and history recorders — backed by the shared
-// keyreg.ClientRegistry, the same registry netsim.MultiLive uses
-// in-process. Each Client owns one by default; WithRegistry shares one
-// across Clients.
+// keyreg.ClientRegistry. Each Client owns one by default; WithRegistry
+// shares one across Clients.
 type Registry struct {
 	r *keyreg.ClientRegistry
 }
@@ -286,34 +265,25 @@ type execScratch struct {
 	held    uint64       // epoch weight atoms not yet attached to a frame
 }
 
-// serverLink is the client's link to one replica: connsPerLink
-// connections (one by default), each with its own lazy dial/backoff
-// state, outbound queue, flusher goroutine and receive loop. Sends are
-// steered round-robin across the connections; replies correlate back to
-// operations through the client's shared pending table regardless of
-// which connection carried them.
+// serverLink is the client's link to one replica: one connection with
+// its lazy dial/backoff state machine (a nil conn means "down, retry
+// after nextDial"), outbound queue, flusher goroutine and receive loop.
+// Replies correlate back to operations through the client's shared
+// pending table.
 //
-// Outbound envelopes pass through a per-connection queue drained by that
-// connection's flusher goroutine: a send is just append-and-wake, so an
-// operation's fan-out to all S servers costs S queue appends, while
-// everything that accumulated between flusher wake-ups — the sends of
-// concurrent rounds headed to this server over this connection — leaves
-// as one multi-envelope SendBatch frame, sharing a single header, encode
-// buffer and flush instead of paying per-message wire overhead.
+// Outbound envelopes pass through the link's queue drained by its
+// flusher goroutine: a send is just append-and-wake, so an operation's
+// fan-out to all S servers costs S queue appends, while everything that
+// accumulated between flusher wake-ups — the sends of concurrent rounds
+// headed to this server — leaves as one multi-envelope SendBatch frame,
+// sharing a single header, encode buffer and flush instead of paying
+// per-message wire overhead.
 type serverLink struct {
-	c     *Client
-	id    types.ProcID
-	addr  string
-	dial  DialFunc
-	conns []*linkConn
-	next  atomic.Uint32 // round-robin steering cursor
-}
-
-// linkConn is one of a link's connections: the dial/backoff state machine
-// plus the batched outbound queue. A nil conn means "down, retry after
-// nextDial".
-type linkConn struct {
-	l *serverLink
+	c         *Client
+	id        types.ProcID
+	addr      string
+	dial      DialFunc
+	abandoned atomic.Bool
 
 	mu       sync.Mutex
 	conn     Conn          // guardedby: mu
@@ -359,21 +329,14 @@ func NewClient(cfg quorum.Config, p register.Protocol, addrs []string, dial Dial
 	if c.capture != nil {
 		c.reg.r.SetCapture(c.capture)
 	}
-	if c.connsPerLink < 1 {
-		c.connsPerLink = 1
-	}
 	c.links = make([]*serverLink, cfg.S)
+	c.live.Store(int64(cfg.S))
 	for i := range c.links {
-		l := &serverLink{c: c, id: types.Server(i + 1), addr: addrs[i], dial: dial}
-		l.conns = make([]*linkConn, c.connsPerLink)
-		for j := range l.conns {
-			lc := &linkConn{l: l, wake: make(chan struct{}, 1)}
-			l.conns[j] = lc
-			if !c.unbatched {
-				go lc.flushLoop() // exits when the client closes
-			}
-		}
+		l := &serverLink{c: c, id: types.Server(i + 1), addr: addrs[i], dial: dial, wake: make(chan struct{}, 1)}
 		c.links[i] = l
+		if !c.unbatched {
+			go l.flushLoop() // exits when the client closes
+		}
 	}
 	if c.obsReg != nil {
 		c.om = obs.NewOpMetrics(c.obsReg, "client."+p.Name())
@@ -392,11 +355,9 @@ func NewClient(cfg quorum.Config, p register.Protocol, addrs []string, dial Dial
 func (c *Client) queueDepth() int64 {
 	var n int64
 	for _, l := range c.links {
-		for _, lc := range l.conns {
-			lc.qmu.Lock()
-			n += int64(len(lc.queue))
-			lc.qmu.Unlock()
-		}
+		l.qmu.Lock()
+		n += int64(len(l.queue))
+		l.qmu.Unlock()
 	}
 	return n
 }
@@ -432,11 +393,11 @@ func (c *Client) sweeper() {
 // returning the number of keys dropped. The TTL sweeper calls this on its
 // tick; tests and tooling may call it directly (meaningful even without
 // WithClientEviction).
-func (c *Client) Sweep() int { return c.reg.r.Sweep(nil) }
+func (c *Client) Sweep() int { return c.reg.r.Sweep() }
 
 // Connect eagerly dials every server (waiting for the dials to settle)
-// and reports how many are reachable right now. Purely advisory —
-// operations dial lazily anyway.
+// and reports how many are reachable right now. Operations dial lazily
+// anyway; connecting first only spares the first ones a resend tick.
 func (c *Client) Connect() int {
 	n := 0
 	for _, l := range c.links {
@@ -517,7 +478,8 @@ func drainCh(ch chan register.Reply) {
 
 // exec is the round engine: broadcast the round's payload to every
 // server, wait for Need correlated replies, feed them to the operation,
-// repeat until done. The network analogue of netsim.MultiLive.exec.
+// repeat until done. A round whose Need exceeds the links not abandoned
+// fails fast with register.ErrProtocol — no quorum can form.
 func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, op register.Operation) (types.Value, error) {
 	defer c.reg.r.Release(st)
 	select {
@@ -556,6 +518,9 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 	var opErr error
 loop:
 	for {
+		if opErr = c.unreachable(round.Need); opErr != nil {
+			break
+		}
 		sc.pr.round = roundNo
 		c.setPending(pk, &sc.pr)
 		env := proto.Envelope{
@@ -569,10 +534,10 @@ loop:
 		// Broadcast the round, and keep re-sending to every server whose
 		// reply hasn't arrived: over a real network a send can fail
 		// transiently (conn just died, dial in backoff) or succeed into a
-		// queue whose connection dies before flushing — unlike netsim,
-		// where a failed send means a permanently crashed server. Only a
-		// recorded reply proves delivery; re-sends are safe because the
-		// reply loop below counts one vote per server. The operation
+		// queue whose connection dies before flushing; only an abandoned
+		// link means a crashed server. Only a recorded reply proves
+		// delivery; re-sends are safe because the reply loop below
+		// counts one vote per server. The operation
 		// blocks until Need distinct servers reply or ctx expires — the
 		// wait-free contract the protocols' model promises.
 		c.trySends(ctx, sc, &env)
@@ -593,6 +558,9 @@ loop:
 					sc.replies = append(sc.replies, rep)
 				}
 			case <-sc.retry.C:
+				if opErr = c.unreachable(round.Need); opErr != nil {
+					break loop
+				}
 				c.om.Retry()
 				c.trySends(ctx, sc, &env)
 			case <-ctx.Done():
@@ -658,6 +626,15 @@ loop:
 		return types.Value{}, opErr
 	}
 	return res, nil
+}
+
+// unreachable reports the register.ErrProtocol failure of a round that
+// needs more replies than there are links not abandoned, nil otherwise.
+func (c *Client) unreachable(need int) error {
+	if live := int(c.live.Load()); need > live {
+		return fmt.Errorf("%w: only %d of %d required servers reachable", register.ErrProtocol, live, need)
+	}
+	return nil
 }
 
 // trySends broadcasts the current round's envelope to every server whose
@@ -747,27 +724,30 @@ func (c *Client) Abandon(i int) {
 	if i < 1 || i > len(c.links) {
 		return
 	}
-	for _, lc := range c.links[i-1].conns {
-		lc.shutdown()
+	l := c.links[i-1]
+	if l.abandoned.CompareAndSwap(false, true) {
+		c.live.Add(-1)
 	}
+	l.shutdown()
 }
 
-// shutdown marks the connection permanently down and closes any live
-// socket.
-func (lc *linkConn) shutdown() {
-	lc.mu.Lock()
-	lc.down = true
-	conn := lc.conn
-	lc.conn = nil
-	lc.mu.Unlock()
+// shutdown marks the link permanently down and closes any live
+// connection.
+func (l *serverLink) shutdown() {
+	l.mu.Lock()
+	l.down = true
+	conn := l.conn
+	l.conn = nil
+	l.mu.Unlock()
 	if conn != nil {
 		conn.Close()
 	}
 }
 
-// Crash is Abandon under the name the kv.Backend seam uses: on a network
-// client, "crashing" s_i can only mean abandoning this client's link to
-// it — the replica lives in another process and keeps serving others.
+// Crash is Abandon under the name the fastreg.Backend seam uses: on a
+// network client, "crashing" s_i can only mean abandoning this client's
+// link to it — the replica lives in another process and keeps serving
+// others.
 func (c *Client) Crash(i int) { c.Abandon(i) }
 
 // Metrics returns the client's operation metric set, nil when the client
@@ -796,53 +776,39 @@ func (c *Client) Close() {
 	c.once.Do(func() {
 		close(c.closed)
 		for _, l := range c.links {
-			for _, lc := range l.conns {
-				lc.shutdown()
-			}
+			l.shutdown()
 		}
 	})
 }
 
-// send queues one envelope for the link, (re)dialing if needed. With
-// several connections per link the envelope is steered round-robin, so
-// concurrent operations spread across the link's sockets while each
-// individual envelope still travels one ordered stream. Delivery is
-// best-effort either way — a dropped envelope is re-attempted by its
-// round's retry ticker; only a recorded reply proves delivery.
+// send queues one envelope for the link, (re)dialing if needed
+// (unbatched mode sends it as its own frame immediately). Delivery is
+// best-effort — a dropped envelope is re-attempted by its round's retry
+// ticker; only a recorded reply proves delivery.
 func (l *serverLink) send(env proto.Envelope) {
-	lc := l.conns[0]
-	if len(l.conns) > 1 {
-		lc = l.conns[int(l.next.Add(1))%len(l.conns)]
-	}
-	lc.send(env)
-}
-
-// send queues one envelope on this connection (unbatched mode sends it
-// as its own frame immediately).
-func (lc *linkConn) send(env proto.Envelope) {
-	if lc.l.c.unbatched {
-		conn, err := lc.get()
+	if l.c.unbatched {
+		conn, err := l.get()
 		if err != nil {
 			return
 		}
 		if err := conn.Send(env); err != nil {
-			lc.drop(conn)
+			l.drop(conn)
 		}
 		return
 	}
-	lc.qmu.Lock()
-	if lc.queue == nil {
-		lc.queue = proto.GetEnvs()
+	l.qmu.Lock()
+	if l.queue == nil {
+		l.queue = proto.GetEnvs()
 	}
-	lc.queue = append(lc.queue, env)
-	lc.qmu.Unlock()
+	l.queue = append(l.queue, env)
+	l.qmu.Unlock()
 	select {
-	case lc.wake <- struct{}{}:
+	case l.wake <- struct{}{}:
 	default: // a wake-up is already pending; the flusher will see this envelope
 	}
 }
 
-// flushLoop is the connection's flusher goroutine: woken by send, it
+// flushLoop is the link's flusher goroutine: woken by send, it
 // drains the outbound queue to empty, shipping each drained batch as one
 // multi-envelope frame. Keeping it off the operations' goroutines keeps
 // an op's S-server fan-out non-blocking — the op never flushes other
@@ -850,12 +816,12 @@ func (lc *linkConn) send(env proto.Envelope) {
 // between wake-ups coalesces. Queue slabs come from the proto pool and
 // return to it through SendBatch's ownership transfer, so steady-state
 // queuing allocates nothing.
-func (lc *linkConn) flushLoop() {
+func (l *serverLink) flushLoop() {
 	for {
 		select {
-		case <-lc.l.c.closed:
+		case <-l.c.closed:
 			return
-		case <-lc.wake:
+		case <-l.wake:
 		}
 		// Yield once before draining: operations runnable right now get
 		// to enqueue their sends first, so the drain below ships them all
@@ -863,25 +829,25 @@ func (lc *linkConn) flushLoop() {
 		// scheduler-granularity accumulation window, not a timer.
 		runtime.Gosched()
 		for {
-			lc.qmu.Lock()
-			batch := lc.queue
-			lc.queue = nil
-			lc.qmu.Unlock()
+			l.qmu.Lock()
+			batch := l.queue
+			l.queue = nil
+			l.qmu.Unlock()
 			if len(batch) == 0 {
 				if batch != nil {
 					proto.PutEnvs(batch)
 				}
 				break
 			}
-			conn, err := lc.get()
+			conn, err := l.get()
 			if err != nil {
 				// Link down: drop the batch, rounds re-send on their tick.
 				proto.PutEnvs(batch)
 				continue
 			}
-			lc.l.c.flushBatch.Observe(int64(len(batch)))
+			l.c.flushBatch.Observe(int64(len(batch)))
 			if err := conn.SendBatch(batch); err != nil {
-				lc.drop(conn)
+				l.drop(conn)
 			}
 		}
 	}
@@ -893,103 +859,92 @@ func (lc *linkConn) flushLoop() {
 // black-holed replica: the round's retry ticker re-attempts once the
 // dial settles. Abandon and Close are likewise never blocked (the dial
 // runs outside the mutex, in its own goroutine).
-func (lc *linkConn) get() (Conn, error) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.down {
+func (l *serverLink) get() (Conn, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.down {
 		return nil, ErrClosed
 	}
-	if lc.conn != nil {
-		return lc.conn, nil
+	if l.conn != nil {
+		return l.conn, nil
 	}
-	if lc.dialDone == nil && !time.Now().Before(lc.nextDial) {
+	if l.dialDone == nil && !time.Now().Before(l.nextDial) {
 		done := make(chan struct{})
-		lc.dialDone = done
-		go lc.redial(done)
+		l.dialDone = done
+		go l.redial(done)
 	}
-	return nil, fmt.Errorf("transport: %s down", lc.l.addr)
+	return nil, fmt.Errorf("transport: %s down", l.addr)
 }
 
-// redial performs one dial attempt and settles the connection's state;
+// redial performs one dial attempt and settles the link's state;
 // done is closed when the outcome (success, failure + backoff) is
 // visible.
-func (lc *linkConn) redial(done chan struct{}) {
-	conn, err := lc.l.dial(lc.l.addr)
+func (l *serverLink) redial(done chan struct{}) {
+	conn, err := l.dial(l.addr)
 
-	lc.mu.Lock()
-	lc.dialDone = nil
+	l.mu.Lock()
+	l.dialDone = nil
 	close(done)
-	if lc.down {
-		lc.mu.Unlock()
+	if l.down {
+		l.mu.Unlock()
 		if err == nil {
 			conn.Close()
 		}
 		return
 	}
 	if err != nil {
-		lc.fails++
-		backoff := dialBackoffMin << (lc.fails - 1)
+		l.fails++
+		backoff := dialBackoffMin << (l.fails - 1)
 		if backoff > dialBackoffMax || backoff <= 0 {
 			backoff = dialBackoffMax
 		}
-		lc.nextDial = time.Now().Add(backoff)
-		lc.mu.Unlock()
+		l.nextDial = time.Now().Add(backoff)
+		l.mu.Unlock()
 		return
 	}
-	lc.fails = 0
-	lc.conn = conn
-	lc.mu.Unlock()
-	go lc.recvLoop(conn)
+	l.fails = 0
+	l.conn = conn
+	l.mu.Unlock()
+	go l.recvLoop(conn)
 }
 
-// connect resolves the link to a definite "live or not right now": every
-// connection triggers a dial if one is due and waits for in-flight dials
-// to settle (each bounded by the dialer's own timeout). The link counts
-// as reachable if at least one connection is live.
+// connect resolves the link to a definite "live or not right now": it
+// triggers a dial if one is due and waits for an in-flight dial to
+// settle (bounded by the dialer's own timeout).
 func (l *serverLink) connect() bool {
-	live := false
-	for _, lc := range l.conns {
-		if lc.connect() {
-			live = true
-		}
-	}
-	return live
-}
-
-func (lc *linkConn) connect() bool {
 	for {
-		lc.mu.Lock()
-		if lc.down {
-			lc.mu.Unlock()
+		l.mu.Lock()
+		if l.down {
+			l.mu.Unlock()
 			return false
 		}
-		if lc.conn != nil {
-			lc.mu.Unlock()
+		if l.conn != nil {
+			l.mu.Unlock()
 			return true
 		}
-		if done := lc.dialDone; done != nil {
-			lc.mu.Unlock()
+		if done := l.dialDone; done != nil {
+			l.mu.Unlock()
 			<-done
 			continue
 		}
-		if time.Now().Before(lc.nextDial) {
-			lc.mu.Unlock()
+		if time.Now().Before(l.nextDial) {
+			l.mu.Unlock()
 			return false
 		}
 		done := make(chan struct{})
-		lc.dialDone = done
-		go lc.redial(done)
-		lc.mu.Unlock()
+		l.dialDone = done
+		go l.redial(done)
+		l.mu.Unlock()
 	}
 }
 
 // drop forgets a failed connection so the next send redials.
-func (lc *linkConn) drop(conn Conn) {
-	lc.mu.Lock()
-	if lc.conn == conn {
-		lc.conn = nil
+func (l *serverLink) drop(conn Conn) {
+	l.mu.Lock()
+	if l.conn == conn {
+		l.conn = nil
 	}
-	lc.mu.Unlock()
+	l.mu.Unlock()
 	conn.Close()
 }
 
@@ -999,15 +954,15 @@ func (lc *linkConn) drop(conn Conn) {
 // recycled once every envelope has been dispatched (dispatch copies
 // nothing out that outlives the call — the reply payload is a decoded
 // message owned by the envelope, handed on by pointer).
-func (lc *linkConn) recvLoop(conn Conn) {
+func (l *serverLink) recvLoop(conn Conn) {
 	for {
 		envs, err := conn.RecvBatch()
 		if err != nil {
-			lc.drop(conn)
+			l.drop(conn)
 			return
 		}
 		for _, env := range envs {
-			lc.l.c.dispatch(env)
+			l.c.dispatch(env)
 		}
 		proto.PutEnvs(envs)
 	}

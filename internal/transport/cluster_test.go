@@ -147,32 +147,28 @@ func TestClusterTCPCrash(t *testing.T) {
 	checkAtomic(t, reg, nClients*2*opsPerHalf)
 }
 
-// TestClusterTCPMultiConnAtomic runs the headline workload with every
-// wire knob turned up at once: 4 connections per link (sends steered
-// round-robin, replies landing on whichever connection's receive loop
-// gets them) against replicas running a 4-worker shard-affine pool. The
-// combined history must be exactly as atomic as the single-conn,
-// inline-serving default — the knobs move work between goroutines and
-// sockets, never between protocol states.
-func TestClusterTCPMultiConnAtomic(t *testing.T) {
+// TestClusterTCPWorkersAtomic runs the headline workload against
+// replicas running a 4-worker shard-affine pool. The combined history
+// must be exactly as atomic as the inline-serving default — the pool
+// moves work between goroutines, never between protocol states.
+func TestClusterTCPWorkersAtomic(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
 	_, addrs := startTCPCluster(t, cfg, mwabd.New(), WithServerWorkers(4))
 	const nClients, opsPerHalf = 4, 10
-	reg := runClusterWorkload(t, cfg, addrs, DialTCP, nClients, opsPerHalf, nil, WithConnsPerLink(4))
+	reg := runClusterWorkload(t, cfg, addrs, DialTCP, nClients, opsPerHalf, nil)
 	checkAtomic(t, reg, nClients*2*opsPerHalf)
 }
 
-// TestClusterTCPMultiConnCrash kills a replica mid-workload under the
-// same multi-connection + worker-pool configuration: dial backoff and
-// reply steering must degrade exactly like the single-connection path
-// (operations complete against the surviving quorum, history atomic).
-func TestClusterTCPMultiConnCrash(t *testing.T) {
+// TestClusterTCPWorkersCrash kills a replica mid-workload under the same
+// worker-pool configuration: operations complete against the surviving
+// quorum and the history stays atomic, as with inline serving.
+func TestClusterTCPWorkersCrash(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
 	servers, addrs := startTCPCluster(t, cfg, mwabd.New(), WithServerWorkers(4))
 	const nClients, opsPerHalf = 4, 10
 	reg := runClusterWorkload(t, cfg, addrs, DialTCP, nClients, opsPerHalf, func() {
 		servers[2].Close() // kill s3 mid-workload
-	}, WithConnsPerLink(4))
+	})
 	checkAtomic(t, reg, nClients*2*opsPerHalf)
 }
 
@@ -196,32 +192,8 @@ func TestClusterChanWorkersAtomic(t *testing.T) {
 		t.Cleanup(srv.Close)
 	}
 	const nClients, opsPerHalf = 4, 10
-	reg := runClusterWorkload(t, cfg, addrs, net.Dial, nClients, opsPerHalf, nil, WithConnsPerLink(2))
+	reg := runClusterWorkload(t, cfg, addrs, net.Dial, nClients, opsPerHalf, nil)
 	checkAtomic(t, reg, nClients*2*opsPerHalf)
-}
-
-// TestClientAbandonMultiConn severs a multi-connection link client-side:
-// every one of the link's connections must go down and stay down.
-func TestClientAbandonMultiConn(t *testing.T) {
-	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	_, addrs := startTCPCluster(t, cfg, mwabd.New())
-	c, err := NewClient(cfg, mwabd.New(), addrs, DialTCP, WithConnsPerLink(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	c.Abandon(2)
-	if n := c.Connect(); n != cfg.S-1 {
-		t.Fatalf("Connect() = %d after Abandon, want %d", n, cfg.S-1)
-	}
-	if _, err := c.Write(ctx, "k", 1, "v"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.Read(ctx, "k", 1)
-	if err != nil || v.Data != "v" {
-		t.Fatalf("read: %v %v", v, err)
-	}
 }
 
 // TestClusterChanAtomic runs the same cluster shape over the in-process
@@ -389,8 +361,9 @@ func TestClientColdStartConcurrent(t *testing.T) {
 	}
 }
 
-// TestClientAbandon severs one link client-side; the remaining quorum
-// carries operations.
+// TestClientAbandon severs one link client-side: it goes down and stays
+// down, and the remaining quorum carries operations — until a second
+// abandoned link leaves fewer than a quorum, when rounds fail fast.
 func TestClientAbandon(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
 	_, addrs := startTCPCluster(t, cfg, mwabd.New())
@@ -401,6 +374,10 @@ func TestClientAbandon(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 	c.Abandon(2)
+	c.Abandon(2) // idempotent: still one link down
+	if n := c.Connect(); n != cfg.S-1 {
+		t.Fatalf("Connect() = %d after Abandon, want %d", n, cfg.S-1)
+	}
 	if _, err := c.Write(ctx, "k", 1, "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -410,5 +387,9 @@ func TestClientAbandon(t *testing.T) {
 	}
 	if v.Tag.WID != types.Writer(1) {
 		t.Fatalf("tag %v", v.Tag)
+	}
+	c.Abandon(3)
+	if _, err := c.Read(ctx, "k", 1); !errors.Is(err, register.ErrProtocol) {
+		t.Fatalf("read with two links abandoned = %v, want ErrProtocol", err)
 	}
 }

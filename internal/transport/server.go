@@ -19,14 +19,12 @@ import (
 )
 
 // DefaultServerShards partitions a replica's key space to bound lock
-// contention between keys that arrive on different connections — the same
-// default as netsim.MultiLive.
+// contention between keys that arrive on different connections.
 const DefaultServerShards = shard.Default
 
 // Server hosts ONE replica (server s_i) of a register cluster behind a
 // Listener — the process cmd/regserver runs. Every key's protocol state
-// lives in a sharded, lazily-created keyreg.ServerRegistry, the same
-// registry netsim.MultiLive gives each of its in-process replicas; the
+// lives in a sharded, lazily-created keyreg.ServerRegistry; the
 // servers of the paper's protocols never talk to each other, so a replica
 // is complete with just client-facing connections.
 //
@@ -121,8 +119,8 @@ func WithServerWorkers(n int) ServerOption {
 	return func(s *Server) { s.nworkers = n }
 }
 
-// WithServerEviction enables the idle-key sweep, the network replica's
-// counterpart of netsim's WithMultiEviction: every ttl, keys untouched
+// WithServerEviction enables the replica's idle-key sweep (the client's
+// is WithClientEviction): every ttl, keys untouched
 // for at least one full ttl window (and at most two) are evicted from the
 // replica's sharded state maps, so a long-running regserver facing a
 // churning key population stops growing without bound.
@@ -134,9 +132,9 @@ func WithServerWorkers(n int) ServerOption {
 // feature's contract — expiry, not caching — so enable it only for
 // workloads whose idle keys are disposable, and keep it off (the
 // default) for durable registers; S−t durable eviction needs the
-// state-transfer story the ROADMAP tracks. Two further caveats versus
-// MultiLive's variant: client-side protocol state lives in other
-// processes and is NOT dropped with the key, and client-side histories
+// state-transfer story the ROADMAP tracks. Two further caveats:
+// client-side protocol state lives with the clients and is NOT dropped
+// with the key, and client-side histories
 // likewise outlive the expiry — an atomicity check over a history that
 // spans an eviction will (correctly, from its point of view) flag the
 // expired write, so don't mix -check with keys that idle past the TTL.
@@ -514,8 +512,7 @@ func (s *Server) serveConnWorkers(conn Conn) {
 
 // handleReqs sorts the requests into runs of equal shard (stable, so
 // per-key arrival order is preserved) and handles each run under one
-// acquisition of its shard lock — the same batching payoff as
-// netsim.MultiLive's inbox drain. Correlated replies are appended to out
+// acquisition of its shard lock — the batching payoff. Correlated replies are appended to out
 // (typically a pooled slab) in request order per shard run.
 //
 //lint:captureflush

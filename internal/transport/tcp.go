@@ -321,8 +321,7 @@ func (c *tcpConn) Recv() (proto.Envelope, error) {
 // those of every further frame already sitting complete in the read
 // buffer. Only the first frame may block; the drain consumes bytes the
 // kernel has already delivered, so a loaded connection hands the caller
-// one large batch per wake-up (the receive-side analogue of
-// netsim.MultiLive's inbox drain) at no added latency.
+// one large batch per wake-up at no added latency.
 //
 // The returned slice is a pooled slab (proto.GetEnvs) filled via the
 // appending decoders: ownership passes to the caller, who should recycle

@@ -1,13 +1,11 @@
 // Package transport runs the register protocols over real connections.
 //
-// The simulators in internal/netsim exercise the protocols over in-process
-// channels; this package supplies the missing network layer: a small
-// Conn/Listener abstraction with two implementations —
+// It is the one round engine and replica loop every backend runs, over
+// a small Conn/Listener abstraction with two implementations —
 //
 //   - in-process (NewChanNetwork): connections are paired channels, the
-//     same reliable-link model netsim uses, behind the transport
-//     interfaces. Tests and examples run whole "clusters" in one process
-//     with zero sockets.
+//     reliable links of the system model. netsim.MultiLive, tests and
+//     examples run whole "clusters" in one process with zero sockets.
 //   - TCP (ListenTCP/DialTCP): length-prefixed frames via the proto codec,
 //     one goroutine pair per connection (reader + coalescing writer), so
 //     replicas and clients can be separate processes on a real network.
@@ -19,8 +17,7 @@
 // context-based deadlines.
 //
 // The unit moved is always a proto.Envelope: key-tagged, operation- and
-// round-correlated, exactly what netsim.MultiLive passes in process. A
-// register cluster therefore behaves identically over channels and over
+// round-correlated. A register cluster therefore behaves identically over channels and over
 // TCP; the loopback tests in this package prove the composition atomic
 // with the internal/atomicity checker.
 package transport

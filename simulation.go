@@ -94,7 +94,7 @@ type WorkloadResult struct {
 
 // Simulation is a deterministic discrete-event run of a cluster under a
 // closed-loop workload — the environment for latency and adversarial
-// experiments. Unlike Cluster, time is virtual: latency numbers are exact
+// experiments. Unlike a Store, time is virtual: latency numbers are exact
 // functions of round-trip counts and configured delays.
 type Simulation struct {
 	sim *netsim.Sim

@@ -54,7 +54,7 @@ type Stats struct {
 	Ops    LatencyStats
 
 	// Retries counts re-send ticks while operations waited for a reply
-	// quorum (TCP backend; always 0 in-process).
+	// quorum.
 	Retries int64
 	// OpsOK and OpsFailed count completed and failed operations.
 	OpsOK     int64
@@ -73,7 +73,7 @@ type Stats struct {
 // operations.
 func (s *Store) Stats() Stats {
 	var out Stats
-	b := s.store.Backend()
+	b := s.b
 	if m, ok := b.(interface{ Metrics() *obs.OpMetrics }); ok {
 		if om := m.Metrics(); om != nil {
 			out.Enabled = true

@@ -1,6 +1,5 @@
 // Public observability surface: Stats, DebugHandler and the
-// WithMetrics/WithSlowOpTrace option matrix, on both metric-capable
-// backends.
+// WithMetrics/WithSlowOpTrace options, on both backends.
 package fastreg_test
 
 import (
@@ -119,14 +118,21 @@ func TestStoreStatsAndDebugHandlerTCP(t *testing.T) {
 	}
 }
 
+// TestObsOptionValidation: slow-op tracing runs on both backends (here
+// in-process) and needs a positive threshold.
 func TestObsOptionValidation(t *testing.T) {
 	cfg := fastreg.DefaultConfig()
-	if s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithPerKey(), fastreg.WithMetrics()); err == nil {
+	if s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithSlowOpTrace(-time.Second)); err == nil {
 		s.Close()
-		t.Fatal("WithPerKey + WithMetrics must be rejected")
+		t.Fatal("a negative WithSlowOpTrace threshold must be rejected")
 	}
-	if s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithSlowOpTrace(time.Second)); err == nil {
-		s.Close()
-		t.Fatal("WithSlowOpTrace on the in-process backend must be rejected")
+	s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithMetrics(), fastreg.WithSlowOpTrace(time.Hour))
+	if err != nil {
+		t.Fatalf("WithSlowOpTrace in-process: %v", err)
+	}
+	defer s.Close()
+	driveOps(t, s)
+	if st := s.Stats(); !st.Enabled || st.Ops.Count != 40 || st.SlowOps != 0 {
+		t.Fatalf("in-process stats with tracing: enabled=%v ops=%d slow=%d", st.Enabled, st.Ops.Count, st.SlowOps)
 	}
 }

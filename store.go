@@ -6,16 +6,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/audit"
 	"fastreg/internal/epoch"
-	"fastreg/internal/kv"
+	"fastreg/internal/history"
 	"fastreg/internal/netsim"
 	"fastreg/internal/obs"
+	"fastreg/internal/register"
 	"fastreg/internal/transport"
+	"fastreg/internal/types"
 )
 
 // captureSeq disambiguates the trace logs of multiple captured Opens in
@@ -23,17 +26,45 @@ import (
 var captureSeq atomic.Int64
 
 // Backend is the seam between a Store and the register runtimes: one
-// multi-key, context-first contract (Write/Read/Crash/Histories/Keys/
-// Close) that every runtime satisfies — netsim.MultiLive (the in-process
-// multiplexed fleet), the legacy per-key runtime, and transport.Client
-// (replicas behind real TCP). Open picks the implementation from its
-// options; Store.Backend exposes the running one, which is how the
-// backend conformance suite drives all three through identical code.
+// multi-key, context-first contract that both backends satisfy —
+// netsim.MultiLive (the in-process fleet) and transport.Client (replicas
+// behind real TCP). Open picks the implementation from its options;
+// Store.Backend exposes the running one, which is how the backend
+// conformance suite drives both through identical code.
+//
+// Write and Read block until the protocol's operation completes, ctx
+// expires (an error wrapping ErrTimeout) or the backend closes; each
+// (key, writer) and (key, reader) pair must be used sequentially. Crash
+// fails replica s_i — for every key at once in-process, as a client-side
+// link severance over TCP. Histories exposes the per-key executions for
+// the atomicity checker.
 //
 // The interface is sealed: its methods exchange internal types (tagged
 // values, histories), so implementations outside this module are not
 // possible — backend choice is configuration, not an extension point.
-type Backend = kv.Backend
+type Backend interface {
+	Write(ctx context.Context, key string, writer int, data string) (types.Value, error)
+	Read(ctx context.Context, key string, reader int) (types.Value, error)
+	Crash(i int)
+	Histories() map[string]history.History
+	Keys() []string
+	Close()
+}
+
+// Both runtimes satisfy the seam.
+var (
+	_ Backend = (*netsim.MultiLive)(nil)
+	_ Backend = (*transport.Client)(nil)
+)
+
+// ErrTimeout reports a store operation abandoned because its context
+// expired before a reply quorum arrived — typically more than MaxCrashes
+// servers are unreachable. The operation's effect is indeterminate: a
+// timed-out Put may still land at the servers.
+var ErrTimeout = register.ErrTimeout
+
+// IsTimeout reports whether err is (or wraps) ErrTimeout.
+func IsTimeout(err error) bool { return errors.Is(err, ErrTimeout) }
 
 // ErrHandleInUse reports a session handle used from two goroutines at
 // once. The register protocols require each writer and reader identity to
@@ -45,9 +76,9 @@ var ErrHandleInUse = errors.New("fastreg: handle used concurrently")
 // Store is a replicated key-value store — one multi-writer atomic
 // register per key, composed atomically by the locality property of
 // Section 2.1 — over any Backend. Open is the only constructor; the
-// backend (in-process multiplexed fleet, per-key clusters, or a TCP
-// client of a deployed regserver fleet) is chosen by options, so the
-// code driving a Store is identical across deployment shapes.
+// backend (an in-process fleet, or a TCP client of a deployed regserver
+// fleet) is chosen by options, so the code driving a Store is identical
+// across deployment shapes.
 //
 // Clients are session handles: Writer(i) and Reader(i) bind an identity
 // once and return a handle whose methods are context-first. Out-of-range
@@ -56,7 +87,7 @@ var ErrHandleInUse = errors.New("fastreg: handle used concurrently")
 // per call (ErrHandleInUse).
 type Store struct {
 	cfg     Config
-	store   *kv.Store
+	b       Backend
 	writers []*Writer
 	readers []*Reader
 	capture []*audit.Writer // trace logs to flush+close with the store
@@ -75,46 +106,37 @@ type Store struct {
 
 // openOptions collects what Open's functional options configure.
 type openOptions struct {
-	kind         backendKind
-	addrs        []string
-	evictTTL     time.Duration
-	unbatched    bool
-	connsPerLink int
-	vouchT       int
-	captureDir   string
-	rotateBytes  int64
-	epochEvery   time.Duration
-	metrics      bool
-	slowOp       time.Duration
+	kind        backendKind
+	addrs       []string
+	evictTTL    time.Duration
+	unbatched   bool
+	vouchT      int
+	captureDir  string
+	rotateBytes int64
+	epochEvery  time.Duration
+	metrics     bool
+	slowOp      time.Duration
 }
 
 type backendKind int
 
 const (
 	backendInProcess backendKind = iota
-	backendPerKey
 	backendTCP
 )
 
 // Option configures Open.
 type Option func(*openOptions)
 
-// WithInProcess selects the in-process multiplexed backend (the
-// default): one fixed fleet of server goroutines serves every key
-// through key-tagged messages and sharded per-key state — O(Servers)
-// goroutines no matter how many keys the store holds, and CrashServer
-// fails a replica for every key at once.
+// WithInProcess selects the in-process backend (the default): the
+// store hosts its own fleet — Servers replicas, the same transport
+// servers regserver runs, connected to its client by channels instead of
+// sockets. One fleet serves every key through key-tagged messages and
+// sharded per-key state — O(Servers) goroutines no matter how many keys
+// the store holds — and CrashServer stops a replica for every key at
+// once.
 func WithInProcess() Option {
 	return func(o *openOptions) { o.kind = backendInProcess }
-}
-
-// WithPerKey selects the legacy per-key backend: one full
-// goroutine-per-server register cluster per key, created lazily —
-// O(keys × Servers) goroutines. It is the reference implementation the
-// multiplexed runtime is regression-tested against; prefer the default
-// for anything beyond a handful of keys.
-func WithPerKey() Option {
-	return func(o *openOptions) { o.kind = backendPerKey }
 }
 
 // WithTCP selects the network backend: the replicas are remote
@@ -136,16 +158,15 @@ func WithTCP(addrs ...string) Option {
 // WithEvictionTTL bounds the store's per-key state: every ttl, keys with
 // no operation in flight that went untouched for at least one full ttl
 // window (and at most two) are evicted, so a long-running store serving
-// a churning key population stops growing without bound.
-//
-// On the in-process backend this is full TTL-expiry semantics (Redis
-// EXPIRE): client and server state are dropped together, and an evicted
-// key reads as never-written again. On the TCP backend it bounds this
-// client's memory only — protocol state machines, op counters and the
-// key's recorded history; the replicas' state belongs to the regserver
-// fleet and its own -evict-ttl. Either way evicted histories are gone,
-// so don't combine eviction with Check unless every checked key stays
-// hotter than the TTL. The per-key backend does not support eviction.
+// a churning key population stops growing without bound. The client
+// sweeps its own state — protocol state machines, op counters and the
+// key's recorded history — and every replica the store hosts sweeps its
+// own on the same ttl: in-process that is all of them, and a key idle at
+// every replica expires (Redis EXPIRE semantics: it reads as
+// never-written again). Over TCP the replicas belong to the regserver
+// fleet and its own -evict-ttl. Evicted histories are gone, so don't
+// combine eviction with Check unless every checked key stays hotter than
+// the TTL.
 func WithEvictionTTL(ttl time.Duration) Option {
 	return func(o *openOptions) { o.evictTTL = ttl }
 }
@@ -155,19 +176,20 @@ func WithEvictionTTL(ttl time.Duration) Option {
 // dir — a "client-<pid>-<n>.trlog" file opened at Open and closed by
 // Close. On the in-process backend each of the store's replicas
 // additionally writes its own per-replica trace log (the requests it
-// handled), so a single process captures the same set of logs a
-// deployed fleet does; on the TCP backend the replica logs belong to
-// the regserver processes and their own -capture flags.
+// handled, through transport.WithServerCapture), so a single process
+// captures the same set of logs a deployed fleet does; on the TCP
+// backend the replica logs belong to the regserver processes and their
+// own -capture flags.
 //
 // The logs are the input to cmd/regaudit: `regaudit check dir` merges
 // every process's log into one multi-client history and re-runs the
 // atomicity checker over it — the only way to verify a run that spans
 // several client processes, where no single process's clock orders all
 // operations. Capture is an observer: record appends are buffered and
-// best-effort, and I/O errors never fail store operations. The per-key
-// backend does not support capture, and capture cannot be combined with
-// WithEvictionTTL (evicting a key resets its history clock, which would
-// corrupt the log's time domain — Open rejects the pair).
+// best-effort, and I/O errors never fail store operations. Capture
+// cannot be combined with WithEvictionTTL (evicting a key resets its
+// history clock, which would corrupt the log's time domain — Open
+// rejects the pair).
 func WithCapture(dir string) Option {
 	return func(o *openOptions) { o.captureDir = dir }
 }
@@ -195,34 +217,21 @@ func WithCaptureRotation(maxBytes int64) Option {
 // no operation ever blocks on a cutover. `regaudit follow` tails the
 // logs and emits a per-epoch atomicity verdict while the fleet runs.
 //
-// Requires WithCapture (the boundaries go into its logs) and the
-// WithTCP backend (weight rides the wire envelopes). Replica logs
-// written by other processes (regserver -capture) are not stamped —
+// Requires WithCapture (the boundaries go into its logs). The store
+// stamps every log it owns, in-process replica logs included; replica
+// logs written by other processes (regserver -capture) are not stamped —
 // co-hosted fleets like cmd/regstorm register their replica writers via
 // Store.OnAuditEpoch. interval must be positive.
 func WithAuditEpochs(interval time.Duration) Option {
 	return func(o *openOptions) { o.epochEvery = interval }
 }
 
-// WithUnbatchedSends disables the TCP backend's message-level
-// coalescing: every envelope goes out as its own frame, the pre-batching
-// wire behavior. Benchmarks use it to measure what coalescing buys;
-// production stores should leave batching on. TCP backend only.
+// WithUnbatchedSends disables the client's message-level coalescing:
+// every envelope goes out as its own frame, the pre-batching wire
+// behavior. Benchmarks use it to measure what coalescing buys;
+// production stores should leave batching on.
 func WithUnbatchedSends() Option {
 	return func(o *openOptions) { o.unbatched = true }
-}
-
-// WithConnsPerLink opens n TCP connections to each replica instead of
-// one (the default). Sends are steered round-robin across a link's
-// connections and replies are correlated back to their operations by
-// operation ID, so a reply may return on a different socket than the one
-// that carried the request. At high client counts this removes the
-// single per-server connection (its flusher goroutine and TCP stream) as
-// a throughput ceiling; it multiplies sockets and dilutes per-connection
-// batching, so keep the default unless a profile shows a link-side
-// bottleneck. TCP backend only; n ≤ 1 is the default single connection.
-func WithConnsPerLink(n int) Option {
-	return func(o *openOptions) { o.connsPerLink = n }
 }
 
 // WithVouchedReads hardens the store's reads against Byzantine replicas:
@@ -239,9 +248,8 @@ func WithConnsPerLink(n int) Option {
 // The filter reasons about the W2R1 fast read's reply vectors; on every
 // other protocol it would be unsound — W2R2 and ABD maximize over
 // single-server acks a liar controls outright — so Open rejects the
-// option unless the protocol is W2R1. TCP backend only (a Byzantine
-// replica is a remote process by definition); t must be at least 1 and
-// at most the cluster's crash tolerance makes operational sense.
+// option unless the protocol is W2R1. t must be at least 1, and at most
+// the cluster's crash tolerance makes operational sense.
 func WithVouchedReads(t int) Option {
 	return func(o *openOptions) { o.vouchT = t }
 }
@@ -250,12 +258,14 @@ func WithVouchedReads(t int) Option {
 // latency histograms (with p50/p95/p99 extraction) split by kind,
 // rounds-per-operation, retry/failure counters, queue-depth and
 // worker-occupancy gauges — surfaced through Store.Stats and the
-// DebugHandler's /metrics endpoint. The in-process and TCP backends
-// record under identical metric names, so their numbers are directly
-// comparable. Recording costs one or two uncontended atomic adds per
-// event; disabled (the default), the instrumented paths carry nil
-// metrics and pay a single predictable branch — nothing measurable.
-// The per-key backend does not support metrics.
+// DebugHandler's /metrics endpoint. The in-process and TCP backends run
+// the same client and record under identical metric names, so their
+// numbers are directly comparable; in-process the store's replicas
+// record their server.* metrics into the same registry, counters and
+// histograms summed over the fleet. Recording costs one or two
+// uncontended atomic adds per event; disabled (the default), the
+// instrumented paths carry nil metrics and pay a single predictable
+// branch — nothing measurable.
 func WithMetrics() Option {
 	return func(o *openOptions) { o.metrics = true }
 }
@@ -265,16 +275,16 @@ func WithMetrics() Option {
 // operation that takes threshold or longer, for the DebugHandler's
 // /debug/slowops endpoint and Stats.SlowOps. Tracing is independent of
 // WithMetrics and adds one pooled timeline (no steady-state allocation)
-// per operation. TCP backend only; threshold must be positive.
+// per operation. threshold must be positive.
 func WithSlowOpTrace(threshold time.Duration) Option {
 	return func(o *openOptions) { o.slowOp = threshold }
 }
 
 // Open starts a replicated KV store of the given cluster shape running
-// the protocol, on the backend the options select (in-process
-// multiplexed by default). It is the single entry point the deprecated
-// NewKVStore/NewKVStoreTCP/NewCluster constructors are re-expressed
-// over.
+// the protocol, on the backend the options select (in-process by
+// default). Both backends run transport.Client's round engine and take
+// one list of its options; only the replicas differ — in-process
+// transport.Servers over channels, or a deployed fleet over TCP.
 func Open(cfg Config, p Protocol, opts ...Option) (*Store, error) {
 	impl, err := p.impl()
 	if err != nil {
@@ -288,43 +298,37 @@ func Open(cfg Config, p Protocol, opts ...Option) (*Store, error) {
 	if err := qcfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := o.validate(cfg, p); err != nil {
+		return nil, err
+	}
 
 	var (
-		capture []*audit.Writer
-		mopts   []netsim.MultiOption
 		copts   []transport.ClientOption
+		sopts   []transport.ServerOption // every in-process replica's
+		capture []*audit.Writer
+		replica []*audit.Writer // in-process replica logs, s_1 first
 		obsReg  *obs.Registry
 		tracer  *obs.Tracer
 	)
 	if o.metrics {
-		if o.kind == backendPerKey {
-			return nil, fmt.Errorf("fastreg: the WithPerKey backend does not support WithMetrics")
-		}
 		obsReg = obs.New()
+		sopts = append(sopts, transport.WithServerObs(obsReg, 0))
 	}
 	if o.slowOp > 0 {
-		if o.kind != backendTCP {
-			return nil, fmt.Errorf("fastreg: WithSlowOpTrace applies only to the WithTCP backend")
-		}
 		tracer = obs.NewTracer(o.slowOp, os.Stderr)
 	}
-	if o.vouchT != 0 {
-		if o.kind != backendTCP {
-			return nil, fmt.Errorf("fastreg: WithVouchedReads applies only to the WithTCP backend")
-		}
-		if o.vouchT < 0 {
-			return nil, fmt.Errorf("fastreg: WithVouchedReads needs a fault budget of at least 1, got %d", o.vouchT)
-		}
-		if p != W2R1 {
-			return nil, fmt.Errorf("fastreg: WithVouchedReads is sound only on the W2R1 fast read (its admissibility vectors are what the filter vouches over); %s reads maximize over single-server replies a Byzantine replica controls outright", p)
-		}
+	if obsReg != nil || tracer != nil {
+		copts = append(copts, transport.WithClientObs(obsReg, tracer))
+	}
+	if o.vouchT > 0 {
 		copts = append(copts, transport.WithVouchedReads(o.vouchT))
 	}
-	if obsReg != nil && o.kind == backendInProcess {
-		mopts = append(mopts, netsim.WithMultiObs(obsReg))
+	if o.unbatched {
+		copts = append(copts, transport.WithUnbatchedSends())
 	}
-	if (obsReg != nil || tracer != nil) && o.kind == backendTCP {
-		copts = append(copts, transport.WithClientObs(obsReg, tracer))
+	if o.evictTTL > 0 {
+		copts = append(copts, transport.WithClientEviction(o.evictTTL))
+		sopts = append(sopts, transport.WithServerEviction(o.evictTTL))
 	}
 	closeCapture := func() {
 		for _, w := range capture {
@@ -332,18 +336,6 @@ func Open(cfg Config, p Protocol, opts ...Option) (*Store, error) {
 		}
 	}
 	if o.captureDir != "" {
-		if o.kind == backendPerKey {
-			return nil, fmt.Errorf("fastreg: the WithPerKey backend does not support WithCapture")
-		}
-		if o.evictTTL > 0 {
-			// Eviction drops a key's state INCLUDING its clock; the re-
-			// acquired key restarts at time zero, but the capture log's
-			// earlier ops keep their high timestamps in the same clock
-			// domain — the merge would read that as a (false, binding)
-			// read-from-future. Refuse the combination rather than emit
-			// trace logs whose verdicts can lie.
-			return nil, fmt.Errorf("fastreg: WithCapture cannot be combined with WithEvictionTTL — evicting a key resets its history clock, which would corrupt the trace log's per-process time domain")
-		}
 		if err := os.MkdirAll(o.captureDir, 0o755); err != nil {
 			return nil, fmt.Errorf("fastreg: capture dir: %w", err)
 		}
@@ -354,10 +346,8 @@ func Open(cfg Config, p Protocol, opts ...Option) (*Store, error) {
 			return nil, err
 		}
 		capture = append(capture, cw)
-		switch o.kind {
-		case backendInProcess:
-			mopts = append(mopts, netsim.WithMultiOpCapture(cw.Op))
-			sws := make([]*audit.Writer, cfg.Servers)
+		copts = append(copts, transport.WithOpCapture(cw.Op))
+		if o.kind == backendInProcess {
 			for i := 1; i <= cfg.Servers; i++ {
 				name := fmt.Sprintf("s%d-%d-%d%s", i, os.Getpid(), seq, audit.TraceExt)
 				sw, err := audit.NewFileWriter(filepath.Join(o.captureDir, name), audit.ServerHeader(i, impl.Name(), qcfg))
@@ -365,39 +355,18 @@ func Open(cfg Config, p Protocol, opts ...Option) (*Store, error) {
 					closeCapture()
 					return nil, err
 				}
-				sws[i-1] = sw
+				replica = append(replica, sw)
 				capture = append(capture, sw)
 			}
-			mopts = append(mopts, netsim.WithMultiServerCapture(audit.MultiServerHook(sws)))
-		case backendTCP:
-			copts = append(copts, transport.WithOpCapture(cw.Op))
 		}
-	}
-	if o.rotateBytes != 0 {
-		if o.rotateBytes < 0 {
-			closeCapture()
-			return nil, fmt.Errorf("fastreg: WithCaptureRotation needs a positive size, got %d", o.rotateBytes)
-		}
-		if o.captureDir == "" {
-			return nil, fmt.Errorf("fastreg: WithCaptureRotation requires WithCapture")
-		}
-		for _, w := range capture {
-			w.RotateAt(o.rotateBytes)
+		if o.rotateBytes > 0 {
+			for _, w := range capture {
+				w.RotateAt(o.rotateBytes)
+			}
 		}
 	}
 	var coord *epoch.Coordinator
-	if o.epochEvery != 0 {
-		if o.epochEvery < 0 {
-			closeCapture()
-			return nil, fmt.Errorf("fastreg: WithAuditEpochs needs a positive interval, got %v", o.epochEvery)
-		}
-		if o.captureDir == "" {
-			return nil, fmt.Errorf("fastreg: WithAuditEpochs requires WithCapture — epoch boundaries are stamped into its trace logs")
-		}
-		if o.kind != backendTCP {
-			closeCapture()
-			return nil, fmt.Errorf("fastreg: WithAuditEpochs applies only to the WithTCP backend (weight rides the wire envelopes)")
-		}
+	if o.epochEvery > 0 {
 		coord = epoch.New(obsReg)
 		for _, w := range capture {
 			coord.Stamp(w.Epoch)
@@ -406,52 +375,23 @@ func Open(cfg Config, p Protocol, opts ...Option) (*Store, error) {
 	}
 
 	var b Backend
-	switch o.kind {
-	case backendInProcess:
-		if o.unbatched {
-			closeCapture()
-			return nil, fmt.Errorf("fastreg: WithUnbatchedSends applies only to the WithTCP backend")
-		}
-		if o.connsPerLink > 1 {
-			closeCapture()
-			return nil, fmt.Errorf("fastreg: WithConnsPerLink applies only to the WithTCP backend")
-		}
-		if o.evictTTL > 0 {
-			mopts = append(mopts, netsim.WithMultiEviction(o.evictTTL))
-		}
-		b, err = netsim.NewMultiLive(qcfg, impl, mopts...)
-	case backendPerKey:
-		if o.unbatched || o.evictTTL > 0 || o.connsPerLink > 1 {
-			return nil, fmt.Errorf("fastreg: the WithPerKey backend supports neither eviction nor wire-tuning options")
-		}
-		b, err = kv.NewPerKeyBackend(qcfg, impl)
-	case backendTCP:
-		if len(o.addrs) != cfg.Servers {
-			closeCapture()
-			return nil, fmt.Errorf("fastreg: WithTCP got %d addresses for %d servers", len(o.addrs), cfg.Servers)
-		}
-		if o.unbatched {
-			copts = append(copts, transport.WithUnbatchedSends())
-		}
-		if o.connsPerLink > 1 {
-			copts = append(copts, transport.WithConnsPerLink(o.connsPerLink))
-		}
-		if o.evictTTL > 0 {
-			copts = append(copts, transport.WithClientEviction(o.evictTTL))
-		}
+	if o.kind == backendTCP {
 		b, err = transport.NewClient(qcfg, impl, o.addrs, transport.DialTCP, copts...)
+	} else {
+		b, err = netsim.NewMultiLive(qcfg, impl,
+			netsim.WithMultiClient(copts...),
+			netsim.WithMultiServers(func(i int) []transport.ServerOption {
+				if replica == nil {
+					return sopts
+				}
+				return append(slices.Clip(sopts), transport.WithServerCapture(replica[i-1].Handle))
+			}))
 	}
 	if err != nil {
 		closeCapture()
 		return nil, err
 	}
-	st, err := kv.NewFromBackend(qcfg, b)
-	if err != nil {
-		b.Close()
-		closeCapture()
-		return nil, err
-	}
-	s := &Store{cfg: cfg, store: st, capture: capture, coord: coord, obsReg: obsReg, tracer: tracer}
+	s := &Store{cfg: cfg, b: b, capture: capture, coord: coord, obsReg: obsReg, tracer: tracer}
 	if coord != nil {
 		s.epochDone = make(chan struct{})
 		go func(every time.Duration) {
@@ -481,6 +421,38 @@ func Open(cfg Config, p Protocol, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
+// validate refuses option combinations without a meaning, before Open
+// creates anything.
+func (o *openOptions) validate(cfg Config, p Protocol) error {
+	switch {
+	case o.kind == backendTCP && len(o.addrs) != cfg.Servers:
+		return fmt.Errorf("fastreg: WithTCP got %d addresses for %d servers", len(o.addrs), cfg.Servers)
+	case o.slowOp < 0:
+		return fmt.Errorf("fastreg: WithSlowOpTrace needs a positive threshold, got %v", o.slowOp)
+	case o.vouchT < 0:
+		return fmt.Errorf("fastreg: WithVouchedReads needs a fault budget of at least 1, got %d", o.vouchT)
+	case o.vouchT > 0 && p != W2R1:
+		return fmt.Errorf("fastreg: WithVouchedReads is sound only on the W2R1 fast read (its admissibility vectors are what the filter vouches over); %s reads maximize over single-server replies a Byzantine replica controls outright", p)
+	case o.rotateBytes < 0:
+		return fmt.Errorf("fastreg: WithCaptureRotation needs a positive size, got %d", o.rotateBytes)
+	case o.rotateBytes > 0 && o.captureDir == "":
+		return fmt.Errorf("fastreg: WithCaptureRotation requires WithCapture")
+	case o.epochEvery < 0:
+		return fmt.Errorf("fastreg: WithAuditEpochs needs a positive interval, got %v", o.epochEvery)
+	case o.epochEvery > 0 && o.captureDir == "":
+		return fmt.Errorf("fastreg: WithAuditEpochs requires WithCapture — epoch boundaries are stamped into its trace logs")
+	case o.captureDir != "" && o.evictTTL > 0:
+		// Eviction drops a key's state INCLUDING its clock; the re-
+		// acquired key restarts at time zero, but the capture log's
+		// earlier ops keep their high timestamps in the same clock
+		// domain — the merge would read that as a (false, binding)
+		// read-from-future. Refuse the combination rather than emit
+		// trace logs whose verdicts can lie.
+		return fmt.Errorf("fastreg: WithCapture cannot be combined with WithEvictionTTL — evicting a key resets its history clock, which would corrupt the trace log's per-process time domain")
+	}
+	return nil
+}
+
 // Writer returns the session handle for writer w_i (1-based). The handle
 // binds the identity once — its methods never take a writer index — and
 // the same handle is returned for the same i, so the per-handle
@@ -502,7 +474,7 @@ func (s *Store) Reader(i int) (*Reader, error) {
 
 // Backend returns the running backend — the seam conformance tests and
 // low-level tooling drive directly. Most callers never need it.
-func (s *Store) Backend() Backend { return s.store.Backend() }
+func (s *Store) Backend() Backend { return s.b }
 
 // OnAuditEpoch registers fn to run each time an audit epoch closes
 // (all weight home), with the closed epoch's number — the hook
@@ -519,37 +491,35 @@ func (s *Store) OnAuditEpoch(fn func(epoch uint64)) error {
 }
 
 // Connect eagerly reaches for every replica and reports how many are
-// reachable right now. On the TCP backend this dials all servers (purely
-// advisory — operations dial lazily anyway); the in-process backends are
-// always fully reachable and report Servers.
+// reachable right now: on the TCP backend it dials all servers
+// (advisory — operations dial lazily anyway); in-process every replica
+// not crashed is connected already.
 func (s *Store) Connect() int {
-	if c, ok := s.store.Backend().(interface{ Connect() int }); ok {
-		return c.Connect()
-	}
-	return s.cfg.Servers
+	return s.b.(interface{ Connect() int }).Connect()
 }
 
 // CrashServer crashes server s_i (1-based) for every key's register. On
 // the TCP backend this severs only this client's link to the replica —
 // the replica itself lives in another process and keeps serving others.
-// An index outside [1, Servers] panics: there is no such replica to
-// crash, on any backend.
+// Either way, with more than MaxCrashes servers crashed every operation
+// fails fast with a protocol error. An index outside [1, Servers]
+// panics: there is no such replica to crash, on any backend.
 func (s *Store) CrashServer(i int) {
 	if i < 1 || i > s.cfg.Servers {
 		panic(fmt.Sprintf("fastreg: CrashServer(%d) out of range [1,%d]", i, s.cfg.Servers))
 	}
-	s.store.CrashServer(i)
+	s.b.Crash(i)
 }
 
 // Keys lists the keys touched so far.
-func (s *Store) Keys() []string { return s.store.Keys() }
+func (s *Store) Keys() []string { return s.b.Keys() }
 
 // Check verifies atomicity (Definition 2.1) of every per-key history; it
 // returns the first violation found, or an all-clear result. By locality,
 // per-key atomicity is atomicity of the whole store.
 func (s *Store) Check() CheckResult {
 	total := 0
-	for key, h := range s.store.Histories() {
+	for key, h := range s.b.Histories() {
 		res := atomicity.Check(h)
 		total += len(h.Completed())
 		if !res.Atomic {
@@ -568,12 +538,13 @@ func (s *Store) Config() Config { return s.cfg }
 
 // Close shuts the store (and its backend) down, then flushes and closes
 // any trace logs WithCapture opened — regaudit reads complete logs once
-// the process is done with them.
+// the process is done with them. Operations after Close fail with the
+// transport's "closed" error.
 func (s *Store) Close() {
 	if s.epochDone != nil {
 		close(s.epochDone)
 	}
-	s.store.Close()
+	s.b.Close()
 	if s.coord != nil {
 		// One final cutover now that every operation has returned its
 		// weight: the last traffic-bearing epoch closes and stamps its
@@ -586,29 +557,6 @@ func (s *Store) Close() {
 	for _, w := range s.capture {
 		w.Close()
 	}
-}
-
-// put and get back the deprecated index-threading wrappers (KVStore);
-// new code goes through handles. They route through the canonical
-// handles rather than the backend so the per-identity sequential-use
-// guard covers wrapper callers too — a KVStore.Put racing a handle Put
-// on the same identity is caught, not silently interleaved.
-func (s *Store) put(ctx context.Context, writer int, key, value string) error {
-	w, err := s.Writer(writer)
-	if err != nil {
-		return err
-	}
-	_, err = w.Put(ctx, key, value)
-	return err
-}
-
-func (s *Store) get(ctx context.Context, reader int, key string) (string, bool, error) {
-	r, err := s.Reader(reader)
-	if err != nil {
-		return "", false, err
-	}
-	v, _, ok, err := r.Get(ctx, key)
-	return v, ok, err
 }
 
 // Writer is the session handle of one writer identity: w_i bound at
@@ -634,7 +582,7 @@ func (w *Writer) Put(ctx context.Context, key, value string) (Version, error) {
 		return Version{}, fmt.Errorf("%w: writer %d", ErrHandleInUse, w.id)
 	}
 	defer w.busy.Store(false)
-	v, err := w.store.store.Backend().Write(ctx, key, w.id, value)
+	v, err := w.store.b.Write(ctx, key, w.id, value)
 	if err != nil {
 		return Version{}, err
 	}
@@ -661,7 +609,7 @@ func (r *Reader) Get(ctx context.Context, key string) (value string, ver Version
 		return "", Version{}, false, fmt.Errorf("%w: reader %d", ErrHandleInUse, r.id)
 	}
 	defer r.busy.Store(false)
-	v, err := r.store.store.Backend().Read(ctx, key, r.id)
+	v, err := r.store.b.Read(ctx, key, r.id)
 	if err != nil {
 		return "", Version{}, false, err
 	}

@@ -8,29 +8,50 @@ import (
 )
 
 // TestOpenOptionValidation pins the option/backend compatibility matrix:
-// misconfigurations fail at Open, not at first use.
+// misconfigurations fail at Open, not at first use, and every feature
+// the transport engine carries works on both backends — so the
+// in-process rows below are accepted.
 func TestOpenOptionValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cases := []struct {
-		name string
-		opts []Option
+		name   string
+		p      Protocol
+		opts   []Option
+		accept bool
 	}{
-		{"unbatched-inprocess", []Option{WithUnbatchedSends()}},
-		{"unbatched-perkey", []Option{WithPerKey(), WithUnbatchedSends()}},
-		{"multiconn-inprocess", []Option{WithConnsPerLink(4)}},
-		{"multiconn-perkey", []Option{WithPerKey(), WithConnsPerLink(4)}},
-		{"evict-perkey", []Option{WithPerKey(), WithEvictionTTL(time.Minute)}},
-		{"tcp-addr-count", []Option{WithTCP(":7001")}}, // 1 address, 5 servers
-		{"capture-perkey", []Option{WithPerKey(), WithCapture(t.TempDir())}},
+		{"tcp-addr-count", W2R2, []Option{WithTCP(":7001")}, false}, // 1 address, 5 servers
 		// Eviction resets per-key history clocks; combined with capture
 		// the trace log's time domain would lie (false binding verdicts).
-		{"capture-evict", []Option{WithCapture(t.TempDir()), WithEvictionTTL(time.Minute)}},
+		{"capture-evict", W2R2, []Option{WithCapture(t.TempDir()), WithEvictionTTL(time.Minute)}, false},
+		// The vouched filter reasons about W2R1's reply vectors only.
+		{"vouched-w2r2", W2R2, []Option{WithVouchedReads(1)}, false},
+		{"unbatched-inprocess", W2R2, []Option{WithUnbatchedSends()}, true},
+		{"slowop-inprocess", W2R2, []Option{WithSlowOpTrace(time.Hour)}, true},
+		{"vouched-inprocess", W2R1, []Option{WithVouchedReads(1)}, true},
+		{"epochs-inprocess", W2R2, []Option{WithCapture(t.TempDir()), WithAuditEpochs(time.Hour)}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if s, err := Open(cfg, W2R2, tc.opts...); err == nil {
-				s.Close()
-				t.Fatal("Open must reject the option combination")
+			s, err := Open(cfg, tc.p, tc.opts...)
+			if !tc.accept {
+				if err == nil {
+					s.Close()
+					t.Fatal("Open must reject the option combination")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open rejected a valid combination: %v", err)
+			}
+			defer s.Close()
+			w, _ := s.Writer(1)
+			r, _ := s.Reader(1)
+			ctx := context.Background()
+			if _, err := w.Put(ctx, "k", "v"); err != nil {
+				t.Fatal(err)
+			}
+			if v, _, ok, err := r.Get(ctx, "k"); err != nil || !ok || v != "v" {
+				t.Fatalf("Get = %q ok=%v err=%v", v, ok, err)
 			}
 		})
 	}
@@ -95,50 +116,33 @@ func TestHandleConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersShareRuntime pins that the old constructors are
-// thin re-expressions over Open: a KVStore and the Store it exposes see
-// the same data.
-func TestDeprecatedWrappersShareRuntime(t *testing.T) {
-	kvs, err := NewKVStore(DefaultConfig(), W2R2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kvs.Close()
-	if err := kvs.Put(1, "k", "via-wrapper"); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := kvs.Store().Reader(1)
-	v, _, ok, err := r.Get(context.Background(), "k")
-	if err != nil || !ok || v != "via-wrapper" {
-		t.Fatalf("handle read of wrapper write: %q ok=%v err=%v", v, ok, err)
-	}
-}
-
-// TestClusterCtx pins the satellite fix: Cluster operations accept
-// contexts through WriteCtx/ReadCtx while the old signatures keep
-// working.
+// TestClusterCtx pins context handling on a single-register store: a
+// cancelled context fails the operation with ErrTimeout, recorded as
+// failed, and the history still checks atomic.
 func TestClusterCtx(t *testing.T) {
-	c, err := NewCluster(DefaultConfig(), W2R2)
+	s, err := Open(DefaultConfig(), W2R2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Write(1, "v1"); err != nil {
+	defer s.Close()
+	w, _ := s.Writer(1)
+	r, _ := s.Reader(1)
+	if _, err := w.Put(context.Background(), "", "v1"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.WriteCtx(ctx, 1, "v2"); !IsTimeout(err) {
-		t.Fatalf("WriteCtx with cancelled ctx = %v, want ErrTimeout", err)
+	if _, err := w.Put(ctx, "", "v2"); !IsTimeout(err) {
+		t.Fatalf("Put with cancelled ctx = %v, want ErrTimeout", err)
 	}
-	if _, _, err := c.ReadCtx(ctx, 1); !IsTimeout(err) {
-		t.Fatalf("ReadCtx with cancelled ctx = %v, want ErrTimeout", err)
+	if _, _, _, err := r.Get(ctx, ""); !IsTimeout(err) {
+		t.Fatalf("Get with cancelled ctx = %v, want ErrTimeout", err)
 	}
-	v, _, err := c.Read(1)
+	v, _, _, err := r.Get(context.Background(), "")
 	if err != nil || v != "v1" {
-		t.Fatalf("Read = %q err=%v", v, err)
+		t.Fatalf("Get = %q err=%v", v, err)
 	}
-	if res := c.Check(); !res.Atomic {
-		t.Fatalf("cluster history: %s", res.Explanation)
+	if res := s.Check(); !res.Atomic {
+		t.Fatalf("register history: %s", res.Explanation)
 	}
 }
