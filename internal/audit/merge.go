@@ -119,8 +119,8 @@ type KeyHistory struct {
 	Key string
 	Ops []history.Op
 
-	domains map[string]int // op.Key() → clock domain
-	labels  []string       // shared across keys: domain → origin label
+	domains map[history.ID]int // op.ID() → clock domain
+	labels  []string           // shared across keys: domain → origin label
 }
 
 // History returns the merged execution as a checkable history.
@@ -131,14 +131,14 @@ func (kh *KeyHistory) History() history.History {
 }
 
 // DomainOf is the clock-domain function for atomicity.CheckDomains.
-func (kh *KeyHistory) DomainOf(op history.Op) int { return kh.domains[op.Key()] }
+func (kh *KeyHistory) DomainOf(op history.Op) int { return kh.domains[op.ID()] }
 
 // NumDomains counts the distinct clock domains this key's operations
 // span — how many independent processes touched the key.
 func (kh *KeyHistory) NumDomains() int {
 	seen := make(map[int]struct{}, len(kh.labels))
 	for _, op := range kh.Ops {
-		seen[kh.domains[op.Key()]] = struct{}{}
+		seen[kh.domains[op.ID()]] = struct{}{}
 	}
 	return len(seen)
 }
@@ -187,17 +187,35 @@ type Merge struct {
 	FullCoverage bool
 }
 
-// writeRef names one write operation as replicas saw it.
-type writeRef struct {
-	key    string
-	client types.ProcID
-	opID   uint64
+// opRef names one operation across the merged logs: the register key
+// plus the op's (client, opID) identity, which is unique only per
+// register key.
+type opRef struct {
+	key string
+	id  history.ID
+}
+
+// recRef is the opRef a client-op or server-handle record names.
+func recRef(rec proto.TraceRecord) opRef {
+	return opRef{key: rec.Key, id: history.ID{Client: rec.Client, OpID: rec.OpID}}
+}
+
+// less orders refs by (key, client, opID): the deterministic order
+// replica-evidence writes are synthesized in.
+func (a opRef) less(b opRef) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.id.Client != b.id.Client {
+		return a.id.Client.Less(b.id.Client)
+	}
+	return a.id.OpID < b.id.OpID
 }
 
 // seenHandle identifies one (replica, round) observation of a write, for
 // retry deduplication.
 type seenHandle struct {
-	ref     writeRef
+	ref     opRef
 	replica int
 	round   uint8
 }
@@ -309,13 +327,13 @@ func MergeFiles(paths ...string) (*Merge, error) {
 	}
 
 	// Pass 1: client operations, re-homed where identities collided.
-	logged := make(map[writeRef]bool) // original identities, all op kinds
+	logged := make(map[opRef]bool) // original identities, all op kinds
 	for fi, f := range m.Clients {
 		for _, rec := range f.Records {
 			if rec.Kind != proto.TraceClientOp {
 				continue
 			}
-			logged[writeRef{rec.Key, rec.Client, rec.OpID}] = true
+			logged[recRef(rec)] = true
 			client := rec.Client
 			if collided[client] && owner[client] != fi {
 				client = aliasFor(fi, client)
@@ -333,7 +351,7 @@ func MergeFiles(paths ...string) (*Merge, error) {
 			}
 			kh := m.key(rec.Key)
 			kh.Ops = append(kh.Ops, op)
-			kh.domains[op.Key()] = fi
+			kh.domains[op.ID()] = fi
 		}
 	}
 
@@ -346,9 +364,9 @@ func MergeFiles(paths ...string) (*Merge, error) {
 		val      types.Value
 		replicas map[int]bool
 	}
-	cands := make(map[writeRef]*candidate)
+	cands := make(map[opRef]*candidate)
 	handleSeen := make(map[seenHandle]bool)
-	order := []writeRef{} // deterministic synthesis order
+	order := []opRef{} // deterministic synthesis order
 	for ri, files := range m.Replicas {
 		for _, f := range files {
 			for _, rec := range f.Records {
@@ -361,7 +379,7 @@ func MergeFiles(paths ...string) (*Merge, error) {
 				if collided[rec.Client] {
 					continue // ambiguous: two processes share this identity
 				}
-				ref := writeRef{rec.Key, rec.Client, rec.OpID}
+				ref := recRef(rec)
 				sh := seenHandle{ref: ref, replica: ri, round: rec.Round}
 				if handleSeen[sh] {
 					m.DuplicateHandles++ // retried round, at-least-once delivery
@@ -376,38 +394,29 @@ func MergeFiles(paths ...string) (*Merge, error) {
 				}
 				c.replicas[ri] = true
 				if c.val != rec.Val {
-					m.warnf("replicas disagree on the value of %s#%d on key %q (%s vs %s)",
-						ref.client, ref.opID, ref.key, c.val, rec.Val)
+					m.warnf("replicas disagree on the value of %s on key %q (%s vs %s)",
+						ref.id, ref.key, c.val, rec.Val)
 				}
 			}
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		if a.client != b.client {
-			return a.client.Less(b.client)
-		}
-		return a.opID < b.opID
-	})
+	sort.Slice(order, func(i, j int) bool { return order[i].less(order[j]) })
 	for _, ref := range order {
 		if logged[ref] {
 			continue // the client's own record is authoritative
 		}
 		kh := m.key(ref.key)
 		op := history.Op{
-			Client: ref.client,
-			OpID:   ref.opID,
+			Client: ref.id.Client,
+			OpID:   ref.id.OpID,
 			Kind:   types.OpWrite,
 			Invoke: 1, // pending: no response, interval unconstrained
 			Value:  cands[ref].val,
 		}
 		dom := len(labels)
-		labels = append(labels, fmt.Sprintf("replica-evidence(%s#%d)", ref.client, ref.opID))
+		labels = append(labels, fmt.Sprintf("replica-evidence(%s)", ref.id))
 		kh.Ops = append(kh.Ops, op)
-		kh.domains[op.Key()] = dom
+		kh.domains[ref.id] = dom
 		m.Synthesized++
 	}
 	for _, kh := range m.Keys {
@@ -459,7 +468,7 @@ func MergeFiles(paths ...string) (*Merge, error) {
 func (m *Merge) key(k string) *KeyHistory {
 	kh, ok := m.Keys[k]
 	if !ok {
-		kh = &KeyHistory{Key: k, domains: make(map[string]int)}
+		kh = &KeyHistory{Key: k, domains: make(map[history.ID]int)}
 		m.Keys[k] = kh
 	}
 	return kh

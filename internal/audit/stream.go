@@ -104,10 +104,10 @@ type tailLog struct {
 // followBucket is one epoch's accumulating state before finalization.
 type followBucket struct {
 	ops        *EpochOps
-	clientRefs map[writeRef]bool
-	evidence   map[writeRef]types.Value
+	clientRefs map[opRef]bool
+	evidence   map[opRef]types.Value
 	evSeen     map[seenHandle]bool
-	evOrder    []writeRef
+	evOrder    []opRef
 	synthDone  bool
 	synthCount int
 }
@@ -355,7 +355,7 @@ func (f *Follower) consume(l *tailLog, rec proto.TraceRecord) {
 			op.Err = &capturedError{msg: rec.Err}
 		}
 		b.ops.Add(rec.Key, op, l.dom)
-		b.clientRefs[writeRef{rec.Key, rec.Client, rec.OpID}] = true
+		b.clientRefs[recRef(rec)] = true
 	case proto.TraceServerHandle:
 		// The cross-check consumes every ordered handle record, even
 		// epoch stragglers — replica monotonicity has no epochs.
@@ -369,7 +369,7 @@ func (f *Follower) consume(l *tailLog, rec proto.TraceRecord) {
 			return
 		}
 		b := f.bucket(rec.Epoch)
-		ref := writeRef{rec.Key, rec.Client, rec.OpID}
+		ref := recRef(rec)
 		sh := seenHandle{ref: ref, replica: l.replica, round: rec.Round}
 		if b.evSeen[sh] {
 			return // retried round
@@ -411,8 +411,8 @@ func (f *Follower) bucket(n uint64) *followBucket {
 	if !ok {
 		b = &followBucket{
 			ops:        NewEpochOps(n),
-			clientRefs: make(map[writeRef]bool),
-			evidence:   make(map[writeRef]types.Value),
+			clientRefs: make(map[opRef]bool),
+			evidence:   make(map[opRef]types.Value),
 			evSeen:     make(map[seenHandle]bool),
 		}
 		f.buckets[n] = b
@@ -428,23 +428,14 @@ func (f *Follower) ensureSynth(n uint64) {
 		return
 	}
 	b.synthDone = true
-	sort.Slice(b.evOrder, func(i, j int) bool {
-		a, c := b.evOrder[i], b.evOrder[j]
-		if a.key != c.key {
-			return a.key < c.key
-		}
-		if a.client != c.client {
-			return a.client.Less(c.client)
-		}
-		return a.opID < c.opID
-	})
+	sort.Slice(b.evOrder, func(i, j int) bool { return b.evOrder[i].less(b.evOrder[j]) })
 	for _, ref := range b.evOrder {
 		if b.clientRefs[ref] {
 			continue
 		}
 		op := history.Op{
-			Client: ref.client,
-			OpID:   ref.opID,
+			Client: ref.id.Client,
+			OpID:   ref.id.OpID,
 			Kind:   types.OpWrite,
 			Invoke: 1, // pending: interval unconstrained
 			Value:  b.evidence[ref],

@@ -306,3 +306,24 @@ func TestWindowEquivalenceViolated(t *testing.T) {
 			f.CleanEpochs, f.Warnings)
 	}
 }
+
+// TestWindowDomainsPerRegister: opIDs are per (register key, client), so
+// a replica-evidence-only write synthesized on one key in a fresh clock
+// domain must not relabel the same-named client op on another key. If it
+// did, the client's completed write on key b would leave its reader's
+// domain, its real-time edge to the later stale read would be dropped,
+// and the violation would check CLEAN.
+func TestWindowDomainsPerRegister(t *testing.T) {
+	w := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "x"}
+	y := types.Value{Tag: types.Tag{TS: 7, WID: types.Writer(1)}, Data: "y"}
+	b := NewEpochOps(1)
+	b.Add("b", history.Op{Client: types.Writer(1), OpID: 5, Kind: types.OpWrite, Invoke: 1, Response: 2, Value: w}, 0)
+	b.Add("b", history.Op{Client: types.Reader(1), OpID: 1, Kind: types.OpRead, Invoke: 3, Response: 4, Value: types.InitialValue()}, 0)
+	if bad := NewWindowChecker().Check([]*EpochOps{b}); len(bad) != 1 {
+		t.Fatalf("stale read after a completed write: %d bad keys, want 1", len(bad))
+	}
+	b.Add("a", history.Op{Client: types.Writer(1), OpID: 5, Kind: types.OpWrite, Invoke: 1, Value: y}, 1<<20)
+	if bad := NewWindowChecker().Check([]*EpochOps{b}); len(bad) != 1 || bad[0].Key != "b" {
+		t.Fatalf("a synthesized w1#5 on key a changed key b's verdict: %d bad keys, want 1 (b)", len(bad))
+	}
+}

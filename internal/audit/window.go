@@ -52,24 +52,34 @@ import (
 // window-size gauge watches it.
 
 // EpochOps is one epoch's operations grouped per key, plus the clock
-// domain of each op (keyed by op.Key()) — the unit the streaming
-// follower hands the windowed checker. Pending write entries are
-// replica-evidence synthesis, exactly like the offline merge's.
+// domain of each op — the unit the streaming follower hands the windowed
+// checker. Pending write entries are replica-evidence synthesis, exactly
+// like the offline merge's.
 type EpochOps struct {
 	Epoch uint64
 	Keys  map[string][]history.Op
-	Dom   map[string]int
+
+	// dom maps (register key, client, opID) to the op's clock domain.
+	// The register key is part of it because opIDs are per register: a
+	// write synthesized on one key must not relabel the same-named client
+	// op on another.
+	dom map[opRef]int
 }
 
 // NewEpochOps returns an empty bucket for epoch n.
 func NewEpochOps(n uint64) *EpochOps {
-	return &EpochOps{Epoch: n, Keys: make(map[string][]history.Op), Dom: make(map[string]int)}
+	return &EpochOps{Epoch: n, Keys: make(map[string][]history.Op), dom: make(map[opRef]int)}
 }
 
 // Add records one op under its key with its clock domain.
 func (b *EpochOps) Add(key string, op history.Op, dom int) {
 	b.Keys[key] = append(b.Keys[key], op)
-	b.Dom[op.Key()] = dom
+	b.dom[opRef{key: key, id: op.ID()}] = dom
+}
+
+// domainOf returns the clock domain of op, recorded under key.
+func (b *EpochOps) domainOf(key string, op history.Op) int {
+	return b.dom[opRef{key: key, id: op.ID()}]
 }
 
 // frontCand is one possible final register value of the retired prefix.
@@ -152,11 +162,11 @@ func (wc *WindowChecker) Check(window []*EpochOps) []KeyVerdict {
 	for _, k := range keys {
 		fr := wc.frontiers[k]
 		var ops []history.Op
-		dom := make(map[string]int)
+		dom := make(map[history.ID]int) // key k's ops only
 		if fr != nil {
 			for _, c := range fr.carried {
 				ops = append(ops, c.op)
-				dom[c.op.Key()] = c.dom
+				dom[c.op.ID()] = c.dom
 			}
 		}
 		for _, b := range window {
@@ -165,11 +175,11 @@ func (wc *WindowChecker) Check(window []*EpochOps) []KeyVerdict {
 			}
 			for _, o := range b.Keys[k] {
 				ops = append(ops, o)
-				dom[o.Key()] = b.Dom[o.Key()]
+				dom[o.ID()] = b.domainOf(k, o)
 			}
 		}
 		h := history.History{Ops: ops}
-		domainOf := func(o history.Op) int { return dom[o.Key()] }
+		domainOf := func(o history.Op) int { return dom[o.ID()] }
 		var bases []types.Value
 		if fr != nil {
 			for _, c := range fr.cands {
@@ -231,7 +241,7 @@ func (wc *WindowChecker) Retire(b *EpochOps) {
 			if !o.Done() || o.Err != nil {
 				continue
 			}
-			dom := b.Dom[o.Key()]
+			dom := b.domainOf(key, o)
 			if o.Kind == types.OpWrite {
 				fr.addCand(o.Value, o.Response, dom)
 				continue
@@ -258,7 +268,7 @@ func (wc *WindowChecker) Retire(b *EpochOps) {
 			if !o.Done() || o.Err != nil {
 				continue
 			}
-			dom := b.Dom[o.Key()]
+			dom := b.domainOf(key, o)
 			kept := fr.cands[:0]
 			for _, c := range fr.cands {
 				if c.dom == dom && c.resp < o.Invoke && c.val != o.Value {
@@ -279,13 +289,13 @@ func (wc *WindowChecker) Retire(b *EpochOps) {
 			}
 			dup := false
 			for _, c := range fr.carried {
-				if c.op.Key() == o.Key() {
+				if c.op.ID() == o.ID() {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				fr.carried = append(fr.carried, carriedOp{op: o, dom: b.Dom[o.Key()]})
+				fr.carried = append(fr.carried, carriedOp{op: o, dom: b.domainOf(key, o)})
 			}
 		}
 	}

@@ -281,7 +281,7 @@ func (s *Spec) Run(newServer func(id types.ProcID) register.ServerLogic) (*Outco
 
 	clock := &vclock.Clock{}
 	rec := history.NewRecorder(clock)
-	keys := make([]string, len(ops))
+	refs := make([]history.Ref, len(ops))
 
 	applyAll := func() {
 		for srv := 1; srv <= s.NumServers; srv++ {
@@ -331,7 +331,7 @@ func (s *Spec) Run(newServer func(id types.ProcID) register.ServerLogic) (*Outco
 			round := st.op.Begin()
 			st.payloads[1], st.need, st.curRound = round.Payload, round.Need, 1
 			st.invokePos = pos
-			keys[rt.Op] = rec.InvokeAt(vclock.Time(pos*1000+rt.Op+1), st.op.Client(), uint64(rt.Op+1), st.op.Kind(), st.op.Arg())
+			refs[rt.Op] = rec.InvokeAt(vclock.Time(pos*1000+rt.Op+1), st.op.Client(), uint64(rt.Op+1), st.op.Kind(), st.op.Arg())
 		case rt.Round == st.curRound+1:
 			if !st.roundDone[st.curRound] {
 				// The previous round never reached its quorum (too many
@@ -364,12 +364,12 @@ func (s *Spec) Run(newServer func(id types.ProcID) register.ServerLogic) (*Outco
 			case err != nil:
 				o.err = err
 				o.completePos = pos
-				rec.RespondAt(vclock.Time(pos*1000+500+idx+1), keys[idx], types.Value{}, err)
+				rec.RespondAt(vclock.Time(pos*1000+500+idx+1), refs[idx], types.Value{}, err)
 			case done:
 				o.done = true
 				o.result = res
 				o.completePos = pos
-				rec.RespondAt(vclock.Time(pos*1000+500+idx+1), keys[idx], res, nil)
+				rec.RespondAt(vclock.Time(pos*1000+500+idx+1), refs[idx], res, nil)
 			default:
 				o.payloads[o.curRound+1], o.need = next.Payload, next.Need
 				// The next round opens when its global position arrives.
@@ -381,7 +381,7 @@ func (s *Spec) Run(newServer func(id types.ProcID) register.ServerLogic) (*Outco
 	// recorded argument so reads of in-flight values stay matchable.
 	for idx, o := range ops {
 		if !o.done && o.err == nil && o.invokePos >= 0 {
-			rec.UpdateValue(keys[idx], o.op.Arg())
+			rec.UpdateValue(refs[idx], o.op.Arg())
 		}
 	}
 	out := &Outcome{Spec: s, Servers: servers[1:], History: rec.History()}

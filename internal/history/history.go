@@ -5,6 +5,27 @@
 //
 // The recorded history is the input to the atomicity checker
 // (internal/atomicity) and to the latency harnesses.
+//
+// # Storage
+//
+// Every backend records on the operation's critical path, so a Recorder
+// is an append-only log of Op values, not a map. The log is a list of
+// chunks that never move once allocated: the first chunks hold 4, 4 and
+// 8 ops, so a register touched a handful of times stays small; every
+// later chunk holds 16. Invoke appends in place and returns a Ref, the
+// op's (chunk, slot) address; Respond, RespondAt, RespondFailed,
+// SetEpoch and UpdateValue take that Ref, so recording formats no string
+// and inserts into no map, and only a new chunk allocates. History copies
+// the chunks out in invocation order.
+//
+// # The Ref contract
+//
+// A Ref is valid only on the Recorder that issued it; using it on
+// another recorder addresses an unrelated op or panics past the end of
+// the log. Refs are never invalidated while their recorder lives. A
+// client-side registry that evicts an idle register drops the recorder
+// and every Ref to it together: eviction waits until no operation on the
+// register is in flight, and only in-flight operations hold Refs.
 package history
 
 import (
@@ -54,8 +75,23 @@ func (o Op) Concurrent(p Op) bool {
 	return !o.Precedes(p) && !p.Precedes(o)
 }
 
-// Key identifies the operation uniquely within a history.
-func (o Op) Key() string { return fmt.Sprintf("%s#%d", o.Client, o.OpID) }
+// ID is an operation's identity within one register's history: the
+// client that invoked it and that client's sequence number. It is
+// comparable, so it keys maps without formatting a string.
+type ID struct {
+	Client types.ProcID
+	OpID   uint64
+}
+
+// String renders "w1#5".
+func (id ID) String() string { return fmt.Sprintf("%s#%d", id.Client, id.OpID) }
+
+// ID returns the operation's identity.
+func (o Op) ID() ID { return ID{Client: o.Client, OpID: o.OpID} }
+
+// Key renders the operation's identity, "w1#5", for diagnostics. Maps
+// are keyed by ID.
+func (o Op) Key() string { return o.ID().String() }
 
 // String renders "r1#3 read ⇒ (2,w1):"x" [10,25]".
 func (o Op) String() string {
@@ -70,20 +106,31 @@ func (o Op) String() string {
 	return fmt.Sprintf("%s %s %s %s [%d,%s]", o.Key(), o.Kind, arrow, o.Value, o.Invoke, end)
 }
 
+// Ref addresses one operation in the Recorder that issued it: the chunk
+// of the log it lives in and its slot there (see the package doc). It is
+// comparable and free to copy. A Ref past the end of the log panics.
+type Ref struct {
+	chunk, slot uint32
+}
+
+// chunkSizes are the capacities of the log's first chunks; every later
+// chunk takes the last size. Small first chunks keep a register touched
+// only a few times cheap to create and to hold.
+var chunkSizes = [...]int{4, 4, 8, 16}
+
 // Recorder accumulates an execution concurrently. It is safe for use from
 // multiple goroutines (the live network) as well as the single-threaded
 // simulator.
 type Recorder struct {
-	mu    sync.Mutex
-	clock *vclock.Clock
-	ops   map[string]*Op
-	order []string // insertion order for stable output
-	sink  func(Op)
+	mu     sync.Mutex
+	clock  *vclock.Clock
+	chunks [][]Op   // guardedby: mu
+	sink   func(Op) // guardedby: mu
 }
 
 // NewRecorder creates a Recorder stamping events with clock.
 func NewRecorder(clock *vclock.Clock) *Recorder {
-	return &Recorder{clock: clock, ops: make(map[string]*Op)}
+	return &Recorder{clock: clock}
 }
 
 // SetSink installs a callback invoked with a snapshot of every operation
@@ -99,60 +146,32 @@ func (r *Recorder) SetSink(fn func(Op)) {
 	r.mu.Unlock()
 }
 
-// Invoke records the invocation event of an operation and returns its key.
-// For writes, val is the argument being written (its tag may still be unset;
-// RecordWriteTag can fill it in later).
-func (r *Recorder) Invoke(client types.ProcID, opID uint64, kind types.OpKind, val types.Value) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	op := &Op{Client: client, OpID: opID, Kind: kind, Invoke: r.clock.Tick(), Value: val}
-	k := op.Key()
-	r.ops[k] = op
-	r.order = append(r.order, k)
-	return k
+// appendLocked appends op to the log, opening a new chunk when the last
+// one is full, and returns its Ref. Appending within a chunk's capacity
+// never reallocates it, so recorded ops never move.
+func (r *Recorder) appendLocked(op Op) Ref {
+	n := len(r.chunks)
+	if n == 0 || len(r.chunks[n-1]) == cap(r.chunks[n-1]) {
+		r.chunks = append(r.chunks, make([]Op, 0, chunkSizes[min(n, len(chunkSizes)-1)]))
+		n++
+	}
+	c := &r.chunks[n-1]
+	*c = append(*c, op)
+	return Ref{chunk: uint32(n - 1), slot: uint32(len(*c) - 1)}
 }
 
-// InvokeAt records an invocation at an explicit time (used by the scripted
-// chain interpreter, which owns its own notion of time). The clock is
-// advanced so later ticks stay unique.
-func (r *Recorder) InvokeAt(t vclock.Time, client types.ProcID, opID uint64, kind types.OpKind, val types.Value) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock.AdvanceTo(t)
-	op := &Op{Client: client, OpID: opID, Kind: kind, Invoke: t, Value: val}
-	k := op.Key()
-	r.ops[k] = op
-	r.order = append(r.order, k)
-	return k
+// atLocked returns the recorded op ref addresses.
+func (r *Recorder) atLocked(ref Ref) *Op {
+	if int(ref.chunk) >= len(r.chunks) || int(ref.slot) >= len(r.chunks[ref.chunk]) {
+		panic(fmt.Sprintf("history: op ref %d/%d past the end of the log", ref.chunk, ref.slot))
+	}
+	return &r.chunks[ref.chunk][ref.slot]
 }
 
-// Respond records the response event with its result value.
-func (r *Recorder) Respond(key string, val types.Value, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	op, ok := r.ops[key]
-	if !ok {
-		panic("history: Respond for unknown op " + key)
-	}
-	op.Response = r.clock.Tick()
-	op.Err = err
-	if err == nil {
-		op.Value = val
-	}
-	if r.sink != nil {
-		r.sink(*op)
-	}
-}
-
-// RespondAt records the response at an explicit time.
-func (r *Recorder) RespondAt(t vclock.Time, key string, val types.Value, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	op, ok := r.ops[key]
-	if !ok {
-		panic("history: RespondAt for unknown op " + key)
-	}
-	r.clock.AdvanceTo(t)
+// respondLocked stamps the response event at t and hands the sink its
+// snapshot.
+func (r *Recorder) respondLocked(ref Ref, t vclock.Time, val types.Value, err error) {
+	op := r.atLocked(ref)
 	op.Response = t
 	op.Err = err
 	if err == nil {
@@ -161,6 +180,40 @@ func (r *Recorder) RespondAt(t vclock.Time, key string, val types.Value, err err
 	if r.sink != nil {
 		r.sink(*op)
 	}
+}
+
+// Invoke records the invocation event of an operation and returns its Ref.
+// For writes, val is the argument being written (its tag may still be
+// unset; UpdateValue can fill it in later).
+func (r *Recorder) Invoke(client types.ProcID, opID uint64, kind types.OpKind, val types.Value) Ref {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.appendLocked(Op{Client: client, OpID: opID, Kind: kind, Invoke: r.clock.Tick(), Value: val})
+}
+
+// InvokeAt records an invocation at an explicit time (used by the scripted
+// chain interpreter, which owns its own notion of time). The clock is
+// advanced so later ticks stay unique.
+func (r *Recorder) InvokeAt(t vclock.Time, client types.ProcID, opID uint64, kind types.OpKind, val types.Value) Ref {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.clock.AdvanceTo(t)
+	return r.appendLocked(Op{Client: client, OpID: opID, Kind: kind, Invoke: t, Value: val})
+}
+
+// Respond records the response event with its result value.
+func (r *Recorder) Respond(ref Ref, val types.Value, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.respondLocked(ref, r.clock.Tick(), val, err)
+}
+
+// RespondAt records the response at an explicit time.
+func (r *Recorder) RespondAt(t vclock.Time, ref Ref, val types.Value, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.clock.AdvanceTo(t)
+	r.respondLocked(ref, t, val, err)
 }
 
 // RespondFailed records an operation that ended in an error (timeout,
@@ -172,22 +225,21 @@ func (r *Recorder) RespondAt(t vclock.Time, key string, val types.Value, err err
 // matchable when the checker linearizes the failed write as optional.
 // Every runtime's failure path must go through this helper so their
 // recorded histories stay equivalent.
-func (r *Recorder) RespondFailed(key string, kind types.OpKind, arg types.Value, err error) {
+func (r *Recorder) RespondFailed(ref Ref, kind types.OpKind, arg types.Value, err error) {
 	if kind == types.OpWrite {
-		r.UpdateValue(key, arg)
+		r.UpdateValue(ref, arg)
 	}
-	r.Respond(key, types.Value{}, err)
+	r.Respond(ref, types.Value{}, err)
 }
 
 // SetEpoch tags a still-pending operation with its audit epoch (the
 // phase its weight ticket was borrowed from). Called by the transport
 // right after Invoke, so the tag is in place before the sink snapshot
 // fires at Respond.
-func (r *Recorder) SetEpoch(key string, epoch uint64) {
+func (r *Recorder) SetEpoch(ref Ref, epoch uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	op, ok := r.ops[key]
-	if ok && op.Response == 0 {
+	if op := r.atLocked(ref); op.Response == 0 {
 		op.Epoch = epoch
 	}
 }
@@ -195,22 +247,26 @@ func (r *Recorder) SetEpoch(key string, epoch uint64) {
 // UpdateValue refreshes a still-pending operation's value — used for
 // two-round writes whose tag is only assigned after their first round, so
 // that reads of an in-flight write's value remain matchable.
-func (r *Recorder) UpdateValue(key string, val types.Value) {
+func (r *Recorder) UpdateValue(ref Ref, val types.Value) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	op, ok := r.ops[key]
-	if ok && op.Response == 0 {
+	if op := r.atLocked(ref); op.Response == 0 {
 		op.Value = val
 	}
 }
 
-// History returns a snapshot of all recorded operations.
+// History returns a snapshot of all recorded operations, in invocation
+// order.
 func (r *Recorder) History() History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := History{Ops: make([]Op, 0, len(r.order))}
-	for _, k := range r.order {
-		h.Ops = append(h.Ops, *r.ops[k])
+	n := 0
+	for _, c := range r.chunks {
+		n += len(c)
+	}
+	h := History{Ops: make([]Op, 0, n)}
+	for _, c := range r.chunks {
+		h.Ops = append(h.Ops, c...)
 	}
 	return h
 }

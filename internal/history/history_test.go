@@ -2,7 +2,9 @@ package history
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"fastreg/internal/types"
@@ -52,13 +54,149 @@ func TestRecorderErrorAndPending(t *testing.T) {
 	}
 }
 
-func TestRecorderRespondUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Respond on unknown key must panic")
+// TestRecorderRefPastEndPanics pins the Ref contract's failure mode: a
+// Ref addressing past the end of the log — here one issued by a longer
+// recorder — panics on every method that takes one.
+func TestRecorderRefPastEndPanics(t *testing.T) {
+	long := NewRecorder(&vclock.Clock{})
+	var refs []Ref
+	for i := range 6 {
+		refs = append(refs, long.Invoke(types.Writer(1), uint64(i+1), types.OpWrite, wv(int64(i+1), 1, "a")))
+	}
+	uses := map[string]func(*Recorder, Ref){
+		"Respond":       func(r *Recorder, ref Ref) { r.Respond(ref, types.Value{}, nil) },
+		"RespondAt":     func(r *Recorder, ref Ref) { r.RespondAt(100, ref, types.Value{}, nil) },
+		"RespondFailed": func(r *Recorder, ref Ref) { r.RespondFailed(ref, types.OpWrite, types.Value{}, errors.New("x")) },
+		"SetEpoch":      func(r *Recorder, ref Ref) { r.SetEpoch(ref, 3) },
+		"UpdateValue":   func(r *Recorder, ref Ref) { r.UpdateValue(ref, types.Value{}) },
+	}
+	for name, use := range uses {
+		// refs[1] is past the end of the first chunk's fill, refs[5] past
+		// the last chunk.
+		for _, ref := range []Ref{refs[1], refs[5]} {
+			short := NewRecorder(&vclock.Clock{})
+			short.Invoke(types.Reader(1), 1, types.OpRead, types.Value{})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with ref %v past the end of the log must panic", name, ref)
+					}
+				}()
+				use(short, ref)
+			}()
 		}
-	}()
-	NewRecorder(&vclock.Clock{}).Respond("nope", types.Value{}, nil)
+	}
+}
+
+// TestRecorderRefsAcrossChunks invokes ops over more than three chunk
+// boundaries, responds to them out of order through their Refs, and
+// checks every response landed on its own op and History keeps
+// invocation order.
+func TestRecorderRefsAcrossChunks(t *testing.T) {
+	const n = 50 // chunks of 4, 4, 8, 16, 16, 16: five boundaries
+	rec := NewRecorder(&vclock.Clock{})
+	refs := make([]Ref, n)
+	for i := range refs {
+		refs[i] = rec.Invoke(types.Reader(1+i%3), uint64(i+1), types.OpRead, types.Value{})
+	}
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		rec.SetEpoch(refs[i], uint64(i+1))
+		rec.Respond(refs[i], wv(int64(i+1), 1, "v"), nil)
+	}
+	h := rec.History()
+	if len(h.Ops) != n {
+		t.Fatalf("ops = %d, want %d", len(h.Ops), n)
+	}
+	for i, o := range h.Ops {
+		if o.OpID != uint64(i+1) {
+			t.Fatalf("op %d is %s: History lost invocation order", i, o.Key())
+		}
+		if i > 0 && o.Invoke <= h.Ops[i-1].Invoke {
+			t.Errorf("op %d invoked at %d, not after %d", i, o.Invoke, h.Ops[i-1].Invoke)
+		}
+		if !o.Done() || o.Value.Tag.TS != int64(i+1) || o.Epoch != uint64(i+1) {
+			t.Errorf("op %d = %v epoch %d: response landed on the wrong op", i, o, o.Epoch)
+		}
+	}
+}
+
+// TestRecorderConcurrentSink drives Invoke/SetEpoch/Respond from several
+// goroutines with a sink installed (run it under -race): the sink sees
+// every response once and each client's ops stay in its own order.
+func TestRecorderConcurrentSink(t *testing.T) {
+	const clients, perClient = 8, 200
+	rec := NewRecorder(&vclock.Clock{})
+	seen := make(map[ID]int) // written by the sink, under the recorder's lock
+	rec.SetSink(func(o Op) { seen[o.ID()]++ })
+	var wg sync.WaitGroup
+	for c := 1; c <= clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= perClient; i++ {
+				ref := rec.Invoke(types.Writer(c), uint64(i), types.OpWrite, wv(int64(i), c, "v"))
+				rec.SetEpoch(ref, 1)
+				rec.Respond(ref, types.Value{}, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(seen) != clients*perClient {
+		t.Fatalf("sink saw %d ops, want %d", len(seen), clients*perClient)
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Errorf("sink saw %s %d times", id, n)
+		}
+	}
+	h := rec.History()
+	if err := h.WellFormed(); err != nil {
+		t.Fatal(err)
+	}
+	last := make(map[types.ProcID]uint64)
+	for _, o := range h.Ops {
+		if o.OpID != last[o.Client]+1 {
+			t.Fatalf("%s follows %s#%d: per-client order lost", o.Key(), o.Client, last[o.Client])
+		}
+		last[o.Client] = o.OpID
+	}
+}
+
+// TestRecorderAllocs locks the op path's cost: only opening a chunk
+// allocates, so a recorder's whole life, from NewRecorder through 1 000
+// recorded ops, stays under 0.1 allocations per op.
+func TestRecorderAllocs(t *testing.T) {
+	const ops = 1000
+	got := testing.AllocsPerRun(20, func() {
+		rec := NewRecorder(&vclock.Clock{})
+		for i := range ops {
+			ref := rec.Invoke(types.Writer(1), uint64(i+1), types.OpWrite, wv(int64(i+1), 1, "v"))
+			rec.SetEpoch(ref, 1)
+			rec.Respond(ref, types.Value{}, nil)
+		}
+	}) / ops
+	if got > 0.1 {
+		t.Fatalf("%.3f allocs per recorded op, want ≤ 0.1", got)
+	}
+}
+
+// BenchmarkRecorder measures one recorded op (Invoke+SetEpoch+Respond).
+// It starts a fresh recorder every 1 000 ops, so chunk allocation is
+// amortised as in TestRecorderAllocs and memory stays bounded however
+// large b.N grows.
+func BenchmarkRecorder(b *testing.B) {
+	b.ReportAllocs()
+	var rec *Recorder
+	i := 0
+	for b.Loop() {
+		if i%1000 == 0 {
+			rec = NewRecorder(&vclock.Clock{})
+		}
+		i++
+		ref := rec.Invoke(types.Writer(1), uint64(i), types.OpWrite, wv(int64(i), 1, "v"))
+		rec.SetEpoch(ref, 1)
+		rec.Respond(ref, types.Value{}, nil)
+	}
 }
 
 func TestPrecedesAndConcurrent(t *testing.T) {

@@ -209,7 +209,7 @@ func (s *Sim) Now() vclock.Time { return s.now }
 func (s *Sim) History() history.History {
 	for _, run := range s.runs {
 		if !run.done {
-			s.rec.UpdateValue(run.key, run.op.Arg())
+			s.rec.UpdateValue(run.ref, run.op.Arg())
 		}
 	}
 	return s.rec.History()
@@ -250,7 +250,8 @@ func (s *Sim) trace(format string, args ...any) {
 // opRun tracks one in-flight operation.
 type opRun struct {
 	op       register.Operation
-	key      string
+	id       history.ID
+	ref      history.Ref
 	roundSeq int
 	need     int
 	replies  []register.Reply
@@ -272,10 +273,10 @@ func (s *Sim) nextOpID(client types.ProcID) uint64 {
 }
 
 func (s *Sim) startOp(op register.Operation, onDone func(types.Value, error)) {
-	key := s.rec.Invoke(op.Client(), s.nextOpID(op.Client()), op.Kind(), op.Arg())
-	run := &opRun{op: op, key: key, onDone: onDone}
+	id := history.ID{Client: op.Client(), OpID: s.nextOpID(op.Client())}
+	run := &opRun{op: op, id: id, ref: s.rec.Invoke(id.Client, id.OpID, op.Kind(), op.Arg()), onDone: onDone}
 	s.runs = append(s.runs, run)
-	s.trace("%s invokes %s", op.Client(), key)
+	s.trace("%s invokes %s", op.Client(), id)
 	s.broadcast(run, op.Begin())
 }
 
@@ -333,16 +334,16 @@ func (s *Sim) deliverReply(run *opRun, round int, srv types.ProcID, reply proto.
 	switch {
 	case err != nil:
 		run.done = true
-		s.rec.Respond(run.key, types.Value{}, err)
+		s.rec.Respond(run.ref, types.Value{}, err)
 		s.stats.Completed++
 		if run.onDone != nil {
 			run.onDone(types.Value{}, err)
 		}
 	case done:
 		run.done = true
-		s.rec.Respond(run.key, res, nil)
+		s.rec.Respond(run.ref, res, nil)
 		s.stats.Completed++
-		s.trace("%s responds %s = %s", run.op.Client(), run.key, res)
+		s.trace("%s responds %s = %s", run.op.Client(), run.id, res)
 		if run.onDone != nil {
 			run.onDone(res, nil)
 		}

@@ -490,13 +490,13 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 	opID := st.NextOpID(op.Client())
 	pk := pendKey{client: op.Client(), key: key, opID: opID}
 	rec := st.Recorder()
-	hkey := rec.Invoke(op.Client(), opID, op.Kind(), op.Arg())
+	href := rec.Invoke(op.Client(), opID, op.Kind(), op.Arg())
 	// Epoch cutover (Huang weight throwing): borrow the op's weight from
 	// the open epoch before any frame leaves, and tag the recorded op so
 	// its capture record lands in the right audit window.
 	tk := c.coord.Borrow()
 	if tk.Epoch != 0 {
-		rec.SetEpoch(hkey, tk.Epoch)
+		rec.SetEpoch(href, tk.Epoch)
 	}
 	isWrite := op.Kind() == types.OpWrite
 	// Observability entry: time.Now only when something will consume it.
@@ -609,9 +609,9 @@ loop:
 	}
 	c.tracer.Finish(otr)
 	if opErr != nil {
-		rec.RespondFailed(hkey, op.Kind(), op.Arg(), opErr)
+		rec.RespondFailed(href, op.Kind(), op.Arg(), opErr)
 	} else {
-		rec.Respond(hkey, res, nil)
+		rec.Respond(href, res, nil)
 	}
 	// Return the weight remainder only after Respond put the op's record
 	// in the capture log: the epoch's last return triggers the boundary
