@@ -5,25 +5,67 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"fastreg/internal/mwabd"
+	"fastreg/internal/transport"
 )
 
 // maxAllocsPerOp locks the in-process op path's allocation count: the
-// allocations per Put or Get measured below (14.15, against 18.2 when
-// every recorded op formatted a string key and inserted into a map),
-// plus one. Recording an op into its key's history allocates only when
-// it opens a new chunk of the log (internal/history).
-const maxAllocsPerOp = 15.15
+// allocations per Put or Get measured below (6.15, against 14.15 while
+// every pooled slab or buffer returned boxed a new slice header), plus
+// one. Recording an op into its key's history allocates only when it
+// opens a new chunk of the log (internal/history).
+const maxAllocsPerOp = 7.15
+
+// maxTCPAllocsPerOp locks the same loop over loopback TCP: 24.16
+// measured, plus one. It was 84.16 while every decoded key was its own
+// string, the codec pools boxed a slice header per return and every frame
+// read allocated its 4-byte header.
+const maxTCPAllocsPerOp = 25.16
 
 // TestOpPathAllocs runs sequential Put/Get pairs on an in-process W2R2
 // S=3 store and fails if an op allocates more than maxAllocsPerOp.
-// The store runs at GOMAXPROCS 1, as regbench does: the replicas size
-// their worker pools from it, and the count differs with the pool.
 func TestOpPathAllocs(t *testing.T) {
+	pinOneProc(t)
+	opPathAllocs(t, maxAllocsPerOp, WithInProcess())
+}
+
+// TestTCPOpPathAllocs is TestOpPathAllocs over three loopback-TCP
+// replicas: it counts the codec and the sockets' goroutines too, since
+// AllocsPerRun counts every allocation in the process.
+func TestTCPOpPathAllocs(t *testing.T) {
+	pinOneProc(t)
+	addrs := make([]string, 3)
+	for i := range addrs {
+		lis, err := transport.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := transport.NewServer(Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}.internal(), mwabd.New(), i+1, lis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs[i] = srv.Addr()
+	}
+	opPathAllocs(t, maxTCPAllocsPerOp, WithTCP(addrs...))
+}
+
+// pinOneProc skips the test under the race detector and runs it at
+// GOMAXPROCS 1, as regbench does: the replicas size their worker pools
+// from it, and the count differs with the pool.
+func pinOneProc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are inflated and vary: its sync.Pool drops items at random")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s, err := Open(Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}, W2R2)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// opPathAllocs runs sequential Put/Get pairs on a W2R2 S=3 store opened
+// with opts and fails if an op allocates more than max.
+func opPathAllocs(t *testing.T, max float64, opts ...Option) {
+	s, err := Open(Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}, W2R2, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +98,7 @@ func TestOpPathAllocs(t *testing.T) {
 	})
 	perOp := perRun / (2 * pairs)
 	t.Logf("%.2f allocs per op", perOp)
-	if perOp > maxAllocsPerOp {
-		t.Fatalf("%.2f allocs per Put/Get, want ≤ %.2f", perOp, maxAllocsPerOp)
+	if perOp > max {
+		t.Fatalf("%.2f allocs per Put/Get, want ≤ %.2f", perOp, max)
 	}
 }

@@ -1,6 +1,7 @@
 package keyreg
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -93,12 +94,14 @@ func (sh *ServerShard) Lock() { sh.mu.Lock() }
 func (sh *ServerShard) Unlock() { sh.mu.Unlock() }
 
 // GetLocked returns the key's state, instantiating the protocol's server
-// logic on first touch. The caller holds the shard lock.
+// logic on first touch. The caller holds the shard lock. The map keeps a
+// clone of key: a decoded key is cut from its whole frame (proto.Decode),
+// which it would otherwise keep alive for the key's lifetime.
 func (sh *ServerShard) GetLocked(key string) *ServerState {
 	st, ok := sh.m[key]
 	if !ok {
 		st = &ServerState{Logic: sh.reg.mk()}
-		sh.m[key] = st
+		sh.m[strings.Clone(key)] = st
 	}
 	return st
 }

@@ -29,13 +29,15 @@
 //     checked, not trusted: SelectAdmissible verifies that each vector and
 //     updated set is strictly ascending and sorts a private copy when it is
 //     not.
-//   - Keep: proto.Decode cuts every payload of a FastRead or FastReadAck
-//     from one string per frame, so any of them keeps the whole frame alive.
-//     Whoever stores a value beyond the message it came in takes a private
-//     copy (strings.Clone) at the moment it first stores it: a replica
+//   - Keep: proto.Decode cuts every envelope's Key and every payload of a
+//     FastRead or FastReadAck from one string per frame (a batch frame's
+//     envelopes share one), so any of them keeps the whole frame alive.
+//     Whoever stores a key or a value beyond the message it came in takes a
+//     private copy (strings.Clone) at the moment it first stores it: a
+//     replica registering a key (keyreg.ServerShard.GetLocked), a replica
 //     adding a valQueue's value to its vector, a reader adding a reply's
-//     value to its valQueue. An Update's value owns its bytes and is stored
-//     as it is.
+//     value to its valQueue. An Update's, a QueryAck's and a LogAck's value
+//     owns its bytes and is stored as it is.
 //   - Return: a read returns the valQueue's copy of the value it selected,
 //     not the copy in the reply the search happened to find it in. Every
 //     read of one value by one reader, and every history that records them,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -45,49 +46,78 @@ const (
 // "nothing on the wire".
 var ErrEmptyBatch = errors.New("proto: empty batch frame")
 
+// slicePool recycles slices without allocating. A sync.Pool stores
+// pointers, and boxing &s on every put would allocate a new slice header
+// each time, so the pool holds *[]T headers and a second pool parks the
+// headers get has emptied for put to fill again.
+type slicePool[T any] struct {
+	full, spare sync.Pool
+}
+
+// get moves a pooled slice out of its header, or returns nil.
+func (p *slicePool[T]) get() []T {
+	h, _ := p.full.Get().(*[]T)
+	if h == nil {
+		return nil
+	}
+	s := (*h)[:0]
+	*h = nil
+	p.spare.Put(h)
+	return s
+}
+
+func (p *slicePool[T]) put(s []T) {
+	h, _ := p.spare.Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = s
+	p.full.Put(h)
+}
+
 // bufPool recycles codec scratch buffers (frame assembly on the write
 // side, frame reads on the read side). Decode copies every byte it keeps
-// (strings and slices are materialized fresh), so returning a buffer after
-// the decode pass is safe.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+// out of the buffer, so returning it after the decode pass is safe.
+var bufPool slicePool[byte]
 
 // GetBuf borrows a zero-length scratch buffer from the codec pool.
-func GetBuf() []byte { return (*bufPool.Get().(*[]byte))[:0] }
+func GetBuf() []byte { return bufPool.get() }
 
 // PutBuf returns a buffer obtained from GetBuf (or grown from one) to the
 // pool. The caller must not use it afterwards.
 func PutBuf(b []byte) {
-	if cap(b) > MaxBatchFrame+4 {
-		return // don't let one oversized frame pin memory in the pool
+	if cap(b) == 0 || cap(b) > MaxBatchFrame+4 {
+		return // nothing to recycle, or one oversized frame that must not pin memory in the pool
 	}
-	bufPool.Put(&b)
+	bufPool.put(b)
 }
 
 // envsPool recycles envelope slabs — the []Envelope a decoded frame lands
-// in and the queues batched senders accumulate into. Decode materializes
-// every byte it keeps (keys, values and vectors are fresh allocations
-// owned by the envelope, never views into the read buffer), so a recycled
+// in and the queues batched senders accumulate into. Decode never returns
+// views into its read buffer (keys and fast-read payloads are cut from a
+// string of their own frame, other values own their bytes), so a recycled
 // slab can only ever reuse the backing ARRAY of envelope structs; it can
 // never alias a previous frame's key or value bytes. PutEnvs still clears
-// the slab so a pooled array doesn't pin dead payloads for the GC.
-var envsPool = sync.Pool{New: func() any { return new([]Envelope) }}
+// the slab so a pooled array doesn't pin dead payloads, or the frame
+// strings their keys are cut from, for the GC.
+var envsPool slicePool[Envelope]
 
 // maxPooledEnvs bounds the slab size the pool retains: a rare giant batch
 // must not pin its memory forever.
 const maxPooledEnvs = 2 * MaxBatchEnvelopes
 
 // GetEnvs borrows a zero-length envelope slab from the codec pool.
-func GetEnvs() []Envelope { return (*envsPool.Get().(*[]Envelope))[:0] }
+func GetEnvs() []Envelope { return envsPool.get() }
 
 // PutEnvs returns a slab obtained from GetEnvs (or grown from one, or any
 // other []Envelope whose contents are dead) to the pool. The caller must
 // not use the slice afterwards; every element is cleared before pooling.
 func PutEnvs(envs []Envelope) {
-	if cap(envs) > maxPooledEnvs {
+	if cap(envs) == 0 || cap(envs) > maxPooledEnvs {
 		return
 	}
 	clear(envs[:cap(envs)])
-	envsPool.Put(&envs)
+	envsPool.put(envs)
 }
 
 // AppendBatch appends one batch frame holding envs to dst and returns the
@@ -139,9 +169,11 @@ func DecodeBatch(buf []byte) ([]Envelope, int, error) {
 // DecodeBatchInto is DecodeBatch decoding into a caller-supplied slab:
 // the frame's envelopes are appended to dst (typically a pooled GetEnvs
 // slab) and the extended slice is returned with the bytes consumed. On
-// error dst's length is unchanged. Every envelope owns its bytes — the
-// decode copies keys and values out of buf — so recycling the slab later
-// can never alias this frame's data.
+// error dst's length is unchanged. Nothing decoded refers to buf: every
+// envelope's Key and fast-read payload are copied into ONE string for the
+// whole frame and cut from it, so a kept key pins all of them (Decode says
+// who clones); other values own their Data. Recycling buf or the slab
+// later can never alias this frame's data.
 func DecodeBatchInto(dst []Envelope, buf []byte) ([]Envelope, int, error) {
 	if len(buf) < 4 {
 		return dst, 0, ErrTruncated
@@ -170,8 +202,10 @@ func DecodeBatchInto(dst []Envelope, buf []byte) ([]Envelope, int, error) {
 	}
 	start := len(dst)
 	off := batchHeader
+	text := cutText(b[off:], int(count))
 	for i := uint32(0); i < count; i++ {
-		e, n, err := Decode(b[off:])
+		e, n, rest, err := decode(b[off:], text)
+		text = rest
 		if err != nil {
 			return dst[:start], 0, err
 		}
@@ -224,25 +258,22 @@ func ReadFrames(r io.Reader) ([]Envelope, error) {
 // frame's envelopes are appended to dst (typically a pooled GetEnvs slab)
 // and the extended slice is returned. Both the read buffer and — with a
 // pooled dst — the envelope storage are recycled, so a steady stream
-// allocates only what the envelopes themselves own (keys, values). On
-// error dst's length is unchanged.
+// allocates only the frame's one string its keys are cut from and what
+// the payloads own (values, vectors, the interface boxes). On error dst's
+// length is unchanged.
 func ReadFramesInto(r io.Reader, dst []Envelope) ([]Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into the pooled buffer too: a local array handed
+	// to an io.Reader would escape, one allocation per frame.
+	buf := append(GetBuf(), 0, 0, 0, 0)
+	defer func() { PutBuf(buf) }() // buf may be regrown below
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return dst, err
 	}
-	body := binary.BigEndian.Uint32(hdr[:])
+	body := binary.BigEndian.Uint32(buf)
 	if body > MaxBatchFrame {
 		return dst, ErrOversize
 	}
-	buf := GetBuf()
-	defer func() { PutBuf(buf) }() // buf may be regrown below
-	if need := 4 + int(body); cap(buf) < need {
-		buf = make([]byte, need)
-	} else {
-		buf = buf[:need]
-	}
-	copy(buf, hdr[:])
+	buf = slices.Grow(buf, int(body))[:4+int(body)]
 	if _, err := io.ReadFull(r, buf[4:]); err != nil {
 		return dst, err
 	}

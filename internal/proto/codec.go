@@ -95,13 +95,57 @@ const (
 	minEntrySize = minValueSize + 4 // value, updated count
 )
 
+// Positions in an envelope's body: its key's length follows the two
+// process ids, and its kind byte follows the key and the fixed-size
+// opID, round, reply flag, epoch and weight.
+const (
+	keyLenAt    = 2 * procSize
+	keyToKind   = 8 + 1 + 1 + 8 + 8
+	minEnvelope = keyLenAt + 4 + keyToKind + 1
+)
+
+// cutsPayload reports whether a message of kind k has its values' Data
+// cut from the frame's text: fast-read payloads are, while a QueryAck's,
+// an Update's and a LogAck's values own their Data.
+func cutsPayload(k Kind) bool { return k == KindFastRead || k == KindFastReadAck }
+
+// cutText copies into one string the bytes that decoding the count
+// envelope frames at the start of b cuts rather than copies: each one's
+// key and, for a FastRead or FastReadAck, its payload, in frame order. It
+// stops at the first frame too short to hold them; the decode rejects it.
+func cutText(b []byte, count int) string {
+	buf := GetBuf()
+	for ; count > 0 && len(b) >= 4+minEnvelope; count-- {
+		n := uint64(binary.BigEndian.Uint32(b))
+		if n > uint64(len(b)-4) || n < minEnvelope {
+			break
+		}
+		body := b[4 : 4+n]
+		k := uint64(binary.BigEndian.Uint32(body[keyLenAt:]))
+		rest := body[keyLenAt+4:]
+		if k > uint64(len(rest)-keyToKind-1) {
+			break
+		}
+		buf = append(buf, rest[:k]...)
+		if cutsPayload(Kind(rest[k+keyToKind])) {
+			buf = append(buf, rest[k+keyToKind+1:]...)
+		}
+		b = b[4+n:]
+	}
+	s := string(buf)
+	PutBuf(buf)
+	return s
+}
+
 type reader struct {
 	buf []byte
-	// text, once set, is a copy of buf that str cuts its results from
-	// instead of copying each one.
-	text string
-	off  int
-	err  error
+	// text starts with buf's bytes from textAt on (the key, then a
+	// fast-read payload): cut slices its results from it instead of
+	// copying each one.
+	text   string
+	textAt int
+	off    int
+	err    error
 }
 
 func (r *reader) fail(err error) {
@@ -149,17 +193,27 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) i64() int64 { return int64(r.u64()) }
 
-func (r *reader) str() string {
+func (r *reader) bytes() []byte {
 	n := r.u32()
 	if n > MaxFrame {
 		r.fail(ErrOversize)
-		return ""
+		return nil
 	}
-	b := r.take(int(n))
-	if r.text != "" {
-		return r.text[r.off-len(b) : r.off]
+	return r.take(int(n))
+}
+
+// str reads a string into its own allocation.
+func (r *reader) str() string { return string(r.bytes()) }
+
+// cut reads a string as a slice of text, or copies it where text does not
+// reach (a frame cutText stopped at, which the decode then rejects).
+func (r *reader) cut() string {
+	b := r.bytes()
+	from, to := r.off-len(b)-r.textAt, r.off-r.textAt
+	if len(b) == 0 || from < 0 || to > len(r.text) {
+		return string(b)
 	}
-	return string(b)
+	return r.text[from:to]
 }
 
 // count reads an element count and rejects it unless that many elements of
@@ -220,11 +274,21 @@ func (r *reader) proc() types.ProcID {
 	return types.ProcID{Role: role, Index: int(idx)}
 }
 
-func (r *reader) value() types.Value {
+func (r *reader) tag() types.Tag {
 	ts := r.i64()
-	wid := r.proc()
-	data := r.str()
-	return types.Value{Tag: types.Tag{TS: ts, WID: wid}, Data: data}
+	return types.Tag{TS: ts, WID: r.proc()}
+}
+
+// value reads a value whose Data owns its bytes.
+func (r *reader) value() types.Value {
+	t := r.tag()
+	return types.Value{Tag: t, Data: r.str()}
+}
+
+// cutValue reads a value whose Data is cut from the frame's text.
+func (r *reader) cutValue() types.Value {
+	t := r.tag()
+	return types.Value{Tag: t, Data: r.cut()}
 }
 
 // Encode serializes an envelope to a self-delimiting frame:
@@ -297,32 +361,42 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 // Decode parses one frame produced by Encode. It returns the envelope and
 // the number of bytes consumed, so callers can decode from a stream buffer.
 //
-// Nothing in the envelope refers to buf. Key, a QueryAck's, an Update's and
-// a LogAck's values each own a string. A FastRead's valQueue and a
-// FastReadAck's vector are made of three allocations whatever their length:
-// the slice, one array that every Updated set is cut from (each clipped to
-// its length), and ONE string holding the frame body, from which every
-// value's Data is cut. Any one of those Data strings therefore keeps the
-// whole frame's bytes alive: code that stores such a value beyond the
-// message's life stores strings.Clone of its Data (opkit does, see its
-// package doc).
+// Nothing in the envelope refers to buf. The Key and, in a FastRead or a
+// FastReadAck, the whole payload are copied into ONE string, and the Key
+// and every value's Data in the valQueue or vector are cut from it. Any
+// one of them therefore keeps the others' bytes alive: code that stores a
+// key or such a value beyond the message's life stores strings.Clone of it
+// (keyreg does for keys, opkit for values, see its package doc). A
+// QueryAck's, an Update's and a LogAck's values each own their Data.
+// Whatever their length, a valQueue is one slice and a vector is one slice
+// plus one array that every Updated set is cut from (each clipped to its
+// length).
 func Decode(buf []byte) (Envelope, int, error) {
+	e, n, _, err := decode(buf, cutText(buf, 1))
+	return e, n, err
+}
+
+// decode is Decode cutting the envelope's key and fast-read payload from
+// the start of text, a cutText of a run of frames starting with this one.
+// It returns the rest of text, for the next frame of the run.
+func decode(buf []byte, text string) (Envelope, int, string, error) {
 	if len(buf) < 4 {
-		return Envelope{}, 0, ErrTruncated
+		return Envelope{}, 0, "", ErrTruncated
 	}
 	body := binary.BigEndian.Uint32(buf[:4])
 	if body > MaxFrame {
-		return Envelope{}, 0, ErrOversize
+		return Envelope{}, 0, "", ErrOversize
 	}
 	total := 4 + int(body)
 	if len(buf) < total {
-		return Envelope{}, 0, ErrTruncated
+		return Envelope{}, 0, "", ErrTruncated
 	}
-	r := &reader{buf: buf[4:total]}
+	r := &reader{buf: buf[4:total], text: text, textAt: keyLenAt + 4}
 	var e Envelope
 	e.From = r.proc()
 	e.To = r.proc()
-	e.Key = r.str()
+	e.Key = r.cut()
+	used := len(e.Key)
 	e.OpID = r.u64()
 	e.Round = r.u8()
 	// Strict canonical format: the reply flag must be exactly 0 or 1, so
@@ -337,6 +411,11 @@ func Decode(buf []byte) (Envelope, int, error) {
 	e.Epoch = r.u64()
 	e.Weight = r.u64()
 	kind := Kind(r.u8())
+	if cutsPayload(kind) {
+		// cutText put the payload right after the key.
+		r.text, r.textAt = text[min(used, len(text)):], r.off
+		used += len(r.buf) - r.off
+	}
 	switch kind {
 	case KindQuery:
 		e.Payload = Query{}
@@ -349,22 +428,20 @@ func Decode(buf []byte) (Envelope, int, error) {
 	case KindFastRead:
 		m := FastRead{}
 		if n := r.count(minValueSize); n > 0 {
-			r.text = string(r.buf)
 			m.ValQueue = make([]types.Value, n)
 			for i := 0; i < n && r.err == nil; i++ {
-				m.ValQueue[i] = r.value()
+				m.ValQueue[i] = r.cutValue()
 			}
 		}
 		e.Payload = m
 	case KindFastReadAck:
 		m := FastReadAck{}
 		if n := r.count(minEntrySize); n > 0 {
-			r.text = string(r.buf)
 			m.Vector = make([]VectorEntry, n)
 			ups := make([]types.ProcID, countUpdated(r.buf[r.off:], n))
 			for i := 0; i < n && r.err == nil; i++ {
 				ent := &m.Vector[i]
-				ent.Val = r.value()
+				ent.Val = r.cutValue()
 				k := r.count(procSize)
 				if k > len(ups) {
 					r.fail(ErrTruncated)
@@ -387,15 +464,15 @@ func Decode(buf []byte) (Envelope, int, error) {
 		}
 		e.Payload = m
 	default:
-		return Envelope{}, 0, fmt.Errorf("%w: kind %d", ErrBadKind, kind)
+		return Envelope{}, 0, "", fmt.Errorf("%w: kind %d", ErrBadKind, kind)
 	}
 	if r.err != nil {
-		return Envelope{}, 0, r.err
+		return Envelope{}, 0, "", r.err
 	}
 	if r.off != len(r.buf) {
-		return Envelope{}, 0, fmt.Errorf("proto: %d trailing bytes in frame", len(r.buf)-r.off)
+		return Envelope{}, 0, "", fmt.Errorf("proto: %d trailing bytes in frame", len(r.buf)-r.off)
 	}
-	return e, total, nil
+	return e, total, text[min(used, len(text)):], nil
 }
 
 // WriteFrame encodes e and writes the frame to w.

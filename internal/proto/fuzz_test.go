@@ -114,15 +114,33 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // fuzzBatch holds the batch decoder to the same contract as the single
 // decoder: no panics or over-allocation on arbitrary bytes, truncated /
 // empty / oversize-count batches rejected with zero bytes consumed, and
-// every accepted batch canonical under re-encode/re-decode.
+// every accepted batch canonical under re-encode/re-decode. Strings cut
+// from the batch's one frame string must equal what Decode copies out of
+// each envelope's own sub-frame, and must not be views of the input.
 func fuzzBatch(t *testing.T, data []byte) {
 	t.Helper()
-	envs, n, err := DecodeBatch(data)
+	buf := bytes.Clone(data)
+	envs, n, err := DecodeBatch(buf)
 	if err != nil {
 		if n != 0 {
 			t.Fatalf("DecodeBatch returned error %v but consumed %d bytes", err, n)
 		}
 		return
+	}
+	for i := range buf {
+		buf[i] ^= 0xFF
+	}
+	off := 4 + batchHeader
+	for i, e := range envs {
+		sub := 4 + int(binary.BigEndian.Uint32(data[off:]))
+		want, m, err := Decode(data[off : off+sub])
+		if err != nil || m != sub {
+			t.Fatalf("envelope %d: Decode of its sub-frame: %d of %d bytes, err %v", i, m, sub, err)
+		}
+		if !reflect.DeepEqual(e, want) {
+			t.Fatalf("envelope %d: batch decode %v, Decode of its sub-frame %v", i, e, want)
+		}
+		off += sub
 	}
 	if len(envs) == 0 || len(envs) > MaxBatchEnvelopes {
 		t.Fatalf("DecodeBatch accepted %d envelopes", len(envs))

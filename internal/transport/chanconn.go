@@ -121,7 +121,7 @@ func chanPipe() (a, b *chanConn) {
 }
 
 func (c *chanConn) Send(e proto.Envelope) error {
-	return c.SendBatch([]proto.Envelope{e})
+	return c.SendBatch(append(proto.GetEnvs(), e))
 }
 
 // SendBatch hands the batch to the peer over the pipe. Ownership of the

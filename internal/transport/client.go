@@ -951,9 +951,10 @@ func (l *serverLink) drop(conn Conn) {
 // recvLoop pumps one connection's replies into the dispatcher until the
 // connection dies. Batched replies are drained frame-at-a-time, so a
 // server's coalesced answers cost one read here too; the drained slab is
-// recycled once every envelope has been dispatched (dispatch copies
-// nothing out that outlives the call — the reply payload is a decoded
-// message owned by the envelope, handed on by pointer).
+// recycled once every envelope has been dispatched. dispatch only looks
+// the Key up, so nothing keeps the frame string it is cut from; the
+// payload travels on to the op's round, and a reader that keeps a value
+// of a fast-read reply clones it (opkit's Keep rule).
 func (l *serverLink) recvLoop(conn Conn) {
 	for {
 		envs, err := conn.RecvBatch()

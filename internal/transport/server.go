@@ -165,6 +165,9 @@ func WithServerEviction(ttl time.Duration) ServerOption {
 // batches — seq restores the true order: it is the key's handled counter
 // read under the shard lock, a per-(replica,key) total order the
 // served-value cross-check sorts by, which log position cannot give.
+// env.Key is cut from its whole received frame (proto.Decode): the audit
+// writer encodes it and lets go, and a hook that keeps it must keep
+// strings.Clone of it.
 func WithServerCapture(fn func(env proto.Envelope, reply proto.Message, seq uint64)) ServerOption {
 	return func(s *Server) { s.capture = fn }
 }
@@ -451,6 +454,9 @@ func (s *Server) serveConn(conn Conn) {
 			continue
 		}
 		replies := s.handleReqs(reqs, proto.GetEnvs())
+		// Drop the requests: their keys are cut from the frame, which
+		// they would keep alive while the connection sits idle.
+		clear(reqs)
 		if len(replies) == 0 {
 			proto.PutEnvs(replies)
 			continue
