@@ -420,44 +420,26 @@ func benchKVStore(b *testing.B, s *fastreg.Store, cfg fastreg.Config, reportGoro
 
 // BenchmarkKVTCP puts the KV store's network runtime next to
 // BenchmarkKVMultiplexed's in-process numbers: the same cluster shape and
-// client mix (8 concurrent clients), but every operation now crosses real
-// loopback TCP sockets — encode, kernel, decode, quorum wait — against 5
-// replica servers, the deployment shape cmd/regserver + cmd/regclient
-// run. The gap between the two benchmarks is the price of the wire.
-//
-// Two wire modes isolate what batching buys: "unbatched" sends one frame
-// per envelope (the pre-batching behavior, via
-// transport.WithUnbatchedSends); "batched" (the default) coalesces
-// concurrent rounds to the same server into multi-envelope frames, and
-// replicas reply in kind. The client counts show how the win grows with
-// the per-connection overlap batching feeds on.
+// client mix, but every operation now crosses real loopback TCP sockets —
+// encode, kernel, decode, quorum wait — against 5 replica servers, the
+// deployment shape cmd/regserver + cmd/regclient run. The gap between the
+// two benchmarks is the price of the wire. Concurrent rounds to the same
+// server coalesce into multi-envelope frames, and replicas reply in kind;
+// the client counts show how that grows with the per-connection overlap.
 func BenchmarkKVTCP(b *testing.B) {
 	for _, clients := range []int{8, 16} {
 		cfg := fastreg.Config{Servers: 5, MaxCrashes: 1, Readers: clients / 2, Writers: clients / 2}
-		for _, mode := range []struct {
-			name string
-			opts []fastreg.Option
-		}{
-			{"unbatched", []fastreg.Option{fastreg.WithUnbatchedSends()}},
-			{"batched", nil},
-		} {
-			mode := mode
-			b.Run(fmt.Sprintf("clients=%d/%s", clients, mode.name), func(b *testing.B) {
-				benchKVTCP(b, cfg, mode.opts...)
-			})
-		}
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			qcfg := quorum.Config{S: cfg.Servers, T: cfg.MaxCrashes, R: cfg.Readers, W: cfg.Writers}
+			_, addrs := bootTCPFleet(b, qcfg)
+			s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithTCP(addrs...))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			benchKVStore(b, s, cfg, false)
+		})
 	}
-}
-
-func benchKVTCP(b *testing.B, cfg fastreg.Config, opts ...fastreg.Option) {
-	qcfg := quorum.Config{S: cfg.Servers, T: cfg.MaxCrashes, R: cfg.Readers, W: cfg.Writers}
-	_, addrs := bootTCPFleet(b, qcfg)
-	s, err := fastreg.Open(cfg, fastreg.W2R2, append([]fastreg.Option{fastreg.WithTCP(addrs...)}, opts...)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	benchKVStore(b, s, cfg, false)
 }
 
 // BenchmarkAblationCheckerMemo measures the WGL checker with and without

@@ -5,7 +5,7 @@
 // with the WithTCP backend, session handles for every writer and reader.
 //
 // The cluster shape flags must match the servers' — the shape, protocol
-// and operational flags (-evict-ttl, -unbatched, …) are the shared
+// and operational flags (-evict-ttl, -capture, …) are the shared
 // internal/cliflags surface, identical to regserver's. This process
 // hosts writers w_1..w_W and readers r_1..r_R, all running concurrently,
 // each issuing its ops back-to-back (closed loop) over -keys keys.
@@ -14,7 +14,7 @@
 //
 //	regclient -cluster :7001,:7002,:7003 [-t 1] [-writers 4] [-readers 4]
 //	          [-writes 200] [-reads 200] [-keys 16] [-valuesize 64]
-//	          [-timeout 5s] [-protocol W2R2] [-check] [-unbatched]
+//	          [-timeout 5s] [-protocol W2R2] [-check]
 //
 // The in-memory atomicity verdict covers only operations this process
 // issued, because real-time order across processes is not observable.

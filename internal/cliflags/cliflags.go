@@ -2,7 +2,7 @@
 // deployable binaries share. cmd/regserver and cmd/regclient must agree
 // on the cluster shape (S, t, R, W) and protocol name for a deployment
 // to make sense, and they expose the same operational knobs (-evict-ttl,
-// -unbatched, -shards); registering the flags and deriving the validated
+// -shards); registering the flags and deriving the validated
 // quorum.Config from one helper keeps the two binaries' surfaces from
 // drifting — the same way internal/protocols keeps their protocol names
 // identical.
@@ -39,7 +39,6 @@ type Flags struct {
 	Protocol string
 
 	EvictTTL   time.Duration
-	Unbatched  bool
 	Shards     int
 	Workers    int
 	CaptureDir string
@@ -83,7 +82,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Writers, "writers", 4, "number of writers W in the cluster shape")
 	fs.StringVar(&f.Protocol, "protocol", "W2R2", "register protocol ("+strings.Join(protocols.Names(), ", ")+")")
 	fs.DurationVar(&f.EvictTTL, "evict-ttl", 0, "expire per-key state idle for this long (0 = keep all state forever); on a server this is fleet-wide TTL-expiry semantics for the keys, on a client it bounds the registry (protocol state AND recorded histories — don't combine with -check unless keys stay hotter than the TTL)")
-	fs.BoolVar(&f.Unbatched, "unbatched", false, "disable message-level send coalescing (client side; baseline measurements only)")
 	fs.IntVar(&f.Shards, "shards", transport.DefaultServerShards, "key-space shards (replica side; clients always use the default partition)")
 	fs.IntVar(&f.Workers, "workers", 0, "shard-affine request workers per replica: 0 = auto (GOMAXPROCS on multicore, inline on one CPU), -1 = force inline per-connection handling, n>0 = fixed pool of n workers")
 	fs.StringVar(&f.CaptureDir, "capture", "", "append audit trace logs (.trlog) to this directory — servers log every handled request, clients every completed operation; `regaudit check DIR` then verifies the whole multi-process run")
@@ -159,9 +157,6 @@ func (f *Flags) ServerOptions(reg *obs.Registry) []transport.ServerOption {
 // of ServerOptions.
 func (f *Flags) StoreOptions() []fastreg.Option {
 	opts := []fastreg.Option{fastreg.WithTCP(f.Addrs()...)}
-	if f.Unbatched {
-		opts = append(opts, fastreg.WithUnbatchedSends())
-	}
 	if f.EvictTTL > 0 {
 		opts = append(opts, fastreg.WithEvictionTTL(f.EvictTTL))
 	}

@@ -150,6 +150,7 @@ type fullInfoRead struct {
 	need   int
 	rounds int
 	phase  int
+	next   register.Round // what Next returns a pointer to
 }
 
 func (r *fullInfoRead) Client() types.ProcID { return r.client }
@@ -175,7 +176,8 @@ func (r *fullInfoRead) Next(replies []register.Reply) (*register.Round, types.Va
 	}
 	if r.phase < r.rounds {
 		r.phase++
-		return &register.Round{Payload: proto.Query{}, Need: r.need}, types.Value{}, false, nil
+		r.next = register.Round{Payload: proto.Query{}, Need: r.need}
+		return &r.next, types.Value{}, false, nil
 	}
 	return nil, DecideMajority(acks), true, nil
 }

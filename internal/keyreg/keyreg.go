@@ -36,11 +36,17 @@ import (
 // Active is the eviction bookkeeping: it counts operations between
 // acquire and release, and a key is evictable only when it is zero and
 // its last acquire is a full epoch old.
+//
+// Identities index the per-client state by ProcID.Index − 1, so a lookup
+// hashes nothing. Each slice is made once, at its full size from the
+// cluster shape, the first time it is used: writers holds cfg.W slots,
+// readers cfg.R, and opSeq cfg.W + cfg.R (writer w_i at i − 1, reader r_i
+// at cfg.W + i − 1).
 type ClientState struct {
 	mu      sync.Mutex
-	writers map[types.ProcID]register.Writer // guardedby: mu
-	readers map[types.ProcID]register.Reader // guardedby: mu
-	opSeq   map[types.ProcID]uint64          // guardedby: mu
+	writers []register.Writer // guardedby: mu
+	readers []register.Reader // guardedby: mu
+	opSeq   []uint64          // guardedby: mu
 	rec     *history.Recorder
 
 	Active atomic.Int64
@@ -63,39 +69,53 @@ type ClientState struct {
 func (st *ClientState) Recorder() *history.Recorder { return st.rec }
 
 // Writer returns the key's writer state machine for id, creating it from
-// the protocol on first use.
+// the protocol on first use. id must be a writer in [1, cfg.W].
 func (st *ClientState) Writer(id types.ProcID, p register.Protocol, cfg quorum.Config) register.Writer {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	w, ok := st.writers[id]
-	if !ok {
+	if st.writers == nil {
+		st.writers = make([]register.Writer, cfg.W)
+	}
+	w := st.writers[id.Index-1]
+	if w == nil {
 		w = p.NewWriter(id, cfg)
-		st.writers[id] = w
+		st.writers[id.Index-1] = w
 	}
 	return w
 }
 
 // Reader returns the key's reader state machine for id, creating it from
-// the protocol on first use.
+// the protocol on first use. id must be a reader in [1, cfg.R].
 func (st *ClientState) Reader(id types.ProcID, p register.Protocol, cfg quorum.Config) register.Reader {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	r, ok := st.readers[id]
-	if !ok {
+	if st.readers == nil {
+		st.readers = make([]register.Reader, cfg.R)
+	}
+	r := st.readers[id.Index-1]
+	if r == nil {
 		r = p.NewReader(id, cfg)
-		st.readers[id] = r
+		st.readers[id.Index-1] = r
 	}
 	return r
 }
 
 // NextOpID issues the client's next per-key operation sequence number.
-// Each client is sequential per key (well-formed histories), so the lock
-// only arbitrates cross-client access.
-func (st *ClientState) NextOpID(client types.ProcID) uint64 {
+// client must be a writer in [1, cfg.W] or a reader in [1, cfg.R]. Each
+// client is sequential per key (well-formed histories), so the lock only
+// arbitrates cross-client access.
+func (st *ClientState) NextOpID(client types.ProcID, cfg quorum.Config) uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.opSeq[client]++
-	return st.opSeq[client]
+	if st.opSeq == nil {
+		st.opSeq = make([]uint64, cfg.W+cfg.R)
+	}
+	i := client.Index - 1
+	if client.Role == types.RoleReader {
+		i += cfg.W
+	}
+	st.opSeq[i]++
+	return st.opSeq[i]
 }
 
 // clientShard is one shard of the client registry.
@@ -170,12 +190,7 @@ func (r *ClientRegistry) Acquire(key string) *ClientState {
 	defer sh.mu.Unlock()
 	st, ok := sh.m[key]
 	if !ok {
-		st = &ClientState{
-			writers: make(map[types.ProcID]register.Writer),
-			readers: make(map[types.ProcID]register.Reader),
-			opSeq:   make(map[types.ProcID]uint64),
-			rec:     history.NewRecorder(&vclock.Clock{}),
-		}
+		st = &ClientState{rec: history.NewRecorder(&vclock.Clock{})}
 		if fnp := r.capture.Load(); fnp != nil {
 			fn := *fnp
 			st.rec.SetSink(func(op history.Op) { fn(key, op) })

@@ -19,6 +19,7 @@ type QueryThenUpdateWrite struct {
 	need   int
 	phase  int
 	val    types.Value
+	next   register.Round // what Next returns a pointer to
 }
 
 // NewQueryThenUpdateWrite builds the write operation for the given writer.
@@ -66,7 +67,8 @@ func (w *QueryThenUpdateWrite) Next(replies []register.Reply) (*register.Round, 
 		}
 		w.val = types.Value{Tag: types.Tag{TS: maxTS + 1, WID: w.client}, Data: w.data}
 		w.phase = 2
-		return &register.Round{Payload: proto.Update{Val: w.val}, Need: w.need}, types.Value{}, false, nil
+		w.next = register.Round{Payload: proto.Update{Val: w.val}, Need: w.need}
+		return &w.next, types.Value{}, false, nil
 	case 2:
 		for _, r := range replies {
 			if _, ok := r.Msg.(proto.UpdateAck); !ok {
@@ -127,6 +129,7 @@ type ReadWriteBack struct {
 	need   int
 	phase  int
 	maxV   types.Value
+	next   register.Round // what Next returns a pointer to
 }
 
 // NewReadWriteBack builds the two-round read.
@@ -164,7 +167,8 @@ func (r *ReadWriteBack) Next(replies []register.Reply) (*register.Round, types.V
 			}
 		}
 		r.phase = 2
-		return &register.Round{Payload: proto.Update{Val: r.maxV}, Need: r.need}, types.Value{}, false, nil
+		r.next = register.Round{Payload: proto.Update{Val: r.maxV}, Need: r.need}
+		return &r.next, types.Value{}, false, nil
 	case 2:
 		for _, rep := range replies {
 			if _, ok := rep.Msg.(proto.UpdateAck); !ok {

@@ -73,7 +73,9 @@ type Operation interface {
 	Begin() Round
 	// Next consumes the current round's replies. It returns the next round,
 	// or done=true with the operation's result: for a read, the value read;
-	// for a write, the tagged value written.
+	// for a write, the tagged value written. next may point into the
+	// operation itself and is valid only until the following call, so
+	// callers copy *next at once.
 	Next(replies []Reply) (next *Round, result types.Value, done bool, err error)
 }
 

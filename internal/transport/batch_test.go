@@ -178,31 +178,6 @@ func TestClusterSharedLinksBatching(t *testing.T) {
 	}
 }
 
-// TestClusterUnbatchedRegression pins the WithUnbatchedSends escape hatch
-// to the same correctness bar as the batched default.
-func TestClusterUnbatchedRegression(t *testing.T) {
-	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
-	_, addrs := startTCPCluster(t, cfg, mwabd.New())
-	c, err := NewClient(cfg, mwabd.New(), addrs, DialTCP, WithUnbatchedSends())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for i := 0; i < 10; i++ {
-		if _, err := c.Write(ctx, "k", 1+i%cfg.W, fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Read(ctx, "k", 1+i%cfg.R); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res := atomicity.Check(c.History("k")); !res.Atomic {
-		t.Fatalf("unbatched run not atomic: %s", res)
-	}
-}
-
 // TestTimedOutWriteRecordsTag pins the history side of the "trust the
 // checker on timeouts" fix: a two-round write that times out AFTER its
 // query round has already assigned its tag (and possibly landed updates

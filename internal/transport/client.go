@@ -29,10 +29,10 @@ const (
 	dialBackoffMax = 1 * time.Second
 )
 
-// resendInterval is how often an operation re-attempts the current
-// round's unsent messages while waiting for its reply quorum — the knob
-// that turns transient link failures into added latency instead of
-// failed operations.
+// resendInterval is how long a round waits for its reply quorum before
+// its operation re-sends to the servers that have not replied, and how
+// often it re-sends after that — the knob that turns transient link
+// failures into added latency instead of failed operations.
 const resendInterval = 20 * time.Millisecond
 
 // Client drives register operations against a fleet of replica servers
@@ -49,9 +49,15 @@ const resendInterval = 20 * time.Millisecond
 // by round, so stragglers from an earlier round can never satisfy a later
 // one.
 //
+// A round costs its operation one wake-up: the receive loops append each
+// reply to the round's collector, and only the reply that completes the
+// quorum wakes the waiting operation. One client-wide resender goroutine
+// keeps time for every round in flight; it wakes a round only when the
+// round has waited past resendInterval.
+//
 // Delivery is at-least-once: a round whose send failed is re-attempted
 // until the reply quorum is in, so a server can Handle the same message
-// twice (replies are deduplicated per server client-side). The protocol
+// twice (the collector counts one vote per server). The protocol
 // servers all tolerate this — their handlers are max-merge/set-insert
 // idempotent, and the FullInfo log server's crucial-info extraction
 // dedups by value.
@@ -66,14 +72,13 @@ type Client struct {
 	cfg      quorum.Config
 	protocol register.Protocol
 
-	links     []*serverLink
-	live      atomic.Int64 // links not abandoned; a round needing more fails fast
-	reg       *Registry
-	unbatched bool
-	vouchT    int
-	evictTTL  time.Duration
-	capture   func(key string, op history.Op)
-	coord     *epoch.Coordinator
+	links    []*serverLink
+	live     atomic.Int64 // links not abandoned; a round needing more fails fast
+	reg      *Registry
+	vouchT   int
+	evictTTL time.Duration
+	capture  func(key string, op history.Op)
+	coord    *epoch.Coordinator
 
 	// Observability, all nil when disabled (the nil members ARE the off
 	// switch — see internal/obs): om records per-operation latency/rounds/
@@ -89,13 +94,14 @@ type Client struct {
 	// don't serialize on one lock.
 	pending []*pendShard
 
-	// scratch pools per-operation round state (reply channel, vote set,
-	// replies slice, retry ticker) so the steady-state hot path allocates
-	// nothing per round.
+	// scratch pools per-operation round state (the pending-table entry
+	// with its reply collector and wake channel) so the steady-state hot
+	// path allocates nothing per round.
 	scratch sync.Pool
 
 	closed chan struct{}
 	once   sync.Once
+	wg     sync.WaitGroup // the resender and the eviction sweeper; Close waits for them
 }
 
 type pendShard struct {
@@ -115,14 +121,6 @@ type ClientOption func(*Client)
 // concurrently.
 func WithRegistry(r *Registry) ClientOption {
 	return func(c *Client) { c.reg = r }
-}
-
-// WithUnbatchedSends disables the per-link message coalescing: every send
-// goes out as its own frame, one Conn.Send per envelope, the pre-batching
-// wire behavior. Benchmarks use it to measure what coalescing buys;
-// production clients should leave batching on.
-func WithUnbatchedSends() ClientOption {
-	return func(c *Client) { c.unbatched = true }
 }
 
 // WithOpCapture streams every operation this client completes (or fails)
@@ -208,19 +206,46 @@ type pendKey struct {
 	opID   uint64
 }
 
-// pendingRound is the live round of one operation: replies for exactly
-// this round number are delivered on ch (buffered to S, so dispatch never
-// blocks).
+// pendingRound is one operation's entry in the pending table, installed
+// for the whole operation and re-armed at each round turnover. It
+// collects the replies to round number round: dispatch appends one reply
+// per server, at most need of them, and the reply that completes the
+// quorum sends the round's one token on ready. The resender sends a token
+// too when it marks the round for a resend.
+//
+// While the entry is installed, the pending shard's mu guards every field
+// but ready, with one exception: once replies holds need entries, nothing
+// changes it until the operation re-arms the entry, so the operation
+// reads the quorum without the lock.
 type pendingRound struct {
-	round uint8
-	ch    chan register.Reply
+	round   uint8
+	need    int
+	replies []register.Reply // capacity S: appends never allocate
+	ready   chan struct{}    // buffered(1): at most one wake-up pending
+	// resend marks a round the resender found waiting past resendInterval;
+	// due is the resender tick at which the round is next due (0: the
+	// resender has not seen it yet).
+	resend bool
+	due    int64
 	// credited accumulates the epoch weight harvested off this op's reply
-	// envelopes (guardedby: the pending shard's mu while an entry points
-	// here; exec reads it only after clearPending, the same barrier that
-	// protects ch reuse). The op's completion returns Budget−credited, so
-	// weight on frames the network ate still comes home.
+	// envelopes; the op reads it after removing the entry. The op's
+	// completion returns Budget−credited, so weight on frames the network
+	// ate still comes home.
 	credited uint64
 }
+
+// wake sends the round's token unless one is already pending. Callers
+// hold the pending shard's mu, so removing the entry is a barrier after
+// which no token can arrive.
+func (p *pendingRound) wake() {
+	select {
+	case p.ready <- struct{}{}:
+	default:
+	}
+}
+
+// quorum reports whether the round's reply quorum is in.
+func (p *pendingRound) quorum() bool { return len(p.replies) >= p.need }
 
 // Registry is the sharded per-key client-side state — protocol state
 // machines, op counters and history recorders — backed by the shared
@@ -248,20 +273,16 @@ func (r *Registry) Histories() map[string]history.History { return r.r.Histories
 // Keys returns the keys touched so far, sorted.
 func (r *Registry) Keys() []string { return r.r.Keys() }
 
-// execScratch is the pooled per-operation state: one reply channel, vote
-// set, replies slice, retry ticker and pending-table entry serve every
-// round of an operation and are recycled across operations. Safe reuse of
-// ch (and of the pendingRound struct the table points at) rests on two
-// invariants: dispatch only ever sends while holding the pending-shard
-// lock, and exec drains ch after clearing the pending entry — so once an
-// operation (or round) retires its entry, no stale reply can reach a
-// later user of the channel.
+// execScratch is the pooled per-operation state: one pending-table entry
+// (with its reply collector and wake channel) serves every round of an
+// operation and is recycled across operations. Safe reuse rests on two
+// invariants: dispatch and the resender touch an entry only while holding
+// the pending-shard lock, and exec drains ready after removing the entry —
+// so once an operation retires its entry, no stale reply or token can
+// reach a later user.
 type execScratch struct {
-	ch      chan register.Reply
-	seen    map[types.ProcID]bool
-	replies []register.Reply
-	retry   *time.Ticker
 	pr      pendingRound // the table entry, reused across rounds and ops
+	replied []bool       // per link: its server's reply to the round is in (what a resend skips)
 	held    uint64       // epoch weight atoms not yet attached to a frame
 }
 
@@ -334,9 +355,7 @@ func NewClient(cfg quorum.Config, p register.Protocol, addrs []string, dial Dial
 	for i := range c.links {
 		l := &serverLink{c: c, id: types.Server(i + 1), addr: addrs[i], dial: dial, wake: make(chan struct{}, 1)}
 		c.links[i] = l
-		if !c.unbatched {
-			go l.flushLoop() // exits when the client closes
-		}
+		go l.flushLoop() // exits when the client closes
 	}
 	if c.obsReg != nil {
 		c.om = obs.NewOpMetrics(c.obsReg, "client."+p.Name())
@@ -344,7 +363,10 @@ func NewClient(cfg quorum.Config, p register.Protocol, addrs []string, dial Dial
 		c.obsReg.GaugeFunc("client.queue_depth", c.queueDepth)
 		c.obsReg.GaugeFunc("client.pending_ops", c.pendingOps)
 	}
+	c.wg.Add(1)
+	go c.resender()
 	if c.evictTTL > 0 {
+		c.wg.Add(1)
 		go c.sweeper()
 	}
 	return c, nil
@@ -376,6 +398,7 @@ func (c *Client) pendingOps() int64 {
 // sweeper ticks the client registry's eviction epoch every TTL and drops
 // what went idle.
 func (c *Client) sweeper() {
+	defer c.wg.Done()
 	t := time.NewTicker(c.evictTTL)
 	defer t.Stop()
 	for {
@@ -395,9 +418,45 @@ func (c *Client) sweeper() {
 // WithClientEviction).
 func (c *Client) Sweep() int { return c.reg.r.Sweep() }
 
+// resender is the client's one resend clock, ticking every
+// resendInterval/2 until the client closes. On each tick it visits the
+// pending table: a round it sees for the first time falls due two ticks
+// later (so it has waited more than resendInterval, and less than 1.5×,
+// when it first falls due); a due round whose quorum is not in is marked,
+// woken to re-send to its silent servers, and falls due again one
+// resendInterval later.
+func (c *Client) resender() {
+	defer c.wg.Done()
+	t := time.NewTicker(resendInterval / 2)
+	defer t.Stop()
+	var tick int64
+	for {
+		select {
+		case <-c.closed:
+			return
+		case <-t.C:
+		}
+		tick++
+		for _, ps := range c.pending {
+			ps.mu.Lock()
+			for _, p := range ps.m {
+				switch {
+				case p.due == 0:
+					p.due = tick + 2
+				case tick >= p.due && !p.quorum():
+					p.due = tick + 2
+					p.resend = true
+					p.wake()
+				}
+			}
+			ps.mu.Unlock()
+		}
+	}
+}
+
 // Connect eagerly dials every server (waiting for the dials to settle)
 // and reports how many are reachable right now. Operations dial lazily
-// anyway; connecting first only spares the first ones a resend tick.
+// anyway; connecting first only spares the first ones a resend.
 func (c *Client) Connect() int {
 	n := 0
 	for _, l := range c.links {
@@ -431,49 +490,32 @@ func (c *Client) Read(ctx context.Context, key string, reader int) (types.Value,
 	return c.exec(ctx, key, st, st.Reader(types.Reader(reader), c.protocol, c.cfg).ReadOp())
 }
 
-// getScratch checks a scratch set out of the pool (or builds one), with
-// the retry ticker running and no stale tick pending.
+// getScratch checks a scratch set out of the pool, or builds one.
 func (c *Client) getScratch() *execScratch {
 	if v := c.scratch.Get(); v != nil {
-		sc := v.(*execScratch)
-		sc.retry.Reset(resendInterval)
-		select { // a tick may have been buffered before the previous Stop
-		case <-sc.retry.C:
-		default:
-		}
-		return sc
+		return v.(*execScratch)
 	}
-	sc := &execScratch{
-		ch:      make(chan register.Reply, c.cfg.S),
-		seen:    make(map[types.ProcID]bool, c.cfg.S),
-		replies: make([]register.Reply, 0, c.cfg.S),
-		retry:   time.NewTicker(resendInterval),
+	return &execScratch{
+		pr: pendingRound{
+			replies: make([]register.Reply, 0, c.cfg.S),
+			ready:   make(chan struct{}, 1),
+		},
+		replied: make([]bool, c.cfg.S),
 	}
-	sc.pr.ch = sc.ch
-	return sc
 }
 
 // putScratch returns a scratch set to the pool. The caller must already
-// have cleared the operation's pending entry and drained ch.
+// have removed the operation's pending entry, after which no token can
+// reach ready; one sent before (a resend the op no longer waited for) is
+// drained here.
 func (c *Client) putScratch(sc *execScratch) {
-	sc.retry.Stop()
-	clear(sc.seen)
-	sc.replies = sc.replies[:0]
-	c.scratch.Put(sc)
-}
-
-// drainCh empties buffered (stale) replies. Safe only after the pending
-// entry pointing at ch has been cleared: dispatch sends under the
-// pending-shard lock, so clearing the entry is a barrier after which no
-// new reply can land in ch.
-func drainCh(ch chan register.Reply) {
-	for {
-		select {
-		case <-ch:
-		default:
-			return
-		}
+	select {
+	case <-sc.pr.ready:
+	default:
 	}
+	sc.pr.replies = sc.pr.replies[:0]
+	clear(sc.pr.replies[:cap(sc.pr.replies)]) // drop the payloads, and the frames they are cut from
+	c.scratch.Put(sc)
 }
 
 // exec is the round engine: broadcast the round's payload to every
@@ -487,7 +529,7 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 		return types.Value{}, ErrClosed
 	default:
 	}
-	opID := st.NextOpID(op.Client())
+	opID := st.NextOpID(op.Client(), c.cfg)
 	pk := pendKey{client: op.Client(), key: key, opID: opID}
 	rec := st.Recorder()
 	href := rec.Invoke(op.Client(), opID, op.Kind(), op.Arg())
@@ -509,20 +551,22 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 		otr = c.tracer.Start(key, op.Kind().String(), op.Client().String())
 	}
 	sc := c.getScratch()
-	// No table entry points at pr yet, so these resets race with nothing.
-	sc.pr.credited = 0
-	sc.held = tk.Budget
+	pr := &sc.pr
+	ps := c.pendShardOf(key)
 	round := op.Begin()
 	roundNo := uint8(1)
+	// No table entry points at pr yet, so these writes race with nothing.
+	pr.round, pr.need, pr.resend, pr.due, pr.credited = roundNo, round.Need, false, 0, 0
+	sc.held = tk.Budget
 	var res types.Value
-	var opErr error
+	opErr := c.unreachable(round.Need)
+	if opErr == nil {
+		ps.mu.Lock()
+		ps.m[pk] = pr
+		ps.mu.Unlock()
+	}
 loop:
-	for {
-		if opErr = c.unreachable(round.Need); opErr != nil {
-			break
-		}
-		sc.pr.round = roundNo
-		c.setPending(pk, &sc.pr)
+	for opErr == nil {
 		env := proto.Envelope{
 			From:    op.Client(),
 			Key:     key,
@@ -536,43 +580,18 @@ loop:
 		// transiently (conn just died, dial in backoff) or succeed into a
 		// queue whose connection dies before flushing; only an abandoned
 		// link means a crashed server. Only a recorded reply proves
-		// delivery; re-sends are safe because the reply loop below
-		// counts one vote per server. The operation
-		// blocks until Need distinct servers reply or ctx expires — the
-		// wait-free contract the protocols' model promises.
+		// delivery; re-sends are safe because the collector counts one
+		// vote per server. The operation blocks until Need distinct
+		// servers reply or ctx expires — the wait-free contract the
+		// protocols' model promises.
+		clear(sc.replied)
 		c.trySends(ctx, sc, &env)
 		otr.Mark("sent", roundNo)
-		for len(sc.replies) < round.Need {
-			// Expiry wins deterministically over ready replies: an
-			// already-cancelled ctx never completes the operation.
-			if ctx.Err() != nil {
-				opErr = fmt.Errorf("%w: %v", register.ErrTimeout, ctx.Err())
-				break loop
-			}
-			select {
-			case rep := <-sc.ch:
-				// One vote per server: re-sent rounds can draw duplicate
-				// replies, and quorum intersection needs distinct servers.
-				if !sc.seen[rep.From] {
-					sc.seen[rep.From] = true
-					sc.replies = append(sc.replies, rep)
-				}
-			case <-sc.retry.C:
-				if opErr = c.unreachable(round.Need); opErr != nil {
-					break loop
-				}
-				c.om.Retry()
-				c.trySends(ctx, sc, &env)
-			case <-ctx.Done():
-				opErr = fmt.Errorf("%w: %v", register.ErrTimeout, ctx.Err())
-				break loop
-			case <-c.closed:
-				opErr = ErrClosed
-				break loop
-			}
+		if opErr = c.awaitQuorum(ctx, ps, sc, &env); opErr != nil {
+			break
 		}
 		otr.Mark("quorum", roundNo)
-		next, r, done, err := op.Next(sc.replies)
+		next, r, done, err := op.Next(pr.replies)
 		switch {
 		case err != nil:
 			opErr = err
@@ -580,22 +599,23 @@ loop:
 		case done:
 			res = r
 			break loop
-		default:
-			// Round turnover, reusing the scratch: clear the entry (after
-			// which dispatch can't reach ch), flush stragglers of the old
-			// round out of the buffer, reset the vote set, then re-arm the
-			// entry for the next round.
-			c.clearPending(pk)
-			drainCh(sc.ch)
-			clear(sc.seen)
-			sc.replies = sc.replies[:0]
-			round = *next
-			roundNo++
 		}
+		round = *next
+		roundNo++
+		if opErr = c.unreachable(round.Need); opErr != nil {
+			break
+		}
+		// Round turnover: re-arm the entry in place. Stragglers of the old
+		// round no longer match its round number.
+		ps.mu.Lock()
+		pr.round, pr.need, pr.resend, pr.due = roundNo, round.Need, false, 0
+		pr.replies = pr.replies[:0]
+		ps.mu.Unlock()
 	}
-	c.clearPending(pk)
-	drainCh(sc.ch) // stragglers sent before the entry was cleared
-	credited := sc.pr.credited
+	ps.mu.Lock()
+	delete(ps.m, pk)
+	credited := pr.credited
+	ps.mu.Unlock()
 	c.putScratch(sc)
 	// Per-key workload counters are always on (one uncontended atomic add);
 	// the adaptive-protocol signals must not depend on metrics being up.
@@ -637,12 +657,52 @@ func (c *Client) unreachable(need int) error {
 	return nil
 }
 
-// trySends broadcasts the current round's envelope to every server whose
-// reply hasn't arrived yet, best-effort; unanswered servers are retried
-// on the next tick.
+// awaitQuorum blocks until the round's reply quorum is in, ctx expires
+// or the client closes. Each time the resender marks the round, it
+// re-sends to the servers whose reply is not in — after re-checking that
+// enough links remain for a quorum to form at all.
+func (c *Client) awaitQuorum(ctx context.Context, ps *pendShard, sc *execScratch, env *proto.Envelope) error {
+	pr := &sc.pr
+	for {
+		select {
+		case <-pr.ready:
+		case <-ctx.Done():
+		case <-c.closed:
+			return ErrClosed
+		}
+		// Expiry wins deterministically over ready replies: an
+		// already-cancelled ctx never completes the operation.
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("%w: %v", register.ErrTimeout, err)
+		}
+		ps.mu.Lock()
+		done, resend := pr.quorum(), pr.resend
+		pr.resend = false
+		if !done && resend {
+			for _, r := range pr.replies {
+				sc.replied[r.From.Index-1] = true
+			}
+		}
+		ps.mu.Unlock()
+		switch {
+		case done:
+			return nil
+		case resend:
+			if err := c.unreachable(pr.need); err != nil {
+				return err
+			}
+			c.om.Retry()
+			c.trySends(ctx, sc, env)
+		}
+	}
+}
+
+// trySends sends the round's envelope to every server whose reply is not
+// in yet, best-effort; servers still silent get it again when the
+// resender next marks the round.
 func (c *Client) trySends(ctx context.Context, sc *execScratch, env *proto.Envelope) {
-	for _, l := range c.links {
-		if sc.seen[l.id] || ctx.Err() != nil {
+	for i, l := range c.links {
+		if sc.replied[i] || ctx.Err() != nil {
 			continue
 		}
 		env.To = l.id
@@ -663,33 +723,18 @@ func (c *Client) pendShardOf(key string) *pendShard {
 	return c.pending[shard.Index(key, len(c.pending))]
 }
 
-// setPending installs the operation's (pooled, reused) pendingRound in
-// the table. The round engine mutates pr only while no table entry points
-// at it — clearPending is the barrier — so dispatch always reads a
-// consistent (round, ch) under the shard lock.
-func (c *Client) setPending(pk pendKey, pr *pendingRound) {
-	ps := c.pendShardOf(pk.key)
-	ps.mu.Lock()
-	ps.m[pk] = pr
-	ps.mu.Unlock()
-}
-
-func (c *Client) clearPending(pk pendKey) {
-	ps := c.pendShardOf(pk.key)
-	ps.mu.Lock()
-	delete(ps.m, pk)
-	ps.mu.Unlock()
-}
-
-// dispatch routes one reply envelope to its operation's current round.
-// Replies for finished operations or superseded rounds are dropped — a
-// slow server's round-1 straggler must never count toward round 2. The
-// channel send happens under the shard lock (non-blocking: ch is buffered
-// to S and overflow can only be protocol abuse, dropped like a lost
-// message); that makes clearPending a barrier the round engine relies on
-// to recycle channels safely.
+// dispatch collects one reply envelope into its operation's current
+// round. Replies for finished operations or superseded rounds are
+// dropped — a slow server's round-1 straggler must never count toward
+// round 2 — and so are replies from outside the fleet, a second reply
+// from one server (re-sent rounds draw duplicates, and quorum
+// intersection needs distinct servers), and replies past the quorum. The
+// reply that completes the quorum wakes the operation, under the shard
+// lock, which makes removing the entry a barrier the round engine relies
+// on to recycle it.
 func (c *Client) dispatch(env proto.Envelope) {
-	if !env.IsReply || env.Payload == nil {
+	if !env.IsReply || env.Payload == nil || env.From.Role != types.RoleServer ||
+		env.From.Index < 1 || env.From.Index > len(c.links) {
 		return
 	}
 	pk := pendKey{client: env.To, key: env.Key, opID: env.OpID}
@@ -706,15 +751,27 @@ func (c *Client) dispatch(env proto.Envelope) {
 			p.credited += env.Weight
 			harvest = env.Weight
 		}
-		select {
-		case p.ch <- register.Reply{From: env.From, Msg: env.Payload}:
-		default: // >S replies for one round can only be protocol abuse; drop
+		if !p.quorum() && !hasReplyFrom(p.replies, env.From) {
+			p.replies = append(p.replies, register.Reply{From: env.From, Msg: env.Payload})
+			if p.quorum() {
+				p.wake()
+			}
 		}
 	}
 	ps.mu.Unlock()
 	if harvest != 0 {
 		c.coord.Return(env.Epoch, harvest)
 	}
+}
+
+// hasReplyFrom reports whether replies holds one from server s.
+func hasReplyFrom(replies []register.Reply, s types.ProcID) bool {
+	for _, r := range replies {
+		if r.From == s {
+			return true
+		}
+	}
+	return false
 }
 
 // Abandon severs the client's link to server s_i (1-based) permanently —
@@ -771,7 +828,8 @@ func (c *Client) Histories() map[string]history.History { return c.reg.Histories
 // Keys returns the keys this client's registry has touched, sorted.
 func (c *Client) Keys() []string { return c.reg.Keys() }
 
-// Close tears down every link; blocked operations return ErrClosed.
+// Close tears down every link; blocked operations return ErrClosed. The
+// resender and eviction sweeper have exited when it returns.
 func (c *Client) Close() {
 	c.once.Do(func() {
 		close(c.closed)
@@ -779,23 +837,13 @@ func (c *Client) Close() {
 			l.shutdown()
 		}
 	})
+	c.wg.Wait()
 }
 
-// send queues one envelope for the link, (re)dialing if needed
-// (unbatched mode sends it as its own frame immediately). Delivery is
-// best-effort — a dropped envelope is re-attempted by its round's retry
-// ticker; only a recorded reply proves delivery.
+// send queues one envelope for the link's flusher. Delivery is
+// best-effort — a dropped envelope is re-sent when the resender marks its
+// round; only a recorded reply proves delivery.
 func (l *serverLink) send(env proto.Envelope) {
-	if l.c.unbatched {
-		conn, err := l.get()
-		if err != nil {
-			return
-		}
-		if err := conn.Send(env); err != nil {
-			l.drop(conn)
-		}
-		return
-	}
 	l.qmu.Lock()
 	if l.queue == nil {
 		l.queue = proto.GetEnvs()
@@ -841,7 +889,7 @@ func (l *serverLink) flushLoop() {
 			}
 			conn, err := l.get()
 			if err != nil {
-				// Link down: drop the batch, rounds re-send on their tick.
+				// Link down: drop the batch; the resender has rounds re-send.
 				proto.PutEnvs(batch)
 				continue
 			}
@@ -856,8 +904,8 @@ func (l *serverLink) flushLoop() {
 // get returns the live connection if there is one; with none, it kicks
 // off an asynchronous (re)dial — respecting the backoff window — and
 // reports the connection as down. Senders therefore never stall behind a
-// black-holed replica: the round's retry ticker re-attempts once the
-// dial settles. Abandon and Close are likewise never blocked (the dial
+// black-holed replica: the round re-sends, once the dial has settled,
+// when the resender marks it. Abandon and Close are likewise never blocked (the dial
 // runs outside the mutex, in its own goroutine).
 func (l *serverLink) get() (Conn, error) {
 	l.mu.Lock()

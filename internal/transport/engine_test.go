@@ -1,0 +1,388 @@
+package transport
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"fastreg/internal/atomicity"
+	"fastreg/internal/mwabd"
+	"fastreg/internal/proto"
+	"fastreg/internal/quorum"
+	"fastreg/internal/register"
+	"fastreg/internal/types"
+)
+
+// connHooks intercept one client link's batches: send sees each outgoing
+// batch and may drop it (false); recv maps each incoming reply to the
+// replies the client gets instead. A nil hook passes everything.
+type connHooks struct {
+	send func(envs []proto.Envelope) bool
+	recv func(env proto.Envelope) []proto.Envelope
+}
+
+// hookConn is a client-side Conn running its batches through hooks.
+type hookConn struct {
+	Conn
+	connHooks
+}
+
+func (c *hookConn) SendBatch(envs []proto.Envelope) error {
+	if c.send != nil && !c.send(envs) {
+		proto.PutEnvs(envs)
+		return nil
+	}
+	return c.Conn.SendBatch(envs)
+}
+
+func (c *hookConn) RecvBatch() ([]proto.Envelope, error) {
+	envs, err := c.Conn.RecvBatch()
+	if err != nil || c.recv == nil {
+		return envs, err
+	}
+	out := proto.GetEnvs()
+	for _, env := range envs {
+		out = append(out, c.recv(env)...)
+	}
+	proto.PutEnvs(envs)
+	return out, nil
+}
+
+// hookedClient starts cfg.S in-process replicas running p and a client
+// whose link to replica s_i runs through hooks(i), made once per replica
+// so that state the hooks keep outlives a redial. hooks may be nil.
+func hookedClient(t *testing.T, cfg quorum.Config, p register.Protocol, hooks func(srv int) connHooks, opts ...ClientOption) *Client {
+	t.Helper()
+	net := NewChanNetwork()
+	addrs := make([]string, cfg.S)
+	byAddr := make(map[string]connHooks, cfg.S)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("s%d", i+1)
+		lis, err := net.Listen(addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(cfg, mwabd.New(), i+1, lis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		if hooks != nil {
+			byAddr[addrs[i]] = hooks(i + 1)
+		}
+	}
+	dial := func(addr string) (Conn, error) {
+		conn, err := net.Dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		return &hookConn{Conn: conn, connHooks: byAddr[addr]}, nil
+	}
+	c, err := NewClient(cfg, p, addrs, dial, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+// nextRecorder wraps a protocol so that every reply set its writes'
+// Next receives is kept for inspection.
+type nextRecorder struct {
+	register.Protocol
+	mu    sync.Mutex
+	calls [][]register.Reply
+}
+
+type recWriter struct {
+	register.Writer
+	p *nextRecorder
+}
+
+type recOp struct {
+	register.Operation
+	p *nextRecorder
+}
+
+func (p *nextRecorder) NewWriter(id types.ProcID, cfg quorum.Config) register.Writer {
+	return recWriter{p.Protocol.NewWriter(id, cfg), p}
+}
+
+func (w recWriter) WriteOp(data string) register.Operation {
+	return recOp{w.Writer.WriteOp(data), w.p}
+}
+
+func (o recOp) Next(replies []register.Reply) (*register.Round, types.Value, bool, error) {
+	o.p.mu.Lock()
+	o.p.calls = append(o.p.calls, slices.Clone(replies))
+	o.p.mu.Unlock()
+	return o.Operation.Next(replies)
+}
+
+// TestRoundEngineCollector pins what the reply collector lets through to
+// Next, one W2R2 write (a Query round, then an Update round) per case
+// against S=3, t=1. A case whose tampered replies must not make a quorum
+// expects the write to time out, not fail on a bad reply.
+func TestRoundEngineCollector(t *testing.T) {
+	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
+	pass := func(env proto.Envelope) []proto.Envelope { return []proto.Envelope{env} }
+	drop := func(proto.Envelope) []proto.Envelope { return nil }
+	cases := []struct {
+		name     string
+		recv     func(srv int) func(proto.Envelope) []proto.Envelope
+		wantErr  error // nil: the write completes
+		wantNext int
+	}{
+		{
+			name: "duplicate replies count once",
+			recv: func(srv int) func(proto.Envelope) []proto.Envelope {
+				if srv == 1 {
+					return func(env proto.Envelope) []proto.Envelope { return []proto.Envelope{env, env, env} }
+				}
+				return drop
+			},
+			wantErr: register.ErrTimeout,
+		},
+		{
+			// s3 holds its round-1 reply back and delivers it in place of
+			// its round-2 reply; s2 answers round 1 only.
+			name: "round-1 straggler arriving in round 2 never counts",
+			recv: func(srv int) func(proto.Envelope) []proto.Envelope {
+				switch srv {
+				case 2:
+					return func(env proto.Envelope) []proto.Envelope {
+						if env.Round == 1 {
+							return []proto.Envelope{env}
+						}
+						return nil
+					}
+				case 3:
+					var held []proto.Envelope
+					return func(env proto.Envelope) []proto.Envelope {
+						if env.Round == 1 {
+							held = append(held, env)
+							return nil
+						}
+						return held
+					}
+				}
+				return pass
+			},
+			wantErr:  register.ErrTimeout,
+			wantNext: 1,
+		},
+		{
+			name:     "replies past Need never reach Next",
+			recv:     func(int) func(proto.Envelope) []proto.Envelope { return pass },
+			wantNext: 2,
+		},
+		{
+			name: "replies from unknown server indices are dropped",
+			recv: func(srv int) func(proto.Envelope) []proto.Envelope {
+				forged := map[int]types.ProcID{2: types.Server(cfg.S + 1), 3: types.Server(0)}
+				if f, ok := forged[srv]; ok {
+					return func(env proto.Envelope) []proto.Envelope {
+						env.From = f
+						return []proto.Envelope{env}
+					}
+				}
+				return pass
+			},
+			wantErr: register.ErrTimeout,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &nextRecorder{Protocol: mwabd.New()}
+			c := hookedClient(t, cfg, p, func(srv int) connHooks { return connHooks{recv: tc.recv(srv)} })
+			ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+			defer cancel()
+			_, err := c.Write(ctx, "k", 1, "v")
+			switch {
+			case tc.wantErr == nil && err != nil:
+				t.Fatalf("write failed: %v", err)
+			case tc.wantErr != nil && !errors.Is(err, tc.wantErr):
+				t.Fatalf("write returned %v, want %v", err, tc.wantErr)
+			}
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			if len(p.calls) != tc.wantNext {
+				t.Fatalf("Next called %d times, want %d", len(p.calls), tc.wantNext)
+			}
+			need := cfg.ReplyQuorum()
+			for i, replies := range p.calls {
+				seen := make(map[types.ProcID]bool)
+				for _, r := range replies {
+					if r.From.Role != types.RoleServer || r.From.Index < 1 || r.From.Index > cfg.S || seen[r.From] {
+						t.Fatalf("Next call %d: reply from %v (replies %v)", i+1, r.From, replies)
+					}
+					seen[r.From] = true
+				}
+				if len(replies) != need {
+					t.Fatalf("Next call %d got %d replies, want exactly %d", i+1, len(replies), need)
+				}
+			}
+		})
+	}
+}
+
+// TestRoundEngineStress runs concurrent writers and readers on shared
+// keys while one link is abandoned, then a second (leaving no quorum),
+// and then the client closes — each landing mid-round. Every operation
+// must return promptly: with a result, or with ErrProtocol or ErrClosed,
+// which end its identity's loop. The recorded histories must stay
+// well-formed and atomic. (Ending each loop at its first failure keeps the
+// failed writes, which the checker must treat as optional, few.)
+func TestRoundEngineStress(t *testing.T) {
+	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
+	c := hookedClient(t, cfg, mwabd.New(), nil)
+	keys := []string{"a", "b", "c"}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make(chan error, cfg.W+cfg.R)
+	run := func(id int, op func(key string, i int) error) {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			err := op(keys[(id+i)%len(keys)], i)
+			switch {
+			case err == nil:
+				continue
+			case !errors.Is(err, register.ErrProtocol) && !errors.Is(err, ErrClosed):
+				errs <- err
+			}
+			return
+		}
+	}
+	for w := 1; w <= cfg.W; w++ {
+		wg.Add(1)
+		go run(w, func(key string, i int) error {
+			_, err := c.Write(ctx, key, w, fmt.Sprintf("w%d-%d", w, i))
+			return err
+		})
+	}
+	for r := 1; r <= cfg.R; r++ {
+		wg.Add(1)
+		go run(r, func(key string, _ int) error {
+			_, err := c.Read(ctx, key, r)
+			return err
+		})
+	}
+	time.Sleep(20 * time.Millisecond)
+	c.Abandon(1)
+	time.Sleep(20 * time.Millisecond)
+	c.Abandon(2)
+	time.Sleep(5 * time.Millisecond)
+	c.Close()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, key := range c.Keys() {
+		h := c.History(key)
+		if err := h.WellFormed(); err != nil {
+			t.Fatalf("key %s: malformed history: %v", key, err)
+		}
+		if res := atomicity.Check(h); !res.Atomic {
+			t.Fatalf("key %s: atomicity violated: %s", key, res)
+		}
+	}
+}
+
+// TestRoundEngineResend drops every send to every replica for the
+// initial attempt and the first k resends: the resender must get the
+// (k+1)-th resend out in time for the write to finish within
+// (k+2)·resendInterval. A busy machine only ever adds time, so the test
+// takes the best of three attempts.
+func TestRoundEngineResend(t *testing.T) {
+	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
+	for k := 0; k <= 3; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			limit := time.Duration(k+2) * resendInterval
+			best := time.Duration(1<<63 - 1)
+			for attempt := 0; attempt < 3 && best > limit; attempt++ {
+				best = min(best, timeDroppedWrite(t, cfg, k))
+			}
+			if best > limit {
+				t.Fatalf("write took %v with %d resends dropped, want ≤ %v", best, k, limit)
+			}
+		})
+	}
+}
+
+// timeDroppedWrite times one write on a fresh fleet whose links drop the
+// first k+1 batches each.
+func timeDroppedWrite(t *testing.T, cfg quorum.Config, k int) time.Duration {
+	c := hookedClient(t, cfg, mwabd.New(), func(int) connHooks {
+		dropped := 0
+		return connHooks{send: func([]proto.Envelope) bool {
+			if dropped <= k {
+				dropped++
+				return false
+			}
+			return true
+		}}
+	})
+	// Dial first, so no attempt is lost to a link still connecting.
+	if n := c.Connect(); n != cfg.S {
+		t.Fatalf("Connect() = %d", n)
+	}
+	start := time.Now()
+	if _, err := c.Write(context.Background(), "k", 1, "v"); err != nil {
+		t.Fatal(err)
+	}
+	return time.Since(start)
+}
+
+// TestRoundEngineExpiredCtx: an operation whose ctx has already expired
+// never completes, even on a fleet that would answer at once.
+func TestRoundEngineExpiredCtx(t *testing.T) {
+	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
+	c := hookedClient(t, cfg, mwabd.New(), nil)
+	if _, err := c.Write(context.Background(), "k", 1, "v0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		if _, err := c.Write(ctx, "k", 1, fmt.Sprintf("v%d", i+1)); !errors.Is(err, register.ErrTimeout) {
+			t.Fatalf("write %d with an expired ctx returned %v, want ErrTimeout", i, err)
+		}
+		if _, err := c.Read(ctx, "k", 1); !errors.Is(err, register.ErrTimeout) {
+			t.Fatalf("read %d with an expired ctx returned %v, want ErrTimeout", i, err)
+		}
+	}
+	if n := len(c.History("k").Completed()); n != 1 {
+		t.Fatalf("%d completed ops, want only the first write", n)
+	}
+}
+
+// TestRoundEngineCloseStopsResender: the resender and the eviction
+// sweeper have exited by the time Close returns.
+func TestRoundEngineCloseStopsResender(t *testing.T) {
+	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
+	count := func() (resenders, sweepers int) {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		return strings.Count(stacks, "(*Client).resender("), strings.Count(stacks, "(*Client).sweeper(")
+	}
+	r0, s0 := count()
+	c := hookedClient(t, cfg, mwabd.New(), nil, WithClientEviction(time.Hour))
+	if _, err := c.Write(context.Background(), "k", 1, "v"); err != nil {
+		t.Fatal(err)
+	}
+	if r, s := count(); r != r0+1 || s != s0+1 {
+		t.Fatalf("running client: %d resenders, %d sweepers; want %d, %d", r, s, r0+1, s0+1)
+	}
+	c.Close()
+	if r, s := count(); r != r0 || s != s0 {
+		t.Fatalf("after Close: %d resenders, %d sweepers; want %d, %d", r, s, r0, s0)
+	}
+}

@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,11 +28,11 @@ const DefaultServerShards = shard.Default
 //
 // Each accepted connection gets one receive-loop goroutine that drains
 // whole frames — a client's coalesced batch arrives as one multi-envelope
-// frame — groups the batch by key shard, runs each group under a single
-// acquisition of its shard lock (which serializes Handle per key across
-// connections, the protocol's server-state requirement), and replies in
-// kind: every reply the batch produced rides back in one batched frame on
-// the connection's coalescing writer.
+// frame — handles the batch in arrival order under the key shards' locks
+// (which serialize Handle per key across connections, the protocol's
+// server-state requirement; consecutive requests to one shard share one
+// acquisition), and replies in kind: every reply the batch produced rides
+// back in one batched frame on the connection's coalescing writer.
 type Server struct {
 	id       types.ProcID
 	cfg      quorum.Config
@@ -349,8 +347,9 @@ type replyCollector struct {
 }
 
 // deliver hands one reply group to the collector, dropping it if the
-// connection or server is shutting down (the client re-sends on its retry
-// tick; replies are best-effort like any other message). Ownership of
+// connection or server is shutting down (the client re-sends when the
+// round has waited resendInterval; replies are best-effort like any other
+// message). Ownership of
 // replies transfers here on every path: enqueued slabs are recycled by
 // the collector loop, dropped ones immediately.
 //
@@ -420,8 +419,8 @@ func (s *Server) workerLoop(idx int, inbox chan workItem) {
 }
 
 // serveConn is one connection's receive loop. Inline (no worker pool):
-// drain the next frame's whole batch, run it shard group by shard group,
-// send every reply back in one batched frame. With the shard-affine pool:
+// drain the next frame's whole batch, handle it, send every reply back in
+// one batched frame. With the shard-affine pool:
 // decode and partition only — each shard group goes to the worker owning
 // that shard, and replies return through the connection's collector.
 func (s *Server) serveConn(conn Conn) {
@@ -516,10 +515,9 @@ func (s *Server) serveConnWorkers(conn Conn) {
 	}
 }
 
-// handleReqs sorts the requests into runs of equal shard (stable, so
-// per-key arrival order is preserved) and handles each run under one
-// acquisition of its shard lock — the batching payoff. Correlated replies are appended to out
-// (typically a pooled slab) in request order per shard run.
+// handleReqs handles the requests in arrival order, taking a shard's lock
+// once per run of consecutive requests to that shard. Correlated replies
+// are appended to out (typically a pooled slab) in request order.
 //
 //lint:captureflush
 func (s *Server) handleReqs(reqs []connReq, out []proto.Envelope) []proto.Envelope {
@@ -528,9 +526,6 @@ func (s *Server) handleReqs(reqs []connReq, out []proto.Envelope) []proto.Envelo
 	var t0 time.Time
 	if s.slowBatch > 0 {
 		t0 = time.Now()
-	}
-	if len(reqs) > 1 {
-		slices.SortStableFunc(reqs, func(a, b connReq) int { return cmp.Compare(a.shard, b.shard) })
 	}
 	epoch := s.reg.Epoch()
 	var caps []capturedHandle // only allocated when capture is on

@@ -109,7 +109,6 @@ type openOptions struct {
 	kind        backendKind
 	addrs       []string
 	evictTTL    time.Duration
-	unbatched   bool
 	vouchT      int
 	captureDir  string
 	rotateBytes int64
@@ -226,14 +225,6 @@ func WithAuditEpochs(interval time.Duration) Option {
 	return func(o *openOptions) { o.epochEvery = interval }
 }
 
-// WithUnbatchedSends disables the client's message-level coalescing:
-// every envelope goes out as its own frame, the pre-batching wire
-// behavior. Benchmarks use it to measure what coalescing buys;
-// production stores should leave batching on.
-func WithUnbatchedSends() Option {
-	return func(o *openOptions) { o.unbatched = true }
-}
-
 // WithVouchedReads hardens the store's reads against Byzantine replicas:
 // before the fast read's admissibility selection runs, every value
 // reported by at most t servers is discarded. A fabricated value can
@@ -322,9 +313,6 @@ func Open(cfg Config, p Protocol, opts ...Option) (*Store, error) {
 	}
 	if o.vouchT > 0 {
 		copts = append(copts, transport.WithVouchedReads(o.vouchT))
-	}
-	if o.unbatched {
-		copts = append(copts, transport.WithUnbatchedSends())
 	}
 	if o.evictTTL > 0 {
 		copts = append(copts, transport.WithClientEviction(o.evictTTL))

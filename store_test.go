@@ -25,7 +25,6 @@ func TestOpenOptionValidation(t *testing.T) {
 		{"capture-evict", W2R2, []Option{WithCapture(t.TempDir()), WithEvictionTTL(time.Minute)}, false},
 		// The vouched filter reasons about W2R1's reply vectors only.
 		{"vouched-w2r2", W2R2, []Option{WithVouchedReads(1)}, false},
-		{"unbatched-inprocess", W2R2, []Option{WithUnbatchedSends()}, true},
 		{"slowop-inprocess", W2R2, []Option{WithSlowOpTrace(time.Hour)}, true},
 		{"vouched-inprocess", W2R1, []Option{WithVouchedReads(1)}, true},
 		{"epochs-inprocess", W2R2, []Option{WithCapture(t.TempDir()), WithAuditEpochs(time.Hour)}, true},
