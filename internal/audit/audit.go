@@ -341,12 +341,14 @@ func (w *Writer) Handle(env proto.Envelope, reply proto.Message, seq uint64) {
 		Epoch:   env.Epoch,
 		Seq:     seq,
 	}
-	if up, ok := env.Payload.(proto.Update); ok {
-		rec.Val = up.Val
+	if up, ok := env.Payload.(proto.Update); ok && up.Val != nil {
+		rec.Val = *up.Val
 	}
 	switch m := reply.(type) {
 	case proto.QueryAck:
-		rec.ReplyVal = m.Val
+		if m.Val != nil {
+			rec.ReplyVal = *m.Val
+		}
 	case proto.FastReadAck:
 		for _, e := range m.Vector {
 			rec.ReplyVal = types.MaxValue(rec.ReplyVal, e.Val)

@@ -298,7 +298,7 @@ func TestMergeDedupsRetriedRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := proto.Envelope{From: types.Writer(1), To: types.Server(i), Key: "k", OpID: 1, Round: 2, Payload: proto.Update{Val: val}}
+		env := proto.Envelope{From: types.Writer(1), To: types.Server(i), Key: "k", OpID: 1, Round: 2, Payload: proto.Update{Val: &val}}
 		w.Handle(env, proto.UpdateAck{}, 1)
 		w.Handle(env, proto.UpdateAck{}, 2) // retried round: exact duplicate
 		if err := w.Close(); err != nil {

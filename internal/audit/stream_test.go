@@ -79,10 +79,10 @@ func forgeStaleReplicaLog(t *testing.T, dir string) string {
 	}
 	v5 := types.Value{Tag: types.Tag{TS: 5, WID: types.Writer(1)}, Data: "new"}
 	v2 := types.Value{Tag: types.Tag{TS: 2, WID: types.Writer(1)}, Data: "old"}
-	up := proto.Envelope{From: types.Writer(1), To: types.Server(1), Key: "k", OpID: 1, Round: 1, Payload: proto.Update{Val: v5}}
+	up := proto.Envelope{From: types.Writer(1), To: types.Server(1), Key: "k", OpID: 1, Round: 1, Payload: proto.Update{Val: &v5}}
 	w.Handle(up, proto.UpdateAck{}, 1)
 	rd := proto.Envelope{From: types.Reader(1), To: types.Server(1), Key: "k", OpID: 2, Round: 1, Payload: proto.Query{}}
-	w.Handle(rd, proto.QueryAck{Val: v2}, 2)
+	w.Handle(rd, proto.QueryAck{Val: &v2}, 2)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

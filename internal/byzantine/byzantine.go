@@ -31,7 +31,7 @@ import (
 // normally so the rest of the execution proceeds.
 type LyingServer struct {
 	inner register.ServerLogic
-	forge types.Value
+	forge types.Value // forged QueryAcks point here: never written after NewLyingServer
 }
 
 // NewLyingServer wraps inner; the forged value claims timestamp 1<<40 from
@@ -60,7 +60,7 @@ func (s *LyingServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 	reply := s.inner.Handle(from, m)
 	switch r := reply.(type) {
 	case proto.QueryAck:
-		r.Val = s.forge
+		r.Val = &s.forge
 		return r
 	case proto.FastReadAck:
 		// The inner server's reply is its own state (a frozen vector):

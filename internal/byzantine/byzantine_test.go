@@ -157,7 +157,7 @@ func TestLyingServerLeavesTheHonestStateAlone(t *testing.T) {
 	inner := w2r1.New().NewServer(types.Server(1), feasible())
 	liar := byzantine.NewLyingServer(inner)
 	v := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "real"}
-	liar.Handle(types.Writer(1), proto.Update{Val: v})
+	liar.Handle(types.Writer(1), proto.Update{Val: &v})
 
 	forgedIn := func(m proto.Message) bool {
 		_, ok := m.(proto.FastReadAck).Entry(liar.Forged())

@@ -58,14 +58,17 @@ func (s *LogServer) Log() []proto.LogEvent {
 
 // Handle implements register.ServerLogic.
 //
-//   - Update   → append (client, value), WRITEACK;
+//   - Update   → append (client, value), WRITEACK; dropped without a value;
 //   - FastRead → append a read marker (the blind effect of a reader's first
 //     round-trip), reply with the full log;
 //   - Query    → reply with the full log without appending (a pure query).
 func (s *LogServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 	switch msg := m.(type) {
 	case proto.Update:
-		s.log = append(s.log, proto.LogEvent{Client: from, Val: msg.Val})
+		if msg.Val == nil {
+			return nil
+		}
+		s.log = append(s.log, proto.LogEvent{Client: from, Val: *msg.Val})
 		return proto.UpdateAck{}
 	case proto.FastRead:
 		s.log = append(s.log, proto.LogEvent{Client: from})

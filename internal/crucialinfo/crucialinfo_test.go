@@ -9,6 +9,9 @@ import (
 	"fastreg/internal/types"
 )
 
+// ptr returns a pointer to a copy of v, for QueryAck and Update literals.
+func ptr(v types.Value) *types.Value { return &v }
+
 func val(ts int64, w int, data string) types.Value {
 	return types.Value{Tag: types.Tag{TS: ts, WID: types.Writer(w)}, Data: data}
 }
@@ -16,7 +19,7 @@ func val(ts int64, w int, data string) types.Value {
 func TestLogServerAppendsEverything(t *testing.T) {
 	s := NewLogServer(types.Server(1))
 	v := val(1, 1, "a")
-	if _, ok := s.Handle(types.Writer(1), proto.Update{Val: v}).(proto.UpdateAck); !ok {
+	if _, ok := s.Handle(types.Writer(1), proto.Update{Val: &v}).(proto.UpdateAck); !ok {
 		t.Fatal("update not acked")
 	}
 	ack, ok := s.Handle(types.Reader(1), proto.FastRead{}).(proto.LogAck)
@@ -42,7 +45,7 @@ func TestLogServerAppendsEverything(t *testing.T) {
 
 func TestLogSnapshotUnaliased(t *testing.T) {
 	s := NewLogServer(types.Server(1))
-	s.Handle(types.Writer(1), proto.Update{Val: val(1, 1, "a")})
+	s.Handle(types.Writer(1), proto.Update{Val: ptr(val(1, 1, "a"))})
 	log := s.Log()
 	log[0] = proto.LogEvent{Client: types.Reader(9)}
 	if s.Log()[0].Client != types.Writer(1) {
@@ -81,8 +84,8 @@ func TestCrucialExtraction(t *testing.T) {
 func TestFlippingServerFlipsOnceOnTrigger(t *testing.T) {
 	v1, v2 := val(1, 1, "1"), val(1, 2, "2")
 	s := NewFlippingServer(types.Server(1), types.Reader(2))
-	s.Handle(types.Writer(1), proto.Update{Val: v1})
-	s.Handle(types.Writer(2), proto.Update{Val: v2})
+	s.Handle(types.Writer(1), proto.Update{Val: &v1})
+	s.Handle(types.Writer(2), proto.Update{Val: &v2})
 	if got := Crucial(s.Log(), v1, v2); got != "12" {
 		t.Fatalf("before trigger: %q", got)
 	}
@@ -108,7 +111,7 @@ func TestFlippingServerFlipsOnceOnTrigger(t *testing.T) {
 func TestFlippingServerWithOneWriteIsNoop(t *testing.T) {
 	v1 := val(1, 1, "1")
 	s := NewFlippingServer(types.Server(1), types.Reader(2))
-	s.Handle(types.Writer(1), proto.Update{Val: v1})
+	s.Handle(types.Writer(1), proto.Update{Val: &v1})
 	s.Handle(types.Reader(2), proto.FastRead{})
 	if got := Crucial(s.Log(), v1, val(1, 2, "2")); got != "1" {
 		t.Fatalf("crucial = %q", got)

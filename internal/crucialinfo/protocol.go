@@ -103,7 +103,7 @@ func (w *writer) WriteOp(data string) register.Operation {
 // fastWrite is the one-round full-info write.
 type fastWrite struct {
 	client types.ProcID
-	val    types.Value
+	val    types.Value // the Update points here: never written
 	need   int
 }
 
@@ -112,7 +112,7 @@ func (w *fastWrite) Kind() types.OpKind   { return types.OpWrite }
 func (w *fastWrite) Arg() types.Value     { return w.val }
 
 func (w *fastWrite) Begin() register.Round {
-	return register.Round{Payload: proto.Update{Val: w.val}, Need: w.need}
+	return register.Round{Payload: proto.Update{Val: &w.val}, Need: w.need}
 }
 
 func (w *fastWrite) Next(replies []register.Reply) (*register.Round, types.Value, bool, error) {

@@ -151,9 +151,9 @@ type Plan struct {
 	rules []Rule
 
 	mu      sync.Mutex
-	started bool              // guardedby: mu
-	start   time.Time         // guardedby: mu
-	seq     map[string]int64  // guardedby: mu — per-direction connection instance counter
+	started bool                 // guardedby: mu
+	start   time.Time            // guardedby: mu
+	seq     map[string]int64     // guardedby: mu — per-direction connection instance counter
 	clock   func() time.Duration // guardedby: mu — overridden by SetClock (tests)
 }
 

@@ -18,10 +18,10 @@
 //	// guardedby: <mutexfield>
 //	    On a struct field: the field may only be accessed while the
 //	    sibling mutex field is held (shardlock).
-//	// frozen: <who shares the slice>
-//	    On a slice-typed struct field: the field may be reassigned but
-//	    never written through — no element assignment, append or copy
-//	    into it (frozenslice).
+//	// frozen: <who shares the slice or value>
+//	    On a slice- or pointer-typed struct field: the field may be
+//	    reassigned but never written through — no element or pointee
+//	    assignment, append or copy into it (frozenslice).
 //	//lint:consumes <param>
 //	    On a function: calling it transfers ownership of the named
 //	    slice parameter back to the pool (pooledalias).
@@ -49,7 +49,7 @@ import (
 // driver's -V=full handshake (the `go vet -vettool` protocol requires a
 // non-"devel" version token) and stamped into fastreg-bench records so
 // perf results are attributable to a toolchain.
-const Version = "v1.9.0"
+const Version = "v1.10.0"
 
 // An Analyzer is one named check. Run inspects a single package and
 // reports findings through the Pass.

@@ -28,8 +28,8 @@ func sameVector(a, b []proto.VectorEntry) bool {
 func TestVectorServerRepliesAreFrozen(t *testing.T) {
 	s := NewVectorServer(types.Server(1))
 	v1, v2, v3 := val(1, 1, "a"), val(2, 2, "b"), val(3, 1, "c")
-	s.Handle(types.Writer(1), proto.Update{Val: v1})
-	s.Handle(types.Writer(2), proto.Update{Val: v3})
+	s.Handle(types.Writer(1), proto.Update{Val: &v1})
+	s.Handle(types.Writer(2), proto.Update{Val: &v3})
 
 	var replies, copies [][]proto.VectorEntry
 	capture := func(m proto.Message) {
@@ -40,11 +40,11 @@ func TestVectorServerRepliesAreFrozen(t *testing.T) {
 	capture(s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{types.InitialValue(), v1, v3}}))
 	// Other clients move the replica on: a value below the largest, a new
 	// largest, a second reader joining every entry, a writer joining one.
-	s.Handle(types.Writer(2), proto.Update{Val: v2})
+	s.Handle(types.Writer(2), proto.Update{Val: &v2})
 	capture(s.Handle(types.Reader(2), proto.FastRead{ValQueue: []types.Value{val(9, 2, "z"), v2}}))
-	s.Handle(types.Writer(1), proto.Update{Val: v3})
+	s.Handle(types.Writer(1), proto.Update{Val: &v3})
 	capture(s.Handle(types.Reader(1), proto.FastRead{ValQueue: nil}))
-	s.Handle(types.Writer(2), proto.Update{Val: val(10, 2, "y")})
+	s.Handle(types.Writer(2), proto.Update{Val: ptr(val(10, 2, "y"))})
 
 	for i := range replies {
 		if !sameVector(replies[i], copies[i]) {

@@ -18,7 +18,7 @@ type QueryThenUpdateWrite struct {
 	data   string
 	need   int
 	phase  int
-	val    types.Value
+	val    types.Value    // the Update points here: never written after round 2 is returned
 	next   register.Round // what Next returns a pointer to
 }
 
@@ -58,7 +58,7 @@ func (w *QueryThenUpdateWrite) Next(replies []register.Reply) (*register.Round, 
 		var maxTS int64
 		for _, r := range replies {
 			ack, ok := r.Msg.(proto.QueryAck)
-			if !ok {
+			if !ok || ack.Val == nil {
 				return nil, types.Value{}, false, register.BadReply("write query", r.Msg)
 			}
 			if ack.Val.Tag.TS > maxTS {
@@ -67,7 +67,7 @@ func (w *QueryThenUpdateWrite) Next(replies []register.Reply) (*register.Round, 
 		}
 		w.val = types.Value{Tag: types.Tag{TS: maxTS + 1, WID: w.client}, Data: w.data}
 		w.phase = 2
-		w.next = register.Round{Payload: proto.Update{Val: w.val}, Need: w.need}
+		w.next = register.Round{Payload: proto.Update{Val: &w.val}, Need: w.need}
 		return &w.next, types.Value{}, false, nil
 	case 2:
 		for _, r := range replies {
@@ -87,7 +87,7 @@ func (w *QueryThenUpdateWrite) Next(replies []register.Reply) (*register.Round, 
 // impossibility machinery exhibits in the multi-writer case.
 type DirectWrite struct {
 	client types.ProcID
-	val    types.Value
+	val    types.Value // the Update points here: never written
 	need   int
 }
 
@@ -107,7 +107,7 @@ func (w *DirectWrite) Arg() types.Value { return w.val }
 
 // Begin implements register.Operation.
 func (w *DirectWrite) Begin() register.Round {
-	return register.Round{Payload: proto.Update{Val: w.val}, Need: w.need}
+	return register.Round{Payload: proto.Update{Val: &w.val}, Need: w.need}
 }
 
 // Next implements register.Operation.
@@ -128,7 +128,7 @@ type ReadWriteBack struct {
 	client types.ProcID
 	need   int
 	phase  int
-	maxV   types.Value
+	maxV   types.Value    // the write-back points here: never written after round 2 is returned
 	next   register.Round // what Next returns a pointer to
 }
 
@@ -159,15 +159,15 @@ func (r *ReadWriteBack) Next(replies []register.Reply) (*register.Round, types.V
 		r.maxV = types.InitialValue()
 		for _, rep := range replies {
 			ack, ok := rep.Msg.(proto.QueryAck)
-			if !ok {
+			if !ok || ack.Val == nil {
 				return nil, types.Value{}, false, register.BadReply("read query", rep.Msg)
 			}
-			if r.maxV.Less(ack.Val) {
-				r.maxV = ack.Val
+			if r.maxV.Less(*ack.Val) {
+				r.maxV = *ack.Val
 			}
 		}
 		r.phase = 2
-		r.next = register.Round{Payload: proto.Update{Val: r.maxV}, Need: r.need}
+		r.next = register.Round{Payload: proto.Update{Val: &r.maxV}, Need: r.need}
 		return &r.next, types.Value{}, false, nil
 	case 2:
 		for _, rep := range replies {
@@ -214,11 +214,11 @@ func (r *ReadNoWriteBack) Next(replies []register.Reply) (*register.Round, types
 	maxV := types.InitialValue()
 	for _, rep := range replies {
 		ack, ok := rep.Msg.(proto.QueryAck)
-		if !ok {
+		if !ok || ack.Val == nil {
 			return nil, types.Value{}, false, register.BadReply("read query", rep.Msg)
 		}
-		if maxV.Less(ack.Val) {
-			maxV = ack.Val
+		if maxV.Less(*ack.Val) {
+			maxV = *ack.Val
 		}
 	}
 	return nil, maxV, true, nil

@@ -92,7 +92,7 @@ func TestReadWriteBack(t *testing.T) {
 	servers := storeServers(3)
 	v := val(5, 1, "v")
 	// Only one server knows the value; the read must find it and propagate.
-	servers[0].Handle(types.Writer(1), proto.Update{Val: v})
+	servers[0].Handle(types.Writer(1), proto.Update{Val: &v})
 	op := NewReadWriteBack(types.Reader(1), 3)
 	if op.Kind() != types.OpRead || !op.Arg().IsInitial() {
 		t.Fatal("op metadata wrong")
@@ -117,7 +117,7 @@ func TestReadWriteBack(t *testing.T) {
 func TestReadNoWriteBackOneRound(t *testing.T) {
 	servers := storeServers(3)
 	v := val(5, 1, "v")
-	servers[0].Handle(types.Writer(1), proto.Update{Val: v})
+	servers[0].Handle(types.Writer(1), proto.Update{Val: &v})
 	op := NewReadNoWriteBack(types.Reader(1), 3)
 	rounds, res, err := register.CountRounds(op, servers)
 	if err != nil {
@@ -221,7 +221,7 @@ func TestWriteBadReplyKinds(t *testing.T) {
 	}
 	op2 := NewQueryThenUpdateWrite(types.Writer(1), "a", 1)
 	op2.Begin()
-	next, _, _, err := op2.Next([]register.Reply{{From: types.Server(1), Msg: proto.QueryAck{Val: types.InitialValue()}}})
+	next, _, _, err := op2.Next([]register.Reply{{From: types.Server(1), Msg: proto.QueryAck{Val: ptr(types.InitialValue())}}})
 	if err != nil || next == nil {
 		t.Fatalf("phase 1 failed: %v", err)
 	}

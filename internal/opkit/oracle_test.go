@@ -177,9 +177,10 @@ func (s *oracleServer) update(val types.Value, c types.ProcID) {
 func (s *oracleServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 	switch msg := m.(type) {
 	case proto.Query:
-		return proto.QueryAck{Val: s.cur}
+		cur := s.cur
+		return proto.QueryAck{Val: &cur}
 	case proto.Update:
-		s.update(msg.Val, from)
+		s.update(*msg.Val, from)
 		return proto.UpdateAck{}
 	case proto.FastRead:
 		for _, v := range msg.ValQueue {
@@ -305,7 +306,8 @@ func TestVectorServerMatchesMapOracle(t *testing.T) {
 			case 0:
 				m = proto.Query{}
 			case 1:
-				m = proto.Update{Val: randVal()}
+				v := randVal()
+				m = proto.Update{Val: &v}
 			default:
 				q := make([]types.Value, r.Intn(4))
 				for i := range q {
@@ -325,6 +327,10 @@ func TestVectorServerMatchesMapOracle(t *testing.T) {
 }
 
 func sameReply(a, b proto.Message) bool {
+	if x, ok := a.(proto.QueryAck); ok {
+		y, ok := b.(proto.QueryAck)
+		return ok && *x.Val == *y.Val
+	}
 	x, ok := a.(proto.FastReadAck)
 	if !ok {
 		return a == b

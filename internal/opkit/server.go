@@ -9,26 +9,36 @@
 // algorithm is derived from the W1R1 single-writer algorithm of Dutta et
 // al.).
 //
-// # Who owns a valuevector
+// # Who owns a value
 //
-// The fast read's data is sorted slices that are frozen once published. A
-// VectorServer's reply IS its vector and a reader's request IS its valQueue:
-// an in-process backend hands that very slice to the other side, a network
-// one encodes it, neither copies. The rules that make this safe:
+// Values travel by reference and are frozen once published. The fast
+// read's data is sorted slices: a VectorServer's reply IS its vector and a
+// reader's request IS its valQueue. A two-round op's data is one value
+// behind a pointer: a QueryAck's Val IS the replica's current value and an
+// Update's Val IS the op's own tagged value. An in-process backend hands
+// that very slice or pointer to the other side, a network one encodes it,
+// neither copies. The rules that make this safe:
 //
 //   - Publish: only the owner of a `// frozen:` field (VectorServer.vec,
-//     ReaderState.queue) assigns it, and only with a slice it has just
-//     built and not yet shown to anyone. Once a vector, an Updated set or a
-//     valQueue has been returned from Handle or Begin, no code writes
-//     through it again; a change builds a new slice (and new Updated slices
-//     for just the entries it touches) and assigns the field. fastreglint's
-//     frozenslice analyzer holds the fields to this.
-//   - Receive: whoever is handed a FastRead or a FastReadAck reads it and
-//     nothing else. Code that wants a changed vector (byzantine.LyingServer,
-//     byzantine.FilterUnvouched) builds its own. What came over a wire is
-//     checked, not trusted: SelectAdmissible verifies that each vector and
-//     updated set is strictly ascending and sorts a private copy when it is
-//     not.
+//     ReaderState.queue, StoreServer.cur, VectorServer.cur) assigns it, and
+//     only with a slice or value it has just built and not yet shown to
+//     anyone. Once a vector, an Updated set, a valQueue or a value has been
+//     returned from Handle, Begin or Next, no code writes through it again;
+//     a change builds a new slice (and new Updated slices for just the
+//     entries it touches) or a new value and assigns the field. A replica
+//     that adopts an Update's value allocates a fresh one, so every QueryAck
+//     already sent keeps the value it was sent with; new replicas share one
+//     frozen initial value. An op points its Update at a field of its own
+//     (QueryThenUpdateWrite.val, ReadWriteBack.maxV, DirectWrite.val) that
+//     it never writes after the round is returned. fastreglint's frozenslice
+//     analyzer holds the annotated fields to this.
+//   - Receive: whoever is handed a FastRead, a FastReadAck, a QueryAck or
+//     an Update reads it and nothing else. Code that wants a changed vector
+//     or value (byzantine.LyingServer, byzantine.FilterUnvouched) builds its
+//     own. What came over a wire is checked, not trusted: SelectAdmissible
+//     verifies that each vector and updated set is strictly ascending and
+//     sorts a private copy when it is not, and a QueryAck or Update whose
+//     Val is nil is a bad reply to an op and dropped by a replica.
 //   - Keep: proto.Decode cuts every envelope's Key and every payload of a
 //     FastRead or FastReadAck from one string per frame (a batch frame's
 //     envelopes share one), so any of them keeps the whole frame alive.
@@ -36,8 +46,11 @@
 //     private copy (strings.Clone) at the moment it first stores it: a
 //     replica registering a key (keyreg.ServerShard.GetLocked), a replica
 //     adding a valQueue's value to its vector, a reader adding a reply's
-//     value to its valQueue. An Update's, a QueryAck's and a LogAck's value
-//     owns its bytes and is stored as it is.
+//     value to its valQueue. A QueryAck's or an Update's Val points into
+//     one value arena per frame, so a kept pointer keeps every value of the
+//     frame alive: whoever keeps such a value copies *Val, never the
+//     pointer. Its Data owns its bytes, as a LogAck's value's does, so the
+//     copy is stored as it is.
 //   - Return: a read returns the valQueue's copy of the value it selected,
 //     not the copy in the reply the search happened to find it in. Every
 //     read of one value by one reader, and every history that records them,
@@ -52,32 +65,47 @@ import (
 	"fastreg/internal/types"
 )
 
+// initialValue is the value every new replica starts from, shared by all
+// of them: it is frozen like every value a `// frozen:` pointer field
+// holds.
+var initialValue = types.InitialValue()
+
+// adopt returns a fresh copy of v for a `// frozen:` pointer field to
+// publish: the field's old value stays as the QueryAcks already sent saw
+// it, and the new one pins neither the message v came in nor its frame.
+func adopt(v types.Value) *types.Value { return &v }
+
 // StoreServer is the classic ABD/LS97 server: it stores the maximal value
 // received so far, answers Query with it, and monotonically merges Update.
 type StoreServer struct {
-	id  types.ProcID
-	cur types.Value
+	id types.ProcID
+	// frozen: every QueryAck points at it until the next adopt.
+	cur *types.Value
 }
 
 // NewStoreServer creates a StoreServer holding the initial value (0, ⊥).
 func NewStoreServer(id types.ProcID) *StoreServer {
-	return &StoreServer{id: id, cur: types.InitialValue()}
+	return &StoreServer{id: id, cur: &initialValue}
 }
 
 // ID implements register.ServerLogic.
 func (s *StoreServer) ID() types.ProcID { return s.id }
 
 // CurrentValue implements register.ServerLogic.
-func (s *StoreServer) CurrentValue() types.Value { return s.cur }
+func (s *StoreServer) CurrentValue() types.Value { return *s.cur }
 
-// Handle implements register.ServerLogic.
+// Handle implements register.ServerLogic. An Update without a value is
+// dropped (nil reply), like any other malformed request.
 func (s *StoreServer) Handle(_ types.ProcID, m proto.Message) proto.Message {
 	switch msg := m.(type) {
 	case proto.Query:
 		return proto.QueryAck{Val: s.cur}
 	case proto.Update:
-		if s.cur.Less(msg.Val) {
-			s.cur = msg.Val
+		if msg.Val == nil {
+			return nil
+		}
+		if s.cur.Less(*msg.Val) {
+			s.cur = adopt(*msg.Val)
 		}
 		return proto.UpdateAck{}
 	default:
@@ -92,8 +120,9 @@ func (s *StoreServer) Handle(_ types.ProcID, m proto.Message) proto.Message {
 // known to have updated (proposed or relayed) it. FastRead requests both
 // merge the reader's valQueue and return the whole vector.
 type VectorServer struct {
-	id  types.ProcID
-	cur types.Value
+	id types.ProcID
+	// frozen: every QueryAck points at it until the next adopt.
+	cur *types.Value
 	// frozen: replies are this slice. Strictly ascending by Value.Compare,
 	// every Updated set ascending; a change builds a new vector, and new
 	// Updated slices for the entries it touches.
@@ -105,7 +134,7 @@ type VectorServer struct {
 func NewVectorServer(id types.ProcID) *VectorServer {
 	return &VectorServer{
 		id:  id,
-		cur: types.InitialValue(),
+		cur: &initialValue,
 		vec: []proto.VectorEntry{{Val: types.InitialValue()}},
 	}
 }
@@ -114,7 +143,7 @@ func NewVectorServer(id types.ProcID) *VectorServer {
 func (s *VectorServer) ID() types.ProcID { return s.id }
 
 // CurrentValue implements register.ServerLogic.
-func (s *VectorServer) CurrentValue() types.Value { return s.cur }
+func (s *VectorServer) CurrentValue() types.Value { return *s.cur }
 
 // findEntry locates v in an ascending vector: its index, or the index it
 // would be inserted at.
@@ -151,7 +180,7 @@ func (s *VectorServer) update(val types.Value, c types.ProcID) {
 		s.vec = vec
 	}
 	if s.cur.Less(val) {
-		s.cur = val
+		s.cur = adopt(val)
 	}
 }
 
@@ -196,11 +225,15 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) []proto.Vec
 			slices.SortFunc(vec, func(a, b proto.VectorEntry) int { return a.Val.Compare(b.Val) })
 		}
 		s.vec = vec
+		top := *s.cur
 		for _, v := range queue {
-			if s.cur.Less(v) {
-				i, _ := findEntry(vec, v)
-				s.cur = vec[i].Val
+			if top.Less(v) {
+				top = v
 			}
+		}
+		if s.cur.Less(top) {
+			i, _ := findEntry(vec, top)
+			s.cur = adopt(vec[i].Val)
 		}
 	}
 	return s.vec[:len(s.vec):len(s.vec)]
@@ -212,12 +245,17 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) []proto.Vec
 //   - Update      → update(val, c); WRITEACK (writer's second round)
 //   - FastRead    → update every valQueue entry for the reader, then reply
 //     with the full valuevector (READACK)
+//
+// An Update without a value is dropped (nil reply).
 func (s *VectorServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 	switch msg := m.(type) {
 	case proto.Query:
 		return proto.QueryAck{Val: s.cur}
 	case proto.Update:
-		s.update(msg.Val, from)
+		if msg.Val == nil {
+			return nil
+		}
+		s.update(*msg.Val, from)
 		return proto.UpdateAck{}
 	case proto.FastRead:
 		return proto.FastReadAck{Vector: s.fastRead(msg.ValQueue, from)}

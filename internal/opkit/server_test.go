@@ -7,6 +7,9 @@ import (
 	"fastreg/internal/types"
 )
 
+// ptr returns a pointer to a copy of v, for QueryAck and Update literals.
+func ptr(v types.Value) *types.Value { return &v }
+
 func val(ts int64, w int, data string) types.Value {
 	return types.Value{Tag: types.Tag{TS: ts, WID: types.Writer(w)}, Data: data}
 }
@@ -26,7 +29,7 @@ func TestStoreServerInitial(t *testing.T) {
 func TestStoreServerUpdateMonotone(t *testing.T) {
 	s := NewStoreServer(types.Server(1))
 	v1 := val(2, 1, "new")
-	if _, ok := s.Handle(types.Writer(1), proto.Update{Val: v1}).(proto.UpdateAck); !ok {
+	if _, ok := s.Handle(types.Writer(1), proto.Update{Val: &v1}).(proto.UpdateAck); !ok {
 		t.Fatal("update not acked")
 	}
 	if s.CurrentValue() != v1 {
@@ -34,7 +37,7 @@ func TestStoreServerUpdateMonotone(t *testing.T) {
 	}
 	// A stale update must be acked but ignored.
 	stale := val(1, 2, "old")
-	if _, ok := s.Handle(types.Writer(2), proto.Update{Val: stale}).(proto.UpdateAck); !ok {
+	if _, ok := s.Handle(types.Writer(2), proto.Update{Val: &stale}).(proto.UpdateAck); !ok {
 		t.Fatal("stale update not acked")
 	}
 	if s.CurrentValue() != v1 {
@@ -42,7 +45,7 @@ func TestStoreServerUpdateMonotone(t *testing.T) {
 	}
 	// Equal ts, higher writer ID wins.
 	tie := val(2, 2, "tie")
-	s.Handle(types.Writer(2), proto.Update{Val: tie})
+	s.Handle(types.Writer(2), proto.Update{Val: &tie})
 	if s.CurrentValue() != tie {
 		t.Fatalf("cur = %v, want %v", s.CurrentValue(), tie)
 	}
@@ -77,7 +80,7 @@ func TestVectorServerWritePath(t *testing.T) {
 	}
 	// Writer's update round.
 	v := val(1, 1, "a")
-	if _, ok := s.Handle(types.Writer(1), proto.Update{Val: v}).(proto.UpdateAck); !ok {
+	if _, ok := s.Handle(types.Writer(1), proto.Update{Val: &v}).(proto.UpdateAck); !ok {
 		t.Fatal("update not acked")
 	}
 	if s.CurrentValue() != v {
@@ -122,8 +125,8 @@ func TestVectorServerFastReadMergesQueueAndRecordsReader(t *testing.T) {
 func TestVectorServerReaderJoinsAllEntriesOnReply(t *testing.T) {
 	s := NewVectorServer(types.Server(1))
 	v1, v2 := val(1, 1, "a"), val(2, 2, "b")
-	s.Handle(types.Writer(1), proto.Update{Val: v1})
-	s.Handle(types.Writer(2), proto.Update{Val: v2})
+	s.Handle(types.Writer(1), proto.Update{Val: &v1})
+	s.Handle(types.Writer(2), proto.Update{Val: &v2})
 	ack := s.Handle(types.Reader(2), proto.FastRead{ValQueue: nil}).(proto.FastReadAck)
 	for _, want := range []types.Value{v1, v2} {
 		ent, ok := ack.Entry(want)
@@ -139,7 +142,7 @@ func TestVectorServerReaderJoinsAllEntriesOnReply(t *testing.T) {
 func TestVectorServerRepeatedUpdateAccumulates(t *testing.T) {
 	s := NewVectorServer(types.Server(1))
 	v := val(1, 1, "a")
-	s.Handle(types.Writer(1), proto.Update{Val: v})
+	s.Handle(types.Writer(1), proto.Update{Val: &v})
 	s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{v}})
 	s.Handle(types.Reader(2), proto.FastRead{ValQueue: []types.Value{v}})
 	ent, _ := proto.FastReadAck{Vector: s.VectorSnapshot()}.Entry(v)
@@ -160,7 +163,7 @@ func TestVectorServerUnknownMessage(t *testing.T) {
 func TestVectorServerSnapshotIsUnaliased(t *testing.T) {
 	s := NewVectorServer(types.Server(1))
 	v := val(1, 1, "a")
-	s.Handle(types.Writer(1), proto.Update{Val: v})
+	s.Handle(types.Writer(1), proto.Update{Val: &v})
 	snap := s.VectorSnapshot()
 	for i := range snap {
 		for j := range snap[i].Updated {

@@ -63,3 +63,30 @@ func TestDecodeBatchIntoAllocs(t *testing.T) {
 		t.Errorf("DecodeBatchInto of a 16-envelope Query/UpdateAck batch: %v allocs, want 1", got)
 	}
 }
+
+// A batch of QueryAcks decodes into a pooled slab with one allocation for
+// the string every key is cut from, one for the value arena every Val
+// points into, and one per value's Data: 18 for 16 envelopes. Boxing each
+// QueryAck into its Message would add 16.
+func TestDecodeValueBatchAllocs(t *testing.T) {
+	skipUnderRace(t)
+	envs := make([]Envelope, 16)
+	for i := range envs {
+		v := types.Value{Tag: types.Tag{TS: int64(i + 1), WID: types.Writer(1)}, Data: fmt.Sprintf("value-%04d", i)}
+		envs[i] = Envelope{From: types.Server(2), To: types.Writer(1), Key: fmt.Sprintf("key-%04d", i), OpID: uint64(i), Round: 1, IsReply: true, Payload: QueryAck{Val: &v}}
+	}
+	frame, err := EncodeBatch(envs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		out, _, err := DecodeBatchInto(GetEnvs(), frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutEnvs(out)
+	})
+	if got != 18 {
+		t.Errorf("DecodeBatchInto of a 16-envelope QueryAck batch: %v allocs, want 18", got)
+	}
+}

@@ -95,11 +95,12 @@ func PutBuf(b []byte) {
 // envsPool recycles envelope slabs — the []Envelope a decoded frame lands
 // in and the queues batched senders accumulate into. Decode never returns
 // views into its read buffer (keys and fast-read payloads are cut from a
-// string of their own frame, other values own their bytes), so a recycled
-// slab can only ever reuse the backing ARRAY of envelope structs; it can
-// never alias a previous frame's key or value bytes. PutEnvs still clears
-// the slab so a pooled array doesn't pin dead payloads, or the frame
-// strings their keys are cut from, for the GC.
+// string of their own frame, QueryAck and Update values live in an arena
+// of their own frame, other values own their bytes), so a recycled slab
+// can only ever reuse the backing ARRAY of envelope structs; it can never
+// alias a previous frame's key or value bytes. PutEnvs still clears the
+// slab so a pooled array doesn't pin dead payloads, or the frame strings
+// and arenas they point into, for the GC.
 var envsPool slicePool[Envelope]
 
 // maxPooledEnvs bounds the slab size the pool retains: a rare giant batch
@@ -168,12 +169,14 @@ func DecodeBatch(buf []byte) ([]Envelope, int, error) {
 
 // DecodeBatchInto is DecodeBatch decoding into a caller-supplied slab:
 // the frame's envelopes are appended to dst (typically a pooled GetEnvs
-// slab) and the extended slice is returned with the bytes consumed. On
-// error dst's length is unchanged. Nothing decoded refers to buf: every
-// envelope's Key and fast-read payload are copied into ONE string for the
-// whole frame and cut from it, so a kept key pins all of them (Decode says
-// who clones); other values own their Data. Recycling buf or the slab
-// later can never alias this frame's data.
+// slab), each decoded in place in its slot, and the extended slice is
+// returned with the bytes consumed. On error dst's length is unchanged.
+// Nothing decoded refers to buf: every envelope's Key and fast-read
+// payload are copied into ONE string for the whole frame and cut from it,
+// so a kept key pins all of them (Decode says who clones); every QueryAck
+// and Update points into ONE value arena for the whole frame, whose
+// values own their Data. Recycling buf or the slab later can never alias
+// this frame's data.
 func DecodeBatchInto(dst []Envelope, buf []byte) ([]Envelope, int, error) {
 	if len(buf) < 4 {
 		return dst, 0, ErrTruncated
@@ -202,17 +205,24 @@ func DecodeBatchInto(dst []Envelope, buf []byte) ([]Envelope, int, error) {
 	}
 	start := len(dst)
 	off := batchHeader
-	text := cutText(b[off:], int(count))
+	fc := cutFrames(b[off:], int(count))
+	// Grow by the envelopes the bytes can hold, not by the declared count.
+	dst = slices.Grow(dst, min(int(count), (len(b)-off)/(4+minEnvelope)))
 	for i := uint32(0); i < count; i++ {
-		e, n, rest, err := decode(b[off:], text)
-		text = rest
+		if len(dst) < cap(dst) {
+			dst = dst[:len(dst)+1] // decode sets every field
+		} else {
+			dst = append(dst, Envelope{})
+		}
+		n, err := decode(&dst[len(dst)-1], b[off:], &fc)
 		if err != nil {
+			clear(dst[start:])
 			return dst[:start], 0, err
 		}
-		dst = append(dst, e)
 		off += n
 	}
 	if off != len(b) {
+		clear(dst[start:])
 		return dst[:start], 0, fmt.Errorf("proto: %d trailing bytes in batch frame", len(b)-off)
 	}
 	return dst, total, nil
@@ -226,11 +236,14 @@ func AppendDecode(dst []Envelope, buf []byte) ([]Envelope, int, error) {
 	if len(buf) >= 4+batchHeader && buf[4] == batchMarker {
 		return DecodeBatchInto(dst, buf)
 	}
-	e, n, err := Decode(buf)
+	dst = append(dst, Envelope{})
+	fc := cutFrames(buf, 1)
+	n, err := decode(&dst[len(dst)-1], buf, &fc)
 	if err != nil {
-		return dst, 0, err
+		dst[len(dst)-1] = Envelope{}
+		return dst[:len(dst)-1], 0, err
 	}
-	return append(dst, e), n, nil
+	return dst, n, nil
 }
 
 // WriteBatch encodes envs as one batch frame and writes it to w, reusing a
@@ -258,9 +271,10 @@ func ReadFrames(r io.Reader) ([]Envelope, error) {
 // frame's envelopes are appended to dst (typically a pooled GetEnvs slab)
 // and the extended slice is returned. Both the read buffer and — with a
 // pooled dst — the envelope storage are recycled, so a steady stream
-// allocates only the frame's one string its keys are cut from and what
-// the payloads own (values, vectors, the interface boxes). On error dst's
-// length is unchanged.
+// allocates only the frame's one string its keys are cut from, its one
+// value arena, and what the payloads own (Data, valQueues, vectors, the
+// boxes of fast-read and log payloads). On error dst's length is
+// unchanged.
 func ReadFramesInto(r io.Reader, dst []Envelope) ([]Envelope, error) {
 	// The header is read into the pooled buffer too: a local array handed
 	// to an io.Reader would escape, one allocation per frame.
@@ -277,13 +291,6 @@ func ReadFramesInto(r io.Reader, dst []Envelope) ([]Envelope, error) {
 	if _, err := io.ReadFull(r, buf[4:]); err != nil {
 		return dst, err
 	}
-	if body >= batchHeader && buf[4] == batchMarker {
-		out, _, err := DecodeBatchInto(dst, buf)
-		return out, err
-	}
-	e, _, err := Decode(buf) // enforces the single-frame MaxFrame bound
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, e), nil
+	out, _, err := AppendDecode(dst, buf) // a single frame's decode enforces MaxFrame
+	return out, err
 }

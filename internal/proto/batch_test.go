@@ -17,8 +17,8 @@ func batchEnvs(tb testing.TB) []Envelope {
 	val := types.Value{Tag: types.Tag{TS: 7, WID: types.Writer(1)}, Data: "v7"}
 	return []Envelope{
 		{From: types.Writer(1), To: types.Server(2), Key: "a", OpID: 1, Round: 1, Payload: Query{}},
-		{From: types.Writer(1), To: types.Server(2), Key: "b", OpID: 4, Round: 2, Payload: Update{Val: val}},
-		{From: types.Server(2), To: types.Reader(3), Key: "a", OpID: 9, Round: 1, IsReply: true, Payload: QueryAck{Val: val}},
+		{From: types.Writer(1), To: types.Server(2), Key: "b", OpID: 4, Round: 2, Payload: Update{Val: &val}},
+		{From: types.Server(2), To: types.Reader(3), Key: "a", OpID: 9, Round: 1, IsReply: true, Payload: QueryAck{Val: &val}},
 		{From: types.Reader(3), To: types.Server(2), Key: "c/deep", OpID: 2, Round: 1, Payload: FastRead{ValQueue: []types.Value{val}}},
 		{From: types.Server(2), To: types.Reader(3), Key: "c/deep", OpID: 2, Round: 1, IsReply: true, Payload: FastReadAck{Vector: []VectorEntry{
 			{Val: types.InitialValue(), Updated: []types.ProcID{types.Reader(3)}},
@@ -181,7 +181,7 @@ func TestReadFramesIntoPooledNoAlias(t *testing.T) {
 	noise := Envelope{
 		From: types.Writer(2), To: types.Server(1),
 		Key: "noise/key-aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", OpID: 1, Round: 1,
-		Payload: Update{Val: types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(2)}, Data: "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}},
+		Payload: Update{Val: valPtr(types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(2)}, Data: "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"})},
 	}
 	for i := 0; i < 32; i++ {
 		var s bytes.Buffer

@@ -109,12 +109,28 @@ const (
 // an Update's and a LogAck's values own their Data.
 func cutsPayload(k Kind) bool { return k == KindFastRead || k == KindFastReadAck }
 
-// cutText copies into one string the bytes that decoding the count
-// envelope frames at the start of b cuts rather than copies: each one's
-// key and, for a FastRead or FastReadAck, its payload, in frame order. It
-// stops at the first frame too short to hold them; the decode rejects it.
-func cutText(b []byte, count int) string {
+// inArena reports whether a message of kind k carries one value by
+// pointer, which decoding places in the frame's value arena.
+func inArena(k Kind) bool { return k == KindQueryAck || k == KindUpdate }
+
+// frameCuts is what the envelopes of one frame share: the string their
+// keys and fast-read payloads are cut from, and the arena their QueryAck
+// and Update values live in. Decoding an envelope consumes the prefix of
+// each that belongs to it.
+type frameCuts struct {
+	text string
+	vals []types.Value
+}
+
+// cutFrames prepares the frameCuts of the count envelope frames at the
+// start of b in one pass over their headers: text holds the bytes decoding
+// cuts rather than copies (each one's key and, for a FastRead or
+// FastReadAck, its payload, in frame order), and vals one slot per
+// QueryAck or Update. It stops at the first frame too short to hold a key
+// and a kind; the decode rejects it.
+func cutFrames(b []byte, count int) frameCuts {
 	buf := GetBuf()
+	nvals := 0
 	for ; count > 0 && len(b) >= 4+minEnvelope; count-- {
 		n := uint64(binary.BigEndian.Uint32(b))
 		if n > uint64(len(b)-4) || n < minEnvelope {
@@ -127,14 +143,31 @@ func cutText(b []byte, count int) string {
 			break
 		}
 		buf = append(buf, rest[:k]...)
-		if cutsPayload(Kind(rest[k+keyToKind])) {
+		switch kind := Kind(rest[k+keyToKind]); {
+		case cutsPayload(kind):
 			buf = append(buf, rest[k+keyToKind+1:]...)
+		case inArena(kind):
+			nvals++
 		}
 		b = b[4+n:]
 	}
-	s := string(buf)
+	fc := frameCuts{text: string(buf)}
 	PutBuf(buf)
-	return s
+	if nvals > 0 {
+		fc.vals = make([]types.Value, nvals)
+	}
+	return fc
+}
+
+// val hands out the next arena slot. A frame cutFrames stopped short of
+// gets a value of its own; the decode rejects it anyway.
+func (fc *frameCuts) val() *types.Value {
+	if len(fc.vals) == 0 {
+		return new(types.Value)
+	}
+	v := &fc.vals[0]
+	fc.vals = fc.vals[1:]
+	return v
 }
 
 type reader struct {
@@ -322,9 +355,15 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 	case Query:
 		// no body
 	case QueryAck:
-		w.value(m.Val)
+		if m.Val == nil {
+			return nil, fmt.Errorf("%w: QueryAck without a value", ErrBadKind)
+		}
+		w.value(*m.Val)
 	case Update:
-		w.value(m.Val)
+		if m.Val == nil {
+			return nil, fmt.Errorf("%w: Update without a value", ErrBadKind)
+		}
+		w.value(*m.Val)
 	case UpdateAck:
 		// no body
 	case FastRead:
@@ -367,32 +406,42 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 // one of them therefore keeps the others' bytes alive: code that stores a
 // key or such a value beyond the message's life stores strings.Clone of it
 // (keyreg does for keys, opkit for values, see its package doc). A
-// QueryAck's, an Update's and a LogAck's values each own their Data.
-// Whatever their length, a valQueue is one slice and a vector is one slice
-// plus one array that every Updated set is cut from (each clipped to its
-// length).
+// QueryAck's or an Update's Val points into a value arena the frame's
+// envelopes share; its Data owns its bytes, but a kept pointer keeps the
+// whole arena alive, so whoever keeps the value copies *Val (opkit's Keep
+// rule). A LogAck's values own their Data. Whatever their length, a
+// valQueue is one slice and a vector is one slice plus one array that
+// every Updated set is cut from (each clipped to its length).
 func Decode(buf []byte) (Envelope, int, error) {
-	e, n, _, err := decode(buf, cutText(buf, 1))
-	return e, n, err
+	var e Envelope
+	fc := cutFrames(buf, 1)
+	n, err := decode(&e, buf, &fc)
+	if err != nil {
+		return Envelope{}, 0, err
+	}
+	return e, n, nil
 }
 
-// decode is Decode cutting the envelope's key and fast-read payload from
-// the start of text, a cutText of a run of frames starting with this one.
-// It returns the rest of text, for the next frame of the run.
-func decode(buf []byte, text string) (Envelope, int, string, error) {
+// decode is Decode into *e, which it fills in place, cutting the
+// envelope's key and fast-read payload from the start of fc.text and
+// taking its QueryAck or Update value from fc's arena; fc comes from a
+// cutFrames of a run of frames starting with this one. On success it
+// advances fc past what the envelope used, for the next frame of the run.
+// On error *e holds garbage.
+func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 	if len(buf) < 4 {
-		return Envelope{}, 0, "", ErrTruncated
+		return 0, ErrTruncated
 	}
 	body := binary.BigEndian.Uint32(buf[:4])
 	if body > MaxFrame {
-		return Envelope{}, 0, "", ErrOversize
+		return 0, ErrOversize
 	}
 	total := 4 + int(body)
 	if len(buf) < total {
-		return Envelope{}, 0, "", ErrTruncated
+		return 0, ErrTruncated
 	}
+	text := fc.text
 	r := &reader{buf: buf[4:total], text: text, textAt: keyLenAt + 4}
-	var e Envelope
 	e.From = r.proc()
 	e.To = r.proc()
 	e.Key = r.cut()
@@ -401,28 +450,30 @@ func decode(buf []byte, text string) (Envelope, int, string, error) {
 	e.Round = r.u8()
 	// Strict canonical format: the reply flag must be exactly 0 or 1, so
 	// every accepted frame re-encodes to the same bytes.
-	switch flag := r.u8(); flag {
-	case 0:
-	case 1:
-		e.IsReply = true
-	default:
+	flag := r.u8()
+	if flag > 1 {
 		r.fail(errBadFlag)
 	}
+	e.IsReply = flag == 1
 	e.Epoch = r.u64()
 	e.Weight = r.u64()
 	kind := Kind(r.u8())
 	if cutsPayload(kind) {
-		// cutText put the payload right after the key.
+		// cutFrames put the payload right after the key.
 		r.text, r.textAt = text[min(used, len(text)):], r.off
 		used += len(r.buf) - r.off
 	}
 	switch kind {
 	case KindQuery:
 		e.Payload = Query{}
-	case KindQueryAck:
-		e.Payload = QueryAck{Val: r.value()}
-	case KindUpdate:
-		e.Payload = Update{Val: r.value()}
+	case KindQueryAck, KindUpdate:
+		v := fc.val()
+		*v = r.value()
+		if kind == KindQueryAck {
+			e.Payload = QueryAck{Val: v}
+		} else {
+			e.Payload = Update{Val: v}
+		}
 	case KindUpdateAck:
 		e.Payload = UpdateAck{}
 	case KindFastRead:
@@ -464,15 +515,16 @@ func decode(buf []byte, text string) (Envelope, int, string, error) {
 		}
 		e.Payload = m
 	default:
-		return Envelope{}, 0, "", fmt.Errorf("%w: kind %d", ErrBadKind, kind)
+		return 0, fmt.Errorf("%w: kind %d", ErrBadKind, kind)
 	}
 	if r.err != nil {
-		return Envelope{}, 0, "", r.err
+		return 0, r.err
 	}
 	if r.off != len(r.buf) {
-		return Envelope{}, 0, "", fmt.Errorf("proto: %d trailing bytes in frame", len(r.buf)-r.off)
+		return 0, fmt.Errorf("proto: %d trailing bytes in frame", len(r.buf)-r.off)
 	}
-	return e, total, text[min(used, len(text)):], nil
+	fc.text = text[min(used, len(text)):]
+	return total, nil
 }
 
 // WriteFrame encodes e and writes the frame to w.

@@ -16,8 +16,8 @@ func sampleEnvelopes() []Envelope {
 	v2 := types.Value{Tag: types.Tag{TS: 2, WID: types.Writer(2)}, Data: "beta"}
 	return []Envelope{
 		{From: types.Writer(1), To: types.Server(1), OpID: 1, Round: 1, Payload: Query{}},
-		{From: types.Server(1), To: types.Writer(1), OpID: 1, Round: 1, IsReply: true, Payload: QueryAck{Val: v1}},
-		{From: types.Writer(1), To: types.Server(3), OpID: 1, Round: 2, Payload: Update{Val: v2}},
+		{From: types.Server(1), To: types.Writer(1), OpID: 1, Round: 1, IsReply: true, Payload: QueryAck{Val: &v1}},
+		{From: types.Writer(1), To: types.Server(3), OpID: 1, Round: 2, Payload: Update{Val: &v2}},
 		{From: types.Server(3), To: types.Writer(1), OpID: 1, Round: 2, IsReply: true, Payload: UpdateAck{}},
 		{From: types.Reader(2), To: types.Server(2), OpID: 9, Round: 1, Payload: FastRead{ValQueue: []types.Value{v1, v2, types.InitialValue()}}},
 		{From: types.Server(2), To: types.Reader(2), OpID: 9, Round: 1, IsReply: true, Payload: FastReadAck{Vector: []VectorEntry{
@@ -144,6 +144,9 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 	}
 }
 
+// valPtr returns a pointer to a copy of v, for QueryAck and Update literals.
+func valPtr(v types.Value) *types.Value { return &v }
+
 func randValue(r *rand.Rand) types.Value {
 	data := make([]byte, r.Intn(12))
 	for i := range data {
@@ -169,9 +172,9 @@ func randEnvelope(r *rand.Rand) Envelope {
 	case 0:
 		e.Payload = Query{}
 	case 1:
-		e.Payload = QueryAck{Val: randValue(r)}
+		e.Payload = QueryAck{Val: valPtr(randValue(r))}
 	case 2:
-		e.Payload = Update{Val: randValue(r)}
+		e.Payload = Update{Val: valPtr(randValue(r))}
 	case 3:
 		e.Payload = UpdateAck{}
 	case 4:

@@ -17,8 +17,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	val := types.Value{Tag: types.Tag{TS: 42, WID: types.Writer(2)}, Data: "payload"}
 	envs := []Envelope{
 		{From: types.Reader(1), To: types.Server(3), Key: "k", OpID: 7, Round: 1, Payload: Query{}},
-		{From: types.Server(3), To: types.Reader(1), Key: "k", OpID: 7, Round: 1, IsReply: true, Payload: QueryAck{Val: val}},
-		{From: types.Writer(1), To: types.Server(1), OpID: 9, Round: 2, Payload: Update{Val: val}},
+		{From: types.Server(3), To: types.Reader(1), Key: "k", OpID: 7, Round: 1, IsReply: true, Payload: QueryAck{Val: &val}},
+		{From: types.Writer(1), To: types.Server(1), OpID: 9, Round: 2, Payload: Update{Val: &val}},
 		{From: types.Server(1), To: types.Writer(1), OpID: 9, Round: 2, IsReply: true, Payload: UpdateAck{}},
 		{From: types.Reader(2), To: types.Server(2), Key: "multi/key", OpID: 1, Round: 1, Payload: FastRead{ValQueue: []types.Value{val, types.InitialValue()}}},
 		{From: types.Server(2), To: types.Reader(2), Key: "multi/key", OpID: 1, Round: 1, IsReply: true, Payload: FastReadAck{Vector: []VectorEntry{
@@ -29,7 +29,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 			{Client: types.Writer(1), Val: val},
 		}}},
 		// Epoch/weight-stamped frames (continuous audit cutover).
-		{From: types.Writer(2), To: types.Server(1), Key: "k", OpID: 11, Round: 1, Epoch: 4, Weight: 1 << 30, Payload: Update{Val: val}},
+		{From: types.Writer(2), To: types.Server(1), Key: "k", OpID: 11, Round: 1, Epoch: 4, Weight: 1 << 30, Payload: Update{Val: &val}},
 		{From: types.Server(1), To: types.Writer(2), Key: "k", OpID: 11, Round: 1, IsReply: true, Epoch: 4, Weight: 1 << 30, Payload: UpdateAck{}},
 	}
 	seeds := make([][]byte, 0, len(envs)+2)
@@ -129,6 +129,27 @@ func fuzzBatch(t *testing.T, data []byte) {
 	}
 	for i := range buf {
 		buf[i] ^= 0xFF
+	}
+	// Every QueryAck and Update has a value of its own in the frame's
+	// arena: none is nil and no two envelopes share one.
+	vals := make(map[*types.Value]int)
+	for i, e := range envs {
+		var v *types.Value
+		switch m := e.Payload.(type) {
+		case QueryAck:
+			v = m.Val
+		case Update:
+			v = m.Val
+		default:
+			continue
+		}
+		if v == nil {
+			t.Fatalf("envelope %d: decoded %T with a nil Val", i, e.Payload)
+		}
+		if j, dup := vals[v]; dup {
+			t.Fatalf("envelopes %d and %d share one decoded value", j, i)
+		}
+		vals[v] = i
 	}
 	off := 4 + batchHeader
 	for i, e := range envs {
@@ -256,7 +277,7 @@ func TestDecodeOversizeRejected(t *testing.T) {
 	if _, _, err := Decode(append(hdr, make([]byte, 16)...)); err == nil {
 		t.Fatal("oversize declared length accepted")
 	}
-	if _, err := Encode(Envelope{Payload: Update{Val: types.Value{Data: string(make([]byte, MaxFrame))}}}); err == nil {
+	if _, err := Encode(Envelope{Payload: Update{Val: valPtr(types.Value{Data: string(make([]byte, MaxFrame))})}}); err == nil {
 		t.Fatal("oversize envelope encoded")
 	}
 }

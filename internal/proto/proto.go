@@ -76,27 +76,46 @@ func (Query) Kind() Kind { return KindQuery }
 func (Query) String() string { return "QUERY" }
 
 // QueryAck returns the server's current (maximal) value.
+//
+// Val points at a value nobody writes through: the replica's current value
+// (shared by every QueryAck until the replica adopts a newer one, which it
+// allocates afresh) or a slot of a decoded frame's value arena. Holding it
+// by pointer is what lets a QueryAck sit in a Message without allocating.
+// Whoever keeps the value copies *Val, never the pointer. A nil Val is
+// invalid: Encode rejects it, operations reject it as a bad reply.
 type QueryAck struct {
-	Val types.Value
+	Val *types.Value
 }
 
 // Kind implements Message.
 func (QueryAck) Kind() Kind { return KindQueryAck }
 
 // String implements fmt.Stringer.
-func (m QueryAck) String() string { return "READACK{" + m.Val.String() + "}" }
+func (m QueryAck) String() string { return "READACK{" + valString(m.Val) + "}" }
 
 // Update stores a value on a server (phase 2 of a write, or a read
 // write-back).
+//
+// Val follows QueryAck's rules: it points at the sending operation's own
+// tagged value, which the operation never writes again once sent, or at a
+// decoded frame's arena slot. A server that adopts the value copies *Val;
+// a nil Val is invalid and servers drop the message.
 type Update struct {
-	Val types.Value
+	Val *types.Value
 }
 
 // Kind implements Message.
 func (Update) Kind() Kind { return KindUpdate }
 
 // String implements fmt.Stringer.
-func (m Update) String() string { return "WRITE{" + m.Val.String() + "}" }
+func (m Update) String() string { return "WRITE{" + valString(m.Val) + "}" }
+
+func valString(v *types.Value) string {
+	if v == nil {
+		return "<nil>"
+	}
+	return v.String()
+}
 
 // UpdateAck acknowledges an Update.
 type UpdateAck struct{}

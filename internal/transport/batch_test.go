@@ -216,7 +216,7 @@ func TestTimedOutWriteRecordsTag(t *testing.T) {
 							conn.Send(proto.Envelope{
 								From: id, To: env.From, Key: env.Key, OpID: env.OpID,
 								Round: env.Round, IsReply: true,
-								Payload: proto.QueryAck{Val: types.Value{}},
+								Payload: proto.QueryAck{Val: &types.Value{}},
 							})
 						}
 					}
@@ -389,7 +389,7 @@ func TestServerEviction(t *testing.T) {
 	// The final round closes the op; after a fresh idle window it goes.
 	if err := conn.Send(proto.Envelope{
 		From: types.Writer(1), To: servers[0].ID(), Key: "inflight", OpID: 99, Round: 2,
-		Payload: proto.Update{Val: types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "x"}},
+		Payload: proto.Update{Val: &types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "x"}},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -514,7 +514,7 @@ func (c *Client) putScratch(sc *execScratch) {
 	default:
 	}
 	sc.pr.replies = sc.pr.replies[:0]
-	clear(sc.pr.replies[:cap(sc.pr.replies)]) // drop the payloads, and the frames they are cut from
+	clear(sc.pr.replies[:cap(sc.pr.replies)]) // drop the payloads, and the frame strings and value arenas they point into
 	c.scratch.Put(sc)
 }
 
@@ -732,7 +732,7 @@ func (c *Client) pendShardOf(key string) *pendShard {
 // reply that completes the quorum wakes the operation, under the shard
 // lock, which makes removing the entry a barrier the round engine relies
 // on to recycle it.
-func (c *Client) dispatch(env proto.Envelope) {
+func (c *Client) dispatch(env *proto.Envelope) {
 	if !env.IsReply || env.Payload == nil || env.From.Role != types.RoleServer ||
 		env.From.Index < 1 || env.From.Index > len(c.links) {
 		return
@@ -999,10 +999,12 @@ func (l *serverLink) drop(conn Conn) {
 // recvLoop pumps one connection's replies into the dispatcher until the
 // connection dies. Batched replies are drained frame-at-a-time, so a
 // server's coalesced answers cost one read here too; the drained slab is
-// recycled once every envelope has been dispatched. dispatch only looks
-// the Key up, so nothing keeps the frame string it is cut from; the
-// payload travels on to the op's round, and a reader that keeps a value
-// of a fast-read reply clones it (opkit's Keep rule).
+// recycled once every envelope has been dispatched, each in place in the
+// slab. dispatch only looks the Key up, so nothing keeps the frame string
+// it is cut from; the payload travels on to the op's round, a reader that
+// keeps a value of a fast-read reply clones it, and an op that keeps a
+// QueryAck's value copies *Val, which lets go of the frame's value arena
+// (opkit's Keep rule).
 func (l *serverLink) recvLoop(conn Conn) {
 	for {
 		envs, err := conn.RecvBatch()
@@ -1010,8 +1012,8 @@ func (l *serverLink) recvLoop(conn Conn) {
 			l.drop(conn)
 			return
 		}
-		for _, env := range envs {
-			l.c.dispatch(env)
+		for i := range envs {
+			l.c.dispatch(&envs[i])
 		}
 		proto.PutEnvs(envs)
 	}

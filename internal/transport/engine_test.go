@@ -17,6 +17,7 @@ import (
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
+	"fastreg/internal/w2r1"
 )
 
 // connHooks intercept one client link's batches: send sees each outgoing
@@ -68,7 +69,7 @@ func hookedClient(t *testing.T, cfg quorum.Config, p register.Protocol, hooks fu
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer(cfg, mwabd.New(), i+1, lis)
+		srv, err := NewServer(cfg, p, i+1, lis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,5 +385,107 @@ func TestRoundEngineCloseStopsResender(t *testing.T) {
 	c.Close()
 	if r, s := count(); r != r0 || s != s0 {
 		t.Fatalf("after Close: %d resenders, %d sweepers; want %d, %d", r, s, r0, s0)
+	}
+}
+
+// TestSharedValuesStayFrozen checks the rule that lets QueryAck and Update
+// carry their value by pointer: nobody writes through it. Over channels
+// the pointer a client sends or receives is the op's own value or the
+// replica's current value itself, so the hooks record each one with a
+// copy of what it held then; after concurrent writers and readers on
+// shared keys, every pointer must still hold its copy (and under -race,
+// a write through one while a hook reads it is a reported race).
+func TestSharedValuesStayFrozen(t *testing.T) {
+	for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
+		t.Run(p.Name(), func(t *testing.T) {
+			cfg := quorum.Config{S: 3, T: 1, R: 3, W: 3}
+			type seen struct {
+				ptr *types.Value
+				val types.Value
+			}
+			var (
+				mu              sync.Mutex
+				log             []seen
+				queryAcks, upds int
+			)
+			record := func(m proto.Message) {
+				var v *types.Value
+				switch m := m.(type) {
+				case proto.QueryAck:
+					v = m.Val
+					queryAcks++
+				case proto.Update:
+					v = m.Val
+					upds++
+				default:
+					return
+				}
+				log = append(log, seen{v, *v})
+			}
+			c := hookedClient(t, cfg, p, func(int) connHooks {
+				return connHooks{
+					send: func(envs []proto.Envelope) bool {
+						mu.Lock()
+						defer mu.Unlock()
+						for i := range envs {
+							record(envs[i].Payload)
+						}
+						return true
+					},
+					recv: func(env proto.Envelope) []proto.Envelope {
+						mu.Lock()
+						defer mu.Unlock()
+						record(env.Payload)
+						return []proto.Envelope{env}
+					},
+				}
+			})
+			keys := []string{"a", "b"}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			const opsEach = 150
+			var wg sync.WaitGroup
+			errs := make(chan error, cfg.W+cfg.R)
+			for w := 1; w <= cfg.W; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range opsEach {
+						if _, err := c.Write(ctx, keys[(w+i)%len(keys)], w, fmt.Sprintf("w%d-%d", w, i)); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			for r := 1; r <= cfg.R; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range opsEach {
+						if _, err := c.Read(ctx, keys[(r+i)%len(keys)], r); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			c.Close()
+			mu.Lock()
+			defer mu.Unlock()
+			if queryAcks < cfg.W*opsEach || upds < cfg.W*opsEach {
+				t.Fatalf("saw %d QueryAcks and %d Updates, want at least %d of each", queryAcks, upds, cfg.W*opsEach)
+			}
+			for i, s := range log {
+				if *s.ptr != s.val {
+					t.Fatalf("message %d: its value changed from %v to %v after it was sent", i, s.val, *s.ptr)
+				}
+			}
+		})
 	}
 }

@@ -442,11 +442,12 @@ func (s *Server) serveConn(conn Conn) {
 			return // peer gone or we closed
 		}
 		reqs = reqs[:0]
-		for _, env := range envs {
+		for i := range envs {
+			env := &envs[i]
 			if env.Payload == nil || env.IsReply {
 				continue // not a request; drop like a corrupt frame
 			}
-			reqs = append(reqs, connReq{env: env, shard: s.reg.ShardIndex(env.Key)})
+			reqs = append(reqs, connReq{env: *env, shard: s.reg.ShardIndex(env.Key)})
 		}
 		proto.PutEnvs(envs)
 		if len(reqs) == 0 {
@@ -488,7 +489,8 @@ func (s *Server) serveConnWorkers(conn Conn) {
 		if err != nil {
 			return // peer gone or we closed
 		}
-		for _, env := range envs {
+		for i := range envs {
+			env := &envs[i]
 			if env.Payload == nil || env.IsReply {
 				continue // not a request; drop like a corrupt frame
 			}
@@ -498,7 +500,7 @@ func (s *Server) serveConnWorkers(conn Conn) {
 				byWorker[w] = getReqs()
 				touched = append(touched, w)
 			}
-			byWorker[w] = append(byWorker[w], connReq{env: env, shard: shard})
+			byWorker[w] = append(byWorker[w], connReq{env: *env, shard: shard})
 		}
 		proto.PutEnvs(envs)
 		for _, w := range touched {
@@ -536,7 +538,8 @@ func (s *Server) handleReqs(reqs []connReq, out []proto.Envelope) []proto.Envelo
 		}
 		sh := s.reg.Shard(reqs[start].shard)
 		sh.Lock()
-		for _, r := range reqs[start:end] {
+		for i := start; i < end; i++ {
+			r := &reqs[i]
 			sk := sh.GetLocked(r.env.Key)
 			sk.Touch(r.env, epoch, s.maxRounds)
 			reply := sk.Logic.Handle(r.env.From, r.env.Payload)
@@ -590,13 +593,17 @@ type capturedHandle struct {
 	seq   uint64
 }
 
+// staleInitial is the value a WithStaleReadFault replica serves, shared
+// by all its QueryAcks and never written.
+var staleInitial = types.InitialValue()
+
 // staleReply is the WithStaleReadFault corruption: replies that carry
 // values are frozen to the initial value; acks pass through, so writes
 // still "succeed" while silently not taking effect.
 func staleReply(reply proto.Message) proto.Message {
 	switch reply.(type) {
 	case proto.QueryAck:
-		return proto.QueryAck{Val: types.InitialValue()}
+		return proto.QueryAck{Val: &staleInitial}
 	case proto.FastReadAck:
 		return proto.FastReadAck{Vector: []proto.VectorEntry{{Val: types.InitialValue()}}}
 	default:

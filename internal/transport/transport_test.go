@@ -18,7 +18,7 @@ func testEnvelope(i int) proto.Envelope {
 		Key:     "k",
 		OpID:    uint64(i),
 		Round:   1,
-		Payload: proto.Update{Val: types.Value{Tag: types.Tag{TS: int64(i), WID: types.Writer(1)}, Data: "v"}},
+		Payload: proto.Update{Val: &types.Value{Tag: types.Tag{TS: int64(i), WID: types.Writer(1)}, Data: "v"}},
 	}
 }
 
@@ -132,14 +132,14 @@ func TestTCPConnRoundTrip(t *testing.T) {
 	// A payload near MaxFrame crosses intact; one over it is rejected at
 	// Send (the codec refuses to build the frame).
 	big := testEnvelope(0)
-	big.Payload = proto.Update{Val: types.Value{Data: strings.Repeat("x", 1<<19)}}
+	big.Payload = proto.Update{Val: &types.Value{Data: strings.Repeat("x", 1<<19)}}
 	if err := client.Send(big); err != nil {
 		t.Fatalf("big send: %v", err)
 	}
 	if env, err := server.Recv(); err != nil || len(env.Payload.(proto.Update).Val.Data) != 1<<19 {
 		t.Fatalf("big recv: %v", err)
 	}
-	big.Payload = proto.Update{Val: types.Value{Data: strings.Repeat("x", proto.MaxFrame+1)}}
+	big.Payload = proto.Update{Val: &types.Value{Data: strings.Repeat("x", proto.MaxFrame+1)}}
 	if err := client.Send(big); !errors.Is(err, proto.ErrOversize) {
 		t.Fatalf("oversize send: got %v, want ErrOversize", err)
 	}
