@@ -57,8 +57,8 @@ func TestTCPOpPathAllocs(t *testing.T) {
 }
 
 // pinOneProc skips the test under the race detector and runs it at
-// GOMAXPROCS 1, as regbench does: the replicas size their worker pools
-// from it, and the count differs with the pool.
+// GOMAXPROCS 1, as regbench does, so the locked counts are regbench's
+// regime.
 func pinOneProc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are inflated and vary: its sync.Pool drops items at random")

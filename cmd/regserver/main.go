@@ -7,7 +7,7 @@
 //
 // The cluster shape is fixed by flags and must match on every replica and
 // client — the shape, protocol and operational flags (-evict-ttl,
-// -shards, …) are the shared internal/cliflags surface, identical to
+// -capture, …) are the shared internal/cliflags surface, identical to
 // regclient's: either -cluster (comma-separated host:port list; S is its
 // length and -replica selects which entry this process is) or -servers.
 //
@@ -17,8 +17,9 @@
 //	regserver -replica 2 -listen :7002 -servers 3 [-t 1] [-evict-ttl 10m] ...
 //
 // The replica serves every key from sharded, lazily-created per-key
-// protocol state; kill the process to crash the replica for all keys at
-// once.
+// protocol state, handling each client connection's batches on that
+// connection's own loop; kill the process to crash the replica for all
+// keys at once.
 package main
 
 import (

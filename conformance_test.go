@@ -90,15 +90,6 @@ func backendCases() []backendCase {
 				return openTCP(t, cfg)
 			},
 		},
-		{
-			// Replicas running a 4-worker shard-affine pool: the whole
-			// conformance surface must be indistinguishable from inline
-			// serving (and -race covers the worker handoffs).
-			name: "tcp-workers",
-			open: func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, []*transport.Server) {
-				return openTCP(t, cfg, transport.WithServerWorkers(4))
-			},
-		},
 	}
 }
 

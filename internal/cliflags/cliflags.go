@@ -2,10 +2,10 @@
 // deployable binaries share. cmd/regserver and cmd/regclient must agree
 // on the cluster shape (S, t, R, W) and protocol name for a deployment
 // to make sense, and they expose the same operational knobs (-evict-ttl,
-// -shards); registering the flags and deriving the validated
-// quorum.Config from one helper keeps the two binaries' surfaces from
-// drifting — the same way internal/protocols keeps their protocol names
-// identical.
+// -capture, the diagnostics); registering the flags and deriving the
+// validated quorum.Config from one helper keeps the two binaries'
+// surfaces from drifting — the same way internal/protocols keeps their
+// protocol names identical.
 package cliflags
 
 import (
@@ -39,8 +39,6 @@ type Flags struct {
 	Protocol string
 
 	EvictTTL   time.Duration
-	Shards     int
-	Workers    int
 	CaptureDir string
 	Seed       int64
 
@@ -82,8 +80,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Writers, "writers", 4, "number of writers W in the cluster shape")
 	fs.StringVar(&f.Protocol, "protocol", "W2R2", "register protocol ("+strings.Join(protocols.Names(), ", ")+")")
 	fs.DurationVar(&f.EvictTTL, "evict-ttl", 0, "expire per-key state idle for this long (0 = keep all state forever); on a server this is fleet-wide TTL-expiry semantics for the keys, on a client it bounds the registry (protocol state AND recorded histories — don't combine with -check unless keys stay hotter than the TTL)")
-	fs.IntVar(&f.Shards, "shards", transport.DefaultServerShards, "key-space shards (replica side; clients always use the default partition)")
-	fs.IntVar(&f.Workers, "workers", 0, "shard-affine request workers per replica: 0 = auto (GOMAXPROCS on multicore, inline on one CPU), -1 = force inline per-connection handling, n>0 = fixed pool of n workers")
 	fs.StringVar(&f.CaptureDir, "capture", "", "append audit trace logs (.trlog) to this directory — servers log every handled request, clients every completed operation; `regaudit check DIR` then verifies the whole multi-process run")
 	registerSeed(fs, &f.Seed)
 	f.DiagFlags = RegisterDiag(fs)
@@ -139,12 +135,9 @@ func (f *Flags) Impl() (register.Protocol, error) { return protocols.New(f.Proto
 // reg (nil when -debug-addr is unset) is the replica's metric registry;
 // -slow-op doubles as the server's slow-batch threshold.
 func (f *Flags) ServerOptions(reg *obs.Registry) []transport.ServerOption {
-	opts := []transport.ServerOption{transport.WithServerShards(f.Shards)}
+	var opts []transport.ServerOption
 	if f.EvictTTL > 0 {
 		opts = append(opts, transport.WithServerEviction(f.EvictTTL))
-	}
-	if f.Workers != 0 {
-		opts = append(opts, transport.WithServerWorkers(f.Workers))
 	}
 	if reg != nil || f.SlowOp > 0 {
 		opts = append(opts, transport.WithServerObs(reg, f.SlowOp))

@@ -18,17 +18,15 @@ import (
 // on every process, drives a long regclient workload, and scrapes every
 // /metrics endpoint MID-WORKLOAD — the observability acceptance scenario:
 // per-protocol op counters and latency percentiles on the client, request
-// counters and per-shard worker-occupancy gauges on the replicas, all
-// over plain HTTP with no shared process state.
+// counters, batch fan-in and reply-coalescing histograms on the replicas,
+// all over plain HTTP with no shared process state.
 func TestFleetMetricsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives real binaries; skipped with -short")
 	}
 	bins := buildBinaries(t)
 
-	// 3 replicas, each with its own debug address and an explicit
-	// 2-worker pool (auto would fall back to inline handling on a
-	// single-CPU runner, and inline mode has no worker gauges).
+	// 3 replicas, each with its own debug address.
 	addrs := make([]string, 3)
 	debugAddrs := make([]string, 3)
 	for i := range addrs {
@@ -40,8 +38,7 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 	for i := range addrs {
 		args := append(shapeArgs(cluster),
 			"-replica", fmt.Sprint(i+1),
-			"-debug-addr", debugAddrs[i],
-			"-workers", "2")
+			"-debug-addr", debugAddrs[i])
 		cmd := exec.Command(filepath.Join(bins, "regserver"), args...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -106,8 +103,8 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 		t.Fatalf("write latency p99 not populated: %+v", wlat)
 	}
 
-	// Every replica mid-workload: requests flowing, batch fan-in
-	// recorded, and the 2-worker pool's occupancy gauges present.
+	// Every replica mid-workload: requests flowing, batch fan-in and
+	// reply coalescing recorded, and the live key count exported.
 	for i, da := range debugAddrs {
 		snap := scrape(t, da)
 		if snap.Counters["server.requests"] == 0 {
@@ -116,10 +113,8 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 		if h, ok := snap.Histograms["server.batch_fanin"]; !ok || h.Count == 0 {
 			t.Fatalf("replica %d: batch fan-in histogram empty", i+1)
 		}
-		for _, g := range []string{"server.worker.0.busy", "server.worker.1.busy", "server.workers.busy"} {
-			if _, ok := snap.Gauges[g]; !ok {
-				t.Fatalf("replica %d: gauge %q missing; gauges: %v", i+1, g, snap.Gauges)
-			}
+		if h, ok := snap.Histograms["server.reply_batch"]; !ok || h.Count == 0 {
+			t.Fatalf("replica %d: reply batch histogram empty", i+1)
 		}
 		if _, ok := snap.Gauges["server.keys"]; !ok {
 			t.Fatalf("replica %d: server.keys gauge missing", i+1)

@@ -215,7 +215,7 @@ func TestMultiLiveKeysAreIndependent(t *testing.T) {
 func TestMultiLiveServerStateSharded(t *testing.T) {
 	// Every touched key materializes protocol state on the replicas that
 	// handled it, found via the same shard partition the handlers use.
-	m := newMulti(t, cfg521(), mwabd.New(), serverOpts(transport.WithServerShards(4)))
+	m := newMulti(t, cfg521(), mwabd.New())
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for i, k := range keys {
 		if _, err := m.Write(context.Background(), k, 1, fmt.Sprintf("v%d", i)); err != nil {
@@ -320,7 +320,7 @@ func TestMultiLiveStressManyKeys(t *testing.T) {
 		{"W2R1", w2r1.New(), quorum.Config{S: 9, T: 1, R: 3, W: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newMulti(t, tc.cfg, tc.p, serverOpts(transport.WithServerShards(8)))
+			m := newMulti(t, tc.cfg, tc.p)
 			var wg sync.WaitGroup
 			crash := make(chan struct{})
 			for c := 1; c <= tc.cfg.W; c++ {
@@ -377,44 +377,27 @@ func TestMultiLiveStressManyKeys(t *testing.T) {
 }
 
 // TestMultiLiveGoroutineFootprint pins the point of one shared fleet: the
-// goroutine count is O(servers), independent of the number of keys.
+// goroutine count is O(servers), independent of the number of keys and of
+// the core count — a replica serves each connection on that connection's
+// own loop, however many CPUs it has.
 func TestMultiLiveGoroutineFootprint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := quorum.Config{S: 5, T: 1, R: 1, W: 1}
 	before := runtime.NumGoroutine()
-	m := newMulti(t, cfg, mwabd.New(), serverOpts(transport.WithServerWorkers(2)))
+	m := newMulti(t, cfg, mwabd.New())
 	for i := 0; i < 100; i++ {
 		if _, err := m.Write(context.Background(), fmt.Sprintf("key-%03d", i), 1, "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	during := runtime.NumGoroutine()
-	// Per replica: accept loop, connection loop, 2 workers, reply
-	// collector; per client link: flusher and receive loop.
-	fleet := cfg.S * (5 + 2)
+	// Per replica: accept loop and one connection loop; per client link:
+	// flusher and receive loop.
+	fleet := cfg.S * (2 + 2)
 	if during > before+fleet+3 {
-		t.Fatalf("goroutines grew with keys: before=%d during=%d fleet=%d", before, during, fleet)
+		t.Fatalf("goroutines grew with keys or cores: before=%d during=%d fleet=%d", before, during, fleet)
 	}
 	if len(m.Keys()) != 100 {
 		t.Fatalf("keys = %d", len(m.Keys()))
-	}
-}
-
-func TestMultiLiveSingleWorkerSerial(t *testing.T) {
-	// Inline serving on one shard is a fully serialized replica loop;
-	// correctness must be identical.
-	m := newMulti(t, cfg521(), mwabd.New(), serverOpts(transport.WithServerWorkers(-1), transport.WithServerShards(1)))
-	for i := 0; i < 8; i++ {
-		k := fmt.Sprintf("k%d", i%2)
-		if _, err := m.Write(context.Background(), k, 1+i%2, fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Read(context.Background(), k, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for key, h := range m.Histories() {
-		if res := atomicity.Check(h); !res.Atomic {
-			t.Fatalf("key %q: %v", key, res)
-		}
 	}
 }

@@ -13,7 +13,7 @@
 // (internal/obs's benchmark pair locks that contract in.)
 //
 // Metric names are dotted paths ("client.W2R2.write.latency_ns",
-// "server.worker.3.busy"). The TCP and in-process backends run the same
+// "server.batch_fanin"). The TCP and in-process backends run the same
 // transport.Client and Server and so register the same names, which is
 // what makes the two backends' numbers directly comparable.
 package obs

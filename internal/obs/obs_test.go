@@ -266,7 +266,7 @@ func TestTracerThresholdFiltersFastOps(t *testing.T) {
 func TestHandlerEndpoints(t *testing.T) {
 	reg := New()
 	reg.Counter("client.W2R2.ops").Add(42)
-	reg.GaugeFunc("server.worker.0.busy", func() int64 { return 1 })
+	reg.GaugeFunc("server.keys", func() int64 { return 1 })
 	reg.Histogram("client.W2R2.write.latency_ns").Observe(1500)
 	tr := NewTracer(0, nil)
 	tr.Finish(tr.Start("k", "write", "w1"))
@@ -306,7 +306,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	if snap.Counters["client.W2R2.ops"] != 42 {
 		t.Fatalf("counter missing from /metrics: %+v", snap.Counters)
 	}
-	if snap.Gauges["server.worker.0.busy"] != 1 {
+	if snap.Gauges["server.keys"] != 1 {
 		t.Fatalf("gauge func missing from /metrics: %+v", snap.Gauges)
 	}
 	if h := snap.Histograms["client.W2R2.write.latency_ns"]; h.Count != 1 || h.P99 == 0 {

@@ -258,9 +258,6 @@ type Registry struct {
 // NewRegistry creates an empty registry with n shards (n ≤ 0 picks the
 // default).
 func NewRegistry(n int) *Registry {
-	if n <= 0 {
-		n = DefaultServerShards
-	}
 	return &Registry{r: keyreg.NewClientRegistry(n)}
 }
 

@@ -147,55 +147,6 @@ func TestClusterTCPCrash(t *testing.T) {
 	checkAtomic(t, reg, nClients*2*opsPerHalf)
 }
 
-// TestClusterTCPWorkersAtomic runs the headline workload against
-// replicas running a 4-worker shard-affine pool. The combined history
-// must be exactly as atomic as the inline-serving default — the pool
-// moves work between goroutines, never between protocol states.
-func TestClusterTCPWorkersAtomic(t *testing.T) {
-	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
-	_, addrs := startTCPCluster(t, cfg, mwabd.New(), WithServerWorkers(4))
-	const nClients, opsPerHalf = 4, 10
-	reg := runClusterWorkload(t, cfg, addrs, DialTCP, nClients, opsPerHalf, nil)
-	checkAtomic(t, reg, nClients*2*opsPerHalf)
-}
-
-// TestClusterTCPWorkersCrash kills a replica mid-workload under the same
-// worker-pool configuration: operations complete against the surviving
-// quorum and the history stays atomic, as with inline serving.
-func TestClusterTCPWorkersCrash(t *testing.T) {
-	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
-	servers, addrs := startTCPCluster(t, cfg, mwabd.New(), WithServerWorkers(4))
-	const nClients, opsPerHalf = 4, 10
-	reg := runClusterWorkload(t, cfg, addrs, DialTCP, nClients, opsPerHalf, func() {
-		servers[2].Close() // kill s3 mid-workload
-	})
-	checkAtomic(t, reg, nClients*2*opsPerHalf)
-}
-
-// TestClusterChanWorkersAtomic runs the shard-affine worker pool over the
-// in-process channel transport: worker handoff and reply coalescing must
-// be transport-independent.
-func TestClusterChanWorkersAtomic(t *testing.T) {
-	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
-	net := NewChanNetwork()
-	addrs := make([]string, cfg.S)
-	for i := 0; i < cfg.S; i++ {
-		addrs[i] = fmt.Sprintf("s%d", i+1)
-		lis, err := net.Listen(addrs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := NewServer(cfg, mwabd.New(), i+1, lis, WithServerWorkers(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
-	}
-	const nClients, opsPerHalf = 4, 10
-	reg := runClusterWorkload(t, cfg, addrs, net.Dial, nClients, opsPerHalf, nil)
-	checkAtomic(t, reg, nClients*2*opsPerHalf)
-}
-
 // TestClusterChanAtomic runs the same cluster shape over the in-process
 // channel transport — the two backends must be behaviorally identical.
 func TestClusterChanAtomic(t *testing.T) {

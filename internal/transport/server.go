@@ -1,10 +1,7 @@
 package transport
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastreg/internal/keyreg"
@@ -12,13 +9,8 @@ import (
 	"fastreg/internal/proto"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
-	"fastreg/internal/shard"
 	"fastreg/internal/types"
 )
-
-// DefaultServerShards partitions a replica's key space to bound lock
-// contention between keys that arrive on different connections.
-const DefaultServerShards = shard.Default
 
 // Server hosts ONE replica (server s_i) of a register cluster behind a
 // Listener — the process cmd/regserver runs. Every key's protocol state
@@ -39,16 +31,7 @@ type Server struct {
 	protocol register.Protocol
 
 	reg       *keyreg.ServerRegistry
-	nshards   int
 	maxRounds int // longest operation (in rounds) the protocol promises
-
-	// nworkers configures the shard-affine worker pool (WithServerWorkers):
-	// > 0 runs that many shard-owned workers, < 0 forces the inline
-	// per-connection path, 0 picks the default (a GOMAXPROCS-sized pool on
-	// multicore, inline on a single CPU where handoffs cost more than the
-	// affinity buys). workers[i] is worker i's inbox.
-	nworkers int
-	workers  []chan workItem
 
 	// evictTTL (off unless WithServerEviction) drives the sweeper; the
 	// eviction epoch itself lives in the registry.
@@ -63,16 +46,14 @@ type Server struct {
 	staleAfter int64
 
 	// Observability (all zero/nil when disabled — WithServerObs): request
-	// throughput, batch fan-in and reply coalescing histograms, a
-	// slow-batch counter past slowBatch, and per-worker busy flags that
-	// back the occupancy gauges.
+	// throughput, batch fan-in and reply coalescing histograms, and a
+	// slow-batch counter past slowBatch.
 	obsReg     *obs.Registry
 	requests   *obs.Counter
 	batchFanin *obs.Histogram
 	replyBatch *obs.Histogram
 	slowCount  *obs.Counter
 	slowBatch  time.Duration
-	busy       []atomic.Int64 // 1 while worker i is inside handleReqs
 
 	lis Listener
 
@@ -86,36 +67,6 @@ type Server struct {
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
-
-// WithServerShards sets the key-space shard count (default
-// DefaultServerShards).
-func WithServerShards(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.nshards = n
-		}
-	}
-}
-
-// WithServerWorkers configures the shard-affine worker pool: n > 0 runs a
-// fixed pool of n workers, each owning an interleaved stripe of the key
-// shards (shard i belongs to worker i mod n); n < 0 forces the inline
-// per-connection serving path; n = 0 (the default) sizes the pool to
-// GOMAXPROCS on multicore machines and serves inline on a single CPU.
-//
-// With a pool, each connection's receive loop only decodes and partitions:
-// the requests of a drained batch are handed, shard group by shard group,
-// to the worker that owns the shard, so one key's protocol state is only
-// ever touched from one goroutine — the shard lock stays uncontended and
-// the state stays cache-local — while the batch's replies flow back
-// through the connection's reply collector, which coalesces everything
-// its inbox holds into one batched frame (one syscall) per drain. The
-// observable contract is identical to inline serving: requests of one
-// connection are handled in arrival order per key, and replies are
-// correlated by operation, not by position.
-func WithServerWorkers(n int) ServerOption {
-	return func(s *Server) { s.nworkers = n }
-}
 
 // WithServerEviction enables the replica's idle-key sweep (the client's
 // is WithClientEviction): every ttl, keys untouched
@@ -154,7 +105,7 @@ func WithServerEviction(ttl time.Duration) ServerOption {
 // it stayed silent). This is the replica half of the audit subsystem's
 // capture layer: fn is typically an audit.Writer appending
 // TraceServerHandle records to the replica's trace log (regserver
-// -capture). fn runs on the serving goroutines after the shard lock is
+// -capture). fn runs on the connection loops after the shard lock is
 // released but BEFORE the batch's replies are sent — paired with the
 // audit writer's per-record flush on replica logs, that gives
 // durable-before-visible capture: a value no client has observed yet
@@ -172,10 +123,10 @@ func WithServerCapture(fn func(env proto.Envelope, reply proto.Message, seq uint
 
 // WithServerObs wires the replica into an observability registry: request
 // throughput ("server.requests"), batch fan-in and reply-coalesce size
-// histograms, the live key count and per-worker occupancy as pull
-// gauges, and — with slowBatch > 0 — a counter of shard batches whose
-// handling exceeded that duration. A nil registry disables everything
-// here at the cost of one branch per would-be record.
+// histograms, the live key count as a pull gauge, and — with
+// slowBatch > 0 — a counter of shard batches whose handling exceeded that
+// duration. A nil registry disables everything here at the cost of one
+// branch per would-be record.
 func WithServerObs(reg *obs.Registry, slowBatch time.Duration) ServerOption {
 	return func(s *Server) {
 		s.obsReg = reg
@@ -211,7 +162,6 @@ func NewServer(cfg quorum.Config, p register.Protocol, replica int, lis Listener
 		id:       types.Server(replica),
 		cfg:      cfg,
 		protocol: p,
-		nshards:  DefaultServerShards,
 		lis:      lis,
 		conns:    make(map[Conn]struct{}),
 		stop:     make(chan struct{}),
@@ -223,48 +173,15 @@ func NewServer(cfg quorum.Config, p register.Protocol, replica int, lis Listener
 	for _, o := range opts {
 		o(s)
 	}
-	s.reg = keyreg.NewServerRegistry(s.nshards, func() register.ServerLogic {
+	s.reg = keyreg.NewServerRegistry(0, func() register.ServerLogic {
 		return p.NewServer(s.id, cfg)
 	})
-	if s.nworkers == 0 {
-		// Auto: affinity pays for its two handoffs only when workers can
-		// actually run in parallel with the connection loops.
-		if n := runtime.GOMAXPROCS(0); n > 1 {
-			s.nworkers = n
-		}
-	}
-	if s.nworkers > s.nshards {
-		s.nworkers = s.nshards
-	}
-	// Metrics wire up before any serving goroutine starts, so the workers
-	// see a settled busy slice and the gauges never race construction.
 	if s.obsReg != nil {
 		s.requests = s.obsReg.Counter("server.requests")
 		s.batchFanin = s.obsReg.Histogram("server.batch_fanin")
 		s.replyBatch = s.obsReg.Histogram("server.reply_batch")
 		s.slowCount = s.obsReg.Counter("server.slow_batches")
 		s.obsReg.GaugeFunc("server.keys", func() int64 { return int64(s.reg.KeyCount()) })
-		if s.nworkers > 0 {
-			s.busy = make([]atomic.Int64, s.nworkers)
-			for i := range s.busy {
-				s.obsReg.GaugeFunc(fmt.Sprintf("server.worker.%d.busy", i), s.busy[i].Load)
-			}
-			s.obsReg.GaugeFunc("server.workers.busy", func() int64 {
-				var n int64
-				for i := range s.busy {
-					n += s.busy[i].Load()
-				}
-				return n
-			})
-		}
-	}
-	if s.nworkers > 0 {
-		s.workers = make([]chan workItem, s.nworkers)
-		for i := range s.workers {
-			s.workers[i] = make(chan workItem, workerInboxBuf)
-			s.wg.Add(1)
-			go s.workerLoop(i, s.workers[i])
-		}
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -307,122 +224,8 @@ type connReq struct {
 	shard int
 }
 
-// workerInboxBuf bounds a shard worker's inbox (work items, i.e. shard
-// groups); connection loops briefly block when a worker falls this far
-// behind, the same backpressure a busy inline handler applies.
-const workerInboxBuf = 64
-
-// collectorInboxBuf bounds a connection's reply-collector inbox (reply
-// groups). Workers block on a full inbox only while the collector is
-// stuck writing to a dead peer, which tcpSendTimeout bounds.
-const collectorInboxBuf = 64
-
-// reqsPool recycles the per-worker shard-group slices the connection
-// loops partition batches into.
-var reqsPool = sync.Pool{New: func() any { return new([]connReq) }}
-
-func getReqs() []connReq { return (*reqsPool.Get().(*[]connReq))[:0] }
-
-func putReqs(reqs []connReq) {
-	clear(reqs[:cap(reqs)]) // drop payload/key references before pooling
-	reqsPool.Put(&reqs)
-}
-
-// workItem is one connection's shard group handed to the owning worker:
-// the requests (all mapping to shards the worker owns) plus the reply
-// collector of the connection they arrived on.
-type workItem struct {
-	reqs []connReq
-	rc   *replyCollector
-}
-
-// replyCollector is one connection's reply path in worker-pool mode:
-// workers deliver each group's replies to its inbox, and the collector
-// goroutine coalesces everything the inbox holds into one batched frame —
-// one syscall per drain, no matter how many workers contributed.
-type replyCollector struct {
-	conn Conn
-	in   chan []proto.Envelope
-	done chan struct{} // closed when the connection's serve loop exits
-}
-
-// deliver hands one reply group to the collector, dropping it if the
-// connection or server is shutting down (the client re-sends when the
-// round has waited resendInterval; replies are best-effort like any other
-// message). Ownership of
-// replies transfers here on every path: enqueued slabs are recycled by
-// the collector loop, dropped ones immediately.
-//
-//lint:consumes replies
-func (rc *replyCollector) deliver(replies []proto.Envelope, stop <-chan struct{}) {
-	select {
-	case rc.in <- replies:
-	case <-rc.done:
-		proto.PutEnvs(replies)
-	case <-stop:
-		proto.PutEnvs(replies)
-	}
-}
-
-func (rc *replyCollector) loop(s *Server) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-rc.done:
-			return
-		case out := <-rc.in:
-		drain:
-			for {
-				select {
-				case more := <-rc.in:
-					out = append(out, more...)
-					proto.PutEnvs(more)
-				default:
-					break drain
-				}
-			}
-			// A send error means the connection died; keep draining (and
-			// failing fast) until the serve loop notices and closes done,
-			// so workers never wedge behind this connection.
-			s.replyBatch.Observe(int64(len(out)))
-			_ = rc.conn.SendBatch(out)
-		}
-	}
-}
-
-// workerLoop is one shard-affine worker: it owns an interleaved stripe of
-// the key shards and is the only goroutine that handles requests for
-// them, so the shard lock it takes is never contended by other handlers
-// and a shard's protocol state stays on one core.
-func (s *Server) workerLoop(idx int, inbox chan workItem) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case it := <-inbox:
-			if s.busy != nil {
-				s.busy[idx].Store(1)
-			}
-			replies := s.handleReqs(it.reqs, proto.GetEnvs())
-			if s.busy != nil {
-				s.busy[idx].Store(0)
-			}
-			putReqs(it.reqs)
-			if len(replies) == 0 {
-				proto.PutEnvs(replies)
-				continue
-			}
-			it.rc.deliver(replies, s.stop)
-		}
-	}
-}
-
-// serveConn is one connection's receive loop. Inline (no worker pool):
-// drain the next frame's whole batch, handle it, send every reply back in
-// one batched frame. With the shard-affine pool:
-// decode and partition only — each shard group goes to the worker owning
-// that shard, and replies return through the connection's collector.
+// serveConn is one connection's receive loop: drain the next frame's
+// whole batch, handle it, send every reply back in one batched frame.
 func (s *Server) serveConn(conn Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -431,10 +234,6 @@ func (s *Server) serveConn(conn Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	if s.nworkers > 0 {
-		s.serveConnWorkers(conn)
-		return
-	}
 	var reqs []connReq // reused across frames
 	for {
 		envs, err := conn.RecvBatch()
@@ -465,55 +264,6 @@ func (s *Server) serveConn(conn Conn) {
 		if err := conn.SendBatch(replies); err != nil {
 			return
 		}
-	}
-}
-
-// serveConnWorkers is the worker-pool serve loop: decode, partition by
-// owning worker, hand off, repeat. Groups reach each worker in arrival
-// order (one channel per worker, pushed in order), so per-key handle
-// order within a connection is preserved exactly as inline serving
-// preserves it.
-func (s *Server) serveConnWorkers(conn Conn) {
-	rc := &replyCollector{
-		conn: conn,
-		in:   make(chan []proto.Envelope, collectorInboxBuf),
-		done: make(chan struct{}),
-	}
-	defer close(rc.done)
-	s.wg.Add(1)
-	go rc.loop(s)
-	byWorker := make([][]connReq, s.nworkers)
-	touched := make([]int, 0, s.nworkers)
-	for {
-		envs, err := conn.RecvBatch()
-		if err != nil {
-			return // peer gone or we closed
-		}
-		for i := range envs {
-			env := &envs[i]
-			if env.Payload == nil || env.IsReply {
-				continue // not a request; drop like a corrupt frame
-			}
-			shard := s.reg.ShardIndex(env.Key)
-			w := shard % s.nworkers
-			if byWorker[w] == nil {
-				byWorker[w] = getReqs()
-				touched = append(touched, w)
-			}
-			byWorker[w] = append(byWorker[w], connReq{env: *env, shard: shard})
-		}
-		proto.PutEnvs(envs)
-		for _, w := range touched {
-			it := workItem{reqs: byWorker[w], rc: rc}
-			byWorker[w] = nil
-			select {
-			case s.workers[w] <- it:
-			case <-s.stop:
-				putReqs(it.reqs)
-				return
-			}
-		}
-		touched = touched[:0]
 	}
 }
 
@@ -573,9 +323,9 @@ func (s *Server) handleReqs(reqs []connReq, out []proto.Envelope) []proto.Envelo
 	}
 	// Emit capture records outside the shard locks (the trace writer does
 	// its own locking and file I/O, which must not extend the protocol's
-	// critical section) but BEFORE the replies ship — the collector or
-	// caller sends them only after this returns, preserving the audit
-	// layer's durable-before-visible contract in both serve modes.
+	// critical section) but BEFORE the replies ship — serveConn sends them
+	// only after this returns, preserving the audit layer's
+	// durable-before-visible contract.
 	for _, c := range caps {
 		s.capture(c.env, c.reply, c.seq)
 	}

@@ -248,7 +248,7 @@ func WithVouchedReads(t int) Option {
 // WithMetrics enables the store's observability core: per-operation
 // latency histograms (with p50/p95/p99 extraction) split by kind,
 // rounds-per-operation, retry/failure counters, queue-depth and
-// worker-occupancy gauges — surfaced through Store.Stats and the
+// live-key-count gauges — surfaced through Store.Stats and the
 // DebugHandler's /metrics endpoint. The in-process and TCP backends run
 // the same client and record under identical metric names, so their
 // numbers are directly comparable; in-process the store's replicas
