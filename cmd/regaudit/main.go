@@ -1,9 +1,12 @@
-// Command regaudit is the offline half of the capture/replay audit
-// subsystem: it merges the per-process trace logs a captured run leaves
+// Command regaudit is the operator surface of the capture/replay audit
+// subsystem: it reads the per-process trace logs a captured run leaves
 // behind (regserver -capture, regclient -capture, fastreg.WithCapture)
-// and re-runs the atomicity checker over the joint multi-client history
-// — the only way to verify a run that spans several client processes,
-// where no single process's clock orders all operations.
+// and runs the atomicity checker over the joint multi-client history —
+// the only way to verify a run that spans several client processes,
+// where no single process's clock orders all operations. merge/check and
+// follow are two drivers of one ingest (internal/audit): the same header
+// check, identity-collision guard, replica-evidence synthesis and
+// coverage rule decide every verdict, offline or live.
 //
 // Usage:
 //
@@ -38,11 +41,16 @@
 // records by their epoch tags, and emits a windowed verdict the moment
 // each epoch's window closes in every log — memory stays O(window), and
 // the verdicts agree with an offline `regaudit check` over the same
-// logs. Directories are rescanned each poll, so logs that appear late
-// are picked up; -idle-exit drains the trailing epochs and exits once
-// the logs stop growing.
+// logs. merge and check are the same ingest with every record in one
+// bucket, untagged records included. A followed log from another
+// deployment is refused with a warning, and a violated epoch is marked
+// "not binding" when replica logs are missing, identities collided or
+// its window dropped stragglers or untagged records (the verdict line
+// counts them). Directories are rescanned each poll, so logs that appear
+// late are picked up; -idle-exit drains the trailing epochs and exits
+// once the logs stop growing.
 //
-// The merge trusts nothing it cannot see: operations from different
+// Neither mode trusts what it cannot see: operations from different
 // processes are never real-time ordered (each capture log is its own
 // clock domain), writes that only replicas witnessed are replayed as
 // optional pending operations, and duplicate replica records from
@@ -291,20 +299,7 @@ func expand(args []string) ([]string, error) {
 }
 
 func printHeader(m *audit.Merge) {
-	intact := 0
-	for _, files := range m.Replicas {
-		good := true
-		for _, f := range files {
-			if f.Truncated {
-				good = false
-			}
-		}
-		if good {
-			intact++
-		}
-	}
-	fmt.Printf("regaudit: %d logs (%d client, %d/%d replicas) — %s %s\n",
-		len(m.Files), len(m.Clients), intact, m.Shape.S, m.Protocol, m.Shape)
+	fmt.Printf("regaudit: %s — %s %s\n", m.Coverage(), m.Protocol, m.Shape)
 	if m.Synthesized > 0 {
 		fmt.Printf("  %d write(s) known only from replica evidence, replayed as optional\n", m.Synthesized)
 	}

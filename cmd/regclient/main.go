@@ -301,7 +301,7 @@ func mergedCheck(dir string, timeouts int) int {
 		fmt.Fprintln(os.Stderr, "regclient:", err)
 		return 1
 	}
-	fmt.Printf("  merged check: %d logs (%d client, %d replica) from %s\n", len(m.Files), len(m.Clients), len(m.Replicas), dir)
+	fmt.Printf("  merged check: %s from %s\n", m.Coverage(), dir)
 	for _, w := range m.Warnings {
 		fmt.Printf("  merge warning: %s\n", w)
 	}

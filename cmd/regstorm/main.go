@@ -241,24 +241,11 @@ func verdict(dir string) (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	intact := 0
-	for _, files := range m.Replicas {
-		good := true
-		for _, f := range files {
-			if f.Truncated {
-				good = false
-			}
-		}
-		if good {
-			intact++
-		}
-	}
 	coverage := "FULL — verdicts binding"
 	if !m.FullCoverage {
 		coverage = "PARTIAL — verdicts advisory"
 	}
-	fmt.Printf("regstorm: merged %d logs (%d client, %d/%d replicas), coverage %s\n",
-		len(m.Files), len(m.Clients), intact, m.Shape.S, coverage)
+	fmt.Printf("regstorm: merged %s, coverage %s\n", m.Coverage(), coverage)
 	for _, w := range m.Warnings {
 		fmt.Printf("regstorm: warning: %s\n", w)
 	}

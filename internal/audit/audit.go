@@ -1,16 +1,14 @@
-// Package audit is the capture/replay subsystem: it turns the atomicity
-// checker — until now limited to the operations one process observed —
-// into a tool that verifies real multi-process deployments.
+// Package audit is the capture/replay subsystem: it verifies atomicity
+// over real multi-process deployments, not just the operations one
+// process observed.
 //
 // # The problem
 //
-// regclient can check its own history because it holds one clock: every
-// invocation and response it recorded is totally ordered. Two regclient
-// processes hammering the same fleet have NO shared clock, and real-time
-// order across them is not observable — so their histories were
-// "individually, not jointly, checkable". Capture-and-offline-check is
-// the standard answer: every process appends what it observed to a trace
-// log, and an offline merge reconstructs one multi-client history.
+// One process can check its own history because it holds one clock. Two
+// client processes on one fleet share NO clock, so real-time order across
+// them is not observable. Capture-and-offline-check is the standard
+// answer: every process appends what it observed to a trace log, and the
+// logs are joined into one multi-client history.
 //
 // # The model, and why the verdict is binding
 //
@@ -48,19 +46,24 @@
 // tracks exactly this — with all S replica logs intact, every value any
 // replica ever served has a visible origin, and verdicts are binding.
 //
-// # The pieces
+// # The pieces: one ingest, two drivers
 //
 //   - Writer appends proto.TraceRecord frames to a per-process .trlog
-//     file: TraceClientOp records via the history recorder's capture
-//     sink (fastreg.WithCapture, regclient -capture), TraceServerHandle
-//     records via transport.WithServerCapture (regserver -capture, and
-//     the in-process fleet fastreg.WithCapture hosts);
-//   - MergeFiles parses any set of logs — S−t of S replica logs and a
-//     partial client log are still useful, just annotated — and joins
-//     them into per-key histories with domain maps;
-//   - Merge.Check replays the merged history through the atomicity
-//     checker and produces per-key verdicts with binding notes;
-//   - cmd/regaudit is the operator surface over both.
+//     file: client ops via the history recorder's capture sink
+//     (fastreg.WithCapture, regclient -capture), handled requests via
+//     transport.WithServerCapture (regserver -capture), and epoch
+//     boundaries from the continuous-audit coordinator;
+//   - the ingest (ingest.go) is the only reader of those frames: it
+//     refuses logs from another deployment, cuts torn or corrupt logs at
+//     their intact prefix, files client ops and replica evidence into
+//     buckets, and settles each bucket — collided identities re-homed,
+//     replica-only writes synthesized, coverage counted;
+//   - one checker (window.go) decides a window of buckets against a
+//     frontier and builds every per-key verdict;
+//   - the Follower drives the ingest live, one bucket per epoch
+//     (stream.go); MergeFiles drives it over closed logs, every record in
+//     one bucket that Merge.Check decides with no frontier (merge.go);
+//   - cmd/regaudit is the operator surface over both drivers.
 package audit
 
 import (
@@ -133,11 +136,9 @@ func ClientHeader(label, protocol string, cfg quorum.Config) proto.TraceRecord {
 // replica's identity travels in the record's Server field — that is how
 // the merge tells replica logs from client logs.
 func ServerHeader(replica int, protocol string, cfg quorum.Config) proto.TraceRecord {
-	return proto.TraceRecord{
-		Kind: proto.TraceHeader, Origin: types.Server(replica).String(), Protocol: protocol,
-		S: cfg.S, T: cfg.T, R: cfg.R, W: cfg.W,
-		Server: types.Server(replica),
-	}
+	h := ClientHeader(types.Server(replica).String(), protocol, cfg)
+	h.Server = types.Server(replica)
+	return h
 }
 
 // NewFileWriter creates (truncating) the capture log at path and writes
@@ -147,29 +148,33 @@ func NewFileWriter(path string, header proto.TraceRecord) (*Writer, error) {
 	if header.Kind != proto.TraceHeader {
 		return nil, fmt.Errorf("audit: log must open with a header record, got %v", header.Kind)
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	w := &Writer{durable: header.Server.Role == types.RoleServer, path: path, header: header}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.openLocked(); err != nil {
 		return nil, err
-	}
-	w := &Writer{
-		f: f, bw: bufio.NewWriterSize(f, 64<<10),
-		durable: header.Server.Role == types.RoleServer,
-		path:    path, header: header,
-	}
-	if err := proto.WriteTraceRecord(w.bw, header); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := w.bw.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if st, err := f.Stat(); err == nil {
-		w.mu.Lock()
-		w.written = st.Size()
-		w.mu.Unlock()
 	}
 	return w, nil
+}
+
+// openLocked creates segment w.seg and writes the header to it unbuffered,
+// so every segment is independently parseable from the moment it exists.
+func (w *Writer) openLocked() error {
+	w.f = nil
+	f, err := os.Create(SegmentPath(w.path, w.seg))
+	if err != nil {
+		return err
+	}
+	hdr, err := proto.EncodeTraceRecord(w.header)
+	if err == nil {
+		_, err = f.Write(hdr)
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	w.f, w.bw, w.n, w.written = f, bufio.NewWriterSize(f, 64<<10), 0, int64(len(hdr))
+	return nil
 }
 
 // RotateAt enables size-based log rotation: once the current segment
@@ -209,42 +214,20 @@ func Segments(path string) []string {
 // rotateLocked seals the current segment and opens the next one with a
 // fresh header. Called with mu held. Errors latch like any append error.
 func (w *Writer) rotateLocked() {
-	if err := w.bw.Flush(); err != nil {
-		w.err = err
-		return
+	if w.err = w.bw.Flush(); w.err == nil {
+		w.err = w.f.Close()
 	}
-	if err := w.f.Close(); err != nil {
-		w.err = err
-		return
+	if w.err == nil {
+		w.seg++
+		w.err = w.openLocked()
 	}
-	w.seg++
-	f, err := os.Create(SegmentPath(w.path, w.seg))
-	if err != nil {
-		w.err = err
-		w.f = nil
-		return
-	}
-	w.f = f
-	w.bw = bufio.NewWriterSize(f, 64<<10)
-	w.n = 0
-	w.written = 0
-	hdr, err := proto.EncodeTraceRecord(w.header)
-	if err != nil {
-		w.err = err
-		return
-	}
-	if _, err := w.bw.Write(hdr); err != nil {
-		w.err = err
-		return
-	}
-	w.written = int64(len(hdr))
-	w.err = w.bw.Flush()
 }
 
 // append writes one record under the lock — flushed immediately on
-// durable (replica) logs, periodically on client logs, so a crash loses
-// at most a bounded tail of a client's own operations.
-func (w *Writer) append(rec proto.TraceRecord) {
+// durable (replica) logs, when flush is set, and periodically on client
+// logs, so a crash loses at most a bounded tail of a client's own
+// operations.
+func (w *Writer) append(rec proto.TraceRecord, flush bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil || w.f == nil {
@@ -262,7 +245,7 @@ func (w *Writer) append(rec proto.TraceRecord) {
 		w.err = err
 		return
 	}
-	if w.n++; w.durable || w.n >= flushEvery {
+	if w.n++; flush || w.durable || w.n >= flushEvery {
 		w.n = 0
 		w.err = w.bw.Flush()
 	}
@@ -277,28 +260,7 @@ func (w *Writer) append(rec proto.TraceRecord) {
 // is complete", so it must never sit in a buffer behind the records it
 // fences.
 func (w *Writer) Epoch(n uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil || w.f == nil {
-		return
-	}
-	buf, err := proto.AppendTraceRecord(proto.GetBuf(), proto.TraceRecord{Kind: proto.TraceEpoch, Epoch: n})
-	if err != nil {
-		w.err = err
-		return
-	}
-	_, err = w.bw.Write(buf)
-	w.written += int64(len(buf))
-	proto.PutBuf(buf)
-	if err != nil {
-		w.err = err
-		return
-	}
-	w.n = 0
-	w.err = w.bw.Flush()
-	if w.maxBytes > 0 && w.written >= w.maxBytes && w.err == nil {
-		w.rotateLocked()
-	}
+	w.append(proto.TraceRecord{Kind: proto.TraceEpoch, Epoch: n}, true)
 }
 
 // Op is the client-capture sink (history recorder signature): it appends
@@ -320,7 +282,7 @@ func (w *Writer) Op(key string, op history.Op) {
 		rec.Failed = true
 		rec.Err = op.Err.Error()
 	}
-	w.append(rec)
+	w.append(rec, false)
 }
 
 // Handle is the replica-capture hook for transport.WithServerCapture:
@@ -354,32 +316,17 @@ func (w *Writer) Handle(env proto.Envelope, reply proto.Message, seq uint64) {
 			rec.ReplyVal = types.MaxValue(rec.ReplyVal, e.Val)
 		}
 	}
-	w.append(rec)
-}
-
-// Err reports the first latched I/O error.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
+	w.append(rec, false)
 }
 
 // Flush forces buffered records to disk.
-func (w *Writer) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return w.err
-	}
-	if err := w.bw.Flush(); err != nil && w.err == nil {
-		w.err = err
-	}
-	return w.err
-}
+func (w *Writer) Flush() error { return w.finish(false) }
 
 // Close flushes and closes the log. Safe to call more than once; later
 // appends are dropped.
-func (w *Writer) Close() error {
+func (w *Writer) Close() error { return w.finish(true) }
+
+func (w *Writer) finish(close bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -387,6 +334,9 @@ func (w *Writer) Close() error {
 	}
 	if err := w.bw.Flush(); err != nil && w.err == nil {
 		w.err = err
+	}
+	if !close {
+		return w.err
 	}
 	if err := w.f.Close(); err != nil && w.err == nil {
 		w.err = err

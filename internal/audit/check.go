@@ -2,7 +2,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fastreg/internal/atomicity"
@@ -29,8 +28,9 @@ type KeyVerdict struct {
 	// Binding reports whether a violation on this key indicts the store
 	// outright. Clean keys are always binding (a witness linearization is
 	// a proof given the logs); a violated key is binding when coverage
-	// guarantees no write is invisible — see Merge.FullCoverage. Notes
-	// explains a non-binding verdict.
+	// guarantees no write is invisible — see Merge.FullCoverage — and,
+	// live, its window dropped no record. Notes explains a non-binding
+	// verdict.
 	Binding bool
 	Notes   []string
 }
@@ -67,50 +67,19 @@ func (r *Report) Violated() []KeyVerdict {
 }
 
 // Check replays every merged key's history through the atomicity checker
-// under the clock-domain model and reports per-key verdicts.
+// under the clock-domain model and reports per-key verdicts: the
+// follower's checker over one window with no frontier.
 func (m *Merge) Check() *Report {
-	rep := &Report{Clean: true, Binding: true, Stale: m.Stale}
-	if len(rep.Stale) > 0 {
-		rep.Clean = false
-	}
-	for _, k := range m.KeyNames() {
-		kh := m.Keys[k]
-		h := kh.History()
-		v := KeyVerdict{
-			Key:       k,
-			Result:    atomicity.CheckDomains(h, kh.DomainOf),
-			Completed: len(h.Completed()),
-			Pending:   len(h.Pending()),
-			Failed:    len(h.Failed()),
-			Domains:   kh.NumDomains(),
-			Binding:   true,
-		}
-		v.Optional = v.Pending + v.Failed
+	rep := &Report{Clean: len(m.Stale) == 0, Binding: true, Stale: m.Stale}
+	_, caveat := m.in.coverage()
+	rep.Verdicts = m.in.wc.check([]*bucket{m.in.buckets[0]}, true, caveat)
+	for _, v := range rep.Verdicts {
 		rep.Operations += v.Completed
 		if !v.Result.Atomic {
 			rep.Clean = false
-			// Name the clock domains of the implicated operations — with
-			// per-process logs, "which process saw this" is the first
-			// thing an operator needs. A no-linearization verdict
-			// implicates every op, so cap the listing.
-			ops := v.Result.Violation.Ops
-			if len(ops) > 8 {
-				v.Notes = append(v.Notes, fmt.Sprintf("%d operations implicated; first 8:", len(ops)))
-				ops = ops[:8]
-			}
-			for _, op := range ops {
-				v.Notes = append(v.Notes, fmt.Sprintf("%s observed by %s", op.Key(), kh.DomainLabel(kh.DomainOf(op))))
-			}
-			if !m.FullCoverage {
-				v.Binding = false
-				rep.Binding = false
-				v.Notes = append(v.Notes,
-					"NOT BINDING: replica logs are incomplete or identities collided, so a write may exist that no log shows — rerun with every replica capturing to make the verdict binding")
-			}
+			rep.Binding = rep.Binding && v.Binding
 		}
-		rep.Verdicts = append(rep.Verdicts, v)
 	}
-	sort.Slice(rep.Verdicts, func(i, j int) bool { return rep.Verdicts[i].Key < rep.Verdicts[j].Key })
 	return rep
 }
 

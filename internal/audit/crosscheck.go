@@ -2,7 +2,8 @@ package audit
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"fastreg/internal/proto"
 	"fastreg/internal/types"
@@ -42,15 +43,8 @@ type serveMonitor struct {
 
 type serveKey struct {
 	next  uint64 // next handled-counter value expected (Seq starts at 1)
-	hold  map[uint64]handleObs
+	hold  map[uint64]proto.TraceRecord
 	known types.Value // max tag acked or served so far
-}
-
-// handleObs is the slice of a handle record the cross-check needs.
-type handleObs struct {
-	payload  proto.Kind
-	val      types.Value
-	replyVal types.Value
 }
 
 func newServeMonitor(replica int) *serveMonitor {
@@ -63,13 +57,13 @@ func newServeMonitor(replica int) *serveMonitor {
 func (m *serveMonitor) Feed(rec proto.TraceRecord) []StaleServe {
 	sk, ok := m.keys[rec.Key]
 	if !ok {
-		sk = &serveKey{next: 1, hold: make(map[uint64]handleObs)}
+		sk = &serveKey{next: 1, hold: make(map[uint64]proto.TraceRecord)}
 		m.keys[rec.Key] = sk
 	}
 	if rec.Seq < sk.next {
 		return nil // duplicate (retried capture); already processed
 	}
-	sk.hold[rec.Seq] = handleObs{payload: rec.Payload, val: rec.Val, replyVal: rec.ReplyVal}
+	sk.hold[rec.Seq] = rec
 	return m.drain(rec.Key, sk, false)
 }
 
@@ -78,12 +72,7 @@ func (m *serveMonitor) Feed(rec proto.TraceRecord) []StaleServe {
 // epochs retired, after which stragglers are dropped upstream anyway).
 func (m *serveMonitor) ForceAdvance() []StaleServe {
 	var out []StaleServe
-	keys := make([]string, 0, len(m.keys))
-	for k := range m.keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(m.keys)) {
 		out = append(out, m.drain(k, m.keys[k], true)...)
 	}
 	return out
@@ -92,53 +81,30 @@ func (m *serveMonitor) ForceAdvance() []StaleServe {
 func (m *serveMonitor) drain(key string, sk *serveKey, skipGaps bool) []StaleServe {
 	var out []StaleServe
 	for len(sk.hold) > 0 {
-		obs, ok := sk.hold[sk.next]
+		rec, ok := sk.hold[sk.next]
 		if !ok {
 			if !skipGaps {
 				return out
 			}
 			// Jump to the smallest held Seq past the gap.
-			min := uint64(0)
-			for s := range sk.hold {
-				if min == 0 || s < min {
-					min = s
-				}
-			}
-			sk.next = min
-			obs = sk.hold[min]
+			sk.next = slices.Min(slices.Collect(maps.Keys(sk.hold)))
+			rec = sk.hold[sk.next]
 		}
 		delete(sk.hold, sk.next)
 		sk.next++
-		if obs.payload == proto.KindUpdate && !obs.val.IsInitial() {
+		if rec.Payload == proto.KindUpdate && !rec.Val.IsInitial() {
 			// An applied write: the replica's stored tag is now ≥ this.
-			sk.known = types.MaxValue(sk.known, obs.val)
+			sk.known = types.MaxValue(sk.known, rec.Val)
 		}
-		if !obs.replyVal.IsInitial() {
-			if obs.replyVal.Tag.Less(sk.known.Tag) {
+		if !rec.ReplyVal.IsInitial() {
+			if rec.ReplyVal.Tag.Less(sk.known.Tag) {
 				out = append(out, StaleServe{
 					Replica: m.replica, Key: key, Seq: sk.next - 1,
-					Served: obs.replyVal, Known: sk.known,
+					Served: rec.ReplyVal, Known: sk.known,
 				})
 			}
-			sk.known = types.MaxValue(sk.known, obs.replyVal)
+			sk.known = types.MaxValue(sk.known, rec.ReplyVal)
 		}
 	}
 	return out
-}
-
-// crossCheckFile runs the served-value cross-check over one replica
-// log's records. Each file gets a fresh monitor: a restarted replica
-// legitimately restarts its handled counters (and its state), so
-// monotonicity is only claimed within one process lifetime. Records
-// with Seq 0 predate the counter and are skipped.
-func crossCheckFile(replica int, recs []proto.TraceRecord) []StaleServe {
-	m := newServeMonitor(replica)
-	var out []StaleServe
-	for _, rec := range recs {
-		if rec.Kind != proto.TraceServerHandle || rec.Seq == 0 {
-			continue
-		}
-		out = append(out, m.Feed(rec)...)
-	}
-	return append(out, m.ForceAdvance()...)
 }

@@ -6,9 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"fastreg/internal/epoch"
 	"fastreg/internal/history"
 	"fastreg/internal/mwabd"
 	"fastreg/internal/proto"
@@ -18,29 +16,28 @@ import (
 	"fastreg/internal/vclock"
 )
 
-// TestWriterRotationMerge: a size-capped writer splits its log into a
-// .trlog.N segment family, and MergeFiles given only the base path
-// reassembles the whole history across segments.
-func TestWriterRotationMerge(t *testing.T) {
-	dir := t.TempDir()
+// rotatedClientLog writes 40 untagged client writes through a
+// size-capped writer, splitting the log into a .trlog.N segment family.
+func rotatedClientLog(t *testing.T) string {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	path := filepath.Join(dir, "client.trlog")
-	w, err := NewFileWriter(path, ClientHeader("client-1", "W2R2", cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.RotateAt(512)
+	return handLog(t, filepath.Join(t.TempDir(), "client.trlog"), ClientHeader("client-1", "W2R2", cfg), func(w *Writer) {
+		w.RotateAt(512)
+		for i := 1; i <= 40; i++ {
+			v := types.Value{Tag: types.Tag{TS: int64(i), WID: types.Writer(1)}, Data: fmt.Sprintf("v%02d", i)}
+			w.Op("k", history.Op{
+				Client: types.Writer(1), OpID: uint64(i), Kind: types.OpWrite,
+				Invoke: vclock.Time(2*i - 1), Response: vclock.Time(2 * i), Value: v,
+			})
+		}
+	})
+}
+
+// TestWriterRotationMerge: MergeFiles given only the base path of a
+// rotated log reassembles the whole history across segments — its
+// epoch-0 records included.
+func TestWriterRotationMerge(t *testing.T) {
 	const n = 40
-	for i := 1; i <= n; i++ {
-		v := types.Value{Tag: types.Tag{TS: int64(i), WID: types.Writer(1)}, Data: fmt.Sprintf("v%02d", i)}
-		w.Op("k", history.Op{
-			Client: types.Writer(1), OpID: uint64(i), Kind: types.OpWrite,
-			Invoke: vclock.Time(2*i - 1), Response: vclock.Time(2 * i), Value: v,
-		})
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := rotatedClientLog(t)
 	segs := Segments(path)
 	if len(segs) < 3 {
 		t.Fatalf("512-byte cap over %d records made %d segment(s), want >= 3", n, len(segs))
@@ -68,8 +65,9 @@ func TestWriterRotationMerge(t *testing.T) {
 
 // forgeStaleReplicaLog writes a replica log whose own records convict
 // it: an applied update committed tag 5, then a later reply served tag
-// 2 — stale by the replica's own committed state.
-func forgeStaleReplicaLog(t *testing.T, dir string) string {
+// 2 — stale by the replica's own committed state. A non-zero epoch tags
+// both records and stamps its boundary.
+func forgeStaleReplicaLog(t *testing.T, dir string, epoch uint64) string {
 	t.Helper()
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
 	path := filepath.Join(dir, "s1.trlog")
@@ -79,10 +77,13 @@ func forgeStaleReplicaLog(t *testing.T, dir string) string {
 	}
 	v5 := types.Value{Tag: types.Tag{TS: 5, WID: types.Writer(1)}, Data: "new"}
 	v2 := types.Value{Tag: types.Tag{TS: 2, WID: types.Writer(1)}, Data: "old"}
-	up := proto.Envelope{From: types.Writer(1), To: types.Server(1), Key: "k", OpID: 1, Round: 1, Payload: proto.Update{Val: &v5}}
+	up := proto.Envelope{From: types.Writer(1), To: types.Server(1), Key: "k", OpID: 1, Round: 1, Epoch: epoch, Payload: proto.Update{Val: &v5}}
 	w.Handle(up, proto.UpdateAck{}, 1)
-	rd := proto.Envelope{From: types.Reader(1), To: types.Server(1), Key: "k", OpID: 2, Round: 1, Payload: proto.Query{}}
+	rd := proto.Envelope{From: types.Reader(1), To: types.Server(1), Key: "k", OpID: 2, Round: 1, Epoch: epoch, Payload: proto.Query{}}
 	w.Handle(rd, proto.QueryAck{Val: &v2}, 2)
+	if epoch > 0 {
+		w.Epoch(epoch)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func forgeStaleReplicaLog(t *testing.T, dir string) string {
 // regression as a binding violation even when no client log exists to
 // catch it end to end.
 func TestCrossCheckStaleServe(t *testing.T) {
-	path := forgeStaleReplicaLog(t, t.TempDir())
+	path := forgeStaleReplicaLog(t, t.TempDir(), 0)
 	m, err := MergeFiles(path)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestCrossCheckStaleServe(t *testing.T) {
 // replica-side finding, via Drain's holdback flush when no epoch ever
 // closes.
 func TestFollowerCrossCheck(t *testing.T) {
-	path := forgeStaleReplicaLog(t, t.TempDir())
+	path := forgeStaleReplicaLog(t, t.TempDir(), 0)
 	f := NewFollower(FollowOptions{})
 	defer f.Close()
 	if err := f.AddLog(path); err != nil {
@@ -131,21 +132,6 @@ func TestFollowerCrossCheck(t *testing.T) {
 	}
 }
 
-// epochCluster runs a captured cluster whose client borrows from a live
-// weight-throwing coordinator, cutting an epoch after every batch of
-// operations. Returns the follower (already drained) and the offline
-// report over the same logs.
-func mustCut(t *testing.T, co *epoch.Coordinator) {
-	t.Helper()
-	for i := 0; i < 2000; i++ {
-		if co.Cut() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("cutover never accepted — weight leaked?")
-}
-
 // TestWindowEquivalenceClean: the streaming windowed checker and the
 // offline merge agree on a clean multi-epoch run — same op count, every
 // epoch CLEAN — with rotation forcing the follower across segment
@@ -155,36 +141,11 @@ func TestWindowEquivalenceClean(t *testing.T) {
 	for _, w := range env.writers {
 		w.RotateAt(2048)
 	}
-	coord := epoch.New(nil)
-	for _, w := range env.writers {
-		coord.Stamp(w.Epoch)
-	}
-	label := "client-1"
-	cpath := filepath.Join(env.dir, label+".trlog")
-	cw, err := NewFileWriter(cpath, ClientHeader(label, env.p.Name(), env.cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, cw := env.client(t)
 	cw.RotateAt(2048)
-	coord.Stamp(cw.Epoch)
-	env.paths = append(env.paths, cpath)
-	c, err := transport.NewClient(env.cfg, env.p, env.addrs, env.net.Dial,
-		transport.WithOpCapture(cw.Op), transport.WithEpochCoordinator(coord))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 
 	f := NewFollower(FollowOptions{})
 	defer f.Close()
-	addLogs := func() {
-		for _, p := range env.paths {
-			if err := f.AddLog(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
 	ctx := context.Background()
 	const epochs, opsPer = 4, 10
 	for e := 0; e < epochs; e++ {
@@ -197,22 +158,22 @@ func TestWindowEquivalenceClean(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mustCut(t, coord)
+		env.cut(t)
 		// Tail what's on disk so far: flushes lag the appends (client
 		// logs buffer), which is exactly what a live follower sees.
 		for _, w := range env.writers {
 			w.Flush()
 		}
 		cw.Flush()
-		addLogs()
+		for _, p := range env.paths {
+			if err := f.AddLog(p); err != nil {
+				t.Fatal(err)
+			}
+		}
 		f.Poll()
 	}
-	c.Close()
-	mustCut(t, coord) // close the last traffic-bearing epoch
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if f.Finalized() == 0 {
+	env.finish(t) // closes the last traffic-bearing epoch
+	if f.CleanEpochs+f.ViolatedEpochs == 0 {
 		t.Fatal("no epoch finalized during live polling")
 	}
 
@@ -223,10 +184,8 @@ func TestWindowEquivalenceClean(t *testing.T) {
 
 	f.Poll()
 	f.Drain()
-	for _, w := range f.Warnings {
-		if strings.Contains(w, "client record") {
-			t.Fatalf("client record straggled: %v", f.Warnings)
-		}
+	if hasWarning(f.Warnings, "client record") {
+		t.Fatalf("client record straggled: %v", f.Warnings)
 	}
 	if f.ViolatedEpochs != 0 {
 		t.Fatalf("windowed checker violated %d epoch(s) on a clean run", f.ViolatedEpochs)
@@ -244,25 +203,7 @@ func TestWindowEquivalenceClean(t *testing.T) {
 // verdict stream — so going streaming gives up no detection power.
 func TestWindowEquivalenceViolated(t *testing.T) {
 	env := newClusterEnv(t, w2r2Shape, mwabd.New(), transport.WithStaleReadFault(4))
-	coord := epoch.New(nil)
-	for _, w := range env.writers {
-		coord.Stamp(w.Epoch)
-	}
-	label := "client-1"
-	cpath := filepath.Join(env.dir, label+".trlog")
-	cw, err := NewFileWriter(cpath, ClientHeader(label, env.p.Name(), env.cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Stamp(cw.Epoch)
-	env.paths = append(env.paths, cpath)
-	c, err := transport.NewClient(env.cfg, env.p, env.addrs, env.net.Dial,
-		transport.WithOpCapture(cw.Op), transport.WithEpochCoordinator(coord))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
+	c, _ := env.client(t)
 	ctx := context.Background()
 	if _, err := c.Write(ctx, "k", 1, "real"); err != nil {
 		t.Fatal(err)
@@ -270,7 +211,7 @@ func TestWindowEquivalenceViolated(t *testing.T) {
 	if _, err := c.Read(ctx, "k", 1); err != nil {
 		t.Fatal(err)
 	}
-	mustCut(t, coord)
+	env.cut(t)
 	// Every replica is poisoned now: this read returns the initial value
 	// after "real" was both written and read — non-atomic.
 	v, err := c.Read(ctx, "k", 1)
@@ -280,30 +221,190 @@ func TestWindowEquivalenceViolated(t *testing.T) {
 	if !v.IsInitial() {
 		t.Fatalf("post-poison read got %v, fault not triggered", v)
 	}
-	mustCut(t, coord)
-	c.Close()
-	mustCut(t, coord)
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	env.cut(t)
+	env.finish(t)
 
 	rep := env.mergeNow(t).Check()
 	if rep.Clean {
 		t.Fatalf("offline check missed the stale read:\n%s", rep.Summary())
 	}
+	f, _ := drainFollower(t, env.paths)
+	if f.ViolatedEpochs == 0 {
+		t.Fatalf("windowed checker missed the violation the offline check caught (clean=%d, warnings=%v)",
+			f.CleanEpochs, f.Warnings)
+	}
+}
 
-	f := NewFollower(FollowOptions{})
-	defer f.Close()
-	for _, p := range env.paths {
+// drainFollower follows closed logs to the end and returns the follower
+// with every verdict it emitted.
+func drainFollower(t *testing.T, paths []string) (*Follower, []EpochVerdict) {
+	t.Helper()
+	var vs []EpochVerdict
+	f := NewFollower(FollowOptions{OnVerdict: func(v EpochVerdict) { vs = append(vs, v) }})
+	t.Cleanup(f.Close)
+	for _, p := range paths {
 		if err := f.AddLog(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.Poll()
 	f.Drain()
-	if f.ViolatedEpochs == 0 {
-		t.Fatalf("windowed checker missed the violation the offline check caught (clean=%d, warnings=%v)",
-			f.CleanEpochs, f.Warnings)
+	return f, vs
+}
+
+// TestDriversAgree runs the package's fixtures through both drivers of
+// the one ingest. Offline, every record lands in one window, untagged
+// ones included; a drained follower sees the same logs epoch by epoch
+// wherever they carry epoch stamps. Both must reach the same clean or
+// violated verdict, the same binding status and the same completed-op
+// count, and raise the same collision and deployment warnings.
+func TestDriversAgree(t *testing.T) {
+	cases := []struct {
+		name     string
+		logs     func(t *testing.T) []string
+		followed bool // the logs carry epoch stamps
+		clean    bool
+		binding  bool
+		ops      int
+	}{
+		{"clean", func(t *testing.T) []string { return runClean(t).paths }, true, true, true, 48},
+		{"rotation across segments", func(t *testing.T) []string { return []string{rotatedClientLog(t)} }, false, true, true, 40},
+		{"stale fault", func(t *testing.T) []string { return runStaleFault(t).paths }, true, false, true, 3},
+		{"stale fault, S-1 replica logs", func(t *testing.T) []string { return runStaleFault(t).paths[1:] }, true, false, false, 3},
+		{"dedup of retried rounds", dedupLogs, true, true, true, 0},
+		{"crashed client's write", runCrashedClient, true, true, true, 1},
+		{"partial replica logs", func(t *testing.T) []string { p, _ := runPartial(t); return p }, true, true, true, 12},
+		{"collision", func(t *testing.T) []string { return runCollision(t, false).paths }, true, true, true, 2},
+		{"collision, stale fault", func(t *testing.T) []string { return runCollision(t, true).paths }, true, false, false, 4},
+		{"stale replica log", func(t *testing.T) []string { return []string{forgeStaleReplicaLog(t, t.TempDir(), 1)} }, true, false, true, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			paths := tc.logs(t)
+			m, err := MergeFiles(paths...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := m.Check()
+			if rep.Clean != tc.clean || rep.Binding != tc.binding || rep.Operations != tc.ops {
+				t.Fatalf("offline: clean=%v binding=%v ops=%d, want %v/%v/%d\n%s",
+					rep.Clean, rep.Binding, rep.Operations, tc.clean, tc.binding, tc.ops, rep.Summary())
+			}
+			for _, v := range rep.Violated() {
+				if !v.Binding && !hasWarning(v.Notes, "NOT BINDING") {
+					t.Fatalf("offline: non-binding %q carries no NOT BINDING note: %v", v.Key, v.Notes)
+				}
+			}
+			if !tc.followed {
+				return
+			}
+			f, vs := drainFollower(t, paths)
+			for _, v := range vs {
+				// A window that dropped records — a third replica's handle
+				// landing after its boundary, say — cannot bind, whatever
+				// the offline verdict says.
+				if want := tc.binding && v.Stragglers+v.Unepoched == 0; len(v.Violations) > 0 && v.Binding != want {
+					t.Fatalf("follow: epoch %d binding=%v, want %v: %s", v.Epoch, v.Binding, want, v)
+				}
+				for _, kv := range v.Violations {
+					if !kv.Binding && !hasWarning(kv.Notes, "NOT BINDING") {
+						t.Fatalf("follow: non-binding %q carries no NOT BINDING note: %v", kv.Key, kv.Notes)
+					}
+				}
+			}
+			clean := f.ViolatedEpochs == 0 && len(f.PendingStale()) == 0
+			if len(vs) == 0 || clean != tc.clean || f.TotalOps != tc.ops {
+				t.Fatalf("follow: %d verdicts, clean=%v ops=%d, want %v/%d (warnings %v)",
+					len(vs), clean, f.TotalOps, tc.clean, tc.ops, f.Warnings)
+			}
+			for _, w := range []string{"appears in both", "does not match"} {
+				if hasWarning(m.Warnings, w) != hasWarning(f.Warnings, w) {
+					t.Fatalf("%q warned offline %v, follow %v", w, m.Warnings, f.Warnings)
+				}
+			}
+		})
+	}
+}
+
+// handLog writes one capture log by hand: the header, then whatever
+// records fill adds.
+func handLog(t *testing.T, path string, hdr proto.TraceRecord, fill func(w *Writer)) string {
+	t.Helper()
+	w, err := NewFileWriter(path, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// staleReadLogs hand-writes a fully covered run whose epoch 1 holds a
+// stale read: w1 writes v1 and responds, then r1 reads the initial
+// value. With unepoched set, the client log also holds a record with no
+// epoch tag, which the follower must drop.
+func staleReadLogs(t *testing.T, unepoched bool) []string {
+	dir := t.TempDir()
+	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
+	var paths []string
+	for i := 1; i <= cfg.S; i++ {
+		paths = append(paths, handLog(t, filepath.Join(dir, fmt.Sprintf("s%d.trlog", i)), ServerHeader(i, "W2R2", cfg),
+			func(w *Writer) { w.Epoch(1) }))
+	}
+	v1 := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "v1"}
+	return append(paths, handLog(t, filepath.Join(dir, "client.trlog"), ClientHeader("client-1", "W2R2", cfg), func(w *Writer) {
+		w.Op("k", history.Op{Client: types.Writer(1), OpID: 1, Kind: types.OpWrite, Invoke: 1, Response: 2, Value: v1, Epoch: 1})
+		w.Op("k", history.Op{Client: types.Reader(1), OpID: 1, Kind: types.OpRead, Invoke: 3, Response: 4, Value: types.InitialValue(), Epoch: 1})
+		if unepoched {
+			w.Op("k", history.Op{Client: types.Reader(1), OpID: 2, Kind: types.OpRead, Invoke: 5, Response: 6, Value: v1})
+		}
+		w.Epoch(1)
+	}))
+}
+
+// TestFollowDroppedRecordsNotBinding: a violated epoch whose window
+// dropped a record is not binding — the dropped record could have been
+// the write that explains the read — and its line says how many went.
+func TestFollowDroppedRecordsNotBinding(t *testing.T) {
+	for _, unepoched := range []bool{false, true} {
+		_, vs := drainFollower(t, staleReadLogs(t, unepoched))
+		if len(vs) != 1 || vs[0].Clean {
+			t.Fatalf("unepoched=%v: want one violated epoch, got %+v", unepoched, vs)
+		}
+		v := vs[0]
+		if v.Binding == unepoched {
+			t.Fatalf("unepoched=%v: binding=%v", unepoched, v.Binding)
+		}
+		line := v.String()
+		if unepoched != (strings.Contains(line, "1 unepoched dropped") && strings.Contains(line, "not binding")) {
+			t.Fatalf("unepoched=%v: verdict line %q", unepoched, line)
+		}
+	}
+}
+
+// TestFollowRefusesForeignDeployment: a followed log whose header names
+// another protocol or shape is refused with a warning instead of being
+// mixed in — here it holds a read of a value nobody wrote.
+func TestFollowRefusesForeignDeployment(t *testing.T) {
+	env := runClean(t)
+	forged := types.Value{Tag: types.Tag{TS: 99, WID: types.Writer(1)}, Data: "forged"}
+	for _, hdr := range []proto.TraceRecord{
+		ClientHeader("other", "W2R1", env.cfg),
+		ClientHeader("other", env.p.Name(), quorum.Config{S: 5, T: 1, R: 4, W: 4}),
+	} {
+		path := handLog(t, filepath.Join(t.TempDir(), "other.trlog"), hdr, func(w *Writer) {
+			w.Op("alpha", history.Op{Client: types.Reader(1), OpID: 99, Kind: types.OpRead, Invoke: 1, Response: 2, Value: forged, Epoch: 1})
+			w.Epoch(1)
+		})
+		f, _ := drainFollower(t, append(env.paths[:len(env.paths):len(env.paths)], path))
+		if f.ViolatedEpochs != 0 || f.TotalOps != 48 {
+			t.Fatalf("foreign log mixed in: %d violated epochs, %d ops", f.ViolatedEpochs, f.TotalOps)
+		}
+		if !hasWarning(f.Warnings, "does not match") {
+			t.Fatalf("foreign log not refused: %v", f.Warnings)
+		}
 	}
 }
 
@@ -316,14 +417,15 @@ func TestWindowEquivalenceViolated(t *testing.T) {
 func TestWindowDomainsPerRegister(t *testing.T) {
 	w := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "x"}
 	y := types.Value{Tag: types.Tag{TS: 7, WID: types.Writer(1)}, Data: "y"}
-	b := NewEpochOps(1)
-	b.Add("b", history.Op{Client: types.Writer(1), OpID: 5, Kind: types.OpWrite, Invoke: 1, Response: 2, Value: w}, 0)
-	b.Add("b", history.Op{Client: types.Reader(1), OpID: 1, Kind: types.OpRead, Invoke: 3, Response: 4, Value: types.InitialValue()}, 0)
-	if bad := NewWindowChecker().Check([]*EpochOps{b}); len(bad) != 1 {
+	f := NewFollower(FollowOptions{})
+	b := f.bucket(1)
+	b.add("b", history.Op{Client: types.Writer(1), OpID: 5, Kind: types.OpWrite, Invoke: 1, Response: 2, Value: w}, 0)
+	b.add("b", history.Op{Client: types.Reader(1), OpID: 1, Kind: types.OpRead, Invoke: 3, Response: 4, Value: types.InitialValue()}, 0)
+	if bad := f.wc.check([]*bucket{b}, false, ""); len(bad) != 1 {
 		t.Fatalf("stale read after a completed write: %d bad keys, want 1", len(bad))
 	}
-	b.Add("a", history.Op{Client: types.Writer(1), OpID: 5, Kind: types.OpWrite, Invoke: 1, Value: y}, 1<<20)
-	if bad := NewWindowChecker().Check([]*EpochOps{b}); len(bad) != 1 || bad[0].Key != "b" {
+	b.add("a", history.Op{Client: types.Writer(1), OpID: 5, Kind: types.OpWrite, Invoke: 1, Value: y}, 1<<20)
+	if bad := f.wc.check([]*bucket{b}, false, ""); len(bad) != 1 || bad[0].Key != "b" {
 		t.Fatalf("a synthesized w1#5 on key a changed key b's verdict: %d bad keys, want 1 (b)", len(bad))
 	}
 }

@@ -2,7 +2,8 @@ package audit
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/history"
@@ -10,9 +11,13 @@ import (
 	"fastreg/internal/vclock"
 )
 
-// This file is the windowed half of the continuous audit: an atomicity
-// checker that consumes an execution one closed epoch at a time and
-// carries O(window) state between verdicts instead of the full history.
+// This file is the checker both audit drivers share: it decides a window
+// of per-key operations against a frontier, one key at a time. The
+// follower (stream.go) hands it each epoch's three-epoch window and folds
+// the oldest epoch into the frontier afterwards, so it carries O(window)
+// state between verdicts instead of the full history. The offline drain
+// (MergeFiles) hands it one unbounded window with an empty frontier, where
+// the only base is InitialValue and CheckOpt is exactly CheckDomains.
 //
 // # Why a three-epoch window is enough — and necessary
 //
@@ -51,37 +56,6 @@ import (
 // the candidate set. The carried set grows only with failures — the
 // window-size gauge watches it.
 
-// EpochOps is one epoch's operations grouped per key, plus the clock
-// domain of each op — the unit the streaming follower hands the windowed
-// checker. Pending write entries are replica-evidence synthesis, exactly
-// like the offline merge's.
-type EpochOps struct {
-	Epoch uint64
-	Keys  map[string][]history.Op
-
-	// dom maps (register key, client, opID) to the op's clock domain.
-	// The register key is part of it because opIDs are per register: a
-	// write synthesized on one key must not relabel the same-named client
-	// op on another.
-	dom map[opRef]int
-}
-
-// NewEpochOps returns an empty bucket for epoch n.
-func NewEpochOps(n uint64) *EpochOps {
-	return &EpochOps{Epoch: n, Keys: make(map[string][]history.Op), dom: make(map[opRef]int)}
-}
-
-// Add records one op under its key with its clock domain.
-func (b *EpochOps) Add(key string, op history.Op, dom int) {
-	b.Keys[key] = append(b.Keys[key], op)
-	b.dom[opRef{key: key, id: op.ID()}] = dom
-}
-
-// domainOf returns the clock domain of op, recorded under key.
-func (b *EpochOps) domainOf(key string, op history.Op) int {
-	return b.dom[opRef{key: key, id: op.ID()}]
-}
-
 // frontCand is one possible final register value of the retired prefix.
 // resp/dom anchor the last retired op that witnessed the value, so a
 // later differing retired op can invalidate it.
@@ -117,49 +91,27 @@ func (fr *keyFrontier) addCand(v types.Value, resp vclock.Time, dom int) {
 }
 
 // WindowChecker carries the frontier between per-epoch windows. It is
-// driven from one goroutine (the follower's); it holds no locks.
+// driven from one goroutine (the follower's); it holds no locks. An empty
+// frontier means the register starts at InitialValue for every key.
 type WindowChecker struct {
 	frontiers map[string]*keyFrontier
+
+	// label names the process behind a clock domain in a violation's
+	// notes.
+	label func(dom int, op history.Op) string
 }
 
-// NewWindowChecker returns a checker with an empty frontier: the
-// register starts at InitialValue for every key.
-func NewWindowChecker() *WindowChecker {
-	return &WindowChecker{frontiers: make(map[string]*keyFrontier)}
-}
-
-// CarriedOps counts optional writes currently carried across windows —
-// the component of the checker's state that can grow (with failures).
-func (wc *WindowChecker) CarriedOps() int {
-	n := 0
-	for _, fr := range wc.frontiers {
-		n += len(fr.carried)
-	}
-	return n
-}
-
-// Check decides the verdict for one epoch over its window (the epoch's
-// bucket plus its still-concurrent neighbours; nil entries are fine)
-// and returns the per-key verdicts of keys that fail. It does not
-// mutate the frontier — call Retire with the oldest bucket afterwards.
-func (wc *WindowChecker) Check(window []*EpochOps) []KeyVerdict {
-	keySet := make(map[string]bool)
-	for _, b := range window {
-		if b == nil {
-			continue
-		}
-		for k := range b.Keys {
-			keySet[k] = true
-		}
-	}
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	var bad []KeyVerdict
-	for _, k := range keys {
+// check decides one window — an epoch's bucket plus its still-concurrent
+// neighbours, or the offline drain's one bucket — and is the one per-key
+// verdict builder. Every key the window touches is decided, in key
+// order: it is atomic when its ops linearize under at least one frontier
+// base. all keeps the atomic keys' verdicts too (the offline report);
+// otherwise only failures are built. A non-empty caveat makes every
+// failure non-binding and says why. The frontier is not mutated — the
+// follower calls retire with the oldest bucket afterwards.
+func (wc *WindowChecker) check(window []*bucket, all bool, caveat string) []KeyVerdict {
+	var out []KeyVerdict
+	for _, k := range windowKeys(window) {
 		fr := wc.frontiers[k]
 		var ops []history.Op
 		dom := make(map[history.ID]int) // key k's ops only
@@ -170,12 +122,9 @@ func (wc *WindowChecker) Check(window []*EpochOps) []KeyVerdict {
 			}
 		}
 		for _, b := range window {
-			if b == nil {
-				continue
-			}
-			for _, o := range b.Keys[k] {
+			for i, o := range b.keys[k] {
 				ops = append(ops, o)
-				dom[o.ID()] = b.domainOf(k, o)
+				dom[o.ID()] = b.doms[k][i]
 			}
 		}
 		h := history.History{Ops: ops}
@@ -190,16 +139,17 @@ func (wc *WindowChecker) Check(window []*EpochOps) []KeyVerdict {
 			bases = []types.Value{types.InitialValue()}
 		}
 		var res atomicity.Result
-		ok := false
 		for _, base := range bases {
-			res = atomicity.CheckOpt(h, atomicity.Options{DomainOf: domainOf, Base: base})
-			if res.Atomic {
-				ok = true
+			if res = atomicity.CheckOpt(h, atomicity.Options{DomainOf: domainOf, Base: base}); res.Atomic {
 				break
 			}
 		}
-		if ok {
+		if res.Atomic && !all {
 			continue
+		}
+		domains := make(map[int]bool)
+		for _, d := range dom {
+			domains[d] = true
 		}
 		v := KeyVerdict{
 			Key:       k,
@@ -207,28 +157,60 @@ func (wc *WindowChecker) Check(window []*EpochOps) []KeyVerdict {
 			Completed: len(h.Completed()),
 			Pending:   len(h.Pending()),
 			Failed:    len(h.Failed()),
+			Domains:   len(domains),
 			Binding:   true,
 		}
 		v.Optional = v.Pending + v.Failed
-		if len(bases) > 1 || !bases[0].IsInitial() {
-			v.Notes = append(v.Notes,
-				fmt.Sprintf("no linearization under any of %d frontier base value(s)", len(bases)))
+		if !res.Atomic {
+			wc.explain(&v, dom, bases, caveat)
 		}
-		bad = append(bad, v)
+		out = append(out, v)
 	}
-	return bad
+	return out
 }
 
-// Retire folds a bucket — the oldest epoch of a just-checked window —
+// windowKeys returns the keys a window touches, sorted.
+func windowKeys(window []*bucket) []string {
+	keys := make(map[string]bool)
+	for _, b := range window {
+		for k := range b.keys {
+			keys[k] = true
+		}
+	}
+	return slices.Sorted(maps.Keys(keys))
+}
+
+// explain notes why a key failed: the frontier bases tried, the clock
+// domain of each implicated operation — with per-process logs, "which
+// process saw this" is the first thing an operator needs — and the
+// caveat that makes the verdict non-binding, if any.
+func (wc *WindowChecker) explain(v *KeyVerdict, dom map[history.ID]int, bases []types.Value, caveat string) {
+	if len(bases) > 1 || !bases[0].IsInitial() {
+		v.Notes = append(v.Notes, fmt.Sprintf("no linearization under any of %d frontier base value(s)", len(bases)))
+	}
+	// A no-linearization verdict implicates every op, so cap the listing.
+	ops := v.Result.Violation.Ops
+	if len(ops) > 8 {
+		v.Notes = append(v.Notes, fmt.Sprintf("%d operations implicated; first 8:", len(ops)))
+		ops = ops[:8]
+	}
+	for _, op := range ops {
+		v.Notes = append(v.Notes, fmt.Sprintf("%s observed by %s", op.Key(), wc.label(dom[op.ID()], op)))
+	}
+	if caveat != "" {
+		v.Binding = false
+		v.Notes = append(v.Notes, "NOT BINDING: "+caveat)
+	}
+}
+
+// retire folds a bucket — the oldest epoch of a just-checked window —
 // into the frontier. Completed writes (and values completed reads
 // witnessed) join the candidate set; completed ops invalidate
 // candidates they real-time-follow with a different value; optional
 // writes move to the carried set.
-func (wc *WindowChecker) Retire(b *EpochOps) {
-	if b == nil {
-		return
-	}
-	for key, ops := range b.Keys {
+func (wc *WindowChecker) retire(b *bucket) {
+	for key, ops := range b.keys {
+		doms := b.doms[key]
 		fr := wc.frontiers[key]
 		if fr == nil {
 			fr = &keyFrontier{}
@@ -237,11 +219,11 @@ func (wc *WindowChecker) Retire(b *EpochOps) {
 		// 1. New candidates: completed writes, and completed reads
 		// anchoring a value (a carried optional write's, or refreshing
 		// an existing candidate's anchor).
-		for _, o := range ops {
+		for i, o := range ops {
 			if !o.Done() || o.Err != nil {
 				continue
 			}
-			dom := b.domainOf(key, o)
+			dom := doms[i]
 			if o.Kind == types.OpWrite {
 				fr.addCand(o.Value, o.Response, dom)
 				continue
@@ -253,22 +235,19 @@ func (wc *WindowChecker) Retire(b *EpochOps) {
 			// content as of the read. If a carried optional write
 			// supplied it, the write is now consumed — every
 			// linearization placed it before this read.
-			for i, c := range fr.carried {
-				if c.op.Value == o.Value {
-					fr.carried = append(fr.carried[:i], fr.carried[i+1:]...)
-					break
-				}
+			if i := slices.IndexFunc(fr.carried, func(c carriedOp) bool { return c.op.Value == o.Value }); i >= 0 {
+				fr.carried = slices.Delete(fr.carried, i, i+1)
 			}
 			fr.addCand(o.Value, o.Response, dom)
 		}
 		// 2. Invalidation: a completed op kills every candidate whose
 		// anchor real-time-precedes it and whose value differs — the
 		// register provably moved past that value.
-		for _, o := range ops {
+		for i, o := range ops {
 			if !o.Done() || o.Err != nil {
 				continue
 			}
-			dom := b.domainOf(key, o)
+			dom := doms[i]
 			kept := fr.cands[:0]
 			for _, c := range fr.cands {
 				if c.dom == dom && c.resp < o.Invoke && c.val != o.Value {
@@ -280,22 +259,15 @@ func (wc *WindowChecker) Retire(b *EpochOps) {
 		}
 		// 3. Optional writes outlive the window: they may legally
 		// linearize (be read) arbitrarily late.
-		for _, o := range ops {
+		for i, o := range ops {
 			if o.Kind != types.OpWrite || (o.Done() && o.Err == nil) {
 				continue
 			}
 			if o.Value.Tag == types.ZeroTag() {
 				continue // no tag was ever assigned: unmatchable, droppable
 			}
-			dup := false
-			for _, c := range fr.carried {
-				if c.op.ID() == o.ID() {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				fr.carried = append(fr.carried, carriedOp{op: o, dom: b.domainOf(key, o)})
+			if !slices.ContainsFunc(fr.carried, func(c carriedOp) bool { return c.op.ID() == o.ID() }) {
+				fr.carried = append(fr.carried, carriedOp{op: o, dom: doms[i]})
 			}
 		}
 	}
