@@ -32,7 +32,7 @@ const maxTCPAllocsPerOp = 21.65
 // S=3 store and fails if an op allocates more than maxAllocsPerOp.
 func TestOpPathAllocs(t *testing.T) {
 	pinOneProc(t)
-	opPathAllocs(t, maxAllocsPerOp, WithInProcess())
+	opPathAllocs(t, maxAllocsPerOp)
 }
 
 // TestTCPOpPathAllocs is TestOpPathAllocs over three loopback-TCP

@@ -422,7 +422,7 @@ func benchKVStore(b *testing.B, s *fastreg.Store, cfg fastreg.Config, reportGoro
 // BenchmarkKVMultiplexed's in-process numbers: the same cluster shape and
 // client mix, but every operation now crosses real loopback TCP sockets —
 // encode, kernel, decode, quorum wait — against 5 replica servers, the
-// deployment shape cmd/regserver + cmd/regclient run. The gap between the
+// deployment shape cmd/regserver + cmd/regstorm -cluster run. The gap between the
 // two benchmarks is the price of the wire. Concurrent rounds to the same
 // server coalesce into multi-envelope frames, and replicas reply in kind;
 // the client counts show how that grows with the per-connection overlap.

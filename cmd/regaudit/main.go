@@ -1,6 +1,6 @@
 // Command regaudit is the operator surface of the capture/replay audit
 // subsystem: it reads the per-process trace logs a captured run leaves
-// behind (regserver -capture, regclient -capture, fastreg.WithCapture)
+// behind (regserver -capture, regstorm -capture, fastreg.WithCapture)
 // and runs the atomicity checker over the joint multi-client history —
 // the only way to verify a run that spans several client processes,
 // where no single process's clock orders all operations. merge/check and

@@ -2,14 +2,14 @@
 // — the server half of the paper's system model deployed as a process.
 // Replicas never talk to each other (the protocols are strictly
 // client-server), so a fleet is just S regserver processes; clients
-// (cmd/regclient, or a fastreg.Open store with WithTCP) connect to all of
-// them and drive the round-based protocols.
+// (cmd/regstorm -cluster, or a fastreg.Open store with WithTCP) connect
+// to all of them and drive the round-based protocols.
 //
 // The cluster shape is fixed by flags and must match on every replica and
 // client — the shape, protocol and operational flags (-evict-ttl,
-// -capture, …) are the shared internal/cliflags surface, identical to
-// regclient's: either -cluster (comma-separated host:port list; S is its
-// length and -replica selects which entry this process is) or -servers.
+// -capture, …) are the internal/cliflags surface: either -cluster
+// (comma-separated host:port list; S is its length and -replica selects
+// which entry this process is) or -servers.
 //
 // Usage:
 //

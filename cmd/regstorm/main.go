@@ -1,20 +1,31 @@
 // Command regstorm runs one declarative storm scenario end to end:
-// it hosts a replica fleet (real loopback TCP behind internal/faultnet's
-// fault-injecting listeners, or the store's in-process fleet as a clean
-// baseline), drives it with internal/loadgen's open-loop workload, and
-// finishes by merging every capture log and replaying the atomicity
+// it drives a replica fleet with internal/loadgen's open-loop workload
+// and finishes by merging every capture log and replaying the atomicity
 // checker over the joint history — the process exit code IS the
 // atomicity verdict, so a scenario run is a pass/fail test of the store
 // under the scenario's faults.
 //
+// By default regstorm hosts the fleet itself: real loopback TCP behind
+// internal/faultnet's fault-injecting listeners, or the store's
+// in-process fleet as a clean baseline. With -cluster it drives a
+// deployed fleet of cmd/regserver processes instead; the spec's
+// fleet.servers must match the address count, and what needs a hosted
+// fleet (faults, fleet.byzantine, epoch_ms, backend inprocess) is
+// refused. Several regstorm processes can drive one fleet: give each
+// its own workload.writers/readers identities and the same
+// workload.key_prefix to contend on the same keys, and point every
+// process's -capture (and the replicas') at one directory — each run's
+// verdict, like `regaudit check DIR`, merges every log found there.
+//
 // Usage:
 //
 //	regstorm -spec scenarios/storm-smoke.json [-seed N] [-capture DIR]
-//	         [diagnostics flags]
+//	         [-cluster host:port,...] [diagnostics flags]
 //
 // Exit codes follow regaudit check: 0 when every key's merged history
-// checks atomic, 2 on a violation, 1 on any operational error. The spec
-// format is cmd/regstorm's Spec (see spec.go and scenarios/*.json);
+// checks atomic, 2 on a violation, 1 on any operational error —
+// including a -cluster of which fewer than a reply quorum answers. The
+// spec format is cmd/regstorm's Spec (see spec.go and scenarios/*.json);
 // -seed overrides the spec's seed, and everything random — workload
 // keys, arrival times, fault jitter and probability draws — flows from
 // that one value, so a run prints its schedule and a same-seed rerun
@@ -36,13 +47,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"fastreg"
 	"fastreg/internal/audit"
 	"fastreg/internal/cliflags"
 	"fastreg/internal/faultnet"
 	"fastreg/internal/loadgen"
-	"fastreg/internal/obs"
 )
 
 func main() {
@@ -54,15 +65,22 @@ func run() int {
 	var (
 		specPath = flag.String("spec", "", "scenario spec file (required; see scenarios/*.json)")
 		capDir   = flag.String("capture", "", "directory for the run's trace logs (default: a temp dir, removed after a clean verdict)")
+		cluster  = flag.String("cluster", "", "comma-separated host:port list of a deployed regserver fleet to drive instead of hosting one (its length must equal fleet.servers)")
+		// Every random draw in internal/loadgen and internal/faultnet
+		// flows from this one value via deterministic sub-seeding.
+		seedFlag = flag.Int64("seed", 1, "deterministic seed for every random choice (workload keys/arrivals, fault schedules); the same seed replays the same run")
 	)
-	seedFlag := cliflags.RegisterSeed(flag.CommandLine)
 	diag := cliflags.RegisterDiag(flag.CommandLine)
 	flag.Parse()
 	if *specPath == "" {
 		fmt.Fprintln(os.Stderr, "regstorm: -spec is required")
 		return 1
 	}
-	spec, err := LoadSpec(*specPath)
+	var addrs []string
+	if *cluster != "" {
+		addrs = strings.Split(*cluster, ",")
+	}
+	spec, err := LoadSpec(*specPath, addrs)
 	if err != nil {
 		return fail(err)
 	}
@@ -83,12 +101,6 @@ func run() int {
 		return fail(err)
 	}
 	defer stopProfiles()
-	reg := diag.Registry()
-	stopDebug, err := diag.ServeDebug(obs.Handler(reg, nil))
-	if err != nil {
-		return fail(err)
-	}
-	defer stopDebug()
 
 	cfg, err := spec.QuorumConfig()
 	if err != nil {
@@ -105,11 +117,17 @@ func run() int {
 	}
 
 	plan := faultnet.NewPlan(seed, spec.Rules()...)
-	printSchedule(spec, cfg, plan, seed)
+	where := spec.Backend
+	if addrs != nil {
+		where = fmt.Sprintf("cluster %s (keys %s*)", *cluster, spec.Workload.KeyPrefix)
+	}
+	printSchedule(spec, cfg, plan, seed, where)
 
 	opts := []fastreg.Option{fastreg.WithCapture(dir)}
 	var flt *fleet
-	if spec.Backend == "tcp" {
+	if addrs != nil {
+		opts = append(opts, fastreg.WithTCP(addrs...))
+	} else if spec.Backend == "tcp" {
 		if flt, err = startFleet(spec, cfg, plan, dir); err != nil {
 			return fail(err)
 		}
@@ -124,8 +142,11 @@ func run() int {
 	if spec.RotateBytes > 0 {
 		opts = append(opts, fastreg.WithCaptureRotation(spec.RotateBytes))
 	}
-	if reg != nil {
+	if diag.DebugAddr != "" {
 		opts = append(opts, fastreg.WithMetrics())
+	}
+	if diag.SlowOp > 0 {
+		opts = append(opts, fastreg.WithSlowOpTrace(diag.SlowOp))
 	}
 	fcfg := fastreg.Config{Servers: cfg.S, MaxCrashes: cfg.T, Readers: cfg.R, Writers: cfg.W}
 	store, err := fastreg.Open(fcfg, fastreg.Protocol(spec.Protocol), opts...)
@@ -135,26 +156,44 @@ func run() int {
 		}
 		return fail(err)
 	}
+	// shutdown stops the store, then the hosted replicas, whose capture
+	// errors it returns: a truncated log downgrades the verdict.
+	shutdown := func() error {
+		store.Close()
+		if flt != nil {
+			return flt.Close()
+		}
+		return nil
+	}
 	if spec.EpochMS > 0 && flt != nil {
 		// The replica logs live in this process, so the coordinator can
 		// stamp them directly when each epoch's weight comes home (an
 		// in-process store stamps its own replica logs).
 		if err := store.OnAuditEpoch(flt.StampEpoch); err != nil {
-			store.Close()
-			flt.Close()
+			shutdown()
 			return fail(err)
 		}
 	}
+	if addrs != nil {
+		// A wrong address fails here in one dial, not as op timeouts.
+		if n := store.Connect(); n < cfg.ReplyQuorum() {
+			shutdown()
+			return fail(fmt.Errorf("only %d of %d replicas reachable (need %d)", n, cfg.S, cfg.ReplyQuorum()))
+		}
+	}
+	stopDebug, err := diag.ServeDebug(store.DebugHandler())
+	if err != nil {
+		shutdown()
+		return fail(err)
+	}
+	defer stopDebug()
 
 	// Clock zero is now: fault windows are offsets into the workload,
 	// not into connection setup.
 	plan.Start()
-	rep, err := loadgen.Run(context.Background(), store, spec.LoadConfig(seed), reg)
-	store.Close()
-	if flt != nil {
-		if cerr := flt.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	rep, err := loadgen.Run(context.Background(), store, spec.LoadConfig(seed))
+	if cerr := shutdown(); cerr != nil && err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return fail(err)
@@ -177,9 +216,9 @@ func run() int {
 // same-seed rerun must reproduce byte for byte (rules, windows, and the
 // derived per-direction seeds), so two runs can be diffed on their
 // "schedule:" lines alone.
-func printSchedule(spec *Spec, cfg interface{ String() string }, plan *faultnet.Plan, seed int64) {
+func printSchedule(spec *Spec, cfg interface{ String() string }, plan *faultnet.Plan, seed int64, where string) {
 	fmt.Printf("regstorm: spec %s — %s %s over %s, seed %d\n",
-		spec.Name, spec.Protocol, cfg, spec.Backend, seed)
+		spec.Name, spec.Protocol, cfg, where, seed)
 	if spec.Fleet.Byzantine > 0 {
 		fmt.Printf("regstorm: %d byzantine replica(s) (the last of s1..s%d), vouched reads budget %d\n",
 			spec.Fleet.Byzantine, spec.Fleet.Servers, spec.VouchedReads)

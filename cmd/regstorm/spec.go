@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -61,6 +62,19 @@ type WorkSpec struct {
 	WriteFrac  float64 `json:"write_frac"`
 	ValueSize  int     `json:"value_size"`
 	TimeoutMS  int     `json:"timeout_ms"`
+
+	// Writers and Readers are the 1-based identities this run drives
+	// (default: all of the fleet shape's). Processes sharing a deployed
+	// fleet split them: two processes on one identity corrupt its
+	// protocol state, and the audit merge flags the collision.
+	Writers []int `json:"writers"`
+	Readers []int `json:"readers"`
+	// KeyPrefix namespaces the key population. It defaults to "k" on a
+	// hosted fleet and to a per-run prefix against -cluster: a deployed
+	// fleet keeps earlier runs' values, and the checker assumes keys
+	// start unwritten. Processes contend on the same keys by naming the
+	// same prefix.
+	KeyPrefix string `json:"key_prefix"`
 }
 
 // RuleSpec is one fault schedule entry. Endpoints are the scenario's
@@ -77,8 +91,9 @@ type RuleSpec struct {
 	Prob        float64 `json:"prob"`
 }
 
-// LoadSpec reads and validates a scenario file.
-func LoadSpec(path string) (*Spec, error) {
+// LoadSpec reads and validates a scenario file. cluster is the deployed
+// fleet the run drives (-cluster), nil when regstorm hosts the fleet.
+func LoadSpec(path string, cluster []string) (*Spec, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -89,13 +104,13 @@ func LoadSpec(path string) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := s.validate(); err != nil {
+	if err := s.validate(cluster); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return &s, nil
 }
 
-func (s *Spec) validate() error {
+func (s *Spec) validate(cluster []string) error {
 	if s.Name == "" {
 		return fmt.Errorf("spec needs a name")
 	}
@@ -141,12 +156,70 @@ func (s *Spec) validate() error {
 	if s.Workload.DurationMS <= 0 {
 		return fmt.Errorf("workload: duration_ms must be positive")
 	}
+	var err error
+	if s.Workload.Writers, err = identities(s.Workload.Writers, s.Fleet.Writers); err != nil {
+		return fmt.Errorf("workload.writers: %v", err)
+	}
+	if s.Workload.Readers, err = identities(s.Workload.Readers, s.Fleet.Readers); err != nil {
+		return fmt.Errorf("workload.readers: %v", err)
+	}
+	if cluster != nil {
+		if err := s.validateCluster(len(cluster)); err != nil {
+			return err
+		}
+		if s.Workload.KeyPrefix == "" {
+			s.Workload.KeyPrefix = fmt.Sprintf("run-%d-%d/", time.Now().Unix(), os.Getpid())
+		}
+	}
 	for i := range s.Faults {
 		if err := s.validateRule(&s.Faults[i]); err != nil {
 			return fmt.Errorf("faults[%d]: %v", i, err)
 		}
 	}
 	return nil
+}
+
+// validateCluster holds the spec to what a deployed fleet of n replicas
+// can run: the shape must name every address, and whatever needs the
+// fleet hosted in this process is refused.
+func (s *Spec) validateCluster(n int) error {
+	switch {
+	case n != s.Fleet.Servers:
+		return fmt.Errorf("-cluster lists %d replicas, fleet.servers is %d", n, s.Fleet.Servers)
+	case s.Backend == "inprocess":
+		return errors.New("backend inprocess hosts its own fleet; -cluster drives a deployed one")
+	case len(s.Faults) > 0:
+		return errors.New("faults inject at a hosted fleet's listeners; they cannot run with -cluster")
+	case s.Fleet.Byzantine > 0:
+		return errors.New("fleet.byzantine wraps hosted replicas; with -cluster, start the liars as regserver -byzantine")
+	case s.EpochMS > 0:
+		return errors.New("epoch_ms stamps replica logs in this process; it cannot run with -cluster")
+	}
+	return nil
+}
+
+// identities resolves one workload identity list against the shape's n
+// identities: empty means all of 1..n; otherwise each must be in range
+// and listed once.
+func identities(ids []int, n int) ([]int, error) {
+	if len(ids) == 0 {
+		ids = make([]int, n)
+		for i := range ids {
+			ids[i] = i + 1
+		}
+		return ids, nil
+	}
+	seen := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		if id < 1 || id > n {
+			return nil, fmt.Errorf("identity %d out of [1,%d]", id, n)
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("identity %d listed twice", id)
+		}
+		seen[id] = true
+	}
+	return ids, nil
 }
 
 func (s *Spec) validateRule(r *RuleSpec) error {
@@ -212,9 +285,10 @@ func (s *Spec) LoadConfig(seed int64) loadgen.Config {
 	w := s.Workload
 	return loadgen.Config{
 		Seed:      seed,
-		Writers:   s.Fleet.Writers,
-		Readers:   s.Fleet.Readers,
+		Writers:   w.Writers,
+		Readers:   w.Readers,
 		Keys:      w.Keys,
+		KeyPrefix: w.KeyPrefix,
 		ZipfS:     w.ZipfS,
 		Rate:      w.Rate,
 		EndRate:   w.EndRate,

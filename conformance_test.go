@@ -76,7 +76,7 @@ func backendCases() []backendCase {
 			name: "inprocess",
 			open: func(t *testing.T, cfg fastreg.Config) (*fastreg.Store, []*transport.Server) {
 				t.Helper()
-				s, err := fastreg.Open(cfg, fastreg.W2R2, fastreg.WithInProcess())
+				s, err := fastreg.Open(cfg, fastreg.W2R2)
 				if err != nil {
 					t.Fatal(err)
 				}

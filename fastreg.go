@@ -55,7 +55,7 @@ const (
 var ErrUnknownProtocol = errors.New("fastreg: unknown protocol")
 
 // impl resolves the selector to the implementation (the switch itself
-// lives in internal/protocols so cmd/regserver and cmd/regclient resolve
+// lives in internal/protocols so cmd/regserver and the store resolve
 // names identically).
 func (p Protocol) impl() (register.Protocol, error) {
 	impl, err := protocols.New(string(p))

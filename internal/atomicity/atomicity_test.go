@@ -212,9 +212,8 @@ func TestTimedOutWriteValueMayBeRead(t *testing.T) {
 	// A write that timed out is recorded as FAILED (not merely pending),
 	// but its Update may still have landed at the servers. The checker
 	// models failed writes as optional ops, so a later read returning the
-	// timed-out value must pass — the case cmd/regclient used to paper
-	// over by downgrading every violated verdict to advisory whenever any
-	// op timed out.
+	// timed-out value must pass, so a violated verdict stays binding
+	// even when some op timed out.
 	v := wv(1, 1, "a")
 	rec := history.NewRecorder(&vclock.Clock{})
 	wk := rec.Invoke(types.Writer(1), 1, types.OpWrite, v)

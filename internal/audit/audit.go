@@ -50,7 +50,7 @@
 //
 //   - Writer appends proto.TraceRecord frames to a per-process .trlog
 //     file: client ops via the history recorder's capture sink
-//     (fastreg.WithCapture, regclient -capture), handled requests via
+//     (fastreg.WithCapture, regstorm -capture), handled requests via
 //     transport.WithServerCapture (regserver -capture), and epoch
 //     boundaries from the continuous-audit coordinator;
 //   - the ingest (ingest.go) is the only reader of those frames: it

@@ -392,7 +392,7 @@ func (f *Follower) rehome(b *bucket) {
 			continue
 		}
 		if !f.collided[u.id] {
-			f.warnf("identity %s appears in both %s and %s — identities must be partitioned across processes (regclient -wbase/-rbase); later logs re-homed to a fresh identity and replica evidence for %s ignored",
+			f.warnf("identity %s appears in both %s and %s — identities must be partitioned across processes (regstorm spec workload.writers/readers); later logs re-homed to a fresh identity and replica evidence for %s ignored",
 				u.id, f.origins[prev], f.origins[u.dom], u.id)
 			f.collided[u.id] = true
 		}

@@ -1,11 +1,11 @@
-// Package cliflags is the one definition of the command-line surface the
-// deployable binaries share. cmd/regserver and cmd/regclient must agree
-// on the cluster shape (S, t, R, W) and protocol name for a deployment
-// to make sense, and they expose the same operational knobs (-evict-ttl,
-// -capture, the diagnostics); registering the flags and deriving the
-// validated quorum.Config from one helper keeps the two binaries'
-// surfaces from drifting — the same way internal/protocols keeps their
-// protocol names identical.
+// Package cliflags is the one definition of the command-line surface
+// the fleet binaries share. cmd/regserver carries the whole cluster
+// surface — shape (S, t, R, W), protocol, -evict-ttl, -capture — and
+// every fleet binary (regserver, regaudit, regstorm) registers the same
+// diagnostics flags, so an operator can point -debug-addr or -cpuprofile
+// at any process of a deployment. Deriving the validated quorum.Config
+// in one helper keeps a deployment's replicas agreeing on its shape, the
+// same way internal/protocols keeps protocol names identical everywhere.
 package cliflags
 
 import (
@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"fastreg"
 	"fastreg/internal/audit"
 	"fastreg/internal/obs"
 	"fastreg/internal/protocols"
@@ -40,15 +39,14 @@ type Flags struct {
 
 	EvictTTL   time.Duration
 	CaptureDir string
-	Seed       int64
 
 	*DiagFlags
 }
 
 // DiagFlags is the diagnostics surface EVERY fleet binary exposes the
-// same way — regserver, regclient, regaudit and regstorm all register
-// it, so an operator can point -debug-addr or -cpuprofile at any process
-// of a deployment without checking which binary it is. Flags embeds it;
+// same way — regserver, regaudit and regstorm all register it, so an
+// operator can point -debug-addr or -cpuprofile at any process of a
+// deployment without checking which binary it is. Flags embeds it;
 // binaries without the full shared surface use RegisterDiag alone.
 type DiagFlags struct {
 	DebugAddr  string
@@ -69,8 +67,7 @@ func RegisterDiag(fs *flag.FlagSet) *DiagFlags {
 
 // Register installs the shared flags on fs (flag.CommandLine in the
 // binaries) and returns the struct they parse into. Command-specific
-// flags (regserver's -replica/-listen, regclient's workload shape) stay
-// in their own mains.
+// flags (regserver's -replica/-listen) stay in their own mains.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Cluster, "cluster", "", "comma-separated host:port list of ALL replicas (sets the server count)")
@@ -79,27 +76,10 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Readers, "readers", 4, "number of readers R in the cluster shape")
 	fs.IntVar(&f.Writers, "writers", 4, "number of writers W in the cluster shape")
 	fs.StringVar(&f.Protocol, "protocol", "W2R2", "register protocol ("+strings.Join(protocols.Names(), ", ")+")")
-	fs.DurationVar(&f.EvictTTL, "evict-ttl", 0, "expire per-key state idle for this long (0 = keep all state forever); on a server this is fleet-wide TTL-expiry semantics for the keys, on a client it bounds the registry (protocol state AND recorded histories — don't combine with -check unless keys stay hotter than the TTL)")
-	fs.StringVar(&f.CaptureDir, "capture", "", "append audit trace logs (.trlog) to this directory — servers log every handled request, clients every completed operation; `regaudit check DIR` then verifies the whole multi-process run")
-	registerSeed(fs, &f.Seed)
+	fs.DurationVar(&f.EvictTTL, "evict-ttl", 0, "expire per-key state idle for this long (0 = keep all state forever): fleet-wide TTL-expiry semantics for the keys")
+	fs.StringVar(&f.CaptureDir, "capture", "", "append this replica's audit trace log (s<replica>.trlog, every handled request) to this `dir`; regaudit check DIR then verifies the whole multi-process run")
 	f.DiagFlags = RegisterDiag(fs)
 	return f
-}
-
-// RegisterSeed installs only the shared -seed flag on fs — for binaries
-// (cmd/regstorm) that don't carry the full cluster surface but must stay
-// byte-for-byte reproducible. Every random draw in internal/loadgen and
-// internal/faultnet flows from this one value via deterministic
-// sub-seeding, so two runs with the same seed replay the same key
-// choices, arrival times and fault schedule.
-func RegisterSeed(fs *flag.FlagSet) *int64 {
-	p := new(int64)
-	registerSeed(fs, p)
-	return p
-}
-
-func registerSeed(fs *flag.FlagSet, p *int64) {
-	fs.Int64Var(p, "seed", 1, "deterministic seed for every random choice (workload keys/arrivals, fault schedules); the same seed replays the same run")
 }
 
 // Addrs returns the parsed -cluster list (nil when unset).
@@ -141,26 +121,6 @@ func (f *Flags) ServerOptions(reg *obs.Registry) []transport.ServerOption {
 	}
 	if reg != nil || f.SlowOp > 0 {
 		opts = append(opts, transport.WithServerObs(reg, f.SlowOp))
-	}
-	return opts
-}
-
-// StoreOptions maps the shared knobs onto fastreg.Open options for a
-// client binary driving the fleet at Addrs — the client-side counterpart
-// of ServerOptions.
-func (f *Flags) StoreOptions() []fastreg.Option {
-	opts := []fastreg.Option{fastreg.WithTCP(f.Addrs()...)}
-	if f.EvictTTL > 0 {
-		opts = append(opts, fastreg.WithEvictionTTL(f.EvictTTL))
-	}
-	if f.CaptureDir != "" {
-		opts = append(opts, fastreg.WithCapture(f.CaptureDir))
-	}
-	if f.DebugAddr != "" {
-		opts = append(opts, fastreg.WithMetrics())
-	}
-	if f.SlowOp > 0 {
-		opts = append(opts, fastreg.WithSlowOpTrace(f.SlowOp))
 	}
 	return opts
 }

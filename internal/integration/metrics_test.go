@@ -15,11 +15,12 @@ import (
 )
 
 // TestFleetMetricsEndpoint boots a real 3-replica fleet with -debug-addr
-// on every process, drives a long regclient workload, and scrapes every
-// /metrics endpoint MID-WORKLOAD — the observability acceptance scenario:
-// per-protocol op counters and latency percentiles on the client, request
-// counters, batch fan-in and reply-coalescing histograms on the replicas,
-// all over plain HTTP with no shared process state.
+// on every process, drives it with a long regstorm -cluster workload,
+// and scrapes every /metrics endpoint MID-WORKLOAD — the observability
+// acceptance scenario: per-protocol op counters and latency percentiles
+// on the client, request counters, batch fan-in and reply-coalescing
+// histograms on the replicas, all over plain HTTP with no shared
+// process state.
 func TestFleetMetricsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives real binaries; skipped with -short")
@@ -59,26 +60,11 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 		waitListening(t, a)
 	}
 
-	// A workload long enough that the client is guaranteed to still be
+	// A workload long enough that the driver is guaranteed to still be
 	// mid-flight when we scrape it (race-built binary, real TCP).
 	clientDebug := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	clientArgs := append(shapeArgs(cluster),
-		"-debug-addr", clientDebug, "-slow-op", "1h",
-		"-writes", "3000", "-reads", "3000", "-keys", "8",
-		"-timeout", "120s", "-check=false")
-	client := exec.Command(filepath.Join(bins, "regclient"), clientArgs...)
-	client.Stdout = os.Stderr
-	client.Stderr = os.Stderr
-	if err := client.Start(); err != nil {
-		t.Fatal(err)
-	}
-	clientDone := false
-	defer func() {
-		if !clientDone {
-			client.Process.Kill()
-			client.Wait()
-		}
-	}()
+	spec := writeSpec(t, `"keys": 8, "write_frac": 0.5, "rate": 400, "duration_ms": 4000`)
+	client := startStorm(t, bins, cluster, spec, "", "-debug-addr", clientDebug, "-slow-op", "1h")
 	waitListening(t, clientDebug)
 
 	// Client mid-workload: per-protocol op counter climbing and a write
@@ -134,10 +120,9 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 	}
 
 	// The workload itself must still finish clean.
-	if err := client.Wait(); err != nil {
-		t.Fatalf("regclient: %v", err)
+	if out, code := client.wait(); code != 0 {
+		t.Fatalf("regstorm exit %d, want 0:\n%s", code, out)
 	}
-	clientDone = true
 }
 
 // metricsSnap mirrors obs.Snapshot's JSON shape, with just the

@@ -1,6 +1,7 @@
 package integration_test
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -13,12 +14,12 @@ import (
 )
 
 // TestMultiProcessAudit is the audit subsystem's acceptance scenario as
-// real processes: a 3-replica regserver fleet and two regclient
+// real processes: a 3-replica regserver fleet and two regstorm -cluster
 // processes, all capturing trace logs, verified offline by regaudit —
 // then the same topology with fault-injected (frozen, lying) replicas,
-// which regaudit must flag as VIOLATED. This is the deployment shape the
-// in-process tests cannot cover: multiple OS processes with no shared
-// clock, joined only by their logs.
+// which regstorm and regaudit must both flag as VIOLATED. This is the
+// deployment shape the in-process tests cannot cover: multiple OS
+// processes with no shared clock, joined only by their logs.
 func TestMultiProcessAudit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives real binaries; skipped with -short")
@@ -30,15 +31,22 @@ func TestMultiProcessAudit(t *testing.T) {
 		cluster, stop := startFleet(t, bins, dir, nil)
 		defer stop()
 
-		// Two client processes contend on the SAME keys (shared
-		// -keyprefix) with partitioned identities — the multi-client
-		// history only the merged check can verify. Each regclient runs
-		// the merged check itself (-capture + -check) and must exit 0.
-		runClient(t, bins, cluster, dir, 0,
-			"-wbase", "0", "-wn", "2", "-rbase", "0", "-rn", "2")
-		runClient(t, bins, cluster, dir, 0,
-			"-wbase", "2", "-rbase", "2")
-
+		// Two driver processes on the SAME keys (shared key_prefix)
+		// with disjoint identities — a multi-client history only the
+		// merged check can verify, since operations from different
+		// processes count as concurrent. Each regstorm checks everything
+		// in the capture directory and must exit 0. They run one after
+		// the other: a driver still running has writes in the replica
+		// logs but not yet in its buffered client log, which a peer's
+		// verdict could only treat as optional writes, and the checker's
+		// search grows exponentially in those.
+		specA := writeSpec(t, `"writers": [1, 2], "readers": [1, 2], "key_prefix": "ci", "write_frac": 0.5, "keys": 6, "rate": 200, "duration_ms": 1000`)
+		specB := writeSpec(t, `"writers": [3, 4], "readers": [3, 4], "key_prefix": "ci", "write_frac": 0.5, "keys": 6, "rate": 200, "duration_ms": 1000`)
+		for _, args := range [][]string{{specA}, {specB, "-seed", "2"}} {
+			if out, code := startStorm(t, bins, cluster, args[0], dir, args[1:]...).wait(); code != 0 {
+				t.Fatalf("regstorm exit %d, want 0:\n%s", code, out)
+			}
+		}
 		stop() // SIGTERM closes the replicas' trace logs
 
 		out, code := runAudit(t, bins, dir)
@@ -48,26 +56,32 @@ func TestMultiProcessAudit(t *testing.T) {
 		if !strings.Contains(out, "verdict: CLEAN") {
 			t.Fatalf("no clean verdict:\n%s", out)
 		}
-		if !strings.Contains(out, "3/3 replicas") {
-			t.Fatalf("expected full replica coverage:\n%s", out)
+		if !strings.Contains(out, "(2 client, 3/3 replicas)") {
+			t.Fatalf("expected both client logs and full replica coverage:\n%s", out)
+		}
+		if strings.Contains(out, "appears in both") {
+			t.Fatalf("disjoint identity lists collided:\n%s", out)
 		}
 	})
 
 	t.Run("StaleReadFaultFlaggedViolated", func(t *testing.T) {
 		dir := t.TempDir()
-		// Every replica freezes each key after 4 handled requests: the
-		// scripted workload's write and first read pass, the second read
-		// is served the initial value — a deterministic stale read.
+		// Every replica freezes each key after 4 handled requests — still
+		// acking writes, serving reads the initial value. One writer and
+		// one reader alternate on one key, so a read soon starts after a
+		// completed write and is served the initial value: a stale read.
 		cluster, stop := startFleet(t, bins, dir, []string{"-fault-stale-after", "4"})
 		defer stop()
 
-		runClient(t, bins, cluster, dir, 0,
-			"-wn", "1", "-rn", "1", "-writes", "1", "-reads", "2",
-			"-keys", "1", "-sequential", "-check=false")
+		spec := writeSpec(t, `"writers": [1], "readers": [1], "write_frac": 0.5, "keys": 1, "rate": 100, "duration_ms": 1000`)
+		out, code := startStorm(t, bins, cluster, spec, dir).wait()
+		if code != 2 {
+			t.Fatalf("regstorm exit %d, want 2 (VIOLATED):\n%s", code, out)
+		}
 
 		stop()
 
-		out, code := runAudit(t, bins, dir)
+		out, code = runAudit(t, bins, dir)
 		if code != 2 {
 			t.Fatalf("regaudit check exit %d, want 2 (VIOLATED):\n%s", code, out)
 		}
@@ -77,19 +91,68 @@ func TestMultiProcessAudit(t *testing.T) {
 	})
 }
 
-// buildBinaries compiles regserver, regclient and regaudit (with the
+// buildBinaries compiles regserver, regstorm and regaudit (with the
 // race detector, so the multi-process path gets the same scrutiny the
 // in-process tests do) into a temp dir shared by the subtests.
 func buildBinaries(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	cmd := exec.Command("go", "build", "-race", "-o", dir,
-		"fastreg/cmd/regserver", "fastreg/cmd/regclient", "fastreg/cmd/regaudit")
+		"fastreg/cmd/regserver", "fastreg/cmd/regstorm", "fastreg/cmd/regaudit")
 	cmd.Env = os.Environ()
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return dir
+}
+
+// writeSpec writes a regstorm spec for the fleet startFleet boots (W2R2,
+// S=3, t=1, four writers and readers) into a temp dir and returns its
+// path; workload holds the workload's JSON members.
+func writeSpec(t *testing.T, workload string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	spec := `{"name": "ci", "protocol": "W2R2",
+		"fleet": {"servers": 3, "t": 1, "writers": 4, "readers": 4},
+		"workload": {"value_size": 32, "timeout_ms": 30000, ` + workload + `}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// storm is one running regstorm -cluster process.
+type storm struct {
+	cmd *exec.Cmd
+	out *bytes.Buffer
+}
+
+// startStorm starts regstorm driving cluster with spec, capturing into
+// dir (empty = regstorm's own temp dir).
+func startStorm(t *testing.T, bins, cluster, spec, dir string, extra ...string) *storm {
+	t.Helper()
+	args := []string{"-cluster", cluster, "-spec", spec}
+	if dir != "" {
+		args = append(args, "-capture", dir)
+	}
+	s := &storm{cmd: exec.Command(filepath.Join(bins, "regstorm"), append(args, extra...)...), out: new(bytes.Buffer)}
+	s.cmd.Stdout, s.cmd.Stderr = s.out, s.out
+	if err := s.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if s.cmd.ProcessState == nil {
+			s.cmd.Process.Kill()
+			s.cmd.Wait()
+		}
+	})
+	return s
+}
+
+// wait returns the process's combined output and exit code.
+func (s *storm) wait() (string, int) {
+	err := s.cmd.Wait()
+	return s.out.String(), exitCode(err)
 }
 
 // shapeArgs is the cluster shape every process must agree on.
@@ -149,21 +212,6 @@ func startFleet(t *testing.T, bins, dir string, extra []string) (cluster string,
 		}
 	}
 	return cluster, stop
-}
-
-// runClient runs one regclient process to completion, asserting its exit
-// code. The shared -keyprefix puts every client process on the same keys.
-func runClient(t *testing.T, bins, cluster, dir string, wantExit int, extra ...string) {
-	t.Helper()
-	args := append(shapeArgs(cluster),
-		"-capture", dir, "-keyprefix", "ci", "-writes", "30", "-reads", "30",
-		"-keys", "6", "-timeout", "30s")
-	args = append(args, extra...)
-	cmd := exec.Command(filepath.Join(bins, "regclient"), args...)
-	out, err := cmd.CombinedOutput()
-	if code := exitCode(err); code != wantExit {
-		t.Fatalf("regclient exit %d, want %d:\n%s", code, wantExit, out)
-	}
 }
 
 // runAudit runs `regaudit check dir` and returns its output + exit code.

@@ -16,8 +16,8 @@
 // key choice — comes from one rand.Rand owned by the scheduler
 // goroutine and seeded from Config.Seed, so the same seed replays the
 // identical operation schedule; only completion timings differ run to
-// run. Latency is reported through internal/obs histograms and can be
-// emitted as fastreg-bench/v1 documents for the repo's perf trajectory.
+// run. Latency is reported through internal/obs histograms private to
+// the run's Report.
 package loadgen
 
 import (
@@ -41,9 +41,10 @@ type Config struct {
 	// Seed drives every random choice; same seed, same schedule.
 	Seed int64
 
-	// Writers and Readers bound the concurrent identities used (1-based
-	// handles 1..N; both must be within the store's cluster shape).
-	Writers, Readers int
+	// Writers and Readers are the 1-based identities the run drives,
+	// each within the store's cluster shape. Processes sharing a fleet
+	// split the shape's identities between them.
+	Writers, Readers []int
 
 	// Keys is the key population size; KeyPrefix namespaces it.
 	Keys      int
@@ -74,7 +75,7 @@ type Config struct {
 
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
-	if out.Writers < 1 || out.Readers < 1 {
+	if len(out.Writers) == 0 || len(out.Readers) == 0 {
 		return out, errors.New("loadgen: need at least one writer and one reader identity")
 	}
 	if out.Keys < 1 {
@@ -146,38 +147,28 @@ func (r *Report) String() string {
 
 // Run drives the store with cfg's open-loop schedule until the schedule
 // ends or ctx cancels, and blocks for in-flight operations to settle.
-// Metrics are recorded into reg under "loadgen.*" (a nil reg keeps a
-// private registry, so the Report's percentiles always exist).
-func Run(ctx context.Context, store *fastreg.Store, cfg Config, reg *obs.Registry) (*Report, error) {
+// An identity outside the store's cluster shape fails the run before
+// its first arrival.
+func Run(ctx context.Context, store *fastreg.Store, cfg Config) (*Report, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	shape := store.Config()
-	if cfg.Writers > shape.Writers || cfg.Readers > shape.Readers {
-		return nil, fmt.Errorf("loadgen: %d writers / %d readers exceed the store's cluster shape (%d/%d)",
-			cfg.Writers, cfg.Readers, shape.Writers, shape.Readers)
-	}
-	if reg == nil {
-		reg = obs.New()
-	}
 	g := &gen{
 		cfg:     cfg,
-		writeLa: reg.Histogram("loadgen.write.latency_ns"),
-		readLa:  reg.Histogram("loadgen.read.latency_ns"),
-		fails:   reg.Counter("loadgen.failed"),
-		drops:   reg.Counter("loadgen.dropped"),
-		writers: make(chan *fastreg.Writer, cfg.Writers),
-		readers: make(chan *fastreg.Reader, cfg.Readers),
+		writeLa: new(obs.Histogram),
+		readLa:  new(obs.Histogram),
+		writers: make(chan *fastreg.Writer, len(cfg.Writers)),
+		readers: make(chan *fastreg.Reader, len(cfg.Readers)),
 	}
-	for i := 1; i <= cfg.Writers; i++ {
+	for _, i := range cfg.Writers {
 		w, err := store.Writer(i)
 		if err != nil {
 			return nil, err
 		}
 		g.writers <- w
 	}
-	for i := 1; i <= cfg.Readers; i++ {
+	for _, i := range cfg.Readers {
 		r, err := store.Reader(i)
 		if err != nil {
 			return nil, err
@@ -219,7 +210,6 @@ type gen struct {
 	cfg Config
 
 	writeLa, readLa *obs.Histogram
-	fails, drops    *obs.Counter
 
 	writers chan *fastreg.Writer
 	readers chan *fastreg.Reader
@@ -292,7 +282,6 @@ func (g *gen) dispatch(ctx context.Context, arrival time.Time, isWrite bool, key
 		}
 	}
 	g.dropped++
-	g.drops.Add(1)
 }
 
 func (g *gen) runWrite(ctx context.Context, w *fastreg.Writer, arrival time.Time, key, val string) {
@@ -316,7 +305,6 @@ func (g *gen) runRead(ctx context.Context, r *fastreg.Reader, arrival time.Time,
 func (g *gen) finish(err error, isWrite bool, arrival time.Time) {
 	if err != nil {
 		g.failed.Add(1)
-		g.fails.Add(1)
 		return
 	}
 	g.completed.Add(1)

@@ -23,14 +23,14 @@ func run(t *testing.T, seed int64) *Report {
 	st := openStore(t)
 	rep, err := Run(context.Background(), st, Config{
 		Seed:      seed,
-		Writers:   4,
-		Readers:   4,
+		Writers:   []int{1, 2, 3, 4},
+		Readers:   []int{1, 2, 3, 4},
 		Keys:      16,
 		Rate:      2000,
 		Duration:  150 * time.Millisecond,
 		WriteFrac: 0.3,
 		ValueSize: 32,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +70,18 @@ func TestScheduleDeterminism(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	st := openStore(t)
+	one := []int{1}
 	bad := []Config{
-		{Writers: 0, Readers: 1, Keys: 1, Rate: 1, Duration: time.Millisecond},
-		{Writers: 1, Readers: 1, Keys: 0, Rate: 1, Duration: time.Millisecond},
-		{Writers: 1, Readers: 1, Keys: 1, Rate: 0, Duration: time.Millisecond},
-		{Writers: 1, Readers: 1, Keys: 1, Rate: 1, Duration: 0},
-		{Writers: 1, Readers: 1, Keys: 1, Rate: 1, Duration: time.Millisecond, WriteFrac: 1.5},
-		{Writers: 1, Readers: 1, Keys: 1, Rate: 1, Duration: time.Millisecond, ZipfS: 0.5},
-		{Writers: 99, Readers: 1, Keys: 1, Rate: 1, Duration: time.Millisecond}, // exceeds cluster shape
+		{Writers: nil, Readers: one, Keys: 1, Rate: 1, Duration: time.Millisecond},
+		{Writers: one, Readers: one, Keys: 0, Rate: 1, Duration: time.Millisecond},
+		{Writers: one, Readers: one, Keys: 1, Rate: 0, Duration: time.Millisecond},
+		{Writers: one, Readers: one, Keys: 1, Rate: 1, Duration: 0},
+		{Writers: one, Readers: one, Keys: 1, Rate: 1, Duration: time.Millisecond, WriteFrac: 1.5},
+		{Writers: one, Readers: one, Keys: 1, Rate: 1, Duration: time.Millisecond, ZipfS: 0.5},
+		{Writers: []int{99}, Readers: one, Keys: 1, Rate: 1, Duration: time.Millisecond}, // exceeds cluster shape
 	}
 	for i, cfg := range bad {
-		if _, err := Run(context.Background(), st, cfg, nil); err == nil {
+		if _, err := Run(context.Background(), st, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}

@@ -13,8 +13,8 @@ import (
 // (internal/audit). A running replica or client appends one record per
 // observed event to its own trace log (a ".trlog" file); cmd/regaudit
 // merges the per-process logs offline into one multi-client history and
-// re-checks atomicity — the capture/replay answer to "regclient can only
-// verify its own operations".
+// re-checks atomicity — the capture/replay answer to "one client process
+// can only verify its own operations".
 //
 // Records are self-delimiting frames in the envelope codec's style:
 //

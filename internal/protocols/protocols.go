@@ -1,6 +1,6 @@
 // Package protocols resolves protocol names to implementations — the one
 // switch shared by the public fastreg API and the deployable binaries
-// (cmd/regserver, cmd/regclient), so every entry point accepts exactly
+// (cmd/regserver, cmd/regstorm), so every entry point accepts exactly
 // the same names.
 package protocols
 

@@ -127,17 +127,6 @@ const (
 // Option configures Open.
 type Option func(*openOptions)
 
-// WithInProcess selects the in-process backend (the default): the
-// store hosts its own fleet — Servers replicas, the same transport
-// servers regserver runs, connected to its client by channels instead of
-// sockets. One fleet serves every key through key-tagged messages and
-// sharded per-key state — O(Servers) goroutines no matter how many keys
-// the store holds — and CrashServer stops a replica for every key at
-// once.
-func WithInProcess() Option {
-	return func(o *openOptions) { o.kind = backendInProcess }
-}
-
 // WithTCP selects the network backend: the replicas are remote
 // cmd/regserver processes listening at addrs ("host:port" for
 // s_1..s_Servers, in order), and the store becomes a network client —
@@ -275,7 +264,10 @@ func WithSlowOpTrace(threshold time.Duration) Option {
 // the protocol, on the backend the options select (in-process by
 // default). Both backends run transport.Client's round engine and take
 // one list of its options; only the replicas differ — in-process
-// transport.Servers over channels, or a deployed fleet over TCP.
+// transport.Servers over channels, or a deployed fleet over TCP. The
+// in-process fleet serves every key through key-tagged messages and
+// sharded per-key state — O(Servers) goroutines however many keys the
+// store holds — and CrashServer stops a replica for every key at once.
 func Open(cfg Config, p Protocol, opts ...Option) (*Store, error) {
 	impl, err := p.impl()
 	if err != nil {
