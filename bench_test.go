@@ -1,9 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's analysis,
-// plus the ablations (BenchmarkAblation*) and the fast read's three hot
-// spots (BenchmarkFastRead*). Each benchmark prints or
-// reports the same quantities the paper's artifact shows; absolute
-// nanoseconds are incidental (the substrate is a simulator) — the reported
-// custom metrics (RTTs, verdicts) carry the reproduction.
+// Performance benchmarks of the library: the fast read's three hot spots
+// (BenchmarkFastRead*), the KV store in process and over loopback TCP
+// (BenchmarkKV*), and the ablations that time a design choice
+// (BenchmarkAblation*). The paper's results are not benchmarks: cmd/repro
+// regenerates them into EXPERIMENTS.md. regbench (bench/) measures the
+// deployed fleet.
 package fastreg_test
 
 import (
@@ -16,162 +16,14 @@ import (
 
 	"fastreg"
 	"fastreg/internal/atomicity"
-	"fastreg/internal/chains"
-	"fastreg/internal/consistency"
-	"fastreg/internal/crucialinfo"
-	"fastreg/internal/harness"
 	"fastreg/internal/history"
-	"fastreg/internal/mwabd"
-	"fastreg/internal/netsim"
 	"fastreg/internal/opkit"
 	"fastreg/internal/proto"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
-	"fastreg/internal/sweep"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
-	"fastreg/internal/workload"
 )
-
-// BenchmarkTable1DesignSpace regenerates Table 1: one adversarial workload
-// + atomicity check per design-space quadrant. The reported metrics are
-// the quadrant's verdict (atomic=1/0) and its round-trip counts.
-func BenchmarkTable1DesignSpace(b *testing.B) {
-	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	for _, p := range harness.DesignSpace() {
-		p := p
-		b.Run(p.Name(), func(b *testing.B) {
-			atomic := 1.0
-			for i := 0; i < b.N; i++ {
-				sim := netsim.MustNew(cfg, p, netsim.WithSeed(int64(i+1)), netsim.WithDelay(netsim.UniformDelay(1, 150)))
-				h := workload.Run(sim, workload.Mix{WritesPerWriter: 4, ReadsPerReader: 4})
-				if !atomicity.Check(h).Atomic {
-					atomic = 0
-				}
-			}
-			// The impossible quadrants may pass random schedules; their
-			// verdict comes from the directed probes of the harness (run
-			// once, outside timing).
-			b.StopTimer()
-			rows := map[string]bool{}
-			for _, row := range harness.Table1(1) {
-				rows[row.Design] = row.Empirical
-			}
-			if !rows[p.Name()] {
-				atomic = 0
-			}
-			b.ReportMetric(atomic, "atomic")
-			b.ReportMetric(float64(p.WriteRounds()), "write-rtts")
-			b.ReportMetric(float64(p.ReadRounds()), "read-rtts")
-		})
-	}
-}
-
-// BenchmarkFig2LatencyHasse regenerates Fig 2: per-protocol read/write
-// latency in RTTs at a constant one-way delay.
-func BenchmarkFig2LatencyHasse(b *testing.B) {
-	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	const oneWay = 50
-	for _, p := range harness.DesignSpace() {
-		p := p
-		b.Run(p.Name(), func(b *testing.B) {
-			var wRTT, rRTT float64
-			for i := 0; i < b.N; i++ {
-				sim := netsim.MustNew(cfg, p, netsim.WithDelay(netsim.ConstDelay(oneWay)))
-				h := workload.Run(sim, workload.Mix{WritesPerWriter: 5, ReadsPerReader: 5})
-				stats := workload.Measure(h)
-				wRTT = stats[types.OpWrite].Mean / (2 * oneWay)
-				rRTT = stats[types.OpRead].Mean / (2 * oneWay)
-			}
-			b.ReportMetric(wRTT, "write-rtts")
-			b.ReportMetric(rRTT, "read-rtts")
-		})
-	}
-}
-
-// BenchmarkFig3ChainPhases regenerates the Fig 3 construction end to end:
-// chain α, the critical server, chains β′/β″/β and the zigzag links, with
-// every execution atomicity-checked.
-func BenchmarkFig3ChainPhases(b *testing.B) {
-	for _, s := range []int{3, 5, 7} {
-		s := s
-		b.Run(fmt.Sprintf("S=%d", s), func(b *testing.B) {
-			var rep *chains.Report
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = chains.FindViolation(crucialinfo.New(), s)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(rep.Verdicts)), "executions")
-			b.ReportMetric(float64(len(rep.Violations)), "violations")
-			b.ReportMetric(float64(rep.Alpha.Critical), "critical-server")
-			if !rep.LinksHold {
-				b.Fatal("indistinguishability links failed")
-			}
-		})
-	}
-}
-
-// BenchmarkFig8Sieve regenerates the Fig 8 analysis: Σ1/Σ2 partition and
-// the shortened chain α̂ under an adversary flipping crucial info on |Σ1|
-// servers.
-func BenchmarkFig8Sieve(b *testing.B) {
-	for _, nFlip := range []int{0, 1, 2} {
-		nFlip := nFlip
-		b.Run(fmt.Sprintf("affected=%d", nFlip), func(b *testing.B) {
-			var sigma1 []types.ProcID
-			for i := 0; i < nFlip; i++ {
-				sigma1 = append(sigma1, types.Server(5-i))
-			}
-			var res *chains.SieveResult
-			for i := 0; i < b.N; i++ {
-				p := crucialinfo.NewWithFlips(types.Reader(2), sigma1)
-				f, err := chains.NewFamily(p, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err = f.Sieve()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(res.Sigma1)), "sigma1")
-			b.ReportMetric(float64(len(res.Sigma2)), "sigma2")
-			b.ReportMetric(float64(res.Critical), "critical-in-sigma2")
-		})
-	}
-}
-
-// BenchmarkFig9Boundary regenerates the Section 5 / Fig 9 feasibility
-// boundary: cells around R = S/t − 2 with randomized trials and the
-// directed inversion on the impossible side.
-func BenchmarkFig9Boundary(b *testing.B) {
-	for _, st := range [][2]int{{3, 1}, {5, 1}, {9, 2}} {
-		st := st
-		b.Run(fmt.Sprintf("S=%d,t=%d", st[0], st[1]), func(b *testing.B) {
-			var cells []sweep.Cell
-			for i := 0; i < b.N; i++ {
-				cells = sweep.Boundary([][2]int{st}, 3)
-			}
-			match := 1.0
-			for _, c := range cells {
-				// On the feasible side the random adversary must find
-				// nothing; on the infeasible side with S ≤ 3t the directed
-				// construction must violate.
-				if c.Feasible && !c.RandomAtomic {
-					match = 0
-				}
-				if c.DirectedAttempted && !c.DirectedViolation {
-					match = 0
-				}
-			}
-			b.ReportMetric(match, "boundary-matches-paper")
-			b.ReportMetric(float64(len(cells)), "cells")
-		})
-	}
-}
 
 // BenchmarkAblationAdmissible compares the exact subset-enumeration
 // admissibility test (Algorithm 1 line 32) against the greedy
@@ -270,31 +122,6 @@ func BenchmarkFastReadDecode(b *testing.B) {
 		if _, _, err := proto.Decode(frame); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationWriteBack measures what the read write-back costs (and
-// buys): W2R2 vs the non-atomic no-write-back variant.
-func BenchmarkAblationWriteBack(b *testing.B) {
-	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	for _, variant := range []struct {
-		name string
-		p    func() *mwabd.Protocol
-	}{
-		{"with-write-back", mwabd.New},
-		{"no-write-back", mwabd.NewNoWriteBack},
-	} {
-		variant := variant
-		b.Run(variant.name, func(b *testing.B) {
-			var readRTT float64
-			for i := 0; i < b.N; i++ {
-				sim := netsim.MustNew(cfg, variant.p(), netsim.WithDelay(netsim.ConstDelay(50)))
-				h := workload.Run(sim, workload.Mix{WritesPerWriter: 4, ReadsPerReader: 4})
-				stats := workload.Measure(h)
-				readRTT = stats[types.OpRead].Mean / 100
-			}
-			b.ReportMetric(readRTT, "read-rtts")
-		})
 	}
 }
 
@@ -474,55 +301,4 @@ func concurrentHistory(n int) history.History {
 		}
 	}
 	return bld.History()
-}
-
-// BenchmarkExtW1Rk runs the Section 3 generalization: the impossibility
-// argument against W1Rk candidates for k ∈ {2, 3, 4}, merging each read's
-// rounds 2…k into one unit.
-func BenchmarkExtW1Rk(b *testing.B) {
-	for _, k := range []int{2, 3, 4} {
-		k := k
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var rep *chains.Report
-			for i := 0; i < b.N; i++ {
-				p := crucialinfo.NewKRound(k)
-				var err error
-				rep, err = chains.FindViolation(p, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(rep.Violations)), "violations")
-			if len(rep.Violations) == 0 || !rep.LinksHold {
-				b.Fatal("W1Rk argument failed")
-			}
-		})
-	}
-}
-
-// BenchmarkExtInconsistency quantifies the Section 7 future-work question:
-// how inconsistent do the impossible fast quadrants actually get? Reported
-// metrics: worst k-atomicity and stale-read rate over adversarial runs.
-func BenchmarkExtInconsistency(b *testing.B) {
-	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	for _, p := range harness.DesignSpace() {
-		p := p
-		b.Run(p.Name(), func(b *testing.B) {
-			worstK, stale, runs := 1.0, 0.0, 0
-			for i := 0; i < b.N; i++ {
-				for seed := int64(1); seed <= 10; seed++ {
-					sim := netsim.MustNew(cfg, p, netsim.WithSeed(seed), netsim.WithDelay(netsim.UniformDelay(1, 200)))
-					h := workload.Run(sim, workload.Mix{WritesPerWriter: 5, ReadsPerReader: 5})
-					rep := consistency.Analyze(h)
-					if float64(rep.KAtomicity) > worstK {
-						worstK = float64(rep.KAtomicity)
-					}
-					stale += rep.StaleRate
-					runs++
-				}
-			}
-			b.ReportMetric(worstK, "worst-k-atomicity")
-			b.ReportMetric(stale/float64(runs), "stale-rate")
-		})
-	}
 }

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"fastreg"
 )
@@ -22,6 +23,7 @@ func main() {
 		cfg.Servers, cfg.MaxCrashes, fastreg.MaxFastReaders(cfg.Servers, cfg.MaxCrashes))
 
 	const oneWay = 50 // constant one-way delay → RTT = 100 virtual time units
+	atomic := true
 	for _, p := range []fastreg.Protocol{fastreg.W2R2, fastreg.W2R1} {
 		sim, err := fastreg.NewSimulation(cfg, p, fastreg.SimOptions{MinDelay: oneWay, MaxDelay: oneWay})
 		if err != nil {
@@ -33,8 +35,12 @@ func main() {
 			res.WriteLatency, res.WriteLatency.Mean/(2*oneWay),
 			res.ReadLatency, res.ReadLatency.Mean/(2*oneWay),
 			res.Check.Atomic)
+		atomic = atomic && res.Check.Atomic
 	}
 
 	fmt.Println("\nthe fast read halves read latency; past the boundary the paper proves it impossible:")
 	fmt.Printf("  S=5 t=1 R=3 feasible? %v (3 ≥ 5/1 − 2)\n", fastreg.FastReadFeasible(5, 1, 3))
+	if !atomic {
+		os.Exit(1)
+	}
 }

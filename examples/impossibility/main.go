@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"fastreg"
 )
@@ -24,6 +25,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(rep.Summary)
+		mustViolate(rep)
 		fmt.Printf("  → critical server s%d, violation exhibited at %s (links intact: %v)\n\n",
 			rep.CriticalServer, rep.FirstViolation, rep.LinksHold)
 	}
@@ -34,4 +36,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(rep.Summary)
+	mustViolate(rep)
+}
+
+// mustViolate exits 1 when the argument found no violation, which would
+// contradict Theorem 1.
+func mustViolate(rep *fastreg.ImpossibilityReport) {
+	if rep.Violations == 0 {
+		fmt.Fprintf(os.Stderr, "%s at S=%d: no violation found\n", rep.Protocol, rep.Servers)
+		os.Exit(1)
+	}
 }

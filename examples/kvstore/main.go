@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"runtime"
 	"sync"
 
@@ -83,4 +84,7 @@ func main() {
 		res.Operations, len(store.Keys()), res.Atomic, res.Explanation)
 	fmt.Printf("goroutines serving %d keys: %d — one multiplexed fleet; stays flat as keys grow, where per-key clusters would add %d goroutines per key\n",
 		len(store.Keys()), runtime.NumGoroutine(), cfg.Servers)
+	if !res.Atomic {
+		os.Exit(1)
+	}
 }

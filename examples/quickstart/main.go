@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"fastreg"
 )
@@ -68,4 +69,7 @@ func main() {
 	// The execution we just produced is atomic (Definition 2.1).
 	res := store.Check()
 	fmt.Printf("atomicity check over %d operations: %v\n", res.Operations, res.Atomic)
+	if !res.Atomic {
+		os.Exit(1)
+	}
 }

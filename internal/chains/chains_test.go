@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fastreg/internal/crucialinfo"
+	"fastreg/internal/register"
 	"fastreg/internal/types"
 	"fastreg/internal/w1r2"
 )
@@ -152,7 +153,7 @@ func TestZigzagLinksFullInfo(t *testing.T) {
 // candidate, with every constructed indistinguishability intact — i.e. the
 // violation is forced by fast writes, not by a protocol quirk.
 func TestFindViolationFullInfo(t *testing.T) {
-	for _, s := range []int{3, 4, 5, 6} {
+	for _, s := range []int{3, 4, 5, 6, 7} {
 		rep, err := FindViolation(crucialinfo.New(), s)
 		if err != nil {
 			t.Fatal(err)
@@ -271,16 +272,40 @@ func TestSieveRejectsNonFullInfo(t *testing.T) {
 	}
 }
 
-// TestReportStringMentionsPhases sanity-checks the report rendering.
+// TestReportStringMentionsPhases sanity-checks the report rendering: the
+// title names the candidate's W1Rk, the phases that ran are listed, and a
+// chain α without a flip says so instead of naming a server s0.
 func TestReportStringMentionsPhases(t *testing.T) {
-	rep, err := FindViolation(crucialinfo.New(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.String()
-	for _, frag := range []string{"phase 1", "phase 2", "phase 3", "first violation"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("report missing %q:\n%s", frag, s)
+	for _, tc := range []struct {
+		name  string
+		p     register.Protocol
+		s     int
+		want  []string
+		avoid []string
+	}{
+		{"FullInfo", crucialinfo.New(), 3,
+			[]string{"W1R2 impossibility", "phase 1", "critical server s2", "phase 2", "phase 3", "first violation"}, nil},
+		{"W1R2", w1r2.New(), 5,
+			[]string{"W1R2 impossibility", "no critical server", "first violation: alpha/α_tail"},
+			[]string{"s0", "phase 2"}},
+		{"W1R3", crucialinfo.NewKRound(3), 5,
+			[]string{"W1R3 impossibility", "protocol=W1R3-fullinfo", "phase 3", "first violation"},
+			[]string{"W1R2"}},
+	} {
+		rep, err := FindViolation(tc.p, tc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := rep.String()
+		for _, frag := range tc.want {
+			if !strings.Contains(s, frag) {
+				t.Errorf("%s: report missing %q:\n%s", tc.name, frag, s)
+			}
+		}
+		for _, frag := range tc.avoid {
+			if strings.Contains(s, frag) {
+				t.Errorf("%s: report contains %q:\n%s", tc.name, frag, s)
+			}
 		}
 	}
 }

@@ -19,8 +19,9 @@ type Verdict struct {
 
 // Report is the full output of the executable impossibility argument.
 type Report struct {
-	Protocol string
-	S        int
+	Protocol   string
+	S          int
+	ReadRounds int // the candidate's k: the argument is W1Rk's
 
 	Alpha  *AlphaChain
 	Beta   *BetaChain
@@ -47,9 +48,13 @@ func (r *Report) First() *Verdict {
 // String summarizes the report.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "W1R2 impossibility argument: protocol=%s S=%d t=1 W=2 R=2\n", r.Protocol, r.S)
+	fmt.Fprintf(&b, "W1R%d impossibility argument: protocol=%s S=%d t=1 W=2 R=2\n", r.ReadRounds, r.Protocol, r.S)
 	if r.Alpha != nil {
-		fmt.Fprintf(&b, "  phase 1: chain α of %d executions, critical server s%d\n", len(r.Alpha.Outcomes), r.Alpha.Critical)
+		critical := "no critical server (R1's return never flips)"
+		if r.Alpha.Critical != 0 {
+			critical = fmt.Sprintf("critical server s%d", r.Alpha.Critical)
+		}
+		fmt.Fprintf(&b, "  phase 1: chain α of %d executions, %s\n", len(r.Alpha.Outcomes), critical)
 	}
 	if r.Beta != nil {
 		chosen := "β″"
@@ -78,7 +83,7 @@ func FindViolation(p register.Protocol, s int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Protocol: p.Name(), S: s, LinksHold: true}
+	rep := &Report{Protocol: p.Name(), S: s, ReadRounds: p.ReadRounds(), LinksHold: true}
 
 	judge := func(phase, name string, out *Outcome) {
 		res := atomicity.Check(out.History)

@@ -10,10 +10,10 @@ import (
 // proof of W1R2 implementations also applies for W1Rk implementations for
 // k ≥ 3. We can combine the round-trips 2, 3, …, k as if they were one
 // single round-trip." The engine runs the full three-phase argument against
-// W1R3 and W1R4 full-info candidates, moving each read's rounds 2…k as one
-// block, and must find the forced violation just as for k = 2.
+// W1R2, W1R3 and W1R4 full-info candidates, moving each read's rounds 2…k
+// as one block, and must find the forced violation for every k.
 func TestW1RkReducesToW1R2(t *testing.T) {
-	for _, k := range []int{3, 4} {
+	for _, k := range []int{2, 3, 4} {
 		for _, s := range []int{3, 5} {
 			rep, err := FindViolation(crucialinfo.NewKRound(k), s)
 			if err != nil {

@@ -2,8 +2,7 @@
 // fleet: a palette of schedulable network faults — asymmetric partitions,
 // per-direction delay/jitter, bandwidth caps, frame corruption and
 // truncation, duplicate delivery, connection resets — expressed as rules
-// over named endpoints and applied to the transport's byte and envelope
-// streams.
+// over named endpoints and applied to the transport's TCP byte streams.
 //
 // The design has three layers:
 //
@@ -16,14 +15,14 @@
 //     sub-seeded from (seed, from, to, connection instance), so the same
 //     seed replays the same schedule regardless of unrelated goroutine
 //     interleaving, and two directions never perturb each other's draws.
-//   - Wrappers: Plan.WrapConn shims a net.Conn for the TCP path — it
+//   - Wrappers: Plan.WrapConn shims a net.Conn on the TCP path — it
 //     parses the transport's length-prefixed frame stream in each
 //     direction and applies fault actions per frame, so a corrupted
 //     frame reaches the peer's fuzz-hardened codec (which must reject
-//     it, killing the connection, which the client then redials). For
-//     in-process transports, Plan.WrapTransportConn applies the
-//     envelope-level subset of the palette. Plan.Listen wires the shim
-//     into a transport.Listener a server can bind directly.
+//     it, killing the connection, which the client then redials).
+//     Plan.Listen wires the shim into a transport.Listener a server can
+//     bind directly. This byte layer is the only one: the in-process
+//     backend has no wrapper, and regstorm refuses faults there.
 //
 // faultnet sits strictly below the protocol layer: it never inspects
 // envelopes beyond the frame boundary and cannot forge values (that is
@@ -151,10 +150,9 @@ type Plan struct {
 	rules []Rule
 
 	mu      sync.Mutex
-	started bool                 // guardedby: mu
-	start   time.Time            // guardedby: mu
-	seq     map[string]int64     // guardedby: mu — per-direction connection instance counter
-	clock   func() time.Duration // guardedby: mu — overridden by SetClock (tests)
+	started bool             // guardedby: mu
+	start   time.Time        // guardedby: mu
+	seq     map[string]int64 // guardedby: mu — per-direction connection instance counter
 }
 
 // NewPlan builds a plan from a seed and its rules. The virtual clock
@@ -175,22 +173,10 @@ func (p *Plan) Start() {
 	p.mu.Unlock()
 }
 
-// SetClock replaces the virtual clock (tests drive windows manually with
-// it). Must be called before any wrapper is created.
-func (p *Plan) SetClock(now func() time.Duration) {
-	p.mu.Lock()
-	p.clock = now
-	p.mu.Unlock()
-}
-
-// Now is the virtual clock: time since Start (zero before it), or the
-// SetClock override.
+// Now is the virtual clock: time since Start (zero before it).
 func (p *Plan) Now() time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.clock != nil {
-		return p.clock()
-	}
 	if !p.started {
 		return 0
 	}

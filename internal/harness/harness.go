@@ -34,9 +34,7 @@ func DesignSpace() []register.Protocol {
 
 // Table1Row is one row of the reproduced Table 1.
 type Table1Row struct {
-	Design      string // "W2R2", "W1R2", "W2R1", "W1R1"
-	WriteRounds int
-	ReadRounds  int
+	Design string // "W2R2", "W1R2", "W2R1", "W1R1" (W<write RTTs>R<read RTTs>)
 	// Claim is the paper's verdict for the row's configuration.
 	Claim bool
 	// Empirical is this run's verdict: true = all adversarial histories
@@ -56,8 +54,7 @@ func (r Table1Row) String() string {
 	if r.Empirical {
 		emp = "atomic"
 	}
-	return fmt.Sprintf("%-6s W%dR%d  paper:%-10s measured:%-9s  %s",
-		r.Design, r.WriteRounds, r.ReadRounds, claim, emp, r.Evidence)
+	return fmt.Sprintf("%-6s paper:%-10s measured:%-9s  %s", r.Design, claim, emp, r.Evidence)
 }
 
 // Table1 reproduces Table 1 on the canonical configuration S=5, t=1, W=2,
@@ -67,10 +64,8 @@ func Table1(trialsPerProtocol int) []Table1Row {
 	var rows []Table1Row
 	for _, p := range DesignSpace() {
 		row := Table1Row{
-			Design:      p.Name(),
-			WriteRounds: p.WriteRounds(),
-			ReadRounds:  p.ReadRounds(),
-			Claim:       p.Implementable(cfg),
+			Design: p.Name(),
+			Claim:  p.Implementable(cfg),
 		}
 		row.Empirical, row.Evidence = judge(p, cfg, trialsPerProtocol)
 		rows = append(rows, row)

@@ -113,7 +113,7 @@ func recvLoopPattern(frames [][]byte) {
 	}
 }
 
-// deliver is an annotated consumer, like faultnet's envConn.SendBatch.
+// deliver is an annotated consumer, like netsim's wireConn.SendBatch.
 //
 //lint:consumes replies
 func deliver(replies []proto.Envelope) { proto.PutEnvs(replies) }

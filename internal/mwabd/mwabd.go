@@ -18,7 +18,7 @@ import (
 // Protocol is the W2R2 implementation. The zero value is ready to use.
 type Protocol struct {
 	// DisableWriteBack removes the read's second round (ablation only: the
-	// resulting one-round read is NOT atomic; see BenchmarkAblationWriteBack).
+	// resulting one-round read is NOT atomic; EXPERIMENTS.md prices it).
 	DisableWriteBack bool
 }
 

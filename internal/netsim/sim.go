@@ -119,7 +119,6 @@ type Sim struct {
 	opSeq   map[types.ProcID]uint64
 	runs    []*opRun
 	stats   Stats
-	tracef  func(format string, args ...any)
 }
 
 // Option configures a Sim.
@@ -131,11 +130,6 @@ func WithDelay(d DelayFn) Option { return func(s *Sim) { s.delay = d } }
 // WithSeed seeds the simulator's RNG (default 1).
 func WithSeed(seed int64) Option {
 	return func(s *Sim) { s.rng = rand.New(rand.NewSource(seed)) }
-}
-
-// WithTrace installs a trace sink (e.g. t.Logf) for message-level traces.
-func WithTrace(f func(format string, args ...any)) Option {
-	return func(s *Sim) { s.tracef = f }
 }
 
 // New builds a cluster: cfg.S servers, cfg.W writers and cfg.R readers of
@@ -241,16 +235,9 @@ func (s *Sim) schedule(at vclock.Time, fn func()) {
 	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
 }
 
-func (s *Sim) trace(format string, args ...any) {
-	if s.tracef != nil {
-		s.tracef("[t=%d] "+format, append([]any{s.now}, args...)...)
-	}
-}
-
 // opRun tracks one in-flight operation.
 type opRun struct {
 	op       register.Operation
-	id       history.ID
 	ref      history.Ref
 	roundSeq int
 	need     int
@@ -273,10 +260,9 @@ func (s *Sim) nextOpID(client types.ProcID) uint64 {
 }
 
 func (s *Sim) startOp(op register.Operation, onDone func(types.Value, error)) {
-	id := history.ID{Client: op.Client(), OpID: s.nextOpID(op.Client())}
-	run := &opRun{op: op, id: id, ref: s.rec.Invoke(id.Client, id.OpID, op.Kind(), op.Arg()), onDone: onDone}
+	client := op.Client()
+	run := &opRun{op: op, ref: s.rec.Invoke(client, s.nextOpID(client), op.Kind(), op.Arg()), onDone: onDone}
 	s.runs = append(s.runs, run)
-	s.trace("%s invokes %s", op.Client(), id)
 	s.broadcast(run, op.Begin())
 }
 
@@ -302,13 +288,11 @@ func (s *Sim) deliverRequest(run *opRun, round int, srv types.ProcID, payload pr
 	}
 	if s.crashed(srv, s.now) {
 		s.stats.DroppedCrash++
-		s.trace("%s drops %s (crashed)", srv, payload)
 		return
 	}
 	s.stats.Delivered++
 	client := run.op.Client()
 	reply := s.servers[srv].Handle(client, payload)
-	s.trace("%s handles %s from %s, replies %v", srv, payload, client, reply)
 	if reply == nil {
 		return
 	}
@@ -343,7 +327,6 @@ func (s *Sim) deliverReply(run *opRun, round int, srv types.ProcID, reply proto.
 		run.done = true
 		s.rec.Respond(run.ref, res, nil)
 		s.stats.Completed++
-		s.trace("%s responds %s = %s", run.op.Client(), run.id, res)
 		if run.onDone != nil {
 			run.onDone(res, nil)
 		}
@@ -388,9 +371,6 @@ func (s *Sim) RunUntil(deadline vclock.Time) Stats {
 	}
 	return s.stats
 }
-
-// QueueLen reports the number of pending events (for tests).
-func (s *Sim) QueueLen() int { return len(s.queue) }
 
 // ServerValues returns each server's current maximal value, for inspection.
 func (s *Sim) ServerValues() map[types.ProcID]types.Value {

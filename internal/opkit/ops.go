@@ -183,8 +183,8 @@ func (r *ReadWriteBack) Next(replies []register.Reply) (*register.Round, types.V
 
 // ReadNoWriteBack is the ablation variant of ReadWriteBack with the second
 // round removed: a one-round "read max" that is NOT atomic (it exhibits
-// new-old inversions). It exists so the ablation benchmark can measure what
-// the write-back buys (BenchmarkAblationWriteBack).
+// new-old inversions). It exists so the write-back ablation of cmd/repro
+// can measure what the write-back costs (EXPERIMENTS.md).
 type ReadNoWriteBack struct {
 	client types.ProcID
 	need   int

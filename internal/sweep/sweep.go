@@ -11,10 +11,10 @@
 //   - on the impossible side, a directed construction: a pending write
 //     lodged on exactly S−2t servers, a first reader that admits it at
 //     degree 2, and a second reader that skips every witness — a forced
-//     new-old inversion whenever S ≤ 3t (for larger S the witness set
-//     cannot be fully avoided by one reader; the worst case there requires
-//     the full lower-bound machinery of Dutta et al. [12], which is out of
-//     scope — EXPERIMENTS.md discusses this).
+//     new-old inversion whenever S ≤ 3t. For larger S one reader cannot
+//     avoid the whole witness set, and Section 5's general construction is
+//     not built yet: cmd/repro lists those cells in EXPERIMENTS.md as the
+//     ones where the impossible side is the formula, not a measurement.
 package sweep
 
 import (
