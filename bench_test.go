@@ -61,12 +61,15 @@ func BenchmarkAblationAdmissible(b *testing.B) {
 // steadyFastRead builds the steady state of the one-round read at
 // tcp-fastread's shape: five replicas holding six 256-byte values each and a
 // reader that has read them, so its next read changes nothing anywhere. It
-// returns the replicas, the read and the replies to its request.
+// returns the replicas, the read and the replies to its request. The
+// replicas serve R=2 readers and the second one never reads, so the
+// dead-value floor stays at (0,⊥) and all six values stay live: the
+// benchmarks measure a six-entry vector, whatever pruning would leave.
 func steadyFastRead(b *testing.B) ([]register.ServerLogic, *opkit.FastReadOp, []register.Reply) {
 	b.Helper()
 	servers := make([]register.ServerLogic, 5)
 	for i := range servers {
-		servers[i] = opkit.NewVectorServer(types.Server(i + 1))
+		servers[i] = opkit.NewVectorServer(types.Server(i+1), 2)
 	}
 	for i := 0; i < 5; i++ {
 		w := opkit.NewQueryThenUpdateWrite(types.Writer(1+i%2), fmt.Sprintf("%0256d", i), 4)

@@ -168,7 +168,8 @@ func (o *vouchedRead) Next(replies []register.Reply) (*register.Round, types.Val
 }
 
 // FilterUnvouched removes from FastReadAck replies every value reported by
-// at most t servers. Other reply kinds pass through unchanged.
+// at most t servers and keeps each reply's floor, so vouched readers still
+// drop dead values. Other reply kinds pass through unchanged.
 func FilterUnvouched(replies []register.Reply, t int) []register.Reply {
 	counts := make(map[types.Value]int)
 	for _, rep := range replies {
@@ -191,7 +192,7 @@ func FilterUnvouched(replies []register.Reply, t int) []register.Reply {
 				kept = append(kept, e.Clone())
 			}
 		}
-		out = append(out, register.Reply{From: rep.From, Msg: proto.FastReadAck{Vector: kept}})
+		out = append(out, register.Reply{From: rep.From, Msg: proto.FastReadAck{Vector: kept, Floor: ack.Floor}})
 	}
 	return out
 }

@@ -180,3 +180,52 @@ func TestLyingServerLeavesTheHonestStateAlone(t *testing.T) {
 		t.Fatalf("honest reply has %d entries, want 2", n)
 	}
 }
+
+// valQueue is what reader r would send next: the valQueue its next read's
+// request carries.
+func valQueue(r register.Reader) []types.Value {
+	return r.ReadOp().Begin().Payload.(proto.FastRead).ValQueue
+}
+
+// TestVouchedReadersDropDeadValues: FilterUnvouched rebuilds every reply,
+// and keeps its floor, so a vouched reader's valQueue sheds the values no
+// read can return any more instead of holding every value ever written.
+func TestVouchedReadersDropDeadValues(t *testing.T) {
+	cfg := feasible()
+	sim := netsim.MustNew(cfg, byzantine.NewVouched(w2r1.New(), cfg.T))
+	h := workload.Run(sim, workload.Mix{WritesPerWriter: 6, ReadsPerReader: 6})
+	written := len(h.Writes())
+	for i := 1; i <= cfg.R; i++ {
+		if q := valQueue(sim.Reader(i)); len(q) > written/2 {
+			t.Errorf("r%d's valQueue holds %d of %d values written: %v", i, len(q), written, q)
+		}
+	}
+}
+
+// TestLiarsFloorCannotKillLiveValues: a reader drops values below the
+// smallest floor in its quorum, so a replica that claims a high floor
+// cannot make it drop a value the honest replicas still hold live.
+func TestLiarsFloorCannotKillLiveValues(t *testing.T) {
+	cfg := feasible()
+	v1 := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "one"}
+	v2 := types.Value{Tag: types.Tag{TS: 2, WID: types.Writer(2)}, Data: "two"}
+	honest := proto.FastReadAck{Vector: []proto.VectorEntry{
+		{Val: v1, Updated: []types.ProcID{types.Writer(1), types.Reader(1), types.Reader(2)}},
+		{Val: v2, Updated: []types.ProcID{types.Writer(2), types.Reader(1)}},
+	}, Floor: v1.Tag}
+	liar := honest
+	liar.Floor = types.Tag{TS: 1 << 40, WID: types.Writer(999)}
+	replies := []register.Reply{{From: types.Server(1), Msg: liar}}
+	for i := 2; i <= cfg.S-cfg.T; i++ {
+		replies = append(replies, register.Reply{From: types.Server(i), Msg: honest})
+	}
+	r := byzantine.NewVouched(w2r1.New(), cfg.T).NewReader(types.Reader(1), cfg)
+	op := r.ReadOp()
+	op.Begin()
+	if _, got, done, err := op.Next(replies); err != nil || !done || got != v2 {
+		t.Fatalf("read = %v, %v, %v; want %v", got, done, err, v2)
+	}
+	if q := valQueue(r); len(q) != 2 || q[0] != v1 || q[1] != v2 {
+		t.Errorf("valQueue %v, want [%v %v]: only (0,⊥) is below the honest floor", q, v1, v2)
+	}
+}

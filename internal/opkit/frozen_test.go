@@ -24,9 +24,17 @@ func sameVector(a, b []proto.VectorEntry) bool {
 
 // A reply is the replica's own vector, and an in-process backend hands the
 // reader that very slice: nothing the replica does afterwards may show
-// through it.
+// through it, neither a rebuild nor a cut of the dead prefix. Without
+// readers the replica keeps all six values; with two, the second reader's
+// valQueue raises the floor to (3,w1).
 func TestVectorServerRepliesAreFrozen(t *testing.T) {
-	s := NewVectorServer(types.Server(1))
+	for readers, want := range map[int]int{0: 6, 2: 3} {
+		t.Run(fmt.Sprintf("R=%d", readers), func(t *testing.T) { repliesAreFrozen(t, readers, want) })
+	}
+}
+
+func repliesAreFrozen(t *testing.T, readers, want int) {
+	s := NewVectorServer(types.Server(1), readers)
 	v1, v2, v3 := val(1, 1, "a"), val(2, 2, "b"), val(3, 1, "c")
 	s.Handle(types.Writer(1), proto.Update{Val: &v1})
 	s.Handle(types.Writer(2), proto.Update{Val: &v3})
@@ -54,8 +62,8 @@ func TestVectorServerRepliesAreFrozen(t *testing.T) {
 			t.Errorf("reply %d has spare capacity (len %d cap %d): an append would write into the replica's array", i, n, cap(replies[i]))
 		}
 	}
-	if got := s.Handle(types.Reader(1), proto.FastRead{}).(proto.FastReadAck).Vector; len(got) != 6 {
-		t.Fatalf("final vector has %d entries, want 6: %v", len(got), got)
+	if got := s.Handle(types.Reader(1), proto.FastRead{}).(proto.FastReadAck).Vector; len(got) != want {
+		t.Fatalf("final vector has %d entries, want %d: %v", len(got), want, got)
 	}
 }
 

@@ -252,7 +252,7 @@ func (s *ReaderState) Merge(vs ...types.Value) {
 	for _, v := range vs {
 		fresh = s.missing(fresh, v)
 	}
-	s.add(fresh)
+	s.add(fresh, types.Tag{})
 }
 
 // missing appends v to fresh unless the valQueue or fresh holds it.
@@ -263,18 +263,27 @@ func (s *ReaderState) missing(fresh []types.Value, v types.Value) []types.Value 
 	return append(fresh, v)
 }
 
-// add publishes a new valQueue that also holds the fresh values, if there
-// are any. They may have been cut from a reply's frame (proto.Decode), so
-// the queue stores a private copy of each payload.
-func (s *ReaderState) add(fresh []types.Value) {
+// add publishes a new valQueue that also holds the fresh values and none
+// tagged below floor. The fresh values may have been cut from a reply's
+// frame (proto.Decode), so the queue stores a private copy of each
+// payload. With nothing fresh the queue is its old self less its dead
+// prefix, not a copy.
+func (s *ReaderState) add(fresh []types.Value, floor types.Tag) {
+	old := s.queue
+	for len(old) > 0 && old[0].Tag.Less(floor) {
+		old = old[1:]
+	}
 	if len(fresh) == 0 {
+		s.queue = old
 		return
 	}
-	queue := make([]types.Value, 0, len(s.queue)+len(fresh))
-	queue = append(queue, s.queue...)
+	queue := make([]types.Value, 0, len(old)+len(fresh))
+	queue = append(queue, old...)
 	for _, v := range fresh {
-		v.Data = strings.Clone(v.Data)
-		queue = append(queue, v)
+		if !v.Tag.Less(floor) {
+			v.Data = strings.Clone(v.Data)
+			queue = append(queue, v)
+		}
 	}
 	slices.SortFunc(queue, types.Value.Compare)
 	s.queue = queue
@@ -315,6 +324,13 @@ func (r *FastReadOp) Begin() register.Round {
 // Next implements register.Operation. The value it returns is the
 // valQueue's copy of the chosen one, so that every read of a value, and the
 // history that records them, share one payload that pins no reply.
+//
+// The merge also drops the values tagged below the smallest floor among
+// the replies, which no read can return any more (see "Dead values"). The
+// smallest, so that one honest replica in the quorum bounds what a lying
+// one can make it drop; and never above the value this read returns, so
+// the valQueue keeps it and everything above it, its largest value
+// included.
 func (r *FastReadOp) Next(replies []register.Reply) (*register.Round, types.Value, bool, error) {
 	// Working memory on the stack: a handful of replies allocates nothing.
 	var (
@@ -335,8 +351,17 @@ func (r *FastReadOp) Next(replies []register.Reply) (*register.Round, types.Valu
 			fresh = r.state.missing(fresh, ack.Vector[i].Val)
 		}
 	}
-	r.state.add(fresh)
 	val, err := SelectAdmissible(acks, r.cfg)
+	var floor types.Tag
+	if err == nil {
+		floor = val.Tag
+		for _, ack := range acks {
+			if ack.Floor.Less(floor) {
+				floor = ack.Floor
+			}
+		}
+	}
+	r.state.add(fresh, floor)
 	if err != nil {
 		return nil, types.Value{}, false, err
 	}

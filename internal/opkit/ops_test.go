@@ -19,7 +19,7 @@ func storeServers(n int) []register.ServerLogic {
 func vectorServers(n int) []register.ServerLogic {
 	out := make([]register.ServerLogic, n)
 	for i := range out {
-		out[i] = NewVectorServer(types.Server(i + 1))
+		out[i] = NewVectorServer(types.Server(i+1), 2)
 	}
 	return out
 }

@@ -152,16 +152,61 @@ func oracleSelectAdmissible(msgs []proto.FastReadAck, cfg AdmissibleConfig) (typ
 }
 
 // oracleServer is the old VectorServer: a map from value to a set of
-// clients, deep-copied and sorted into every reply.
+// clients, deep-copied and sorted into every reply. It has the new one's
+// dead-value floor, kept its own way: a map from reader index to the
+// largest tag that reader sent, and a sweep of the map on every request.
 type oracleServer struct {
 	cur    types.Value
 	vector map[types.Value]map[types.ProcID]bool
+
+	readers int
+	seen    map[int]types.Tag
+	off     bool
+	floor   types.Tag
 }
 
-func newOracleServer() *oracleServer {
-	s := &oracleServer{cur: types.InitialValue(), vector: make(map[types.Value]map[types.ProcID]bool)}
+func newOracleServer(readers int) *oracleServer {
+	s := &oracleServer{
+		cur:     types.InitialValue(),
+		vector:  make(map[types.Value]map[types.ProcID]bool),
+		readers: readers,
+		seen:    make(map[int]types.Tag),
+		off:     readers == 0,
+	}
 	s.vector[types.InitialValue()] = make(map[types.ProcID]bool)
 	return s
+}
+
+func (s *oracleServer) dead(v types.Value) bool { return v.Tag.Less(s.floor) }
+
+// sweep drops every entry tagged below the floor.
+func (s *oracleServer) sweep() {
+	for v := range s.vector {
+		if s.dead(v) {
+			delete(s.vector, v)
+		}
+	}
+}
+
+// see raises the floor for a FastRead from c whose largest value is top,
+// or freezes it for good when c is not one of the readers.
+func (s *oracleServer) see(c types.ProcID, top types.Tag) {
+	if s.off {
+		return
+	}
+	if c.Role != types.RoleReader || c.Index < 1 || c.Index > s.readers {
+		s.off = true
+		return
+	}
+	if s.seen[c.Index].Less(top) {
+		s.seen[c.Index] = top
+	}
+	s.floor = s.seen[1]
+	for i := 2; i <= s.readers; i++ {
+		if s.seen[i].Less(s.floor) {
+			s.floor = s.seen[i]
+		}
+	}
 }
 
 func (s *oracleServer) update(val types.Value, c types.ProcID) {
@@ -180,16 +225,27 @@ func (s *oracleServer) Handle(from types.ProcID, m proto.Message) proto.Message 
 		cur := s.cur
 		return proto.QueryAck{Val: &cur}
 	case proto.Update:
-		s.update(*msg.Val, from)
+		s.sweep()
+		if !s.dead(*msg.Val) {
+			s.update(*msg.Val, from)
+		}
 		return proto.UpdateAck{}
 	case proto.FastRead:
+		var top types.Value
 		for _, v := range msg.ValQueue {
-			s.update(v, from)
+			top = types.MaxValue(top, v)
+		}
+		s.see(from, top.Tag)
+		s.sweep()
+		for _, v := range msg.ValQueue {
+			if !s.dead(v) || v == top {
+				s.update(v, from)
+			}
 		}
 		for _, set := range s.vector {
 			set[from] = true
 		}
-		return proto.FastReadAck{Vector: s.snapshot()}
+		return proto.FastReadAck{Vector: s.snapshot(), Floor: s.floor}
 	default:
 		return nil
 	}
@@ -285,13 +341,21 @@ func TestAdmissibilityMatchesMapOracle(t *testing.T) {
 
 // TestVectorServerMatchesMapOracle drives the slice-based server and the
 // map-based one it replaced with the same requests — valQueues that repeat
-// values, come unsorted and carry two payloads under one tag among them —
-// and compares every reply and vali.
+// values, come unsorted, carry two payloads under one tag among them and
+// fall below the floor — and compares every reply, floor included, and
+// vali. Half the trials send FastReads from the two readers alone, so the
+// floor rises; the other half also from the writers and a third reader,
+// which freezes it.
 func TestVectorServerMatchesMapOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	clients := []types.ProcID{types.Writer(1), types.Writer(2), types.Reader(1), types.Reader(2)}
+	pruned := 0
 	for trial := 0; trial < 300; trial++ {
-		s, o := NewVectorServer(types.Server(1)), newOracleServer()
+		clients := []types.ProcID{types.Reader(1), types.Reader(2), types.Writer(1), types.Writer(2), types.Reader(3)}
+		readers := 2
+		if trial%2 == 0 {
+			clients = clients[:2]
+		}
+		s, o := NewVectorServer(types.Server(1), readers), newOracleServer(readers)
 		randVal := func() types.Value {
 			v := types.Value{Tag: types.Tag{TS: int64(r.Intn(6)), WID: types.Writer(1 + r.Intn(2))}, Data: "p"}
 			if r.Intn(6) == 0 {
@@ -307,6 +371,7 @@ func TestVectorServerMatchesMapOracle(t *testing.T) {
 				m = proto.Query{}
 			case 1:
 				v := randVal()
+				from = types.Writer(1 + r.Intn(2))
 				m = proto.Update{Val: &v}
 			default:
 				q := make([]types.Value, r.Intn(4))
@@ -323,6 +388,12 @@ func TestVectorServerMatchesMapOracle(t *testing.T) {
 				t.Fatalf("trial %d step %d: vali %v, oracle %v", trial, step, s.CurrentValue(), o.cur)
 			}
 		}
+		if !o.floor.Less(types.Tag{TS: 1}) {
+			pruned++
+		}
+	}
+	if pruned < 50 {
+		t.Errorf("the floor rose in %d of 300 trials, want at least 50", pruned)
 	}
 }
 
@@ -336,7 +407,7 @@ func sameReply(a, b proto.Message) bool {
 		return a == b
 	}
 	y, ok := b.(proto.FastReadAck)
-	if !ok || len(x.Vector) != len(y.Vector) {
+	if !ok || x.Floor != y.Floor || len(x.Vector) != len(y.Vector) {
 		return false
 	}
 	for i := range x.Vector {

@@ -55,6 +55,51 @@
 //     not the copy in the reply the search happened to find it in. Every
 //     read of one value by one reader, and every history that records them,
 //     then share one payload, and none of them pins a reply.
+//
+// # Dead values
+//
+// Algorithm 2's vector keeps every value it ever received, and a reader's
+// valQueue every value it ever saw. A VectorServer built for R readers
+// drops the values no read can return any more. For each reader r_i it
+// records F_i, the largest tag r_i has put in a valQueue this replica
+// received. Its floor is min_i F_i, and a value tagged below the floor is
+// dead: its entry leaves the vector, and an Update or a valQueue that
+// brings it again does not store it. Every FastReadAck carries the floor,
+// and a reader drops from its valQueue the values tagged below the smallest
+// floor among its replies.
+//
+// Lemma (dead values). On every schedule, every operation returns what it
+// returns on Algorithm 2's replicas, with the same response time.
+//
+// Proof sketch.
+//  1. A read returns at least the largest value of the valQueue it sent
+//     (Lemma 3: every replying server recorded the reader on that value,
+//     so it is admissible with degree 1).
+//  2. A reader's valQueue gains every value it sees and loses only dead
+//     ones, never its largest, so its largest value never shrinks; and a
+//     reader's reads are sequential. Every read of r_i still in progress or
+//     to come therefore returns at least F_i at any replica, and no read
+//     returns a value below a replica's floor.
+//  3. The floor only rises, so a value at or above it was never dead, and
+//     its entry has evolved exactly as it would have on Algorithm 2. Whether
+//     a value is admissible depends on that value's own entries alone. By
+//     (1) and (2) a read's selection stops at or above every floor in its
+//     quorum, so it tries the same values with the same entries, and stops
+//     at the same one.
+//  4. A reader drops only values below some replica's floor, which by (2)
+//     no read returns; so the valQueues it sends differ only in dead values,
+//     which change only dead entries.
+//
+// The sketch needs readers r_1..r_R that keep their valQueue. Two clients
+// break that, and the replica makes sure their reads still end, not that
+// they match: a reader whose state was evicted (fastreg's WithEvictionTTL)
+// comes back with valQueue {(0,⊥)}, below its F_i, and a client outside
+// r_1..r_R has no F_i at all. A replica always stores a request's largest
+// value and replies with it, dead or not, so Lemma 3's witness is there;
+// and the first FastRead from outside r_1..r_R freezes the key's floor for
+// good. TestPruningMatchesAlgorithm2 checks the lemma against Algorithm 2's
+// replicas on seeded simulator executions, and a mutant floor (the maximum
+// over the readers) against it.
 package opkit
 
 import (
@@ -116,27 +161,42 @@ func (s *StoreServer) Handle(_ types.ProcID, m proto.Message) proto.Message {
 }
 
 // VectorServer is the Algorithm 2 server. Besides the maximal value vali it
-// keeps a valuevector: for every value ever received, the set of clients
+// keeps a valuevector: for every live value received, the set of clients
 // known to have updated (proposed or relayed) it. FastRead requests both
-// merge the reader's valQueue and return the whole vector.
+// merge the reader's valQueue and return the vector. A value tagged
+// below the replica's floor is dead (see "Dead values" in the package doc):
+// its entry leaves the vector, and an Update or a valQueue that brings it
+// again does not store it.
 type VectorServer struct {
 	id types.ProcID
 	// frozen: every QueryAck points at it until the next adopt.
 	cur *types.Value
 	// frozen: replies are this slice. Strictly ascending by Value.Compare,
 	// every Updated set ascending; a change builds a new vector, and new
-	// Updated slices for the entries it touches.
+	// Updated slices for the entries it touches, or cuts off a dead prefix.
 	vec []proto.VectorEntry
+	// seen[i] is the largest tag reader r(i+1) has put in a valQueue this
+	// replica received, and floor is their minimum. seen is nil while
+	// pruning is off: the shape has no readers, or a reader outside them
+	// sent a FastRead, and floor stays where it was.
+	seen  []types.Tag
+	floor types.Tag
 }
 
 // NewVectorServer creates a VectorServer initialized per Algorithm 2 lines
-// 3–6: vali = (0,⊥) with an empty updated set.
-func NewVectorServer(id types.ProcID) *VectorServer {
-	return &VectorServer{
+// 3–6: vali = (0,⊥) with an empty updated set. readers is the shape's R:
+// the floor follows readers r1..rR, and a replica built with no readers
+// keeps every value, as Algorithm 2 does.
+func NewVectorServer(id types.ProcID, readers int) *VectorServer {
+	s := &VectorServer{
 		id:  id,
 		cur: &initialValue,
 		vec: []proto.VectorEntry{{Val: types.InitialValue()}},
 	}
+	if readers > 0 {
+		s.seen = make([]types.Tag, readers)
+	}
+	return s
 }
 
 // ID implements register.ServerLogic.
@@ -166,10 +226,43 @@ func withProc(set []types.ProcID, c types.ProcID) []types.ProcID {
 	return inserted(set, i, c)
 }
 
+// dead reports whether v is tagged below the floor.
+func (s *VectorServer) dead(v types.Value) bool { return v.Tag.Less(s.floor) }
+
+// live returns vec less its dead prefix, without copying.
+func (s *VectorServer) live(vec []proto.VectorEntry) []proto.VectorEntry {
+	k := 0
+	for k < len(vec) && s.dead(vec[k].Val) {
+		k++
+	}
+	return vec[k:]
+}
+
+// see records that reader c sent a valQueue whose largest tag is top, and
+// raises the floor to the minimum over the readers. A FastRead from a
+// client that is not one of them turns pruning off for good: the floor
+// knows nothing of what that client may still return.
+func (s *VectorServer) see(c types.ProcID, top types.Tag) {
+	i := c.Index - 1
+	switch {
+	case s.seen == nil:
+	case c.Role != types.RoleReader || i < 0 || i >= len(s.seen):
+		s.seen = nil
+	case s.seen[i].Less(top):
+		s.seen[i] = top
+		s.floor = slices.MinFunc(s.seen, types.Tag.Compare)
+	}
+}
+
 // update is Algorithm 2's update(val, c) procedure: record that client c
 // holds val, and raise vali if val is newer. val owns its payload (it comes
-// from an Update), so the vector stores it as it is.
+// from an Update), so the vector stores it as it is. A dead val is not
+// stored, and vali, which is never below the floor, stays.
 func (s *VectorServer) update(val types.Value, c types.ProcID) {
+	s.vec = s.live(s.vec)
+	if s.dead(val) {
+		return
+	}
 	i, ok := findEntry(s.vec, val)
 	switch {
 	case !ok:
@@ -191,16 +284,33 @@ func (s *VectorServer) update(val types.Value, c types.ProcID) {
 // single stored value, as in Dutta et al., this is the original algorithm's
 // behaviour; the valuevector generalizes it per value.)
 //
+// The valQueue's largest value first raises the floor (see), and values
+// below the floor are skipped, all but that largest one: it is Lemma 3's
+// witness, which a reader whose valQueue went back to {(0,⊥)} needs to
+// terminate, so it is stored even when dead (and cut off by the next
+// request).
+//
 // One pass finds what that would change. Usually nothing — the reader is on
-// every entry and its valQueue holds nothing new — and the reply is the
-// current vector. Otherwise one new vector is built. The valQueue may have
-// been cut from a frame (proto.Decode), so an entry stores a private copy
-// of a new value's payload, and vali takes the entry's copy.
+// every live entry and its valQueue holds nothing new — and the reply is the
+// current vector less its dead prefix. Otherwise one new vector is built
+// from the live entries. The valQueue may have been cut from a frame
+// (proto.Decode), so an entry stores a private copy of a new value's
+// payload, and vali takes the entry's copy.
 func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) []proto.VectorEntry {
-	old := s.vec
+	var top types.Value
+	for i, v := range queue {
+		if i == 0 || top.Less(v) {
+			top = v
+		}
+	}
+	s.see(c, top.Tag)
+	old := s.live(s.vec)
 	var buf [8]types.Value
 	fresh, stale := buf[:0], false
 	for _, v := range queue {
+		if s.dead(v) && v != top {
+			continue
+		}
 		if _, ok := findEntry(old, v); !ok && !slices.Contains(fresh, v) {
 			fresh = append(fresh, v)
 		}
@@ -208,35 +318,31 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) []proto.Vec
 	for i := range old {
 		stale = stale || !old[i].HasUpdated(c)
 	}
-	if len(fresh) > 0 || stale {
-		vec := make([]proto.VectorEntry, len(old), len(old)+len(fresh))
-		copy(vec, old)
-		for i := range vec {
-			if !vec[i].HasUpdated(c) {
-				vec[i].Updated = withProc(vec[i].Updated, c)
-			}
-		}
-		if len(fresh) > 0 {
-			only := []types.ProcID{c} // never written again, so the new entries share it
-			for _, v := range fresh {
-				v.Data = strings.Clone(v.Data)
-				vec = append(vec, proto.VectorEntry{Val: v, Updated: only})
-			}
-			slices.SortFunc(vec, func(a, b proto.VectorEntry) int { return a.Val.Compare(b.Val) })
-		}
-		s.vec = vec
-		top := *s.cur
-		for _, v := range queue {
-			if top.Less(v) {
-				top = v
-			}
-		}
-		if s.cur.Less(top) {
-			i, _ := findEntry(vec, top)
-			s.cur = adopt(vec[i].Val)
+	if len(fresh) == 0 && !stale {
+		s.vec = old
+		return old[:len(old):len(old)]
+	}
+	vec := make([]proto.VectorEntry, len(old), len(old)+len(fresh))
+	copy(vec, old)
+	for i := range vec {
+		if !vec[i].HasUpdated(c) {
+			vec[i].Updated = withProc(vec[i].Updated, c)
 		}
 	}
-	return s.vec[:len(s.vec):len(s.vec)]
+	if len(fresh) > 0 {
+		only := []types.ProcID{c} // never written again, so the new entries share it
+		for _, v := range fresh {
+			v.Data = strings.Clone(v.Data)
+			vec = append(vec, proto.VectorEntry{Val: v, Updated: only})
+		}
+		slices.SortFunc(vec, func(a, b proto.VectorEntry) int { return a.Val.Compare(b.Val) })
+	}
+	s.vec = vec
+	if s.cur.Less(top) {
+		i, _ := findEntry(vec, top)
+		s.cur = adopt(vec[i].Val)
+	}
+	return vec[:len(vec):len(vec)]
 }
 
 // Handle implements register.ServerLogic.
@@ -244,7 +350,7 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) []proto.Vec
 //   - Query       → QueryAck{vali}           (writer's first round)
 //   - Update      → update(val, c); WRITEACK (writer's second round)
 //   - FastRead    → update every valQueue entry for the reader, then reply
-//     with the full valuevector (READACK)
+//     with the valuevector and the floor (READACK)
 //
 // An Update without a value is dropped (nil reply).
 func (s *VectorServer) Handle(from types.ProcID, m proto.Message) proto.Message {
@@ -258,7 +364,8 @@ func (s *VectorServer) Handle(from types.ProcID, m proto.Message) proto.Message 
 		s.update(*msg.Val, from)
 		return proto.UpdateAck{}
 	case proto.FastRead:
-		return proto.FastReadAck{Vector: s.fastRead(msg.ValQueue, from)}
+		vec := s.fastRead(msg.ValQueue, from)
+		return proto.FastReadAck{Vector: vec, Floor: s.floor}
 	default:
 		return nil
 	}

@@ -59,7 +59,7 @@ func TestStoreServerUnknownMessage(t *testing.T) {
 }
 
 func TestVectorServerInitial(t *testing.T) {
-	s := NewVectorServer(types.Server(2))
+	s := NewVectorServer(types.Server(2), 2)
 	if s.ID() != types.Server(2) {
 		t.Errorf("ID = %v", s.ID())
 	}
@@ -73,7 +73,7 @@ func TestVectorServerInitial(t *testing.T) {
 }
 
 func TestVectorServerWritePath(t *testing.T) {
-	s := NewVectorServer(types.Server(1))
+	s := NewVectorServer(types.Server(1), 2)
 	// Writer's query round.
 	if qa, ok := s.Handle(types.Writer(1), proto.Query{}).(proto.QueryAck); !ok || !qa.Val.IsInitial() {
 		t.Fatalf("query ack = %v", qa)
@@ -97,7 +97,7 @@ func TestVectorServerWritePath(t *testing.T) {
 }
 
 func TestVectorServerFastReadMergesQueueAndRecordsReader(t *testing.T) {
-	s := NewVectorServer(types.Server(1))
+	s := NewVectorServer(types.Server(1), 2)
 	v := val(3, 2, "x")
 	// Reader disseminates v via its valQueue; the server must learn it.
 	ackMsg := s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{types.InitialValue(), v}})
@@ -123,7 +123,7 @@ func TestVectorServerFastReadMergesQueueAndRecordsReader(t *testing.T) {
 }
 
 func TestVectorServerReaderJoinsAllEntriesOnReply(t *testing.T) {
-	s := NewVectorServer(types.Server(1))
+	s := NewVectorServer(types.Server(1), 2)
 	v1, v2 := val(1, 1, "a"), val(2, 2, "b")
 	s.Handle(types.Writer(1), proto.Update{Val: &v1})
 	s.Handle(types.Writer(2), proto.Update{Val: &v2})
@@ -140,7 +140,7 @@ func TestVectorServerReaderJoinsAllEntriesOnReply(t *testing.T) {
 }
 
 func TestVectorServerRepeatedUpdateAccumulates(t *testing.T) {
-	s := NewVectorServer(types.Server(1))
+	s := NewVectorServer(types.Server(1), 2)
 	v := val(1, 1, "a")
 	s.Handle(types.Writer(1), proto.Update{Val: &v})
 	s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{v}})
@@ -154,14 +154,14 @@ func TestVectorServerRepeatedUpdateAccumulates(t *testing.T) {
 }
 
 func TestVectorServerUnknownMessage(t *testing.T) {
-	s := NewVectorServer(types.Server(1))
+	s := NewVectorServer(types.Server(1), 2)
 	if got := s.Handle(types.Reader(1), proto.FastReadAck{}); got != nil {
 		t.Errorf("unknown message reply = %v, want nil", got)
 	}
 }
 
 func TestVectorServerSnapshotIsUnaliased(t *testing.T) {
-	s := NewVectorServer(types.Server(1))
+	s := NewVectorServer(types.Server(1), 2)
 	v := val(1, 1, "a")
 	s.Handle(types.Writer(1), proto.Update{Val: &v})
 	snap := s.VectorSnapshot()

@@ -80,9 +80,12 @@ func (w *writer) proc(p types.ProcID) {
 	w.u8(uint8(p.Role))
 	w.u32(uint32(p.Index))
 }
+func (w *writer) tag(t types.Tag) {
+	w.i64(t.TS)
+	w.proc(t.WID)
+}
 func (w *writer) value(v types.Value) {
-	w.i64(v.Tag.TS)
-	w.proc(v.Tag.WID)
+	w.tag(v.Tag)
 	w.str(v.Data)
 }
 
@@ -380,6 +383,7 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 				w.proc(p)
 			}
 		}
+		w.tag(m.Floor)
 	case LogAck:
 		w.u32(uint32(len(m.Events)))
 		for _, ev := range m.Events {
@@ -506,6 +510,7 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 				}
 			}
 		}
+		m.Floor = r.tag()
 		e.Payload = m
 	case KindLogAck:
 		n := r.count(procSize + minValueSize)

@@ -23,7 +23,7 @@ func sampleEnvelopes() []Envelope {
 		{From: types.Server(2), To: types.Reader(2), OpID: 9, Round: 1, IsReply: true, Payload: FastReadAck{Vector: []VectorEntry{
 			{Val: v1, Updated: []types.ProcID{types.Writer(1), types.Reader(2)}},
 			{Val: v2, Updated: nil},
-		}}},
+		}, Floor: v1.Tag}},
 		{From: types.Reader(1), To: types.Server(1), OpID: 0, Round: 1, Payload: FastRead{}},
 		{From: types.Server(1), To: types.Reader(1), OpID: 0, Round: 1, IsReply: true, Payload: FastReadAck{}},
 		{From: types.Writer(2), To: types.Server(4), Key: "users:alice", OpID: 7, Round: 1, Payload: Query{}},
@@ -185,6 +185,9 @@ func randEnvelope(r *rand.Rand) Envelope {
 		e.Payload = m
 	default:
 		m := FastReadAck{}
+		if r.Intn(2) == 0 {
+			m.Floor = randValue(r).Tag
+		}
 		for i := 0; i < r.Intn(4); i++ {
 			ent := VectorEntry{Val: randValue(r)}
 			for j := 0; j < r.Intn(4); j++ {

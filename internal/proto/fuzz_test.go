@@ -25,6 +25,10 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 			{Val: val, Updated: []types.ProcID{types.Reader(1), types.Writer(2)}},
 			{Val: types.InitialValue()},
 		}}},
+		// A replica past its first dead value: the floor rides after the vector.
+		{From: types.Server(4), To: types.Reader(1), Key: "multi/key", OpID: 2, Round: 1, IsReply: true, Payload: FastReadAck{Vector: []VectorEntry{
+			{Val: val, Updated: []types.ProcID{types.Reader(1), types.Reader(2), types.Writer(2)}},
+		}, Floor: val.Tag}},
 		{From: types.Server(1), To: types.Reader(1), OpID: 3, Round: 1, IsReply: true, Payload: LogAck{Events: []LogEvent{
 			{Client: types.Writer(1), Val: val},
 		}}},

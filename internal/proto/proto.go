@@ -187,8 +187,12 @@ func NormalizeUpdated(ps []types.ProcID) []types.ProcID {
 	return slices.Compact(ps)
 }
 
-// FastReadAck is the server's reply to FastRead: its full valuevector
-// (Algorithm 2 replies with everything needed for the admissibility test).
+// FastReadAck is the server's reply to FastRead: its valuevector
+// (Algorithm 2 replies with everything needed for the admissibility test)
+// and its dead-value floor. The vector holds every value the replica
+// received but those tagged below Floor, which no read in progress or to
+// come can return (opkit's "Dead values"); a reader may drop such values
+// from its valQueue. The zero Floor drops nothing.
 //
 // An honest replica sends the vector strictly ascending by Value.Compare
 // and shares it with its own state (opkit.VectorServer): a holder of a
@@ -196,6 +200,7 @@ func NormalizeUpdated(ps []types.ProcID) []types.ProcID {
 // them. Receivers check the order instead of trusting it.
 type FastReadAck struct {
 	Vector []VectorEntry
+	Floor  types.Tag
 }
 
 // Kind implements Message.

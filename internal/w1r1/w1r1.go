@@ -40,9 +40,10 @@ func (*Protocol) Implementable(cfg quorum.Config) bool {
 	return cfg.W == 1 && cfg.FastReadOK() && cfg.MajorityOK()
 }
 
-// NewServer implements register.Protocol.
-func (*Protocol) NewServer(id types.ProcID, _ quorum.Config) register.ServerLogic {
-	return opkit.NewVectorServer(id)
+// NewServer implements register.Protocol: the valuevector server W2R1
+// uses, with a dead-value floor over the shape's readers.
+func (*Protocol) NewServer(id types.ProcID, cfg quorum.Config) register.ServerLogic {
+	return opkit.NewVectorServer(id, cfg.R)
 }
 
 type writer struct {

@@ -9,7 +9,11 @@
 //
 // Read (one round): send the reader's valQueue to all servers; each server
 // merges it into its valuevector, recording the reader in the updated set of
-// every queued value, and replies with the full vector. The reader returns
+// every queued value, and replies with the vector. The vector and the
+// valQueue hold only values some read may still return: a replica knows
+// the shape's R readers and drops values below the smallest tag any of them
+// still holds (opkit's "Dead values"), which changes no operation's result.
+// The reader returns
 // the largest value admissible with some degree a ∈ [1, R+1], where
 // admissible(v, Msg, a) requires at least S − a·t replies carrying v whose
 // updated sets share ≥ a clients (Algorithm 1, line 32). Properties
@@ -50,9 +54,9 @@ func (p *Protocol) Implementable(cfg quorum.Config) bool {
 }
 
 // NewServer implements register.Protocol: the Algorithm 2 valuevector
-// server.
-func (p *Protocol) NewServer(id types.ProcID, _ quorum.Config) register.ServerLogic {
-	return opkit.NewVectorServer(id)
+// server, with a dead-value floor over the shape's readers.
+func (p *Protocol) NewServer(id types.ProcID, cfg quorum.Config) register.ServerLogic {
+	return opkit.NewVectorServer(id, cfg.R)
 }
 
 type writer struct {
