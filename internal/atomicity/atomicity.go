@@ -18,9 +18,10 @@
 package atomicity
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"fastreg/internal/history"
@@ -169,7 +170,7 @@ func CheckOpt(h history.History, opts Options) Result {
 			nodes = append(nodes, node{op: o, invoke: o.Invoke, response: pendingResponse, optional: true, dom: dom(o)})
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].invoke < nodes[j].invoke })
+	slices.SortFunc(nodes, func(a, b node) int { return cmp.Compare(a.invoke, b.invoke) })
 
 	base := opts.Base
 	if base == (types.Value{}) {

@@ -9,14 +9,40 @@
 // # Storage
 //
 // Every backend records on the operation's critical path, so a Recorder
-// is an append-only log of Op values, not a map. The log is a list of
-// chunks that never move once allocated: the first chunks hold 4, 4 and
-// 8 ops, so a register touched a handful of times stays small; every
-// later chunk holds 16. Invoke appends in place and returns a Ref, the
-// op's (chunk, slot) address; Respond, RespondAt, RespondFailed,
-// SetEpoch and UpdateValue take that Ref, so recording formats no string
-// and inserts into no map, and only a new chunk allocates. History copies
-// the chunks out in invocation order.
+// is an append-only log, not a map. The log is a list of chunks that
+// never move once allocated: the first chunks hold 4, 7 and 14 ops, so a
+// register touched a handful of times stays small; every later chunk
+// holds 21. Invoke appends in place and returns a Ref, the op's (chunk,
+// slot) address; Respond, RespondAt, RespondFailed, SetEpoch and
+// UpdateValue take that Ref, so recording formats no string and inserts
+// into no map, and only a new chunk allocates.
+//
+// A recorded op is kept as a 72-byte record, not as a 112-byte Op: the
+// op ID, invocation and response times, the value's tag timestamp and the
+// epoch as 8-byte words; the payload as a string; the client's and the
+// tag writer's process indexes as uint32; their roles, the kind and a
+// flags byte. The chunk sizes fill Go size classes: the runtime puts an
+// 8-byte header in front of every object over 512 bytes that holds
+// pointers, so 4 and 7 records take 288 and 512 bytes, and 14 and 21
+// records with their header 1024 and 1536: no chunk costs more than
+// 512/7 ≈ 73.1 bytes per record it holds. What a record cannot hold
+// exactly, an op's error and a process index that does not fit a
+// uint32, goes to a side map keyed by the op's Ref, and a flag bit on the
+// record says so. Nothing is truncated: those ops cost a map entry, the
+// common op nothing.
+//
+// Every client that reads a value decodes its own copy of the payload,
+// and a history keeps each read forever. So the recorder remembers the
+// last value it stored, and a value with the same tag and an equal
+// payload is stored with that earlier string: a value that many clients
+// read in turn keeps one payload, not one per read. Equal payload, not
+// just equal tag: a forged value carrying an honest tag keeps its own
+// payload, so the checker still sees the forgery.
+//
+// History and the sink expand records back into Ops. The checker and
+// the capture log take Ops, and expanding on the way out keeps the
+// compact layout a private detail of the recorder. History copies the
+// log out in invocation order.
 //
 // # The Ref contract
 //
@@ -29,8 +55,9 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -115,8 +142,46 @@ type Ref struct {
 
 // chunkSizes are the capacities of the log's first chunks; every later
 // chunk takes the last size. Small first chunks keep a register touched
-// only a few times cheap to create and to hold.
-var chunkSizes = [...]int{4, 4, 8, 16}
+// only a few times cheap to create and to hold; each size fills a size
+// class (see the package doc).
+var chunkSizes = [...]int{4, 7, 14, 21}
+
+// record is one recorded op, packed into 72 bytes (see the package doc).
+// The indexes hold a process index only when it fits exactly; otherwise
+// a flag bit sends the reader to the recorder's side map.
+type record struct {
+	opID     uint64
+	invoke   vclock.Time
+	response vclock.Time
+	ts       int64 // the value's tag timestamp
+	epoch    uint64
+	data     string
+	client   uint32 // the client's process index
+	wid      uint32 // the tag writer's process index
+	role     types.Role
+	widRole  types.Role
+	kind     types.OpKind
+	flags    uint8
+}
+
+// Flag bits of a record: which of its fields live in the side map.
+const (
+	wideClient uint8 = 1 << iota // the client index
+	wideWID                      // the tag writer's index
+	hasErr                       // the op's error
+)
+
+// wide is an op's side-map entry: the fields its record cannot hold.
+type wide struct {
+	client, wid int
+	err         error
+}
+
+// narrow returns i as a uint32 when that converts back to i exactly.
+func narrow(i int) (uint32, bool) {
+	u := uint32(i)
+	return u, int(u) == i
+}
 
 // Recorder accumulates an execution concurrently. It is safe for use from
 // multiple goroutines (the live network) as well as the single-threaded
@@ -124,8 +189,10 @@ var chunkSizes = [...]int{4, 4, 8, 16}
 type Recorder struct {
 	mu     sync.Mutex
 	clock  *vclock.Clock
-	chunks [][]Op   // guardedby: mu
-	sink   func(Op) // guardedby: mu
+	chunks [][]record    // guardedby: mu
+	side   map[Ref]*wide // guardedby: mu — nil until an op needs it
+	last   types.Value   // guardedby: mu — the last value stored
+	sink   func(Op)      // guardedby: mu
 }
 
 // NewRecorder creates a Recorder stamping events with clock.
@@ -146,39 +213,121 @@ func (r *Recorder) SetSink(fn func(Op)) {
 	r.mu.Unlock()
 }
 
-// appendLocked appends op to the log, opening a new chunk when the last
-// one is full, and returns its Ref. Appending within a chunk's capacity
-// never reallocates it, so recorded ops never move.
-func (r *Recorder) appendLocked(op Op) Ref {
+// appendLocked appends a zero record to the log, opening a new chunk
+// when the last one is full, and returns its Ref and address. Appending
+// within a chunk's capacity never reallocates it, so records never move.
+func (r *Recorder) appendLocked() (Ref, *record) {
 	n := len(r.chunks)
 	if n == 0 || len(r.chunks[n-1]) == cap(r.chunks[n-1]) {
-		r.chunks = append(r.chunks, make([]Op, 0, chunkSizes[min(n, len(chunkSizes)-1)]))
+		r.chunks = append(r.chunks, make([]record, 0, chunkSizes[min(n, len(chunkSizes)-1)]))
 		n++
 	}
 	c := &r.chunks[n-1]
-	*c = append(*c, op)
-	return Ref{chunk: uint32(n - 1), slot: uint32(len(*c) - 1)}
+	*c = (*c)[:len(*c)+1]
+	return Ref{chunk: uint32(n - 1), slot: uint32(len(*c) - 1)}, &(*c)[len(*c)-1]
 }
 
-// atLocked returns the recorded op ref addresses.
-func (r *Recorder) atLocked(ref Ref) *Op {
+// atLocked returns the record ref addresses.
+func (r *Recorder) atLocked(ref Ref) *record {
 	if int(ref.chunk) >= len(r.chunks) || int(ref.slot) >= len(r.chunks[ref.chunk]) {
 		panic(fmt.Sprintf("history: op ref %d/%d past the end of the log", ref.chunk, ref.slot))
 	}
 	return &r.chunks[ref.chunk][ref.slot]
 }
 
+// sideLocked returns ref's side-map entry, creating it.
+func (r *Recorder) sideLocked(ref Ref) *wide {
+	if r.side == nil {
+		r.side = make(map[Ref]*wide)
+	}
+	w := r.side[ref]
+	if w == nil {
+		w = new(wide)
+		r.side[ref] = w
+	}
+	return w
+}
+
+// invokeLocked appends the invocation of an op at t.
+func (r *Recorder) invokeLocked(t vclock.Time, client types.ProcID, opID uint64, kind types.OpKind, val types.Value) Ref {
+	ref, c := r.appendLocked()
+	c.opID, c.invoke, c.kind, c.role = opID, t, kind, client.Role
+	if i, ok := narrow(client.Index); ok {
+		c.client = i
+	} else {
+		c.flags |= wideClient
+		r.sideLocked(ref).client = client.Index
+	}
+	r.setValueLocked(ref, c, val)
+	return ref
+}
+
+// setValueLocked stores v as c's value. A value equal to the last one
+// stored, tag and payload, takes that value's payload string, so
+// readers of one value keep one copy of it. An empty payload has nothing
+// to share and leaves the last value in place: a read is invoked with
+// the zero value between a write and the reads that return it.
+func (r *Recorder) setValueLocked(ref Ref, c *record, v types.Value) {
+	switch {
+	case v.Data == "":
+	case v.Tag == r.last.Tag && v.Data == r.last.Data:
+		v.Data = r.last.Data
+	default:
+		r.last = v
+	}
+	c.ts, c.widRole, c.data = v.Tag.TS, v.Tag.WID.Role, v.Data
+	if i, ok := narrow(v.Tag.WID.Index); ok {
+		c.wid = i
+		c.flags &^= wideWID
+	} else {
+		c.flags |= wideWID
+		r.sideLocked(ref).wid = v.Tag.WID.Index
+	}
+}
+
+// opLocked expands the record ref addresses back into an Op.
+func (r *Recorder) opLocked(ref Ref, c *record) Op {
+	op := Op{
+		Client:   types.ProcID{Role: c.role, Index: int(c.client)},
+		OpID:     c.opID,
+		Kind:     c.kind,
+		Invoke:   c.invoke,
+		Response: c.response,
+		Value: types.Value{
+			Tag:  types.Tag{TS: c.ts, WID: types.ProcID{Role: c.widRole, Index: int(c.wid)}},
+			Data: c.data,
+		},
+		Epoch: c.epoch,
+	}
+	if c.flags != 0 {
+		w := r.side[ref]
+		if c.flags&wideClient != 0 {
+			op.Client.Index = w.client
+		}
+		if c.flags&wideWID != 0 {
+			op.Value.Tag.WID.Index = w.wid
+		}
+		if c.flags&hasErr != 0 {
+			op.Err = w.err
+		}
+	}
+	return op
+}
+
 // respondLocked stamps the response event at t and hands the sink its
 // snapshot.
 func (r *Recorder) respondLocked(ref Ref, t vclock.Time, val types.Value, err error) {
-	op := r.atLocked(ref)
-	op.Response = t
-	op.Err = err
-	if err == nil {
-		op.Value = val
+	c := r.atLocked(ref)
+	c.response = t
+	if err != nil {
+		c.flags |= hasErr
+		r.sideLocked(ref).err = err
+	} else {
+		c.flags &^= hasErr
+		r.setValueLocked(ref, c, val)
 	}
 	if r.sink != nil {
-		r.sink(*op)
+		r.sink(r.opLocked(ref, c))
 	}
 }
 
@@ -188,7 +337,7 @@ func (r *Recorder) respondLocked(ref Ref, t vclock.Time, val types.Value, err er
 func (r *Recorder) Invoke(client types.ProcID, opID uint64, kind types.OpKind, val types.Value) Ref {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.appendLocked(Op{Client: client, OpID: opID, Kind: kind, Invoke: r.clock.Tick(), Value: val})
+	return r.invokeLocked(r.clock.Tick(), client, opID, kind, val)
 }
 
 // InvokeAt records an invocation at an explicit time (used by the scripted
@@ -198,7 +347,7 @@ func (r *Recorder) InvokeAt(t vclock.Time, client types.ProcID, opID uint64, kin
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.clock.AdvanceTo(t)
-	return r.appendLocked(Op{Client: client, OpID: opID, Kind: kind, Invoke: t, Value: val})
+	return r.invokeLocked(t, client, opID, kind, val)
 }
 
 // Respond records the response event with its result value.
@@ -239,8 +388,8 @@ func (r *Recorder) RespondFailed(ref Ref, kind types.OpKind, arg types.Value, er
 func (r *Recorder) SetEpoch(ref Ref, epoch uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if op := r.atLocked(ref); op.Response == 0 {
-		op.Epoch = epoch
+	if c := r.atLocked(ref); c.response == 0 {
+		c.epoch = epoch
 	}
 }
 
@@ -250,8 +399,8 @@ func (r *Recorder) SetEpoch(ref Ref, epoch uint64) {
 func (r *Recorder) UpdateValue(ref Ref, val types.Value) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if op := r.atLocked(ref); op.Response == 0 {
-		op.Value = val
+	if c := r.atLocked(ref); c.response == 0 {
+		r.setValueLocked(ref, c, val)
 	}
 }
 
@@ -265,8 +414,10 @@ func (r *Recorder) History() History {
 		n += len(c)
 	}
 	h := History{Ops: make([]Op, 0, n)}
-	for _, c := range r.chunks {
-		h.Ops = append(h.Ops, c...)
+	for i, c := range r.chunks {
+		for j := range c {
+			h.Ops = append(h.Ops, r.opLocked(Ref{chunk: uint32(i), slot: uint32(j)}, &c[j]))
+		}
 	}
 	return h
 }
@@ -275,6 +426,9 @@ func (r *Recorder) History() History {
 type History struct {
 	Ops []Op
 }
+
+// byInvoke orders ops by invocation time.
+func byInvoke(a, b Op) int { return cmp.Compare(a.Invoke, b.Invoke) }
 
 // Completed returns the successfully completed operations, sorted by
 // invocation time.
@@ -285,7 +439,7 @@ func (h History) Completed() []Op {
 			out = append(out, o)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Invoke < out[j].Invoke })
+	slices.SortFunc(out, byInvoke)
 	return out
 }
 
@@ -321,7 +475,7 @@ func (h History) WellFormed() error {
 		byClient[o.Client] = append(byClient[o.Client], o)
 	}
 	for c, ops := range byClient {
-		sort.Slice(ops, func(i, j int) bool { return ops[i].Invoke < ops[j].Invoke })
+		slices.SortFunc(ops, byInvoke)
 		for i := 1; i < len(ops); i++ {
 			prev := ops[i-1]
 			if !prev.Done() || prev.Response > ops[i].Invoke {

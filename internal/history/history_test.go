@@ -2,10 +2,13 @@ package history
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
@@ -93,7 +96,7 @@ func TestRecorderRefPastEndPanics(t *testing.T) {
 // checks every response landed on its own op and History keeps
 // invocation order.
 func TestRecorderRefsAcrossChunks(t *testing.T) {
-	const n = 50 // chunks of 4, 4, 8, 16, 16, 16: five boundaries
+	const n = 50 // chunks of 4, 7, 14, 21, 21: four boundaries
 	rec := NewRecorder(&vclock.Clock{})
 	refs := make([]Ref, n)
 	for i := range refs {
@@ -164,15 +167,17 @@ func TestRecorderConcurrentSink(t *testing.T) {
 
 // TestRecorderAllocs locks the op path's cost: only opening a chunk
 // allocates, so a recorder's whole life, from NewRecorder through 1 000
-// recorded ops, stays under 0.1 allocations per op.
+// recorded ops, stays under 0.1 allocations per op. Each write responds
+// with its value, as transport.Client does, so the value path is paid.
 func TestRecorderAllocs(t *testing.T) {
 	const ops = 1000
 	got := testing.AllocsPerRun(20, func() {
 		rec := NewRecorder(&vclock.Clock{})
 		for i := range ops {
-			ref := rec.Invoke(types.Writer(1), uint64(i+1), types.OpWrite, wv(int64(i+1), 1, "v"))
+			v := wv(int64(i+1), 1, "v")
+			ref := rec.Invoke(types.Writer(1), uint64(i+1), types.OpWrite, v)
 			rec.SetEpoch(ref, 1)
-			rec.Respond(ref, types.Value{}, nil)
+			rec.Respond(ref, v, nil)
 		}
 	}) / ops
 	if got > 0.1 {
@@ -180,10 +185,58 @@ func TestRecorderAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorder measures one recorded op (Invoke+SetEpoch+Respond).
-// It starts a fresh recorder every 1 000 ops, so chunk allocation is
-// amortised as in TestRecorderAllocs and memory stays bounded however
-// large b.N grows.
+// TestRecorderBytesPerOp locks what a recorded op keeps on the heap: a
+// 72-byte record in a chunk that wastes at most 16 bytes of its size
+// class, and no payload of its own for a read. It records 1<<14 ops of a
+// 70/30 read/write mix on one register, every read answering with its
+// own copy of the last written 16-byte payload (as each reader decodes
+// its own), and measures the live heap the recorder holds: after a GC,
+// with it and then without it. The written payloads are cut from one
+// string the test keeps, so what is measured is the recorder's own.
+func TestRecorderBytesPerOp(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size != 72 {
+		t.Fatalf("a record is %d bytes, want 72", size)
+	}
+	const ops, size = 1 << 14, 16
+	var pool strings.Builder
+	for i := range ops {
+		fmt.Fprintf(&pool, "v%0*d", size-1, i)
+	}
+	payloads := pool.String()
+	rng := rand.New(rand.NewSource(1))
+	rec := NewRecorder(&vclock.Clock{})
+	last := types.Value{}
+	for i := range ops {
+		if rng.Intn(10) < 3 {
+			v := wv(int64(i+1), 1, payloads[i*size:(i+1)*size])
+			ref := rec.Invoke(types.Writer(1), uint64(i+1), types.OpWrite, v)
+			rec.Respond(ref, v, nil)
+			last = v
+			continue
+		}
+		ref := rec.Invoke(types.Reader(1+i%8), uint64(i+1), types.OpRead, types.Value{})
+		rec.Respond(ref, types.Value{Tag: last.Tag, Data: strings.Clone(last.Data)}, nil)
+	}
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second frees what sync.Pools still held
+	runtime.ReadMemStats(&with)
+	runtime.KeepAlive(rec)
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	runtime.KeepAlive(payloads)
+	got := float64(int64(with.HeapAlloc)-int64(without.HeapAlloc)) / ops
+	t.Logf("%.1f B per recorded op", got)
+	if got > 80 {
+		t.Fatalf("%.1f B retained per recorded op, want ≤ 80", got)
+	}
+}
+
+// BenchmarkRecorder measures one recorded op (Invoke+SetEpoch+Respond),
+// responding with the written value as transport.Client does. It starts
+// a fresh recorder every 1 000 ops, so chunk allocation is amortised as
+// in TestRecorderAllocs and memory stays bounded however large b.N
+// grows.
 func BenchmarkRecorder(b *testing.B) {
 	b.ReportAllocs()
 	var rec *Recorder
@@ -193,9 +246,10 @@ func BenchmarkRecorder(b *testing.B) {
 			rec = NewRecorder(&vclock.Clock{})
 		}
 		i++
-		ref := rec.Invoke(types.Writer(1), uint64(i), types.OpWrite, wv(int64(i), 1, "v"))
+		v := wv(int64(i), 1, "v")
+		ref := rec.Invoke(types.Writer(1), uint64(i), types.OpWrite, v)
 		rec.SetEpoch(ref, 1)
-		rec.Respond(ref, types.Value{}, nil)
+		rec.Respond(ref, v, nil)
 	}
 }
 

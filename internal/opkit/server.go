@@ -52,9 +52,12 @@
 //     pointer. Its Data owns its bytes, as a LogAck's value's does, so the
 //     copy is stored as it is.
 //   - Return: a read returns the valQueue's copy of the value it selected,
-//     not the copy in the reply the search happened to find it in. Every
-//     read of one value by one reader, and every history that records them,
-//     then share one payload, and none of them pins a reply.
+//     not the copy in the reply the search happened to find it in, so no
+//     read pins a reply, and every read of one value by one reader shares
+//     one payload. Across readers the copies differ; a register's history
+//     recorder stores a value equal in tag and payload to the last one it
+//     stored with that one's payload (internal/history, Storage), so a
+//     history keeps one payload per value, not one per reading client.
 //
 // # Dead values
 //
