@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"fastreg/internal/mwabd"
+	"fastreg/internal/register"
 	"fastreg/internal/transport"
+	"fastreg/internal/w2r1"
 )
 
 // maxAllocsPerOp locks the in-process op path's allocation count: the
@@ -28,6 +31,13 @@ const maxAllocsPerOp = 3.65
 // header.
 const maxTCPAllocsPerOp = 21.65
 
+// maxFastReadAllocsPerOp locks the W2R1 fast read over loopback TCP:
+// 36.17 measured per Get, plus one. It was 42.13 while every FastRead,
+// FastReadAck vector and updated set decoded into slices of its own, every
+// reply and request boxed a new message, and a replica's rebuild gave every
+// entry lacking the reader its own new updated set.
+const maxFastReadAllocsPerOp = 37.17
+
 // TestOpPathAllocs runs sequential Put/Get pairs on an in-process W2R2
 // S=3 store and fails if an op allocates more than maxAllocsPerOp.
 func TestOpPathAllocs(t *testing.T) {
@@ -40,20 +50,80 @@ func TestOpPathAllocs(t *testing.T) {
 // AllocsPerRun counts every allocation in the process.
 func TestTCPOpPathAllocs(t *testing.T) {
 	pinOneProc(t)
-	addrs := make([]string, 3)
+	addrs := tcpReplicas(t, Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}, mwabd.New())
+	opPathAllocs(t, maxTCPAllocsPerOp, WithTCP(addrs...))
+}
+
+// TestFastReadOpPathAllocs runs the paper's one-round read over five
+// loopback-TCP replicas (W2R1, S=5 t=1 W=2 R=2, 256 B values) and fails if
+// a Get allocates more than maxFastReadAllocsPerOp. Every key is written
+// four times and read once by each reader first, so the measured Gets
+// alternate r1 and r2 over replicas whose vectors no longer change.
+func TestFastReadOpPathAllocs(t *testing.T) {
+	pinOneProc(t)
+	cfg := Config{Servers: 5, MaxCrashes: 1, Writers: 2, Readers: 2}
+	s, err := Open(cfg, W2R1, WithTCP(tcpReplicas(t, cfg, w2r1.New())...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w1, _ := s.Writer(1)
+	w2, _ := s.Writer(2)
+	r1, _ := s.Reader(1)
+	r2, _ := s.Reader(2)
+	writers, readers := []*Writer{w1, w2}, []*Reader{r1, r2}
+	ctx := context.Background()
+	value := strings.Repeat("v", 256)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		for j := range 4 {
+			if _, err := writers[j%2].Put(ctx, keys[i], value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range readers {
+			if _, _, _, err := r.Get(ctx, keys[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// 40 runs of 100 Gets resolve 0.01 allocations per Get.
+	const gets = 100
+	i := 0
+	perRun := testing.AllocsPerRun(40, func() {
+		for range gets {
+			if _, _, _, err := readers[i%2].Get(ctx, keys[i/2%len(keys)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+	})
+	perOp := perRun / gets
+	t.Logf("%.2f allocs per Get", perOp)
+	if perOp > maxFastReadAllocsPerOp {
+		t.Fatalf("%.2f allocs per fast-read Get, want ≤ %.2f", perOp, maxFastReadAllocsPerOp)
+	}
+}
+
+// tcpReplicas starts cfg.Servers loopback-TCP replicas of protocol p,
+// closed when the test ends, and returns their addresses.
+func tcpReplicas(t *testing.T, cfg Config, p register.Protocol) []string {
+	t.Helper()
+	addrs := make([]string, cfg.Servers)
 	for i := range addrs {
 		lis, err := transport.ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := transport.NewServer(Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}.internal(), mwabd.New(), i+1, lis)
+		srv, err := transport.NewServer(cfg.internal(), p, i+1, lis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
+		t.Cleanup(func() { srv.Close() })
 		addrs[i] = srv.Addr()
 	}
-	opPathAllocs(t, maxTCPAllocsPerOp, WithTCP(addrs...))
+	return addrs
 }
 
 // pinOneProc skips the test under the race detector and runs it at

@@ -41,3 +41,7 @@ func maxTag(a, b types.Tag) types.Tag {
 	}
 	return a
 }
+
+// published is the reply the replica will send to its next FastRead that
+// changes nothing: the message publish last boxed.
+func (s *VectorServer) published() proto.FastReadAck { return s.ack.(proto.FastReadAck) }

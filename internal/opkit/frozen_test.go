@@ -113,16 +113,30 @@ func steadyFleet(tb testing.TB) ([]register.ServerLogic, *FastReadOp) {
 }
 
 // The steady-state read — reader on every entry, nothing new in its
-// valQueue — copies nothing: a replica allocates the reply's interface
-// value, the reader the request's, and the search works on the stack.
+// valQueue — allocates nothing on either side: a replica whose vector and
+// floor did not change returns the very message it returned last, the
+// reader sends the very request it sent last, and the search works on the
+// stack.
 func TestFastReadSteadyStateAllocs(t *testing.T) {
 	servers, op := steadyFleet(t)
 	req := op.Begin().Payload
-	if n := len(servers[0].Handle(op.Client(), req).(proto.FastReadAck).Vector); n != 6 {
+	first := servers[0].Handle(op.Client(), req).(proto.FastReadAck)
+	if n := len(first.Vector); n != 6 {
 		t.Fatalf("replies carry %d entries, want 6", n)
 	}
-	if got := testing.AllocsPerRun(200, func() { servers[0].Handle(op.Client(), req) }); got > 1 {
-		t.Errorf("steady-state VectorServer.Handle(FastRead): %v allocs, want ≤ 1", got)
+	var again proto.Message
+	if got := testing.AllocsPerRun(200, func() { again = servers[0].Handle(op.Client(), req) }); got != 0 {
+		t.Errorf("steady-state VectorServer.Handle(FastRead): %v allocs, want 0", got)
+	}
+	if ack := again.(proto.FastReadAck); &ack.Vector[0] != &first.Vector[0] || ack.Floor != first.Floor {
+		t.Error("an unchanged replica boxed a new reply")
+	}
+	var next proto.Message
+	if got := testing.AllocsPerRun(200, func() { next = op.Begin().Payload }); got != 0 {
+		t.Errorf("FastReadOp.Begin on an unchanged valQueue: %v allocs, want 0", got)
+	}
+	if q := next.(proto.FastRead).ValQueue; &q[0] != &req.(proto.FastRead).ValQueue[0] {
+		t.Error("an unchanged valQueue boxed a new request")
 	}
 	replies := make([]register.Reply, len(servers))
 	for i, s := range servers {
@@ -135,8 +149,8 @@ func TestFastReadSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("Next = %v, %v, %v; want %v", v, done, err, want)
 		}
 	})
-	if got > 2 {
-		t.Errorf("steady-state FastReadOp.Begin+Next over 5 six-entry replies: %v allocs, want ≤ 2", got)
+	if got != 0 {
+		t.Errorf("steady-state FastReadOp.Begin+Next over 5 six-entry replies: %v allocs, want 0", got)
 	}
 }
 

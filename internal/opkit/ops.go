@@ -230,11 +230,22 @@ type ReaderState struct {
 	// frozen: requests are this slice. Strictly ascending by Value.Compare;
 	// a merge that adds a value builds a new queue.
 	queue []types.Value
+	// req is FastRead{queue}, boxed by setQueue whenever queue changes:
+	// every read between two changes sends this one message.
+	req proto.Message
 }
 
 // NewReaderState initializes the valQueue with the initial value.
 func NewReaderState() *ReaderState {
-	return &ReaderState{queue: []types.Value{types.InitialValue()}}
+	s := &ReaderState{}
+	s.setQueue([]types.Value{types.InitialValue()})
+	return s
+}
+
+// setQueue publishes queue as the valQueue, and the request that carries it.
+func (s *ReaderState) setQueue(queue []types.Value) {
+	s.queue = queue
+	s.req = proto.FastRead{ValQueue: s.Queue()}
 }
 
 // Queue returns the valQueue, ascending. The slice is shared with the
@@ -274,7 +285,9 @@ func (s *ReaderState) add(fresh []types.Value, floor types.Tag) {
 		old = old[1:]
 	}
 	if len(fresh) == 0 {
-		s.queue = old
+		if len(old) < len(s.queue) {
+			s.setQueue(old)
+		}
 		return
 	}
 	queue := make([]types.Value, 0, len(old)+len(fresh))
@@ -286,7 +299,7 @@ func (s *ReaderState) add(fresh []types.Value, floor types.Tag) {
 		}
 	}
 	slices.SortFunc(queue, types.Value.Compare)
-	s.queue = queue
+	s.setQueue(queue)
 }
 
 // FastReadOp is the one-round read of Algorithm 1 (lines 18–31), shared by
@@ -316,9 +329,10 @@ func (r *FastReadOp) Kind() types.OpKind { return types.OpRead }
 func (r *FastReadOp) Arg() types.Value { return types.Value{} }
 
 // Begin implements register.Operation. The request carries the valQueue
-// itself, not a copy.
+// itself, not a copy, and is the one message every read sends until the
+// valQueue changes.
 func (r *FastReadOp) Begin() register.Round {
-	return register.Round{Payload: proto.FastRead{ValQueue: r.state.Queue()}, Need: r.need}
+	return register.Round{Payload: r.state.req, Need: r.need}
 }
 
 // Next implements register.Operation. The value it returns is the

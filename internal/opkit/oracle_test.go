@@ -343,7 +343,9 @@ func TestAdmissibilityMatchesMapOracle(t *testing.T) {
 // map-based one it replaced with the same requests — valQueues that repeat
 // values, come unsorted, carry two payloads under one tag among them and
 // fall below the floor — and compares every reply, floor included, and
-// vali. Half the trials send FastReads from the two readers alone, so the
+// vali. After every Update and FastRead, the reply the replica has boxed
+// for its next unchanged FastRead must be the oracle's vector and floor
+// too. Half the trials send FastReads from the two readers alone, so the
 // floor rises; the other half also from the writers and a third reader,
 // which freezes it.
 func TestVectorServerMatchesMapOracle(t *testing.T) {
@@ -386,6 +388,12 @@ func TestVectorServerMatchesMapOracle(t *testing.T) {
 			}
 			if s.CurrentValue() != o.cur {
 				t.Fatalf("trial %d step %d: vali %v, oracle %v", trial, step, s.CurrentValue(), o.cur)
+			}
+			if _, query := m.(proto.Query); !query {
+				want := proto.FastReadAck{Vector: o.snapshot(), Floor: o.floor}
+				if got := s.published(); !sameReply(got, want) {
+					t.Fatalf("trial %d step %d: after %v from %v the boxed reply is\n %v\nwant %v", trial, step, m, from, got, want)
+				}
 			}
 		}
 		if !o.floor.Less(types.Tag{TS: 1}) {

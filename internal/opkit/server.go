@@ -31,7 +31,14 @@
 //     frozen initial value. An op points its Update at a field of its own
 //     (QueryThenUpdateWrite.val, ReadWriteBack.maxV, DirectWrite.val) that
 //     it never writes after the round is returned. fastreglint's frozenslice
-//     analyzer holds the annotated fields to this.
+//     analyzer holds the annotated fields to this. A reply and a request
+//     are boxed once per change, not once per message: a VectorServer boxes
+//     FastReadAck{vec, floor} whenever either changes (publish) and answers
+//     every FastRead until the next change with that one message, and a
+//     ReaderState boxes FastRead{queue} whenever its valQueue changes. A
+//     rebuild that adds a reader to several entries whose old updated sets
+//     are equal gives them one new set: sets are frozen, so sharing one is
+//     as safe as sharing a vector.
 //   - Receive: whoever is handed a FastRead, a FastReadAck, a QueryAck or
 //     an Update reads it and nothing else. Code that wants a changed vector
 //     or value (byzantine.LyingServer, byzantine.FilterUnvouched) builds its
@@ -50,7 +57,11 @@
 //     one value arena per frame, so a kept pointer keeps every value of the
 //     frame alive: whoever keeps such a value copies *Val, never the
 //     pointer. Its Data owns its bytes, as a LogAck's value's does, so the
-//     copy is stored as it is.
+//     copy is stored as it is. A FastRead's valQueue is carved from that
+//     same value arena, and a FastReadAck's vector and its updated sets
+//     from one arena each per frame, so keeping one valQueue, vector or set
+//     keeps the frame's others alive: a replica and a reader copy the
+//     values they keep out of it, and keep no slice of it.
 //   - Return: a read returns the valQueue's copy of the value it selected,
 //     not the copy in the reply the search happened to find it in, so no
 //     read pins a reply, and every read of one value by one reader shares
@@ -184,6 +195,10 @@ type VectorServer struct {
 	// sent a FastRead, and floor stays where it was.
 	seen  []types.Tag
 	floor types.Tag
+	// ack is FastReadAck{vec, floor}, boxed by publish when either
+	// changes: every FastRead between two changes returns this one
+	// message.
+	ack proto.Message
 }
 
 // NewVectorServer creates a VectorServer initialized per Algorithm 2 lines
@@ -199,7 +214,19 @@ func NewVectorServer(id types.ProcID, readers int) *VectorServer {
 	if readers > 0 {
 		s.seen = make([]types.Tag, readers)
 	}
+	s.publish()
 	return s
+}
+
+// publish boxes the reply to the next FastRead, FastReadAck{vec, floor},
+// unless the one it holds already is that: the same slice, which is
+// frozen, and the same floor.
+func (s *VectorServer) publish() {
+	if a, ok := s.ack.(proto.FastReadAck); ok && a.Floor == s.floor && len(a.Vector) == len(s.vec) &&
+		(len(s.vec) == 0 || &a.Vector[0] == &s.vec[0]) {
+		return
+	}
+	s.ack = proto.FastReadAck{Vector: s.vec[:len(s.vec):len(s.vec)], Floor: s.floor}
 }
 
 // ID implements register.ServerLogic.
@@ -294,12 +321,14 @@ func (s *VectorServer) update(val types.Value, c types.ProcID) {
 // request).
 //
 // One pass finds what that would change. Usually nothing — the reader is on
-// every live entry and its valQueue holds nothing new — and the reply is the
-// current vector less its dead prefix. Otherwise one new vector is built
-// from the live entries. The valQueue may have been cut from a frame
-// (proto.Decode), so an entry stores a private copy of a new value's
-// payload, and vali takes the entry's copy.
-func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) []proto.VectorEntry {
+// every live entry and its valQueue holds nothing new — and the vector
+// becomes its old self less its dead prefix. Otherwise one new vector is
+// built from the live entries. Entries whose old updated sets are equal
+// share the one new set that adds c (sets are frozen, so sharing is safe).
+// The valQueue may have been cut from a frame (proto.Decode), so an entry
+// stores a private copy of a new value's payload, and vali takes the
+// entry's copy.
+func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) {
 	var top types.Value
 	for i, v := range queue {
 		if i == 0 || top.Less(v) {
@@ -323,14 +352,29 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) []proto.Vec
 	}
 	if len(fresh) == 0 && !stale {
 		s.vec = old
-		return old[:len(old):len(old)]
+		return
 	}
 	vec := make([]proto.VectorEntry, len(old), len(old)+len(fresh))
 	copy(vec, old)
+	// grown remembers the first few sets the rebuild added c to, so an
+	// entry whose set equals one of them shares its new set.
+	type grown struct{ from, to []types.ProcID }
+	var grownBuf [4]grown
+	done := grownBuf[:0]
 	for i := range vec {
-		if !vec[i].HasUpdated(c) {
-			vec[i].Updated = withProc(vec[i].Updated, c)
+		if vec[i].HasUpdated(c) {
+			continue
 		}
+		j := slices.IndexFunc(done, func(g grown) bool { return slices.Equal(g.from, vec[i].Updated) })
+		if j >= 0 {
+			vec[i].Updated = done[j].to
+			continue
+		}
+		g := grown{vec[i].Updated, withProc(vec[i].Updated, c)}
+		if len(done) < len(grownBuf) {
+			done = append(done, g)
+		}
+		vec[i].Updated = g.to
 	}
 	if len(fresh) > 0 {
 		only := []types.ProcID{c} // never written again, so the new entries share it
@@ -345,7 +389,6 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) []proto.Vec
 		i, _ := findEntry(vec, top)
 		s.cur = adopt(vec[i].Val)
 	}
-	return vec[:len(vec):len(vec)]
 }
 
 // Handle implements register.ServerLogic.
@@ -365,10 +408,12 @@ func (s *VectorServer) Handle(from types.ProcID, m proto.Message) proto.Message 
 			return nil
 		}
 		s.update(*msg.Val, from)
+		s.publish()
 		return proto.UpdateAck{}
 	case proto.FastRead:
-		vec := s.fastRead(msg.ValQueue, from)
-		return proto.FastReadAck{Vector: vec, Floor: s.floor}
+		s.fastRead(msg.ValQueue, from)
+		s.publish()
+		return s.ack
 	default:
 		return nil
 	}

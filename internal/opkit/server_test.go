@@ -1,6 +1,7 @@
 package opkit
 
 import (
+	"slices"
 	"testing"
 
 	"fastreg/internal/proto"
@@ -136,6 +137,31 @@ func TestVectorServerReaderJoinsAllEntriesOnReply(t *testing.T) {
 		if !ent.HasUpdated(types.Reader(2)) {
 			t.Errorf("reader not in updated set of %v (Lemma 8 requirement)", want)
 		}
+	}
+}
+
+// A rebuild that adds the reader to entries whose old updated sets are
+// equal gives them one new set, not one each: with values from two writers
+// preloaded, a reader's first read makes two sets for four entries.
+func TestVectorServerRebuildSharesEqualSets(t *testing.T) {
+	s := NewVectorServer(types.Server(1), 2)
+	for i := 1; i <= 4; i++ {
+		s.Handle(types.Writer(1+i%2), proto.Update{Val: ptr(val(int64(i), 1+i%2, "v"))})
+	}
+	ack := s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{types.InitialValue()}}).(proto.FastReadAck)
+	if len(ack.Vector) != 5 {
+		t.Fatalf("vector = %v, want five entries", ack.Vector)
+	}
+	sets := make(map[*types.ProcID][]types.ProcID)
+	for _, ent := range ack.Vector[1:] {
+		w := types.Writer(1 + int(ent.Val.Tag.TS)%2)
+		if want := proto.NormalizeUpdated([]types.ProcID{types.Reader(1), w}); !slices.Equal(ent.Updated, want) {
+			t.Fatalf("entry %v, want updated set %v", ent, want)
+		}
+		sets[&ent.Updated[0]] = ent.Updated
+	}
+	if len(sets) != 2 {
+		t.Errorf("four entries with two distinct old sets got %d new sets, want 2", len(sets))
 	}
 }
 

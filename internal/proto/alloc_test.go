@@ -90,3 +90,51 @@ func TestDecodeValueBatchAllocs(t *testing.T) {
 		t.Errorf("DecodeBatchInto of a 16-envelope QueryAck batch: %v allocs, want 18", got)
 	}
 }
+
+// A batch of fast-read envelopes decodes into a pooled slab with one
+// allocation for the string every key and payload is cut from, one per
+// arena and one per boxed message: 16 FastReads with two-value valQueues
+// take 18 (their valQueues share the value arena), and 16 FastReadAcks of
+// two entries each take 19 (one arena for the vectors, one for the
+// updated sets).
+func TestDecodeFastReadBatchAllocs(t *testing.T) {
+	skipUnderRace(t)
+	val := func(i int) types.Value {
+		return types.Value{Tag: types.Tag{TS: int64(i + 1), WID: types.Writer(1 + i%2)}, Data: fmt.Sprintf("value-%04d", i)}
+	}
+	reads := make([]Envelope, 16)
+	acks := make([]Envelope, 16)
+	for i := range reads {
+		key := fmt.Sprintf("key-%04d", i)
+		reads[i] = Envelope{From: types.Reader(1), To: types.Server(2), Key: key, OpID: uint64(i), Round: 1,
+			Payload: FastRead{ValQueue: []types.Value{val(i), val(i + 1)}}}
+		acks[i] = Envelope{From: types.Server(2), To: types.Reader(1), Key: key, OpID: uint64(i), Round: 1, IsReply: true,
+			Payload: FastReadAck{Vector: []VectorEntry{
+				{Val: val(i), Updated: []types.ProcID{types.Reader(1), types.Writer(1)}},
+				{Val: val(i + 1), Updated: []types.ProcID{types.Writer(2)}},
+			}, Floor: val(i).Tag}}
+	}
+	for _, c := range []struct {
+		name string
+		envs []Envelope
+		want float64
+	}{
+		{"FastRead", reads, 18},
+		{"FastReadAck", acks, 19},
+	} {
+		frame, err := EncodeBatch(c.envs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			out, _, err := DecodeBatchInto(GetEnvs(), frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			PutEnvs(out)
+		})
+		if got != c.want {
+			t.Errorf("DecodeBatchInto of a 16-envelope %s batch: %v allocs, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -175,8 +175,9 @@ func DecodeBatch(buf []byte) ([]Envelope, int, error) {
 // payload are copied into ONE string for the whole frame and cut from it,
 // so a kept key pins all of them (Decode says who clones); every QueryAck
 // and Update points into ONE value arena for the whole frame, whose
-// values own their Data. Recycling buf or the slab later can never alias
-// this frame's data.
+// values own their Data, and every valQueue, vector and updated set is
+// carved from the frame's arenas. Recycling buf or the slab later can
+// never alias this frame's data.
 func DecodeBatchInto(dst []Envelope, buf []byte) ([]Envelope, int, error) {
 	if len(buf) < 4 {
 		return dst, 0, ErrTruncated

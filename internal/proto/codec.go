@@ -117,23 +117,31 @@ func cutsPayload(k Kind) bool { return k == KindFastRead || k == KindFastReadAck
 func inArena(k Kind) bool { return k == KindQueryAck || k == KindUpdate }
 
 // frameCuts is what the envelopes of one frame share: the string their
-// keys and fast-read payloads are cut from, and the arena their QueryAck
-// and Update values live in. Decoding an envelope consumes the prefix of
-// each that belongs to it.
+// keys and fast-read payloads are cut from, and the arenas their payloads'
+// elements live in. vals holds every QueryAck's and Update's value and
+// every FastRead's valQueue, vec every FastReadAck's vector and ups those
+// vectors' updated sets. Decoding an envelope consumes the prefix of each
+// that belongs to it.
 type frameCuts struct {
 	text string
 	vals []types.Value
+	vec  []VectorEntry
+	ups  []types.ProcID
 }
 
 // cutFrames prepares the frameCuts of the count envelope frames at the
 // start of b in one pass over their headers: text holds the bytes decoding
 // cuts rather than copies (each one's key and, for a FastRead or
-// FastReadAck, its payload, in frame order), and vals one slot per
-// QueryAck or Update. It stops at the first frame too short to hold a key
-// and a kind; the decode rejects it.
+// FastReadAck, its payload, in frame order), and each arena as many slots
+// as the frames' payloads declare. A fast-read payload's counts come from
+// untrusted bytes, so each is taken only when that many elements of the
+// smallest encoding fit in the payload (fastCounts); a count that does not
+// fit adds nothing, and the decode rejects its frame. The arenas are thus
+// bounded by the frame's bytes, not by what it claims. It stops at the
+// first frame too short to hold a key and a kind; the decode rejects it.
 func cutFrames(b []byte, count int) frameCuts {
 	buf := GetBuf()
-	nvals := 0
+	nvals, nvec, nups := 0, 0, 0
 	for ; count > 0 && len(b) >= 4+minEnvelope; count-- {
 		n := uint64(binary.BigEndian.Uint32(b))
 		if n > uint64(len(b)-4) || n < minEnvelope {
@@ -148,7 +156,10 @@ func cutFrames(b []byte, count int) frameCuts {
 		buf = append(buf, rest[:k]...)
 		switch kind := Kind(rest[k+keyToKind]); {
 		case cutsPayload(kind):
-			buf = append(buf, rest[k+keyToKind+1:]...)
+			payload := rest[k+keyToKind+1:]
+			buf = append(buf, payload...)
+			v, e, u := fastCounts(kind, payload)
+			nvals, nvec, nups = nvals+v, nvec+e, nups+u
 		case inArena(kind):
 			nvals++
 		}
@@ -159,18 +170,49 @@ func cutFrames(b []byte, count int) frameCuts {
 	if nvals > 0 {
 		fc.vals = make([]types.Value, nvals)
 	}
+	if nvec > 0 {
+		fc.vec = make([]VectorEntry, nvec)
+	}
+	if nups > 0 {
+		fc.ups = make([]types.ProcID, nups)
+	}
 	return fc
 }
 
-// val hands out the next arena slot. A frame cutFrames stopped short of
-// gets a value of its own; the decode rejects it anyway.
-func (fc *frameCuts) val() *types.Value {
-	if len(fc.vals) == 0 {
-		return new(types.Value)
+// fastCounts reads the arena slots a FastRead's or a FastReadAck's payload
+// needs: its valQueue's values, or its vector's entries and their updated
+// sets' members. A leading count is taken only if that many elements of
+// the smallest encoding fit in the rest of the payload, the check the
+// decode's count makes, so every slot is backed by at least minValueSize
+// (or minEntrySize, procSize) of the frame's bytes.
+func fastCounts(kind Kind, payload []byte) (vals, vec, ups int) {
+	if len(payload) < 4 {
+		return 0, 0, 0
 	}
-	v := &fc.vals[0]
-	fc.vals = fc.vals[1:]
-	return v
+	n := uint64(binary.BigEndian.Uint32(payload))
+	rest := payload[4:]
+	if kind == KindFastRead {
+		if n > uint64(len(rest)/minValueSize) {
+			return 0, 0, 0
+		}
+		return int(n), 0, 0
+	}
+	if n > uint64(len(rest)/minEntrySize) {
+		return 0, 0, 0
+	}
+	return 0, int(n), countUpdated(rest, int(n))
+}
+
+// carve cuts the next n slots off *arena, clipped to n so an append to one
+// cannot run into the next, or makes n of its own when the arena is short
+// (a frame cutFrames did not count, which the decode then rejects).
+func carve[T any](arena *[]T, n int) []T {
+	if len(*arena) < n {
+		return make([]T, n)
+	}
+	s := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return s
 }
 
 type reader struct {
@@ -253,27 +295,29 @@ func (r *reader) cut() string {
 }
 
 // count reads an element count and rejects it unless that many elements of
-// at least min bytes each fit in the rest of the frame.
+// at least min bytes each fit in the rest of the frame (ErrTruncated, the
+// verdict on any count the frame's bytes cannot back) and it is at most
+// MaxFrame/8.
 func (r *reader) count(min int) int {
 	n := r.u32()
 	if r.err != nil {
+		return 0
+	}
+	if uint64(n) > uint64((len(r.buf)-r.off)/min) {
+		r.fail(ErrTruncated)
 		return 0
 	}
 	if n > MaxFrame/8 {
 		r.fail(ErrOversize)
 		return 0
 	}
-	if int(n) > (len(r.buf)-r.off)/min {
-		r.fail(ErrTruncated)
-		return 0
-	}
 	return int(n)
 }
 
 // countUpdated sums the updated-set sizes of the n vector entries encoded
-// at b, reading lengths only, so Decode can cut every set from one array of
-// exactly that size. It stops at the first length that overruns b (the
-// decode proper reports it), so the sum is at most len(b)/procSize.
+// at b, reading lengths only, so cutFrames can size the array every set is
+// cut from. It stops at the first length that overruns b (the decode
+// proper reports it), so the sum is at most len(b)/procSize.
 func countUpdated(b []byte, n int) int {
 	total := 0
 	for ; n > 0 && len(b) >= minEntrySize; n-- {
@@ -413,9 +457,12 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 // QueryAck's or an Update's Val points into a value arena the frame's
 // envelopes share; its Data owns its bytes, but a kept pointer keeps the
 // whole arena alive, so whoever keeps the value copies *Val (opkit's Keep
-// rule). A LogAck's values own their Data. Whatever their length, a
-// valQueue is one slice and a vector is one slice plus one array that
-// every Updated set is cut from (each clipped to its length).
+// rule). A LogAck's values own their Data. A FastRead's valQueue is carved
+// from that value arena too, and a FastReadAck's vector and its Updated
+// sets from two arenas of their own, each slice clipped to its length:
+// however many envelopes and entries a frame holds, it decodes into one
+// string and at most three arenas, and a kept valQueue, vector or set
+// keeps its arena's other slices alive.
 func Decode(buf []byte) (Envelope, int, error) {
 	var e Envelope
 	fc := cutFrames(buf, 1)
@@ -428,10 +475,10 @@ func Decode(buf []byte) (Envelope, int, error) {
 
 // decode is Decode into *e, which it fills in place, cutting the
 // envelope's key and fast-read payload from the start of fc.text and
-// taking its QueryAck or Update value from fc's arena; fc comes from a
-// cutFrames of a run of frames starting with this one. On success it
-// advances fc past what the envelope used, for the next frame of the run.
-// On error *e holds garbage.
+// taking its QueryAck or Update value, valQueue, vector and updated sets
+// from the front of fc's arenas; fc comes from a cutFrames of a run of
+// frames starting with this one. On success it advances fc past what the
+// envelope used, for the next frame of the run. On error *e holds garbage.
 func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 	if len(buf) < 4 {
 		return 0, ErrTruncated
@@ -471,7 +518,7 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 	case KindQuery:
 		e.Payload = Query{}
 	case KindQueryAck, KindUpdate:
-		v := fc.val()
+		v := &carve(&fc.vals, 1)[0]
 		*v = r.value()
 		if kind == KindQueryAck {
 			e.Payload = QueryAck{Val: v}
@@ -483,7 +530,7 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 	case KindFastRead:
 		m := FastRead{}
 		if n := r.count(minValueSize); n > 0 {
-			m.ValQueue = make([]types.Value, n)
+			m.ValQueue = carve(&fc.vals, n)
 			for i := 0; i < n && r.err == nil; i++ {
 				m.ValQueue[i] = r.cutValue()
 			}
@@ -492,18 +539,12 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 	case KindFastReadAck:
 		m := FastReadAck{}
 		if n := r.count(minEntrySize); n > 0 {
-			m.Vector = make([]VectorEntry, n)
-			ups := make([]types.ProcID, countUpdated(r.buf[r.off:], n))
+			m.Vector = carve(&fc.vec, n)
 			for i := 0; i < n && r.err == nil; i++ {
 				ent := &m.Vector[i]
 				ent.Val = r.cutValue()
-				k := r.count(procSize)
-				if k > len(ups) {
-					r.fail(ErrTruncated)
-					break
-				}
-				if k > 0 {
-					ent.Updated, ups = ups[:k:k], ups[k:]
+				if k := r.count(procSize); k > 0 {
+					ent.Updated = carve(&fc.ups, k)
 					for j := range ent.Updated {
 						ent.Updated[j] = r.proc()
 					}

@@ -77,6 +77,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(seed[:len(seed)-1])
 		f.Add(seed[:4])
 	}
+	// Counts that claim 2^32-1 elements: the arenas must not trust them.
+	for _, c := range hostileFrames() {
+		f.Add(c.frame)
+	}
 	// A declared body length beyond MaxFrame must be rejected up front.
 	huge := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
 	f.Add(append(huge, 0, 0, 0))

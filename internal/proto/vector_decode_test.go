@@ -2,6 +2,7 @@ package proto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -77,54 +78,32 @@ func TestDecodeVectorUpdatedSetsAreClipped(t *testing.T) {
 // append-as-it-goes decoder accepted until the bytes ran out, and that an
 // exactly-sized allocation would turn into megabytes.
 func TestDecodeRejectsCountsBeyondTheFrame(t *testing.T) {
-	header := func(kind Kind) []byte {
-		w := writer{}
-		w.u32(0)
-		w.proc(types.Server(1))
-		w.proc(types.Reader(1))
-		w.str("k")
-		w.u64(1)
-		w.u8(1)
-		w.u8(1)
-		w.u64(0)
-		w.u64(0)
-		w.u8(uint8(kind))
-		return w.buf
-	}
-	finish := func(b []byte) []byte {
-		binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-		return b
-	}
 	one := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "x"}
-	type frameCase struct {
-		name  string
-		frame []byte
-	}
 	var cases []frameCase
 	for _, n := range []uint32{2, 1000, MaxFrame/8 - 1, MaxFrame / 8, MaxFrame/8 + 1, 1<<32 - 1} {
 		// A valQueue, a vector and an updated set that each declare n
 		// elements and hold one, and a vector that holds none.
-		w := writer{buf: header(KindFastRead)}
+		w := writer{buf: frameHeader(KindFastRead)}
 		w.u32(n)
 		w.value(one)
-		cases = append(cases, frameCase{fmt.Sprintf("valQueue count %d, one value", n), finish(w.buf)})
+		cases = append(cases, frameCase{fmt.Sprintf("valQueue count %d, one value", n), finishFrame(w.buf)})
 
-		w = writer{buf: header(KindFastReadAck)}
+		w = writer{buf: frameHeader(KindFastReadAck)}
 		w.u32(n)
 		w.value(one)
 		w.u32(0)
-		cases = append(cases, frameCase{fmt.Sprintf("vector count %d, one entry", n), finish(w.buf)})
+		cases = append(cases, frameCase{fmt.Sprintf("vector count %d, one entry", n), finishFrame(w.buf)})
 
-		w = writer{buf: header(KindFastReadAck)}
+		w = writer{buf: frameHeader(KindFastReadAck)}
 		w.u32(1)
 		w.value(one)
 		w.u32(n)
 		w.proc(types.Reader(1))
-		cases = append(cases, frameCase{fmt.Sprintf("updated count %d, one client", n), finish(w.buf)})
+		cases = append(cases, frameCase{fmt.Sprintf("updated count %d, one client", n), finishFrame(w.buf)})
 
-		w = writer{buf: header(KindFastReadAck)}
+		w = writer{buf: frameHeader(KindFastReadAck)}
 		w.u32(n)
-		cases = append(cases, frameCase{fmt.Sprintf("vector count %d, nothing after it", n), finish(w.buf)})
+		cases = append(cases, frameCase{fmt.Sprintf("vector count %d, nothing after it", n), finishFrame(w.buf)})
 	}
 	for _, c := range cases {
 		var before, after runtime.MemStats
@@ -136,6 +115,96 @@ func TestDecodeRejectsCountsBeyondTheFrame(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
 			t.Errorf("%s: a %d-byte frame made Decode allocate %d bytes", c.name, len(c.frame), got)
+		}
+	}
+}
+
+type frameCase struct {
+	name  string
+	frame []byte
+}
+
+// frameHeader starts a frame of the given kind whose length finishFrame
+// fills in.
+func frameHeader(kind Kind) []byte {
+	w := writer{}
+	w.u32(0)
+	w.proc(types.Server(1))
+	w.proc(types.Reader(1))
+	w.str("k")
+	w.u64(1)
+	w.u8(1)
+	w.u8(1)
+	w.u64(0)
+	w.u64(0)
+	w.u8(uint8(kind))
+	return w.buf
+}
+
+func finishFrame(b []byte) []byte {
+	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
+	return b
+}
+
+// hostileFrames are fast-read frames whose valQueue count, vector count or
+// updated-set count claims 2^32−1 elements, followed by one real element
+// and a kilobyte of padding: enough bytes that an arena sized from the
+// count clamped to the payload would hold dozens of slots.
+func hostileFrames() []frameCase {
+	const claim = 1<<32 - 1
+	one := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "x"}
+	pad := make([]byte, 1024)
+	w := writer{buf: frameHeader(KindFastRead)}
+	w.u32(claim)
+	w.value(one)
+	queue := finishFrame(append(w.buf, pad...))
+
+	w = writer{buf: frameHeader(KindFastReadAck)}
+	w.u32(claim)
+	w.value(one)
+	w.u32(0)
+	vector := finishFrame(append(w.buf, pad...))
+
+	w = writer{buf: frameHeader(KindFastReadAck)}
+	w.u32(1)
+	w.value(one)
+	w.u32(claim)
+	w.proc(types.Reader(1))
+	updated := finishFrame(append(w.buf, pad...))
+	return []frameCase{{"valQueue count", queue}, {"vector count", vector}, {"updated count", updated}}
+}
+
+// The arenas cutFrames sizes come from counts in untrusted bytes. A count
+// the frame cannot back is ErrTruncated, alone or inside a batch, and the
+// decode allocates less than twice the frame's bytes: the count sizes
+// nothing.
+func TestDecodeHostileCounts(t *testing.T) {
+	for _, c := range hostileFrames() {
+		batch := binary.BigEndian.AppendUint32(nil, uint32(batchHeader+len(c.frame)))
+		batch = append(batch, batchMarker)
+		batch = binary.BigEndian.AppendUint32(batch, 1)
+		batch = append(batch, c.frame...)
+		for _, d := range []struct {
+			how    string
+			frame  []byte
+			decode func([]byte) (int, error)
+		}{
+			{"Decode", c.frame, func(b []byte) (int, error) { _, n, err := Decode(b); return n, err }},
+			{"DecodeBatchInto", batch, func(b []byte) (int, error) { _, n, err := DecodeBatchInto(nil, b); return n, err }},
+		} {
+			d.decode(d.frame) // fills the codec's buffer pool, which is not the count's doing
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			used, err := d.decode(d.frame)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrTruncated) || used != 0 {
+				t.Errorf("%s of a %s of 2^32-1: %v (%d bytes used), want ErrTruncated", d.how, c.name, err, used)
+			}
+			// Under the race detector the pool drops buffers at random, and
+			// refilling it is what the byte count would see.
+			if got := after.TotalAlloc - before.TotalAlloc; !raceEnabled && got >= 2*uint64(len(d.frame)) {
+				t.Errorf("%s of a %s of 2^32-1: a %d-byte frame made it allocate %d bytes", d.how, c.name, len(d.frame), got)
+			}
 		}
 	}
 }
