@@ -20,8 +20,8 @@ import (
 	"fastreg/internal/consistency"
 	"fastreg/internal/crucialinfo"
 	"fastreg/internal/harness"
+	"fastreg/internal/model"
 	"fastreg/internal/mwabd"
-	"fastreg/internal/netsim"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/sweep"
@@ -52,7 +52,7 @@ Do not edit this file by hand: ` + "`TestExperimentsUpToDate`" + ` fails when it
 differs from the generator's output, so a changed verdict or number shows
 up as a reviewed diff.
 
-Every run below is on the deterministic simulator (` + "`internal/netsim`" + `):
+Every run below is on the deterministic simulator (` + "`internal/model`" + `):
 virtual time, fixed seeds, one thread. The numbers are the same on any
 machine, with or without ` + "`-race`" + `. One round trip (RTT) is twice the
 one-way delay. Throughput and wall-clock costs are regbench's job
@@ -162,7 +162,7 @@ func writeBack() string {
 		{"with write-back", mwabd.New()},
 		{"no write-back", mwabd.NewNoWriteBack()},
 	} {
-		sim := netsim.MustNew(canonical, v.p, netsim.WithDelay(netsim.ConstDelay(50)))
+		sim := model.MustNew(canonical, v.p, model.WithDelay(model.ConstDelay(50)))
 		stats := workload.Measure(workload.Run(sim, workload.Mix{WritesPerWriter: 4, ReadsPerReader: 4}))
 		fmt.Fprintf(&b, "%-16s read=%.2f RTT\n", v.name, stats[types.OpRead].Mean/100)
 	}
@@ -250,7 +250,7 @@ func inconsistency() (string, bool) {
 		worstK, stale := 1, 0.0
 		const runs = 10
 		for seed := int64(1); seed <= runs; seed++ {
-			sim := netsim.MustNew(canonical, p, netsim.WithSeed(seed), netsim.WithDelay(netsim.UniformDelay(1, 200)))
+			sim := model.MustNew(canonical, p, model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 200)))
 			rep := consistency.Analyze(workload.Run(sim, workload.Mix{WritesPerWriter: 5, ReadsPerReader: 5}))
 			worstK = max(worstK, rep.KAtomicity)
 			stale += rep.StaleRate

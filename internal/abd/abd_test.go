@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"fastreg/internal/atomicity"
-	"fastreg/internal/netsim"
+	"fastreg/internal/model"
 	"fastreg/internal/quorum"
 	"fastreg/internal/types"
 )
@@ -34,7 +34,7 @@ func TestImplementableSingleWriterMajority(t *testing.T) {
 
 func TestWriterTimestampsIncrease(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 1}
-	sim := netsim.MustNew(cfg, New(), netsim.WithSeed(1))
+	sim := model.MustNew(cfg, New(), model.WithSeed(1))
 	var tags []types.Tag
 	var chainWrites func(n int)
 	chainWrites = func(n int) {
@@ -65,7 +65,7 @@ func TestWriterTimestampsIncrease(t *testing.T) {
 func TestSingleWriterHistoriesAtomic(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 2, R: 3, W: 1}
 	for seed := int64(1); seed <= 20; seed++ {
-		sim := netsim.MustNew(cfg, New(), netsim.WithSeed(seed), netsim.WithDelay(netsim.UniformDelay(1, 100)))
+		sim := model.MustNew(cfg, New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 100)))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -94,7 +94,7 @@ func TestSingleWriterHistoriesAtomic(t *testing.T) {
 
 func TestCrashWithinT(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 2, R: 2, W: 1}
-	sim := netsim.MustNew(cfg, New(), netsim.WithSeed(4))
+	sim := model.MustNew(cfg, New(), model.WithSeed(4))
 	sim.CrashServer(types.Server(2), 0)
 	sim.CrashServer(types.Server(4), 50)
 	var got types.Value

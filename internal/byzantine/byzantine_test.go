@@ -5,8 +5,8 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/byzantine"
+	"fastreg/internal/model"
 	"fastreg/internal/mwabd"
-	"fastreg/internal/netsim"
 	"fastreg/internal/proto"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
@@ -40,7 +40,7 @@ func TestLyingServerBreaksW2R2(t *testing.T) {
 	p := byzProtocol{mwabd.New()}
 	broken := false
 	for seed := int64(1); seed <= 10 && !broken; seed++ {
-		sim := netsim.MustNew(feasible(), p, netsim.WithSeed(seed))
+		sim := model.MustNew(feasible(), p, model.WithSeed(seed))
 		h := workload.Run(sim, workload.Mix{WritesPerWriter: 3, ReadsPerReader: 3})
 		res := atomicity.Check(h)
 		if !res.Atomic && res.Violation.Code == atomicity.ReadFromNowhere {
@@ -61,7 +61,7 @@ func TestLyingServerBreaksW2R2(t *testing.T) {
 func TestW2R1AdmissibilityResistsSingleLiar(t *testing.T) {
 	p := byzProtocol{w2r1.New()}
 	for seed := int64(1); seed <= 10; seed++ {
-		sim := netsim.MustNew(feasible(), p, netsim.WithSeed(seed))
+		sim := model.MustNew(feasible(), p, model.WithSeed(seed))
 		h := workload.Run(sim, workload.Mix{WritesPerWriter: 3, ReadsPerReader: 3})
 		for _, rd := range h.Reads() {
 			if rd.Value.Data == "FORGED" {
@@ -81,7 +81,7 @@ func TestVouchingFiltersForgedValues(t *testing.T) {
 	cfg := feasible()
 	p := byzantine.NewVouched(byzProtocol{w2r1.New()}, cfg.T)
 	for seed := int64(1); seed <= 10; seed++ {
-		sim := netsim.MustNew(cfg, p, netsim.WithSeed(seed))
+		sim := model.MustNew(cfg, p, model.WithSeed(seed))
 		h := workload.Run(sim, workload.Mix{WritesPerWriter: 3, ReadsPerReader: 3})
 		for _, rd := range h.Reads() {
 			if rd.Value.Data == "FORGED" {
@@ -103,7 +103,7 @@ func TestVouchingHarmlessWithoutByzantine(t *testing.T) {
 		t.Fatalf("name = %q", p.Name())
 	}
 	for seed := int64(1); seed <= 10; seed++ {
-		sim := netsim.MustNew(cfg, p, netsim.WithSeed(seed), netsim.WithDelay(netsim.UniformDelay(1, 120)))
+		sim := model.MustNew(cfg, p, model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 120)))
 		h := workload.Run(sim, workload.Mix{WritesPerWriter: 4, ReadsPerReader: 4})
 		if got := len(h.Completed()); got != 16 {
 			t.Fatalf("seed %d: completed %d", seed, got)
@@ -192,7 +192,7 @@ func valQueue(r register.Reader) []types.Value {
 // read can return any more instead of holding every value ever written.
 func TestVouchedReadersDropDeadValues(t *testing.T) {
 	cfg := feasible()
-	sim := netsim.MustNew(cfg, byzantine.NewVouched(w2r1.New(), cfg.T))
+	sim := model.MustNew(cfg, byzantine.NewVouched(w2r1.New(), cfg.T))
 	h := workload.Run(sim, workload.Mix{WritesPerWriter: 6, ReadsPerReader: 6})
 	written := len(h.Writes())
 	for i := 1; i <= cfg.R; i++ {

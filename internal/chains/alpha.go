@@ -118,7 +118,7 @@ func (f *Family) BuildAlpha() (*AlphaChain, error) {
 		}
 		out, err := spec.Run(f.NewServerFn())
 		if err != nil {
-			return nil, fmt.Errorf("chains: running %s: %w", spec.Name, err)
+			return nil, err
 		}
 		chain.Specs = append(chain.Specs, spec)
 		chain.Outcomes = append(chain.Outcomes, out)
@@ -128,7 +128,7 @@ func (f *Family) BuildAlpha() (*AlphaChain, error) {
 	tailSpec := NewSpec("α_tail", f.S, f.ops(false), append([]RT{rtW2, rtW1, rtR1[1]}, f.r1Unit()...))
 	tail, err := tailSpec.Run(f.NewServerFn())
 	if err != nil {
-		return nil, fmt.Errorf("chains: running α_tail: %w", err)
+		return nil, err
 	}
 	chain.Tail = tail
 

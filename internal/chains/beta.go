@@ -51,22 +51,14 @@ func (f *Family) BuildBeta(alpha *AlphaChain) (*BetaChain, error) {
 	i1 := alpha.Critical
 	b := &BetaChain{Critical: i1}
 
-	run := func(spec *Spec) (*Outcome, error) {
-		out, err := spec.Run(f.NewServerFn())
-		if err != nil {
-			return nil, fmt.Errorf("chains: running %s: %w", spec.Name, err)
-		}
-		return out, nil
-	}
-
 	// Candidate chains β′ (from α_{i1-1}) and β″ (from α_{i1}).
 	for i := 0; i <= f.S; i++ {
-		p, err := run(f.betaSpec(fmt.Sprintf("β′%d", i), i1-1, i, false, i1))
+		p, err := f.betaSpec(fmt.Sprintf("β′%d", i), i1-1, i, false, i1).Run(f.NewServerFn())
 		if err != nil {
 			return nil, err
 		}
 		b.Prime = append(b.Prime, p)
-		q, err := run(f.betaSpec(fmt.Sprintf("β″%d", i), i1, i, false, i1))
+		q, err := f.betaSpec(fmt.Sprintf("β″%d", i), i1, i, false, i1).Run(f.NewServerFn())
 		if err != nil {
 			return nil, err
 		}
@@ -75,11 +67,11 @@ func (f *Family) BuildBeta(alpha *AlphaChain) (*BetaChain, error) {
 
 	// Modified tails: R2 skips the critical server.
 	var err error
-	b.PrimeTail, err = run(f.betaSpec("β′S+skip", i1-1, f.S, true, i1))
+	b.PrimeTail, err = f.betaSpec("β′S+skip", i1-1, f.S, true, i1).Run(f.NewServerFn())
 	if err != nil {
 		return nil, err
 	}
-	b.DoublePrimeTail, err = run(f.betaSpec("β″S+skip", i1, f.S, true, i1))
+	b.DoublePrimeTail, err = f.betaSpec("β″S+skip", i1, f.S, true, i1).Run(f.NewServerFn())
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +92,7 @@ func (f *Family) BuildBeta(alpha *AlphaChain) (*BetaChain, error) {
 	}
 	for i := 0; i <= f.S; i++ {
 		spec := f.betaSpec(fmt.Sprintf("β%d", i), swaps, i, true, i1)
-		out, err := run(spec)
+		out, err := spec.Run(f.NewServerFn())
 		if err != nil {
 			return nil, err
 		}

@@ -32,7 +32,7 @@ func TestSpecRunSequentialBaseline(t *testing.T) {
 		writeMaker("W1", 1, 1, "a", 2),
 		readMaker("R1", 1, 2),
 	}
-	spec := NewSpec("base", 3, ops, []RT{{0, 1}, {1, 1}, {1, 2}})
+	spec := NewSpec("base", 3, ops, []RT{{Op: 0, Round: 1}, {Op: 1, Round: 1}, {Op: 1, Round: 2}})
 	out, err := spec.Run(storeFactory)
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +59,9 @@ func TestSpecSkipHidesServerFromClient(t *testing.T) {
 		writeMaker("W1", 1, 1, "a", 2),
 		readMaker("R1", 1, 2),
 	}
-	spec := NewSpec("skip", 3, ops, []RT{{0, 1}, {1, 1}, {1, 2}})
-	spec.SkipAt(3, RT{1, 1})
-	spec.SkipAt(3, RT{1, 2})
+	spec := NewSpec("skip", 3, ops, []RT{{Op: 0, Round: 1}, {Op: 1, Round: 1}, {Op: 1, Round: 2}})
+	spec.SkipAt(3, RT{Op: 1, Round: 1})
+	spec.SkipAt(3, RT{Op: 1, Round: 2})
 	out, err := spec.Run(storeFactory)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestSpecSkipHidesServerFromClient(t *testing.T) {
 			t.Fatal("reply from skipped server")
 		}
 	}
-	if !spec.Skips(3, RT{1, 1}) || spec.Skips(2, RT{1, 1}) {
+	if !spec.Skips(3, RT{Op: 1, Round: 1}) || spec.Skips(2, RT{Op: 1, Round: 1}) {
 		t.Error("Skips bookkeeping wrong")
 	}
 }
@@ -88,8 +88,8 @@ func TestSpecSwapDelaysWriteBehindLaterOp(t *testing.T) {
 		writeMaker("W1", 1, 5, "first", 3), // higher ts, needs every server
 		writeMaker("W2", 2, 1, "second", 2),
 	}
-	spec := NewSpec("swap", 3, ops, []RT{{0, 1}, {1, 1}})
-	spec.Swap(1, RT{0, 1}, RT{1, 1})
+	spec := NewSpec("swap", 3, ops, []RT{{Op: 0, Round: 1}, {Op: 1, Round: 1}})
+	spec.Swap(1, RT{Op: 0, Round: 1}, RT{Op: 1, Round: 1})
 	out, err := spec.Run(storeFactory)
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +112,13 @@ func TestSpecDeliverAfterReinserts(t *testing.T) {
 		writeMaker("W1", 1, 1, "a", 2),
 		readMaker("R1", 1, 2),
 	}
-	spec := NewSpec("da", 3, ops, []RT{{0, 1}, {1, 1}, {1, 2}})
-	spec.SkipAt(2, RT{1, 2})
-	if !spec.Skips(2, RT{1, 2}) {
+	spec := NewSpec("da", 3, ops, []RT{{Op: 0, Round: 1}, {Op: 1, Round: 1}, {Op: 1, Round: 2}})
+	spec.SkipAt(2, RT{Op: 1, Round: 2})
+	if !spec.Skips(2, RT{Op: 1, Round: 2}) {
 		t.Fatal("skip lost")
 	}
-	spec.DeliverAfter(2, RT{1, 2}, RT{1, 1})
-	if spec.Skips(2, RT{1, 2}) {
+	spec.DeliverAfter(2, RT{Op: 1, Round: 2}, RT{Op: 1, Round: 1})
+	if spec.Skips(2, RT{Op: 1, Round: 2}) {
 		t.Fatal("DeliverAfter did not reinsert")
 	}
 	if _, err := spec.Run(storeFactory); err != nil {
@@ -128,20 +128,20 @@ func TestSpecDeliverAfterReinserts(t *testing.T) {
 
 func TestSpecSwapPanicsOnSkipped(t *testing.T) {
 	ops := []OpMaker{writeMaker("W1", 1, 1, "a", 1), writeMaker("W2", 2, 1, "b", 1)}
-	spec := NewSpec("x", 2, ops, []RT{{0, 1}, {1, 1}})
-	spec.SkipAt(1, RT{0, 1})
+	spec := NewSpec("x", 2, ops, []RT{{Op: 0, Round: 1}, {Op: 1, Round: 1}})
+	spec.SkipAt(1, RT{Op: 0, Round: 1})
 	defer func() {
 		if recover() == nil {
 			t.Error("Swap of skipped round-trip must panic")
 		}
 	}()
-	spec.Swap(1, RT{0, 1}, RT{1, 1})
+	spec.Swap(1, RT{Op: 0, Round: 1}, RT{Op: 1, Round: 1})
 }
 
 func TestSpecRoundOutOfOrderRejected(t *testing.T) {
 	ops := []OpMaker{readMaker("R1", 1, 2)}
 	// Round 2 before round 1.
-	spec := NewSpec("bad", 3, ops, []RT{{0, 2}, {0, 1}})
+	spec := NewSpec("bad", 3, ops, []RT{{Op: 0, Round: 2}, {Op: 0, Round: 1}})
 	if _, err := spec.Run(storeFactory); err == nil {
 		t.Fatal("out-of-order rounds accepted")
 	}
@@ -149,15 +149,24 @@ func TestSpecRoundOutOfOrderRejected(t *testing.T) {
 
 func TestSpecUnknownOpRejected(t *testing.T) {
 	ops := []OpMaker{writeMaker("W1", 1, 1, "a", 1)}
-	spec := NewSpec("bad", 2, ops, []RT{{5, 1}})
+	spec := NewSpec("bad", 2, ops, []RT{{Op: 5, Round: 1}})
 	if _, err := spec.Run(storeFactory); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
 
+func TestSpecArrivalOfUnknownOpRejected(t *testing.T) {
+	ops := []OpMaker{writeMaker("W1", 1, 1, "a", 1)}
+	spec := NewSpec("bad", 2, ops, []RT{{Op: 0, Round: 1}})
+	spec.Arrival[2] = append(spec.Arrival[2], RT{Op: 3, Round: 1})
+	if _, err := spec.Run(storeFactory); err == nil {
+		t.Fatal("arrival of an unknown op accepted")
+	}
+}
+
 func TestSpecDoubleBeginRejected(t *testing.T) {
 	ops := []OpMaker{writeMaker("W1", 1, 1, "a", 1)}
-	spec := NewSpec("bad", 2, ops, []RT{{0, 1}, {0, 1}})
+	spec := NewSpec("bad", 2, ops, []RT{{Op: 0, Round: 1}, {Op: 0, Round: 1}})
 	if _, err := spec.Run(storeFactory); err == nil {
 		t.Fatal("double round-1 accepted")
 	}
@@ -166,9 +175,9 @@ func TestSpecDoubleBeginRejected(t *testing.T) {
 func TestSpecPendingWhenQuorumSkipped(t *testing.T) {
 	// The write needs 2 replies but both servers skip it: it stays pending.
 	ops := []OpMaker{writeMaker("W1", 1, 1, "a", 2)}
-	spec := NewSpec("pend", 2, ops, []RT{{0, 1}})
-	spec.SkipAt(1, RT{0, 1})
-	spec.SkipAt(2, RT{0, 1})
+	spec := NewSpec("pend", 2, ops, []RT{{Op: 0, Round: 1}})
+	spec.SkipAt(1, RT{Op: 0, Round: 1})
+	spec.SkipAt(2, RT{Op: 0, Round: 1})
 	out, err := spec.Run(storeFactory)
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +192,10 @@ func TestSpecPendingWhenQuorumSkipped(t *testing.T) {
 
 func TestCloneIsDeep(t *testing.T) {
 	ops := []OpMaker{writeMaker("W1", 1, 1, "a", 1), writeMaker("W2", 2, 1, "b", 1)}
-	spec := NewSpec("orig", 2, ops, []RT{{0, 1}, {1, 1}})
+	spec := NewSpec("orig", 2, ops, []RT{{Op: 0, Round: 1}, {Op: 1, Round: 1}})
 	c := spec.Clone("copy")
-	c.Swap(1, RT{0, 1}, RT{1, 1})
-	if spec.Arrival[1][0] != (RT{0, 1}) {
+	c.Swap(1, RT{Op: 0, Round: 1}, RT{Op: 1, Round: 1})
+	if spec.Arrival[1][0] != (RT{Op: 0, Round: 1}) {
 		t.Fatal("Clone aliased arrival orders")
 	}
 	if c.Name != "copy" {

@@ -53,7 +53,7 @@ func (f *Family) Sieve() (*SieveResult, error) {
 	refSpec := NewSpec("α0-noR2", f.S, f.ops(false), append([]RT{rtW1, rtW2, rtR1[1]}, f.r1Unit()...))
 	ref, err := refSpec.Run(f.NewServerFn())
 	if err != nil {
-		return nil, fmt.Errorf("chains: sieve reference: %w", err)
+		return nil, err
 	}
 	// α̂_0: α_0 with R2 appended, round-trips interleaved as in Phase 2.
 	hatGlobal := append([]RT{rtW1, rtW2, rtR1[1], rtR2[1]}, f.r1Unit()...)
@@ -61,7 +61,7 @@ func (f *Family) Sieve() (*SieveResult, error) {
 	hatSpec := NewSpec("α̂0", f.S, f.ops(true), hatGlobal)
 	hat, err := hatSpec.Run(f.NewServerFn())
 	if err != nil {
-		return nil, fmt.Errorf("chains: sieve α̂0: %w", err)
+		return nil, err
 	}
 
 	v1 := ref.Result("W1").Value
@@ -96,7 +96,7 @@ func (f *Family) Sieve() (*SieveResult, error) {
 		}
 		out, err := spec.Run(f.NewServerFn())
 		if err != nil {
-			return nil, fmt.Errorf("chains: sieve α̂%d: %w", i, err)
+			return nil, err
 		}
 		res.AlphaHat = append(res.AlphaHat, out)
 		res.Verdicts = append(res.Verdicts, Verdict{

@@ -36,14 +36,6 @@ func (f *Family) BuildZigzag(beta *BetaChain) (*ZigzagChain, error) {
 	}
 	z := &ZigzagChain{Critical: i1}
 
-	run := func(spec *Spec) (*Outcome, error) {
-		out, err := spec.Run(f.NewServerFn())
-		if err != nil {
-			return nil, fmt.Errorf("chains: running %s: %w", spec.Name, err)
-		}
-		return out, nil
-	}
-
 	r1u, r2u := f.r1Unit(), f.r2Unit()
 	lastR1 := r1u[len(r1u)-1]
 	for k := 0; k <= f.S-1; k++ {
@@ -56,7 +48,7 @@ func (f *Family) BuildZigzag(beta *BetaChain) (*ZigzagChain, error) {
 			// it too.
 			gSpec := f.betaSpec(fmt.Sprintf("γ%d", k), swaps, k, true, i1)
 			gSpec.SkipUnit(k+1, r1u)
-			g, err := run(gSpec)
+			g, err := gSpec.Run(f.NewServerFn())
 			if err != nil {
 				return nil, err
 			}
@@ -68,7 +60,7 @@ func (f *Family) BuildZigzag(beta *BetaChain) (*ZigzagChain, error) {
 
 			gpSpec := f.betaSpec(fmt.Sprintf("γ′%d", k), swaps, k+1, true, i1)
 			gpSpec.SkipUnit(k+1, r1u)
-			gp, err := run(gpSpec)
+			gp, err := gpSpec.Run(f.NewServerFn())
 			if err != nil {
 				return nil, err
 			}
@@ -86,7 +78,7 @@ func (f *Family) BuildZigzag(beta *BetaChain) (*ZigzagChain, error) {
 		tSpec := f.betaSpec(fmt.Sprintf("temp%d", k), swaps, k, true, i1)
 		tSpec.SkipUnit(k+1, r2u)
 		tSpec.DeliverUnitAfter(i1, r2u, lastR1)
-		tOut, err := run(tSpec)
+		tOut, err := tSpec.Run(f.NewServerFn())
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +88,7 @@ func (f *Family) BuildZigzag(beta *BetaChain) (*ZigzagChain, error) {
 		// γ_k = temp_k except R1^(2) skips s_{k+1}.
 		gSpec := tSpec.Clone(fmt.Sprintf("γ%d", k))
 		gSpec.SkipUnit(k+1, r1u)
-		g, err := run(gSpec)
+		g, err := gSpec.Run(f.NewServerFn())
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +100,7 @@ func (f *Family) BuildZigzag(beta *BetaChain) (*ZigzagChain, error) {
 		// tell.
 		tpSpec := f.betaSpec(fmt.Sprintf("temp′%d", k), swaps, k+1, true, i1)
 		tpSpec.SkipUnit(k+1, r1u)
-		tpOut, err := run(tpSpec)
+		tpOut, err := tpSpec.Run(f.NewServerFn())
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +112,7 @@ func (f *Family) BuildZigzag(beta *BetaChain) (*ZigzagChain, error) {
 		gpSpec := tpSpec.Clone(fmt.Sprintf("γ′%d", k))
 		gpSpec.SkipUnit(k+1, r2u)
 		gpSpec.DeliverUnitAfter(i1, r2u, lastR1)
-		gp, err := run(gpSpec)
+		gp, err := gpSpec.Run(f.NewServerFn())
 		if err != nil {
 			return nil, err
 		}

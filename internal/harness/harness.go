@@ -15,8 +15,8 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/chains"
+	"fastreg/internal/model"
 	"fastreg/internal/mwabd"
-	"fastreg/internal/netsim"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
@@ -79,7 +79,7 @@ func Table1(trialsPerProtocol int) []Table1Row {
 // forced.
 func judge(p register.Protocol, cfg quorum.Config, trials int) (atomic bool, evidence string) {
 	for seed := int64(1); seed <= int64(trials); seed++ {
-		sim := netsim.MustNew(cfg, p, netsim.WithSeed(seed), netsim.WithDelay(netsim.UniformDelay(1, 150)))
+		sim := model.MustNew(cfg, p, model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 150)))
 		h := workload.Run(sim, workload.Mix{WritesPerWriter: 4, ReadsPerReader: 4})
 		if res := atomicity.Check(h); !res.Atomic {
 			return false, fmt.Sprintf("random schedule seed=%d: %s", seed, res.Violation.Code)
@@ -87,7 +87,7 @@ func judge(p register.Protocol, cfg quorum.Config, trials int) (atomic bool, evi
 	}
 	// Sequential cross-writer probe (the simplest adversary for fast
 	// writes).
-	sim := netsim.MustNew(cfg, p, netsim.WithSeed(99))
+	sim := model.MustNew(cfg, p, model.WithSeed(99))
 	sim.InvokeAt(0, sim.Writer(2).WriteOp("a"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Writer(1).WriteOp("b"), func(types.Value, error) {
 			sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), nil)
@@ -144,7 +144,7 @@ func Fig2(oneWay vclock.Duration) []Fig2Row {
 	rtt := float64(2 * oneWay)
 	var rows []Fig2Row
 	for _, p := range DesignSpace() {
-		sim := netsim.MustNew(cfg, p, netsim.WithDelay(netsim.ConstDelay(oneWay)))
+		sim := model.MustNew(cfg, p, model.WithDelay(model.ConstDelay(oneWay)))
 		h := workload.Run(sim, workload.Mix{WritesPerWriter: 5, ReadsPerReader: 5})
 		stats := workload.Measure(h)
 		rows = append(rows, Fig2Row{

@@ -14,6 +14,7 @@ import (
 	"fastreg/internal/abd"
 	"fastreg/internal/atomicity"
 	"fastreg/internal/consistency"
+	"fastreg/internal/model"
 	"fastreg/internal/mwabd"
 	"fastreg/internal/netsim"
 	"fastreg/internal/quorum"
@@ -51,16 +52,16 @@ func TestMatrixSimAtomicUnderAdversaries(t *testing.T) {
 				t.Fatalf("%s should be implementable on %v", tc.p.Name(), tc.cfg)
 			}
 			for seed := int64(1); seed <= 8; seed++ {
-				delay := netsim.DelayFn(netsim.UniformDelay(1, 150))
+				delay := model.DelayFn(model.UniformDelay(1, 150))
 				// The failure budget is t per client: with t ≥ 2 each
 				// reader misses a rotating server AND one server crashes;
 				// with t = 1 only the crash is injected.
 				if tc.cfg.T >= 2 {
 					for r := 1; r <= tc.cfg.R; r++ {
-						delay = netsim.Skip(delay, types.Reader(r), types.Server(int(seed+int64(r))%tc.cfg.S+1))
+						delay = model.Skip(delay, types.Reader(r), types.Server(int(seed+int64(r))%tc.cfg.S+1))
 					}
 				}
-				sim := netsim.MustNew(tc.cfg, tc.p, netsim.WithSeed(seed), netsim.WithDelay(delay))
+				sim := model.MustNew(tc.cfg, tc.p, model.WithSeed(seed), model.WithDelay(delay))
 				if tc.cfg.T >= 1 {
 					sim.CrashServer(types.Server(int(seed)%tc.cfg.S+1), 600)
 				}
@@ -149,7 +150,7 @@ func TestSimAndLiveAgreeOnSequentialSemantics(t *testing.T) {
 	}
 
 	runSim := func() []string {
-		sim := netsim.MustNew(cfg, mwabd.New(), netsim.WithSeed(1))
+		sim := model.MustNew(cfg, mwabd.New(), model.WithSeed(1))
 		var out []string
 		var step func(i int)
 		step = func(i int) {
@@ -231,7 +232,7 @@ func TestImpossibleQuadrantsDegradeGracefully(t *testing.T) {
 			for seed := int64(1); seed <= 30; seed++ {
 				// The directed sequential cross-writer probe, alone: W2
 				// then W1 then a read — the naive tags order them wrongly.
-				probe := netsim.MustNew(cfg, p, netsim.WithSeed(seed))
+				probe := model.MustNew(cfg, p, model.WithSeed(seed))
 				probe.InvokeAt(0, probe.Writer(2).WriteOp("x"), func(types.Value, error) {
 					probe.InvokeAt(probe.Now()+1, probe.Writer(1).WriteOp("y"), func(types.Value, error) {
 						probe.InvokeAt(probe.Now()+1, probe.Reader(1).ReadOp(), nil)
@@ -247,7 +248,7 @@ func TestImpossibleQuadrantsDegradeGracefully(t *testing.T) {
 				}
 				// A separate randomized workload contributes staleness
 				// statistics.
-				sim := netsim.MustNew(cfg, p, netsim.WithSeed(seed), netsim.WithDelay(netsim.UniformDelay(1, 300)))
+				sim := model.MustNew(cfg, p, model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 300)))
 				h := workload.Run(sim, workload.Mix{WritesPerWriter: 3, ReadsPerReader: 3})
 				if rep := consistency.Analyze(h); rep.KAtomicity > worstK {
 					worstK = rep.KAtomicity

@@ -1,0 +1,188 @@
+// Package model is the paper's system model (Fig. 1) as one step relation:
+// servers, readers and writers over reliable asynchronous channels, no
+// server-to-server communication, a global clock the processes cannot
+// read, and up to t server crashes.
+//
+// The state of an execution is the servers' register.ServerLogic, the
+// invoked operations with their open rounds, and the undelivered messages.
+// A step is one of
+//
+//   - invoke: an operation begins and sends its first round to every server;
+//   - request: one request reaches one server, which handles it and sends
+//     back its reply unless the server has crashed;
+//   - reply: one reply reaches its client, which counts it if it belongs to
+//     the operation's open round and comes from a server not counted there
+//     yet;
+//   - complete: register.Operation.Next consumes the open round's counted
+//     replies, and the operation either responds or sends its next round;
+//   - crash: a server stops and handles nothing afterwards.
+//
+// A scheduler holds the undelivered messages and chooses the next step:
+//
+//   - Sim, the timed scheduler, gives every message a seeded virtual delay
+//     and delivers the earliest first, ties in scheduling order. A round
+//     completes at exactly its Need replies, in arrival order, and later
+//     replies are dropped. Table 1, Fig 2, the write-back ablation, Fig 9's
+//     trials and Section 7 run on it.
+//   - Script, the scripted scheduler, follows a global order of round trips
+//     and a per-server arrival order with skips, the vocabulary of
+//     Section 3. A round completes at the first global position that finds
+//     its Need replies counted, with every reply counted so far in server
+//     order, and later replies are kept for the trace. Theorem 1's chains,
+//     W1Rk, the Fig 8 sieve and Fig 9's directed inversion run on it.
+package model
+
+import (
+	"slices"
+
+	"fastreg/internal/history"
+	"fastreg/internal/proto"
+	"fastreg/internal/register"
+	"fastreg/internal/types"
+	"fastreg/internal/vclock"
+)
+
+// msg names one message: the request of round round of operation op to
+// server srv (1-based), or, when reply is set, that server's reply, which
+// carries its payload. A request's payload is its round's.
+type msg struct {
+	op, round, srv int
+	reply          bool
+	payload        proto.Message
+}
+
+// run is one invoked operation.
+type run struct {
+	op       register.Operation
+	ref      history.Ref
+	payloads []proto.Message  // each sent round's request, round r at r-1
+	need     int              // replies the open round waits for
+	replies  []register.Reply // the open round's counted replies
+	done     bool             // responded
+	result   types.Value
+	err      error
+}
+
+// round is the operation's open round (1-based).
+func (o *run) round() int { return len(o.payloads) }
+
+// stepKind names the steps of the relation.
+type stepKind int
+
+const (
+	stepInvoke stepKind = iota
+	stepRequest
+	stepReply
+	stepComplete
+	stepCrash
+)
+
+// core is one execution's state.
+type core struct {
+	servers []register.ServerLogic // s_i at index i-1
+	crashed []bool
+	runs    []*run
+	rec     *history.Recorder
+	// observe, when set, sees every step after it is taken: the message
+	// or, for invoke, complete and crash, the operation's round or the
+	// server it names, and whether the step took effect (handled, counted,
+	// responded).
+	observe func(stepKind, msg, bool)
+}
+
+// observeSteps, when set, gives every new execution an observer.
+var observeSteps func() func(stepKind, msg, bool)
+
+// newCore starts an execution on servers, recording its history on clock.
+func newCore(servers []register.ServerLogic, clock *vclock.Clock) *core {
+	c := &core{servers: servers, crashed: make([]bool, len(servers)), rec: history.NewRecorder(clock)}
+	if observeSteps != nil {
+		c.observe = observeSteps()
+	}
+	return c
+}
+
+func (c *core) note(k stepKind, m msg, took bool) {
+	if c.observe != nil {
+		c.observe(k, m, took)
+	}
+}
+
+// invoke records op's invocation at at, sends its first round and returns
+// the operation's index.
+func (c *core) invoke(at vclock.Time, op register.Operation, opID uint64) int {
+	id := len(c.runs)
+	c.runs = append(c.runs, &run{op: op, ref: c.rec.InvokeAt(at, op.Client(), opID, op.Kind(), op.Arg())})
+	c.open(c.runs[id], op.Begin())
+	c.note(stepInvoke, msg{op: id, round: 1}, true)
+	return id
+}
+
+func (c *core) open(o *run, r register.Round) {
+	o.payloads = append(o.payloads, r.Payload)
+	o.need, o.replies = r.Need, o.replies[:0]
+}
+
+// request delivers request m, a round already sent. It returns the server's
+// reply, whose payload is nil when the server has crashed or sends none.
+func (c *core) request(m msg) msg {
+	handled := !c.crashed[m.srv-1]
+	reply := msg{op: m.op, round: m.round, srv: m.srv, reply: true}
+	if handled {
+		o := c.runs[m.op]
+		reply.payload = c.servers[m.srv-1].Handle(o.op.Client(), o.payloads[m.round-1])
+	}
+	c.note(stepRequest, m, handled)
+	return reply
+}
+
+// reply delivers reply m and reports whether its operation's open round
+// counted it.
+func (c *core) reply(m msg) bool {
+	o := c.runs[m.op]
+	from := types.Server(m.srv)
+	counted := !o.done && m.round == o.round() &&
+		!slices.ContainsFunc(o.replies, func(r register.Reply) bool { return r.From == from })
+	if counted {
+		o.replies = append(o.replies, register.Reply{From: from, Msg: m.payload})
+	}
+	c.note(stepReply, m, counted)
+	return counted
+}
+
+// complete hands the open round's counted replies to the operation, which
+// either responds, recorded at at, or sends its next round.
+func (c *core) complete(id int, at vclock.Time) {
+	o := c.runs[id]
+	round := o.round()
+	next, res, done, err := o.op.Next(o.replies)
+	switch {
+	case err != nil:
+		o.done, o.err = true, err
+		c.rec.RespondAt(at, o.ref, types.Value{}, err)
+	case done:
+		o.done, o.result = true, res
+		c.rec.RespondAt(at, o.ref, res, nil)
+	default:
+		c.open(o, *next)
+	}
+	c.note(stepComplete, msg{op: id, round: round}, o.done)
+}
+
+// crash stops server srv (1-based).
+func (c *core) crash(srv int) {
+	c.crashed[srv-1] = true
+	c.note(stepCrash, msg{srv: srv}, true)
+}
+
+// history snapshots the execution. Pending two-round writes have their
+// recorded argument refreshed (the tag is assigned after round 1), so reads
+// of in-flight values stay matchable by the checker.
+func (c *core) history() history.History {
+	for _, o := range c.runs {
+		if !o.done {
+			c.rec.UpdateValue(o.ref, o.op.Arg())
+		}
+	}
+	return c.rec.History()
+}

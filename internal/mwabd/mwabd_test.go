@@ -5,7 +5,7 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/chains"
-	"fastreg/internal/netsim"
+	"fastreg/internal/model"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
@@ -43,7 +43,7 @@ func TestImplementableMatchesMajority(t *testing.T) {
 
 func TestRandomizedSchedulesStayAtomic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		sim := netsim.MustNew(cfg(5, 2, 2, 2), New(), netsim.WithSeed(seed), netsim.WithDelay(netsim.UniformDelay(1, 120)))
+		sim := model.MustNew(cfg(5, 2, 2, 2), New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 120)))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -148,7 +148,7 @@ func TestWriteBackPreventsInversion(t *testing.T) {
 }
 
 func TestCrashMidExecution(t *testing.T) {
-	sim := netsim.MustNew(cfg(5, 2, 2, 2), New(), netsim.WithSeed(7))
+	sim := model.MustNew(cfg(5, 2, 2, 2), New(), model.WithSeed(7))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("a"), nil)
 	sim.RunUntil(100)
 	sim.CrashServer(types.Server(1), sim.Now())

@@ -1,3 +1,9 @@
+// Package netsim hosts the in-process fleet: MultiLive runs S
+// transport.Servers and one transport.Client on a transport.ChanNetwork —
+// the same round engine and replica loop a TCP deployment runs, with
+// channels for sockets — so one fleet serves every key with O(servers)
+// goroutines, and crashing a server kills it for all keys. The
+// deterministic executions of the paper's model are package model's.
 package netsim
 
 import (

@@ -1,9 +1,14 @@
 package netsim
 
+// These tests drive model.Sim, the timed scheduler over the model's step
+// relation. They keep the package and names they had when Sim lived here,
+// so test results stay comparable across commits.
+
 import (
 	"testing"
 
 	"fastreg/internal/atomicity"
+	"fastreg/internal/model"
 	"fastreg/internal/mwabd"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
@@ -15,7 +20,7 @@ import (
 func cfg521() quorum.Config { return quorum.Config{S: 5, T: 1, R: 2, W: 2} }
 
 func TestSimBasicWriteRead(t *testing.T) {
-	sim := MustNew(cfg521(), mwabd.New(), WithSeed(3))
+	sim := model.MustNew(cfg521(), mwabd.New(), model.WithSeed(3))
 	var wrote, read types.Value
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("hello"), func(v types.Value, err error) {
 		if err != nil {
@@ -49,7 +54,7 @@ func TestSimLatencyReflectsRoundTrips(t *testing.T) {
 	// With a constant one-way delay d, a k-round operation takes exactly
 	// 2kd: this is the Fig 2 latency model.
 	const d = 50
-	sim := MustNew(cfg521(), mwabd.New(), WithDelay(ConstDelay(d)))
+	sim := model.MustNew(cfg521(), mwabd.New(), model.WithDelay(model.ConstDelay(d)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("x"), nil)
 	sim.Run()
 	ops := sim.History().Completed()
@@ -64,7 +69,7 @@ func TestSimLatencyReflectsRoundTrips(t *testing.T) {
 }
 
 func TestSimCrashToleratedWithinT(t *testing.T) {
-	sim := MustNew(cfg521(), mwabd.New(), WithSeed(5))
+	sim := model.MustNew(cfg521(), mwabd.New(), model.WithSeed(5))
 	sim.CrashServer(types.Server(3), 0) // crashed from the start; t=1
 	done := 0
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("v"), func(_ types.Value, err error) {
@@ -92,7 +97,7 @@ func TestSimCrashToleratedWithinT(t *testing.T) {
 }
 
 func TestSimTooManyCrashesBlocks(t *testing.T) {
-	sim := MustNew(cfg521(), mwabd.New())
+	sim := model.MustNew(cfg521(), mwabd.New())
 	sim.CrashServer(types.Server(1), 0)
 	sim.CrashServer(types.Server(2), 0) // two crashes, t=1: quorum S-t=4 unreachable
 	completed := false
@@ -108,8 +113,8 @@ func TestSimTooManyCrashesBlocks(t *testing.T) {
 
 func TestSimSkipDelaysPastHorizon(t *testing.T) {
 	// Skip r1 ↔ s1: the read must still complete using the other 4 servers.
-	base := ConstDelay(10)
-	sim := MustNew(cfg521(), mwabd.New(), WithDelay(Skip(base, types.Reader(1), types.Server(1))))
+	base := model.ConstDelay(10)
+	sim := model.MustNew(cfg521(), mwabd.New(), model.WithDelay(model.Skip(base, types.Reader(1), types.Server(1))))
 	var got types.Value
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("v"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), func(v types.Value, err error) {
@@ -130,7 +135,7 @@ func TestSimSkipDelaysPastHorizon(t *testing.T) {
 
 func TestSimDeterministicBySeed(t *testing.T) {
 	run := func(seed int64) string {
-		sim := MustNew(cfg521(), mwabd.New(), WithSeed(seed), WithDelay(UniformDelay(1, 100)))
+		sim := model.MustNew(cfg521(), mwabd.New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 100)))
 		for i := 0; i < 3; i++ {
 			sim.InvokeAt(vclock.Time(i*7), sim.Writer(1+i%2).WriteOp("v"), nil)
 			sim.InvokeAt(vclock.Time(i*11+1), sim.Reader(1+i%2).ReadOp(), nil)
@@ -156,7 +161,7 @@ func TestSimConcurrentMixedWorkloadAtomic(t *testing.T) {
 			if !p.Implementable(cfg) {
 				t.Fatalf("%s should be implementable on %v", p.Name(), cfg)
 			}
-			sim := MustNew(cfg, p, WithSeed(9), WithDelay(UniformDelay(5, 80)))
+			sim := model.MustNew(cfg, p, model.WithSeed(9), model.WithDelay(model.UniformDelay(5, 80)))
 			// Closed-loop sessions per client with overlapping start times.
 			var spawn func(client int, isWriter bool, n int)
 			spawn = func(client int, isWriter bool, n int) {
@@ -193,7 +198,7 @@ func TestSimConcurrentMixedWorkloadAtomic(t *testing.T) {
 }
 
 func TestSimRunUntil(t *testing.T) {
-	sim := MustNew(cfg521(), mwabd.New(), WithDelay(ConstDelay(10)))
+	sim := model.MustNew(cfg521(), mwabd.New(), model.WithDelay(model.ConstDelay(10)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("a"), nil)
 	sim.RunUntil(15) // mid-flight: only round 1 delivered
 	if len(sim.History().Completed()) != 0 {
@@ -209,7 +214,7 @@ func TestSimRunUntil(t *testing.T) {
 }
 
 func TestSimServerValuesInspection(t *testing.T) {
-	sim := MustNew(cfg521(), mwabd.New())
+	sim := model.MustNew(cfg521(), mwabd.New())
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("z"), nil)
 	sim.Run()
 	vals := sim.ServerValues()
@@ -224,7 +229,7 @@ func TestSimServerValuesInspection(t *testing.T) {
 }
 
 func TestSimRejectsBadConfig(t *testing.T) {
-	if _, err := New(quorum.Config{S: 0}, mwabd.New()); err == nil {
+	if _, err := model.New(quorum.Config{S: 0}, mwabd.New()); err == nil {
 		t.Fatal("bad config accepted")
 	}
 	defer func() {
@@ -232,11 +237,11 @@ func TestSimRejectsBadConfig(t *testing.T) {
 			t.Error("MustNew must panic on bad config")
 		}
 	}()
-	MustNew(quorum.Config{S: 0}, mwabd.New())
+	model.MustNew(quorum.Config{S: 0}, mwabd.New())
 }
 
 func TestCrashServerValidation(t *testing.T) {
-	sim := MustNew(cfg521(), mwabd.New())
+	sim := model.MustNew(cfg521(), mwabd.New())
 	defer func() {
 		if recover() == nil {
 			t.Error("CrashServer must reject non-servers")
@@ -251,5 +256,5 @@ func TestUniformDelayValidation(t *testing.T) {
 			t.Error("UniformDelay must reject hi < lo")
 		}
 	}()
-	UniformDelay(10, 5)
+	model.UniformDelay(10, 5)
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"fastreg/internal/history"
-	"fastreg/internal/netsim"
+	"fastreg/internal/model"
 	"fastreg/internal/opkit"
 	"fastreg/internal/proto"
 	"fastreg/internal/quorum"
@@ -48,7 +48,7 @@ func algorithm2(id types.ProcID, _ int) register.ServerLogic { return opkit.NewV
 // while up to t replicas fail, each either by a crash or by permanently
 // skipping some clients. The seed fixes the schedule; the protocol only
 // decides what the ops return.
-func execution(p register.Protocol, cfg quorum.Config, seed int64, ops int) (history.History, *netsim.Sim) {
+func execution(p register.Protocol, cfg quorum.Config, seed int64, ops int) (history.History, *model.Sim) {
 	rng := rand.New(rand.NewSource(seed))
 	delay := slowTail
 	var crashes []types.ProcID
@@ -64,11 +64,11 @@ func execution(p register.Protocol, cfg quorum.Config, seed int64, ops int) (his
 				if c > cfg.W {
 					client = types.Reader(c - cfg.W)
 				}
-				delay = netsim.Skip(delay, client, srv)
+				delay = model.Skip(delay, client, srv)
 			}
 		}
 	}
-	sim := netsim.MustNew(cfg, p, netsim.WithDelay(delay), netsim.WithSeed(seed))
+	sim := model.MustNew(cfg, p, model.WithDelay(delay), model.WithSeed(seed))
 	for _, srv := range crashes {
 		sim.CrashServer(srv, vclock.Time(rng.Int63n(int64(ops)*60)))
 	}
@@ -117,7 +117,7 @@ func firstDifference(a, b history.History) string {
 }
 
 // entries counts the values every replica of a finished run still holds.
-func entries(sim *netsim.Sim) int {
+func entries(sim *model.Sim) int {
 	n := 0
 	for i := 1; i <= sim.Config().S; i++ {
 		n += len(sim.Server(i).(*opkit.VectorServer).VectorSnapshot())

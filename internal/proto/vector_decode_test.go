@@ -113,7 +113,9 @@ func TestDecodeRejectsCountsBeyondTheFrame(t *testing.T) {
 		if err == nil || used != 0 {
 			t.Errorf("%s: accepted (%d bytes used)", c.name, used)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		// Under the race detector the codec's pool drops buffers at random,
+		// and refilling it is what the byte count would see.
+		if got := after.TotalAlloc - before.TotalAlloc; !raceEnabled && got > 4096 {
 			t.Errorf("%s: a %d-byte frame made Decode allocate %d bytes", c.name, len(c.frame), got)
 		}
 	}

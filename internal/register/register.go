@@ -10,10 +10,9 @@
 // state, and reply.
 //
 // Because both halves are deterministic reactions, the same protocol code
-// runs unchanged under the discrete-event simulator (internal/netsim), the
-// goroutine-per-node live network (internal/netsim live mode), and the
-// chain-argument interpreter (internal/chains) that rebuilds the proof's
-// executions.
+// runs unchanged in the paper's model (internal/model: its timed scheduler
+// and the scripted one that rebuilds the proof's executions) and in the
+// live round engine and replica loop (internal/transport).
 package register
 
 import (

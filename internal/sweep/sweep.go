@@ -23,7 +23,7 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/chains"
-	"fastreg/internal/netsim"
+	"fastreg/internal/model"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
@@ -93,17 +93,17 @@ func RunCell(s, t, r, trials int) Cell {
 // runRandomTrial executes one adversarial randomized schedule and reports
 // whether the history was atomic.
 func runRandomTrial(cfg quorum.Config, seed int64) bool {
-	delay := netsim.DelayFn(netsim.UniformDelay(1, 200))
+	delay := model.DelayFn(model.UniformDelay(1, 200))
 	// Each reader permanently misses one server (rotating by seed); the
 	// writers miss another. Never more than t skips per client.
 	if cfg.T >= 1 {
 		for i := 1; i <= cfg.R; i++ {
 			srv := int((seed+int64(i)))%cfg.S + 1
-			delay = netsim.Skip(delay, types.Reader(i), types.Server(srv))
+			delay = model.Skip(delay, types.Reader(i), types.Server(srv))
 		}
-		delay = netsim.Skip(delay, types.Writer(1), types.Server(int(seed)%cfg.S+1))
+		delay = model.Skip(delay, types.Writer(1), types.Server(int(seed)%cfg.S+1))
 	}
-	sim := netsim.MustNew(cfg, w2r1.New(), netsim.WithSeed(seed), netsim.WithDelay(delay))
+	sim := model.MustNew(cfg, w2r1.New(), model.WithSeed(seed), model.WithDelay(delay))
 	// Crash up to t servers mid-run.
 	for i := 0; i < cfg.T; i++ {
 		sim.CrashServer(types.Server((int(seed)+i*2)%cfg.S+1), vclock.Time(400+100*i))
@@ -184,13 +184,6 @@ func Boundary(configs [][2]int, trials int) []Cell {
 		}
 	}
 	return cells
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Render formats the cells as the Fig 9 table.

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"fastreg/internal/atomicity"
-	"fastreg/internal/netsim"
+	"fastreg/internal/model"
 	"fastreg/internal/quorum"
 	"fastreg/internal/types"
 )
@@ -38,7 +38,7 @@ func TestImplementableBound(t *testing.T) {
 func TestBothOperationsOneRound(t *testing.T) {
 	const d = 50
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 1}
-	sim := netsim.MustNew(cfg, New(), netsim.WithDelay(netsim.ConstDelay(d)))
+	sim := model.MustNew(cfg, New(), model.WithDelay(model.ConstDelay(d)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("x"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), nil)
 	})
@@ -56,9 +56,9 @@ func TestBothOperationsOneRound(t *testing.T) {
 func TestSingleWriterFeasibleAtomic(t *testing.T) {
 	cfg := quorum.Config{S: 6, T: 1, R: 2, W: 1}
 	for seed := int64(1); seed <= 20; seed++ {
-		delay := netsim.DelayFn(netsim.UniformDelay(1, 120))
-		delay = netsim.Skip(delay, types.Reader(1), types.Server(int(seed)%6+1))
-		sim := netsim.MustNew(cfg, New(), netsim.WithSeed(seed), netsim.WithDelay(delay))
+		delay := model.DelayFn(model.UniformDelay(1, 120))
+		delay = model.Skip(delay, types.Reader(1), types.Server(int(seed)%6+1))
+		sim := model.MustNew(cfg, New(), model.WithSeed(seed), model.WithDelay(delay))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -88,7 +88,7 @@ func TestSingleWriterFeasibleAtomic(t *testing.T) {
 // sequential cross-writer writes, exactly like naive W1R2 — Table 1 row 4.
 func TestMultiWriterViolation(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	sim := netsim.MustNew(cfg, New(), netsim.WithSeed(1))
+	sim := model.MustNew(cfg, New(), model.WithSeed(1))
 	sim.InvokeAt(0, sim.Writer(2).WriteOp("w2-first"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Writer(1).WriteOp("w1-second"), func(types.Value, error) {
 			sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), nil)

@@ -5,7 +5,7 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/chains"
-	"fastreg/internal/netsim"
+	"fastreg/internal/model"
 	"fastreg/internal/quorum"
 	"fastreg/internal/types"
 )
@@ -40,7 +40,7 @@ func TestImplementableOnlyDegenerate(t *testing.T) {
 // the naive protocol loses a completed write.
 func TestSequentialCrossWriterViolation(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
-	sim := netsim.MustNew(cfg, New(), netsim.WithSeed(1))
+	sim := model.MustNew(cfg, New(), model.WithSeed(1))
 	sim.InvokeAt(0, sim.Writer(2).WriteOp("from-w2"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Writer(1).WriteOp("from-w1"), func(types.Value, error) {
 			sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), nil)
@@ -80,7 +80,7 @@ func TestChainEngineDefeatsNaive(t *testing.T) {
 func TestSingleWriterDegenerateIsAtomic(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 1}
 	for seed := int64(1); seed <= 10; seed++ {
-		sim := netsim.MustNew(cfg, New(), netsim.WithSeed(seed), netsim.WithDelay(netsim.UniformDelay(1, 80)))
+		sim := model.MustNew(cfg, New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 80)))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -105,7 +105,7 @@ func TestSingleWriterDegenerateIsAtomic(t *testing.T) {
 func TestWriteIsOneRoundLatency(t *testing.T) {
 	const d = 50
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
-	sim := netsim.MustNew(cfg, New(), netsim.WithDelay(netsim.ConstDelay(d)))
+	sim := model.MustNew(cfg, New(), model.WithDelay(model.ConstDelay(d)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("x"), nil)
 	sim.Run()
 	ops := sim.History().Completed()

@@ -5,7 +5,7 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/history"
-	"fastreg/internal/netsim"
+	"fastreg/internal/model"
 	"fastreg/internal/quorum"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
@@ -87,7 +87,7 @@ func mwaScan(t *testing.T, h history.History) {
 }
 
 func TestSequentialSemantics(t *testing.T) {
-	sim := netsim.MustNew(feasible(), New(), netsim.WithSeed(2))
+	sim := model.MustNew(feasible(), New(), model.WithSeed(2))
 	var reads []types.Value
 	step3 := func(types.Value, error) {}
 	step2 := func(types.Value, error) {
@@ -127,7 +127,7 @@ func TestFastReadIsOneRound(t *testing.T) {
 	// With constant delay d, the fast read must take exactly 2d (one round
 	// trip) — half of the W2R2 read. This is the Fig 2 latency claim.
 	const d = 100
-	sim := netsim.MustNew(feasible(), New(), netsim.WithDelay(netsim.ConstDelay(d)))
+	sim := model.MustNew(feasible(), New(), model.WithDelay(model.ConstDelay(d)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("x"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), nil)
 	})
@@ -145,7 +145,7 @@ func TestFastReadIsOneRound(t *testing.T) {
 
 func TestRandomizedSchedulesStayAtomicWhenFeasible(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		sim := netsim.MustNew(feasible(), New(), netsim.WithSeed(seed), netsim.WithDelay(netsim.UniformDelay(1, 150)))
+		sim := model.MustNew(feasible(), New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 150)))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -175,7 +175,7 @@ func TestRandomizedSchedulesStayAtomicWhenFeasible(t *testing.T) {
 
 func TestCrashToleranceWithinT(t *testing.T) {
 	c := cfg(9, 2, 2, 2) // 2 < 9/2-2 = 2.5 ✓ feasible
-	sim := netsim.MustNew(c, New(), netsim.WithSeed(3))
+	sim := model.MustNew(c, New(), model.WithSeed(3))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("durable"), nil)
 	sim.RunUntil(200)
 	sim.CrashServer(types.Server(1), sim.Now())
@@ -198,11 +198,11 @@ func TestCrashToleranceWithinT(t *testing.T) {
 func TestSkipPatternsStayAtomicWhenFeasible(t *testing.T) {
 	c := feasible()
 	for seed := int64(1); seed <= 10; seed++ {
-		delay := netsim.UniformDelay(1, 100)
-		delay = netsim.Skip(delay, types.Reader(1), types.Server(1))
-		delay = netsim.Skip(delay, types.Reader(2), types.Server(2))
-		delay = netsim.Skip(delay, types.Writer(1), types.Server(3))
-		sim := netsim.MustNew(c, New(), netsim.WithSeed(seed), netsim.WithDelay(delay))
+		delay := model.UniformDelay(1, 100)
+		delay = model.Skip(delay, types.Reader(1), types.Server(1))
+		delay = model.Skip(delay, types.Reader(2), types.Server(2))
+		delay = model.Skip(delay, types.Writer(1), types.Server(3))
+		sim := model.MustNew(c, New(), model.WithSeed(seed), model.WithDelay(delay))
 		var spawn func(c int, write bool, n int)
 		spawn = func(cl int, write bool, n int) {
 			if n == 0 {

@@ -11,7 +11,7 @@ import (
 	"sort"
 
 	"fastreg/internal/history"
-	"fastreg/internal/netsim"
+	"fastreg/internal/model"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
 )
@@ -45,7 +45,7 @@ func (m Mix) stagger() vclock.Duration {
 // Run drives the mix on the simulator to completion and returns the
 // resulting history. Operations that cannot complete (quorum loss) stay
 // pending in the history.
-func Run(sim *netsim.Sim, mix Mix) history.History {
+func Run(sim *model.Sim, mix Mix) history.History {
 	cfg := sim.Config()
 	start := sim.Now()
 	session := 0

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"fastreg/internal/atomicity"
+	"fastreg/internal/model"
 	"fastreg/internal/mwabd"
-	"fastreg/internal/netsim"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
@@ -14,7 +14,7 @@ import (
 
 func TestRunCompletesAllOps(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	sim := netsim.MustNew(cfg, mwabd.New(), netsim.WithSeed(3), netsim.WithDelay(netsim.UniformDelay(1, 60)))
+	sim := model.MustNew(cfg, mwabd.New(), model.WithSeed(3), model.WithDelay(model.UniformDelay(1, 60)))
 	h := Run(sim, Mix{WritesPerWriter: 5, ReadsPerReader: 5})
 	want := cfg.W*5 + cfg.R*5
 	if got := len(h.Completed()); got != want {
@@ -31,7 +31,7 @@ func TestRunCompletesAllOps(t *testing.T) {
 func TestMeasureSeparatesKinds(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
 	const d = 100
-	sim := netsim.MustNew(cfg, w2r1.New(), netsim.WithDelay(netsim.ConstDelay(d)))
+	sim := model.MustNew(cfg, w2r1.New(), model.WithDelay(model.ConstDelay(d)))
 	h := Run(sim, Mix{WritesPerWriter: 3, ReadsPerReader: 3})
 	stats := Measure(h)
 	w, ok := stats[types.OpWrite]
@@ -60,7 +60,7 @@ func TestMeasureSeparatesKinds(t *testing.T) {
 
 func TestMeasureEmptyHistory(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
-	sim := netsim.MustNew(cfg, mwabd.New())
+	sim := model.MustNew(cfg, mwabd.New())
 	stats := Measure(sim.History())
 	if len(stats) != 0 {
 		t.Fatalf("stats of empty history: %v", stats)
@@ -84,7 +84,7 @@ func TestMixDefaults(t *testing.T) {
 func TestThroughputFastReadsWin(t *testing.T) {
 	run := func(p register.Protocol) float64 {
 		cfg := quorum.Config{S: 5, T: 1, R: 2, W: 1}
-		sim := netsim.MustNew(cfg, p, netsim.WithDelay(netsim.ConstDelay(50)))
+		sim := model.MustNew(cfg, p, model.WithDelay(model.ConstDelay(50)))
 		h := Run(sim, Mix{WritesPerWriter: 2, ReadsPerReader: 10})
 		return Throughput(h)
 	}
@@ -97,7 +97,7 @@ func TestThroughputFastReadsWin(t *testing.T) {
 
 func TestThroughputEmpty(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	sim := netsim.MustNew(cfg, mwabd.New())
+	sim := model.MustNew(cfg, mwabd.New())
 	if got := Throughput(sim.History()); got != 0 {
 		t.Fatalf("throughput of empty history = %f", got)
 	}

@@ -6,7 +6,7 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/consistency"
-	"fastreg/internal/netsim"
+	"fastreg/internal/model"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
 	"fastreg/internal/workload"
@@ -26,7 +26,7 @@ type SimOptions struct {
 	ReaderSkips map[int]int
 }
 
-func (o SimOptions) delay() netsim.DelayFn {
+func (o SimOptions) delay() model.DelayFn {
 	lo, hi := o.MinDelay, o.MaxDelay
 	if lo <= 0 {
 		lo = 10
@@ -34,14 +34,14 @@ func (o SimOptions) delay() netsim.DelayFn {
 	if hi < lo {
 		hi = lo
 	}
-	var d netsim.DelayFn
+	var d model.DelayFn
 	if lo == hi {
-		d = netsim.ConstDelay(vclock.Duration(lo))
+		d = model.ConstDelay(vclock.Duration(lo))
 	} else {
-		d = netsim.UniformDelay(vclock.Duration(lo), vclock.Duration(hi))
+		d = model.UniformDelay(vclock.Duration(lo), vclock.Duration(hi))
 	}
 	for reader, server := range o.ReaderSkips {
-		d = netsim.Skip(d, types.Reader(reader), types.Server(server))
+		d = model.Skip(d, types.Reader(reader), types.Server(server))
 	}
 	return d
 }
@@ -97,7 +97,7 @@ type WorkloadResult struct {
 // experiments. Unlike a Store, time is virtual: latency numbers are exact
 // functions of round-trip counts and configured delays.
 type Simulation struct {
-	sim *netsim.Sim
+	sim *model.Sim
 }
 
 // NewSimulation builds the simulated cluster.
@@ -110,7 +110,7 @@ func NewSimulation(cfg Config, p Protocol, opts SimOptions) (*Simulation, error)
 	if seed == 0 {
 		seed = 1
 	}
-	sim, err := netsim.New(cfg.internal(), impl, netsim.WithSeed(seed), netsim.WithDelay(opts.delay()))
+	sim, err := model.New(cfg.internal(), impl, model.WithSeed(seed), model.WithDelay(opts.delay()))
 	if err != nil {
 		return nil, err
 	}
