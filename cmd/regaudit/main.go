@@ -22,6 +22,14 @@
 //	                                    any violation, 1 on error or too
 //	                                    few epochs (-min-epochs)
 //
+// -untrusted names the replicas a test planted as liars (s5, or s4,s5).
+// Their logs still convict them — the served-value cross-check — but
+// never serve as evidence for client-visible atomicity, and a run whose
+// convictions stay within the declared set and the shape's t passes:
+// check and follow print one "sN convicted: …" line per convicted
+// replica and exit 2 only when atomicity fails, an undeclared replica is
+// convicted, or more than t are.
+//
 // check prints a per-key summary table (operations, clock domains,
 // pending/failed write counts) before the verdict lines. The flags are
 // the shared diagnostics surface (-debug-addr, -cpuprofile, …), so an
@@ -64,6 +72,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -86,6 +95,8 @@ func main() {
 	// keeps pprof reachable during a large merge.
 	fs := flag.NewFlagSet("regaudit "+cmd, flag.ExitOnError)
 	diag := cliflags.RegisterDiag(fs)
+	var untrusted replicaList
+	fs.Var(&untrusted, "untrusted", "comma-separated replicas the test declares untrusted (e.g. s5): convicted, never evidence")
 	var minEpochs int
 	var idleExit, pollEvery time.Duration
 	if cmd == "follow" {
@@ -112,7 +123,7 @@ func main() {
 	defer stopDebug()
 
 	if cmd == "follow" {
-		code := follow(reg, fs.Args(), minEpochs, idleExit, pollEvery)
+		code := follow(reg, fs.Args(), untrusted, minEpochs, idleExit, pollEvery)
 		stopDebug()
 		stopProfiles()
 		os.Exit(code)
@@ -122,7 +133,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	m, err := audit.MergeFiles(paths...)
+	m, err := audit.MergeFilesUntrusted(untrusted, paths...)
 	if err != nil {
 		fatal(err)
 	}
@@ -148,10 +159,12 @@ func main() {
 // and prints one verdict line per closed audit epoch, live. Once the
 // logs stop growing for -idle-exit it drains the trailing epochs and
 // exits: 0 when every epoch was clean and at least -min-epochs
-// finalized, 2 on any violation or stale serve, 1 otherwise.
-func follow(reg *obs.Registry, args []string, minEpochs int, idleExit, pollEvery time.Duration) int {
+// finalized, 2 on any violation or conviction past the declared
+// untrusted set or t, 1 otherwise.
+func follow(reg *obs.Registry, args []string, untrusted []int, minEpochs int, idleExit, pollEvery time.Duration) int {
 	f := audit.NewFollower(audit.FollowOptions{
-		Obs: reg,
+		Obs:       reg,
+		Untrusted: untrusted,
 		OnVerdict: func(v audit.EpochVerdict) {
 			fmt.Println(v)
 			for _, kv := range v.Violations {
@@ -160,8 +173,10 @@ func follow(reg *obs.Registry, args []string, minEpochs int, idleExit, pollEvery
 					fmt.Printf("    note: %s\n", n)
 				}
 			}
-			for _, s := range v.Stale {
-				fmt.Printf("  replica-stale: %s\n", s)
+			if !v.Clean {
+				for _, s := range v.Stale {
+					fmt.Printf("  replica-stale: %s\n", s)
+				}
 			}
 		},
 	})
@@ -206,14 +221,17 @@ func follow(reg *obs.Registry, args []string, minEpochs int, idleExit, pollEvery
 	f.Poll()
 	f.Drain()
 	flushWarnings()
-	for _, s := range f.PendingStale() {
-		fmt.Printf("replica-stale: %s\n", s)
+	if f.Violated() {
+		for _, s := range f.PendingStale() {
+			fmt.Printf("replica-stale: %s\n", s)
+		}
 	}
+	fmt.Print(f.Conduct())
 	total := f.CleanEpochs + f.ViolatedEpochs
 	fmt.Printf("follow: %d epoch(s) finalized (%d clean, %d violated), %d completed ops\n",
 		total, f.CleanEpochs, f.ViolatedEpochs, f.TotalOps)
 	switch {
-	case f.ViolatedEpochs > 0 || len(f.PendingStale()) > 0:
+	case f.Violated():
 		return 2
 	case total < minEpochs:
 		fmt.Fprintf(os.Stderr, "regaudit: only %d epoch(s) finalized, -min-epochs wants %d\n", total, minEpochs)
@@ -322,6 +340,23 @@ func printMerge(m *audit.Merge) {
 	}
 }
 
+// replicaList is the -untrusted flag: replicas named s5 or 5, comma
+// separated.
+type replicaList []int
+
+func (l *replicaList) String() string { return fmt.Sprint([]int(*l)) }
+
+func (l *replicaList) Set(v string) error {
+	for _, name := range strings.Split(v, ",") {
+		i, err := strconv.Atoi(strings.TrimPrefix(strings.TrimSpace(name), "s"))
+		if err != nil || i < 1 {
+			return fmt.Errorf("replica %q: want s1, s2, …", name)
+		}
+		*l = append(*l, i)
+	}
+	return nil
+}
+
 func usage() {
 	fmt.Fprint(os.Stderr, strings.TrimLeft(`
 usage:
@@ -331,8 +366,9 @@ usage:
   regaudit follow [flags] DIR|LOG...  tail a live capture dir, one verdict
                                       per audit epoch (exit 0 clean,
                                       2 violated, 1 error/-min-epochs)
-flags (the shared diagnostics surface): -debug-addr, -slow-op,
-  -cpuprofile, -memprofile
+flags: -untrusted sN[,sM…] (replicas the test planted as liars), and the
+  shared diagnostics surface: -debug-addr, -slow-op, -cpuprofile,
+  -memprofile
 follow flags: -min-epochs N, -idle-exit D, -interval D
 `, "\n"))
 	os.Exit(1)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	"fastreg/internal/audit"
 	"fastreg/internal/byzantine"
@@ -24,8 +25,8 @@ type fleet struct {
 
 // startFleet binds every replica on a loopback port behind plan's
 // listener wrapper. Replica i is named "s<i>" in the fault schedule; the
-// last spec.Fleet.Byzantine replicas get their server logic wrapped in
-// the lying server. Capture headers carry the CLEAN protocol name — a
+// replicas in spec.liars() get their server logic wrapped in the lying
+// server. Capture headers carry the CLEAN protocol name — a
 // liar does not announce itself, and the merge needs one protocol across
 // logs.
 func startFleet(spec *Spec, cfg quorum.Config, plan *faultnet.Plan, captureDir string) (*fleet, error) {
@@ -34,9 +35,10 @@ func startFleet(spec *Spec, cfg quorum.Config, plan *faultnet.Plan, captureDir s
 		return nil, err
 	}
 	f := &fleet{}
+	liars := spec.liars()
 	for i := 1; i <= cfg.S; i++ {
 		impl := base
-		if i > cfg.S-spec.Fleet.Byzantine {
+		if slices.Contains(liars, i) {
 			impl = byzantine.Liars(base, i)
 		}
 		cap, err := audit.NewFileWriter(

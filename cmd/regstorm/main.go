@@ -34,10 +34,13 @@
 // Byzantine scenarios put internal/byzantine on the wire: the spec's
 // byzantine count wraps that many replicas in the lying server, and
 // vouched_reads arms the client-side filter (fastreg.WithVouchedReads).
-// Within the filter's budget (liars <= vouched_reads <= t) the verdict
-// stays CLEAN; past it the forged value reaches a reader and the merged
+// The verdict is told which replicas lie (regaudit -untrusted): their
+// logs convict them of stale serves, one "sN convicted" line each, but
+// are no evidence for client-visible atomicity. Within the filter's
+// budget (liars <= vouched_reads <= t) no reader sees a forged value and
+// the run exits 0; past it the forged value reaches a reader, the merged
 // history indicts the run — the checker's read-from-nowhere violation —
-// with exit 2.
+// and more liars are convicted than t, with exit 2.
 package main
 
 import (
@@ -200,7 +203,7 @@ func run() int {
 	}
 	fmt.Printf("regstorm: workload %s\n", rep)
 
-	code, err := verdict(dir)
+	code, err := verdict(dir, spec.liars())
 	if err != nil {
 		return fail(err)
 	}
@@ -266,8 +269,9 @@ func splitDir(d string) [2]string {
 }
 
 // verdict merges every trace log the run left and replays the checker —
-// regaudit check's machinery and exit convention, in process.
-func verdict(dir string) (int, error) {
+// regaudit check's machinery and exit convention, in process, with the
+// spec's liars declared untrusted.
+func verdict(dir string, liars []int) (int, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*"+audit.TraceExt))
 	if err != nil {
 		return 1, err
@@ -276,7 +280,7 @@ func verdict(dir string) (int, error) {
 	if len(paths) == 0 {
 		return 1, fmt.Errorf("no trace logs in %s", dir)
 	}
-	m, err := audit.MergeFiles(paths...)
+	m, err := audit.MergeFilesUntrusted(liars, paths...)
 	if err != nil {
 		return 1, err
 	}

@@ -258,6 +258,17 @@ func (s *Spec) QuorumConfig() (quorum.Config, error) {
 	return cfg, nil
 }
 
+// liars lists the replicas that run the lying server: the last
+// Fleet.Byzantine of s1..sS. startFleet wraps exactly these, and the
+// verdict declares exactly these untrusted.
+func (s *Spec) liars() []int {
+	var ids []int
+	for i := s.Fleet.Servers - s.Fleet.Byzantine + 1; i <= s.Fleet.Servers; i++ {
+		ids = append(ids, i)
+	}
+	return ids
+}
+
 // Rules lowers the schedule to faultnet rules.
 func (s *Spec) Rules() []faultnet.Rule {
 	out := make([]faultnet.Rule, 0, len(s.Faults))

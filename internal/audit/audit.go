@@ -46,6 +46,19 @@
 // tracks exactly this — with all S replica logs intact, every value any
 // replica ever served has a visible origin, and verdicts are binding.
 //
+// # Two halves of a verdict: client-visible atomicity and replica conduct
+//
+// The served-value cross-check (crosscheck.go) convicts a replica from
+// its own log when it serves a tag older than one it committed to. A
+// run's verdict keeps that apart from what clients saw: Report.Atomic is
+// decided on client records plus the evidence of every replica not
+// declared untrusted, and Report.Conduct lists the convicted replicas.
+// A test that plants liars declares them (regaudit -untrusted,
+// regstorm's spec); the run fails when atomicity fails, when a replica
+// nobody declared is convicted, or when more than t replicas are. The
+// declared set is checker input, never read from a log: a liar writes
+// its own header.
+//
 // # The pieces: one ingest, two drivers
 //
 //   - Writer appends proto.TraceRecord frames to a per-process .trlog

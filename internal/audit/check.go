@@ -40,12 +40,20 @@ type Report struct {
 	Verdicts []KeyVerdict
 
 	// Stale carries the served-value cross-check findings (replica
-	// replies older than the replica's own committed state); any finding
-	// makes the report non-clean, and is always binding — the replica's
-	// own log convicts it.
-	Stale []StaleServe
+	// replies older than the replica's own committed state), always
+	// binding — the replica's own log convicts it. Conduct groups them by
+	// replica.
+	Stale   []StaleServe
+	Conduct Conduct
 
-	// Clean is true when every key checked atomic.
+	// Atomic is the client-visible half of the verdict: every key checked
+	// atomic, on client records and the evidence of replicas not declared
+	// untrusted. It reports what the logs show; it is no proof that a
+	// store with a declared liar stays atomic.
+	Atomic bool
+
+	// Clean is true when the run passes: Atomic, and Conduct convicts
+	// only declared-untrusted replicas, at most t of them.
 	Clean bool
 
 	// Binding is true when every violated key's verdict is binding.
@@ -70,16 +78,17 @@ func (r *Report) Violated() []KeyVerdict {
 // under the clock-domain model and reports per-key verdicts: the
 // follower's checker over one window with no frontier.
 func (m *Merge) Check() *Report {
-	rep := &Report{Clean: len(m.Stale) == 0, Binding: true, Stale: m.Stale}
+	rep := &Report{Atomic: true, Binding: true, Stale: m.Stale, Conduct: m.in.Conduct()}
 	_, caveat := m.in.coverage()
 	rep.Verdicts = m.in.wc.check([]*bucket{m.in.buckets[0]}, true, caveat)
 	for _, v := range rep.Verdicts {
 		rep.Operations += v.Completed
 		if !v.Result.Atomic {
-			rep.Clean = false
+			rep.Atomic = false
 			rep.Binding = rep.Binding && v.Binding
 		}
 	}
+	rep.Clean = rep.Atomic && m.in.conductClean(m.Stale)
 	return rep
 }
 
@@ -101,13 +110,16 @@ func (r *Report) Summary() string {
 			fmt.Fprintf(&b, "  note: %s\n", n)
 		}
 	}
-	for _, s := range r.Stale {
-		fmt.Fprintf(&b, "replica-stale: %s\n", s)
+	if !r.Clean { // a passing run's findings are all by declared liars: counted below
+		for _, s := range r.Stale {
+			fmt.Fprintf(&b, "replica-stale: %s\n", s)
+		}
 	}
+	b.WriteString(r.Conduct.String())
 	switch {
 	case r.Clean:
 		fmt.Fprintf(&b, "verdict: CLEAN — %d keys atomic over %d operations\n", len(r.Verdicts), r.Operations)
-	case len(r.Violated()) == 0:
+	case r.Atomic:
 		// Every key linearizes, but a replica served stale state: the
 		// cross-check convicts the replica even when clients never
 		// observed the lie end to end.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 
 	"fastreg/internal/proto"
 	"fastreg/internal/types"
@@ -28,6 +29,45 @@ type StaleServe struct {
 func (s StaleServe) String() string {
 	return fmt.Sprintf("replica s%d served %s for key %q at seq %d after committing to %s",
 		s.Replica, s.Served, s.Key, s.Seq, s.Known)
+}
+
+// Conviction is the replica-conduct verdict on one replica: its own log
+// shows it serving Serves stale values. Declared reports whether the
+// checker was told the replica is untrusted.
+type Conviction struct {
+	Replica  int
+	Serves   int
+	Declared bool
+}
+
+// Conduct is the replica-conduct half of a verdict, kept apart from
+// client-visible atomicity: the replicas the served-value cross-check
+// convicts, judged against the budget of t faulty replicas the
+// deployment tolerates. It leaves a run clean only when every convicted
+// replica was declared untrusted and at most Budget of them are
+// convicted.
+type Conduct struct {
+	Convicted []Conviction // in replica order
+	Budget    int
+}
+
+// String renders one line per convicted replica, e.g.
+// "s5 convicted: 126 stale serves (declared, within budget 1)".
+func (c Conduct) String() string {
+	var b strings.Builder
+	for _, cv := range c.Convicted {
+		fmt.Fprintf(&b, "s%d convicted: %d stale serves (", cv.Replica, cv.Serves)
+		switch {
+		case !cv.Declared:
+			b.WriteString("NOT declared untrusted")
+		case len(c.Convicted) > c.Budget:
+			fmt.Fprintf(&b, "declared, over budget %d: %d replicas convicted", c.Budget, len(c.Convicted))
+		default:
+			fmt.Fprintf(&b, "declared, within budget %d", c.Budget)
+		}
+		b.WriteString(")\n")
+	}
+	return b.String()
 }
 
 // serveMonitor replays one replica's handle records through the

@@ -183,7 +183,7 @@ func (f *Follower) seal() {
 			f.truncate(l)
 		}
 		if l.mon != nil {
-			f.staleBuf = append(f.staleBuf, l.mon.ForceAdvance()...)
+			f.flagStale(l.mon.ForceAdvance())
 		}
 	}
 }
@@ -254,10 +254,13 @@ func (f *Follower) consume(l *tailLog, rec proto.TraceRecord) {
 		// The cross-check consumes every ordered handle record, even
 		// epoch stragglers — replica monotonicity has no epochs.
 		if rec.Seq > 0 {
-			f.staleBuf = append(f.staleBuf, l.mon.Feed(rec)...)
+			f.flagStale(l.mon.Feed(rec))
 		}
-		// Read write-backs relay values; only writer updates originate them.
-		if rec.Payload != proto.KindUpdate || rec.Client.Role != types.RoleWriter || rec.Val.IsInitial() {
+		// Read write-backs relay values; only writer updates originate
+		// them. A declared-untrusted replica's log is evidence against
+		// the replica only: synthesis takes no write, and so no forged
+		// tag, from it.
+		if rec.Payload != proto.KindUpdate || rec.Client.Role != types.RoleWriter || rec.Val.IsInitial() || f.untrusted[l.mon.replica] {
 			return
 		}
 		b := f.admit(l, rec.Epoch)
@@ -341,7 +344,8 @@ func (b *bucket) add(key string, op history.Op, dom int) {
 //     longer full — reused identities can also collide on tags, which
 //     nothing downstream can repair.
 //   - Synthesis: each write the replicas saw but no client logged joins
-//     as an optional pending write in a fresh domain — the checker may
+//     as an optional pending write in a fresh domain (consume never takes
+//     a declared-untrusted replica's records as evidence) — the checker may
 //     linearize it where reads demand, or drop it, which is all a crashed
 //     client's write can claim.
 func (f *Follower) synthesize(b *bucket) {

@@ -105,11 +105,16 @@ type Merge struct {
 //
 // It is the follower's ingest drained over closed files: every record
 // lands in one bucket whatever its epoch tag, untagged ones included.
-func MergeFiles(paths ...string) (*Merge, error) {
+// Every replica is trusted; see MergeFilesUntrusted.
+func MergeFiles(paths ...string) (*Merge, error) { return MergeFilesUntrusted(nil, paths...) }
+
+// MergeFilesUntrusted is MergeFiles with the replicas (1-based) the test
+// declares untrusted, as FollowOptions.Untrusted describes.
+func MergeFilesUntrusted(untrusted []int, paths ...string) (*Merge, error) {
 	if len(paths) == 0 {
 		return nil, errors.New("audit: no trace logs to merge")
 	}
-	f := NewFollower(FollowOptions{})
+	f := NewFollower(FollowOptions{Untrusted: untrusted})
 	f.whole = true
 	defer f.Close()
 	for _, p := range paths {

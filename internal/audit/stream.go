@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 
@@ -92,6 +93,13 @@ type FollowOptions struct {
 	// OnVerdict fires once per finalized epoch, in epoch order, from
 	// the Poll/Drain goroutine.
 	OnVerdict func(EpochVerdict)
+	// Untrusted names the replicas (1-based) the test declares untrusted,
+	// e.g. the liars a storm scenario plants. Their logs feed only the
+	// replica-conduct half of the verdict: the served-value cross-check
+	// convicts them, but their records are never evidence for client-
+	// visible atomicity. The set is the caller's knowledge, never read
+	// from a log a liar writes.
+	Untrusted []int
 }
 
 // Follower tails a set of capture logs and emits per-epoch verdicts.
@@ -122,6 +130,9 @@ type Follower struct {
 	staleBuf               []StaleServe
 	stragglers, unepochedN int
 
+	untrusted map[int]bool // FollowOptions.Untrusted
+	convicted map[int]int  // stale serves found so far, per replica
+
 	// Warnings accumulate follow anomalies; callers drain them.
 	Warnings []string
 
@@ -148,6 +159,11 @@ func NewFollower(opts FollowOptions) *Follower {
 		chunk:     make([]byte, 64<<10),
 		synthDom:  synthBase,
 		onVerdict: opts.OnVerdict,
+		untrusted: make(map[int]bool),
+		convicted: make(map[int]int),
+	}
+	for _, r := range opts.Untrusted {
+		f.untrusted[r] = true
 	}
 	f.wc.label = f.label
 	if reg := opts.Obs; reg != nil {
@@ -215,6 +231,43 @@ func (f *Follower) Drain() int {
 // that never closed one.
 func (f *Follower) PendingStale() []StaleServe { return f.staleBuf }
 
+// Violated reports whether the run so far fails its audit: an epoch
+// verdict was violated, or findings not yet attached to a verdict
+// convict a replica not declared untrusted, or more than t replicas.
+func (f *Follower) Violated() bool {
+	return f.ViolatedEpochs > 0 || !f.conductClean(f.staleBuf)
+}
+
+// Conduct returns the replica-conduct half of the run's verdict so far:
+// every replica with a stale serve on record, judged against the
+// declared untrusted set and the shape's t.
+func (f *Follower) Conduct() Conduct {
+	c := Conduct{Budget: f.shape.T}
+	for _, r := range slices.Sorted(maps.Keys(f.convicted)) {
+		c.Convicted = append(c.Convicted, Conviction{Replica: r, Serves: f.convicted[r], Declared: f.untrusted[r]})
+	}
+	return c
+}
+
+// flagStale records cross-check findings: they wait in staleBuf for the
+// next verdict and count toward their replica's conviction.
+func (f *Follower) flagStale(found []StaleServe) {
+	for _, s := range found {
+		f.convicted[s.Replica]++
+	}
+	f.staleBuf = append(f.staleBuf, found...)
+}
+
+// conductClean reports whether stale serves leave a verdict clean: each
+// comes from a replica declared untrusted, and the run has convicted no
+// more than t replicas.
+func (f *Follower) conductClean(stale []StaleServe) bool {
+	if len(stale) == 0 {
+		return true
+	}
+	return len(f.convicted) <= f.shape.T && !slices.ContainsFunc(stale, func(s StaleServe) bool { return !f.untrusted[s.Replica] })
+}
+
 // Close releases the followed file handles.
 func (f *Follower) Close() {
 	for _, l := range f.order {
@@ -281,7 +334,7 @@ func (f *Follower) finalizeEpoch(m uint64) {
 	}
 	f.staleBuf = nil
 	f.stragglers, f.unepochedN = 0, 0
-	v.Clean = len(v.Violations) == 0 && len(v.Stale) == 0
+	v.Clean = len(v.Violations) == 0 && f.conductClean(v.Stale)
 	for _, kv := range v.Violations {
 		v.Binding = v.Binding && kv.Binding
 	}

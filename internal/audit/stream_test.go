@@ -63,23 +63,23 @@ func TestWriterRotationMerge(t *testing.T) {
 	}
 }
 
-// forgeStaleReplicaLog writes a replica log whose own records convict
-// it: an applied update committed tag 5, then a later reply served tag
-// 2 — stale by the replica's own committed state. A non-zero epoch tags
-// both records and stamps its boundary.
-func forgeStaleReplicaLog(t *testing.T, dir string, epoch uint64) string {
+// forgeStaleReplicaLog writes a log for replica s<replica> whose own
+// records convict it: an applied update committed tag 5, then a later
+// reply served tag 2 — stale by the replica's own committed state. A
+// non-zero epoch tags both records and stamps its boundary.
+func forgeStaleReplicaLog(t *testing.T, dir string, replica int, epoch uint64) string {
 	t.Helper()
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	path := filepath.Join(dir, "s1.trlog")
-	w, err := NewFileWriter(path, ServerHeader(1, "W2R2", cfg))
+	path := filepath.Join(dir, fmt.Sprintf("s%d.trlog", replica))
+	w, err := NewFileWriter(path, ServerHeader(replica, "W2R2", cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	v5 := types.Value{Tag: types.Tag{TS: 5, WID: types.Writer(1)}, Data: "new"}
 	v2 := types.Value{Tag: types.Tag{TS: 2, WID: types.Writer(1)}, Data: "old"}
-	up := proto.Envelope{From: types.Writer(1), To: types.Server(1), Key: "k", OpID: 1, Round: 1, Epoch: epoch, Payload: proto.Update{Val: &v5}}
+	up := proto.Envelope{From: types.Writer(1), To: types.Server(replica), Key: "k", OpID: 1, Round: 1, Epoch: epoch, Payload: proto.Update{Val: &v5}}
 	w.Handle(up, proto.UpdateAck{}, 1)
-	rd := proto.Envelope{From: types.Reader(1), To: types.Server(1), Key: "k", OpID: 2, Round: 1, Epoch: epoch, Payload: proto.Query{}}
+	rd := proto.Envelope{From: types.Reader(1), To: types.Server(replica), Key: "k", OpID: 2, Round: 1, Epoch: epoch, Payload: proto.Query{}}
 	w.Handle(rd, proto.QueryAck{Val: &v2}, 2)
 	if epoch > 0 {
 		w.Epoch(epoch)
@@ -94,7 +94,7 @@ func forgeStaleReplicaLog(t *testing.T, dir string, epoch uint64) string {
 // regression as a binding violation even when no client log exists to
 // catch it end to end.
 func TestCrossCheckStaleServe(t *testing.T) {
-	path := forgeStaleReplicaLog(t, t.TempDir(), 0)
+	path := forgeStaleReplicaLog(t, t.TempDir(), 1, 0)
 	m, err := MergeFiles(path)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestCrossCheckStaleServe(t *testing.T) {
 // replica-side finding, via Drain's holdback flush when no epoch ever
 // closes.
 func TestFollowerCrossCheck(t *testing.T) {
-	path := forgeStaleReplicaLog(t, t.TempDir(), 0)
+	path := forgeStaleReplicaLog(t, t.TempDir(), 1, 0)
 	f := NewFollower(FollowOptions{})
 	defer f.Close()
 	if err := f.AddLog(path); err != nil {
@@ -129,6 +129,95 @@ func TestFollowerCrossCheck(t *testing.T) {
 	f.Drain()
 	if got := f.PendingStale(); len(got) != 1 {
 		t.Fatalf("follower found %d stale serves, want 1 (warnings: %v)", len(got), f.Warnings)
+	}
+}
+
+// TestConductVerdict: the served-value cross-check convicts a replica
+// from its own log, and the verdict weighs each conviction against the
+// declared untrusted set and t=1. Offline and follow reach the same
+// verdict, whether the findings close an epoch or stay pending.
+func TestConductVerdict(t *testing.T) {
+	cases := []struct {
+		name      string
+		stale     []int // replicas whose logs convict them
+		untrusted []int
+		clean     bool
+		line      string
+	}{
+		{"declared, within budget", []int{1}, []int{1}, true, "s1 convicted: 1 stale serves (declared, within budget 1)\n"},
+		{"undeclared", []int{1}, nil, false, "s1 convicted: 1 stale serves (NOT declared untrusted)\n"},
+		{"another replica declared", []int{1}, []int{2}, false, "s1 convicted: 1 stale serves (NOT declared untrusted)\n"},
+		{"declared, over budget", []int{1, 2}, []int{1, 2}, false, "s2 convicted: 1 stale serves (declared, over budget 1: 2 replicas convicted)\n"},
+	}
+	for _, tc := range cases {
+		for _, epoch := range []uint64{0, 1} {
+			t.Run(fmt.Sprintf("%s/epoch=%d", tc.name, epoch), func(t *testing.T) {
+				dir := t.TempDir()
+				var paths []string
+				for _, r := range tc.stale {
+					paths = append(paths, forgeStaleReplicaLog(t, dir, r, epoch))
+				}
+				m, err := MergeFilesUntrusted(tc.untrusted, paths...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep := m.Check()
+				if !rep.Atomic || rep.Clean != tc.clean || !strings.Contains(rep.Summary(), tc.line) {
+					t.Fatalf("offline: atomic=%v clean=%v, want true/%v and %q:\n%s", rep.Atomic, rep.Clean, tc.clean, tc.line, rep.Summary())
+				}
+				var vs []EpochVerdict
+				f := NewFollower(FollowOptions{Untrusted: tc.untrusted, OnVerdict: func(v EpochVerdict) { vs = append(vs, v) }})
+				defer f.Close()
+				for _, p := range paths {
+					if err := f.AddLog(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				f.Poll()
+				f.Drain()
+				if f.Violated() == tc.clean || !strings.Contains(f.Conduct().String(), tc.line) {
+					t.Fatalf("follow: violated=%v, want %v and %q: %s", f.Violated(), !tc.clean, tc.line, f.Conduct())
+				}
+				if epoch > 0 && (len(vs) != 1 || vs[0].Clean != tc.clean) {
+					t.Fatalf("follow: epoch verdicts %+v, want one with clean=%v", vs, tc.clean)
+				}
+			})
+		}
+	}
+}
+
+// TestUntrustedLogIsNoEvidence: a write that only a declared-untrusted
+// replica's log shows is not synthesized, so a read of its forged value
+// reads from nowhere; undeclared, the same log explains the read.
+func TestUntrustedLogIsNoEvidence(t *testing.T) {
+	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
+	dir := t.TempDir()
+	forged := types.Value{Tag: types.Tag{TS: 9, WID: types.Writer(1)}, Data: "FORGED"}
+	var paths []string
+	for i := 1; i <= cfg.S; i++ {
+		paths = append(paths, handLog(t, filepath.Join(dir, fmt.Sprintf("s%d.trlog", i)), ServerHeader(i, "W2R2", cfg), func(w *Writer) {
+			if i == 3 {
+				up := proto.Envelope{From: types.Writer(1), To: types.Server(3), Key: "k", OpID: 7, Round: 2, Payload: proto.Update{Val: &forged}}
+				w.Handle(up, proto.UpdateAck{}, 1)
+			}
+		}))
+	}
+	paths = append(paths, handLog(t, filepath.Join(dir, "client.trlog"), ClientHeader("client-1", "W2R2", cfg), func(w *Writer) {
+		w.Op("k", history.Op{Client: types.Reader(1), OpID: 1, Kind: types.OpRead, Invoke: 1, Response: 2, Value: forged})
+	}))
+	for _, untrusted := range [][]int{nil, {3}} {
+		m, err := MergeFilesUntrusted(untrusted, paths...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := m.Check()
+		trusted, synth := untrusted == nil, 0
+		if trusted {
+			synth = 1
+		}
+		if rep.Atomic != trusted || rep.Clean != trusted || m.Synthesized != synth {
+			t.Fatalf("untrusted %v: atomic=%v clean=%v, %d synthesized:\n%s", untrusted, rep.Atomic, rep.Clean, m.Synthesized, rep.Summary())
+		}
 	}
 }
 
@@ -276,7 +365,7 @@ func TestDriversAgree(t *testing.T) {
 		{"partial replica logs", func(t *testing.T) []string { p, _ := runPartial(t); return p }, true, true, true, 12},
 		{"collision", func(t *testing.T) []string { return runCollision(t, false).paths }, true, true, true, 2},
 		{"collision, stale fault", func(t *testing.T) []string { return runCollision(t, true).paths }, true, false, false, 4},
-		{"stale replica log", func(t *testing.T) []string { return []string{forgeStaleReplicaLog(t, t.TempDir(), 1)} }, true, false, true, 0},
+		{"stale replica log", func(t *testing.T) []string { return []string{forgeStaleReplicaLog(t, t.TempDir(), 1, 1)} }, true, false, true, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

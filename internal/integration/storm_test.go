@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -12,8 +13,9 @@ import (
 // detector, so the whole in-process fleet, fault layer and generator run
 // under -race — through the checked-in scenarios: the partition+jitter
 // smoke must come back binding CLEAN with exit 0, the same seed must
-// reproduce the identical fault schedule, and the over-budget byzantine
-// scenario must be caught as a binding VIOLATED with exit 2.
+// reproduce the identical fault schedule, the byzantine scenario within
+// budget must exit 0 with its declared liar convicted, and the
+// over-budget one must be caught as a binding VIOLATED with exit 2.
 func TestStormScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives the regstorm binary; skipped with -short")
@@ -72,6 +74,19 @@ func TestStormScenarios(t *testing.T) {
 		out3, _ := runStorm(t, "-spec", spec("storm-smoke.json"), "-seed", "100", "-capture", t.TempDir())
 		if strings.Join(s1, "\n") == strings.Join(schedule(out3), "\n") {
 			t.Fatal("seeds 99 and 100 produced identical dirseeds")
+		}
+	})
+
+	t.Run("ByzantineWithinBudgetClean", func(t *testing.T) {
+		out, code := runStorm(t, "-spec", spec("byz-clean.json"), "-capture", t.TempDir())
+		if code != 0 {
+			t.Fatalf("exit %d, want 0 (CLEAN):\n%s", code, out)
+		}
+		if !strings.Contains(out, "verdict: CLEAN") || strings.Contains(out, "FORGED") {
+			t.Fatalf("a forged value reached the checked history:\n%s", out)
+		}
+		if !regexp.MustCompile(`(?m)^s5 convicted: [1-9][0-9]* stale serves \(declared, within budget 1\)$`).MatchString(out) {
+			t.Fatalf("no conviction of the declared liar s5:\n%s", out)
 		}
 	})
 

@@ -86,7 +86,9 @@ func (t *Tracer) Threshold() time.Duration {
 
 // OpTrace is one in-flight operation's timeline, pooled across
 // operations. Not safe for concurrent use — an operation is driven by
-// one goroutine, which is the contract everywhere in this repo.
+// one goroutine at a time, handed over under the pending shard's lock
+// (the transport client's round engine), which is the contract
+// everywhere in this repo.
 //
 //lint:nildisabled
 type OpTrace struct {

@@ -60,7 +60,10 @@ type Reply struct {
 // following round or the final result.
 //
 // Implementations must be deterministic functions of the replies they are
-// fed; they must not retain the reply slice.
+// fed; they must not retain the reply slice. Next may run on another
+// goroutine than Begin — the transport client runs it on the goroutine
+// that delivered the round's completing reply — but never concurrently
+// with another call on the same operation.
 type Operation interface {
 	// Client is the invoking process (a reader or writer ProcID).
 	Client() types.ProcID

@@ -49,11 +49,13 @@ const resendInterval = 20 * time.Millisecond
 // by round, so stragglers from an earlier round can never satisfy a later
 // one.
 //
-// A round costs its operation one wake-up: the receive loops append each
-// reply to the round's collector, and only the reply that completes the
-// quorum wakes the waiting operation. One client-wide resender goroutine
-// keeps time for every round in flight; it wakes a round only when the
-// round has waited past resendInterval.
+// An operation costs one wake-up, however many rounds it takes: the
+// receive loops append each reply to the round's collector, and the reply
+// that completes a round's quorum runs the operation's Next right there,
+// then sends the next round or wakes the waiting operation with its
+// result. One client-wide resender goroutine keeps time for every round in
+// flight; it wakes an operation only when its round has waited past
+// resendInterval.
 //
 // Delivery is at-least-once: a round whose send failed is re-attempted
 // until the reply quorum is in, so a server can Handle the same message
@@ -90,8 +92,8 @@ type Client struct {
 	tracer     *obs.Tracer
 
 	// pending is sharded by key (same partition as everything else) so
-	// the S receive loops and the concurrent operations' round turnover
-	// don't serialize on one lock.
+	// the S receive loops, which turn rounds over, and the concurrent
+	// operations don't serialize on one lock.
 	pending []*pendShard
 
 	// scratch pools per-operation round state (the pending-table entry
@@ -105,8 +107,9 @@ type Client struct {
 }
 
 type pendShard struct {
-	mu sync.Mutex
-	m  map[pendKey]*pendingRound // guardedby: mu
+	mu    sync.Mutex
+	m     map[pendKey]*execScratch // guardedby: mu
+	wakes uint64                   // guardedby: mu — tokens sent on the entries' ready channels; read only by tests
 }
 
 // ClientOption configures a Client.
@@ -207,17 +210,21 @@ type pendKey struct {
 }
 
 // pendingRound is one operation's entry in the pending table, installed
-// for the whole operation and re-armed at each round turnover. It
-// collects the replies to round number round: dispatch appends one reply
-// per server, at most need of them, and the reply that completes the
-// quorum sends the round's one token on ready. The resender sends a token
-// too when it marks the round for a resend.
+// for the whole operation. It collects the replies to round number round:
+// dispatch appends one reply per server, at most need of them, and the
+// reply that completes the quorum runs op.Next on them. That either
+// re-arms the entry for the next round and sends it, or stores the
+// outcome and sends the operation's one token on ready. The resender
+// sends a token too when it marks the round for a resend.
 //
 // While the entry is installed, the pending shard's mu guards every field
-// but ready, with one exception: once replies holds need entries, nothing
-// changes it until the operation re-arms the entry, so the operation
-// reads the quorum without the lock.
+// but ready, without exception: whichever goroutine runs op.Next or marks
+// otr holds it, so the operation passes from goroutine to goroutine under
+// that lock.
 type pendingRound struct {
+	op      register.Operation
+	env     proto.Envelope // the current round's request, as trySendsLocked sends it
+	otr     *obs.OpTrace
 	round   uint8
 	need    int
 	replies []register.Reply // capacity S: appends never allocate
@@ -232,14 +239,19 @@ type pendingRound struct {
 	// completion returns Budget−credited, so weight on frames the network
 	// ate still comes home.
 	credited uint64
+	// done marks the operation finished; res or err is its outcome.
+	done bool
+	res  types.Value
+	err  error
 }
 
-// wake sends the round's token unless one is already pending. Callers
-// hold the pending shard's mu, so removing the entry is a barrier after
-// which no token can arrive.
-func (p *pendingRound) wake() {
+// wakeLocked sends p's token unless one is already pending. Callers hold
+// ps.mu, so removing the entry is a barrier after which no token can
+// arrive.
+func (ps *pendShard) wakeLocked(p *pendingRound) {
 	select {
 	case p.ready <- struct{}{}:
+		ps.wakes++
 	default:
 	}
 }
@@ -272,15 +284,15 @@ func (r *Registry) Keys() []string { return r.r.Keys() }
 
 // execScratch is the pooled per-operation state: one pending-table entry
 // (with its reply collector and wake channel) serves every round of an
-// operation and is recycled across operations. Safe reuse rests on two
-// invariants: dispatch and the resender touch an entry only while holding
-// the pending-shard lock, and exec drains ready after removing the entry —
-// so once an operation retires its entry, no stale reply or token can
+// operation and is recycled across operations. While it is installed, the
+// pending shard's mu guards all of it, whoever holds it: exec, dispatch or
+// the resender. Safe reuse rests on two invariants: nothing touches an
+// entry without that lock, and exec drains ready after removing the entry
+// — so once an operation retires its entry, no stale reply or token can
 // reach a later user.
 type execScratch struct {
-	pr      pendingRound // the table entry, reused across rounds and ops
-	replied []bool       // per link: its server's reply to the round is in (what a resend skips)
-	held    uint64       // epoch weight atoms not yet attached to a frame
+	pr   pendingRound // the table entry, reused across rounds and ops
+	held uint64       // epoch weight atoms not yet attached to a frame
 }
 
 // serverLink is the client's link to one replica: one connection with
@@ -333,7 +345,7 @@ func NewClient(cfg quorum.Config, p register.Protocol, addrs []string, dial Dial
 		closed:   make(chan struct{}),
 	}
 	for i := range c.pending {
-		c.pending[i] = &pendShard{m: make(map[pendKey]*pendingRound)}
+		c.pending[i] = &pendShard{m: make(map[pendKey]*execScratch)}
 	}
 	for _, o := range opts {
 		o(c)
@@ -436,14 +448,14 @@ func (c *Client) resender() {
 		tick++
 		for _, ps := range c.pending {
 			ps.mu.Lock()
-			for _, p := range ps.m {
-				switch {
+			for _, sc := range ps.m {
+				switch p := &sc.pr; {
 				case p.due == 0:
 					p.due = tick + 2
 				case tick >= p.due && !p.quorum():
 					p.due = tick + 2
 					p.resend = true
-					p.wake()
+					ps.wakeLocked(p)
 				}
 			}
 			ps.mu.Unlock()
@@ -492,13 +504,10 @@ func (c *Client) getScratch() *execScratch {
 	if v := c.scratch.Get(); v != nil {
 		return v.(*execScratch)
 	}
-	return &execScratch{
-		pr: pendingRound{
-			replies: make([]register.Reply, 0, c.cfg.S),
-			ready:   make(chan struct{}, 1),
-		},
-		replied: make([]bool, c.cfg.S),
-	}
+	return &execScratch{pr: pendingRound{
+		replies: make([]register.Reply, 0, c.cfg.S),
+		ready:   make(chan struct{}, 1),
+	}}
 }
 
 // putScratch returns a scratch set to the pool. The caller must already
@@ -510,14 +519,16 @@ func (c *Client) putScratch(sc *execScratch) {
 	case <-sc.pr.ready:
 	default:
 	}
-	sc.pr.replies = sc.pr.replies[:0]
-	clear(sc.pr.replies[:cap(sc.pr.replies)]) // drop the payloads, and the frame strings and value arenas they point into
+	pr := &sc.pr
+	pr.replies = pr.replies[:0]
+	clear(pr.replies[:cap(pr.replies)]) // drop the payloads, and the frame strings and value arenas they point into
+	pr.op, pr.env, pr.otr, pr.done, pr.res, pr.err = nil, proto.Envelope{}, nil, false, types.Value{}, nil
 	c.scratch.Put(sc)
 }
 
-// exec is the round engine: broadcast the round's payload to every
-// server, wait for Need correlated replies, feed them to the operation,
-// repeat until done. A round whose Need exceeds the links not abandoned
+// exec runs one operation: it installs the operation's entry, sends
+// round 1 and waits once, while dispatch turns the rounds over (see
+// turnoverLocked). A round whose Need exceeds the links not abandoned
 // fails fast with register.ErrProtocol — no quorum can form.
 func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, op register.Operation) (types.Value, error) {
 	defer c.reg.r.Release(st)
@@ -551,67 +562,41 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 	pr := &sc.pr
 	ps := c.pendShardOf(key)
 	round := op.Begin()
-	roundNo := uint8(1)
 	// No table entry points at pr yet, so these writes race with nothing.
-	pr.round, pr.need, pr.resend, pr.due, pr.credited = roundNo, round.Need, false, 0, 0
+	pr.round, pr.need, pr.resend, pr.due, pr.credited = 1, round.Need, false, 0, 0
 	sc.held = tk.Budget
-	var res types.Value
 	opErr := c.unreachable(round.Need)
 	if opErr == nil {
+		// Broadcast round 1; from here on, whoever holds ps.mu drives the
+		// operation. Only a recorded reply proves delivery, so the
+		// resender has silent servers re-sent to; re-sends are safe
+		// because the collector counts one vote per server. The operation
+		// blocks until its last round has Need distinct replies or ctx
+		// expires — the wait-free contract the protocols' model promises.
 		ps.mu.Lock()
-		ps.m[pk] = pr
-		ps.mu.Unlock()
-	}
-loop:
-	for opErr == nil {
-		env := proto.Envelope{
+		pr.op, pr.otr = op, otr
+		pr.env = proto.Envelope{
 			From:    op.Client(),
 			Key:     key,
 			OpID:    opID,
-			Round:   roundNo,
+			Round:   1,
 			Epoch:   tk.Epoch,
 			Payload: round.Payload,
 		}
-		// Broadcast the round, and keep re-sending to every server whose
-		// reply hasn't arrived: over a real network a send can fail
-		// transiently (conn just died, dial in backoff) or succeed into a
-		// queue whose connection dies before flushing; only an abandoned
-		// link means a crashed server. Only a recorded reply proves
-		// delivery; re-sends are safe because the collector counts one
-		// vote per server. The operation blocks until Need distinct
-		// servers reply or ctx expires — the wait-free contract the
-		// protocols' model promises.
-		clear(sc.replied)
-		c.trySends(ctx, sc, &env)
-		otr.Mark("sent", roundNo)
-		if opErr = c.awaitQuorum(ctx, ps, sc, &env); opErr != nil {
-			break
+		ps.m[pk] = sc
+		if ctx.Err() == nil {
+			c.trySendsLocked(sc)
 		}
-		otr.Mark("quorum", roundNo)
-		next, r, done, err := op.Next(pr.replies)
-		switch {
-		case err != nil:
-			opErr = err
-			break loop
-		case done:
-			res = r
-			break loop
-		}
-		round = *next
-		roundNo++
-		if opErr = c.unreachable(round.Need); opErr != nil {
-			break
-		}
-		// Round turnover: re-arm the entry in place. Stragglers of the old
-		// round no longer match its round number.
-		ps.mu.Lock()
-		pr.round, pr.need, pr.resend, pr.due = roundNo, round.Need, false, 0
-		pr.replies = pr.replies[:0]
+		otr.Mark("sent", 1)
 		ps.mu.Unlock()
+		opErr = c.awaitQuorum(ctx, ps, sc)
 	}
 	ps.mu.Lock()
 	delete(ps.m, pk)
-	credited := pr.credited
+	res, roundNo, credited := pr.res, pr.round, pr.credited
+	if opErr == nil {
+		opErr = pr.err
+	}
 	ps.mu.Unlock()
 	c.putScratch(sc)
 	// Per-key workload counters are always on (one uncontended atomic add);
@@ -654,11 +639,11 @@ func (c *Client) unreachable(need int) error {
 	return nil
 }
 
-// awaitQuorum blocks until the round's reply quorum is in, ctx expires
-// or the client closes. Each time the resender marks the round, it
-// re-sends to the servers whose reply is not in — after re-checking that
-// enough links remain for a quorum to form at all.
-func (c *Client) awaitQuorum(ctx context.Context, ps *pendShard, sc *execScratch, env *proto.Envelope) error {
+// awaitQuorum blocks until dispatch has finished the operation, ctx
+// expires or the client closes. Each time the resender marks the current
+// round, it re-sends to the servers whose reply is not in — after
+// re-checking that enough links remain for a quorum to form at all.
+func (c *Client) awaitQuorum(ctx context.Context, ps *pendShard, sc *execScratch) error {
 	pr := &sc.pr
 	for {
 		select {
@@ -667,52 +652,52 @@ func (c *Client) awaitQuorum(ctx context.Context, ps *pendShard, sc *execScratch
 		case <-c.closed:
 			return ErrClosed
 		}
-		// Expiry wins deterministically over ready replies: an
-		// already-cancelled ctx never completes the operation.
+		// Expiry wins deterministically over a finished operation: an
+		// already-cancelled ctx never completes it.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%w: %v", register.ErrTimeout, err)
 		}
 		ps.mu.Lock()
-		done, resend := pr.quorum(), pr.resend
+		done := pr.done
+		resend := pr.resend && !done
 		pr.resend = false
-		if !done && resend {
-			for _, r := range pr.replies {
-				sc.replied[r.From.Index-1] = true
+		var err error
+		if resend {
+			if err = c.unreachable(pr.need); err == nil {
+				c.trySendsLocked(sc)
 			}
 		}
 		ps.mu.Unlock()
 		switch {
-		case done:
-			return nil
+		case done || err != nil:
+			return err
 		case resend:
-			if err := c.unreachable(pr.need); err != nil {
-				return err
-			}
 			c.om.Retry()
-			c.trySends(ctx, sc, env)
 		}
 	}
 }
 
-// trySends sends the round's envelope to every server whose reply is not
-// in yet, best-effort; servers still silent get it again when the
-// resender next marks the round.
-func (c *Client) trySends(ctx context.Context, sc *execScratch, env *proto.Envelope) {
-	for i, l := range c.links {
-		if sc.replied[i] || ctx.Err() != nil {
+// trySendsLocked sends the current round's envelope to every server whose
+// reply is not in yet, best-effort; servers still silent get it again when
+// the resender next marks the round. The caller holds the entry's pending
+// shard lock.
+func (c *Client) trySendsLocked(sc *execScratch) {
+	pr := &sc.pr
+	for _, l := range c.links {
+		if hasReplyFrom(pr.replies, l.id) {
 			continue
 		}
+		env := pr.env
 		env.To = l.id
 		// Throw a dyadic share of the op's weight with the frame (Huang's
 		// Half), always retaining at least one atom so the epoch cannot
 		// close while this op is live. Re-sends split what remains.
-		env.Weight = 0
 		if sc.held > 1 {
 			w := sc.held / 2
 			sc.held -= w
 			env.Weight = w
 		}
-		l.send(*env)
+		l.send(env)
 	}
 }
 
@@ -726,7 +711,7 @@ func (c *Client) pendShardOf(key string) *pendShard {
 // round 2 — and so are replies from outside the fleet, a second reply
 // from one server (re-sent rounds draw duplicates, and quorum
 // intersection needs distinct servers), and replies past the quorum. The
-// reply that completes the quorum wakes the operation, under the shard
+// reply that completes the quorum turns the round over, under the shard
 // lock, which makes removing the entry a barrier the round engine relies
 // on to recycle it.
 func (c *Client) dispatch(env *proto.Envelope) {
@@ -738,8 +723,8 @@ func (c *Client) dispatch(env *proto.Envelope) {
 	ps := c.pendShardOf(env.Key)
 	var harvest uint64
 	ps.mu.Lock()
-	p, ok := ps.m[pk]
-	if ok && p.round == env.Round {
+	if sc, ok := ps.m[pk]; ok && sc.pr.round == env.Round {
+		p := &sc.pr
 		// Harvest the weight the server echoed back: record it against the
 		// op (so completion returns only the remainder) and send it home
 		// below, off the shard lock. Stragglers of dead rounds are NOT
@@ -751,7 +736,7 @@ func (c *Client) dispatch(env *proto.Envelope) {
 		if !p.quorum() && !hasReplyFrom(p.replies, env.From) {
 			p.replies = append(p.replies, register.Reply{From: env.From, Msg: env.Payload})
 			if p.quorum() {
-				p.wake()
+				c.turnoverLocked(ps, sc)
 			}
 		}
 	}
@@ -759,6 +744,31 @@ func (c *Client) dispatch(env *proto.Envelope) {
 	if harvest != 0 {
 		c.coord.Return(env.Epoch, harvest)
 	}
+}
+
+// turnoverLocked finishes the round whose quorum just came in, on the
+// goroutine that delivered the completing reply: it feeds the replies to
+// op.Next, then either re-arms the entry for the next round and sends it,
+// or stores the outcome and wakes the operation. The caller holds ps.mu.
+func (c *Client) turnoverLocked(ps *pendShard, sc *execScratch) {
+	p := &sc.pr
+	p.otr.Mark("quorum", p.round)
+	next, res, done, err := p.op.Next(p.replies)
+	if err == nil && !done {
+		p.round++
+		err = c.unreachable(next.Need)
+	}
+	if err != nil || done {
+		p.done, p.res, p.err = true, res, err
+		ps.wakeLocked(p)
+		return
+	}
+	// Stragglers of the old round no longer match its round number.
+	p.need, p.resend, p.due = next.Need, false, 0
+	p.replies = p.replies[:0]
+	p.env.Round, p.env.Payload = p.round, next.Payload
+	c.trySendsLocked(sc)
+	p.otr.Mark("sent", p.round)
 }
 
 // hasReplyFrom reports whether replies holds one from server s.

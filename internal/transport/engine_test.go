@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -487,5 +488,169 @@ func TestSharedValuesStayFrozen(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRoundEngineOneWake: the reply that completes a round starts the
+// next one on the goroutine that received it, so an operation's own
+// goroutine is woken exactly once, however many rounds it takes. An op
+// that finishes within resendInterval was never marked by the resender
+// (a round first falls due after more than resendInterval), so each such
+// op must cost exactly one ready token; slower ones are not counted.
+func TestRoundEngineOneWake(t *testing.T) {
+	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
+	for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
+		c := hookedClient(t, cfg, p, nil)
+		if n := c.Connect(); n != cfg.S {
+			t.Fatalf("Connect() = %d", n)
+		}
+		ops := []struct {
+			kind string
+			run  func(i int) error
+		}{
+			{"write", func(i int) error { _, err := c.Write(context.Background(), "k", 1, fmt.Sprint("v", i)); return err }},
+			{"read", func(int) error { _, err := c.Read(context.Background(), "k", 1); return err }},
+		}
+		for _, op := range ops {
+			counted := 0
+			for i := 0; i < 50; i++ {
+				before, start := c.ReadyTokens(), time.Now()
+				if err := op.run(i); err != nil {
+					t.Fatal(err)
+				}
+				if time.Since(start) >= resendInterval {
+					continue
+				}
+				counted++
+				if got := c.ReadyTokens() - before; got != 1 {
+					t.Fatalf("%s %s #%d woke its goroutine %d times, want 1", p.Name(), op.kind, i, got)
+				}
+			}
+			if counted == 0 {
+				t.Fatalf("%s %s: no op finished within %v", p.Name(), op.kind, resendInterval)
+			}
+		}
+	}
+}
+
+// TestRoundEngineTurnoverRace runs W2R2 ops whose deadlines sit near their
+// round latency against a fleet where s3 answers only after
+// resendInterval and s2's replies are lost one time in three. A round that
+// needs s3 then completes on a reply that races the op's ctx expiry and
+// the resender's re-send. Every op must return a value or ErrTimeout,
+// the recycled scratch a background checker keeps taking out of the pool
+// must never receive a late token or reply, and every key's history
+// must check atomic.
+func TestRoundEngineTurnoverRace(t *testing.T) {
+	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
+	c := hookedClient(t, cfg, mwabd.New(), func(srv int) connHooks {
+		switch srv {
+		case 2:
+			n := 0
+			return connHooks{recv: func(env proto.Envelope) []proto.Envelope {
+				if n++; n%3 == 0 {
+					return nil
+				}
+				return []proto.Envelope{env}
+			}}
+		case 3:
+			// Holding each outgoing batch back keeps s3's answers late
+			// without a backlog: the flusher ships what queued meanwhile
+			// as the next batch.
+			return connHooks{send: func([]proto.Envelope) bool {
+				time.Sleep(resendInterval + 5*time.Millisecond)
+				return true
+			}}
+		}
+		return connHooks{}
+	})
+	if n := c.Connect(); n != cfg.S {
+		t.Fatalf("Connect() = %d", n)
+	}
+	keys := []string{"a", "b"}
+	stop := make(chan struct{})
+	checkerDone := make(chan error, 1)
+	go func() {
+		checked := 0
+		for {
+			select {
+			case <-stop:
+				if checked == 0 {
+					checkerDone <- errors.New("the checker never found a recycled scratch")
+				}
+				close(checkerDone)
+				return
+			default:
+			}
+			ok, err := c.checkRecycled(resendInterval)
+			if err != nil {
+				checkerDone <- err
+				close(checkerDone)
+				return
+			}
+			if ok {
+				checked++
+			} else {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	var values, timeouts atomic.Int64
+	errs := make(chan error, cfg.W+cfg.R)
+	run := func(id int, op func(ctx context.Context, key string, i int) error) {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			// Deadlines from under one round trip to past a delayed one.
+			d := time.Duration(5+(id*7+i*11)%30) * time.Millisecond
+			ctx, cancel := context.WithTimeout(context.Background(), d)
+			err := op(ctx, keys[(id+i)%len(keys)], i)
+			cancel()
+			switch {
+			case err == nil:
+				values.Add(1)
+			case errors.Is(err, register.ErrTimeout):
+				timeouts.Add(1)
+			default:
+				errs <- err
+				return
+			}
+		}
+	}
+	for w := 1; w <= cfg.W; w++ {
+		wg.Add(1)
+		go run(w, func(ctx context.Context, key string, i int) error {
+			_, err := c.Write(ctx, key, w, fmt.Sprintf("w%d-%d", w, i))
+			return err
+		})
+	}
+	for r := 1; r <= cfg.R; r++ {
+		wg.Add(1)
+		go run(cfg.W+r, func(ctx context.Context, key string, _ int) error {
+			_, err := c.Read(ctx, key, r)
+			return err
+		})
+	}
+	wg.Wait()
+	close(stop)
+	close(errs)
+	for err := range errs {
+		t.Fatalf("op returned %v, want a value or ErrTimeout", err)
+	}
+	// Both outcomes must occur, or the deadlines missed the race window.
+	if values.Load() == 0 || timeouts.Load() == 0 {
+		t.Fatalf("%d ops returned a value and %d timed out; want some of each", values.Load(), timeouts.Load())
+	}
+	if err := <-checkerDone; err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range c.Keys() {
+		h := c.History(key)
+		if err := h.WellFormed(); err != nil {
+			t.Fatalf("key %s: malformed history: %v", key, err)
+		}
+		if res := atomicity.Check(h); !res.Atomic {
+			t.Fatalf("key %s: atomicity violated: %s", key, res)
+		}
 	}
 }
