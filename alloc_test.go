@@ -31,6 +31,12 @@ const maxAllocsPerOp = 3.65
 // header.
 const maxTCPAllocsPerOp = 21.65
 
+// maxTCPPutAllocsPerOp locks a W2R2 Put of a 32-byte value over loopback
+// TCP: 25.12 measured, plus one. It was 28.11 while the write's query
+// round was a Query, whose three QueryAcks each decoded the replica's
+// value into a string the writer dropped.
+const maxTCPPutAllocsPerOp = 26.12
+
 // maxFastReadAllocsPerOp locks the W2R1 fast read over loopback TCP:
 // 36.17 measured per Get, plus one. It was 42.13 while every FastRead,
 // FastReadAck vector and updated set decoded into slices of its own, every
@@ -52,6 +58,48 @@ func TestTCPOpPathAllocs(t *testing.T) {
 	pinOneProc(t)
 	addrs := tcpReplicas(t, Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}, mwabd.New())
 	opPathAllocs(t, maxTCPAllocsPerOp, WithTCP(addrs...))
+}
+
+// TestTCPPutAllocs runs sequential W2R2 S=3 Puts of 32-byte values over
+// three loopback-TCP replicas and fails if a Put allocates more than
+// maxTCPPutAllocsPerOp. opPathAllocs writes "v", whose decoded copies Go
+// does not allocate (one-byte strings are static), so only a value of
+// some length shows what a write's frames carry: the Update's value, and
+// since the query round asks for tags (TagQuery), nothing in its replies.
+func TestTCPPutAllocs(t *testing.T) {
+	pinOneProc(t)
+	cfg := Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}
+	s, err := Open(cfg, W2R2, WithTCP(tcpReplicas(t, cfg, mwabd.New())...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w, _ := s.Writer(1)
+	ctx := context.Background()
+	value := strings.Repeat("v", 32)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		if _, err := w.Put(ctx, keys[i], value); err != nil { // every key's first touch is set-up
+			t.Fatal(err)
+		}
+	}
+	// 40 runs of 100 Puts resolve 0.01 allocations per Put.
+	const puts = 100
+	i := 0
+	perRun := testing.AllocsPerRun(40, func() {
+		for range puts {
+			if _, err := w.Put(ctx, keys[i%len(keys)], value); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+	})
+	perOp := perRun / puts
+	t.Logf("%.2f allocs per Put", perOp)
+	if perOp > maxTCPPutAllocsPerOp {
+		t.Fatalf("%.2f allocs per Put, want ≤ %.2f", perOp, maxTCPPutAllocsPerOp)
+	}
 }
 
 // TestFastReadOpPathAllocs runs the paper's one-round read over five

@@ -72,7 +72,7 @@ func steadyFastRead(b *testing.B) ([]register.ServerLogic, *opkit.FastReadOp, []
 		servers[i] = opkit.NewVectorServer(types.Server(i+1), 2)
 	}
 	for i := 0; i < 5; i++ {
-		w := opkit.NewQueryThenUpdateWrite(types.Writer(1+i%2), fmt.Sprintf("%0256d", i), 4)
+		w := opkit.NewQueryThenUpdateWrite(types.Writer(1+i%2), fmt.Sprintf("%0256d", i), 4, new(int64))
 		if _, _, err := register.CountRounds(w, servers); err != nil {
 			b.Fatal(err)
 		}

@@ -300,10 +300,10 @@ func (w *Writer) Op(key string, op history.Op) {
 
 // Handle is the replica-capture hook for transport.WithServerCapture:
 // one TraceServerHandle record per handled request, with the value the
-// request carried and the maximal value the reply served. seq is the
-// key's handled counter read under the shard lock (zero when the hook
-// has none) — the per-(replica,key) total order the served-value
-// cross-check relies on.
+// request carried, the reply's kind and the maximal value it served (a
+// TagAck's tag as a value without data). seq is the key's handled
+// counter read under the shard lock (zero when the hook has none) — the
+// per-(replica,key) total order the served-value cross-check relies on.
 func (w *Writer) Handle(env proto.Envelope, reply proto.Message, seq uint64) {
 	rec := proto.TraceRecord{
 		Kind:    proto.TraceServerHandle,
@@ -316,6 +316,9 @@ func (w *Writer) Handle(env proto.Envelope, reply proto.Message, seq uint64) {
 		Epoch:   env.Epoch,
 		Seq:     seq,
 	}
+	if reply != nil {
+		rec.Reply = reply.Kind()
+	}
 	if up, ok := env.Payload.(proto.Update); ok && up.Val != nil {
 		rec.Val = *up.Val
 	}
@@ -323,6 +326,10 @@ func (w *Writer) Handle(env proto.Envelope, reply proto.Message, seq uint64) {
 	case proto.QueryAck:
 		if m.Val != nil {
 			rec.ReplyVal = *m.Val
+		}
+	case proto.TagAck:
+		if m.Tag != nil {
+			rec.ReplyVal = types.Value{Tag: *m.Tag}
 		}
 	case proto.FastReadAck:
 		for _, e := range m.Vector {

@@ -118,6 +118,13 @@ func (m *serveMonitor) ForceAdvance() []StaleServe {
 	return out
 }
 
+// servesValue reports whether a reply of kind k reports the replica's
+// stored value (⊥ included), which must then be at least every value the
+// replica had already applied or served.
+func servesValue(k proto.Kind) bool {
+	return k == proto.KindQueryAck || k == proto.KindTagAck || k == proto.KindFastReadAck
+}
+
 func (m *serveMonitor) drain(key string, sk *serveKey, skipGaps bool) []StaleServe {
 	var out []StaleServe
 	for len(sk.hold) > 0 {
@@ -136,7 +143,7 @@ func (m *serveMonitor) drain(key string, sk *serveKey, skipGaps bool) []StaleSer
 			// An applied write: the replica's stored tag is now ≥ this.
 			sk.known = types.MaxValue(sk.known, rec.Val)
 		}
-		if !rec.ReplyVal.IsInitial() {
+		if servesValue(rec.Reply) {
 			if rec.ReplyVal.Tag.Less(sk.known.Tag) {
 				out = append(out, StaleServe{
 					Replica: m.replica, Key: key, Seq: sk.next - 1,

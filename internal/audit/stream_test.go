@@ -115,6 +115,49 @@ func TestCrossCheckStaleServe(t *testing.T) {
 	}
 }
 
+// TestCrossCheckBottomServe: a replica that falls back to ⊥ after
+// applying a write is convicted for every value-serving reply (QueryAck,
+// TagAck, FastReadAck) that carries ⊥, offline and streaming; its plain
+// acks and a request it dropped serve nothing and are not findings.
+func TestCrossCheckBottomServe(t *testing.T) {
+	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
+	path := handLog(t, filepath.Join(t.TempDir(), "s2.trlog"), ServerHeader(2, "W2R1", cfg), func(w *Writer) {
+		v5 := types.Value{Tag: types.Tag{TS: 5, WID: types.Writer(1)}, Data: "new"}
+		bottom := types.InitialValue()
+		env := func(op uint64, from types.ProcID, m proto.Message) proto.Envelope {
+			return proto.Envelope{From: from, To: types.Server(2), Key: "k", OpID: op, Round: 1, Payload: m}
+		}
+		w.Handle(env(1, types.Writer(1), proto.Update{Val: &v5}), proto.UpdateAck{}, 1)
+		w.Handle(env(2, types.Reader(1), proto.Query{}), proto.QueryAck{Val: &bottom}, 2)
+		w.Handle(env(3, types.Writer(1), proto.TagQuery{}), proto.TagAck{Tag: &bottom.Tag}, 3)
+		w.Handle(env(4, types.Reader(1), proto.FastRead{}), proto.FastReadAck{Vector: []proto.VectorEntry{{Val: bottom}}}, 4)
+		w.Handle(env(5, types.Writer(1), proto.Update{Val: &bottom}), proto.UpdateAck{}, 5)
+		w.Handle(env(6, types.Writer(1), proto.Update{}), nil, 6)
+	})
+	m, err := MergeFiles(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Stale) != 3 {
+		t.Fatalf("offline cross-check found %d stale serves, want 3 (seqs 2, 3, 4): %+v", len(m.Stale), m.Stale)
+	}
+	for i, s := range m.Stale {
+		if s.Replica != 2 || s.Seq != uint64(i+2) || !s.Served.IsInitial() || s.Known.Tag.TS != 5 {
+			t.Fatalf("finding %d: %+v, want s2 serving ⊥ at seq %d after (5,w1)", i, s, i+2)
+		}
+	}
+	f := NewFollower(FollowOptions{})
+	defer f.Close()
+	if err := f.AddLog(path); err != nil {
+		t.Fatal(err)
+	}
+	f.Poll()
+	f.Drain()
+	if got := f.PendingStale(); len(got) != 3 {
+		t.Fatalf("follower found %d stale serves, want 3 (warnings: %v)", len(got), f.Warnings)
+	}
+}
+
 // TestFollowerCrossCheck: the streaming path surfaces the same
 // replica-side finding, via Drain's holdback flush when no epoch ever
 // closes.

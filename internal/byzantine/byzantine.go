@@ -26,12 +26,12 @@ import (
 )
 
 // LyingServer wraps a server and injects a fabricated value with a very
-// large tag into every FastReadAck and QueryAck it sends. It models a
-// Byzantine replica trying to poison readers; it still processes updates
-// normally so the rest of the execution proceeds.
+// large tag into every FastReadAck, QueryAck and TagAck it sends. It
+// models a Byzantine replica trying to poison readers; it still processes
+// updates normally so the rest of the execution proceeds.
 type LyingServer struct {
 	inner register.ServerLogic
-	forge types.Value // forged QueryAcks point here: never written after NewLyingServer
+	forge types.Value // forged QueryAcks and TagAcks point here (or at its Tag): never written after NewLyingServer
 }
 
 // NewLyingServer wraps inner; the forged value claims timestamp 1<<40 from
@@ -61,6 +61,9 @@ func (s *LyingServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 	switch r := reply.(type) {
 	case proto.QueryAck:
 		r.Val = &s.forge
+		return r
+	case proto.TagAck:
+		r.Tag = &s.forge.Tag
 		return r
 	case proto.FastReadAck:
 		// The inner server's reply is its own state (a frozen vector):

@@ -181,6 +181,24 @@ func TestLyingServerLeavesTheHonestStateAlone(t *testing.T) {
 	}
 }
 
+// TestLyingServerForgesTagAcks: a write's TagQuery meets the forged tag,
+// as a read's Query meets the forged value, and the inner server's own
+// TagAck keeps its real tag.
+func TestLyingServerForgesTagAcks(t *testing.T) {
+	for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
+		inner := p.NewServer(types.Server(1), feasible())
+		liar := byzantine.NewLyingServer(inner)
+		v := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "real"}
+		liar.Handle(types.Writer(1), proto.Update{Val: &v})
+		if got := *liar.Handle(types.Writer(2), proto.TagQuery{}).(proto.TagAck).Tag; got != liar.Forged().Tag {
+			t.Errorf("%s: lying TagAck carries %v, want the forged %v", p.Name(), got, liar.Forged().Tag)
+		}
+		if got := *inner.Handle(types.Writer(2), proto.TagQuery{}).(proto.TagAck).Tag; got != v.Tag {
+			t.Errorf("%s: honest TagAck carries %v, want %v", p.Name(), got, v.Tag)
+		}
+	}
+}
+
 // valQueue is what reader r would send next: the valQueue its next read's
 // request carries.
 func valQueue(r register.Reader) []types.Value {

@@ -88,6 +88,11 @@ func TestMultiProcessAudit(t *testing.T) {
 		if !strings.Contains(out, "VIOLATED") || !strings.Contains(out, "(binding)") {
 			t.Fatalf("expected a binding VIOLATED verdict:\n%s", out)
 		}
+		// The frozen replicas serve ⊥ after applying writes: their own
+		// logs convict them, apart from the client-visible stale read.
+		if !strings.Contains(out, "s1 convicted: ") || !strings.Contains(out, "(NOT declared untrusted)") {
+			t.Fatalf("expected the stale replicas convicted by their own logs:\n%s", out)
+		}
 	})
 }
 

@@ -38,9 +38,9 @@ type openOp struct {
 
 // Touch stamps the key into the current epoch and maintains the
 // mid-flight set. An operation is provably mid-flight only after a Query
-// below the protocol's final round: every protocol follows such a query
-// with another round (a write's update, a read's write-back or next
-// query), so the entry is guaranteed a closing request — any later round
+// or a TagQuery below the protocol's final round: every protocol follows
+// such a query with another round (a write's update, a read's write-back
+// or next query), so the entry is guaranteed a closing request — any later round
 // at the protocol's max, or an update, closes it. Requests that may
 // already be an operation's only round (FastReads, direct updates,
 // final-round queries like FullInfo's) never open records, so
@@ -55,7 +55,8 @@ func (sk *ServerState) Touch(env proto.Envelope, epoch int64, maxRounds int) {
 	if maxRounds <= 1 {
 		return
 	}
-	opening := env.Payload.Kind() == proto.KindQuery && int(env.Round) < maxRounds
+	k := env.Payload.Kind()
+	opening := (k == proto.KindQuery || k == proto.KindTagQuery) && int(env.Round) < maxRounds
 	for i := range sk.open {
 		if sk.open[i].client != env.From || sk.open[i].opID != env.OpID {
 			continue

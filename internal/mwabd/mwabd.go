@@ -2,8 +2,10 @@
 // Shvartsman (FTCS 1997), the top of the paper's design-space Hasse diagram
 // (Fig 2) and the baseline the W2R1 algorithm is derived from.
 //
-// Write: round 1 queries all servers for the maximal timestamp; round 2
-// updates all servers with (maxTS+1, wid). Read: round 1 queries and picks
+// Write: round 1 queries all servers for the maximal timestamp (a TagQuery,
+// answered with tags alone); round 2 updates all servers with (maxTS+1,
+// wid), maxTS also counting the writer's own last timestamp on the
+// register, so an abandoned write's tag is never reused. Read: round 1 queries and picks
 // the maximal value; round 2 writes it back. Both operations wait for S − t
 // replies per round; atomicity holds iff t < S/2 (Table 1, row 1).
 package mwabd
@@ -62,6 +64,7 @@ func (p *Protocol) NewServer(id types.ProcID, _ quorum.Config) register.ServerLo
 type writer struct {
 	id   types.ProcID
 	need int
+	ts   int64 // the largest timestamp this writer's ops have used
 }
 
 // NewWriter implements register.Protocol.
@@ -72,7 +75,7 @@ func (p *Protocol) NewWriter(id types.ProcID, cfg quorum.Config) register.Writer
 func (w *writer) ID() types.ProcID { return w.id }
 
 func (w *writer) WriteOp(data string) register.Operation {
-	return opkit.NewQueryThenUpdateWrite(w.id, data, w.need)
+	return opkit.NewQueryThenUpdateWrite(w.id, data, w.need, &w.ts)
 }
 
 type reader struct {

@@ -6,6 +6,7 @@ import (
 	"fastreg/internal/atomicity"
 	"fastreg/internal/chains"
 	"fastreg/internal/model"
+	"fastreg/internal/proto"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
@@ -166,5 +167,52 @@ func TestCrashMidExecution(t *testing.T) {
 	}
 	if res := atomicity.Check(sim.History()); !res.Atomic {
 		t.Fatalf("%v", res)
+	}
+}
+
+// TestAbandonedWriteTagNotReused: w1's write "A" queries s1 and s2 and its
+// Update reaches only s1 before the write is abandoned (a timeout). Its
+// next write "B" queries s2 and s3, neither of which holds A, so their
+// tags alone would give B A's tag (1,w1): two values, one tag. The writer
+// remembers the timestamp it used, and B's tag is above it.
+func TestAbandonedWriteTagNotReused(t *testing.T) {
+	c := cfg(3, 1, 1, 1)
+	p := New()
+	var servers []register.ServerLogic
+	for i := 1; i <= c.S; i++ {
+		servers = append(servers, p.NewServer(types.Server(i), c))
+	}
+	w1 := types.Writer(1)
+	ask := func(m proto.Message, from ...register.ServerLogic) []register.Reply {
+		var out []register.Reply
+		for _, s := range from {
+			out = append(out, register.Reply{From: s.ID(), Msg: s.Handle(w1, m)})
+		}
+		return out
+	}
+	writer := p.NewWriter(w1, c)
+
+	a := writer.WriteOp("A")
+	up, _, _, err := a.Next(ask(a.Begin().Payload, servers[0], servers[1]))
+	if err != nil || up == nil {
+		t.Fatalf("A's query round: next %v, err %v", up, err)
+	}
+	ask(up.Payload, servers[0]) // A's Update reaches s1 only; A is abandoned
+	tagA := servers[0].CurrentValue().Tag
+
+	b := writer.WriteOp("B")
+	up, _, _, err = b.Next(ask(b.Begin().Payload, servers[1], servers[2]))
+	if err != nil || up == nil {
+		t.Fatalf("B's query round: next %v, err %v", up, err)
+	}
+	_, vb, done, err := b.Next(ask(up.Payload, servers...))
+	if err != nil || !done {
+		t.Fatalf("B's update round: done %v, err %v", done, err)
+	}
+	if !tagA.Less(vb.Tag) {
+		t.Fatalf("B was written as %v after A took %v: a writer reused (or went below) its own tag", vb, tagA)
+	}
+	if got := servers[0].CurrentValue(); got != vb {
+		t.Fatalf("s1 holds %v after B, want B %v", got, vb)
 	}
 }

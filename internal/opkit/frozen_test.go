@@ -101,7 +101,7 @@ func steadyFleet(tb testing.TB) ([]register.ServerLogic, *FastReadOp) {
 	tb.Helper()
 	servers := vectorServers(5)
 	for i := 1; i <= 5; i++ {
-		if _, _, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(1+i%2), "payload", 4), servers); err != nil {
+		if _, _, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(1+i%2), "payload", 4, new(int64)), servers); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -12,20 +12,30 @@ import (
 
 // QueryThenUpdateWrite is the two-round multi-writer write of LS97 and of
 // Algorithm 1 (lines 5–13): round 1 queries all servers for the maximal
-// timestamp; round 2 updates all servers with (maxTS+1, wid).
+// timestamp (TagQuery: the replies carry tags, not values); round 2
+// updates all servers with (maxTS+1, wid).
+//
+// The timestamp is also above every one this writer used before (*last):
+// an abandoned write whose Update reached fewer than a quorum may be
+// missing from the next write's query quorum, and without the writer's
+// own memory both would get the same tag for different values.
 type QueryThenUpdateWrite struct {
 	client types.ProcID
 	data   string
 	need   int
+	last   *int64 // the writer's largest timestamp so far, shared by its ops
 	phase  int
 	val    types.Value    // the Update points here: never written after round 2 is returned
 	next   register.Round // what Next returns a pointer to
 }
 
 // NewQueryThenUpdateWrite builds the write operation for the given writer.
-// need is the per-round reply quorum (S − t).
-func NewQueryThenUpdateWrite(client types.ProcID, data string, need int) *QueryThenUpdateWrite {
-	return &QueryThenUpdateWrite{client: client, data: data, need: need}
+// need is the per-round reply quorum (S − t). last is the writer's
+// per-register memory of the largest timestamp it has used, which Next
+// reads and raises; the writer's ops are sequential, so they share it
+// without a lock.
+func NewQueryThenUpdateWrite(client types.ProcID, data string, need int, last *int64) *QueryThenUpdateWrite {
+	return &QueryThenUpdateWrite{client: client, data: data, need: need, last: last}
 }
 
 // Client implements register.Operation.
@@ -48,23 +58,22 @@ func (w *QueryThenUpdateWrite) Arg() types.Value {
 // Begin implements register.Operation.
 func (w *QueryThenUpdateWrite) Begin() register.Round {
 	w.phase = 1
-	return register.Round{Payload: proto.Query{}, Need: w.need}
+	return register.Round{Payload: proto.TagQuery{}, Need: w.need}
 }
 
 // Next implements register.Operation.
 func (w *QueryThenUpdateWrite) Next(replies []register.Reply) (*register.Round, types.Value, bool, error) {
 	switch w.phase {
 	case 1:
-		var maxTS int64
+		maxTS := *w.last
 		for _, r := range replies {
-			ack, ok := r.Msg.(proto.QueryAck)
-			if !ok || ack.Val == nil {
+			ack, ok := r.Msg.(proto.TagAck)
+			if !ok || ack.Tag == nil {
 				return nil, types.Value{}, false, register.BadReply("write query", r.Msg)
 			}
-			if ack.Val.Tag.TS > maxTS {
-				maxTS = ack.Val.Tag.TS
-			}
+			maxTS = max(maxTS, ack.Tag.TS)
 		}
+		*w.last = maxTS + 1
 		w.val = types.Value{Tag: types.Tag{TS: maxTS + 1, WID: w.client}, Data: w.data}
 		w.phase = 2
 		w.next = register.Round{Payload: proto.Update{Val: &w.val}, Need: w.need}

@@ -26,7 +26,7 @@ func vectorServers(n int) []register.ServerLogic {
 
 func TestQueryThenUpdateWriteBasics(t *testing.T) {
 	servers := storeServers(3)
-	op := NewQueryThenUpdateWrite(types.Writer(1), "a", 2)
+	op := NewQueryThenUpdateWrite(types.Writer(1), "a", 2, new(int64))
 	if op.Kind() != types.OpWrite || op.Client() != types.Writer(1) {
 		t.Fatal("op metadata wrong")
 	}
@@ -53,11 +53,11 @@ func TestQueryThenUpdateWriteBasics(t *testing.T) {
 
 func TestSequentialWritersGetIncreasingTags(t *testing.T) {
 	servers := storeServers(3)
-	_, v1, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(2), "x", 2), servers)
+	_, v1, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(2), "x", 2, new(int64)), servers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, v2, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(1), "y", 2), servers)
+	_, v2, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(1), "y", 2, new(int64)), servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestReadNoWriteBackOneRound(t *testing.T) {
 func TestFastReadReturnsWrittenValue(t *testing.T) {
 	servers := vectorServers(5)
 	cfg := AdmissibleConfig{S: 5, T: 1, MaxDegree: 3} // R=2: 2 < 5/1-2 boundary is 2<3 ✓
-	_, v, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(1), "hello", 4), servers)
+	_, v, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(1), "hello", 4, new(int64)), servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFastReadSequenceMonotone(t *testing.T) {
 	}
 	var prev types.Value
 	for i := 1; i <= 5; i++ {
-		_, w, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(1+i%2), "d", 4), servers)
+		_, w, err := register.CountRounds(NewQueryThenUpdateWrite(types.Writer(1+i%2), "d", 4, new(int64)), servers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,19 +214,24 @@ func TestReaderStateQueueSortedDeduped(t *testing.T) {
 }
 
 func TestWriteBadReplyKinds(t *testing.T) {
-	op := NewQueryThenUpdateWrite(types.Writer(1), "a", 1)
+	op := NewQueryThenUpdateWrite(types.Writer(1), "a", 1, new(int64))
 	op.Begin()
 	if _, _, _, err := op.Next([]register.Reply{{From: types.Server(1), Msg: proto.UpdateAck{}}}); err == nil {
 		t.Error("query phase accepted an UpdateAck")
 	}
-	op2 := NewQueryThenUpdateWrite(types.Writer(1), "a", 1)
+	op2 := NewQueryThenUpdateWrite(types.Writer(1), "a", 1, new(int64))
 	op2.Begin()
-	next, _, _, err := op2.Next([]register.Reply{{From: types.Server(1), Msg: proto.QueryAck{Val: ptr(types.InitialValue())}}})
+	next, _, _, err := op2.Next([]register.Reply{{From: types.Server(1), Msg: proto.TagAck{Tag: &types.Tag{}}}})
 	if err != nil || next == nil {
 		t.Fatalf("phase 1 failed: %v", err)
 	}
-	if _, _, _, err := op2.Next([]register.Reply{{From: types.Server(1), Msg: proto.QueryAck{}}}); err == nil {
-		t.Error("update phase accepted a QueryAck")
+	if _, _, _, err := op2.Next([]register.Reply{{From: types.Server(1), Msg: proto.TagAck{}}}); err == nil {
+		t.Error("update phase accepted a TagAck")
+	}
+	op3 := NewQueryThenUpdateWrite(types.Writer(1), "a", 1, new(int64))
+	op3.Begin()
+	if _, _, _, err := op3.Next([]register.Reply{{From: types.Server(1), Msg: proto.QueryAck{Val: ptr(types.InitialValue())}}}); err == nil {
+		t.Error("query phase accepted a QueryAck, which answers a read's Query")
 	}
 }
 

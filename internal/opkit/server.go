@@ -14,8 +14,9 @@
 // Values travel by reference and are frozen once published. The fast
 // read's data is sorted slices: a VectorServer's reply IS its vector and a
 // reader's request IS its valQueue. A two-round op's data is one value
-// behind a pointer: a QueryAck's Val IS the replica's current value and an
-// Update's Val IS the op's own tagged value. An in-process backend hands
+// behind a pointer: a QueryAck's Val IS the replica's current value, a
+// TagAck's Tag IS that value's tag, and an Update's Val IS the op's own
+// tagged value. An in-process backend hands
 // that very slice or pointer to the other side, a network one encodes it,
 // neither copies. The rules that make this safe:
 //
@@ -27,7 +28,7 @@
 //     a change builds a new slice (and new Updated slices for just the
 //     entries it touches) or a new value and assigns the field. A replica
 //     that adopts an Update's value allocates a fresh one, so every QueryAck
-//     already sent keeps the value it was sent with; new replicas share one
+//     and TagAck already sent keeps the value it was sent with; new replicas share one
 //     frozen initial value. An op points its Update at a field of its own
 //     (QueryThenUpdateWrite.val, ReadWriteBack.maxV, DirectWrite.val) that
 //     it never writes after the round is returned. fastreglint's frozenslice
@@ -39,13 +40,14 @@
 //     rebuild that adds a reader to several entries whose old updated sets
 //     are equal gives them one new set: sets are frozen, so sharing one is
 //     as safe as sharing a vector.
-//   - Receive: whoever is handed a FastRead, a FastReadAck, a QueryAck or
-//     an Update reads it and nothing else. Code that wants a changed vector
+//   - Receive: whoever is handed a FastRead, a FastReadAck, a QueryAck, a
+//     TagAck or an Update reads it and nothing else. Code that wants a changed vector
 //     or value (byzantine.LyingServer, byzantine.FilterUnvouched) builds its
 //     own. What came over a wire is checked, not trusted: SelectAdmissible
 //     verifies that each vector and updated set is strictly ascending and
-//     sorts a private copy when it is not, and a QueryAck or Update whose
-//     Val is nil is a bad reply to an op and dropped by a replica.
+//     sorts a private copy when it is not, a QueryAck or TagAck whose Val
+//     or Tag is nil is a bad reply to an op, and an Update whose Val is nil
+//     is dropped by a replica.
 //   - Keep: proto.Decode cuts every envelope's Key and every payload of a
 //     FastRead or FastReadAck from one string per frame (a batch frame's
 //     envelopes share one), so any of them keeps the whole frame alive.
@@ -57,7 +59,8 @@
 //     one value arena per frame, so a kept pointer keeps every value of the
 //     frame alive: whoever keeps such a value copies *Val, never the
 //     pointer. Its Data owns its bytes, as a LogAck's value's does, so the
-//     copy is stored as it is. A FastRead's valQueue is carved from that
+//     copy is stored as it is. A TagAck's Tag points into the same arena,
+//     and a writer keeps only the timestamp it reads from it. A FastRead's valQueue is carved from that
 //     same value arena, and a FastReadAck's vector and its updated sets
 //     from one arena each per frame, so keeping one valQueue, vector or set
 //     keeps the frame's others alive: a replica and a reader copy the
@@ -135,10 +138,11 @@ var initialValue = types.InitialValue()
 func adopt(v types.Value) *types.Value { return &v }
 
 // StoreServer is the classic ABD/LS97 server: it stores the maximal value
-// received so far, answers Query with it, and monotonically merges Update.
+// received so far, answers Query with it and TagQuery with its tag, and
+// monotonically merges Update.
 type StoreServer struct {
 	id types.ProcID
-	// frozen: every QueryAck points at it until the next adopt.
+	// frozen: every QueryAck and TagAck points at it until the next adopt.
 	cur *types.Value
 }
 
@@ -159,6 +163,8 @@ func (s *StoreServer) Handle(_ types.ProcID, m proto.Message) proto.Message {
 	switch msg := m.(type) {
 	case proto.Query:
 		return proto.QueryAck{Val: s.cur}
+	case proto.TagQuery:
+		return proto.TagAck{Tag: &s.cur.Tag}
 	case proto.Update:
 		if msg.Val == nil {
 			return nil
@@ -183,7 +189,7 @@ func (s *StoreServer) Handle(_ types.ProcID, m proto.Message) proto.Message {
 // again does not store it.
 type VectorServer struct {
 	id types.ProcID
-	// frozen: every QueryAck points at it until the next adopt.
+	// frozen: every QueryAck and TagAck points at it until the next adopt.
 	cur *types.Value
 	// frozen: replies are this slice. Strictly ascending by Value.Compare,
 	// every Updated set ascending; a change builds a new vector, and new
@@ -393,7 +399,8 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) {
 
 // Handle implements register.ServerLogic.
 //
-//   - Query       → QueryAck{vali}           (writer's first round)
+//   - TagQuery    → TagAck{vali's tag}       (writer's first round)
+//   - Query       → QueryAck{vali}
 //   - Update      → update(val, c); WRITEACK (writer's second round)
 //   - FastRead    → update every valQueue entry for the reader, then reply
 //     with the valuevector and the floor (READACK)
@@ -401,6 +408,8 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) {
 // An Update without a value is dropped (nil reply).
 func (s *VectorServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 	switch msg := m.(type) {
+	case proto.TagQuery:
+		return proto.TagAck{Tag: &s.cur.Tag}
 	case proto.Query:
 		return proto.QueryAck{Val: s.cur}
 	case proto.Update:

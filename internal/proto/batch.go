@@ -95,8 +95,8 @@ func PutBuf(b []byte) {
 // envsPool recycles envelope slabs — the []Envelope a decoded frame lands
 // in and the queues batched senders accumulate into. Decode never returns
 // views into its read buffer (keys and fast-read payloads are cut from a
-// string of their own frame, QueryAck and Update values live in an arena
-// of their own frame, other values own their bytes), so a recycled slab
+// string of their own frame, QueryAck and Update values and TagAck tags
+// live in an arena of their own frame, other values own their bytes), so a recycled slab
 // can only ever reuse the backing ARRAY of envelope structs; it can never
 // alias a previous frame's key or value bytes. PutEnvs still clears the
 // slab so a pooled array doesn't pin dead payloads, or the frame strings
@@ -173,8 +173,8 @@ func DecodeBatch(buf []byte) ([]Envelope, int, error) {
 // returned with the bytes consumed. On error dst's length is unchanged.
 // Nothing decoded refers to buf: every envelope's Key and fast-read
 // payload are copied into ONE string for the whole frame and cut from it,
-// so a kept key pins all of them (Decode says who clones); every QueryAck
-// and Update points into ONE value arena for the whole frame, whose
+// so a kept key pins all of them (Decode says who clones); every QueryAck,
+// Update and TagAck points into ONE value arena for the whole frame, whose
 // values own their Data, and every valQueue, vector and updated set is
 // carved from the frame's arenas. Recycling buf or the slab later can
 // never alias this frame's data.

@@ -112,14 +112,15 @@ const (
 // an Update's and a LogAck's values own their Data.
 func cutsPayload(k Kind) bool { return k == KindFastRead || k == KindFastReadAck }
 
-// inArena reports whether a message of kind k carries one value by
-// pointer, which decoding places in the frame's value arena.
-func inArena(k Kind) bool { return k == KindQueryAck || k == KindUpdate }
+// inArena reports whether a message of kind k carries one value, or one
+// value's tag, by pointer, which decoding places in the frame's value
+// arena.
+func inArena(k Kind) bool { return k == KindQueryAck || k == KindUpdate || k == KindTagAck }
 
 // frameCuts is what the envelopes of one frame share: the string their
 // keys and fast-read payloads are cut from, and the arenas their payloads'
-// elements live in. vals holds every QueryAck's and Update's value and
-// every FastRead's valQueue, vec every FastReadAck's vector and ups those
+// elements live in. vals holds every QueryAck's and Update's value, every
+// TagAck's tag (in a slot's Tag) and every FastRead's valQueue, vec every FastReadAck's vector and ups those
 // vectors' updated sets. Decoding an envelope consumes the prefix of each
 // that belongs to it.
 type frameCuts struct {
@@ -399,8 +400,13 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 	w.u64(e.Weight)
 	w.u8(uint8(e.Payload.Kind()))
 	switch m := e.Payload.(type) {
-	case Query:
+	case Query, TagQuery:
 		// no body
+	case TagAck:
+		if m.Tag == nil {
+			return nil, fmt.Errorf("%w: TagAck without a tag", ErrBadKind)
+		}
+		w.tag(*m.Tag)
 	case QueryAck:
 		if m.Val == nil {
 			return nil, fmt.Errorf("%w: QueryAck without a value", ErrBadKind)
@@ -457,7 +463,8 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 // QueryAck's or an Update's Val points into a value arena the frame's
 // envelopes share; its Data owns its bytes, but a kept pointer keeps the
 // whole arena alive, so whoever keeps the value copies *Val (opkit's Keep
-// rule). A LogAck's values own their Data. A FastRead's valQueue is carved
+// rule). A TagAck's Tag points into that arena too. A LogAck's values own
+// their Data. A FastRead's valQueue is carved
 // from that value arena too, and a FastReadAck's vector and its Updated
 // sets from two arenas of their own, each slice clipped to its length:
 // however many envelopes and entries a frame holds, it decodes into one
@@ -475,7 +482,7 @@ func Decode(buf []byte) (Envelope, int, error) {
 
 // decode is Decode into *e, which it fills in place, cutting the
 // envelope's key and fast-read payload from the start of fc.text and
-// taking its QueryAck or Update value, valQueue, vector and updated sets
+// taking its QueryAck or Update value, TagAck tag, valQueue, vector and updated sets
 // from the front of fc's arenas; fc comes from a cutFrames of a run of
 // frames starting with this one. On success it advances fc past what the
 // envelope used, for the next frame of the run. On error *e holds garbage.
@@ -517,6 +524,12 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 	switch kind {
 	case KindQuery:
 		e.Payload = Query{}
+	case KindTagQuery:
+		e.Payload = TagQuery{}
+	case KindTagAck:
+		v := &carve(&fc.vals, 1)[0]
+		v.Tag = r.tag()
+		e.Payload = TagAck{Tag: &v.Tag}
 	case KindQueryAck, KindUpdate:
 		v := &carve(&fc.vals, 1)[0]
 		*v = r.value()

@@ -2,9 +2,11 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +30,8 @@ func sampleEnvelopes() []Envelope {
 		{From: types.Server(1), To: types.Reader(1), OpID: 0, Round: 1, IsReply: true, Payload: FastReadAck{}},
 		{From: types.Writer(2), To: types.Server(4), Key: "users:alice", OpID: 7, Round: 1, Payload: Query{}},
 		{From: types.Server(4), To: types.Writer(2), Key: "users:alice", OpID: 7, Round: 2, IsReply: true, Payload: UpdateAck{}},
+		{From: types.Writer(2), To: types.Server(2), Key: "k", OpID: 8, Round: 1, Payload: TagQuery{}},
+		{From: types.Server(2), To: types.Writer(2), Key: "k", OpID: 8, Round: 1, IsReply: true, Payload: TagAck{Tag: &v2.Tag}},
 	}
 }
 
@@ -125,6 +129,35 @@ func TestDecodeCorruptKind(t *testing.T) {
 	}
 }
 
+// TestTagAckFrame: a TagAck is its 13-byte tag after the kind byte, no
+// value payload; Encode refuses one without a tag, and every cut of its
+// frame short of the whole decodes to ErrTruncated.
+func TestTagAckFrame(t *testing.T) {
+	tag := types.Tag{TS: 1 << 40, WID: types.Writer(3)}
+	env := Envelope{From: types.Server(1), To: types.Writer(3), OpID: 5, Round: 1, IsReply: true, Payload: TagAck{Tag: &tag}}
+	b, err := Encode(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Encode(Envelope{From: types.Server(1), To: types.Writer(3), OpID: 5, Round: 1, IsReply: true, Payload: TagQuery{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b)-len(q) != 13 {
+		t.Fatalf("a TagAck frame is %d bytes over an empty one, want the 13-byte tag", len(b)-len(q))
+	}
+	if _, err := Encode(Envelope{From: types.Server(1), To: types.Writer(3), Payload: TagAck{}}); !errors.Is(err, ErrBadKind) {
+		t.Fatalf("Encode of a TagAck without a tag: err %v, want ErrBadKind", err)
+	}
+	for n := len(q); n < len(b); n++ {
+		short := slices.Clone(b[:n])
+		binary.BigEndian.PutUint32(short, uint32(n-4))
+		if _, _, err := Decode(short); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("TagAck cut to %d of %d bytes: err %v, want ErrTruncated", n, len(b), err)
+		}
+	}
+}
+
 func TestEncodeNilPayload(t *testing.T) {
 	if _, err := Encode(Envelope{}); !errors.Is(err, ErrBadKind) {
 		t.Fatalf("err = %v, want ErrBadKind", err)
@@ -168,7 +201,12 @@ func randEnvelope(r *rand.Rand) Envelope {
 		Round:   uint8(1 + r.Intn(2)),
 		IsReply: r.Intn(2) == 0,
 	}
-	switch r.Intn(6) {
+	switch r.Intn(8) {
+	case 6:
+		e.Payload = TagQuery{}
+	case 7:
+		tag := randValue(r).Tag
+		e.Payload = TagAck{Tag: &tag}
 	case 0:
 		e.Payload = Query{}
 	case 1:

@@ -7,7 +7,9 @@
 // information to servers, receive an ACK or data). The message set below
 // covers both shapes for all four protocol families:
 //
-//   - Query/QueryAck      — phase-1 of ABD / LS97 writes and reads;
+//   - Query/QueryAck      — phase-1 of ABD / LS97 reads;
+//   - TagQuery/TagAck     — phase-1 of the two-round writes, which need
+//     the maximal tag and nothing of its value;
 //   - Update/UpdateAck    — phase-2 writes and read write-backs;
 //   - FastRead/FastReadAck — the one-round read of the W2R1 and W1R1
 //     algorithms (Algorithm 1), carrying the reader's valQueue out and the
@@ -35,6 +37,10 @@ const (
 	KindFastRead
 	KindFastReadAck
 	KindLogAck
+	KindTagQuery
+	KindTagAck
+
+	lastKind = KindTagAck
 )
 
 // String names the kind like the paper's message names.
@@ -54,6 +60,10 @@ func (k Kind) String() string {
 		return "READACK*"
 	case KindLogAck:
 		return "LOGACK"
+	case KindTagQuery:
+		return "TAGQUERY"
+	case KindTagAck:
+		return "TAGACK"
 	default:
 		return "INVALID"
 	}
@@ -92,6 +102,37 @@ func (QueryAck) Kind() Kind { return KindQueryAck }
 
 // String implements fmt.Stringer.
 func (m QueryAck) String() string { return "READACK{" + valString(m.Val) + "}" }
+
+// TagQuery asks a server for the tag of its current value (phase 1 of a
+// two-round write, which keeps nothing of the value but its timestamp).
+type TagQuery struct{}
+
+// Kind implements Message.
+func (TagQuery) Kind() Kind { return KindTagQuery }
+
+// String implements fmt.Stringer.
+func (TagQuery) String() string { return "TAGQUERY" }
+
+// TagAck returns the tag of the server's current (maximal) value.
+//
+// Tag follows QueryAck's rules: it points at the tag of the replica's
+// current value or of a decoded frame's value arena slot, and whoever
+// keeps the tag copies *Tag. A nil Tag is invalid: Encode rejects it,
+// operations reject it as a bad reply.
+type TagAck struct {
+	Tag *types.Tag
+}
+
+// Kind implements Message.
+func (TagAck) Kind() Kind { return KindTagAck }
+
+// String implements fmt.Stringer.
+func (m TagAck) String() string {
+	if m.Tag == nil {
+		return "TAGACK{<nil>}"
+	}
+	return "TAGACK{" + m.Tag.String() + "}"
+}
 
 // Update stores a value on a server (phase 2 of a write, or a read
 // write-back).

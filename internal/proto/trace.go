@@ -36,10 +36,10 @@ import (
 //     from different files are never comparable, which is exactly the
 //     guarantee the offline checker's clock-domain model relies on;
 //   - TraceServerHandle is one request handled by a replica, with the
-//     value it carried (a write's round-2 payload) and the value the
-//     reply served — the evidence the merge uses to reconstruct writes
-//     whose client crashed before logging them, and to audit what each
-//     replica actually served;
+//     value it carried (a write's round-2 payload), the kind of its reply
+//     and the value the reply served — the evidence the merge uses to
+//     reconstruct writes whose client crashed before logging them, and to
+//     audit what each replica actually served;
 //   - TraceEpoch is an epoch-boundary stamp: the continuous-audit
 //     coordinator (internal/epoch) appends one to every capture log when
 //     all weight thrown with an epoch's in-flight ops has returned —
@@ -92,7 +92,7 @@ var ErrNotTrace = errors.New("proto: not a trace record frame")
 //   - TraceClientOp: Key, Client, OpID, Op, Val, Invoke, Response,
 //     Failed, Err, Epoch;
 //   - TraceServerHandle: Key, Client, OpID, Server, Round, Payload, Val,
-//     ReplyVal, Epoch, Seq;
+//     Reply, ReplyVal, Epoch, Seq;
 //   - TraceEpoch: Epoch (the epoch that just closed).
 type TraceRecord struct {
 	Kind TraceKind
@@ -125,11 +125,14 @@ type TraceRecord struct {
 
 	// Server-handle fields: one handled request at replica Server. Val is
 	// the value the REQUEST carried (a write's Update payload; zero for
-	// queries), ReplyVal the maximal value the reply served (zero for
-	// plain acks).
+	// queries), Reply the kind of the reply (KindInvalid when the replica
+	// dropped the request), ReplyVal the maximal value the reply served:
+	// a QueryAck's value, a FastReadAck's largest one, a TagAck's tag with
+	// no data, zero for plain acks.
 	Server   types.ProcID
 	Round    uint8
 	Payload  Kind
+	Reply    Kind
 	ReplyVal types.Value
 
 	// Epoch tags the record with the continuous-audit epoch it belongs to
@@ -159,7 +162,7 @@ func (t TraceRecord) String() string {
 		}
 		return fmt.Sprintf("OP{%s %s#%d %s %s [%d,%d]%s}", t.Key, t.Client, t.OpID, t.Op, t.Val, t.Invoke, t.Response, status)
 	case TraceServerHandle:
-		return fmt.Sprintf("HANDLE{%s %s %s#%d.%d %s req=%s reply=%s}", t.Server, t.Key, t.Client, t.OpID, t.Round, t.Payload, t.Val, t.ReplyVal)
+		return fmt.Sprintf("HANDLE{%s %s %s#%d.%d %s req=%s reply=%s:%s}", t.Server, t.Key, t.Client, t.OpID, t.Round, t.Payload, t.Val, t.Reply, t.ReplyVal)
 	case TraceEpoch:
 		return fmt.Sprintf("EPOCH{%d}", t.Epoch)
 	default:
@@ -209,6 +212,7 @@ func AppendTraceRecord(dst []byte, t TraceRecord) ([]byte, error) {
 		w.proc(t.Server)
 		w.u8(t.Round)
 		w.u8(uint8(t.Payload))
+		w.u8(uint8(t.Reply))
 		w.value(t.Val)
 		w.value(t.ReplyVal)
 		w.u64(t.Epoch)
@@ -287,8 +291,12 @@ func DecodeTraceRecord(buf []byte) (TraceRecord, int, error) {
 		t.Server = r.proc()
 		t.Round = r.u8()
 		t.Payload = Kind(r.u8())
-		if r.err == nil && (t.Payload == KindInvalid || t.Payload > KindLogAck) {
+		if r.err == nil && (t.Payload == KindInvalid || t.Payload > lastKind) {
 			r.fail(fmt.Errorf("%w: payload kind %d", ErrBadKind, t.Payload))
+		}
+		t.Reply = Kind(r.u8())
+		if r.err == nil && t.Reply > lastKind {
+			r.fail(fmt.Errorf("%w: reply kind %d", ErrBadKind, t.Reply))
 		}
 		t.Val = r.value()
 		t.ReplyVal = r.value()

@@ -26,9 +26,14 @@ func traceSeeds() []TraceRecord {
 		{Kind: TraceClientOp, Key: "k", Client: types.Reader(2), OpID: 4, Op: types.OpRead,
 			Val: val, Invoke: 5, Response: 6, Epoch: 3},
 		{Kind: TraceServerHandle, Key: "k", Client: types.Writer(2), OpID: 9, Server: types.Server(3),
-			Round: 2, Payload: KindUpdate, Val: val},
+			Round: 2, Payload: KindUpdate, Reply: KindUpdateAck, Val: val},
 		{Kind: TraceServerHandle, Key: "k", Client: types.Reader(1), OpID: 2, Server: types.Server(1),
-			Round: 1, Payload: KindQuery, ReplyVal: val, Epoch: 3, Seq: 17},
+			Round: 1, Payload: KindQuery, Reply: KindQueryAck, ReplyVal: val, Epoch: 3, Seq: 17},
+		{Kind: TraceServerHandle, Key: "k", Client: types.Writer(2), OpID: 10, Server: types.Server(3),
+			Round: 1, Payload: KindTagQuery, Reply: KindTagAck, ReplyVal: types.Value{Tag: val.Tag}, Seq: 18},
+		// A request the replica dropped: no reply kind.
+		{Kind: TraceServerHandle, Key: "k", Client: types.Writer(2), OpID: 11, Server: types.Server(3),
+			Round: 2, Payload: KindUpdate, Val: val, Seq: 19},
 		{Kind: TraceEpoch, Epoch: 5},
 	}
 }

@@ -12,30 +12,36 @@ import (
 	"fastreg/internal/types"
 )
 
-// TestNilValueRejected is the table of what a QueryAck or an Update
-// without a value meets: Encode refuses it, every operation that takes a
-// QueryAck fails with a bad reply, and every server drops it — no reply,
-// no change of state.
+// TestNilValueRejected is the table of what a QueryAck, a TagAck or an
+// Update without a value (or tag) meets: Encode refuses it, every
+// operation that takes a QueryAck or a TagAck fails with a bad reply, and
+// every server drops the Update — no reply, no change of state.
 func TestNilValueRejected(t *testing.T) {
-	for _, m := range []proto.Message{proto.QueryAck{}, proto.Update{}} {
+	for _, m := range []proto.Message{proto.QueryAck{}, proto.TagAck{}, proto.Update{}} {
 		if _, err := proto.Encode(proto.Envelope{From: types.Server(1), To: types.Writer(1), Payload: m}); !errors.Is(err, proto.ErrBadKind) {
-			t.Errorf("Encode of %T with a nil Val: err %v, want ErrBadKind", m, err)
+			t.Errorf("Encode of %T with a nil pointer: err %v, want ErrBadKind", m, err)
 		}
 	}
 
 	cfg := quorum.Config{S: 3, T: 1, W: 2, R: 2}
 	good := types.Value{Tag: types.Tag{TS: 3, WID: types.Writer(2)}, Data: "x"}
-	// A quorum whose second reply has no value.
-	replies := []register.Reply{
-		{From: types.Server(1), Msg: proto.QueryAck{Val: &good}},
-		{From: types.Server(2), Msg: proto.QueryAck{}},
+	// Quorums whose second reply has no value, by the request they answer.
+	replies := map[proto.Kind][]register.Reply{
+		proto.KindQuery: {
+			{From: types.Server(1), Msg: proto.QueryAck{Val: &good}},
+			{From: types.Server(2), Msg: proto.QueryAck{}},
+		},
+		proto.KindTagQuery: {
+			{From: types.Server(1), Msg: proto.TagAck{Tag: &good.Tag}},
+			{From: types.Server(2), Msg: proto.TagAck{}},
+		},
 	}
 	type opCase struct {
 		name string
 		op   register.Operation
 	}
 	ops := []opCase{
-		{"QueryThenUpdateWrite", opkit.NewQueryThenUpdateWrite(types.Writer(1), "v", 2)},
+		{"QueryThenUpdateWrite", opkit.NewQueryThenUpdateWrite(types.Writer(1), "v", 2, new(int64))},
 		{"ReadWriteBack", opkit.NewReadWriteBack(types.Reader(1), 2)},
 		{"ReadNoWriteBack", opkit.NewReadNoWriteBack(types.Reader(1), 2)},
 	}
@@ -52,18 +58,20 @@ func TestNilValueRejected(t *testing.T) {
 		servers[name+" liar"] = byzantine.Liars(p, 1).NewServer(types.Server(1), cfg)
 	}
 
-	takesQueryAck := 0
+	starts := map[proto.Kind]int{}
 	for _, c := range ops {
-		if _, ok := c.op.Begin().Payload.(proto.Query); !ok {
-			continue // its first round collects no QueryAck
+		kind := c.op.Begin().Payload.Kind()
+		reps, ok := replies[kind]
+		if !ok {
+			continue // its first round collects no QueryAck or TagAck
 		}
-		takesQueryAck++
-		if _, _, _, err := c.op.Next(replies); !errors.Is(err, register.ErrProtocol) {
-			t.Errorf("%s: Next over a QueryAck without a value: err %v, want a bad reply", c.name, err)
+		starts[kind]++
+		if _, _, _, err := c.op.Next(reps); !errors.Is(err, register.ErrProtocol) {
+			t.Errorf("%s: Next over a %v without a value: err %v, want a bad reply", c.name, reps[1].Msg.Kind(), err)
 		}
 	}
-	if takesQueryAck != 8 {
-		t.Fatalf("%d operations start with a Query, want 8", takesQueryAck)
+	if starts[proto.KindQuery] != 5 || starts[proto.KindTagQuery] != 3 {
+		t.Fatalf("%d operations start with a Query and %d with a TagQuery, want 5 and 3", starts[proto.KindQuery], starts[proto.KindTagQuery])
 	}
 
 	for name, s := range servers {

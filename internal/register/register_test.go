@@ -20,7 +20,7 @@ func servers(n int) []register.ServerLogic {
 }
 
 func TestCountRoundsTwoPhase(t *testing.T) {
-	op := opkit.NewQueryThenUpdateWrite(types.Writer(1), "x", 2)
+	op := opkit.NewQueryThenUpdateWrite(types.Writer(1), "x", 2, new(int64))
 	rounds, res, err := register.CountRounds(op, servers(3))
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestCountRoundsTwoPhase(t *testing.T) {
 }
 
 func TestCountRoundsQuorumTooLarge(t *testing.T) {
-	op := opkit.NewQueryThenUpdateWrite(types.Writer(1), "x", 5)
+	op := opkit.NewQueryThenUpdateWrite(types.Writer(1), "x", 5, new(int64))
 	_, _, err := register.CountRounds(op, servers(3))
 	if !errors.Is(err, register.ErrProtocol) {
 		t.Fatalf("err = %v, want ErrProtocol", err)
@@ -55,7 +55,7 @@ func TestCountRoundsQuorumNotReached(t *testing.T) {
 		silentServer{types.Server(2)},
 		silentServer{types.Server(3)},
 	}
-	op := opkit.NewQueryThenUpdateWrite(types.Writer(1), "x", 2)
+	op := opkit.NewQueryThenUpdateWrite(types.Writer(1), "x", 2, new(int64))
 	_, _, err := register.CountRounds(op, logics)
 	if !errors.Is(err, register.ErrProtocol) {
 		t.Fatalf("err = %v, want ErrProtocol", err)

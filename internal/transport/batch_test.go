@@ -183,8 +183,8 @@ func TestClusterSharedLinksBatching(t *testing.T) {
 // query round has already assigned its tag (and possibly landed updates
 // on some servers). The failed op must be recorded with that tagged
 // value — not the untagged invoke-time argument — or a later read of the
-// value would be flagged read-from-nowhere. Servers here ack queries and
-// swallow updates, forcing exactly that timeout.
+// value would be flagged read-from-nowhere. Servers here answer the
+// write's TagQuery and swallow updates, forcing exactly that timeout.
 func TestTimedOutWriteRecordsTag(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
 	net := NewChanNetwork()
@@ -210,13 +210,13 @@ func TestTimedOutWriteRecordsTag(t *testing.T) {
 							return
 						}
 						for _, env := range envs {
-							if _, ok := env.Payload.(proto.Query); !ok {
+							if _, ok := env.Payload.(proto.TagQuery); !ok {
 								continue // swallow round-2 updates
 							}
 							conn.Send(proto.Envelope{
 								From: id, To: env.From, Key: env.Key, OpID: env.OpID,
 								Round: env.Round, IsReply: true,
-								Payload: proto.QueryAck{Val: &types.Value{}},
+								Payload: proto.TagAck{Tag: &types.Tag{}},
 							})
 						}
 					}

@@ -367,7 +367,10 @@ func TestRoundEngineExpiredCtx(t *testing.T) {
 }
 
 // TestRoundEngineCloseStopsResender: the resender and the eviction
-// sweeper have exited by the time Close returns.
+// sweeper exit when Close returns. Close waits for their deferred
+// wg.Done, after which a goroutine can still show in runtime.Stack for a
+// moment before it is gone, so the counts are polled until they are back
+// at the baseline, for at most 2 s.
 func TestRoundEngineCloseStopsResender(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
 	count := func() (resenders, sweepers int) {
@@ -384,18 +387,23 @@ func TestRoundEngineCloseStopsResender(t *testing.T) {
 		t.Fatalf("running client: %d resenders, %d sweepers; want %d, %d", r, s, r0+1, s0+1)
 	}
 	c.Close()
-	if r, s := count(); r != r0 || s != s0 {
+	r, s := count()
+	for deadline := time.Now().Add(2 * time.Second); (r != r0 || s != s0) && time.Now().Before(deadline); r, s = count() {
+		time.Sleep(time.Millisecond)
+	}
+	if r != r0 || s != s0 {
 		t.Fatalf("after Close: %d resenders, %d sweepers; want %d, %d", r, s, r0, s0)
 	}
 }
 
-// TestSharedValuesStayFrozen checks the rule that lets QueryAck and Update
-// carry their value by pointer: nobody writes through it. Over channels
-// the pointer a client sends or receives is the op's own value or the
-// replica's current value itself, so the hooks record each one with a
-// copy of what it held then; after concurrent writers and readers on
-// shared keys, every pointer must still hold its copy (and under -race,
-// a write through one while a hook reads it is a reported race).
+// TestSharedValuesStayFrozen checks the rule that lets QueryAck, TagAck
+// and Update carry their value (or tag) by pointer: nobody writes through
+// it. Over channels the pointer a client sends or receives is the op's own
+// value or the replica's current value (or its tag) itself, so the hooks
+// record each one with a copy of what it held then; after concurrent
+// writers and readers on shared keys, every pointer must still hold its
+// copy (and under -race, a write through one while a hook reads it is a
+// reported race).
 func TestSharedValuesStayFrozen(t *testing.T) {
 	for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
 		t.Run(p.Name(), func(t *testing.T) {
@@ -404,10 +412,15 @@ func TestSharedValuesStayFrozen(t *testing.T) {
 				ptr *types.Value
 				val types.Value
 			}
+			type seenTag struct {
+				ptr *types.Tag
+				tag types.Tag
+			}
 			var (
-				mu              sync.Mutex
-				log             []seen
-				queryAcks, upds int
+				mu                       sync.Mutex
+				log                      []seen
+				tags                     []seenTag
+				queryAcks, tagAcks, upds int
 			)
 			record := func(m proto.Message) {
 				var v *types.Value
@@ -415,6 +428,10 @@ func TestSharedValuesStayFrozen(t *testing.T) {
 				case proto.QueryAck:
 					v = m.Val
 					queryAcks++
+				case proto.TagAck:
+					tags = append(tags, seenTag{m.Tag, *m.Tag})
+					tagAcks++
+					return
 				case proto.Update:
 					v = m.Val
 					upds++
@@ -479,12 +496,23 @@ func TestSharedValuesStayFrozen(t *testing.T) {
 			c.Close()
 			mu.Lock()
 			defer mu.Unlock()
-			if queryAcks < cfg.W*opsEach || upds < cfg.W*opsEach {
-				t.Fatalf("saw %d QueryAcks and %d Updates, want at least %d of each", queryAcks, upds, cfg.W*opsEach)
+			// Writes query with TagQuery; only W2R2's reads send Query.
+			wantQueryAcks := 0
+			if p.ReadRounds() == 2 {
+				wantQueryAcks = cfg.R * opsEach
+			}
+			if tagAcks < cfg.W*opsEach || upds < cfg.W*opsEach || queryAcks < wantQueryAcks {
+				t.Fatalf("saw %d TagAcks, %d Updates and %d QueryAcks, want at least %d, %d and %d",
+					tagAcks, upds, queryAcks, cfg.W*opsEach, cfg.W*opsEach, wantQueryAcks)
 			}
 			for i, s := range log {
 				if *s.ptr != s.val {
 					t.Fatalf("message %d: its value changed from %v to %v after it was sent", i, s.val, *s.ptr)
+				}
+			}
+			for i, s := range tags {
+				if *s.ptr != s.tag {
+					t.Fatalf("TagAck %d: its tag changed from %v to %v after it was sent", i, s.tag, *s.ptr)
 				}
 			}
 		})

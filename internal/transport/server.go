@@ -344,7 +344,7 @@ type capturedHandle struct {
 }
 
 // staleInitial is the value a WithStaleReadFault replica serves, shared
-// by all its QueryAcks and never written.
+// by all its QueryAcks and TagAcks and never written.
 var staleInitial = types.InitialValue()
 
 // staleReply is the WithStaleReadFault corruption: replies that carry
@@ -354,6 +354,8 @@ func staleReply(reply proto.Message) proto.Message {
 	switch reply.(type) {
 	case proto.QueryAck:
 		return proto.QueryAck{Val: &staleInitial}
+	case proto.TagAck:
+		return proto.TagAck{Tag: &staleInitial.Tag}
 	case proto.FastReadAck:
 		return proto.FastReadAck{Vector: []proto.VectorEntry{{Val: types.InitialValue()}}}
 	default:

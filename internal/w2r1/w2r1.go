@@ -2,10 +2,13 @@
 // multi-writer atomic register of Algorithms 1 & 2 (Appendix A), atomic iff
 // R < S/t − 2 (Section 5).
 //
-// Write (two rounds): query all servers for the maximal timestamp, then
-// update all servers with (maxTS+1, wid) — equal timestamps therefore imply
-// concurrent writes, so the lexicographic tie-break by writer ID is safe
-// (Section 5.2).
+// Write (two rounds): query all servers for the maximal timestamp (a
+// TagQuery, answered with tags alone), then update all servers with
+// (maxTS+1, wid) — equal timestamps therefore imply concurrent writes, so
+// the lexicographic tie-break by writer ID is safe (Section 5.2). maxTS
+// also counts the writer's own last timestamp on the register: a write it
+// abandoned may have reached only servers the next query misses, and the
+// two must not share a tag.
 //
 // Read (one round): send the reader's valQueue to all servers; each server
 // merges it into its valuevector, recording the reader in the updated set of
@@ -62,6 +65,7 @@ func (p *Protocol) NewServer(id types.ProcID, cfg quorum.Config) register.Server
 type writer struct {
 	id   types.ProcID
 	need int
+	ts   int64 // the largest timestamp this writer's ops have used
 }
 
 // NewWriter implements register.Protocol.
@@ -72,7 +76,7 @@ func (p *Protocol) NewWriter(id types.ProcID, cfg quorum.Config) register.Writer
 func (w *writer) ID() types.ProcID { return w.id }
 
 func (w *writer) WriteOp(data string) register.Operation {
-	return opkit.NewQueryThenUpdateWrite(w.id, data, w.need)
+	return opkit.NewQueryThenUpdateWrite(w.id, data, w.need, &w.ts)
 }
 
 type reader struct {
