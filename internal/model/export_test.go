@@ -5,6 +5,9 @@ type Step struct {
 	Kind              string // "invoke", "request", "reply", "complete" or "crash"
 	Op, Round, Server int
 	Took              bool // handled, counted or responded
+	// Counted and Need are, for a complete step, the replies its round
+	// counted and the round's Need.
+	Counted, Need int
 }
 
 var stepNames = [...]string{"invoke", "request", "reply", "complete", "crash"}
@@ -13,9 +16,11 @@ var stepNames = [...]string{"invoke", "request", "reply", "complete", "crash"}
 // observer from newObserver, which then sees each of its steps.
 func ObserveSteps(newObserver func() func(Step)) (restore func()) {
 	old := observeSteps
-	observeSteps = func() func(stepKind, msg, bool) {
+	observeSteps = func() func(stepKind, msg, bool, int, int) {
 		see := newObserver()
-		return func(k stepKind, m msg, took bool) { see(Step{stepNames[k], m.op, m.round, m.srv, took}) }
+		return func(k stepKind, m msg, took bool, counted, need int) {
+			see(Step{stepNames[k], m.op, m.round, m.srv, took, counted, need})
+		}
 	}
 	return func() { observeSteps = old }
 }

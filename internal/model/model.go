@@ -10,11 +10,12 @@
 //   - invoke: an operation begins and sends its first round to every server;
 //   - request: one request reaches one server, which handles it and sends
 //     back its reply unless the server has crashed;
-//   - reply: one reply reaches its client, which counts it if it belongs to
-//     the operation's open round and comes from a server not counted there
-//     yet;
-//   - complete: register.Operation.Next consumes the open round's counted
-//     replies, and the operation either responds or sends its next round;
+//   - reply: one reply reaches its client, which counts it by the round
+//     rule of register.Collector: only toward the operation's open round,
+//     once per server, and not after the operation responded;
+//   - complete: once the open round is ready (register.Collector.Ready),
+//     register.Collector.Complete hands its counted replies to the
+//     operation, which either responds or sends its next round;
 //   - crash: a server stops and handles nothing afterwards.
 //
 // A scheduler holds the undelivered messages and chooses the next step:
@@ -33,8 +34,6 @@
 package model
 
 import (
-	"slices"
-
 	"fastreg/internal/history"
 	"fastreg/internal/proto"
 	"fastreg/internal/register"
@@ -53,18 +52,10 @@ type msg struct {
 
 // run is one invoked operation.
 type run struct {
-	op       register.Operation
+	col      register.Collector // the operation and its open round
 	ref      history.Ref
-	payloads []proto.Message  // each sent round's request, round r at r-1
-	need     int              // replies the open round waits for
-	replies  []register.Reply // the open round's counted replies
-	done     bool             // responded
-	result   types.Value
-	err      error
+	payloads []proto.Message // each sent round's request, round r at r-1
 }
-
-// round is the operation's open round (1-based).
-func (o *run) round() int { return len(o.payloads) }
 
 // stepKind names the steps of the relation.
 type stepKind int
@@ -85,13 +76,14 @@ type core struct {
 	rec     *history.Recorder
 	// observe, when set, sees every step after it is taken: the message
 	// or, for invoke, complete and crash, the operation's round or the
-	// server it names, and whether the step took effect (handled, counted,
-	// responded).
-	observe func(stepKind, msg, bool)
+	// server it names; whether the step took effect (handled, counted,
+	// responded); and, for complete, how many replies the round counted
+	// and its Need.
+	observe func(k stepKind, m msg, took bool, counted, need int)
 }
 
 // observeSteps, when set, gives every new execution an observer.
-var observeSteps func() func(stepKind, msg, bool)
+var observeSteps func() func(k stepKind, m msg, took bool, counted, need int)
 
 // newCore starts an execution on servers, recording its history on clock.
 func newCore(servers []register.ServerLogic, clock *vclock.Clock) *core {
@@ -102,9 +94,9 @@ func newCore(servers []register.ServerLogic, clock *vclock.Clock) *core {
 	return c
 }
 
-func (c *core) note(k stepKind, m msg, took bool) {
+func (c *core) note(k stepKind, m msg, took bool, counted, need int) {
 	if c.observe != nil {
-		c.observe(k, m, took)
+		c.observe(k, m, took, counted, need)
 	}
 }
 
@@ -112,15 +104,11 @@ func (c *core) note(k stepKind, m msg, took bool) {
 // the operation's index.
 func (c *core) invoke(at vclock.Time, op register.Operation, opID uint64) int {
 	id := len(c.runs)
-	c.runs = append(c.runs, &run{op: op, ref: c.rec.InvokeAt(at, op.Client(), opID, op.Kind(), op.Arg())})
-	c.open(c.runs[id], op.Begin())
-	c.note(stepInvoke, msg{op: id, round: 1}, true)
+	o := &run{ref: c.rec.InvokeAt(at, op.Client(), opID, op.Kind(), op.Arg())}
+	c.runs = append(c.runs, o)
+	o.payloads = append(o.payloads, o.col.Begin(op, len(c.servers)).Payload)
+	c.note(stepInvoke, msg{op: id, round: 1}, true, 0, 0)
 	return id
-}
-
-func (c *core) open(o *run, r register.Round) {
-	o.payloads = append(o.payloads, r.Payload)
-	o.need, o.replies = r.Need, o.replies[:0]
 }
 
 // request delivers request m, a round already sent. It returns the server's
@@ -130,23 +118,17 @@ func (c *core) request(m msg) msg {
 	reply := msg{op: m.op, round: m.round, srv: m.srv, reply: true}
 	if handled {
 		o := c.runs[m.op]
-		reply.payload = c.servers[m.srv-1].Handle(o.op.Client(), o.payloads[m.round-1])
+		reply.payload = c.servers[m.srv-1].Handle(o.col.Op().Client(), o.payloads[m.round-1])
 	}
-	c.note(stepRequest, m, handled)
+	c.note(stepRequest, m, handled, 0, 0)
 	return reply
 }
 
 // reply delivers reply m and reports whether its operation's open round
 // counted it.
 func (c *core) reply(m msg) bool {
-	o := c.runs[m.op]
-	from := types.Server(m.srv)
-	counted := !o.done && m.round == o.round() &&
-		!slices.ContainsFunc(o.replies, func(r register.Reply) bool { return r.From == from })
-	if counted {
-		o.replies = append(o.replies, register.Reply{From: from, Msg: m.payload})
-	}
-	c.note(stepReply, m, counted)
+	counted := c.runs[m.op].col.Count(m.round, register.Reply{From: types.Server(m.srv), Msg: m.payload})
+	c.note(stepReply, m, counted, 0, 0)
 	return counted
 }
 
@@ -154,25 +136,20 @@ func (c *core) reply(m msg) bool {
 // either responds, recorded at at, or sends its next round.
 func (c *core) complete(id int, at vclock.Time) {
 	o := c.runs[id]
-	round := o.round()
-	next, res, done, err := o.op.Next(o.replies)
-	switch {
-	case err != nil:
-		o.done, o.err = true, err
-		c.rec.RespondAt(at, o.ref, types.Value{}, err)
-	case done:
-		o.done, o.result = true, res
-		c.rec.RespondAt(at, o.ref, res, nil)
-	default:
-		c.open(o, *next)
+	round, counted, need := o.col.Round(), len(o.col.Replies()), o.col.Need()
+	if next, more := o.col.Complete(); more {
+		o.payloads = append(o.payloads, next.Payload)
+	} else {
+		res, err := o.col.Result()
+		c.rec.RespondAt(at, o.ref, res, err)
 	}
-	c.note(stepComplete, msg{op: id, round: round}, o.done)
+	c.note(stepComplete, msg{op: id, round: round}, o.col.Done(), counted, need)
 }
 
 // crash stops server srv (1-based).
 func (c *core) crash(srv int) {
 	c.crashed[srv-1] = true
-	c.note(stepCrash, msg{srv: srv}, true)
+	c.note(stepCrash, msg{srv: srv}, true, 0, 0)
 }
 
 // history snapshots the execution. Pending two-round writes have their
@@ -180,8 +157,8 @@ func (c *core) crash(srv int) {
 // of in-flight values stay matchable by the checker.
 func (c *core) history() history.History {
 	for _, o := range c.runs {
-		if !o.done {
-			c.rec.UpdateValue(o.ref, o.op.Arg())
+		if !o.col.Done() {
+			c.rec.UpdateValue(o.ref, o.col.Op().Arg())
 		}
 	}
 	return c.rec.History()

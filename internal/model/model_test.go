@@ -29,7 +29,9 @@ import (
 //   - (b) round k+1 of an op is never sent before round k completed;
 //   - (c) a round counts at most one reply per server, and only while it
 //     is the open round;
-//   - (d) every invoked op is responded exactly once or stays pending.
+//   - (d) every invoked op is responded exactly once or stays pending;
+//   - (e) a round completes only with at least its Need replies counted,
+//     and hands on exactly the replies its reply steps counted.
 //
 // (d) ends with checkHistory, which holds the responses the steps made to
 // the recorded history.
@@ -37,13 +39,14 @@ type invariants struct {
 	crashed   map[int]bool
 	handled   map[[3]int]bool // (op, round, server): requests handled
 	counted   map[[3]int]bool // (op, round, server): replies counted
+	tally     map[[2]int]int  // (op, round): replies counted
 	sent      []int           // each op's last sent round
 	responded []bool
 	err       error
 }
 
 func newInvariants() *invariants {
-	return &invariants{crashed: map[int]bool{}, handled: map[[3]int]bool{}, counted: map[[3]int]bool{}}
+	return &invariants{crashed: map[int]bool{}, handled: map[[3]int]bool{}, counted: map[[3]int]bool{}, tally: map[[2]int]int{}}
 }
 
 func (v *invariants) step(s model.Step) {
@@ -86,12 +89,19 @@ func (v *invariants) step(s model.Step) {
 			fail("c", "a second reply from one server counted")
 		}
 		v.counted[key] = v.counted[key] || s.Took
+		if s.Took {
+			v.tally[[2]int{s.Op, s.Round}]++
+		}
 	case "complete":
-		switch {
+		switch n := v.tally[[2]int{s.Op, s.Round}]; {
 		case v.responded[s.Op]:
 			fail("d", "completed a round after the op responded")
 		case s.Round != v.sent[s.Op]:
 			fail("b", "completed round %d, but the open round is %d", s.Round, v.sent[s.Op])
+		case n < s.Need:
+			fail("e", "completed with %d replies counted, Need %d", n, s.Need)
+		case n != s.Counted:
+			fail("e", "handed on %d replies, but %d were counted", s.Counted, n)
 		case s.Took:
 			v.responded[s.Op] = true
 		default:

@@ -103,7 +103,7 @@ func (sc Script) Run() ([]Result, history.History, error) {
 		switch {
 		case i < 0 || i >= n:
 			return nil, history.History{}, fmt.Errorf("global[%d] references op %d of %d", pos, i, n)
-		case started[i] > 0 && c.runs[ids[i]].done:
+		case started[i] > 0 && c.runs[ids[i]].col.Done():
 			return nil, history.History{}, fmt.Errorf("op %d starts round %d after it responded", i, rt.Round)
 		case stalled[i]:
 			continue
@@ -113,7 +113,7 @@ func (sc Script) Run() ([]Result, history.History, error) {
 			return nil, history.History{}, fmt.Errorf("op %d starts round 1 twice", i)
 		case rt.Round != started[i]+1:
 			return nil, history.History{}, fmt.Errorf("op %d starts round %d out of order", i, rt.Round)
-		case c.runs[ids[i]].round() != rt.Round:
+		case c.runs[ids[i]].col.Round() != rt.Round:
 			// The previous round never reached its Need: the client is
 			// still waiting, so this and every later round never start.
 			stalled[i] = true
@@ -125,12 +125,12 @@ func (sc Script) Run() ([]Result, history.History, error) {
 			if started[i] == 0 {
 				continue
 			}
-			o := c.runs[id]
-			if o.done || o.round() != started[i] || len(o.replies) < o.need {
+			o := &c.runs[id].col
+			if o.Done() || o.Round() != started[i] || !o.Ready() {
 				continue
 			}
-			slices.SortFunc(o.replies, func(a, b register.Reply) int { return cmp.Compare(a.From.Index, b.From.Index) })
-			received(i, o.round(), o.replies...)
+			slices.SortFunc(o.Replies(), func(a, b register.Reply) int { return cmp.Compare(a.From.Index, b.From.Index) })
+			received(i, o.Round(), o.Replies()...)
 			c.complete(id, vclock.Time(pos*1000+500+i+1))
 		}
 	}
@@ -139,11 +139,12 @@ func (sc Script) Run() ([]Result, history.History, error) {
 		if started[i] == 0 {
 			continue
 		}
-		o := c.runs[id]
-		if !o.done && o.round() == started[i] {
-			received(i, o.round(), o.replies...)
+		o := &c.runs[id].col
+		if !o.Done() && o.Round() == started[i] {
+			received(i, o.Round(), o.Replies()...)
 		}
-		results[i].Value, results[i].Err, results[i].Done = o.result, o.err, o.done && o.err == nil
+		results[i].Value, results[i].Err = o.Result()
+		results[i].Done = o.Done() && results[i].Err == nil
 	}
 	return results, c.history(), nil
 }

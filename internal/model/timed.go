@@ -201,7 +201,7 @@ func (s *Sim) schedule(e event) {
 
 // send schedules the delivery of m after a delay drawn from the RNG.
 func (s *Sim) send(m msg) {
-	from, to := s.c.runs[m.op].op.Client(), types.Server(m.srv)
+	from, to := s.c.runs[m.op].col.Op().Client(), types.Server(m.srv)
 	if m.reply {
 		from, to = to, from
 	}
@@ -211,7 +211,7 @@ func (s *Sim) send(m msg) {
 // broadcast sends operation id's open round to every server, in order.
 func (s *Sim) broadcast(id int) {
 	for srv := 1; srv <= len(s.c.servers); srv++ {
-		s.send(msg{op: id, round: s.c.runs[id].round(), srv: srv})
+		s.send(msg{op: id, round: s.c.runs[id].col.Round(), srv: srv})
 	}
 }
 
@@ -244,18 +244,18 @@ func (s *Sim) fire(e event) {
 			return
 		}
 		s.stats.Delivered++
-		o := s.c.runs[m.op]
-		if len(o.replies) < o.need {
+		o := &s.c.runs[m.op].col
+		if !o.Ready() {
 			return
 		}
 		s.c.complete(m.op, s.clock.Now()+1)
-		if !o.done {
+		if !o.Done() {
 			s.broadcast(m.op)
 			return
 		}
 		s.stats.Completed++
 		if f := s.onDone[m.op]; f != nil {
-			f(o.result, o.err)
+			f(o.Result())
 		}
 	}
 }

@@ -221,22 +221,23 @@ func TestPutEnvsClears(t *testing.T) {
 
 func TestReadFramesBothKinds(t *testing.T) {
 	envs := batchEnvs(t)
-	var stream bytes.Buffer
-	if err := WriteFrame(&stream, envs[0]); err != nil {
+	single, err := AppendEnvelope(nil, envs[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBatch(&stream, envs); err != nil {
+	stream := bytes.NewBuffer(single)
+	if err := WriteBatch(stream, envs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrames(&stream)
+	got, err := ReadFrames(stream)
 	if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], envs[0]) {
 		t.Fatalf("single frame: %v %v", got, err)
 	}
-	got, err = ReadFrames(&stream)
+	got, err = ReadFrames(stream)
 	if err != nil || !reflect.DeepEqual(got, envs) {
 		t.Fatalf("batch frame: %v %v", got, err)
 	}
-	if _, err := ReadFrames(&stream); err == nil {
+	if _, err := ReadFrames(stream); err == nil {
 		t.Fatal("ReadFrames on empty stream should fail")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"fastreg/internal/types"
@@ -584,33 +583,4 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 	}
 	fc.text = text[min(used, len(text)):]
 	return total, nil
-}
-
-// WriteFrame encodes e and writes the frame to w.
-func WriteFrame(w io.Writer, e Envelope) error {
-	b, err := Encode(e)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadFrame reads exactly one frame from r and decodes it.
-func ReadFrame(r io.Reader) (Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Envelope{}, err
-	}
-	body := binary.BigEndian.Uint32(hdr[:])
-	if body > MaxFrame {
-		return Envelope{}, ErrOversize
-	}
-	buf := make([]byte, 4+body)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return Envelope{}, err
-	}
-	e, _, err := Decode(buf)
-	return e, err
 }

@@ -84,19 +84,21 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecStream(t *testing.T) {
-	var buf bytes.Buffer
+	var stream []byte
 	envs := sampleEnvelopes()
 	for _, e := range envs {
-		if err := WriteFrame(&buf, e); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+		var err error
+		if stream, err = AppendEnvelope(stream, e); err != nil {
+			t.Fatalf("AppendEnvelope: %v", err)
 		}
 	}
+	buf := bytes.NewBuffer(stream)
 	for i := range envs {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrames(buf)
 		if err != nil {
-			t.Fatalf("ReadFrame %d: %v", i, err)
+			t.Fatalf("ReadFrames %d: %v", i, err)
 		}
-		if !envEqual(got, envs[i]) {
+		if len(got) != 1 || !envEqual(got[0], envs[i]) {
 			t.Fatalf("frame %d mismatch: got %+v want %+v", i, got, envs[i])
 		}
 	}

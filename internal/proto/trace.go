@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"fastreg/internal/types"
 )
@@ -314,50 +313,4 @@ func DecodeTraceRecord(buf []byte) (TraceRecord, int, error) {
 		return TraceRecord{}, 0, fmt.Errorf("proto: %d trailing bytes in trace frame", len(r.buf)-r.off)
 	}
 	return t, total, nil
-}
-
-// WriteTraceRecord encodes t and writes the frame to w, reusing a pooled
-// assembly buffer.
-func WriteTraceRecord(w io.Writer, t TraceRecord) error {
-	buf, err := AppendTraceRecord(GetBuf(), t)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	PutBuf(buf)
-	return err
-}
-
-// ReadTraceRecord reads exactly one trace record from r. A clean
-// end-of-stream returns io.EOF; a stream cut mid-frame (a process killed
-// with a partially flushed log — the expected shape of a crashed
-// capture) returns io.ErrUnexpectedEOF, so log readers can distinguish
-// "complete log" from "truncated log".
-func ReadTraceRecord(r io.Reader) (TraceRecord, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		// ReadFull already distinguishes the two: io.EOF at a frame
-		// boundary, io.ErrUnexpectedEOF inside the length prefix.
-		return TraceRecord{}, err
-	}
-	body := binary.BigEndian.Uint32(hdr[:])
-	if body > MaxFrame {
-		return TraceRecord{}, ErrOversize
-	}
-	buf := GetBuf()
-	defer func() { PutBuf(buf) }()
-	if need := 4 + int(body); cap(buf) < need {
-		buf = make([]byte, need)
-	} else {
-		buf = buf[:need]
-	}
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return TraceRecord{}, io.ErrUnexpectedEOF
-		}
-		return TraceRecord{}, err
-	}
-	t, _, err := DecodeTraceRecord(buf)
-	return t, err
 }

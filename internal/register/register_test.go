@@ -2,6 +2,7 @@ package register_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,5 +94,144 @@ func TestBadReplyMentionsTypeAndOp(t *testing.T) {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("error %q missing %q", msg, frag)
 		}
+	}
+}
+
+// scriptedOp opens a Need-2 first round; its Next returns what next
+// returns for the call's number (1-based), and it keeps how many replies
+// each call received.
+type scriptedOp struct {
+	stuckOp
+	next func(call int) (*register.Round, types.Value, bool, error)
+	got  []int
+}
+
+func (o *scriptedOp) Begin() register.Round { return register.Round{Payload: proto.Query{}, Need: 2} }
+func (o *scriptedOp) Next(replies []register.Reply) (*register.Round, types.Value, bool, error) {
+	o.got = append(o.got, len(replies))
+	return o.next(len(o.got))
+}
+
+// collectorStep is one step of a TestCollector row: a reply from server
+// from to round round, or, with from 0, completing the open round.
+type collectorStep struct {
+	round, from int
+	took        bool // the reply counted, or completing opened a next round
+	ready       bool // the open round is ready after the step
+}
+
+func reply(round, from int, counted, ready bool) collectorStep {
+	return collectorStep{round, from, counted, ready}
+}
+
+// complete completes the open round. A finished op keeps its last
+// round's replies, so that round stays ready.
+func complete(more bool) collectorStep { return collectorStep{took: more, ready: !more} }
+
+// TestCollector holds the round rule to one row per clause, each a Need-2
+// operation on three servers.
+func TestCollector(t *testing.T) {
+	errNext := errors.New("next failed")
+	twoRounds := func(call int) (*register.Round, types.Value, bool, error) {
+		if call == 1 {
+			return &register.Round{Payload: proto.Update{}, Need: 2}, types.Value{}, false, nil
+		}
+		return nil, types.Value{Data: "v"}, true, nil
+	}
+	cases := []struct {
+		name     string
+		next     func(call int) (*register.Round, types.Value, bool, error)
+		steps    []collectorStep
+		wantNext []int // replies each Next call received
+		wantErr  error // for a finished op; nil: its result is "v"
+		done     bool
+	}{
+		{
+			name:     "a straggler from an earlier round is not counted",
+			next:     twoRounds,
+			steps:    []collectorStep{reply(1, 1, true, false), reply(1, 2, true, true), complete(true), reply(1, 3, false, false), reply(2, 3, true, false)},
+			wantNext: []int{2},
+		},
+		{
+			name:  "a reply to a later round is not counted",
+			next:  twoRounds,
+			steps: []collectorStep{reply(2, 1, false, false), reply(1, 1, true, false)},
+		},
+		{
+			name:  "a second reply from one server is not counted",
+			next:  twoRounds,
+			steps: []collectorStep{reply(1, 1, true, false), reply(1, 1, false, false), reply(1, 2, true, true)},
+		},
+		{
+			name: "a reply after the op finished is not counted",
+			next: twoRounds,
+			steps: []collectorStep{reply(1, 1, true, false), reply(1, 2, true, true), complete(true),
+				reply(2, 1, true, false), reply(2, 2, true, true), complete(false), reply(2, 3, false, true)},
+			wantNext: []int{2, 2},
+			done:     true,
+		},
+		{
+			name:     "ready exactly at Need, and counting on past it for a caller that waits",
+			next:     twoRounds,
+			steps:    []collectorStep{reply(1, 3, true, false), reply(1, 1, true, true), reply(1, 2, true, true), complete(true)},
+			wantNext: []int{3},
+		},
+		{
+			name: "a Next error finishes the op",
+			next: func(int) (*register.Round, types.Value, bool, error) {
+				return &register.Round{Need: 2}, types.Value{Data: "v"}, true, errNext
+			},
+			steps:    []collectorStep{reply(1, 1, true, false), reply(1, 2, true, true), complete(false), reply(1, 3, false, true)},
+			wantNext: []int{2},
+			wantErr:  errNext,
+			done:     true,
+		},
+		{
+			name: "neither done nor next is ErrProtocol",
+			next: func(int) (*register.Round, types.Value, bool, error) {
+				return nil, types.Value{}, false, nil
+			},
+			steps:    []collectorStep{reply(1, 1, true, false), reply(1, 2, true, true), complete(false)},
+			wantNext: []int{2},
+			wantErr:  register.ErrProtocol,
+			done:     true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			op := &scriptedOp{next: tc.next}
+			var c register.Collector
+			if first := c.Begin(op, 3); first.Need != 2 || c.Round() != 1 || c.Op() != op {
+				t.Fatalf("Begin: round %d, need %d", c.Round(), first.Need)
+			}
+			for i, s := range tc.steps {
+				var took bool
+				if s.from == 0 {
+					_, took = c.Complete()
+				} else {
+					took = c.Count(s.round, register.Reply{From: types.Server(s.from), Msg: proto.QueryAck{}})
+				}
+				if took != s.took || c.Ready() != s.ready {
+					t.Fatalf("step %d %+v: took %v, ready %v", i, s, took, c.Ready())
+				}
+			}
+			if !slices.Equal(op.got, tc.wantNext) {
+				t.Fatalf("Next received %v replies, want %v", op.got, tc.wantNext)
+			}
+			res, err := c.Result()
+			switch {
+			case c.Done() != tc.done:
+				t.Fatalf("done = %v", c.Done())
+			case !tc.done:
+			case tc.wantErr != nil && (!errors.Is(err, tc.wantErr) || res != types.Value{}):
+				t.Fatalf("result %v, %v; want the zero value and %v", res, err, tc.wantErr)
+			case tc.wantErr == nil && (err != nil || res.Data != "v"):
+				t.Fatalf("result %v, %v; want v", res, err)
+			}
+			c.Reset()
+			if c.Round() != 0 || c.Op() != nil || c.Done() || len(c.Replies()) != 0 {
+				t.Fatalf("after Reset: round %d, op %v, done %v, %d replies", c.Round(), c.Op(), c.Done(), len(c.Replies()))
+			}
+		})
 	}
 }

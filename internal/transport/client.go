@@ -45,17 +45,18 @@ const resendInterval = 20 * time.Millisecond
 // Links reconnect with exponential backoff when a server dies and comes
 // back; while a server is down, operations complete against any S−t of
 // the fleet, exactly the wait-freedom the protocols promise. Replies are
-// correlated back to their operation by (client, key, opID) and filtered
-// by round, so stragglers from an earlier round can never satisfy a later
-// one.
+// correlated back to their operation by (client, key, opID) and counted by
+// the round rule of register.Collector, the model's own: toward the open
+// round only, once per server, never after the operation finished — so
+// stragglers from an earlier round can never satisfy a later one.
 //
 // An operation costs one wake-up, however many rounds it takes: the
-// receive loops append each reply to the round's collector, and the reply
-// that completes a round's quorum runs the operation's Next right there,
-// then sends the next round or wakes the waiting operation with its
-// result. One client-wide resender goroutine keeps time for every round in
-// flight; it wakes an operation only when its round has waited past
-// resendInterval.
+// receive loops count each reply into the operation's collector, and the
+// reply that makes a round ready completes it right there — the
+// operation's Next runs, then the next round goes out or the waiting
+// operation wakes with its result. One client-wide resender goroutine
+// keeps time for every round in flight; it wakes an operation only when
+// its round has waited past resendInterval.
 //
 // Delivery is at-least-once: a round whose send failed is re-attempted
 // until the reply quorum is in, so a server can Handle the same message
@@ -210,25 +211,24 @@ type pendKey struct {
 }
 
 // pendingRound is one operation's entry in the pending table, installed
-// for the whole operation. It collects the replies to round number round:
-// dispatch appends one reply per server, at most need of them, and the
-// reply that completes the quorum runs op.Next on them. That either
-// re-arms the entry for the next round and sends it, or stores the
-// outcome and sends the operation's one token on ready. The resender
-// sends a token too when it marks the round for a resend.
+// for the whole operation. Its collector holds the operation and counts
+// the replies dispatch hands it; the reply that makes the open round ready
+// completes it (turnoverLocked), which either sends the next round from
+// the same entry or leaves the outcome in the collector and sends the
+// operation's one token on ready. The rest is what only the engine needs:
+// the request it re-sends, the trace, the resend clock and the epoch
+// credit. The resender sends a token too when it marks the round for a
+// resend.
 //
 // While the entry is installed, the pending shard's mu guards every field
-// but ready, without exception: whichever goroutine runs op.Next or marks
-// otr holds it, so the operation passes from goroutine to goroutine under
-// that lock.
+// but ready, without exception: whichever goroutine completes a round or
+// marks otr holds it, so the operation passes from goroutine to goroutine
+// under that lock.
 type pendingRound struct {
-	op      register.Operation
-	env     proto.Envelope // the current round's request, as trySendsLocked sends it
-	otr     *obs.OpTrace
-	round   uint8
-	need    int
-	replies []register.Reply // capacity S: appends never allocate
-	ready   chan struct{}    // buffered(1): at most one wake-up pending
+	col   register.Collector // buffer capacity S: counting never allocates
+	env   proto.Envelope     // the open round's request, as trySendsLocked sends it
+	otr   *obs.OpTrace
+	ready chan struct{} // buffered(1): at most one wake-up pending
 	// resend marks a round the resender found waiting past resendInterval;
 	// due is the resender tick at which the round is next due (0: the
 	// resender has not seen it yet).
@@ -239,10 +239,6 @@ type pendingRound struct {
 	// completion returns Budget−credited, so weight on frames the network
 	// ate still comes home.
 	credited uint64
-	// done marks the operation finished; res or err is its outcome.
-	done bool
-	res  types.Value
-	err  error
 }
 
 // wakeLocked sends p's token unless one is already pending. Callers hold
@@ -255,9 +251,6 @@ func (ps *pendShard) wakeLocked(p *pendingRound) {
 	default:
 	}
 }
-
-// quorum reports whether the round's reply quorum is in.
-func (p *pendingRound) quorum() bool { return len(p.replies) >= p.need }
 
 // Registry is the sharded per-key client-side state — protocol state
 // machines, op counters and history recorders — backed by the shared
@@ -283,13 +276,13 @@ func (r *Registry) Histories() map[string]history.History { return r.r.Histories
 func (r *Registry) Keys() []string { return r.r.Keys() }
 
 // execScratch is the pooled per-operation state: one pending-table entry
-// (with its reply collector and wake channel) serves every round of an
-// operation and is recycled across operations. While it is installed, the
-// pending shard's mu guards all of it, whoever holds it: exec, dispatch or
-// the resender. Safe reuse rests on two invariants: nothing touches an
-// entry without that lock, and exec drains ready after removing the entry
-// — so once an operation retires its entry, no stale reply or token can
-// reach a later user.
+// (with its register.Collector, whose reply buffer keeps its capacity, and
+// its wake channel) serves every round of an operation and is recycled
+// across operations. While it is installed, the pending shard's mu guards
+// all of it, whoever holds it: exec, dispatch or the resender. Safe reuse
+// rests on two invariants: nothing touches an entry without that lock,
+// and exec drains ready after removing the entry — so once an operation
+// retires its entry, no stale reply or token can reach a later user.
 type execScratch struct {
 	pr   pendingRound // the table entry, reused across rounds and ops
 	held uint64       // epoch weight atoms not yet attached to a frame
@@ -431,9 +424,9 @@ func (c *Client) Sweep() int { return c.reg.r.Sweep() }
 // resendInterval/2 until the client closes. On each tick it visits the
 // pending table: a round it sees for the first time falls due two ticks
 // later (so it has waited more than resendInterval, and less than 1.5×,
-// when it first falls due); a due round whose quorum is not in is marked,
-// woken to re-send to its silent servers, and falls due again one
-// resendInterval later.
+// when it first falls due); a due round of an unfinished op that is not
+// ready is marked, woken to re-send to its silent servers, and falls due
+// again one resendInterval later.
 func (c *Client) resender() {
 	defer c.wg.Done()
 	t := time.NewTicker(resendInterval / 2)
@@ -452,7 +445,7 @@ func (c *Client) resender() {
 				switch p := &sc.pr; {
 				case p.due == 0:
 					p.due = tick + 2
-				case tick >= p.due && !p.quorum():
+				case tick >= p.due && !p.col.Done() && !p.col.Ready():
 					p.due = tick + 2
 					p.resend = true
 					ps.wakeLocked(p)
@@ -504,10 +497,7 @@ func (c *Client) getScratch() *execScratch {
 	if v := c.scratch.Get(); v != nil {
 		return v.(*execScratch)
 	}
-	return &execScratch{pr: pendingRound{
-		replies: make([]register.Reply, 0, c.cfg.S),
-		ready:   make(chan struct{}, 1),
-	}}
+	return &execScratch{pr: pendingRound{ready: make(chan struct{}, 1)}}
 }
 
 // putScratch returns a scratch set to the pool. The caller must already
@@ -520,14 +510,13 @@ func (c *Client) putScratch(sc *execScratch) {
 	default:
 	}
 	pr := &sc.pr
-	pr.replies = pr.replies[:0]
-	clear(pr.replies[:cap(pr.replies)]) // drop the payloads, and the frame strings and value arenas they point into
-	pr.op, pr.env, pr.otr, pr.done, pr.res, pr.err = nil, proto.Envelope{}, nil, false, types.Value{}, nil
+	pr.col.Reset() // drop the payloads, and the frame strings and value arenas they point into
+	pr.env, pr.otr = proto.Envelope{}, nil
 	c.scratch.Put(sc)
 }
 
 // exec runs one operation: it installs the operation's entry, sends
-// round 1 and waits once, while dispatch turns the rounds over (see
+// round 1 and waits once, while dispatch completes the rounds (see
 // turnoverLocked). A round whose Need exceeds the links not abandoned
 // fails fast with register.ErrProtocol — no quorum can form.
 func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, op register.Operation) (types.Value, error) {
@@ -561,9 +550,9 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 	sc := c.getScratch()
 	pr := &sc.pr
 	ps := c.pendShardOf(key)
-	round := op.Begin()
 	// No table entry points at pr yet, so these writes race with nothing.
-	pr.round, pr.need, pr.resend, pr.due, pr.credited = 1, round.Need, false, 0, 0
+	round := pr.col.Begin(op, c.cfg.S)
+	pr.resend, pr.due, pr.credited = false, 0, 0
 	sc.held = tk.Budget
 	opErr := c.unreachable(round.Need)
 	if opErr == nil {
@@ -574,7 +563,7 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 		// blocks until its last round has Need distinct replies or ctx
 		// expires — the wait-free contract the protocols' model promises.
 		ps.mu.Lock()
-		pr.op, pr.otr = op, otr
+		pr.otr = otr
 		pr.env = proto.Envelope{
 			From:    op.Client(),
 			Key:     key,
@@ -593,9 +582,10 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 	}
 	ps.mu.Lock()
 	delete(ps.m, pk)
-	res, roundNo, credited := pr.res, pr.round, pr.credited
+	res, err := pr.col.Result()
+	roundNo, credited := pr.col.Round(), pr.credited
 	if opErr == nil {
-		opErr = pr.err
+		opErr = err
 	}
 	ps.mu.Unlock()
 	c.putScratch(sc)
@@ -607,7 +597,7 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 		st.ReadOps.Add(1)
 	}
 	if c.om != nil {
-		c.om.Op(isWrite, int64(time.Since(t0)), int(roundNo), opErr != nil)
+		c.om.Op(isWrite, int64(time.Since(t0)), roundNo, opErr != nil)
 	}
 	c.tracer.Finish(otr)
 	if opErr != nil {
@@ -658,12 +648,12 @@ func (c *Client) awaitQuorum(ctx context.Context, ps *pendShard, sc *execScratch
 			return fmt.Errorf("%w: %v", register.ErrTimeout, err)
 		}
 		ps.mu.Lock()
-		done := pr.done
+		done := pr.col.Done()
 		resend := pr.resend && !done
 		pr.resend = false
 		var err error
 		if resend {
-			if err = c.unreachable(pr.need); err == nil {
+			if err = c.unreachable(pr.col.Need()); err == nil {
 				c.trySendsLocked(sc)
 			}
 		}
@@ -684,7 +674,7 @@ func (c *Client) awaitQuorum(ctx context.Context, ps *pendShard, sc *execScratch
 func (c *Client) trySendsLocked(sc *execScratch) {
 	pr := &sc.pr
 	for _, l := range c.links {
-		if hasReplyFrom(pr.replies, l.id) {
+		if pr.col.Counted(l.id) {
 			continue
 		}
 		env := pr.env
@@ -705,15 +695,15 @@ func (c *Client) pendShardOf(key string) *pendShard {
 	return c.pending[shard.Index(key, len(c.pending))]
 }
 
-// dispatch collects one reply envelope into its operation's current
-// round. Replies for finished operations or superseded rounds are
-// dropped — a slow server's round-1 straggler must never count toward
-// round 2 — and so are replies from outside the fleet, a second reply
-// from one server (re-sent rounds draw duplicates, and quorum
-// intersection needs distinct servers), and replies past the quorum. The
-// reply that completes the quorum turns the round over, under the shard
-// lock, which makes removing the entry a barrier the round engine relies
-// on to recycle it.
+// dispatch counts one reply envelope into its operation's collector.
+// Replies from outside the fleet are dropped here; the collector drops
+// the rest that must not count: stragglers of superseded rounds (a slow
+// server's round-1 reply must never count toward round 2), a second reply
+// from one server (re-sent rounds draw duplicates, and quorum intersection
+// needs distinct servers), and replies to a finished operation. The reply
+// that makes the round ready completes it, under the shard lock, which
+// makes removing the entry a barrier the round engine relies on to
+// recycle it.
 func (c *Client) dispatch(env *proto.Envelope) {
 	if !env.IsReply || env.Payload == nil || env.From.Role != types.RoleServer ||
 		env.From.Index < 1 || env.From.Index > len(c.links) {
@@ -723,21 +713,18 @@ func (c *Client) dispatch(env *proto.Envelope) {
 	ps := c.pendShardOf(env.Key)
 	var harvest uint64
 	ps.mu.Lock()
-	if sc, ok := ps.m[pk]; ok && sc.pr.round == env.Round {
+	if sc, ok := ps.m[pk]; ok {
 		p := &sc.pr
 		// Harvest the weight the server echoed back: record it against the
 		// op (so completion returns only the remainder) and send it home
 		// below, off the shard lock. Stragglers of dead rounds are NOT
 		// harvested — their weight comes home via the op's remainder.
-		if env.Weight != 0 {
+		if env.Weight != 0 && int(env.Round) == p.col.Round() {
 			p.credited += env.Weight
 			harvest = env.Weight
 		}
-		if !p.quorum() && !hasReplyFrom(p.replies, env.From) {
-			p.replies = append(p.replies, register.Reply{From: env.From, Msg: env.Payload})
-			if p.quorum() {
-				c.turnoverLocked(ps, sc)
-			}
+		if p.col.Count(int(env.Round), register.Reply{From: env.From, Msg: env.Payload}) && p.col.Ready() {
+			c.turnoverLocked(ps, sc)
 		}
 	}
 	ps.mu.Unlock()
@@ -746,45 +733,37 @@ func (c *Client) dispatch(env *proto.Envelope) {
 	}
 }
 
-// turnoverLocked finishes the round whose quorum just came in, on the
-// goroutine that delivered the completing reply: it feeds the replies to
-// op.Next, then either re-arms the entry for the next round and sends it,
-// or stores the outcome and wakes the operation. The caller holds ps.mu.
+// turnoverLocked completes the round that just became ready, on the
+// goroutine that delivered the reply that made it so: the collector feeds
+// the replies to the operation's Next, then the entry sends the next
+// round, or the operation, finished, wakes. A next round needing more
+// replies than there are links not abandoned fails the operation. The
+// caller holds ps.mu.
 func (c *Client) turnoverLocked(ps *pendShard, sc *execScratch) {
 	p := &sc.pr
-	p.otr.Mark("quorum", p.round)
-	next, res, done, err := p.op.Next(p.replies)
-	if err == nil && !done {
-		p.round++
-		err = c.unreachable(next.Need)
+	p.otr.Mark("quorum", uint8(p.col.Round()))
+	if next, more := p.col.Complete(); more {
+		if err := c.unreachable(next.Need); err != nil {
+			p.col.Fail(err)
+		}
+		p.env.Payload = next.Payload
 	}
-	if err != nil || done {
-		p.done, p.res, p.err = true, res, err
+	if p.col.Done() {
 		ps.wakeLocked(p)
 		return
 	}
-	// Stragglers of the old round no longer match its round number.
-	p.need, p.resend, p.due = next.Need, false, 0
-	p.replies = p.replies[:0]
-	p.env.Round, p.env.Payload = p.round, next.Payload
+	p.resend, p.due = false, 0
+	p.env.Round = uint8(p.col.Round())
 	c.trySendsLocked(sc)
-	p.otr.Mark("sent", p.round)
+	p.otr.Mark("sent", p.env.Round)
 }
 
-// hasReplyFrom reports whether replies holds one from server s.
-func hasReplyFrom(replies []register.Reply, s types.ProcID) bool {
-	for _, r := range replies {
-		if r.From == s {
-			return true
-		}
-	}
-	return false
-}
-
-// Abandon severs the client's link to server s_i (1-based) permanently —
-// the client-side view of a crashed replica. Other clients are
-// unaffected; to kill the replica itself, close its Server.
-func (c *Client) Abandon(i int) {
+// Crash severs the client's link to server s_i (1-based) permanently.
+// On a network client, "crashing" s_i can only mean abandoning this
+// client's link to it — the client-side view of a crashed replica; the
+// replica lives in another process and keeps serving others. To kill the
+// replica itself, close its Server.
+func (c *Client) Crash(i int) {
 	if i < 1 || i > len(c.links) {
 		return
 	}
@@ -807,12 +786,6 @@ func (l *serverLink) shutdown() {
 		conn.Close()
 	}
 }
-
-// Crash is Abandon under the name the fastreg.Backend seam uses: on a
-// network client, "crashing" s_i can only mean abandoning this client's
-// link to it — the replica lives in another process and keeps serving
-// others.
-func (c *Client) Crash(i int) { c.Abandon(i) }
 
 // Metrics returns the client's operation metric set, nil when the client
 // was built without WithClientObs. The store layer reaches it through a
@@ -912,7 +885,7 @@ func (l *serverLink) flushLoop() {
 // off an asynchronous (re)dial — respecting the backoff window — and
 // reports the connection as down. Senders therefore never stall behind a
 // black-holed replica: the round re-sends, once the dial has settled,
-// when the resender marks it. Abandon and Close are likewise never blocked (the dial
+// when the resender marks it. Crash and Close are likewise never blocked (the dial
 // runs outside the mutex, in its own goroutine).
 func (l *serverLink) get() (Conn, error) {
 	l.mu.Lock()

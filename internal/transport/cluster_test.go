@@ -312,8 +312,8 @@ func TestClientColdStartConcurrent(t *testing.T) {
 	}
 }
 
-// TestClientAbandon severs one link client-side: it goes down and stays
-// down, and the remaining quorum carries operations — until a second
+// TestClientAbandon crashes one server client-side, which abandons the
+// client's link to it: the link goes down and stays down, and the remaining quorum carries operations — until a second
 // abandoned link leaves fewer than a quorum, when rounds fail fast.
 func TestClientAbandon(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
@@ -324,10 +324,10 @@ func TestClientAbandon(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	c.Abandon(2)
-	c.Abandon(2) // idempotent: still one link down
+	c.Crash(2)
+	c.Crash(2) // idempotent: still one link down
 	if n := c.Connect(); n != cfg.S-1 {
-		t.Fatalf("Connect() = %d after Abandon, want %d", n, cfg.S-1)
+		t.Fatalf("Connect() = %d after Crash, want %d", n, cfg.S-1)
 	}
 	if _, err := c.Write(ctx, "k", 1, "v"); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestClientAbandon(t *testing.T) {
 	if v.Tag.WID != types.Writer(1) {
 		t.Fatalf("tag %v", v.Tag)
 	}
-	c.Abandon(3)
+	c.Crash(3)
 	if _, err := c.Read(ctx, "k", 1); !errors.Is(err, register.ErrProtocol) {
 		t.Fatalf("read with two links abandoned = %v, want ErrProtocol", err)
 	}

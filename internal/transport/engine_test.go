@@ -185,6 +185,27 @@ func TestRoundEngineCollector(t *testing.T) {
 			wantNext: 2,
 		},
 		{
+			// s1 delivers its own round-2 reply with s2's and s3's in one
+			// batch; the receive loop dispatches the third right after the
+			// second finished the write, before the write's goroutine can
+			// remove its entry.
+			name: "replies after the op finished never count",
+			recv: func(srv int) func(proto.Envelope) []proto.Envelope {
+				return func(env proto.Envelope) []proto.Envelope {
+					switch {
+					case env.Round == 1:
+						return []proto.Envelope{env}
+					case srv != 1:
+						return nil
+					}
+					out := []proto.Envelope{env, env, env}
+					out[1].From, out[2].From = types.Server(2), types.Server(3)
+					return out
+				}
+			},
+			wantNext: 2,
+		},
+		{
 			name: "replies from unknown server indices are dropped",
 			recv: func(srv int) func(proto.Envelope) []proto.Envelope {
 				forged := map[int]types.ProcID{2: types.Server(cfg.S + 1), 3: types.Server(0)}
@@ -235,12 +256,13 @@ func TestRoundEngineCollector(t *testing.T) {
 }
 
 // TestRoundEngineStress runs concurrent writers and readers on shared
-// keys while one link is abandoned, then a second (leaving no quorum),
-// and then the client closes — each landing mid-round. Every operation
-// must return promptly: with a result, or with ErrProtocol or ErrClosed,
-// which end its identity's loop. The recorded histories must stay
-// well-formed and atomic. (Ending each loop at its first failure keeps the
-// failed writes, which the checker must treat as optional, few.)
+// keys while one server is crashed client-side, then a second (leaving no
+// quorum), and then the client closes — each landing mid-round. Every
+// operation must return promptly: with a result, or with ErrProtocol or
+// ErrClosed, which end its identity's loop. The recorded histories must
+// stay well-formed and atomic. (Ending each loop at its first failure
+// keeps the failed writes, which the checker must treat as optional,
+// few.)
 func TestRoundEngineStress(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
 	c := hookedClient(t, cfg, mwabd.New(), nil)
@@ -277,9 +299,9 @@ func TestRoundEngineStress(t *testing.T) {
 		})
 	}
 	time.Sleep(20 * time.Millisecond)
-	c.Abandon(1)
+	c.Crash(1)
 	time.Sleep(20 * time.Millisecond)
-	c.Abandon(2)
+	c.Crash(2)
 	time.Sleep(5 * time.Millisecond)
 	c.Close()
 	wg.Wait()
@@ -370,7 +392,9 @@ func TestRoundEngineExpiredCtx(t *testing.T) {
 // sweeper exit when Close returns. Close waits for their deferred
 // wg.Done, after which a goroutine can still show in runtime.Stack for a
 // moment before it is gone, so the counts are polled until they are back
-// at the baseline, for at most 2 s.
+// at the baseline, for at most 2 s. The same holds for the clients that
+// earlier tests closed (no test here runs in parallel), so the baseline
+// is taken once theirs are gone, within the same 2 s.
 func TestRoundEngineCloseStopsResender(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
 	count := func() (resenders, sweepers int) {
@@ -379,6 +403,9 @@ func TestRoundEngineCloseStopsResender(t *testing.T) {
 		return strings.Count(stacks, "(*Client).resender("), strings.Count(stacks, "(*Client).sweeper(")
 	}
 	r0, s0 := count()
+	for deadline := time.Now().Add(2 * time.Second); (r0 != 0 || s0 != 0) && time.Now().Before(deadline); r0, s0 = count() {
+		time.Sleep(time.Millisecond)
+	}
 	c := hookedClient(t, cfg, mwabd.New(), nil, WithClientEviction(time.Hour))
 	if _, err := c.Write(context.Background(), "k", 1, "v"); err != nil {
 		t.Fatal(err)

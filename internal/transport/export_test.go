@@ -30,8 +30,8 @@ func (c *Client) checkRecycled(hold time.Duration) (bool, error) {
 	defer c.scratch.Put(sc)
 	check := func(when string) error {
 		pr := &sc.pr
-		if len(pr.ready) != 0 || len(pr.replies) != 0 || pr.done || pr.op != nil || pr.otr != nil {
-			return fmt.Errorf("recycled scratch %s: %d tokens, %d replies, done=%v, op=%v", when, len(pr.ready), len(pr.replies), pr.done, pr.op)
+		if len(pr.ready) != 0 || len(pr.col.Replies()) != 0 || pr.col.Done() || pr.col.Op() != nil || pr.otr != nil {
+			return fmt.Errorf("recycled scratch %s: %d tokens, %d replies, done=%v, op=%v", when, len(pr.ready), len(pr.col.Replies()), pr.col.Done(), pr.col.Op())
 		}
 		return nil
 	}
