@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fastreg/internal/mwabd"
 	"fastreg/internal/register"
@@ -36,6 +37,12 @@ const maxTCPAllocsPerOp = 21.65
 // round was a Query, whose three QueryAcks each decoded the replica's
 // value into a string the writer dropped.
 const maxTCPPutAllocsPerOp = 26.12
+
+// maxTCPGetAllocsPerOp locks a W2R2 Get of a 32-byte value over loopback
+// TCP: 22.12 measured, plus one. It was 25.11 while every QueryAck
+// decoded its value's Data into a string of its own, of which the read
+// kept at most one.
+const maxTCPGetAllocsPerOp = 23.12
 
 // maxFastReadAllocsPerOp locks the W2R1 fast read over loopback TCP:
 // 36.17 measured per Get, plus one. It was 42.13 while every FastRead,
@@ -68,37 +75,36 @@ func TestTCPOpPathAllocs(t *testing.T) {
 // since the query round asks for tags (TagQuery), nothing in its replies.
 func TestTCPPutAllocs(t *testing.T) {
 	pinOneProc(t)
-	cfg := Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}
-	s, err := Open(cfg, W2R2, WithTCP(tcpReplicas(t, cfg, mwabd.New())...))
+	tcpValueAllocs(t, "Put", maxTCPPutAllocsPerOp, func(ctx context.Context, w *Writer, _ *Reader, key, value string) error {
+		_, err := w.Put(ctx, key, value)
+		return err
+	})
+}
+
+// TestTCPGetAllocs is TestTCPPutAllocs for Gets: a read's frames carry
+// three QueryAcks, whose values are cut from their frames, and the
+// write-back's Update, whose value each replica decodes into a string of
+// its own. Every key was written once, so each Get returns the value its
+// key's history recorder stored last and copies nothing.
+func TestTCPGetAllocs(t *testing.T) {
+	pinOneProc(t)
+	s, value := tcpValueAllocs(t, "Get", maxTCPGetAllocsPerOp, func(ctx context.Context, _ *Writer, r *Reader, key, value string) error {
+		got, _, _, err := r.Get(ctx, key)
+		if err == nil && got != value {
+			err = fmt.Errorf("Get returned %q, want %q", got, value)
+		}
+		return err
+	})
+	// What a Get returns is the payload its key's history stored, here the
+	// written one, not the copy cut from a reply frame.
+	r, _ := s.Reader(1)
+	got, _, _, err := r.Get(context.Background(), "k0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	w, _ := s.Writer(1)
-	ctx := context.Background()
-	value := strings.Repeat("v", 32)
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
-		if _, err := w.Put(ctx, keys[i], value); err != nil { // every key's first touch is set-up
-			t.Fatal(err)
-		}
-	}
-	// 40 runs of 100 Puts resolve 0.01 allocations per Put.
-	const puts = 100
-	i := 0
-	perRun := testing.AllocsPerRun(40, func() {
-		for range puts {
-			if _, err := w.Put(ctx, keys[i%len(keys)], value); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-	})
-	perOp := perRun / puts
-	t.Logf("%.2f allocs per Put", perOp)
-	if perOp > maxTCPPutAllocsPerOp {
-		t.Fatalf("%.2f allocs per Put, want ≤ %.2f", perOp, maxTCPPutAllocsPerOp)
+	ops := s.Backend().Histories()["k0"].Ops
+	if stored := ops[len(ops)-1].Value.Data; unsafe.StringData(got) != unsafe.StringData(stored) || unsafe.StringData(got) != unsafe.StringData(value) {
+		t.Error("Get returned a payload other than the one its key's history stored")
 	}
 }
 
@@ -172,6 +178,47 @@ func tcpReplicas(t *testing.T, cfg Config, p register.Protocol) []string {
 		addrs[i] = srv.Addr()
 	}
 	return addrs
+}
+
+// tcpValueAllocs opens a W2R2 S=3 store over three loopback-TCP
+// replicas, Puts a 32-byte value to each of 64 keys (every key's first
+// touch is set-up), then runs op on the keys in turn and fails if a call
+// allocates more than max. It returns the store and the value.
+func tcpValueAllocs(t *testing.T, name string, max float64, op func(ctx context.Context, w *Writer, r *Reader, key, value string) error) (*Store, string) {
+	cfg := Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}
+	s, err := Open(cfg, W2R2, WithTCP(tcpReplicas(t, cfg, mwabd.New())...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	w, _ := s.Writer(1)
+	r, _ := s.Reader(1)
+	ctx := context.Background()
+	value := strings.Repeat("v", 32)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		if _, err := w.Put(ctx, keys[i], value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 40 runs of 100 calls resolve 0.01 allocations per call.
+	const calls = 100
+	i := 0
+	perRun := testing.AllocsPerRun(40, func() {
+		for range calls {
+			if err := op(ctx, w, r, keys[i%len(keys)], value); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+	})
+	perOp := perRun / calls
+	t.Logf("%.2f allocs per %s", perOp, name)
+	if perOp > max {
+		t.Fatalf("%.2f allocs per %s, want ≤ %.2f", perOp, name, max)
+	}
+	return s, value
 }
 
 // pinOneProc skips the test under the race detector and runs it at

@@ -31,13 +31,19 @@
 // record says so. Nothing is truncated: those ops cost a map entry, the
 // common op nothing.
 //
-// Every client that reads a value decodes its own copy of the payload,
-// and a history keeps each read forever. So the recorder remembers the
-// last value it stored, and a value with the same tag and an equal
-// payload is stored with that earlier string: a value that many clients
-// read in turn keeps one payload, not one per read. Equal payload, not
-// just equal tag: a forged value carrying an honest tag keeps its own
-// payload, so the checker still sees the forgery.
+// A read's payload may be borrowed: over a network it is cut from the
+// reply frame it arrived in (proto.Decode), so keeping it keeps the whole
+// frame. A history keeps each read forever, and many clients read one
+// value in turn. So the recorder remembers the last value it stored, and
+// a value with the same tag and an equal payload is stored with that
+// earlier string: a value that many clients read in turn keeps one
+// payload, not one per read. A read of any other value is stored as a
+// copy of its own (strings.Clone), and Respond returns the stored
+// payload, which the client returns in place of its borrowed one, so
+// neither the caller nor the sink pins a frame. A write's value is the
+// caller's own and is stored as it is. Equal payload, not just equal tag:
+// a forged value carrying an honest tag keeps its own payload, so the
+// checker still sees the forgery.
 //
 // History and the sink expand records back into Ops. The checker and
 // the capture log take Ops, and expanding on the way out keeps the
@@ -258,21 +264,26 @@ func (r *Recorder) invokeLocked(t vclock.Time, client types.ProcID, opID uint64,
 		c.flags |= wideClient
 		r.sideLocked(ref).client = client.Index
 	}
-	r.setValueLocked(ref, c, val)
+	r.setValueLocked(ref, c, val, false)
 	return ref
 }
 
 // setValueLocked stores v as c's value. A value equal to the last one
 // stored, tag and payload, takes that value's payload string, so
-// readers of one value keep one copy of it. An empty payload has nothing
-// to share and leaves the last value in place: a read is invoked with
-// the zero value between a write and the reads that return it.
-func (r *Recorder) setValueLocked(ref Ref, c *record, v types.Value) {
+// readers of one value keep one copy of it; any other value's payload is
+// stored as it is, or as a copy of its own when borrowed is set (a read's
+// response, see the package doc). An empty payload has nothing to share
+// and leaves the last value in place: a read is invoked with the zero
+// value between a write and the reads that return it.
+func (r *Recorder) setValueLocked(ref Ref, c *record, v types.Value, borrowed bool) {
 	switch {
 	case v.Data == "":
 	case v.Tag == r.last.Tag && v.Data == r.last.Data:
 		v.Data = r.last.Data
 	default:
+		if borrowed {
+			v.Data = strings.Clone(v.Data)
+		}
 		r.last = v
 	}
 	c.ts, c.widRole, c.data = v.Tag.TS, v.Tag.WID.Role, v.Data
@@ -314,9 +325,9 @@ func (r *Recorder) opLocked(ref Ref, c *record) Op {
 	return op
 }
 
-// respondLocked stamps the response event at t and hands the sink its
-// snapshot.
-func (r *Recorder) respondLocked(ref Ref, t vclock.Time, val types.Value, err error) {
+// respondLocked stamps the response event at t, hands the sink its
+// snapshot and returns the payload stored as the op's value.
+func (r *Recorder) respondLocked(ref Ref, t vclock.Time, val types.Value, err error) string {
 	c := r.atLocked(ref)
 	c.response = t
 	if err != nil {
@@ -324,11 +335,12 @@ func (r *Recorder) respondLocked(ref Ref, t vclock.Time, val types.Value, err er
 		r.sideLocked(ref).err = err
 	} else {
 		c.flags &^= hasErr
-		r.setValueLocked(ref, c, val)
+		r.setValueLocked(ref, c, val, c.kind == types.OpRead)
 	}
 	if r.sink != nil {
 		r.sink(r.opLocked(ref, c))
 	}
+	return c.data
 }
 
 // Invoke records the invocation event of an operation and returns its Ref.
@@ -350,11 +362,15 @@ func (r *Recorder) InvokeAt(t vclock.Time, client types.ProcID, opID uint64, kin
 	return r.invokeLocked(t, client, opID, kind, val)
 }
 
-// Respond records the response event with its result value.
-func (r *Recorder) Respond(ref Ref, val types.Value, err error) {
+// Respond records the response event with its result value and returns
+// the payload it stored. For a read that is the payload of an equal value
+// stored before it or a copy of val.Data of its own, never a reply
+// frame's bytes (see the package doc), so the caller returns it in place
+// of val.Data.
+func (r *Recorder) Respond(ref Ref, val types.Value, err error) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.respondLocked(ref, r.clock.Tick(), val, err)
+	return r.respondLocked(ref, r.clock.Tick(), val, err)
 }
 
 // RespondAt records the response at an explicit time.
@@ -400,7 +416,7 @@ func (r *Recorder) UpdateValue(ref Ref, val types.Value) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c := r.atLocked(ref); c.response == 0 {
-		r.setValueLocked(ref, c, val)
+		r.setValueLocked(ref, c, val, false)
 	}
 }
 

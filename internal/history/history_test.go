@@ -165,6 +165,49 @@ func TestRecorderConcurrentSink(t *testing.T) {
 	}
 }
 
+// TestRecorderOwnsReadPayload: a read's payload may be cut from a larger
+// string (a reply frame's text, proto.Decode), so the recorder stores a
+// copy of its own, Respond returns that copy and the sink sees it; a later
+// read equal to it gets back that payload, not its own. A write's payload
+// is the caller's and is stored as it is.
+func TestRecorderOwnsReadPayload(t *testing.T) {
+	rec := NewRecorder(&vclock.Clock{})
+	var sunk []string
+	rec.SetSink(func(op Op) { sunk = append(sunk, op.Value.Data) })
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+
+	// Invoked before its tag is known, so the response is a new value.
+	written := strings.Repeat("w", 32)
+	ref := rec.Invoke(types.Writer(1), 1, types.OpWrite, types.Value{Data: written})
+	if got := rec.Respond(ref, wv(1, 1, written), nil); !same(got, written) {
+		t.Error("a write's payload was copied")
+	}
+
+	frame := strings.Repeat("a", 64) + strings.Repeat("v", 32) + strings.Repeat("b", 64)
+	read := wv(2, 2, frame[64:96])
+	ref = rec.Invoke(types.Reader(1), 1, types.OpRead, types.Value{})
+	owned := rec.Respond(ref, read, nil)
+	if owned != read.Data {
+		t.Fatalf("Respond returned %q, want %q", owned, read.Data)
+	}
+	if same(owned, read.Data) {
+		t.Error("a read's payload cut from a frame was stored without a copy")
+	}
+
+	again := wv(2, 2, (strings.Repeat("c", 8) + read.Data)[8:])
+	ref = rec.Invoke(types.Reader(2), 1, types.OpRead, types.Value{})
+	if got := rec.Respond(ref, again, nil); !same(got, owned) {
+		t.Error("a read equal to the last value stored did not get back its payload")
+	}
+
+	h := rec.History()
+	for i, want := range []string{written, owned, owned} {
+		if !same(h.Ops[i].Value.Data, want) || !same(sunk[i], want) {
+			t.Errorf("op %d: history or sink holds a payload other than the one Respond returned", i)
+		}
+	}
+}
+
 // TestRecorderAllocs locks the op path's cost: only opening a chunk
 // allocates, so a recorder's whole life, from NewRecorder through 1 000
 // recorded ops, stays under 0.1 allocations per op. Each write responds

@@ -155,8 +155,9 @@ func TestFastReadSteadyStateAllocs(t *testing.T) {
 }
 
 // What a read returns is the valQueue's copy of the value, whichever
-// reply's copy the search picked: reads of one value share one payload, and
-// a payload cut from a frame (proto.Decode) is not kept alive by a history.
+// reply's copy the search picked: one reader's reads of one value share
+// one payload, and a payload cut from a frame (proto.Decode) is not kept
+// alive by the op's result.
 func TestFastReadReturnsTheQueuesCopy(t *testing.T) {
 	servers, op := steadyFleet(t)
 	want := servers[0].CurrentValue()

@@ -345,8 +345,9 @@ func (r *FastReadOp) Begin() register.Round {
 }
 
 // Next implements register.Operation. The value it returns is the
-// valQueue's copy of the chosen one, so that every read of a value, and the
-// history that records them, share one payload that pins no reply.
+// valQueue's copy of the chosen one, which the reader keeps anyway, so
+// every read of a value by this reader returns one payload that pins no
+// reply (the package doc's Return rule).
 //
 // The merge also drops the values tagged below the smallest floor among
 // the replies, which no read can return any more (see "Dead values"). The

@@ -49,29 +49,35 @@
 //     or Tag is nil is a bad reply to an op, and an Update whose Val is nil
 //     is dropped by a replica.
 //   - Keep: proto.Decode cuts every envelope's Key and every payload of a
-//     FastRead or FastReadAck from one string per frame (a batch frame's
-//     envelopes share one), so any of them keeps the whole frame alive.
-//     Whoever stores a key or a value beyond the message it came in takes a
-//     private copy (strings.Clone) at the moment it first stores it: a
-//     replica registering a key (keyreg.ServerShard.GetLocked), a replica
-//     adding a valQueue's value to its vector, a reader adding a reply's
-//     value to its valQueue. A QueryAck's or an Update's Val points into
-//     one value arena per frame, so a kept pointer keeps every value of the
-//     frame alive: whoever keeps such a value copies *Val, never the
-//     pointer. Its Data owns its bytes, as a LogAck's value's does, so the
-//     copy is stored as it is. A TagAck's Tag points into the same arena,
-//     and a writer keeps only the timestamp it reads from it. A FastRead's valQueue is carved from that
-//     same value arena, and a FastReadAck's vector and its updated sets
-//     from one arena each per frame, so keeping one valQueue, vector or set
-//     keeps the frame's others alive: a replica and a reader copy the
-//     values they keep out of it, and keep no slice of it.
-//   - Return: a read returns the valQueue's copy of the value it selected,
-//     not the copy in the reply the search happened to find it in, so no
-//     read pins a reply, and every read of one value by one reader shares
-//     one payload. Across readers the copies differ; a register's history
-//     recorder stores a value equal in tag and payload to the last one it
-//     stored with that one's payload (internal/history, Storage), so a
-//     history keeps one payload per value, not one per reading client.
+//     FastRead, a FastReadAck, a QueryAck or a LogAck from one string per
+//     frame (a batch frame's envelopes share one), so any of them keeps
+//     the whole frame alive. Whoever stores a key or a value beyond the
+//     message it came in takes a private copy (strings.Clone) at the
+//     moment it first stores it: a replica registering a key
+//     (keyreg.ServerShard.GetLocked), a replica adding a valQueue's value
+//     to its vector, a reader adding a reply's value to its valQueue, the
+//     history recorder storing the value a read returns. A QueryAck's or
+//     an Update's Val points into one value arena per frame, so a kept
+//     pointer keeps every value of the frame alive: whoever keeps such a
+//     value copies *Val, never the pointer. An Update's Data owns its
+//     bytes, so a replica that adopts one stores the copy as it is. A
+//     TagAck's Tag points into the same arena, and a writer keeps only
+//     the timestamp it reads from it. A FastRead's valQueue is carved from
+//     that same value arena, and a FastReadAck's vector and its updated
+//     sets from one arena each per frame, so keeping one valQueue, vector
+//     or set keeps the frame's others alive: a replica and a reader copy
+//     the values they keep out of it, and keep no slice of it.
+//   - Return: an op may respond with a value cut from a reply (a
+//     two-round read with a QueryAck's, a full-info read with a LogAck's),
+//     which pins the reply's frame only while the op lives. The client
+//     returns the register's
+//     history recorder's copy instead (internal/history, Storage): the
+//     recorder stores a read equal in tag and payload to the last value
+//     it stored with that one's payload and a copy of its own of any
+//     other, so no read pins a reply and a history keeps one payload per
+//     value, not one per read. A fast read responds with the valQueue's
+//     copy of the value it selected, which the reader keeps anyway, not
+//     the copy in the reply the search happened to find it in.
 //
 // # Dead values
 //

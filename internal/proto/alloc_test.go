@@ -64,30 +64,54 @@ func TestDecodeBatchIntoAllocs(t *testing.T) {
 	}
 }
 
-// A batch of QueryAcks decodes into a pooled slab with one allocation for
-// the string every key is cut from, one for the value arena every Val
-// points into, and one per value's Data: 18 for 16 envelopes. Boxing each
-// QueryAck into its Message would add 16.
+// A batch of value-carrying envelopes decodes into a pooled slab. 16
+// QueryAcks take 2 allocations: the string every key and value's Data is
+// cut from, and the value arena every Val points into (boxing each
+// QueryAck into its Message would add 16, and giving each Data its own
+// string did). 16 Updates take 18: the same two and one string per
+// value's Data, which an Update owns because a replica keeps it as its
+// key's current value (cutsPayload). 16 LogAcks of a written value and a
+// read mark take 49: the string, and per log its box and the two appends
+// of its events, whose Data is cut.
 func TestDecodeValueBatchAllocs(t *testing.T) {
 	skipUnderRace(t)
-	envs := make([]Envelope, 16)
-	for i := range envs {
-		v := types.Value{Tag: types.Tag{TS: int64(i + 1), WID: types.Writer(1)}, Data: fmt.Sprintf("value-%04d", i)}
-		envs[i] = Envelope{From: types.Server(2), To: types.Writer(1), Key: fmt.Sprintf("key-%04d", i), OpID: uint64(i), Round: 1, IsReply: true, Payload: QueryAck{Val: &v}}
+	val := func(i int) types.Value {
+		return types.Value{Tag: types.Tag{TS: int64(i + 1), WID: types.Writer(1)}, Data: fmt.Sprintf("value-%04d", i)}
 	}
-	frame, err := EncodeBatch(envs)
-	if err != nil {
-		t.Fatal(err)
+	acks := make([]Envelope, 16)
+	updates := make([]Envelope, 16)
+	logs := make([]Envelope, 16)
+	for i := range acks {
+		key := fmt.Sprintf("key-%04d", i)
+		v := val(i)
+		acks[i] = Envelope{From: types.Server(2), To: types.Writer(1), Key: key, OpID: uint64(i), Round: 1, IsReply: true, Payload: QueryAck{Val: &v}}
+		updates[i] = Envelope{From: types.Writer(1), To: types.Server(2), Key: key, OpID: uint64(i), Round: 2, Payload: Update{Val: &v}}
+		logs[i] = Envelope{From: types.Server(2), To: types.Reader(1), Key: key, OpID: uint64(i), Round: 1, IsReply: true,
+			Payload: LogAck{Events: []LogEvent{{Client: types.Writer(1), Val: v}, {Client: types.Reader(1)}}}}
 	}
-	got := testing.AllocsPerRun(200, func() {
-		out, _, err := DecodeBatchInto(GetEnvs(), frame)
+	for _, c := range []struct {
+		name string
+		envs []Envelope
+		want float64
+	}{
+		{"QueryAck", acks, 2},
+		{"Update", updates, 18},
+		{"LogAck", logs, 49},
+	} {
+		frame, err := EncodeBatch(c.envs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		PutEnvs(out)
-	})
-	if got != 18 {
-		t.Errorf("DecodeBatchInto of a 16-envelope QueryAck batch: %v allocs, want 18", got)
+		got := testing.AllocsPerRun(200, func() {
+			out, _, err := DecodeBatchInto(GetEnvs(), frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			PutEnvs(out)
+		})
+		if got != c.want {
+			t.Errorf("DecodeBatchInto of a 16-envelope %s batch: %v allocs, want %v", c.name, got, c.want)
+		}
 	}
 }
 

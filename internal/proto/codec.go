@@ -107,9 +107,15 @@ const (
 )
 
 // cutsPayload reports whether a message of kind k has its values' Data
-// cut from the frame's text: fast-read payloads are, while a QueryAck's,
-// an Update's and a LogAck's values own their Data.
-func cutsPayload(k Kind) bool { return k == KindFastRead || k == KindFastReadAck }
+// cut from the frame's text: a FastRead's and those of every reply that
+// carries values (FastReadAck, QueryAck, LogAck) are. An Update's value
+// owns its Data: a replica that adopts it (opkit's StoreServer) copies
+// only the Value struct, on either backend, and keeps its Data as the
+// key's current value until a later write, so a cut Data would pin its
+// frame's whole text that long.
+func cutsPayload(k Kind) bool {
+	return k == KindFastRead || k == KindFastReadAck || k == KindQueryAck || k == KindLogAck
+}
 
 // inArena reports whether a message of kind k carries one value, or one
 // value's tag, by pointer, which decoding places in the frame's value
@@ -117,11 +123,12 @@ func cutsPayload(k Kind) bool { return k == KindFastRead || k == KindFastReadAck
 func inArena(k Kind) bool { return k == KindQueryAck || k == KindUpdate || k == KindTagAck }
 
 // frameCuts is what the envelopes of one frame share: the string their
-// keys and fast-read payloads are cut from, and the arenas their payloads'
-// elements live in. vals holds every QueryAck's and Update's value, every
-// TagAck's tag (in a slot's Tag) and every FastRead's valQueue, vec every FastReadAck's vector and ups those
-// vectors' updated sets. Decoding an envelope consumes the prefix of each
-// that belongs to it.
+// keys and cut payloads (cutsPayload) are cut from, and the arenas their
+// payloads' elements live in. vals holds every QueryAck's and Update's
+// value, every TagAck's tag (in a slot's Tag) and every FastRead's
+// valQueue, vec every FastReadAck's vector and ups those vectors' updated
+// sets. Decoding an envelope consumes the prefix of each that belongs to
+// it.
 type frameCuts struct {
 	text string
 	vals []types.Value
@@ -131,9 +138,9 @@ type frameCuts struct {
 
 // cutFrames prepares the frameCuts of the count envelope frames at the
 // start of b in one pass over their headers: text holds the bytes decoding
-// cuts rather than copies (each one's key and, for a FastRead or
-// FastReadAck, its payload, in frame order), and each arena as many slots
-// as the frames' payloads declare. A fast-read payload's counts come from
+// cuts rather than copies (each one's key and, for a kind cutsPayload
+// names, its payload, in frame order), and each arena as many slots as
+// the frames' payloads declare. A fast-read payload's counts come from
 // untrusted bytes, so each is taken only when that many elements of the
 // smallest encoding fit in the payload (fastCounts); a count that does not
 // fit adds nothing, and the decode rejects its frame. The arenas are thus
@@ -154,10 +161,12 @@ func cutFrames(b []byte, count int) frameCuts {
 			break
 		}
 		buf = append(buf, rest[:k]...)
-		switch kind := Kind(rest[k+keyToKind]); {
-		case cutsPayload(kind):
-			payload := rest[k+keyToKind+1:]
+		kind, payload := Kind(rest[k+keyToKind]), rest[k+keyToKind+1:]
+		if cutsPayload(kind) {
 			buf = append(buf, payload...)
+		}
+		switch {
+		case kind == KindFastRead || kind == KindFastReadAck:
 			v, e, u := fastCounts(kind, payload)
 			nvals, nvec, nups = nvals+v, nvec+e, nups+u
 		case inArena(kind):
@@ -217,9 +226,9 @@ func carve[T any](arena *[]T, n int) []T {
 
 type reader struct {
 	buf []byte
-	// text starts with buf's bytes from textAt on (the key, then a
-	// fast-read payload): cut slices its results from it instead of
-	// copying each one.
+	// text starts with buf's bytes from textAt on (the key, then a cut
+	// payload): cut slices its results from it instead of copying each
+	// one.
 	text   string
 	textAt int
 	off    int
@@ -453,22 +462,23 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 // Decode parses one frame produced by Encode. It returns the envelope and
 // the number of bytes consumed, so callers can decode from a stream buffer.
 //
-// Nothing in the envelope refers to buf. The Key and, in a FastRead or a
-// FastReadAck, the whole payload are copied into ONE string, and the Key
-// and every value's Data in the valQueue or vector are cut from it. Any
-// one of them therefore keeps the others' bytes alive: code that stores a
-// key or such a value beyond the message's life stores strings.Clone of it
-// (keyreg does for keys, opkit for values, see its package doc). A
-// QueryAck's or an Update's Val points into a value arena the frame's
-// envelopes share; its Data owns its bytes, but a kept pointer keeps the
-// whole arena alive, so whoever keeps the value copies *Val (opkit's Keep
-// rule). A TagAck's Tag points into that arena too. A LogAck's values own
-// their Data. A FastRead's valQueue is carved
-// from that value arena too, and a FastReadAck's vector and its Updated
-// sets from two arenas of their own, each slice clipped to its length:
-// however many envelopes and entries a frame holds, it decodes into one
-// string and at most three arenas, and a kept valQueue, vector or set
-// keeps its arena's other slices alive.
+// Nothing in the envelope refers to buf. The Key and, in a FastRead, a
+// FastReadAck, a QueryAck or a LogAck, the whole payload are copied into
+// ONE string, and the Key and every value's Data in the valQueue, vector,
+// QueryAck or log are cut from it. Any one of them therefore keeps the
+// others' bytes alive: code that stores a key or such a value beyond the
+// message's life stores strings.Clone of it (keyreg does for keys, opkit
+// for the values it keeps, the history recorder for the value a read
+// returns; see opkit's package doc). An Update's value owns its Data
+// (cutsPayload says why). A QueryAck's or an Update's Val points into a
+// value arena the frame's envelopes share, so a kept pointer keeps the
+// whole arena alive, and whoever keeps the value copies *Val (opkit's
+// Keep rule). A TagAck's Tag points into that arena too. A FastRead's
+// valQueue is carved from that value arena too, and a FastReadAck's
+// vector and its Updated sets from two arenas of their own, each slice
+// clipped to its length: however many envelopes and entries a frame
+// holds, it decodes into one string and at most three arenas, and a kept
+// valQueue, vector or set keeps its arena's other slices alive.
 func Decode(buf []byte) (Envelope, int, error) {
 	var e Envelope
 	fc := cutFrames(buf, 1)
@@ -480,8 +490,8 @@ func Decode(buf []byte) (Envelope, int, error) {
 }
 
 // decode is Decode into *e, which it fills in place, cutting the
-// envelope's key and fast-read payload from the start of fc.text and
-// taking its QueryAck or Update value, TagAck tag, valQueue, vector and updated sets
+// envelope's key and cut payload from the start of fc.text and taking its
+// QueryAck or Update value, TagAck tag, valQueue, vector and updated sets
 // from the front of fc's arenas; fc comes from a cutFrames of a run of
 // frames starting with this one. On success it advances fc past what the
 // envelope used, for the next frame of the run. On error *e holds garbage.
@@ -529,14 +539,14 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 		v := &carve(&fc.vals, 1)[0]
 		v.Tag = r.tag()
 		e.Payload = TagAck{Tag: &v.Tag}
-	case KindQueryAck, KindUpdate:
+	case KindQueryAck:
 		v := &carve(&fc.vals, 1)[0]
-		*v = r.value()
-		if kind == KindQueryAck {
-			e.Payload = QueryAck{Val: v}
-		} else {
-			e.Payload = Update{Val: v}
-		}
+		*v = r.cutValue()
+		e.Payload = QueryAck{Val: v}
+	case KindUpdate:
+		v := &carve(&fc.vals, 1)[0]
+		*v = r.value() // owns its Data: see cutsPayload
+		e.Payload = Update{Val: v}
 	case KindUpdateAck:
 		e.Payload = UpdateAck{}
 	case KindFastRead:
@@ -569,7 +579,7 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 		n := r.count(procSize + minValueSize)
 		m := LogAck{}
 		for i := 0; i < n && r.err == nil; i++ {
-			m.Events = append(m.Events, LogEvent{Client: r.proc(), Val: r.value()})
+			m.Events = append(m.Events, LogEvent{Client: r.proc(), Val: r.cutValue()})
 		}
 		e.Payload = m
 	default:

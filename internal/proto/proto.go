@@ -91,8 +91,10 @@ func (Query) String() string { return "QUERY" }
 // (shared by every QueryAck until the replica adopts a newer one, which it
 // allocates afresh) or a slot of a decoded frame's value arena. Holding it
 // by pointer is what lets a QueryAck sit in a Message without allocating.
-// Whoever keeps the value copies *Val, never the pointer. A nil Val is
-// invalid: Encode rejects it, operations reject it as a bad reply.
+// Whoever keeps the value copies *Val, never the pointer, and a decoded
+// Val's Data is cut from its frame's text (Decode), so whoever keeps that
+// beyond the message clones it too. A nil Val is invalid: Encode rejects
+// it, operations reject it as a bad reply.
 type QueryAck struct {
 	Val *types.Value
 }
@@ -139,8 +141,9 @@ func (m TagAck) String() string {
 //
 // Val follows QueryAck's rules: it points at the sending operation's own
 // tagged value, which the operation never writes again once sent, or at a
-// decoded frame's arena slot. A server that adopts the value copies *Val;
-// a nil Val is invalid and servers drop the message.
+// decoded frame's arena slot, whose Data owns its bytes. A server that
+// adopts the value copies *Val; a nil Val is invalid and servers drop the
+// message.
 type Update struct {
 	Val *types.Value
 }

@@ -603,7 +603,9 @@ func (c *Client) exec(ctx context.Context, key string, st *keyreg.ClientState, o
 	if opErr != nil {
 		rec.RespondFailed(href, op.Kind(), op.Arg(), opErr)
 	} else {
-		rec.Respond(href, res, nil)
+		// A read's res may be cut from a reply frame; return the
+		// recorder's copy, which pins none.
+		res.Data = rec.Respond(href, res, nil)
 	}
 	// Return the weight remainder only after Respond put the op's record
 	// in the capture log: the epoch's last return triggers the boundary
@@ -982,9 +984,10 @@ func (l *serverLink) drop(conn Conn) {
 // recycled once every envelope has been dispatched, each in place in the
 // slab. dispatch only looks the Key up, so nothing keeps the frame string
 // it is cut from; the payload travels on to the op's round, a reader that
-// keeps a value of a fast-read reply clones it, and an op that keeps a
+// keeps a value of a fast-read reply clones it, an op that keeps a
 // QueryAck's value copies *Val, which lets go of the frame's value arena
-// (opkit's Keep rule).
+// (opkit's Keep rule), and the value a read returns is the history
+// recorder's copy, which lets go of the frame's text (exec).
 func (l *serverLink) recvLoop(conn Conn) {
 	for {
 		envs, err := conn.RecvBatch()

@@ -595,9 +595,13 @@ func TestRoundEngineOneWake(t *testing.T) {
 // the resender's re-send. Every op must return a value or ErrTimeout,
 // the recycled scratch a background checker keeps taking out of the pool
 // must never receive a late token or reply, and every key's history
-// must check atomic.
+// must check atomic. The checker reads as a reader of its own and then
+// takes the scratch its read just recycled, which sits in its P's slot of
+// the pool (a Get steals from other Ps' shared queues only, and the race
+// detector drops a quarter of Puts), until it has checked one.
 func TestRoundEngineTurnoverRace(t *testing.T) {
-	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
+	cfg := quorum.Config{S: 3, T: 1, R: 3, W: 2}
+	const checker = 3 // the reader the checker reads as; the others run the load
 	c := hookedClient(t, cfg, mwabd.New(), func(srv int) connHooks {
 		switch srv {
 		case 2:
@@ -626,27 +630,35 @@ func TestRoundEngineTurnoverRace(t *testing.T) {
 	stop := make(chan struct{})
 	checkerDone := make(chan error, 1)
 	go func() {
+		defer close(checkerDone)
 		checked := 0
-		for {
+		stopped, giveUp := stop, (<-chan time.Time)(nil) // giveUp is armed once the load has stopped
+		for i := 0; ; i++ {
 			select {
-			case <-stop:
-				if checked == 0 {
-					checkerDone <- errors.New("the checker never found a recycled scratch")
-				}
-				close(checkerDone)
+			case <-stopped:
+				stopped, giveUp = nil, time.After(5*time.Second)
+			case <-giveUp:
+				checkerDone <- errors.New("the checker never found a recycled scratch")
 				return
 			default:
+			}
+			if stopped == nil && checked > 0 {
+				return
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			_, err := c.Read(ctx, keys[i%len(keys)], checker)
+			cancel()
+			if err != nil && !errors.Is(err, register.ErrTimeout) {
+				checkerDone <- fmt.Errorf("checker's read: %w", err)
+				return
 			}
 			ok, err := c.checkRecycled(resendInterval)
 			if err != nil {
 				checkerDone <- err
-				close(checkerDone)
 				return
 			}
 			if ok {
 				checked++
-			} else {
-				time.Sleep(time.Millisecond)
 			}
 		}
 	}()
@@ -679,7 +691,7 @@ func TestRoundEngineTurnoverRace(t *testing.T) {
 			return err
 		})
 	}
-	for r := 1; r <= cfg.R; r++ {
+	for r := 1; r < checker; r++ {
 		wg.Add(1)
 		go run(cfg.W+r, func(ctx context.Context, key string, _ int) error {
 			_, err := c.Read(ctx, key, r)
