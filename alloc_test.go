@@ -33,16 +33,19 @@ const maxAllocsPerOp = 3.65
 const maxTCPAllocsPerOp = 21.65
 
 // maxTCPPutAllocsPerOp locks a W2R2 Put of a 32-byte value over loopback
-// TCP: 25.12 measured, plus one. It was 28.11 while the write's query
-// round was a Query, whose three QueryAcks each decoded the replica's
-// value into a string the writer dropped.
-const maxTCPPutAllocsPerOp = 26.12
+// TCP: 22.11 measured, plus one. It was 25.12 while every Update decoded
+// its value's Data into a string of its own, which a replica adopting the
+// value then copied into a Value of its own, and 28.11 while the write's
+// query round was a Query, whose three QueryAcks each decoded the
+// replica's value into a string the writer dropped.
+const maxTCPPutAllocsPerOp = 23.11
 
 // maxTCPGetAllocsPerOp locks a W2R2 Get of a 32-byte value over loopback
-// TCP: 22.12 measured, plus one. It was 25.11 while every QueryAck
-// decoded its value's Data into a string of its own, of which the read
-// kept at most one.
-const maxTCPGetAllocsPerOp = 23.12
+// TCP: 19.12 measured, plus one. It was 22.12 while every write-back's
+// Update decoded its value's Data into a string of its own, which the
+// replica, already holding the value, dropped, and 25.11 while every
+// QueryAck did too, of which the read kept at most one.
+const maxTCPGetAllocsPerOp = 20.12
 
 // maxFastReadAllocsPerOp locks the W2R1 fast read over loopback TCP:
 // 36.17 measured per Get, plus one. It was 42.13 while every FastRead,
@@ -71,7 +74,8 @@ func TestTCPOpPathAllocs(t *testing.T) {
 // three loopback-TCP replicas and fails if a Put allocates more than
 // maxTCPPutAllocsPerOp. opPathAllocs writes "v", whose decoded copies Go
 // does not allocate (one-byte strings are static), so only a value of
-// some length shows what a write's frames carry: the Update's value, and
+// some length shows what a write's frames carry: the Update's value, which
+// each replica keeps in one allocation of its own (opkit's adopt), and
 // since the query round asks for tags (TagQuery), nothing in its replies.
 func TestTCPPutAllocs(t *testing.T) {
 	pinOneProc(t)
@@ -82,10 +86,10 @@ func TestTCPPutAllocs(t *testing.T) {
 }
 
 // TestTCPGetAllocs is TestTCPPutAllocs for Gets: a read's frames carry
-// three QueryAcks, whose values are cut from their frames, and the
-// write-back's Update, whose value each replica decodes into a string of
-// its own. Every key was written once, so each Get returns the value its
-// key's history recorder stored last and copies nothing.
+// three QueryAcks and the write-back's Update, whose values are all cut
+// from their frames, and a replica that already holds the written-back
+// value copies nothing. Every key was written once, so each Get returns
+// the value its key's history recorder stored last and copies nothing.
 func TestTCPGetAllocs(t *testing.T) {
 	pinOneProc(t)
 	s, value := tcpValueAllocs(t, "Get", maxTCPGetAllocsPerOp, func(ctx context.Context, _ *Writer, r *Reader, key, value string) error {

@@ -21,6 +21,8 @@
 package crucialinfo
 
 import (
+	"strings"
+
 	"fastreg/internal/proto"
 	"fastreg/internal/types"
 )
@@ -68,7 +70,11 @@ func (s *LogServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 		if msg.Val == nil {
 			return nil
 		}
-		s.log = append(s.log, proto.LogEvent{Client: from, Val: *msg.Val})
+		// An Update's Data is cut from its frame (proto.Decode): the log
+		// keeps a copy of its own.
+		val := *msg.Val
+		val.Data = strings.Clone(val.Data)
+		s.log = append(s.log, proto.LogEvent{Client: from, Val: val})
 		return proto.UpdateAck{}
 	case proto.FastRead:
 		s.log = append(s.log, proto.LogEvent{Client: from})

@@ -27,9 +27,10 @@
 //     returned from Handle, Begin or Next, no code writes through it again;
 //     a change builds a new slice (and new Updated slices for just the
 //     entries it touches) or a new value and assigns the field. A replica
-//     that adopts an Update's value allocates a fresh one, so every QueryAck
-//     and TagAck already sent keeps the value it was sent with; new replicas share one
-//     frozen initial value. An op points its Update at a field of its own
+//     that takes a new current value publishes what adopt returns, a fresh
+//     value that owns its payload, so every QueryAck and TagAck already
+//     sent keeps the value it was sent with; new replicas share one frozen
+//     initial value. An op points its Update at a field of its own
 //     (QueryThenUpdateWrite.val, ReadWriteBack.maxV, DirectWrite.val) that
 //     it never writes after the round is returned. fastreglint's frozenslice
 //     analyzer holds the annotated fields to this. A reply and a request
@@ -49,24 +50,26 @@
 //     or Tag is nil is a bad reply to an op, and an Update whose Val is nil
 //     is dropped by a replica.
 //   - Keep: proto.Decode cuts every envelope's Key and every payload of a
-//     FastRead, a FastReadAck, a QueryAck or a LogAck from one string per
-//     frame (a batch frame's envelopes share one), so any of them keeps
-//     the whole frame alive. Whoever stores a key or a value beyond the
-//     message it came in takes a private copy (strings.Clone) at the
-//     moment it first stores it: a replica registering a key
-//     (keyreg.ServerShard.GetLocked), a replica adding a valQueue's value
-//     to its vector, a reader adding a reply's value to its valQueue, the
-//     history recorder storing the value a read returns. A QueryAck's or
-//     an Update's Val points into one value arena per frame, so a kept
+//     FastRead, a FastReadAck, a QueryAck, a LogAck or an Update from one
+//     string per frame (a batch frame's envelopes share one), so any of
+//     them keeps the whole frame alive. Whoever stores a key or a value
+//     beyond the message it came in takes a private copy at the moment it
+//     first stores it: a replica registering a key clones it
+//     (keyreg.ServerShard.GetLocked), a reader adding a reply's value to
+//     its valQueue and the history recorder storing the value a read
+//     returns clone its Data, and a replica keeps a value, an Update's or
+//     a valQueue's, only through adopt, the one owning copy, whose single
+//     allocation holds the Value and its payload's bytes; its vector entry
+//     and its current value share that one copy. A QueryAck's or an
+//     Update's Val points into one value arena per frame, so a kept
 //     pointer keeps every value of the frame alive: whoever keeps such a
-//     value copies *Val, never the pointer. An Update's Data owns its
-//     bytes, so a replica that adopts one stores the copy as it is. A
-//     TagAck's Tag points into the same arena, and a writer keeps only
-//     the timestamp it reads from it. A FastRead's valQueue is carved from
-//     that same value arena, and a FastReadAck's vector and its updated
-//     sets from one arena each per frame, so keeping one valQueue, vector
-//     or set keeps the frame's others alive: a replica and a reader copy
-//     the values they keep out of it, and keep no slice of it.
+//     value copies *Val, never the pointer. A TagAck's Tag points into
+//     the same arena, and a writer keeps only the timestamp it reads from
+//     it. A FastRead's valQueue is carved from that same value arena, and
+//     a FastReadAck's vector and its updated sets from one arena each per
+//     frame, so keeping one valQueue, vector or set keeps the frame's
+//     others alive: a replica and a reader copy the values they keep out
+//     of it, and keep no slice of it.
 //   - Return: an op may respond with a value cut from a reply (a
 //     two-round read with a QueryAck's, a full-info read with a LogAck's),
 //     which pins the reply's frame only while the op lives. The client
@@ -128,6 +131,7 @@ package opkit
 import (
 	"slices"
 	"strings"
+	"unsafe"
 
 	"fastreg/internal/proto"
 	"fastreg/internal/types"
@@ -138,10 +142,62 @@ import (
 // holds.
 var initialValue = types.InitialValue()
 
-// adopt returns a fresh copy of v for a `// frozen:` pointer field to
-// publish: the field's old value stays as the QueryAcks already sent saw
-// it, and the new one pins neither the message v came in nor its frame.
-func adopt(v types.Value) *types.Value { return &v }
+// adopt returns a fresh copy of v, payload included, for a `// frozen:`
+// pointer field or a vector entry to keep: the field's old value stays as
+// the QueryAcks already sent saw it, and the new one pins neither the
+// message v came in nor its frame (an Update's Data is cut from its
+// frame's text). The copy is one allocation: the Value struct and its
+// payload's bytes share one owned box sized to a Go size class, and only
+// an empty payload (the struct alone) or one longer than the largest box
+// (the struct and a strings.Clone) is laid out otherwise.
+func adopt(v types.Value) *types.Value {
+	switch n := len(v.Data); {
+	case n == 0:
+		// the struct alone
+	case n <= 8:
+		return box[[8]byte](v)
+	case n <= 24:
+		return box[[24]byte](v)
+	case n <= 40:
+		return box[[40]byte](v)
+	case n <= 88:
+		return box[[88]byte](v)
+	case n <= 216:
+		return box[[216]byte](v)
+	case n <= 280:
+		return box[[280]byte](v)
+	case n <= 472:
+		return box[[472]byte](v)
+	case n <= 984:
+		return box[[984]byte](v)
+	default:
+		v.Data = strings.Clone(v.Data)
+	}
+	c := v // a local, so that only this path moves a Value to the heap
+	return &c
+}
+
+// owned is a value and the bytes of its payload in one allocation: v.Data
+// is a string over b. With a 40-byte Value, each B adopt uses makes the
+// box 48, 64, 80, 128, 256, 320, 512 or 1024 bytes, each a size class of
+// Go's allocator, which therefore rounds no box up; a payload shorter than
+// its box leaves the rest unused.
+type owned[B any] struct {
+	v types.Value
+	b B
+}
+
+// box copies v into a new owned[B], whose B holds at least len(v.Data)
+// bytes, and returns its value. b is written once, here, before the string
+// over it exists, and never again, so the string is immutable as Go
+// requires.
+func box[B any](v types.Value) *types.Value {
+	o := new(owned[B])
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&o.b)), len(v.Data))
+	copy(b, v.Data)
+	o.v = types.Value{Tag: v.Tag, Data: unsafe.String(&b[0], len(b))}
+	return &o.v
+}
 
 // StoreServer is the classic ABD/LS97 server: it stores the maximal value
 // received so far, answers Query with it and TagQuery with its tag, and
@@ -297,9 +353,12 @@ func (s *VectorServer) see(c types.ProcID, top types.Tag) {
 }
 
 // update is Algorithm 2's update(val, c) procedure: record that client c
-// holds val, and raise vali if val is newer. val owns its payload (it comes
-// from an Update), so the vector stores it as it is. A dead val is not
-// stored, and vali, which is never below the floor, stays.
+// holds val, and raise vali if val is newer. val comes from an Update, whose
+// Data may be cut from its frame (proto.Decode), so a new entry stores the
+// value adopt owns, and vali, if val is newer, points at that same box. vali
+// is never below an entry of the vector (every path that adds an entry
+// raises it), so a val the vector already holds leaves it as it is. A dead
+// val is not stored, and vali, which is never below the floor, stays.
 func (s *VectorServer) update(val types.Value, c types.ProcID) {
 	s.vec = s.live(s.vec)
 	if s.dead(val) {
@@ -308,14 +367,15 @@ func (s *VectorServer) update(val types.Value, c types.ProcID) {
 	i, ok := findEntry(s.vec, val)
 	switch {
 	case !ok:
-		s.vec = inserted(s.vec, i, proto.VectorEntry{Val: val, Updated: []types.ProcID{c}})
+		own := adopt(val)
+		s.vec = inserted(s.vec, i, proto.VectorEntry{Val: *own, Updated: []types.ProcID{c}})
+		if s.cur.Less(val) {
+			s.cur = own
+		}
 	case !s.vec[i].HasUpdated(c):
 		vec := slices.Clone(s.vec)
 		vec[i].Updated = withProc(vec[i].Updated, c)
 		s.vec = vec
-	}
-	if s.cur.Less(val) {
-		s.cur = adopt(val)
 	}
 }
 
@@ -337,9 +397,10 @@ func (s *VectorServer) update(val types.Value, c types.ProcID) {
 // becomes its old self less its dead prefix. Otherwise one new vector is
 // built from the live entries. Entries whose old updated sets are equal
 // share the one new set that adds c (sets are frozen, so sharing is safe).
-// The valQueue may have been cut from a frame (proto.Decode), so an entry
-// stores a private copy of a new value's payload, and vali takes the
-// entry's copy.
+// The valQueue may have been cut from a frame (proto.Decode), so a new
+// entry stores the value adopt owns, and vali, if the valQueue's largest
+// value raises it, points at that value's box. Such a value is always a
+// new entry: vali is never below an entry of the vector.
 func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) {
 	var top types.Value
 	for i, v := range queue {
@@ -388,18 +449,21 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) {
 		}
 		vec[i].Updated = g.to
 	}
+	var topOwn *types.Value
 	if len(fresh) > 0 {
 		only := []types.ProcID{c} // never written again, so the new entries share it
 		for _, v := range fresh {
-			v.Data = strings.Clone(v.Data)
-			vec = append(vec, proto.VectorEntry{Val: v, Updated: only})
+			own := adopt(v)
+			if v == top {
+				topOwn = own
+			}
+			vec = append(vec, proto.VectorEntry{Val: *own, Updated: only})
 		}
 		slices.SortFunc(vec, func(a, b proto.VectorEntry) int { return a.Val.Compare(b.Val) })
 	}
 	s.vec = vec
 	if s.cur.Less(top) {
-		i, _ := findEntry(vec, top)
-		s.cur = adopt(vec[i].Val)
+		s.cur = topOwn
 	}
 }
 

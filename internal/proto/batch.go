@@ -94,12 +94,11 @@ func PutBuf(b []byte) {
 
 // envsPool recycles envelope slabs — the []Envelope a decoded frame lands
 // in and the queues batched senders accumulate into. Decode never returns
-// views into its read buffer (keys and reply and FastRead payloads are cut
-// from a string of their own frame, QueryAck and Update values and TagAck
-// tags live in an arena of their own frame, an Update's Data owns its
-// bytes), so a recycled slab can only ever reuse the backing ARRAY of
-// envelope structs; it can never alias a previous frame's key or value
-// bytes. PutEnvs still clears the
+// views into its read buffer (keys and every value-carrying payload are
+// cut from a string of their own frame, QueryAck and Update values and
+// TagAck tags live in an arena of their own frame), so a recycled slab can
+// only ever reuse the backing ARRAY of envelope structs; it can never
+// alias a previous frame's key or value bytes. PutEnvs still clears the
 // slab so a pooled array doesn't pin dead payloads, or the frame strings
 // and arenas they point into, for the GC.
 var envsPool slicePool[Envelope]
@@ -172,10 +171,11 @@ func DecodeBatch(buf []byte) ([]Envelope, int, error) {
 // the frame's envelopes are appended to dst (typically a pooled GetEnvs
 // slab), each decoded in place in its slot, and the extended slice is
 // returned with the bytes consumed. On error dst's length is unchanged.
-// Nothing decoded refers to buf: every envelope's Key and every reply's
-// and FastRead's payload are copied into ONE string for the whole frame
-// and cut from it, so a kept key or value pins all of them (Decode says
-// who clones); every QueryAck, Update and TagAck points into ONE value
+// Nothing decoded refers to buf: every envelope's Key and every
+// value-carrying payload (a reply's, a FastRead's, an Update's) are
+// copied into ONE string for the whole frame and cut from it, so a kept
+// key or value pins all of them (Decode says who copies); every
+// QueryAck, Update and TagAck points into ONE value
 // arena for the whole frame, and every valQueue, vector and updated set is
 // carved from the frame's arenas. Recycling buf or the slab later can
 // never alias this frame's data.

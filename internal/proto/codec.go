@@ -107,14 +107,13 @@ const (
 )
 
 // cutsPayload reports whether a message of kind k has its values' Data
-// cut from the frame's text: a FastRead's and those of every reply that
-// carries values (FastReadAck, QueryAck, LogAck) are. An Update's value
-// owns its Data: a replica that adopts it (opkit's StoreServer) copies
-// only the Value struct, on either backend, and keeps its Data as the
-// key's current value until a later write, so a cut Data would pin its
-// frame's whole text that long.
+// cut from the frame's text: every kind that carries values (FastRead,
+// FastReadAck, QueryAck, LogAck, Update) does. A replica keeps an
+// Update's value as its key's current value until a later write, so it
+// keeps it only through opkit's adopt, whose one allocation holds the
+// value and a copy of its payload: a kept value never pins its frame.
 func cutsPayload(k Kind) bool {
-	return k == KindFastRead || k == KindFastReadAck || k == KindQueryAck || k == KindLogAck
+	return k == KindFastRead || k == KindFastReadAck || k == KindQueryAck || k == KindLogAck || k == KindUpdate
 }
 
 // inArena reports whether a message of kind k carries one value, or one
@@ -463,14 +462,14 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 // the number of bytes consumed, so callers can decode from a stream buffer.
 //
 // Nothing in the envelope refers to buf. The Key and, in a FastRead, a
-// FastReadAck, a QueryAck or a LogAck, the whole payload are copied into
-// ONE string, and the Key and every value's Data in the valQueue, vector,
-// QueryAck or log are cut from it. Any one of them therefore keeps the
-// others' bytes alive: code that stores a key or such a value beyond the
-// message's life stores strings.Clone of it (keyreg does for keys, opkit
-// for the values it keeps, the history recorder for the value a read
-// returns; see opkit's package doc). An Update's value owns its Data
-// (cutsPayload says why). A QueryAck's or an Update's Val points into a
+// FastReadAck, a QueryAck, a LogAck or an Update, the whole payload are
+// copied into ONE string, and the Key and every value's Data in the
+// valQueue, vector, QueryAck, log or Update are cut from it. Any one of
+// them therefore keeps the others' bytes alive: code that stores a key or
+// such a value beyond the message's life stores a copy of its own (keyreg
+// clones keys, a replica adopts an Update's value in one allocation with
+// its payload, the history recorder clones the value a read returns; see
+// opkit's package doc). A QueryAck's or an Update's Val points into a
 // value arena the frame's envelopes share, so a kept pointer keeps the
 // whole arena alive, and whoever keeps the value copies *Val (opkit's
 // Keep rule). A TagAck's Tag points into that arena too. A FastRead's
@@ -545,7 +544,7 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 		e.Payload = QueryAck{Val: v}
 	case KindUpdate:
 		v := &carve(&fc.vals, 1)[0]
-		*v = r.value() // owns its Data: see cutsPayload
+		*v = r.cutValue()
 		e.Payload = Update{Val: v}
 	case KindUpdateAck:
 		e.Payload = UpdateAck{}
@@ -576,10 +575,12 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 		m.Floor = r.tag()
 		e.Payload = m
 	case KindLogAck:
-		n := r.count(procSize + minValueSize)
 		m := LogAck{}
-		for i := 0; i < n && r.err == nil; i++ {
-			m.Events = append(m.Events, LogEvent{Client: r.proc(), Val: r.cutValue()})
+		if n := r.count(procSize + minValueSize); n > 0 {
+			m.Events = make([]LogEvent, n)
+			for i := 0; i < n && r.err == nil; i++ {
+				m.Events[i] = LogEvent{Client: r.proc(), Val: r.cutValue()}
+			}
 		}
 		e.Payload = m
 	default:

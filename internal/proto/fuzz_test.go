@@ -38,7 +38,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		{From: types.Writer(2), To: types.Server(1), Key: "k", OpID: 11, Round: 1, Epoch: 4, Weight: 1 << 30, Payload: Update{Val: &val}},
 		{From: types.Server(1), To: types.Writer(2), Key: "k", OpID: 11, Round: 1, IsReply: true, Epoch: 4, Weight: 1 << 30, Payload: UpdateAck{}},
 	}
-	seeds := make([][]byte, 0, len(envs)+2)
+	seeds := make([][]byte, 0, len(envs)+3)
 	for _, e := range envs {
 		b, err := Encode(e)
 		if err != nil {
@@ -46,9 +46,13 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		}
 		seeds = append(seeds, b)
 	}
-	// Batch frames: the whole set in one frame, and a minimal two-envelope
-	// batch, so the fuzzer mutates the batch header and inner boundaries.
-	for _, set := range [][]Envelope{envs, envs[:2]} {
+	// Batch frames: the whole set in one frame, a minimal two-envelope
+	// batch, so the fuzzer mutates the batch header and inner boundaries,
+	// and a QueryAck, an Update and a FastRead whose payloads are all cut
+	// from the frame's one string, so the fuzzer moves the cut offsets
+	// across kinds.
+	mixed := []Envelope{envs[1], envs[2], envs[6]}
+	for _, set := range [][]Envelope{envs, envs[:2], mixed} {
 		b, err := EncodeBatch(set)
 		if err != nil {
 			tb.Fatalf("seed batch encode: %v", err)
