@@ -23,36 +23,43 @@ import (
 // opens a new chunk of the log (internal/history).
 const maxAllocsPerOp = 3.65
 
-// maxTCPAllocsPerOp locks the same loop over loopback TCP: 20.65
-// measured, plus one. It was 23.16 while every QueryAck and Update boxed
-// its value (a sequential op's frames hold one envelope each, so a
-// decoded frame's value arena still costs what its box did), and 84.16
-// while every decoded key was its own string, the codec pools boxed a
-// slice header per return and every frame read allocated its 4-byte
-// header.
-const maxTCPAllocsPerOp = 21.65
+// maxTCPAllocsPerOp locks the same loop over loopback TCP: 14.62
+// measured, plus one. It was 20.62 while a decoded frame's text and its
+// value arena were two allocations (a sequential op's frames hold one
+// envelope each, so every value-carrying frame paid both), 23.16 while
+// every QueryAck and Update boxed its value, and 84.16 while every decoded
+// key was its own string, the codec pools boxed a slice header per return
+// and every frame read allocated its 4-byte header.
+const maxTCPAllocsPerOp = 15.62
 
 // maxTCPPutAllocsPerOp locks a W2R2 Put of a 32-byte value over loopback
-// TCP: 22.11 measured, plus one. It was 25.12 while every Update decoded
-// its value's Data into a string of its own, which a replica adopting the
-// value then copied into a Value of its own, and 28.11 while the write's
-// query round was a Query, whose three QueryAcks each decoded the
-// replica's value into a string the writer dropped.
-const maxTCPPutAllocsPerOp = 23.11
+// TCP: 16.11 measured, plus one. It was 22.11 while a decoded frame's text
+// and its value arena were two allocations (each of the six TagAck and
+// Update frames paid both), 25.12 while every Update decoded its value's
+// Data into a string of its own, which a replica adopting the value then
+// copied into a Value of its own, and 28.11 while the write's query round
+// was a Query, whose three QueryAcks each decoded the replica's value
+// into a string the writer dropped.
+const maxTCPPutAllocsPerOp = 17.11
 
 // maxTCPGetAllocsPerOp locks a W2R2 Get of a 32-byte value over loopback
-// TCP: 19.12 measured, plus one. It was 22.12 while every write-back's
+// TCP: 13.12 measured, plus one. It was 19.12 while a decoded frame's text
+// and its value arena were two allocations (each of the three QueryAck
+// and three Update frames paid both), 22.12 while every write-back's
 // Update decoded its value's Data into a string of its own, which the
 // replica, already holding the value, dropped, and 25.11 while every
 // QueryAck did too, of which the read kept at most one.
-const maxTCPGetAllocsPerOp = 20.12
+const maxTCPGetAllocsPerOp = 14.12
 
 // maxFastReadAllocsPerOp locks the W2R1 fast read over loopback TCP:
-// 36.17 measured per Get, plus one. It was 42.13 while every FastRead,
+// 21.17 measured per Get, plus one. It was 36.17 while a decoded frame's
+// text and each of its arenas were allocations of their own (text and
+// valQueue for each of the five FastReads, text, vector and updated sets
+// for each of the five FastReadAcks), and 42.13 while every FastRead,
 // FastReadAck vector and updated set decoded into slices of its own, every
 // reply and request boxed a new message, and a replica's rebuild gave every
 // entry lacking the reader its own new updated set.
-const maxFastReadAllocsPerOp = 37.17
+const maxFastReadAllocsPerOp = 22.17
 
 // TestOpPathAllocs runs sequential Put/Get pairs on an in-process W2R2
 // S=3 store and fails if an op allocates more than maxAllocsPerOp.

@@ -51,7 +51,8 @@
 //     is dropped by a replica.
 //   - Keep: proto.Decode cuts every envelope's Key and every payload of a
 //     FastRead, a FastReadAck, a QueryAck, a LogAck or an Update from one
-//     string per frame (a batch frame's envelopes share one), so any of
+//     text per frame (a batch frame's envelopes share one), which shares
+//     one block, one allocation, with the frame's arenas below, so any of
 //     them keeps the whole frame alive. Whoever stores a key or a value
 //     beyond the message it came in takes a private copy at the moment it
 //     first stores it: a replica registering a key clones it
@@ -62,13 +63,13 @@
 //     allocation holds the Value and its payload's bytes; its vector entry
 //     and its current value share that one copy. A QueryAck's or an
 //     Update's Val points into one value arena per frame, so a kept
-//     pointer keeps every value of the frame alive: whoever keeps such a
-//     value copies *Val, never the pointer. A TagAck's Tag points into
-//     the same arena, and a writer keeps only the timestamp it reads from
-//     it. A FastRead's valQueue is carved from that same value arena, and
-//     a FastReadAck's vector and its updated sets from one arena each per
+//     pointer keeps the frame's block alive: whoever keeps such a value
+//     copies *Val, never the pointer. A TagAck's Tag points into the same
+//     arena, and a writer keeps only the timestamp it reads from it. A
+//     FastRead's valQueue is carved from that same value arena, and a
+//     FastReadAck's vector and its updated sets from one arena each per
 //     frame, so keeping one valQueue, vector or set keeps the frame's
-//     others alive: a replica and a reader copy the values they keep out
+//     block alive: a replica and a reader copy the values they keep out
 //     of it, and keep no slice of it.
 //   - Return: an op may respond with a value cut from a reply (a
 //     two-round read with a QueryAck's, a full-info read with a LogAck's),
@@ -181,7 +182,10 @@ func adopt(v types.Value) *types.Value {
 // is a string over b. With a 40-byte Value, each B adopt uses makes the
 // box 48, 64, 80, 128, 256, 320, 512 or 1024 bytes, each a size class of
 // Go's allocator, which therefore rounds no box up; a payload shorter than
-// its box leaves the rest unused.
+// its box leaves the rest unused. A box on the 288-byte class would hold
+// at most 248 payload bytes, so a 256-byte payload, which with its struct
+// needs 296, takes the 320-byte box: no one-allocation box holds it in
+// less than the 304 bytes of a 256-byte string and a 48-byte struct.
 type owned[B any] struct {
 	v types.Value
 	b B

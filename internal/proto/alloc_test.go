@@ -65,15 +65,17 @@ func TestDecodeBatchIntoAllocs(t *testing.T) {
 }
 
 // A batch of value-carrying envelopes decodes into a pooled slab. 16
-// QueryAcks take 2 allocations: the string every key and value's Data is
-// cut from, and the value arena every Val points into (boxing each
-// QueryAck into its Message would add 16, and giving each Data its own
-// string did). 16 Updates take the same 2: their Data is cut too, and a
+// QueryAcks take 1 allocation: the frame's block, which holds the value
+// arena every Val points into and the text every key and value's Data is
+// cut from (the two were separate allocations before, boxing each
+// QueryAck into its Message added 16, and giving each Data its own string
+// did too). 16 Updates take the same 1: their Data is cut too, and a
 // replica that keeps one adopts it in one allocation of its own
 // (cutsPayload), where decoding each into a string of its own took 18.
-// 16 LogAcks of a written value and a read mark take 33: the string, and
-// per log its box and the one slice of its events, whose Data is cut
-// (growing that slice one append at a time took 49).
+// 16 LogAcks of a written value and a read mark take 33: the text, which
+// is a block of its own because a LogAck has no arena, and per log its
+// box and the one slice of its events, whose Data is cut (growing that
+// slice one append at a time took 49).
 func TestDecodeValueBatchAllocs(t *testing.T) {
 	skipUnderRace(t)
 	val := func(i int) types.Value {
@@ -95,8 +97,8 @@ func TestDecodeValueBatchAllocs(t *testing.T) {
 		envs []Envelope
 		want float64
 	}{
-		{"QueryAck", acks, 2},
-		{"Update", updates, 2},
+		{"QueryAck", acks, 1},
+		{"Update", updates, 1},
 		{"LogAck", logs, 33},
 	} {
 		frame, err := EncodeBatch(c.envs)
@@ -117,11 +119,12 @@ func TestDecodeValueBatchAllocs(t *testing.T) {
 }
 
 // A batch of fast-read envelopes decodes into a pooled slab with one
-// allocation for the string every key and payload is cut from, one per
-// arena and one per boxed message: 16 FastReads with two-value valQueues
-// take 18 (their valQueues share the value arena), and 16 FastReadAcks of
-// two entries each take 19 (one arena for the vectors, one for the
-// updated sets).
+// allocation for the frame's block, which holds its arenas and the text
+// every key and payload is cut from, and one per boxed message: 16
+// FastReads with two-value valQueues take 17, and so do 16 FastReadAcks
+// of two entries each. Before the block, the text and each arena were
+// allocations of their own: 18 for the FastReads (text and value arena)
+// and 19 for the FastReadAcks (text, vector arena and updated-set arena).
 func TestDecodeFastReadBatchAllocs(t *testing.T) {
 	skipUnderRace(t)
 	val := func(i int) types.Value {
@@ -144,8 +147,8 @@ func TestDecodeFastReadBatchAllocs(t *testing.T) {
 		envs []Envelope
 		want float64
 	}{
-		{"FastRead", reads, 18},
-		{"FastReadAck", acks, 19},
+		{"FastRead", reads, 17},
+		{"FastReadAck", acks, 17},
 	} {
 		frame, err := EncodeBatch(c.envs)
 		if err != nil {

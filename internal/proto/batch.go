@@ -95,12 +95,12 @@ func PutBuf(b []byte) {
 // envsPool recycles envelope slabs — the []Envelope a decoded frame lands
 // in and the queues batched senders accumulate into. Decode never returns
 // views into its read buffer (keys and every value-carrying payload are
-// cut from a string of their own frame, QueryAck and Update values and
-// TagAck tags live in an arena of their own frame), so a recycled slab can
+// cut from the text of their own frame's block, and every value, tag and
+// fast-read slice lives in that block's arenas), so a recycled slab can
 // only ever reuse the backing ARRAY of envelope structs; it can never
 // alias a previous frame's key or value bytes. PutEnvs still clears the
-// slab so a pooled array doesn't pin dead payloads, or the frame strings
-// and arenas they point into, for the GC.
+// slab so a pooled array doesn't pin dead payloads, or the frame blocks
+// they point into, for the GC.
 var envsPool slicePool[Envelope]
 
 // maxPooledEnvs bounds the slab size the pool retains: a rare giant batch
@@ -173,12 +173,13 @@ func DecodeBatch(buf []byte) ([]Envelope, int, error) {
 // returned with the bytes consumed. On error dst's length is unchanged.
 // Nothing decoded refers to buf: every envelope's Key and every
 // value-carrying payload (a reply's, a FastRead's, an Update's) are
-// copied into ONE string for the whole frame and cut from it, so a kept
-// key or value pins all of them (Decode says who copies); every
-// QueryAck, Update and TagAck points into ONE value
-// arena for the whole frame, and every valQueue, vector and updated set is
-// carved from the frame's arenas. Recycling buf or the slab later can
-// never alias this frame's data.
+// copied into ONE text for the whole frame and cut from it, every
+// QueryAck, Update and TagAck points into ONE value arena for the whole
+// frame, and every valQueue, vector and updated set is carved from the
+// frame's arenas; the text and the arenas are ONE block, a single
+// allocation (past the largest block class, one each), so a kept key,
+// value or slice pins all of them (Decode says who copies). Recycling buf
+// or the slab later can never alias this frame's data.
 func DecodeBatchInto(dst []Envelope, buf []byte) ([]Envelope, int, error) {
 	if len(buf) < 4 {
 		return dst, 0, ErrTruncated
@@ -273,10 +274,11 @@ func ReadFrames(r io.Reader) ([]Envelope, error) {
 // frame's envelopes are appended to dst (typically a pooled GetEnvs slab)
 // and the extended slice is returned. Both the read buffer and — with a
 // pooled dst — the envelope storage are recycled, so a steady stream
-// allocates only the frame's one string its keys are cut from, its one
-// value arena, and what the payloads own (Data, valQueues, vectors, the
-// boxes of fast-read and log payloads). On error dst's length is
-// unchanged.
+// allocates only the frame's one block (its text, which its keys and
+// values' Data are cut from, and its arenas, which hold its values, tags,
+// valQueues, vectors and updated sets) and what the payloads own (the
+// boxes of fast-read and log payloads and a log's events). On error dst's
+// length is unchanged.
 func ReadFramesInto(r io.Reader, dst []Envelope) ([]Envelope, error) {
 	// The header is read into the pooled buffer too: a local array handed
 	// to an io.Reader would escape, one allocation per frame.

@@ -5,6 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"reflect"
+	"sync/atomic"
+	"unsafe"
 
 	"fastreg/internal/types"
 )
@@ -107,11 +111,12 @@ const (
 )
 
 // cutsPayload reports whether a message of kind k has its values' Data
-// cut from the frame's text: every kind that carries values (FastRead,
+// cut from the frame's text, which shares the frame's one block with its
+// arenas (frameCuts): every kind that carries values (FastRead,
 // FastReadAck, QueryAck, LogAck, Update) does. A replica keeps an
 // Update's value as its key's current value until a later write, so it
 // keeps it only through opkit's adopt, whose one allocation holds the
-// value and a copy of its payload: a kept value never pins its frame.
+// value and a copy of its payload: a kept value never pins its block.
 func cutsPayload(k Kind) bool {
 	return k == KindFastRead || k == KindFastReadAck || k == KindQueryAck || k == KindLogAck || k == KindUpdate
 }
@@ -127,7 +132,8 @@ func inArena(k Kind) bool { return k == KindQueryAck || k == KindUpdate || k == 
 // value, every TagAck's tag (in a slot's Tag) and every FastRead's
 // valQueue, vec every FastReadAck's vector and ups those vectors' updated
 // sets. Decoding an envelope consumes the prefix of each that belongs to
-// it.
+// it. All four are one block (newCuts), so a key, a value or a slice kept
+// from any envelope of the frame keeps the whole block alive.
 type frameCuts struct {
 	text string
 	vals []types.Value
@@ -136,33 +142,27 @@ type frameCuts struct {
 }
 
 // cutFrames prepares the frameCuts of the count envelope frames at the
-// start of b in one pass over their headers: text holds the bytes decoding
-// cuts rather than copies (each one's key and, for a kind cutsPayload
-// names, its payload, in frame order), and each arena as many slots as
-// the frames' payloads declare. A fast-read payload's counts come from
-// untrusted bytes, so each is taken only when that many elements of the
-// smallest encoding fit in the payload (fastCounts); a count that does not
-// fit adds nothing, and the decode rejects its frame. The arenas are thus
-// bounded by the frame's bytes, not by what it claims. It stops at the
-// first frame too short to hold a key and a kind; the decode rejects it.
+// start of b in two passes over their headers: the first sizes the text
+// decoding cuts rather than copies (each one's key and, for a kind
+// cutsPayload names, its payload, in frame order) and as many arena slots
+// as the frames' payloads declare, and the second writes the text into the
+// frame's one block (newCuts) before the string over it exists. A
+// fast-read payload's counts come from untrusted bytes, so each is taken
+// only when that many elements of the smallest encoding fit in the
+// payload (fastCounts); a count that does not fit adds nothing, and the
+// decode rejects its frame. The block is thus bounded by the frame's
+// bytes, not by what it claims. It stops at the first frame too short to
+// hold a key and a kind; the decode rejects it.
 func cutFrames(b []byte, count int) frameCuts {
-	buf := GetBuf()
-	nvals, nvec, nups := 0, 0, 0
-	for ; count > 0 && len(b) >= 4+minEnvelope; count-- {
-		n := uint64(binary.BigEndian.Uint32(b))
-		if n > uint64(len(b)-4) || n < minEnvelope {
+	frames, nvals, nvec, nups, ntext := 0, 0, 0, 0, 0
+	for rest := b; frames < count; frames++ {
+		key, payload, kind, next, ok := splitFrame(rest)
+		if !ok {
 			break
 		}
-		body := b[4 : 4+n]
-		k := uint64(binary.BigEndian.Uint32(body[keyLenAt:]))
-		rest := body[keyLenAt+4:]
-		if k > uint64(len(rest)-keyToKind-1) {
-			break
-		}
-		buf = append(buf, rest[:k]...)
-		kind, payload := Kind(rest[k+keyToKind]), rest[k+keyToKind+1:]
+		ntext += len(key)
 		if cutsPayload(kind) {
-			buf = append(buf, payload...)
+			ntext += len(payload)
 		}
 		switch {
 		case kind == KindFastRead || kind == KindFastReadAck:
@@ -171,21 +171,178 @@ func cutFrames(b []byte, count int) frameCuts {
 		case inArena(kind):
 			nvals++
 		}
-		b = b[4+n:]
+		rest = next
 	}
-	fc := frameCuts{text: string(buf)}
-	PutBuf(buf)
-	if nvals > 0 {
-		fc.vals = make([]types.Value, nvals)
+	fc, text := newCuts(nvals, nvec, nups, ntext)
+	t := text
+	for rest := b; frames > 0; frames-- {
+		key, payload, kind, next, _ := splitFrame(rest)
+		t = t[copy(t, key):]
+		if cutsPayload(kind) {
+			t = t[copy(t, payload):]
+		}
+		rest = next
 	}
-	if nvec > 0 {
-		fc.vec = make([]VectorEntry, nvec)
-	}
-	if nups > 0 {
-		fc.ups = make([]types.ProcID, nups)
+	if ntext > 0 {
+		fc.text = unsafe.String(&text[0], ntext)
 	}
 	return fc
 }
+
+// splitFrame splits the envelope frame at the start of b into its key,
+// its kind and its payload, and returns the bytes after it. ok is false
+// at a frame too short to hold a key and a kind.
+func splitFrame(b []byte) (key, payload []byte, kind Kind, rest []byte, ok bool) {
+	if len(b) < 4+minEnvelope {
+		return nil, nil, 0, nil, false
+	}
+	n := uint64(binary.BigEndian.Uint32(b))
+	if n > uint64(len(b)-4) || n < minEnvelope {
+		return nil, nil, 0, nil, false
+	}
+	body := b[4 : 4+n]
+	k := uint64(binary.BigEndian.Uint32(body[keyLenAt:]))
+	after := body[keyLenAt+4:]
+	if k > uint64(len(after)-keyToKind-1) {
+		return nil, nil, 0, nil, false
+	}
+	return after[:k], after[k+keyToKind+1:], Kind(after[k+keyToKind]), b[4+n:], true
+}
+
+// newCuts allocates a frame's arenas and the bytes its text is written
+// into. A frame with an arena whose counts fit a block class (blockFor)
+// gets them all in one block: its value arena and vector arena first, the
+// only part the GC scans, then a pointer-free tail holding the updated
+// sets (a ProcID holds no pointer) and the text. A frame of text alone
+// is one allocation as it is, and one past the largest class gets one
+// allocation per part.
+func newCuts(nvals, nvec, nups, ntext int) (fc frameCuts, text []byte) {
+	blk := blockFor(nvals, nvec, nups*procBytes+ntext)
+	if blk == nil {
+		if nvals > 0 {
+			fc.vals = make([]types.Value, nvals)
+		}
+		if nvec > 0 {
+			fc.vec = make([]VectorEntry, nvec)
+		}
+		if nups > 0 {
+			fc.ups = make([]types.ProcID, nups)
+		}
+		return fc, make([]byte, ntext)
+	}
+	p := reflect.New(blk.typ).UnsafePointer()
+	if nvals > 0 {
+		fc.vals = unsafe.Slice((*types.Value)(p), nvals)
+	}
+	if nvec > 0 {
+		fc.vec = unsafe.Slice((*VectorEntry)(unsafe.Add(p, blk.vecAt)), nvec)
+	}
+	if n := nups*procBytes + ntext; n > 0 {
+		tail := unsafe.Slice((*byte)(unsafe.Add(p, blk.tailAt)), n)
+		if nups > 0 {
+			fc.ups = unsafe.Slice((*types.ProcID)(unsafe.Pointer(&tail[0])), nups)
+		}
+		text = tail[nups*procBytes:]
+	}
+	return fc, text
+}
+
+// procBytes is a ProcID's size in a block's tail.
+const procBytes = int(unsafe.Sizeof(types.ProcID{}))
+
+// Block classes. A block type holds a power of two of values, a power of
+// two of vector entries and a tail that fills the object to a quarter
+// step of its power of two bytes: valClasses counts 0 and 1 to 128
+// values, vecClasses 0 and 1 to 32 entries, sizeClasses objects of 16 B
+// to 16 KiB. Each class has one slot in blocks, so however many shapes
+// untrusted frames declare, decoding builds at most len(blocks) types.
+const (
+	valClasses  = 9
+	vecClasses  = 7
+	sizeClasses = 41
+)
+
+// block is one class's block type and the offsets of its vector arena
+// and its tail.
+type block struct {
+	typ           reflect.Type
+	vecAt, tailAt uintptr
+}
+
+// blocks holds each class's block type, built on first use. A lookup is
+// one atomic load: two decoders that build a class at once build the
+// same type (reflect caches it), and either store wins.
+var blocks [valClasses * vecClasses * sizeClasses]atomic.Pointer[block]
+
+// blockFor returns the block type for nvals values, nvec vector entries
+// and a tail of ntail bytes, or nil for a frame with neither arena or one
+// past the largest class.
+func blockFor(nvals, nvec, ntail int) *block {
+	if nvals == 0 && nvec == 0 {
+		return nil
+	}
+	v, e := countClass(nvals), countClass(nvec)
+	if v >= valClasses || e >= vecClasses {
+		return nil
+	}
+	arenas := classCount(v)*int(unsafe.Sizeof(types.Value{})) + classCount(e)*int(unsafe.Sizeof(VectorEntry{}))
+	need := arenas + ntail
+	c := sizeClass(need + header(need))
+	if c >= sizeClasses {
+		return nil
+	}
+	slot := &blocks[(v*vecClasses+e)*sizeClasses+c]
+	if blk := slot.Load(); blk != nil {
+		return blk
+	}
+	size := classSize(c)
+	typ := reflect.StructOf([]reflect.StructField{
+		{Name: "Vals", Type: reflect.ArrayOf(classCount(v), reflect.TypeFor[types.Value]())},
+		{Name: "Vec", Type: reflect.ArrayOf(classCount(e), reflect.TypeFor[VectorEntry]())},
+		{Name: "Tail", Type: reflect.ArrayOf(size-header(size)-arenas, reflect.TypeFor[byte]())},
+	})
+	blk := &block{typ: typ, vecAt: typ.Field(1).Offset, tailAt: typ.Field(2).Offset}
+	slot.Store(blk)
+	return blk
+}
+
+// header is what Go's allocator adds to an object of n bytes with
+// pointers: an 8-byte type header in front of one over 512 bytes.
+func header(n int) int {
+	if n > 512 {
+		return 8
+	}
+	return 0
+}
+
+// countClass is the class of n arena slots: 0 for none, else c for the
+// 1<<(c-1) slots n rounds up to.
+func countClass(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return bits.Len(uint(n-1)) + 1
+}
+
+// classCount is the number of slots countClass's class c holds.
+func classCount(c int) int {
+	if c == 0 {
+		return 0
+	}
+	return 1 << (c - 1)
+}
+
+// sizeClass is the class of an object of n > 0 bytes: the c whose
+// classSize(c), a quarter step of its power of two (16, 20, 24, 28, 32,
+// 40, ...), n rounds up to.
+func sizeClass(n int) int {
+	m := uint(max(n, 16) - 1)
+	s := bits.Len(m) - 3 // m>>s is in [4, 8)
+	return 4*s + int(m>>s) - 11
+}
+
+// classSize is the number of bytes sizeClass's class c holds.
+func classSize(c int) int { return (4 + c%4) << (c/4 + 2) }
 
 // fastCounts reads the arena slots a FastRead's or a FastReadAck's payload
 // needs: its valQueue's values, or its vector's entries and their updated
@@ -292,7 +449,7 @@ func (r *reader) bytes() []byte {
 func (r *reader) str() string { return string(r.bytes()) }
 
 // cut reads a string as a slice of text, or copies it where text does not
-// reach (a frame cutText stopped at, which the decode then rejects).
+// reach (a frame cutFrames stopped at, which the decode then rejects).
 func (r *reader) cut() string {
 	b := r.bytes()
 	from, to := r.off-len(b)-r.textAt, r.off-r.textAt
@@ -463,21 +620,22 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 //
 // Nothing in the envelope refers to buf. The Key and, in a FastRead, a
 // FastReadAck, a QueryAck, a LogAck or an Update, the whole payload are
-// copied into ONE string, and the Key and every value's Data in the
-// valQueue, vector, QueryAck, log or Update are cut from it. Any one of
-// them therefore keeps the others' bytes alive: code that stores a key or
-// such a value beyond the message's life stores a copy of its own (keyreg
-// clones keys, a replica adopts an Update's value in one allocation with
-// its payload, the history recorder clones the value a read returns; see
-// opkit's package doc). A QueryAck's or an Update's Val points into a
-// value arena the frame's envelopes share, so a kept pointer keeps the
-// whole arena alive, and whoever keeps the value copies *Val (opkit's
-// Keep rule). A TagAck's Tag points into that arena too. A FastRead's
-// valQueue is carved from that value arena too, and a FastReadAck's
-// vector and its Updated sets from two arenas of their own, each slice
-// clipped to its length: however many envelopes and entries a frame
-// holds, it decodes into one string and at most three arenas, and a kept
-// valQueue, vector or set keeps its arena's other slices alive.
+// copied into ONE text, and the Key and every value's Data in the
+// valQueue, vector, QueryAck, log or Update are cut from it. A QueryAck's
+// or an Update's Val and a TagAck's Tag point into a value arena the
+// frame's envelopes share; a FastRead's valQueue is carved from that
+// value arena too, and a FastReadAck's vector and its Updated sets from
+// two arenas of their own, each slice clipped to its length. The text and
+// the arenas are ONE block (cutFrames): however many envelopes and
+// entries a frame holds, it decodes into one allocation, and past the
+// largest block class into one text and at most three arenas. Any key,
+// Data, pointer or slice a frame decodes into therefore keeps the whole
+// block alive: code that stores a key or a value beyond the message's
+// life stores a copy of its own (keyreg clones keys, a replica adopts a
+// value in one allocation with its payload, a reader's valQueue clones
+// the payloads it adds, the history recorder clones the value a read
+// returns, whoever keeps a QueryAck's or an Update's value copies *Val;
+// see opkit's package doc and its Keep rule).
 func Decode(buf []byte) (Envelope, int, error) {
 	var e Envelope
 	fc := cutFrames(buf, 1)

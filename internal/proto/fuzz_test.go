@@ -38,7 +38,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		{From: types.Writer(2), To: types.Server(1), Key: "k", OpID: 11, Round: 1, Epoch: 4, Weight: 1 << 30, Payload: Update{Val: &val}},
 		{From: types.Server(1), To: types.Writer(2), Key: "k", OpID: 11, Round: 1, IsReply: true, Epoch: 4, Weight: 1 << 30, Payload: UpdateAck{}},
 	}
-	seeds := make([][]byte, 0, len(envs)+3)
+	seeds := make([][]byte, 0, len(envs)+4)
 	for _, e := range envs {
 		b, err := Encode(e)
 		if err != nil {
@@ -48,11 +48,14 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	}
 	// Batch frames: the whole set in one frame, a minimal two-envelope
 	// batch, so the fuzzer mutates the batch header and inner boundaries,
-	// and a QueryAck, an Update and a FastRead whose payloads are all cut
-	// from the frame's one string, so the fuzzer moves the cut offsets
-	// across kinds.
+	// a QueryAck, an Update and a FastRead whose payloads are all cut
+	// from the frame's one text, so the fuzzer moves the cut offsets
+	// across kinds, and a FastRead, a FastReadAck and a TagAck, whose
+	// frame's one block carries a value arena, a vector arena and updated
+	// sets, so the fuzzer moves the counts that size each.
 	mixed := []Envelope{envs[1], envs[2], envs[6]}
-	for _, set := range [][]Envelope{envs, envs[:2], mixed} {
+	arenas := []Envelope{envs[6], envs[7], envs[5], envs[8]}
+	for _, set := range [][]Envelope{envs, envs[:2], mixed, arenas} {
 		b, err := EncodeBatch(set)
 		if err != nil {
 			tb.Fatalf("seed batch encode: %v", err)

@@ -510,7 +510,7 @@ func (c *Client) putScratch(sc *execScratch) {
 	default:
 	}
 	pr := &sc.pr
-	pr.col.Reset() // drop the payloads, and the frame strings and value arenas they point into
+	pr.col.Reset() // drop the payloads, and the frame blocks they point into
 	pr.env, pr.otr = proto.Envelope{}, nil
 	c.scratch.Put(sc)
 }
@@ -982,12 +982,13 @@ func (l *serverLink) drop(conn Conn) {
 // connection dies. Batched replies are drained frame-at-a-time, so a
 // server's coalesced answers cost one read here too; the drained slab is
 // recycled once every envelope has been dispatched, each in place in the
-// slab. dispatch only looks the Key up, so nothing keeps the frame string
+// slab. dispatch only looks the Key up, so nothing keeps the frame block
 // it is cut from; the payload travels on to the op's round, a reader that
 // keeps a value of a fast-read reply clones it, an op that keeps a
 // QueryAck's value copies *Val, which lets go of the frame's value arena
 // (opkit's Keep rule), and the value a read returns is the history
-// recorder's copy, which lets go of the frame's text (exec).
+// recorder's copy, which lets go of the frame's text (exec); text and
+// arenas are one block (proto.Decode).
 func (l *serverLink) recvLoop(conn Conn) {
 	for {
 		envs, err := conn.RecvBatch()
