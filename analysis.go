@@ -3,9 +3,9 @@ package fastreg
 import (
 	"fastreg/internal/chains"
 	"fastreg/internal/crucialinfo"
+	"fastreg/internal/harness"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
-	"fastreg/internal/sweep"
 )
 
 // FastReadFeasible reports the paper's necessary and sufficient condition
@@ -86,9 +86,8 @@ func proveAgainst(impl register.Protocol, servers int) (*ImpossibilityReport, er
 }
 
 // FastReadBoundary sweeps the W2R1 feasibility boundary (Fig 9 / Section
-// 5) for the given (S, t) pairs, running `trials` randomized adversarial
-// executions per cell plus the directed inversion on the impossible side,
-// and returns the rendered table.
-func FastReadBoundary(configs [][2]int, trials int) string {
-	return sweep.Render(sweep.Boundary(configs, trials))
+// 5) for the given (S, t) pairs, exploring every script of each cell up to
+// a fixed bound, and returns the rendered table.
+func FastReadBoundary(configs [][2]int) string {
+	return harness.RenderFig9(harness.Fig9(configs))
 }

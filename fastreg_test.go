@@ -280,8 +280,8 @@ func TestProveFastWriteImpossible(t *testing.T) {
 }
 
 func TestFastReadBoundaryTable(t *testing.T) {
-	table := FastReadBoundary([][2]int{{5, 1}}, 2)
-	if !strings.Contains(table, "Fig 9") || !strings.Contains(table, "S=5") {
+	table := FastReadBoundary([][2]int{{3, 1}})
+	if !strings.Contains(table, "Fig 9") || !strings.Contains(table, "S=3") || !strings.Contains(table, "explored:VIOLATION") {
 		t.Errorf("table:\n%s", table)
 	}
 }

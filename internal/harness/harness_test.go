@@ -6,10 +6,10 @@ import (
 )
 
 // TestTable1MatchesPaper is the headline reproduction of Table 1: the
-// empirical verdict of every quadrant must match the paper's claim at
-// S=5, t=1, W=2, R=2.
+// explored verdict of every quadrant must settle the paper's claim at
+// S=5, t=1, W=2, R=2: CLEAN for the atomic ones, a violation for the rest.
 func TestTable1MatchesPaper(t *testing.T) {
-	rows := Table1(5)
+	rows := Table1()
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -27,9 +27,8 @@ func TestTable1MatchesPaper(t *testing.T) {
 		if r.Claim != claim {
 			t.Errorf("%s: paper claim rendered as %v, want %v", r.Design, r.Claim, claim)
 		}
-		if r.Empirical != claim {
-			t.Errorf("%s: empirical verdict %v (%s) disagrees with the paper's %v",
-				r.Design, r.Empirical, r.Evidence, claim)
+		if !settled(claim, r.Explored) || (r.Explored.Violation == nil) != claim {
+			t.Errorf("%s: measured %s disagrees with the paper's %v", r.Design, measured(claim, r.Explored, table1Depth), claim)
 		}
 	}
 	out := RenderTable1(rows)
@@ -94,5 +93,58 @@ func TestDesignSpaceOrder(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("order %v, want %v", names, want)
 		}
+	}
+}
+
+// TestFeasibleCellsAtomic: on Fig 9's feasible side the explorer finds no
+// violation. A cell at t = 1 runs one server at a time and reads CLEAN once
+// it runs every script through its depth; a cell at t ≥ 2 runs in blocks
+// of t and never reads CLEAN, even when it runs every script through its
+// depth, as S=12 t=3 R=1 does.
+func TestFeasibleCellsAtomic(t *testing.T) {
+	for _, cell := range []struct {
+		s, tt, r int
+		row      string
+	}{
+		{5, 1, 2, "explored:CLEAN (deviation ≤ 4,"},
+		{6, 1, 3, "explored:beyond scope"},
+		{9, 2, 2, "explored:beyond scope"},
+		{12, 3, 1, "explored:beyond scope"},
+	} {
+		c := exploreCell(cell.s, cell.tt, cell.r)
+		if !c.Feasible {
+			t.Fatalf("cell (%d,%d,%d) should be feasible", cell.s, cell.tt, cell.r)
+		}
+		if v := c.Explored.Violation; v != nil {
+			t.Errorf("feasible cell (%d,%d,%d) violated: %s\n%s", cell.s, cell.tt, cell.r, v.Result, v.History)
+		}
+		if !strings.Contains(c.String(), cell.row) {
+			t.Errorf("cell row = %q, want %q", c.String(), cell.row)
+		}
+	}
+}
+
+func TestBoundaryTable(t *testing.T) {
+	cells := Fig9([][2]int{{3, 1}, {6, 2}})
+	if len(cells) == 0 {
+		t.Fatal("empty boundary")
+	}
+	// Cells must be monotone: feasible exactly below the threshold.
+	for _, c := range cells {
+		if want := c.R*c.T+2*c.T < c.S; c.Feasible != want {
+			t.Errorf("cell %+v: formula mismatch", c)
+		}
+		if settled(c.Feasible, c.Explored) && c.Feasible != (c.Explored.Violation == nil) {
+			t.Errorf("cell %s disagrees with the paper", c)
+		}
+		// A conviction replays alone to the same history.
+		if v := c.Explored.Violation; v != nil {
+			if _, h, err := v.Script.Run(); err != nil || h.String() != v.History.String() {
+				t.Errorf("cell %s replays to\n%s(err %v), explored\n%s", c, h, err, v.History)
+			}
+		}
+	}
+	if table := RenderFig9(cells); !strings.Contains(table, "Fig 9") || !strings.Contains(table, "beyond scope: S=3 t=1 R=1") {
+		t.Errorf("table:\n%s", table)
 	}
 }

@@ -1,5 +1,7 @@
 package model
 
+import "iter"
+
 // Step is one step of an execution as a test observes it.
 type Step struct {
 	Kind              string // "invoke", "request", "reply", "complete" or "crash"
@@ -23,4 +25,10 @@ func ObserveSteps(newObserver func() func(Step)) (restore func()) {
 		}
 	}
 	return func() { observeSteps = old }
+}
+
+// Scripts yields the skeleton's scripts through deviation maxDev, with the
+// server-symmetry reduction when reduce is set.
+func (sk Skeleton) Scripts(maxDev int, reduce bool) iter.Seq2[int, Script] {
+	return sk.scripts(maxDev, reduce)
 }

@@ -23,14 +23,19 @@
 //   - Sim, the timed scheduler, gives every message a seeded virtual delay
 //     and delivers the earliest first, ties in scheduling order. A round
 //     completes at exactly its Need replies, in arrival order, and later
-//     replies are dropped. Table 1, Fig 2, the write-back ablation, Fig 9's
-//     trials and Section 7 run on it.
+//     replies are dropped. Fig 2, the write-back ablation and Section 7 run
+//     on it.
 //   - Script, the scripted scheduler, follows a global order of round trips
 //     and a per-server arrival order with skips, the vocabulary of
 //     Section 3. A round completes at the first global position that finds
 //     its Need replies counted, with every reply counted so far in server
 //     order, and later replies are kept for the trace. Theorem 1's chains,
-//     W1Rk, the Fig 8 sieve and Fig 9's directed inversion run on it.
+//     W1Rk and the Fig 8 sieve run on it.
+//   - Skeleton.Explore, the bounded explorer, runs the Scripts of a
+//     skeleton (one operation per client) in order of deviation from the
+//     in-order baseline, once per multiset of arrival orders over servers,
+//     up to a deviation depth or an execution count, and checks each for
+//     atomicity. Table 1's and Fig 9's measured verdicts come from it.
 package model
 
 import (

@@ -242,8 +242,9 @@ func pruneSchedule(p register.Protocol, cfg quorum.Config, seed int64, ops int) 
 }
 
 // TestStepInvariants checks the invariants on every step of the timed
-// scheduler's mixed-workload and pruning schedules, and of the scripted
-// scheduler's every execution of the chain argument at S=3 and S=5.
+// scheduler's mixed-workload and pruning schedules, of the scripted
+// scheduler's every execution of the chain argument at S=3 and S=5, and of
+// every script the explorer runs on W2R1 at S=3 with a write and two reads.
 func TestStepInvariants(t *testing.T) {
 	t.Run("timed/mixed", func(t *testing.T) {
 		for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
@@ -300,6 +301,26 @@ func TestStepInvariants(t *testing.T) {
 				t.Logf("%s S=%d: %d executions checked step by step", p.Name(), s, len(vs))
 			}
 		}
+	})
+	t.Run("explored", func(t *testing.T) {
+		depth := 4
+		if raceEnabled {
+			depth = 3
+		}
+		n := 0
+		for _, sc := range skeleton(w2r1.New(), 3, 1, 2, writeTwoReads).Scripts(depth, true) {
+			var h history.History
+			var err error
+			vs := checkAll(func() { _, h, err = sc.Run() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vs[0].checkHistory(h); err != nil {
+				t.Fatalf("global %v, arrival %v: %v", sc.Global, sc.Arrival, err)
+			}
+			n++
+		}
+		t.Logf("%d explored executions checked step by step", n)
 	})
 }
 

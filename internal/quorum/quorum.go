@@ -7,7 +7,7 @@
 //   - the admissibility quorum sizes S − a·t for degree a ∈ [1, R+1]
 //     (Appendix A, Definition 4).
 //
-// Keeping this arithmetic in one place lets the protocols, the sweep harness
+// Keeping this arithmetic in one place lets the protocols, the Fig 9 harness
 // and the tests all agree on where the feasibility boundary falls, including
 // the integer-division subtleties of "R ≥ S/t − 2" for non-divisible S/t.
 package quorum

@@ -1,106 +1,69 @@
-package sweep
+// Package sweep_test checks Fig 9's infeasible side through the exported
+// sweep, harness.Fig9: on S=3 t=1 (R ≥ S/t − 2 for every R ≥ 1) the
+// explorer convicts the R=2 cell with a new-old inversion. It holds tests
+// only; the sweep itself lives in internal/harness.
+package sweep_test
 
 import (
-	"strings"
+	"sync"
 	"testing"
 
 	"fastreg/internal/atomicity"
-	"fastreg/internal/types"
+	"fastreg/internal/harness"
 )
 
-// TestDirectedInversionS3T1 is the concrete infeasible-side exhibit for
-// Fig 9: S=3, t=1, R=2 (R ≥ S/t − 2). The scripted execution forces a
-// new-old inversion.
-func TestDirectedInversionS3T1(t *testing.T) {
-	out, err := DirectedInversion(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := out.Result("R1")
-	r2 := out.Result("R2")
-	if !r1.Done || !r2.Done {
-		t.Fatalf("reads did not complete: R1=%v R2=%v", r1.Done, r2.Done)
-	}
-	if r1.Value.Data != "v" {
-		t.Fatalf("R1 = %v, want the pending write's value", r1.Value)
-	}
-	if !r2.Value.IsInitial() {
-		t.Fatalf("R2 = %v, want the initial value (it skipped every witness)", r2.Value)
-	}
-	res := atomicity.Check(out.History)
-	if res.Atomic {
-		t.Fatalf("inversion history judged atomic:\n%s", out.History)
-	}
-}
+// s3t1 is Fig 9's S=3 t=1 series, explored once for both tests.
+var s3t1 = sync.OnceValue(func() []harness.Fig9Cell { return harness.Fig9([][2]int{{3, 1}}) })
 
-// TestDirectedInversionScales: the construction works for every 2t < S ≤ 3t.
-func TestDirectedInversionScales(t *testing.T) {
-	for _, st := range [][2]int{{3, 1}, {5, 2}, {6, 2}, {8, 3}, {9, 3}} {
-		out, err := DirectedInversion(st[0], st[1])
-		if err != nil {
-			t.Fatalf("S=%d t=%d: %v", st[0], st[1], err)
-		}
-		if atomicity.Check(out.History).Atomic {
-			t.Errorf("S=%d t=%d: no violation", st[0], st[1])
+// cell returns Fig 9's S=3 t=1 R=2 cell.
+func cell(t *testing.T) harness.Fig9Cell {
+	t.Helper()
+	for _, c := range s3t1() {
+		if c.R == 2 {
+			return c
 		}
 	}
+	t.Fatal("Fig 9 has no S=3 t=1 R=2 cell")
+	return harness.Fig9Cell{}
 }
 
-func TestDirectedInversionRejectsBadShape(t *testing.T) {
-	if _, err := DirectedInversion(7, 2); err == nil { // S > 3t
-		t.Error("S>3t accepted")
-	}
-	if _, err := DirectedInversion(2, 1); err == nil { // S-2t < 1
-		t.Error("S-2t<1 accepted")
-	}
-}
-
-// TestFeasibleCellsAtomic: on the feasible side the randomized adversary
-// never finds a violation.
-func TestFeasibleCellsAtomic(t *testing.T) {
-	for _, cell := range []struct{ s, tt, r int }{
-		{5, 1, 2}, {6, 1, 3}, {9, 2, 2},
-	} {
-		c := RunCell(cell.s, cell.tt, cell.r, 8)
-		if !c.Feasible {
-			t.Fatalf("cell (%d,%d,%d) should be feasible", cell.s, cell.tt, cell.r)
-		}
-		if !c.RandomAtomic {
-			t.Errorf("feasible cell (%d,%d,%d) violated at seed %d", cell.s, cell.tt, cell.r, c.FirstBadSeed)
-		}
-	}
-}
-
-// TestInfeasibleCellDirected: the S≤3t infeasible cells get the directed
-// violation.
+// TestInfeasibleCellDirected: the S=3 t=1 R=2 cell is infeasible, and the
+// explorer convicts it.
 func TestInfeasibleCellDirected(t *testing.T) {
-	c := RunCell(3, 1, 2, 3)
+	c := cell(t)
 	if c.Feasible {
 		t.Fatal("S=3 t=1 R=2 should be infeasible")
 	}
-	if !c.DirectedAttempted || !c.DirectedViolation {
-		t.Fatalf("directed inversion missing: %+v", c)
+	if c.Explored.Violation == nil {
+		t.Fatalf("no violation: %s", c)
 	}
-	if !strings.Contains(c.String(), "directed:VIOLATION") {
-		t.Errorf("cell row = %q", c.String())
-	}
+	t.Logf("%s", c)
 }
 
-func TestBoundaryTable(t *testing.T) {
-	cells := Boundary([][2]int{{5, 1}, {9, 2}}, 2)
-	if len(cells) == 0 {
-		t.Fatal("empty boundary")
+// TestDirectedInversionS3T1 is the concrete infeasible-side exhibit for
+// Fig 9: the cell's convicting script, replayed alone, lodges the pending
+// write on a witness set, r1 returns its value, and r2, after r1, returns
+// the initial one.
+func TestDirectedInversionS3T1(t *testing.T) {
+	v := cell(t).Explored.Violation
+	if v == nil {
+		t.Fatal("no violation to replay")
 	}
-	// Cells must be monotone: feasible exactly below the threshold.
-	for _, c := range cells {
-		want := c.R*c.T+2*c.T < c.S
-		if c.Feasible != want {
-			t.Errorf("cell %+v: formula mismatch", c)
-		}
+	res, h, err := v.Script.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	table := Render(cells)
-	if !strings.Contains(table, "Fig 9") {
-		t.Errorf("table header missing:\n%s", table)
+	r1, r2 := res[1], res[2]
+	if !r1.Done || !r2.Done {
+		t.Fatalf("reads did not complete: r1=%v r2=%v", r1.Done, r2.Done)
 	}
-	_ = types.Server(1)
+	if r1.Value.Data != "1" {
+		t.Fatalf("r1 = %v, want the pending write's value\n%s", r1.Value, h)
+	}
+	if !r2.Value.IsInitial() {
+		t.Fatalf("r2 = %v, want the initial value\n%s", r2.Value, h)
+	}
+	if atomicity.Check(h).Atomic {
+		t.Fatalf("inversion history judged atomic:\n%s", h)
+	}
 }

@@ -231,5 +231,5 @@ func TestSkipPatternsStayAtomicWhenFeasible(t *testing.T) {
 }
 
 // The infeasible side of the Section 5 boundary (R ≥ S/t − 2) is exhibited
-// by the directed construction in internal/sweep, which uses the scripted
-// interpreter to skip individual round-trips.
+// by the bounded explorer in internal/model (Fig 9 in internal/harness),
+// which scripts executions that skip individual round-trips.
