@@ -6,16 +6,15 @@
 // under the scenario's faults.
 //
 // By default regstorm hosts the fleet itself: real loopback TCP behind
-// internal/faultnet's fault-injecting listeners, or the store's
-// in-process fleet as a clean baseline. With -cluster it drives a
-// deployed fleet of cmd/regserver processes instead; the spec's
+// internal/faultnet's fault-injecting listeners. With -cluster it drives
+// a deployed fleet of cmd/regserver processes instead; the spec's
 // fleet.servers must match the address count, and what needs a hosted
-// fleet (faults, fleet.byzantine, epoch_ms, backend inprocess) is
-// refused. Several regstorm processes can drive one fleet: give each
-// its own workload.writers/readers identities and the same
-// workload.key_prefix to contend on the same keys, and point every
-// process's -capture (and the replicas') at one directory — each run's
-// verdict, like `regaudit check DIR`, merges every log found there.
+// fleet (faults, fleet.byzantine, epoch_ms) is refused. Several regstorm
+// processes can drive one fleet: give each its own
+// workload.writers/readers identities and the same workload.key_prefix to
+// contend on the same keys, and point every process's -capture (and the
+// replicas') at one directory — each run's verdict, like `regaudit check
+// DIR`, merges every log found there.
 //
 // Usage:
 //
@@ -120,7 +119,7 @@ func run() int {
 	}
 
 	plan := faultnet.NewPlan(seed, spec.Rules()...)
-	where := spec.Backend
+	where := "tcp"
 	if addrs != nil {
 		where = fmt.Sprintf("cluster %s (keys %s*)", *cluster, spec.Workload.KeyPrefix)
 	}
@@ -130,7 +129,7 @@ func run() int {
 	var flt *fleet
 	if addrs != nil {
 		opts = append(opts, fastreg.WithTCP(addrs...))
-	} else if spec.Backend == "tcp" {
+	} else {
 		if flt, err = startFleet(spec, cfg, plan, dir); err != nil {
 			return fail(err)
 		}
@@ -168,10 +167,9 @@ func run() int {
 		}
 		return nil
 	}
-	if spec.EpochMS > 0 && flt != nil {
+	if spec.EpochMS > 0 { // refused with -cluster, so the fleet is hosted
 		// The replica logs live in this process, so the coordinator can
-		// stamp them directly when each epoch's weight comes home (an
-		// in-process store stamps its own replica logs).
+		// stamp them directly when each epoch's weight comes home.
 		if err := store.OnAuditEpoch(flt.StampEpoch); err != nil {
 			shutdown()
 			return fail(err)

@@ -19,12 +19,8 @@ import (
 // so a scenario is data someone can diff rather than a shell script.
 // Milliseconds everywhere a duration appears; zero fields take defaults.
 type Spec struct {
-	Name     string `json:"name"`
-	Protocol string `json:"protocol"`
-	// Backend is "tcp" (default: a real loopback fleet, the only backend
-	// faults/byzantine apply to) or "inprocess" (the store's in-memory
-	// fleet — a fault-free baseline).
-	Backend      string     `json:"backend"`
+	Name         string     `json:"name"`
+	Protocol     string     `json:"protocol"`
 	Seed         int64      `json:"seed"`
 	Fleet        FleetSpec  `json:"fleet"`
 	VouchedReads int        `json:"vouched_reads"`
@@ -56,7 +52,6 @@ type FleetSpec struct {
 type WorkSpec struct {
 	DurationMS int     `json:"duration_ms"`
 	Rate       float64 `json:"rate"`
-	EndRate    float64 `json:"end_rate"`
 	Keys       int     `json:"keys"`
 	ZipfS      float64 `json:"zipf_s"`
 	WriteFrac  float64 `json:"write_frac"`
@@ -114,13 +109,6 @@ func (s *Spec) validate(cluster []string) error {
 	if s.Name == "" {
 		return fmt.Errorf("spec needs a name")
 	}
-	switch s.Backend {
-	case "":
-		s.Backend = "tcp"
-	case "tcp", "inprocess":
-	default:
-		return fmt.Errorf("backend %q: want tcp or inprocess", s.Backend)
-	}
 	known := false
 	for _, p := range fastreg.Protocols() {
 		if string(p) == s.Protocol {
@@ -135,14 +123,6 @@ func (s *Spec) validate(cluster []string) error {
 	}
 	if s.Fleet.Byzantine < 0 || s.Fleet.Byzantine > s.Fleet.Servers {
 		return fmt.Errorf("byzantine count %d out of [0,%d]", s.Fleet.Byzantine, s.Fleet.Servers)
-	}
-	if s.Backend != "tcp" {
-		if s.Fleet.Byzantine > 0 {
-			return fmt.Errorf("byzantine replicas need the tcp backend (the liar wraps the wire server)")
-		}
-		if len(s.Faults) > 0 {
-			return fmt.Errorf("fault schedules need the tcp backend (faults inject at the framing layer)")
-		}
 	}
 	if s.VouchedReads < 0 {
 		return fmt.Errorf("vouched_reads must be >= 0")
@@ -186,8 +166,6 @@ func (s *Spec) validateCluster(n int) error {
 	switch {
 	case n != s.Fleet.Servers:
 		return fmt.Errorf("-cluster lists %d replicas, fleet.servers is %d", n, s.Fleet.Servers)
-	case s.Backend == "inprocess":
-		return errors.New("backend inprocess hosts its own fleet; -cluster drives a deployed one")
 	case len(s.Faults) > 0:
 		return errors.New("faults inject at a hosted fleet's listeners; they cannot run with -cluster")
 	case s.Fleet.Byzantine > 0:
@@ -302,7 +280,6 @@ func (s *Spec) LoadConfig(seed int64) loadgen.Config {
 		KeyPrefix: w.KeyPrefix,
 		ZipfS:     w.ZipfS,
 		Rate:      w.Rate,
-		EndRate:   w.EndRate,
 		Duration:  ms(w.DurationMS),
 		WriteFrac: w.WriteFrac,
 		ValueSize: w.ValueSize,

@@ -45,7 +45,6 @@ func TestLoadSpec(t *testing.T) {
 		{name: "faults cluster", json: spec("", "", `, "faults": [{"from": "c", "to": "s1", "fault": "drop"}]`), cluster: three, wantErr: "faults"},
 		{name: "byzantine cluster", json: spec(`, "byzantine": 1`, "", ""), cluster: three, wantErr: "byzantine"},
 		{name: "epochs cluster", json: spec("", "", `, "epoch_ms": 100`), cluster: three, wantErr: "epoch_ms"},
-		{name: "inprocess cluster", json: spec("", "", `, "backend": "inprocess"`), cluster: three, wantErr: "inprocess"},
 		{name: "cluster too short", json: spec("", "", ""), cluster: three[:2], wantErr: "-cluster lists 2 replicas"},
 		{name: "writer out of range", json: spec("", `, "writers": [3]`, ""), wantErr: "workload.writers: identity 3 out of [1,2]"},
 		{name: "reader zero", json: spec("", `, "readers": [0]`, ""), wantErr: "workload.readers: identity 0 out of [1,2]"},

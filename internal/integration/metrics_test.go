@@ -90,11 +90,18 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 	}
 
 	// Every replica mid-workload: requests flowing, batch fan-in and
-	// reply coalescing recorded, and the live key count exported.
+	// reply coalescing recorded, and the live key count exported. A
+	// replica outside the first 2-of-3 quorums may not have handled a
+	// request yet when the client's counter moves, so poll each one
+	// under the same deadline.
 	for i, da := range debugAddrs {
 		snap := scrape(t, da)
-		if snap.Counters["server.requests"] == 0 {
-			t.Fatalf("replica %d: no requests counted: %+v", i+1, snap.Counters)
+		for snap.Counters["server.requests"] == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d: no requests counted: %+v", i+1, snap.Counters)
+			}
+			time.Sleep(50 * time.Millisecond)
+			snap = scrape(t, da)
 		}
 		if h, ok := snap.Histograms["server.batch_fanin"]; !ok || h.Count == 0 {
 			t.Fatalf("replica %d: batch fan-in histogram empty", i+1)

@@ -1,8 +1,8 @@
 // Package loadgen is the open-loop load generator for live stores: a
-// seeded arrival process (Poisson, with linear rate ramps) over a
-// zipfian key population, dispatched through pools of fastreg session
-// handles — the workload shape a production fleet actually sees, where
-// request arrival does not wait for request completion.
+// seeded Poisson arrival process over a zipfian key population,
+// dispatched through pools of fastreg session handles — the workload
+// shape a production fleet actually sees, where request arrival does not
+// wait for request completion.
 //
 // Open-loop is the point. internal/workload's simulator harness is
 // closed-loop — each virtual client issues its next operation when the
@@ -24,9 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,11 +52,8 @@ type Config struct {
 	// defaults to 1.2, the classic web-cache skew.
 	ZipfS float64
 
-	// Rate is the offered load in operations/second at t=0; EndRate, if
-	// positive, ramps the rate linearly to that value at Duration — the
-	// knob that walks a scenario across the knee.
-	Rate    float64
-	EndRate float64
+	// Rate is the offered load in operations/second.
+	Rate float64
 
 	// Duration bounds the arrival schedule (completions may trail it).
 	Duration time.Duration
@@ -106,7 +101,7 @@ func (c *Config) withDefaults() (Config, error) {
 }
 
 // Report is one run's outcome: schedule accounting plus the latency
-// distributions (nanoseconds, measured from each operation's scheduled
+// distribution (nanoseconds, measured from each operation's scheduled
 // arrival instant, so dispatch skew counts against the store — the
 // open-loop convention).
 type Report struct {
@@ -119,14 +114,7 @@ type Report struct {
 
 	Writes, Reads int64
 
-	Write  obs.HistogramValue // write latency percentiles
-	Read   obs.HistogramValue // read latency percentiles
-	Merged obs.HistogramValue // both kinds combined
-
-	// AllocsPerOp is the process's heap allocation delta across the run
-	// divided by completed operations — harness included, so it is an
-	// upper bound on the store's own cost.
-	AllocsPerOp float64
+	Latency obs.HistogramValue // write and read latency percentiles
 }
 
 // OpsPerSec is completed operations over the elapsed wall time.
@@ -142,7 +130,7 @@ func (r *Report) String() string {
 	return fmt.Sprintf("%d/%d ops in %v (%.0f ops/sec, %d writes %d reads, %d failed, %d shed; p50 %v p99 %v)",
 		r.Completed, r.Scheduled, r.Elapsed.Round(time.Millisecond), r.OpsPerSec(),
 		r.Writes, r.Reads, r.Failed, r.Dropped,
-		time.Duration(r.Merged.P50), time.Duration(r.Merged.P99))
+		time.Duration(r.Latency.P50), time.Duration(r.Latency.P99))
 }
 
 // Run drives the store with cfg's open-loop schedule until the schedule
@@ -156,8 +144,7 @@ func Run(ctx context.Context, store *fastreg.Store, cfg Config) (*Report, error)
 	}
 	g := &gen{
 		cfg:     cfg,
-		writeLa: new(obs.Histogram),
-		readLa:  new(obs.Histogram),
+		latency: new(obs.Histogram),
 		writers: make(chan *fastreg.Writer, len(cfg.Writers)),
 		readers: make(chan *fastreg.Reader, len(cfg.Readers)),
 	}
@@ -176,32 +163,19 @@ func Run(ctx context.Context, store *fastreg.Store, cfg Config) (*Report, error)
 		g.readers <- r
 	}
 
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	t0 := time.Now()
 	g.schedule(ctx, t0)
 	g.wg.Wait()
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&ms1)
-
-	rep := &Report{
-		Elapsed:   elapsed,
+	return &Report{
+		Elapsed:   time.Since(t0),
 		Scheduled: g.scheduled,
 		Dropped:   g.dropped,
 		Completed: g.completed.Load(),
 		Failed:    g.failed.Load(),
 		Writes:    g.writes.Load(),
 		Reads:     g.reads.Load(),
-	}
-	ws, rs := g.writeLa.Snapshot(), g.readLa.Snapshot()
-	rep.Write = obs.SnapshotOf(ws)
-	rep.Read = obs.SnapshotOf(rs)
-	ws.Merge(rs)
-	rep.Merged = obs.SnapshotOf(ws)
-	if rep.Completed > 0 {
-		rep.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(rep.Completed)
-	}
-	return rep, nil
+		Latency:   obs.SnapshotOf(g.latency.Snapshot()),
+	}, nil
 }
 
 // gen is one run's state. The schedule fields belong to the scheduler
@@ -209,7 +183,7 @@ func Run(ctx context.Context, store *fastreg.Store, cfg Config) (*Report, error)
 type gen struct {
 	cfg Config
 
-	writeLa, readLa *obs.Histogram
+	latency *obs.Histogram
 
 	writers chan *fastreg.Writer
 	readers chan *fastreg.Reader
@@ -222,21 +196,16 @@ type gen struct {
 }
 
 // schedule runs the seeded arrival process: exponential interarrival
-// gaps at the (possibly ramping) instantaneous rate, zipfian keys, a
-// Bernoulli kind choice — all from one RNG, in one goroutine, so the
-// draw sequence is a pure function of the seed.
+// gaps at the configured rate, zipfian keys, a Bernoulli kind choice —
+// all from one RNG, in one goroutine, so the draw sequence is a pure
+// function of the seed.
 func (g *gen) schedule(ctx context.Context, t0 time.Time) {
 	rng := rand.New(rand.NewSource(g.cfg.Seed))
 	zipf := rand.NewZipf(rng, g.cfg.ZipfS, 1, uint64(g.cfg.Keys-1))
 	var at time.Duration // virtual arrival instant
 	var seq int64
 	for {
-		rate := g.cfg.Rate
-		if g.cfg.EndRate > 0 {
-			frac := float64(at) / float64(g.cfg.Duration)
-			rate += (g.cfg.EndRate - g.cfg.Rate) * frac
-		}
-		at += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+		at += time.Duration(rng.ExpFloat64() / g.cfg.Rate * float64(time.Second))
 		if at >= g.cfg.Duration {
 			return
 		}
@@ -308,13 +277,11 @@ func (g *gen) finish(err error, isWrite bool, arrival time.Time) {
 		return
 	}
 	g.completed.Add(1)
-	lat := time.Since(arrival).Nanoseconds()
+	g.latency.Observe(time.Since(arrival).Nanoseconds())
 	if isWrite {
 		g.writes.Add(1)
-		g.writeLa.Observe(lat)
 	} else {
 		g.reads.Add(1)
-		g.readLa.Observe(lat)
 	}
 }
 
@@ -325,14 +292,4 @@ func (g *gen) value(seq int64) string {
 		v += strings.Repeat("x", pad)
 	}
 	return v
-}
-
-// RateAt exposes the ramp for schedule printouts: the instantaneous
-// offered rate at virtual instant t.
-func (c Config) RateAt(t time.Duration) float64 {
-	if c.EndRate <= 0 || c.Duration <= 0 {
-		return c.Rate
-	}
-	frac := math.Min(1, float64(t)/float64(c.Duration))
-	return c.Rate + (c.EndRate-c.Rate)*frac
 }

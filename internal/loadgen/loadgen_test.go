@@ -49,8 +49,8 @@ func TestRunAccounting(t *testing.T) {
 	if rep.Failed != 0 {
 		t.Fatalf("%d operations failed against a healthy in-process fleet", rep.Failed)
 	}
-	if rep.Completed > 0 && rep.Merged.Count != uint64(rep.Completed) {
-		t.Fatalf("merged histogram saw %d ops, report says %d completed", rep.Merged.Count, rep.Completed)
+	if rep.Completed > 0 && rep.Latency.Count != uint64(rep.Completed) {
+		t.Fatalf("latency histogram saw %d ops, report says %d completed", rep.Latency.Count, rep.Completed)
 	}
 }
 
@@ -84,22 +84,5 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(context.Background(), st, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
-	}
-}
-
-func TestRateAt(t *testing.T) {
-	c := Config{Rate: 100, EndRate: 300, Duration: time.Second}
-	if got := c.RateAt(0); got != 100 {
-		t.Fatalf("RateAt(0) = %v", got)
-	}
-	if got := c.RateAt(500 * time.Millisecond); got != 200 {
-		t.Fatalf("RateAt(mid) = %v", got)
-	}
-	if got := c.RateAt(2 * time.Second); got != 300 {
-		t.Fatalf("RateAt past end = %v (ramp must clamp)", got)
-	}
-	flat := Config{Rate: 50}
-	if got := flat.RateAt(time.Hour); got != 50 {
-		t.Fatalf("flat RateAt = %v", got)
 	}
 }

@@ -24,7 +24,8 @@ import (
 // (which serialize Handle per key across connections, the protocol's
 // server-state requirement; consecutive requests to one shard share one
 // acquisition), and replies in kind: every reply the batch produced rides
-// back in one batched frame on the connection's coalescing writer.
+// back in one batched frame, written by the receive loop itself in one
+// SendBatch.
 type Server struct {
 	id       types.ProcID
 	cfg      quorum.Config

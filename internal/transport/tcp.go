@@ -4,45 +4,22 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
 	"fastreg/internal/proto"
 )
 
-// tcpSendBuf bounds the per-connection outbound queue (frames, not
-// bytes). Senders briefly block when the writer goroutine falls this far
-// behind — normal for bursts — but give up after tcpSendTimeout: a peer
-// that hasn't drained a full queue in seconds is dead, and a quorum
-// client must fail the connection rather than wedge forever behind it.
-const (
-	tcpSendBuf     = 256
-	tcpSendTimeout = 5 * time.Second
-)
+// tcpSendTimeout bounds one SendBatch's write. A peer whose socket has
+// not taken a batch's bytes in seconds is dead, and a quorum client must
+// fail the connection rather than wedge forever behind it.
+const tcpSendTimeout = 5 * time.Second
 
 // tcpDialTimeout bounds DialTCP: a black-holed address (firewalled, dead
 // host — no RST) must fail in bounded time, not the OS's multi-minute
 // connect timeout.
 const tcpDialTimeout = 3 * time.Second
-
-// Adaptive flush deferral: after the writer goroutine drains its queue,
-// senders that are runnable RIGHT NOW may be one scheduler slot away
-// from enqueueing more frames — flushing immediately would pay one
-// write(2) for them and another for us. The writer therefore yields up
-// to maxFlushDefers times before flushing, as long as the accumulated
-// buffer stays under flushDeferBudget (past that, latency and memory say
-// ship it) and each yield actually produced more frames (an empty queue
-// after a yield means nobody was waiting — flush at once, so a lonely
-// request pays one yield, not a timer). This is the syscall-bound tail
-// the profile left after message batching: the same accumulation the
-// client's flusher gets from its Gosched, applied at the connection.
-const (
-	flushDeferBudget = 32 << 10
-	maxFlushDefers   = 2
-)
 
 // ListenTCP binds a TCP listener at addr ("host:port"; ":0" picks a free
 // port, readable back via Addr).
@@ -66,9 +43,10 @@ func DialTCP(addr string) (Conn, error) {
 }
 
 // WrapNetConn frames envelopes over an arbitrary net.Conn with the same
-// codec, queueing and batching behavior DialTCP's connections get — the
-// seam that lets middleboxes (internal/faultnet's fault-injecting shim)
-// sit between the framing layer and the socket.
+// codec and batching DialTCP's connections get: one write per SendBatch,
+// made on the sender's goroutine and bounded by tcpSendTimeout. It is
+// the seam that lets middleboxes (internal/faultnet's fault-injecting
+// shim) sit between the framing layer and the socket.
 func WrapNetConn(nc net.Conn) Conn { return newTCPConn(nc) }
 
 type tcpListener struct {
@@ -87,27 +65,22 @@ func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 func (l *tcpListener) Close() error { return l.nl.Close() }
 
 // tcpConn frames envelopes onto a TCP stream with the proto codec. Reads
-// happen on the caller's goroutine (Client and Server each run one
-// receive loop per connection); writes go through an outbound queue
-// drained by a single writer goroutine that coalesces every queued frame
-// into one buffered flush — concurrent operations multiplexed over the
-// same connection share syscalls instead of issuing one write(2) each.
-// SendBatch additionally coalesces at the message level: the whole batch
-// becomes one proto batch frame, sharing a single header and one encode
-// buffer, and RecvBatch hands the peer the decoded batch in one pass.
-// Frame buffers are pooled (proto.GetBuf/PutBuf), so a steady stream
-// stops allocating per message.
+// and writes both happen on the caller's goroutine: Client and Server
+// each run one receive loop per connection, and SendBatch encodes its
+// whole batch into one pooled buffer and writes it in one call. The
+// coalescing happens above the connection, in the Client link's flusher
+// and the Server's per-batch replies, so each of those connections has
+// one sender and each batch costs one write(2). A batch becomes one
+// proto batch frame, sharing a single header, and RecvBatch hands the
+// peer the decoded batch in one pass. Frame buffers are pooled
+// (proto.GetBuf/PutBuf), so a steady stream stops allocating per message.
 type tcpConn struct {
-	nc net.Conn
-	br *bufio.Reader
+	nc   net.Conn
+	br   *bufio.Reader
+	once sync.Once
 
-	out    chan []byte
-	closed chan struct{}
-	once   sync.Once
-
-	errMu  sync.Mutex
-	wrErr  error // first writer-goroutine error, reported by later Sends
-	wrIdle sync.WaitGroup
+	// wrMu keeps each batch's bytes contiguous on the stream.
+	wrMu sync.Mutex
 
 	// recvMu serializes frame reads; pending holds the undelivered tail
 	// of the last batch frame so Recv yields one envelope at a time;
@@ -118,185 +91,81 @@ type tcpConn struct {
 }
 
 func newTCPConn(nc net.Conn) *tcpConn {
-	c := &tcpConn{
-		nc:     nc,
-		br:     bufio.NewReaderSize(nc, 64<<10),
-		out:    make(chan []byte, tcpSendBuf),
-		closed: make(chan struct{}),
-	}
-	c.wrIdle.Add(1)
-	go c.writeLoop()
-	return c
+	return &tcpConn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
 }
 
-// writeLoop drains the outbound queue, writing every frame already
-// queued — plus, via the adaptive deferral, the frames concurrent
-// senders are about to queue — before flushing once: N concurrent ops
-// cost ~1 flush, not N.
-func (c *tcpConn) writeLoop() {
-	defer c.wrIdle.Done()
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	// writeFrame buffers one frame, recycling its pooled buffer; false
-	// means the connection failed and the loop must exit.
-	writeFrame := func(b []byte) bool {
-		_, err := bw.Write(b)
-		proto.PutBuf(b)
-		if err != nil {
-			c.fail(err)
-			return false
-		}
-		return true
-	}
-	// c.out is never closed; teardown is signalled via c.closed only, so
-	// Send never races a channel close.
-	for {
-		select {
-		case <-c.closed:
-			return
-		case b := <-c.out:
-			if !writeFrame(b) {
-				return
-			}
-			for defers := 0; ; {
-			coalesce:
-				for {
-					select {
-					case b := <-c.out:
-						if !writeFrame(b) {
-							return
-						}
-					default:
-						break coalesce
-					}
-				}
-				// Queue empty. Defer the flush while the accumulation is
-				// small and yields keep producing frames (see the
-				// flushDeferBudget comment).
-				if bw.Buffered() >= flushDeferBudget || defers >= maxFlushDefers {
-					break
-				}
-				defers++
-				runtime.Gosched()
-				if len(c.out) == 0 {
-					break // nobody was waiting; don't add latency
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				c.fail(err)
-				return
-			}
-		}
-	}
-}
-
-// fail records the writer's error and tears the connection down so the
-// peer and any blocked Recv notice.
-func (c *tcpConn) fail(err error) {
-	c.errMu.Lock()
-	if c.wrErr == nil {
-		c.wrErr = err
-	}
-	c.errMu.Unlock()
-	c.Close()
-}
-
-// Send queues the frame, blocking briefly for backpressure but never
-// indefinitely: if the outbound queue stays full past tcpSendTimeout the
-// writer goroutine is wedged behind a dead socket the kernel hasn't
-// noticed, and the caller should treat the connection as failed — the
-// correct reading for a quorum system, where a server that stopped
-// draining is indistinguishable from a crashed one.
+// Send is SendBatch of one envelope.
 func (c *tcpConn) Send(e proto.Envelope) error {
-	b, err := proto.AppendEnvelope(proto.GetBuf(), e)
-	if err != nil {
-		return err
-	}
-	return c.enqueue(b)
+	return c.SendBatch(append(proto.GetEnvs(), e))
 }
 
-// SendBatch encodes the whole batch as one multi-envelope frame sharing a
-// single header and one pooled buffer. A batch of one stays a plain
-// single frame (the canonical minimal encoding); a batch too large for
-// one frame is split by count, and a batch whose bytes overflow the frame
-// bound degrades to per-envelope sends.
+// SendBatch encodes the batch into one pooled buffer and writes it on the
+// caller's goroutine, waiting at most tcpSendTimeout for the socket to
+// take it. A batch of one stays a plain single frame (the canonical
+// minimal encoding); a batch too large for one frame is split by count,
+// and a batch whose bytes overflow the frame bound degrades to
+// per-envelope frames. An envelope that fails to encode is reported
+// after the frames encoded before it are written. A failed write closes
+// the connection, so the receive loop and the link's redial both see it.
 //
 // Ownership of envs transfers here (the Conn contract) and the encode
 // consumes it synchronously, so the slab is recycled on return — the
 // sender-side half of the envelope-slab cycle (GetEnvs queues in, encoded
 // bytes out).
 func (c *tcpConn) SendBatch(envs []proto.Envelope) error {
-	err := c.sendBatch(envs)
+	b, err := appendFrames(proto.GetBuf(), envs)
 	proto.PutEnvs(envs)
+	if len(b) > 0 {
+		if werr := c.write(b); werr != nil {
+			err = werr
+		}
+	}
+	proto.PutBuf(b)
 	return err
 }
 
-func (c *tcpConn) sendBatch(envs []proto.Envelope) error {
-	for len(envs) > proto.MaxBatchEnvelopes {
-		if err := c.sendBatch(envs[:proto.MaxBatchEnvelopes]); err != nil {
-			return err
-		}
-		envs = envs[proto.MaxBatchEnvelopes:]
-	}
-	switch len(envs) {
-	case 0:
-		return nil
-	case 1:
-		return c.Send(envs[0])
-	}
-	b, err := proto.AppendBatch(proto.GetBuf(), envs)
-	if errors.Is(err, proto.ErrOversize) {
-		for _, e := range envs {
-			if err := c.Send(e); err != nil {
-				return err
+// appendFrames appends envs to b: one batch frame per MaxBatchEnvelopes,
+// a plain frame for a lone envelope or for each envelope of a batch too
+// large for MaxBatchFrame. On error b holds the frames appended before
+// the failed one.
+func appendFrames(b []byte, envs []proto.Envelope) ([]byte, error) {
+	for len(envs) > 0 {
+		n := min(len(envs), proto.MaxBatchEnvelopes)
+		if n > 1 {
+			nb, err := proto.AppendBatch(b, envs[:n])
+			if err == nil {
+				b, envs = nb, envs[n:]
+				continue
+			}
+			if !errors.Is(err, proto.ErrOversize) {
+				return b, err
 			}
 		}
-		return nil
+		for _, e := range envs[:n] {
+			nb, err := proto.AppendEnvelope(b, e)
+			if err != nil {
+				return b, err
+			}
+			b = nb
+		}
+		envs = envs[n:]
+	}
+	return b, nil
+}
+
+// write puts b on the stream under wrMu. A write that fails or times out
+// may have left a torn frame behind, so it closes the connection.
+func (c *tcpConn) write(b []byte) error {
+	c.wrMu.Lock()
+	defer c.wrMu.Unlock()
+	err := c.nc.SetWriteDeadline(time.Now().Add(tcpSendTimeout))
+	if err == nil {
+		_, err = c.nc.Write(b)
 	}
 	if err != nil {
-		return err
+		c.Close()
 	}
-	return c.enqueue(b)
-}
-
-// enqueue hands one encoded frame to the writer goroutine, applying the
-// bounded backpressure policy below.
-func (c *tcpConn) enqueue(b []byte) error {
-	select {
-	case <-c.closed:
-		proto.PutBuf(b)
-		return c.sendErr()
-	default:
-	}
-	select {
-	case c.out <- b:
-		return nil
-	case <-c.closed:
-		proto.PutBuf(b)
-		return c.sendErr()
-	default:
-	}
-	// Slow path: queue full. Wait bounded for the writer to drain.
-	timer := time.NewTimer(tcpSendTimeout)
-	defer timer.Stop()
-	select {
-	case c.out <- b:
-		return nil
-	case <-c.closed:
-		proto.PutBuf(b)
-		return c.sendErr()
-	case <-timer.C:
-		proto.PutBuf(b)
-		return fmt.Errorf("transport: %d frames queued and peer not draining", tcpSendBuf)
-	}
-}
-
-func (c *tcpConn) sendErr() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	if c.wrErr != nil {
-		return c.wrErr
-	}
-	return ErrClosed
+	return err
 }
 
 func (c *tcpConn) Recv() (proto.Envelope, error) {
@@ -379,9 +248,6 @@ func (c *tcpConn) frameBuffered() bool {
 
 func (c *tcpConn) Close() error {
 	var err error
-	c.once.Do(func() {
-		close(c.closed)
-		err = c.nc.Close()
-	})
+	c.once.Do(func() { err = c.nc.Close() })
 	return err
 }

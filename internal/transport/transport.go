@@ -7,8 +7,10 @@
 //     reliable links of the system model. netsim.MultiLive, tests and
 //     examples run whole "clusters" in one process with zero sockets.
 //   - TCP (ListenTCP/DialTCP): length-prefixed frames via the proto codec,
-//     one goroutine pair per connection (reader + coalescing writer), so
-//     replicas and clients can be separate processes on a real network.
+//     so replicas and clients can be separate processes on a real network.
+//     A connection starts no goroutine of its own: its owner's receive
+//     loop reads, and each SendBatch is one write, made on the sender's
+//     goroutine and bounded by a send timeout.
 //
 // On top of the abstraction sit Server — one replica of a register fleet
 // serving every key from sharded per-key protocol state, the process
@@ -38,8 +40,9 @@ var ErrClosed = errors.New("transport: closed")
 // until either side closes, after which both return ErrClosed (or the
 // underlying transport error).
 type Conn interface {
-	// Send queues the envelope for delivery. It may block for
-	// backpressure but never for delivery acknowledgement.
+	// Send hands the envelope to the transport for delivery. It may block
+	// while the link is full (over TCP, for at most a bounded send
+	// timeout) but never for delivery acknowledgement.
 	Send(proto.Envelope) error
 	// SendBatch queues every envelope for delivery as one multi-envelope
 	// frame — the message-level coalescing that lets concurrent rounds
