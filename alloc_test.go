@@ -8,10 +8,9 @@ import (
 	"testing"
 	"unsafe"
 
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/register"
 	"fastreg/internal/transport"
-	"fastreg/internal/w2r1"
 )
 
 // maxAllocsPerOp locks the in-process op path's allocation count: the
@@ -73,7 +72,7 @@ func TestOpPathAllocs(t *testing.T) {
 // AllocsPerRun counts every allocation in the process.
 func TestTCPOpPathAllocs(t *testing.T) {
 	pinOneProc(t)
-	addrs := tcpReplicas(t, Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}, mwabd.New())
+	addrs := tcpReplicas(t, Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}, protocols.Must("W2R2"))
 	opPathAllocs(t, maxTCPAllocsPerOp, WithTCP(addrs...))
 }
 
@@ -127,7 +126,7 @@ func TestTCPGetAllocs(t *testing.T) {
 func TestFastReadOpPathAllocs(t *testing.T) {
 	pinOneProc(t)
 	cfg := Config{Servers: 5, MaxCrashes: 1, Writers: 2, Readers: 2}
-	s, err := Open(cfg, W2R1, WithTCP(tcpReplicas(t, cfg, w2r1.New())...))
+	s, err := Open(cfg, W2R1, WithTCP(tcpReplicas(t, cfg, protocols.Must("W2R1"))...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func tcpReplicas(t *testing.T, cfg Config, p register.Protocol) []string {
 // allocates more than max. It returns the store and the value.
 func tcpValueAllocs(t *testing.T, name string, max float64, op func(ctx context.Context, w *Writer, r *Reader, key, value string) error) (*Store, string) {
 	cfg := Config{Servers: 3, MaxCrashes: 1, Writers: 1, Readers: 1}
-	s, err := Open(cfg, W2R2, WithTCP(tcpReplicas(t, cfg, mwabd.New())...))
+	s, err := Open(cfg, W2R2, WithTCP(tcpReplicas(t, cfg, protocols.Must("W2R2"))...))
 	if err != nil {
 		t.Fatal(err)
 	}

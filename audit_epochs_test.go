@@ -11,8 +11,8 @@ import (
 
 	"fastreg"
 	"fastreg/internal/audit"
-	"fastreg/internal/mwabd"
 	"fastreg/internal/proto"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/transport"
 )
@@ -45,7 +45,7 @@ func TestAuditEpochsLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := transport.NewServer(qcfg, mwabd.New(), i+1, lis, sopts[i]...)
+		srv, err := transport.NewServer(qcfg, protocols.Must("W2R2"), i+1, lis, sopts[i]...)
 		if err != nil {
 			t.Fatal(err)
 		}

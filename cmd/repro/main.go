@@ -21,11 +21,10 @@ import (
 	"fastreg/internal/crucialinfo"
 	"fastreg/internal/harness"
 	"fastreg/internal/model"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
-	"fastreg/internal/w1r2"
 	"fastreg/internal/workload"
 )
 
@@ -95,7 +94,7 @@ func render(w io.Writer) error {
 		b.String())
 
 	b.Reset()
-	if err := chainReport(&b, w1r2.New(), 5, true); err != nil {
+	if err := chainReport(&b, protocols.Must("W1R2"), 5, true); err != nil {
 		return err
 	}
 	section(w, "Theorem 1 against the naive fast write",
@@ -161,8 +160,8 @@ func writeBack() string {
 		name string
 		p    register.Protocol
 	}{
-		{"with write-back", mwabd.New()},
-		{"no write-back", mwabd.NewNoWriteBack()},
+		{"with write-back", protocols.Must("W2R2")},
+		{"no write-back", protocols.NoWriteBack()},
 	} {
 		sim := model.MustNew(canonical, v.p, model.WithDelay(model.ConstDelay(50)))
 		stats := workload.Measure(workload.Run(sim, workload.Mix{WritesPerWriter: 4, ReadsPerReader: 4}))

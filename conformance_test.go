@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"fastreg"
-	"fastreg/internal/mwabd"
 	"fastreg/internal/netsim"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/transport"
@@ -47,7 +47,7 @@ func bootTCPFleet(tb testing.TB, qcfg quorum.Config, sopts ...transport.ServerOp
 		if err != nil {
 			tb.Fatal(err)
 		}
-		servers[i], err = transport.NewServer(qcfg, mwabd.New(), i+1, lis, sopts...)
+		servers[i], err = transport.NewServer(qcfg, protocols.Must("W2R2"), i+1, lis, sopts...)
 		if err != nil {
 			tb.Fatal(err)
 		}

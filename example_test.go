@@ -6,7 +6,7 @@ import (
 	"log"
 
 	"fastreg"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/transport"
 )
@@ -64,7 +64,7 @@ func ExampleOpen_tcp() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		servers[i], err = transport.NewServer(qcfg, mwabd.New(), i+1, lis)
+		servers[i], err = transport.NewServer(qcfg, protocols.Must("W2R2"), i+1, lis)
 		if err != nil {
 			log.Fatal(err)
 		}

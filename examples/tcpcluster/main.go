@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"fastreg"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/transport"
 )
@@ -37,7 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		servers[i], err = transport.NewServer(qcfg, mwabd.New(), i+1, lis)
+		servers[i], err = transport.NewServer(qcfg, protocols.Must("W2R2"), i+1, lis)
 		if err != nil {
 			log.Fatal(err)
 		}

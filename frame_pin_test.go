@@ -12,13 +12,12 @@ import (
 	"unsafe"
 	"weak"
 
-	"fastreg/internal/mwabd"
 	"fastreg/internal/proto"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/transport"
 	"fastreg/internal/types"
-	"fastreg/internal/w2r1"
 )
 
 // A reader keeps no part of the frames its replies came in, and a
@@ -37,8 +36,8 @@ func TestReaderKeepsNoFrame(t *testing.T) {
 		cfg  Config
 		p    register.Protocol
 	}{
-		{"W2R1", Config{Servers: 5, MaxCrashes: 1, Writers: 2, Readers: 2}, w2r1.New()},
-		{"W2R2", Config{Servers: 3, MaxCrashes: 1, Writers: 2, Readers: 2}, mwabd.New()},
+		{"W2R1", Config{Servers: 5, MaxCrashes: 1, Writers: 2, Readers: 2}, protocols.Must("W2R1")},
+		{"W2R2", Config{Servers: 3, MaxCrashes: 1, Writers: 2, Readers: 2}, protocols.Must("W2R2")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var frames frameBlocks

@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"fastreg/internal/epoch"
-	"fastreg/internal/mwabd"
 	"fastreg/internal/netsim"
 	"fastreg/internal/proto"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/transport"
@@ -162,7 +162,7 @@ var w2r2Shape = quorum.Config{S: 3, T: 1, R: 4, W: 4}
 // interleaved keys on one fleet with partitioned identities — process 1
 // drives w1/w2 and r1/r2, process 2 w3/w4 and r3/r4 — 48 ops in all.
 func runClean(t *testing.T) *clusterEnv {
-	env := newClusterEnv(t, w2r2Shape, mwabd.New())
+	env := newClusterEnv(t, w2r2Shape, protocols.Must("W2R2"))
 	c1, _ := env.client(t)
 	c2, _ := env.client(t)
 	ctx := context.Background()
@@ -228,7 +228,7 @@ func TestCaptureMergeCheckClean(t *testing.T) {
 // out (it "crashed" before logging), and reads it from another; it
 // returns the replica logs plus the healthy client's.
 func runCrashedClient(t *testing.T) []string {
-	env := newClusterEnv(t, w2r2Shape, mwabd.New())
+	env := newClusterEnv(t, w2r2Shape, protocols.Must("W2R2"))
 	crashed, _ := env.client(t)
 	healthy, _ := env.client(t)
 	ctx := context.Background()
@@ -266,7 +266,7 @@ func TestMergeSynthesizesCrashedClientWrite(t *testing.T) {
 // runPartial drives one client, then drops s1's log entirely and tears
 // s2's mid-record; it returns the surviving logs and s2's path.
 func runPartial(t *testing.T) (paths []string, torn string) {
-	env := newClusterEnv(t, w2r2Shape, mwabd.New())
+	env := newClusterEnv(t, w2r2Shape, protocols.Must("W2R2"))
 	c, _ := env.client(t)
 	ctx := context.Background()
 	for i := 0; i < 6; i++ {
@@ -383,7 +383,7 @@ func TestMergeDedupsRetriedRounds(t *testing.T) {
 // handled requests: one write (2 requests) plus one read (2 requests)
 // pass, the next read lies.
 func runStaleFault(t *testing.T) *clusterEnv {
-	env := newClusterEnv(t, w2r2Shape, mwabd.New(), transport.WithStaleReadFault(4))
+	env := newClusterEnv(t, w2r2Shape, protocols.Must("W2R2"), transport.WithStaleReadFault(4))
 	c, _ := env.client(t)
 	ctx := context.Background()
 	if _, err := c.Write(ctx, "k", 1, "real"); err != nil {
@@ -428,7 +428,7 @@ func runCollision(t *testing.T, stale bool) *clusterEnv {
 	if stale {
 		sopts = append(sopts, transport.WithStaleReadFault(4))
 	}
-	env := newClusterEnv(t, w2r2Shape, mwabd.New(), sopts...)
+	env := newClusterEnv(t, w2r2Shape, protocols.Must("W2R2"), sopts...)
 	c1, _ := env.client(t)
 	c2, _ := env.client(t)
 	ctx := context.Background()
@@ -481,7 +481,7 @@ func hasWarning(warnings []string, sub string) bool {
 func TestMultiLiveCapture(t *testing.T) {
 	dir := t.TempDir()
 	cfg := w2r2Shape
-	p := mwabd.New()
+	p := protocols.Must("W2R2")
 	var paths []string
 	var sw []*Writer
 	cw, err := NewFileWriter(filepath.Join(dir, "client.trlog"), ClientHeader("client-1", p.Name(), cfg))

@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"fastreg/internal/history"
-	"fastreg/internal/mwabd"
 	"fastreg/internal/proto"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/transport"
 	"fastreg/internal/types"
@@ -269,7 +269,7 @@ func TestUntrustedLogIsNoEvidence(t *testing.T) {
 // epoch CLEAN — with rotation forcing the follower across segment
 // boundaries and incremental polls exercising live tailing.
 func TestWindowEquivalenceClean(t *testing.T) {
-	env := newClusterEnv(t, w2r2Shape, mwabd.New())
+	env := newClusterEnv(t, w2r2Shape, protocols.Must("W2R2"))
 	for _, w := range env.writers {
 		w.RotateAt(2048)
 	}
@@ -334,7 +334,7 @@ func TestWindowEquivalenceClean(t *testing.T) {
 // mid-run is flagged by BOTH paths — the offline merge and the windowed
 // verdict stream — so going streaming gives up no detection power.
 func TestWindowEquivalenceViolated(t *testing.T) {
-	env := newClusterEnv(t, w2r2Shape, mwabd.New(), transport.WithStaleReadFault(4))
+	env := newClusterEnv(t, w2r2Shape, protocols.Must("W2R2"), transport.WithStaleReadFault(4))
 	c, _ := env.client(t)
 	ctx := context.Background()
 	if _, err := c.Write(ctx, "k", 1, "real"); err != nil {

@@ -6,12 +6,11 @@ import (
 	"fastreg/internal/atomicity"
 	"fastreg/internal/byzantine"
 	"fastreg/internal/model"
-	"fastreg/internal/mwabd"
 	"fastreg/internal/proto"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
-	"fastreg/internal/w2r1"
 	"fastreg/internal/workload"
 )
 
@@ -37,7 +36,7 @@ func feasible() quorum.Config { return quorum.Config{S: 5, T: 1, R: 2, W: 2} }
 // takes the maximum over QueryAcks, and a single forged ack wins. The
 // checker flags read-from-nowhere.
 func TestLyingServerBreaksW2R2(t *testing.T) {
-	p := byzProtocol{mwabd.New()}
+	p := byzProtocol{protocols.Must("W2R2")}
 	broken := false
 	for seed := int64(1); seed <= 10 && !broken; seed++ {
 		sim := model.MustNew(feasible(), p, model.WithSeed(seed))
@@ -59,7 +58,7 @@ func TestLyingServerBreaksW2R2(t *testing.T) {
 // provide value authenticity, the first ingredient of the Section 5.2
 // Byzantine extension.
 func TestW2R1AdmissibilityResistsSingleLiar(t *testing.T) {
-	p := byzProtocol{w2r1.New()}
+	p := byzProtocol{protocols.Must("W2R1")}
 	for seed := int64(1); seed <= 10; seed++ {
 		sim := model.MustNew(feasible(), p, model.WithSeed(seed))
 		h := workload.Run(sim, workload.Mix{WritesPerWriter: 3, ReadsPerReader: 3})
@@ -79,7 +78,7 @@ func TestW2R1AdmissibilityResistsSingleLiar(t *testing.T) {
 // histories are atomic again under this attack.
 func TestVouchingFiltersForgedValues(t *testing.T) {
 	cfg := feasible()
-	p := byzantine.NewVouched(byzProtocol{w2r1.New()}, cfg.T)
+	p := byzantine.NewVouched(byzProtocol{protocols.Must("W2R1")}, cfg.T)
 	for seed := int64(1); seed <= 10; seed++ {
 		sim := model.MustNew(cfg, p, model.WithSeed(seed))
 		h := workload.Run(sim, workload.Mix{WritesPerWriter: 3, ReadsPerReader: 3})
@@ -98,7 +97,7 @@ func TestVouchingFiltersForgedValues(t *testing.T) {
 // changes nothing — all histories stay atomic and reads see real values.
 func TestVouchingHarmlessWithoutByzantine(t *testing.T) {
 	cfg := feasible()
-	p := byzantine.NewVouched(w2r1.New(), cfg.T)
+	p := byzantine.NewVouched(protocols.Must("W2R1"), cfg.T)
 	if p.Name() != "W2R1+vouch" {
 		t.Fatalf("name = %q", p.Name())
 	}
@@ -154,7 +153,7 @@ func TestFilterUnvouchedMechanics(t *testing.T) {
 // appear in the reply it was added to and nowhere else — not in the inner
 // server's state, not in a reply captured earlier, not in the next one.
 func TestLyingServerLeavesTheHonestStateAlone(t *testing.T) {
-	inner := w2r1.New().NewServer(types.Server(1), feasible())
+	inner := protocols.Must("W2R1").NewServer(types.Server(1), feasible())
 	liar := byzantine.NewLyingServer(inner)
 	v := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "real"}
 	liar.Handle(types.Writer(1), proto.Update{Val: &v})
@@ -185,7 +184,7 @@ func TestLyingServerLeavesTheHonestStateAlone(t *testing.T) {
 // as a read's Query meets the forged value, and the inner server's own
 // TagAck keeps its real tag.
 func TestLyingServerForgesTagAcks(t *testing.T) {
-	for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
+	for _, p := range []register.Protocol{protocols.Must("W2R2"), protocols.Must("W2R1")} {
 		inner := p.NewServer(types.Server(1), feasible())
 		liar := byzantine.NewLyingServer(inner)
 		v := types.Value{Tag: types.Tag{TS: 1, WID: types.Writer(1)}, Data: "real"}
@@ -210,7 +209,7 @@ func valQueue(r register.Reader) []types.Value {
 // read can return any more instead of holding every value ever written.
 func TestVouchedReadersDropDeadValues(t *testing.T) {
 	cfg := feasible()
-	sim := model.MustNew(cfg, byzantine.NewVouched(w2r1.New(), cfg.T))
+	sim := model.MustNew(cfg, byzantine.NewVouched(protocols.Must("W2R1"), cfg.T))
 	h := workload.Run(sim, workload.Mix{WritesPerWriter: 6, ReadsPerReader: 6})
 	written := len(h.Writes())
 	for i := 1; i <= cfg.R; i++ {
@@ -237,7 +236,7 @@ func TestLiarsFloorCannotKillLiveValues(t *testing.T) {
 	for i := 2; i <= cfg.S-cfg.T; i++ {
 		replies = append(replies, register.Reply{From: types.Server(i), Msg: honest})
 	}
-	r := byzantine.NewVouched(w2r1.New(), cfg.T).NewReader(types.Reader(1), cfg)
+	r := byzantine.NewVouched(protocols.Must("W2R1"), cfg.T).NewReader(types.Reader(1), cfg)
 	op := r.ReadOp()
 	op.Begin()
 	if _, got, done, err := op.Next(replies); err != nil || !done || got != v2 {

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"fastreg/internal/crucialinfo"
+	"fastreg/internal/protocols"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
-	"fastreg/internal/w1r2"
 )
 
 // TestAlphaChainFullInfo reproduces Phase 1 (Fig 3, left): along chain α
@@ -177,7 +177,7 @@ func TestFindViolationFullInfo(t *testing.T) {
 // TestFindViolationNaive: the tag-based naive fast write already fails at
 // the chain ends (its reads cannot respect the real-time write order).
 func TestFindViolationNaive(t *testing.T) {
-	rep, err := FindViolation(w1r2.New(), 5)
+	rep, err := FindViolation(protocols.Must("W1R2"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestSieveNoAdversary(t *testing.T) {
 // TestSieveRejectsNonFullInfo: the sieve reads server logs, which concrete
 // protocols don't expose.
 func TestSieveRejectsNonFullInfo(t *testing.T) {
-	f, err := NewFamily(w1r2.New(), 3)
+	f, err := NewFamily(protocols.Must("W1R2"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestReportStringMentionsPhases(t *testing.T) {
 	}{
 		{"FullInfo", crucialinfo.New(), 3,
 			[]string{"W1R2 impossibility", "phase 1", "critical server s2", "phase 2", "phase 3", "first violation"}, nil},
-		{"W1R2", w1r2.New(), 5,
+		{"W1R2", protocols.Must("W1R2"), 5,
 			[]string{"W1R2 impossibility", "no critical server", "first violation: alpha/α_tail"},
 			[]string{"s0", "phase 2"}},
 		{"W1R3", crucialinfo.NewKRound(3), 5,

@@ -7,10 +7,9 @@ import (
 	"fastreg/internal/atomicity"
 	"fastreg/internal/history"
 	"fastreg/internal/model"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/types"
-	"fastreg/internal/w1r2"
 	"fastreg/internal/workload"
 )
 
@@ -99,14 +98,14 @@ func TestConcurrentWriteNotCountedStale(t *testing.T) {
 func TestQuantifyFastWriteInconsistency(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
 	// Atomic baseline.
-	sim := model.MustNew(cfg, mwabd.New(), model.WithSeed(1), model.WithDelay(model.UniformDelay(1, 120)))
+	sim := model.MustNew(cfg, protocols.Must("W2R2"), model.WithSeed(1), model.WithDelay(model.UniformDelay(1, 120)))
 	h := workload.Run(sim, workload.Mix{WritesPerWriter: 6, ReadsPerReader: 6})
 	if rep := Analyze(h); rep.KAtomicity != 1 {
 		t.Fatalf("W2R2 scored k=%d", rep.KAtomicity)
 	}
 	// Fast-write strawman: run the cross-writer schedule that loses a
 	// write; the loss shows up as bounded staleness, not arbitrary decay.
-	sim2 := model.MustNew(cfg, w1r2.New(), model.WithSeed(2))
+	sim2 := model.MustNew(cfg, protocols.Must("W1R2"), model.WithSeed(2))
 	sim2.InvokeAt(0, sim2.Writer(2).WriteOp("a"), func(types.Value, error) {
 		sim2.InvokeAt(sim2.Now()+1, sim2.Writer(1).WriteOp("b"), func(types.Value, error) {
 			sim2.InvokeAt(sim2.Now()+1, sim2.Reader(1).ReadOp(), nil)

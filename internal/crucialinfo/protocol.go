@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"fastreg/internal/opkit"
 	"fastreg/internal/proto"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
@@ -81,47 +82,10 @@ func (p *Protocol) NewServer(id types.ProcID, _ quorum.Config) register.ServerLo
 	return NewLogServer(id)
 }
 
-type writer struct {
-	id   types.ProcID
-	need int
-	ts   int64
-}
-
-// NewWriter implements register.Protocol.
+// NewWriter implements register.Protocol: the one-round write, tagged from
+// the writer's own counter.
 func (p *Protocol) NewWriter(id types.ProcID, cfg quorum.Config) register.Writer {
-	return &writer{id: id, need: cfg.ReplyQuorum()}
-}
-
-func (w *writer) ID() types.ProcID { return w.id }
-
-func (w *writer) WriteOp(data string) register.Operation {
-	w.ts++
-	val := types.Value{Tag: types.Tag{TS: w.ts, WID: w.id}, Data: data}
-	return &fastWrite{client: w.id, val: val, need: w.need}
-}
-
-// fastWrite is the one-round full-info write.
-type fastWrite struct {
-	client types.ProcID
-	val    types.Value // the Update points here: never written
-	need   int
-}
-
-func (w *fastWrite) Client() types.ProcID { return w.client }
-func (w *fastWrite) Kind() types.OpKind   { return types.OpWrite }
-func (w *fastWrite) Arg() types.Value     { return w.val }
-
-func (w *fastWrite) Begin() register.Round {
-	return register.Round{Payload: proto.Update{Val: &w.val}, Need: w.need}
-}
-
-func (w *fastWrite) Next(replies []register.Reply) (*register.Round, types.Value, bool, error) {
-	for _, r := range replies {
-		if _, ok := r.Msg.(proto.UpdateAck); !ok {
-			return nil, types.Value{}, false, register.BadReply("full-info write", r.Msg)
-		}
-	}
-	return nil, w.val, true, nil
+	return opkit.NewCounterWriter(id, cfg)
 }
 
 type reader struct {

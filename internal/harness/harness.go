@@ -23,20 +23,17 @@ import (
 	"strings"
 
 	"fastreg/internal/model"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
-	"fastreg/internal/w1r1"
-	"fastreg/internal/w1r2"
-	"fastreg/internal/w2r1"
 	"fastreg/internal/workload"
 )
 
 // DesignSpace returns the four protocols of Fig 2 in Table 1 order.
 func DesignSpace() []register.Protocol {
-	return []register.Protocol{mwabd.New(), w1r2.New(), w2r1.New(), w1r1.New()}
+	return []register.Protocol{protocols.Must("W2R2"), protocols.Must("W1R2"), protocols.Must("W2R1"), protocols.Must("W1R1")}
 }
 
 const table1Depth, fig9Depth, fig9Executions = 3, 4, 50000 // the explorer's bounds
@@ -171,7 +168,7 @@ func (c Fig9Cell) String() string {
 // exploreCell evaluates one (S, t, R) cell.
 func exploreCell(s, t, r int) Fig9Cell {
 	cfg := quorum.Config{S: s, T: t, R: r, W: 2}
-	sk := model.Skeleton{Protocol: w2r1.New(), Config: cfg, Clients: []types.ProcID{types.Writer(1)}}
+	sk := model.Skeleton{Protocol: protocols.Must("W2R1"), Config: cfg, Clients: []types.ProcID{types.Writer(1)}}
 	for i := 1; i <= min(r, 3); i++ {
 		sk.Clients = append(sk.Clients, types.Reader(i))
 	}

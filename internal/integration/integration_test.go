@@ -11,18 +11,14 @@ import (
 	"sync"
 	"testing"
 
-	"fastreg/internal/abd"
 	"fastreg/internal/atomicity"
 	"fastreg/internal/consistency"
 	"fastreg/internal/model"
-	"fastreg/internal/mwabd"
 	"fastreg/internal/netsim"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
-	"fastreg/internal/w1r1"
-	"fastreg/internal/w1r2"
-	"fastreg/internal/w2r1"
 	"fastreg/internal/workload"
 )
 
@@ -36,11 +32,11 @@ type protoCase struct {
 // atomicity.
 func matrix() []protoCase {
 	return []protoCase{
-		{"W2R2/majority", mwabd.New(), quorum.Config{S: 5, T: 2, R: 3, W: 3}},
-		{"W2R1/feasible", w2r1.New(), quorum.Config{S: 7, T: 1, R: 3, W: 2}},
-		{"ABD/single-writer", abd.New(), quorum.Config{S: 5, T: 2, R: 3, W: 1}},
-		{"W1R1/single-writer-fast", w1r1.New(), quorum.Config{S: 7, T: 1, R: 2, W: 1}},
-		{"W1R2/single-writer-degenerate", w1r2.New(), quorum.Config{S: 5, T: 1, R: 2, W: 1}},
+		{"W2R2/majority", protocols.Must("W2R2"), quorum.Config{S: 5, T: 2, R: 3, W: 3}},
+		{"W2R1/feasible", protocols.Must("W2R1"), quorum.Config{S: 7, T: 1, R: 3, W: 2}},
+		{"ABD/single-writer", protocols.Must("ABD"), quorum.Config{S: 5, T: 2, R: 3, W: 1}},
+		{"W1R1/single-writer-fast", protocols.Must("W1R1"), quorum.Config{S: 7, T: 1, R: 2, W: 1}},
+		{"W1R2/single-writer-degenerate", protocols.Must("W1R2"), quorum.Config{S: 5, T: 1, R: 2, W: 1}},
 	}
 }
 
@@ -150,7 +146,7 @@ func TestSimAndLiveAgreeOnSequentialSemantics(t *testing.T) {
 	}
 
 	runSim := func() []string {
-		sim := model.MustNew(cfg, mwabd.New(), model.WithSeed(1))
+		sim := model.MustNew(cfg, protocols.Must("W2R2"), model.WithSeed(1))
 		var out []string
 		var step func(i int)
 		step = func(i int) {
@@ -180,7 +176,7 @@ func TestSimAndLiveAgreeOnSequentialSemantics(t *testing.T) {
 	}
 
 	runLive := func() []string {
-		l, err := netsim.NewMultiLive(cfg, mwabd.New())
+		l, err := netsim.NewMultiLive(cfg, protocols.Must("W2R2"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +220,7 @@ func TestSimAndLiveAgreeOnSequentialSemantics(t *testing.T) {
 // 2-atomic on the violating schedules this suite can construct.
 func TestImpossibleQuadrantsDegradeGracefully(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	for _, p := range []register.Protocol{w1r2.New(), w1r1.New()} {
+	for _, p := range []register.Protocol{protocols.Must("W1R2"), protocols.Must("W1R1")} {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			worstK := 1

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"testing"
 
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/types"
 )
@@ -14,7 +14,7 @@ import (
 // counter — r3 does not share w3's, though both have index 3.
 func TestClientStateSparseIdentities(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 8, W: 4}
-	p := mwabd.New()
+	p := protocols.Must("W2R2")
 	st := NewClientRegistry(0).Acquire("k")
 	w3, r8 := types.Writer(3), types.Reader(8)
 	w := st.Writer(w3, p, cfg)
@@ -43,7 +43,7 @@ func TestClientStateSparseIdentities(t *testing.T) {
 // under -race): each sees one state machine and the IDs 1..n in order.
 func TestClientStateConcurrentIdentities(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 8, W: 8}
-	p := mwabd.New()
+	p := protocols.Must("W2R2")
 	st := NewClientRegistry(0).Acquire("k")
 	const n = 200
 	var ids []types.ProcID

@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"fastreg/internal/opkit"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
-	"fastreg/internal/w2r1"
 )
 
 // TestReplyCountsOncePerServer drives the reply step directly: neither
@@ -73,7 +73,7 @@ func TestExplorePatterns(t *testing.T) {
 		t.Errorf("%d patterns through deviation 1 (%d at 1), want 1 + 4 skips + 3 adjacent swaps", len(got), perDev[1])
 	}
 	var globals []string
-	sk := Skeleton{Protocol: w2r1.New(), Config: quorum.Config{S: 3, T: 1, R: 2, W: 2}, Clients: []types.ProcID{types.Writer(1), types.Reader(1), types.Reader(2)}}
+	sk := Skeleton{Protocol: protocols.Must("W2R1"), Config: quorum.Config{S: 3, T: 1, R: 2, W: 2}, Clients: []types.ProcID{types.Writer(1), types.Reader(1), types.Reader(2)}}
 	for _, sc := range sk.scripts(0, true) {
 		globals = append(globals, fmt.Sprint(sc.Global))
 	}

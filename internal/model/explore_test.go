@@ -11,12 +11,10 @@ import (
 	"fastreg/internal/atomicity"
 	"fastreg/internal/crucialinfo"
 	"fastreg/internal/model"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
-	"fastreg/internal/w1r2"
-	"fastreg/internal/w2r1"
 )
 
 var (
@@ -42,16 +40,16 @@ func TestExploreConvicts(t *testing.T) {
 		name string
 		sk   model.Skeleton
 	}{
-		{"W1R2 S=3", skeleton(w1r2.New(), 3, 1, 2, twoWritersRead)},
+		{"W1R2 S=3", skeleton(protocols.Must("W1R2"), 3, 1, 2, twoWritersRead)},
 		{"FullInfo S=3", skeleton(crucialinfo.New(), 3, 1, 2, twoWritersRead)},
-		{"W2R2-no-wb S=3", skeleton(mwabd.NewNoWriteBack(), 3, 1, 2, writeTwoReads)},
-		{"W2R1 S=3 t=1 R=2", skeleton(w2r1.New(), 3, 1, 2, writeTwoReads)},
-		{"W2R1 S=3 t=1 R=3", skeleton(w2r1.New(), 3, 1, 3, writeTwoReads)},
-		{"W2R1 S=5 t=2 R=2", skeleton(w2r1.New(), 5, 2, 2, writeTwoReads)},
-		{"W2R1 S=6 t=2 R=2", skeleton(w2r1.New(), 6, 2, 2, writeTwoReads)},
-		{"W2R1 S=6 t=2 R=3", skeleton(w2r1.New(), 6, 2, 3, writeTwoReads)},
-		{"W2R1 S=8 t=3 R=2", skeleton(w2r1.New(), 8, 3, 2, writeTwoReads)},
-		{"W2R1 S=9 t=3 R=2", skeleton(w2r1.New(), 9, 3, 2, writeTwoReads)},
+		{"W2R2-no-wb S=3", skeleton(protocols.NoWriteBack(), 3, 1, 2, writeTwoReads)},
+		{"W2R1 S=3 t=1 R=2", skeleton(protocols.Must("W2R1"), 3, 1, 2, writeTwoReads)},
+		{"W2R1 S=3 t=1 R=3", skeleton(protocols.Must("W2R1"), 3, 1, 3, writeTwoReads)},
+		{"W2R1 S=5 t=2 R=2", skeleton(protocols.Must("W2R1"), 5, 2, 2, writeTwoReads)},
+		{"W2R1 S=6 t=2 R=2", skeleton(protocols.Must("W2R1"), 6, 2, 2, writeTwoReads)},
+		{"W2R1 S=6 t=2 R=3", skeleton(protocols.Must("W2R1"), 6, 2, 3, writeTwoReads)},
+		{"W2R1 S=8 t=3 R=2", skeleton(protocols.Must("W2R1"), 8, 3, 2, writeTwoReads)},
+		{"W2R1 S=9 t=3 R=2", skeleton(protocols.Must("W2R1"), 9, 3, 2, writeTwoReads)},
 	} {
 		name, sk := c.name, c.sk
 		ex := sk.Explore(4, math.MaxInt)
@@ -90,8 +88,8 @@ func TestExploreClean(t *testing.T) {
 		name string
 		sk   model.Skeleton
 	}{
-		{"W2R2 S=3 {w1 r1 r2}", skeleton(mwabd.New(), 3, 1, 2, writeTwoReads)},
-		{"W2R1 S=4 t=1 R=1 {w1 w2 r1}", skeleton(w2r1.New(), 4, 1, 1, twoWritersRead)},
+		{"W2R2 S=3 {w1 r1 r2}", skeleton(protocols.Must("W2R2"), 3, 1, 2, writeTwoReads)},
+		{"W2R1 S=4 t=1 R=1 {w1 w2 r1}", skeleton(protocols.Must("W2R1"), 4, 1, 1, twoWritersRead)},
 	} {
 		name, sk := c.name, c.sk
 		ex := sk.Explore(depth, math.MaxInt)
@@ -152,9 +150,9 @@ func TestExploreReduction(t *testing.T) {
 		return histories, multisets, n
 	}
 	for _, sk := range []model.Skeleton{
-		skeleton(w2r1.New(), 3, 1, 2, writeTwoReads),
-		skeleton(mwabd.New(), 3, 1, 2, writeTwoReads),
-		skeleton(w2r1.New(), 5, 2, 2, writeTwoReads),
+		skeleton(protocols.Must("W2R1"), 3, 1, 2, writeTwoReads),
+		skeleton(protocols.Must("W2R2"), 3, 1, 2, writeTwoReads),
+		skeleton(protocols.Must("W2R1"), 5, 2, 2, writeTwoReads),
 	} {
 		name := fmt.Sprintf("%s S=%d t=%d", sk.Protocol.Name(), sk.Config.S, sk.Config.T)
 		reduced, once, n := explore(sk, true)

@@ -10,15 +10,12 @@ import (
 	"fastreg/internal/crucialinfo"
 	"fastreg/internal/history"
 	"fastreg/internal/model"
-	"fastreg/internal/mwabd"
 	"fastreg/internal/opkit"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
-	"fastreg/internal/w1r1"
-	"fastreg/internal/w1r2"
-	"fastreg/internal/w2r1"
 )
 
 // invariants checks the step invariants on every step of one execution,
@@ -247,7 +244,7 @@ func pruneSchedule(p register.Protocol, cfg quorum.Config, seed int64, ops int) 
 // every script the explorer runs on W2R1 at S=3 with a write and two reads.
 func TestStepInvariants(t *testing.T) {
 	t.Run("timed/mixed", func(t *testing.T) {
-		for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
+		for _, p := range []register.Protocol{protocols.Must("W2R2"), protocols.Must("W2R1")} {
 			checkTimed(t, p.Name(), func() *model.Sim { return mixedWorkload(p) })
 		}
 	})
@@ -257,7 +254,7 @@ func TestStepInvariants(t *testing.T) {
 			seeds = 30
 		}
 		for _, cfg := range []quorum.Config{{S: 5, T: 1, R: 2, W: 2}, {S: 5, T: 1, R: 4, W: 2}, {S: 7, T: 2, R: 2, W: 2}} {
-			for _, p := range []register.Protocol{w2r1.New(), w1r1.New()} {
+			for _, p := range []register.Protocol{protocols.Must("W2R1"), protocols.Must("W1R1")} {
 				if p.WriteRounds() == 1 {
 					cfg.W = 1
 				}
@@ -270,7 +267,7 @@ func TestStepInvariants(t *testing.T) {
 	})
 	t.Run("scripted/chains", func(t *testing.T) {
 		for _, s := range []int{3, 5} {
-			for _, p := range []register.Protocol{crucialinfo.New(), w1r2.New(), crucialinfo.NewKRound(3)} {
+			for _, p := range []register.Protocol{crucialinfo.New(), protocols.Must("W1R2"), crucialinfo.NewKRound(3)} {
 				var rep *chains.Report
 				var err error
 				vs := checkAll(func() { rep, err = chains.FindViolation(p, s) })
@@ -308,7 +305,7 @@ func TestStepInvariants(t *testing.T) {
 			depth = 3
 		}
 		n := 0
-		for _, sc := range skeleton(w2r1.New(), 3, 1, 2, writeTwoReads).Scripts(depth, true) {
+		for _, sc := range skeleton(protocols.Must("W2R1"), 3, 1, 2, writeTwoReads).Scripts(depth, true) {
 			var h history.History
 			var err error
 			vs := checkAll(func() { _, h, err = sc.Run() })

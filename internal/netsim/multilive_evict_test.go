@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/transport"
@@ -62,7 +62,7 @@ func evictionOpts(ttl time.Duration) []MultiOption {
 // replica's shard map; a key touched each epoch survives.
 func TestMultiLiveSweep(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	m := newMulti(t, cfg, mwabd.New())
+	m := newMulti(t, cfg, protocols.Must("W2R2"))
 	ctx := context.Background()
 	sweep := func() (client, servers int) {
 		client = m.Sweep()
@@ -133,7 +133,7 @@ func TestMultiLiveSweep(t *testing.T) {
 // with a real (short) TTL.
 func TestMultiLiveEvictionTTL(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	m := newMulti(t, cfg, mwabd.New(), evictionOpts(20*time.Millisecond)...)
+	m := newMulti(t, cfg, protocols.Must("W2R2"), evictionOpts(20*time.Millisecond)...)
 	for i := 0; i < 4; i++ {
 		if _, err := m.Write(context.Background(), fmt.Sprintf("k%d", i), 1, "v"); err != nil {
 			t.Fatal(err)
@@ -149,7 +149,7 @@ func TestMultiLiveEvictionTTL(t *testing.T) {
 // detector.
 func TestMultiLiveEvictionUnderLoad(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
-	m := newMulti(t, cfg, mwabd.New(), evictionOpts(time.Millisecond)...)
+	m := newMulti(t, cfg, protocols.Must("W2R2"), evictionOpts(time.Millisecond)...)
 	done := make(chan error, cfg.R+cfg.W)
 	for w := 1; w <= cfg.W; w++ {
 		go func() {
@@ -184,7 +184,7 @@ func TestMultiLiveEvictionUnderLoad(t *testing.T) {
 // disappears (no sweeper is even running).
 func TestMultiLiveEvictionOffByDefault(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	m := newMulti(t, cfg, mwabd.New())
+	m := newMulti(t, cfg, protocols.Must("W2R2"))
 	if _, err := m.Write(context.Background(), "k", 1, "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestMultiLiveEvictionOffByDefault(t *testing.T) {
 // every operation with register.ErrTimeout.
 func TestMultiLiveTimeout(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	m := newMulti(t, cfg, mwabd.New())
+	m := newMulti(t, cfg, protocols.Must("W2R2"))
 	if _, err := m.Write(context.Background(), "k", 1, "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestMultiLiveTimeout(t *testing.T) {
 	// An already-expired context wins deterministically over replies.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m2 := newMulti(t, cfg, mwabd.New())
+	m2 := newMulti(t, cfg, protocols.Must("W2R2"))
 	if _, err := m2.Write(ctx, "k", 1, "v"); !errors.Is(err, register.ErrTimeout) {
 		t.Fatalf("got %v, want ErrTimeout", err)
 	}

@@ -9,11 +9,10 @@ import (
 	"testing"
 
 	"fastreg/internal/atomicity"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/transport"
-	"fastreg/internal/w2r1"
 )
 
 func newMulti(t *testing.T, cfg quorum.Config, p register.Protocol, opts ...MultiOption) *MultiLive {
@@ -80,7 +79,7 @@ func runMix(t *testing.T, m *MultiLive, key string, n int) {
 // Fig 1: one key, the empty one.
 
 func TestLiveBasic(t *testing.T) {
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	w, err := m.Write(context.Background(), "", 1, "live")
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func TestLiveBasic(t *testing.T) {
 }
 
 func TestLiveConcurrentClientsAtomic(t *testing.T) {
-	for name, p := range map[string]register.Protocol{"W2R2": mwabd.New(), "W2R1": w2r1.New()} {
+	for name, p := range map[string]register.Protocol{"W2R2": protocols.Must("W2R2"), "W2R1": protocols.Must("W2R1")} {
 		t.Run(name, func(t *testing.T) {
 			runMix(t, newMulti(t, quorum.Config{S: 7, T: 1, R: 2, W: 2}, p), "", 15)
 		})
@@ -107,7 +106,7 @@ func TestLiveConcurrentClientsAtomic(t *testing.T) {
 
 func TestLiveWireEncodingEndToEnd(t *testing.T) {
 	// Every batch crosses the binary codec; protocols must be oblivious.
-	for name, p := range map[string]register.Protocol{"W2R2": mwabd.New(), "W2R1": w2r1.New()} {
+	for name, p := range map[string]register.Protocol{"W2R2": protocols.Must("W2R2"), "W2R1": protocols.Must("W2R1")} {
 		t.Run(name, func(t *testing.T) {
 			runMix(t, newMulti(t, quorum.Config{S: 5, T: 1, R: 2, W: 2}, p, WithMultiWireEncoding()), "", 8)
 		})
@@ -115,7 +114,7 @@ func TestLiveWireEncodingEndToEnd(t *testing.T) {
 }
 
 func TestLiveCrashWithinT(t *testing.T) {
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	ctx := context.Background()
 	if _, err := m.Write(ctx, "", 1, "before"); err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestLiveCrashWithinT(t *testing.T) {
 }
 
 func TestLiveCrashUnknownServerPanics(t *testing.T) {
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	defer func() {
 		if recover() == nil {
 			t.Error("Crash of unknown server must panic")
@@ -140,7 +139,7 @@ func TestLiveCrashUnknownServerPanics(t *testing.T) {
 }
 
 func TestLiveCrashDoubleSafe(t *testing.T) {
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	m.Crash(1)
 	m.Crash(1)
 	if _, err := m.Read(context.Background(), "", 1); err != nil {
@@ -149,7 +148,7 @@ func TestLiveCrashDoubleSafe(t *testing.T) {
 }
 
 func TestLiveExecAfterClose(t *testing.T) {
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	m.Close()
 	if _, err := m.Write(context.Background(), "", 1, "x"); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("write after Close = %v, want transport.ErrClosed", err)
@@ -157,19 +156,19 @@ func TestLiveExecAfterClose(t *testing.T) {
 }
 
 func TestLiveRejectsBadConfig(t *testing.T) {
-	if _, err := NewMultiLive(quorum.Config{S: -1}, mwabd.New()); err == nil {
+	if _, err := NewMultiLive(quorum.Config{S: -1}, protocols.Must("W2R2")); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
 
 func TestLiveDoubleCloseSafe(t *testing.T) {
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	m.Close()
 	m.Close()
 }
 
 func TestMultiLiveBasic(t *testing.T) {
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	w, err := m.Write(context.Background(), "k", 1, "hello")
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestMultiLiveBasic(t *testing.T) {
 }
 
 func TestMultiLiveKeysAreIndependent(t *testing.T) {
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	if _, err := m.Write(context.Background(), "a", 1, "va"); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestMultiLiveKeysAreIndependent(t *testing.T) {
 func TestMultiLiveServerStateSharded(t *testing.T) {
 	// Every touched key materializes protocol state on the replicas that
 	// handled it, found via the same shard partition the handlers use.
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for i, k := range keys {
 		if _, err := m.Write(context.Background(), k, 1, fmt.Sprintf("v%d", i)); err != nil {
@@ -244,7 +243,7 @@ func TestMultiLiveServerStateSharded(t *testing.T) {
 func TestMultiLiveWireEncoding(t *testing.T) {
 	// The key-tagged envelope must survive the full encode → decode pass
 	// on every request and reply.
-	m := newMulti(t, cfg521(), mwabd.New(), WithMultiWireEncoding())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"), WithMultiWireEncoding())
 	for _, k := range []string{"users:alice", "config/flags", ""} {
 		if _, err := m.Write(context.Background(), k, 1, "wired-"+k); err != nil {
 			t.Fatalf("key %q: %v", k, err)
@@ -258,7 +257,7 @@ func TestMultiLiveWireEncoding(t *testing.T) {
 
 func TestMultiLiveCrashKillsServerForAllKeys(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	m := newMulti(t, cfg, mwabd.New())
+	m := newMulti(t, cfg, protocols.Must("W2R2"))
 	for i := 0; i < 5; i++ {
 		if _, err := m.Write(context.Background(), fmt.Sprintf("k%d", i), 1, "pre"); err != nil {
 			t.Fatal(err)
@@ -285,7 +284,7 @@ func TestMultiLiveCrashKillsServerForAllKeys(t *testing.T) {
 }
 
 func TestMultiLiveClientValidationAndClose(t *testing.T) {
-	m := newMulti(t, cfg521(), mwabd.New())
+	m := newMulti(t, cfg521(), protocols.Must("W2R2"))
 	if _, err := m.Write(context.Background(), "k", 0, "v"); err == nil {
 		t.Error("writer 0 accepted")
 	}
@@ -316,8 +315,8 @@ func TestMultiLiveStressManyKeys(t *testing.T) {
 		p    register.Protocol
 		cfg  quorum.Config
 	}{
-		{"W2R2", mwabd.New(), quorum.Config{S: 5, T: 1, R: 3, W: 3}},
-		{"W2R1", w2r1.New(), quorum.Config{S: 9, T: 1, R: 3, W: 3}},
+		{"W2R2", protocols.Must("W2R2"), quorum.Config{S: 5, T: 1, R: 3, W: 3}},
+		{"W2R1", protocols.Must("W2R1"), quorum.Config{S: 9, T: 1, R: 3, W: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newMulti(t, tc.cfg, tc.p)
@@ -384,7 +383,7 @@ func TestMultiLiveGoroutineFootprint(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := quorum.Config{S: 5, T: 1, R: 1, W: 1}
 	before := runtime.NumGoroutine()
-	m := newMulti(t, cfg, mwabd.New())
+	m := newMulti(t, cfg, protocols.Must("W2R2"))
 	for i := 0; i < 100; i++ {
 		if _, err := m.Write(context.Background(), fmt.Sprintf("key-%03d", i), 1, "v"); err != nil {
 			t.Fatal(err)

@@ -9,18 +9,17 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/model"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
-	"fastreg/internal/w2r1"
 )
 
 func cfg521() quorum.Config { return quorum.Config{S: 5, T: 1, R: 2, W: 2} }
 
 func TestSimBasicWriteRead(t *testing.T) {
-	sim := model.MustNew(cfg521(), mwabd.New(), model.WithSeed(3))
+	sim := model.MustNew(cfg521(), protocols.Must("W2R2"), model.WithSeed(3))
 	var wrote, read types.Value
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("hello"), func(v types.Value, err error) {
 		if err != nil {
@@ -54,7 +53,7 @@ func TestSimLatencyReflectsRoundTrips(t *testing.T) {
 	// With a constant one-way delay d, a k-round operation takes exactly
 	// 2kd: this is the Fig 2 latency model.
 	const d = 50
-	sim := model.MustNew(cfg521(), mwabd.New(), model.WithDelay(model.ConstDelay(d)))
+	sim := model.MustNew(cfg521(), protocols.Must("W2R2"), model.WithDelay(model.ConstDelay(d)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("x"), nil)
 	sim.Run()
 	ops := sim.History().Completed()
@@ -69,7 +68,7 @@ func TestSimLatencyReflectsRoundTrips(t *testing.T) {
 }
 
 func TestSimCrashToleratedWithinT(t *testing.T) {
-	sim := model.MustNew(cfg521(), mwabd.New(), model.WithSeed(5))
+	sim := model.MustNew(cfg521(), protocols.Must("W2R2"), model.WithSeed(5))
 	sim.CrashServer(types.Server(3), 0) // crashed from the start; t=1
 	done := 0
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("v"), func(_ types.Value, err error) {
@@ -97,7 +96,7 @@ func TestSimCrashToleratedWithinT(t *testing.T) {
 }
 
 func TestSimTooManyCrashesBlocks(t *testing.T) {
-	sim := model.MustNew(cfg521(), mwabd.New())
+	sim := model.MustNew(cfg521(), protocols.Must("W2R2"))
 	sim.CrashServer(types.Server(1), 0)
 	sim.CrashServer(types.Server(2), 0) // two crashes, t=1: quorum S-t=4 unreachable
 	completed := false
@@ -114,7 +113,7 @@ func TestSimTooManyCrashesBlocks(t *testing.T) {
 func TestSimSkipDelaysPastHorizon(t *testing.T) {
 	// Skip r1 ↔ s1: the read must still complete using the other 4 servers.
 	base := model.ConstDelay(10)
-	sim := model.MustNew(cfg521(), mwabd.New(), model.WithDelay(model.Skip(base, types.Reader(1), types.Server(1))))
+	sim := model.MustNew(cfg521(), protocols.Must("W2R2"), model.WithDelay(model.Skip(base, types.Reader(1), types.Server(1))))
 	var got types.Value
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("v"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), func(v types.Value, err error) {
@@ -135,7 +134,7 @@ func TestSimSkipDelaysPastHorizon(t *testing.T) {
 
 func TestSimDeterministicBySeed(t *testing.T) {
 	run := func(seed int64) string {
-		sim := model.MustNew(cfg521(), mwabd.New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 100)))
+		sim := model.MustNew(cfg521(), protocols.Must("W2R2"), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 100)))
 		for i := 0; i < 3; i++ {
 			sim.InvokeAt(vclock.Time(i*7), sim.Writer(1+i%2).WriteOp("v"), nil)
 			sim.InvokeAt(vclock.Time(i*11+1), sim.Reader(1+i%2).ReadOp(), nil)
@@ -154,7 +153,7 @@ func TestSimDeterministicBySeed(t *testing.T) {
 }
 
 func TestSimConcurrentMixedWorkloadAtomic(t *testing.T) {
-	for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
+	for _, p := range []register.Protocol{protocols.Must("W2R2"), protocols.Must("W2R1")} {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			cfg := quorum.Config{S: 7, T: 1, R: 2, W: 2}
@@ -198,7 +197,7 @@ func TestSimConcurrentMixedWorkloadAtomic(t *testing.T) {
 }
 
 func TestSimRunUntil(t *testing.T) {
-	sim := model.MustNew(cfg521(), mwabd.New(), model.WithDelay(model.ConstDelay(10)))
+	sim := model.MustNew(cfg521(), protocols.Must("W2R2"), model.WithDelay(model.ConstDelay(10)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("a"), nil)
 	sim.RunUntil(15) // mid-flight: only round 1 delivered
 	if len(sim.History().Completed()) != 0 {
@@ -214,7 +213,7 @@ func TestSimRunUntil(t *testing.T) {
 }
 
 func TestSimServerValuesInspection(t *testing.T) {
-	sim := model.MustNew(cfg521(), mwabd.New())
+	sim := model.MustNew(cfg521(), protocols.Must("W2R2"))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("z"), nil)
 	sim.Run()
 	vals := sim.ServerValues()
@@ -229,7 +228,7 @@ func TestSimServerValuesInspection(t *testing.T) {
 }
 
 func TestSimRejectsBadConfig(t *testing.T) {
-	if _, err := model.New(quorum.Config{S: 0}, mwabd.New()); err == nil {
+	if _, err := model.New(quorum.Config{S: 0}, protocols.Must("W2R2")); err == nil {
 		t.Fatal("bad config accepted")
 	}
 	defer func() {
@@ -237,11 +236,11 @@ func TestSimRejectsBadConfig(t *testing.T) {
 			t.Error("MustNew must panic on bad config")
 		}
 	}()
-	model.MustNew(quorum.Config{S: 0}, mwabd.New())
+	model.MustNew(quorum.Config{S: 0}, protocols.Must("W2R2"))
 }
 
 func TestCrashServerValidation(t *testing.T) {
-	sim := model.MustNew(cfg521(), mwabd.New())
+	sim := model.MustNew(cfg521(), protocols.Must("W2R2"))
 	defer func() {
 		if recover() == nil {
 			t.Error("CrashServer must reject non-servers")

@@ -6,9 +6,31 @@ import (
 	"strings"
 
 	"fastreg/internal/proto"
+	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
 )
+
+// QueryWriter is a writer whose writes are QueryThenUpdateWrites. ts is
+// its largest timestamp on the register so far, which its ops share.
+type QueryWriter struct {
+	id   types.ProcID
+	need int
+	ts   int64
+}
+
+// NewQueryWriter builds the two-round writer id of shape cfg.
+func NewQueryWriter(id types.ProcID, cfg quorum.Config) *QueryWriter {
+	return &QueryWriter{id: id, need: cfg.ReplyQuorum()}
+}
+
+// ID implements register.Writer.
+func (w *QueryWriter) ID() types.ProcID { return w.id }
+
+// WriteOp implements register.Writer.
+func (w *QueryWriter) WriteOp(data string) register.Operation {
+	return NewQueryThenUpdateWrite(w.id, data, w.need, &w.ts)
+}
 
 // QueryThenUpdateWrite is the two-round multi-writer write of LS97 and of
 // Algorithm 1 (lines 5–13): round 1 queries all servers for the maximal
@@ -90,6 +112,31 @@ func (w *QueryThenUpdateWrite) Next(replies []register.Reply) (*register.Round, 
 	}
 }
 
+// CounterWriter is a writer whose writes are DirectWrites tagged from a
+// counter of its own. That is sound only while it is the register's one
+// writer, the sole source of timestamps: counters of different writers are
+// not coordinated, and a one-round write cannot coordinate them (the
+// paper's Theorem 1).
+type CounterWriter struct {
+	id   types.ProcID
+	need int
+	ts   int64
+}
+
+// NewCounterWriter builds the one-round writer id of shape cfg.
+func NewCounterWriter(id types.ProcID, cfg quorum.Config) *CounterWriter {
+	return &CounterWriter{id: id, need: cfg.ReplyQuorum()}
+}
+
+// ID implements register.Writer.
+func (w *CounterWriter) ID() types.ProcID { return w.id }
+
+// WriteOp implements register.Writer.
+func (w *CounterWriter) WriteOp(data string) register.Operation {
+	w.ts++
+	return NewDirectWrite(w.id, types.Value{Tag: types.Tag{TS: w.ts, WID: w.id}, Data: data}, w.need)
+}
+
 // DirectWrite is a one-round ("fast") write: the value, tag included, is
 // fixed before the round starts. It is the write of ABD in the single-writer
 // case — and of the naive fast-write protocols whose non-atomicity the
@@ -127,6 +174,31 @@ func (w *DirectWrite) Next(replies []register.Reply) (*register.Round, types.Val
 		}
 	}
 	return nil, w.val, true, nil
+}
+
+// WriteBackReader is a reader whose reads are ReadWriteBacks, or with the
+// write-back ablated ReadNoWriteBacks.
+type WriteBackReader struct {
+	id        types.ProcID
+	need      int
+	writeBack bool
+}
+
+// NewWriteBackReader builds the reader id of shape cfg; writeBack false is
+// the ablation.
+func NewWriteBackReader(id types.ProcID, cfg quorum.Config, writeBack bool) *WriteBackReader {
+	return &WriteBackReader{id: id, need: cfg.ReplyQuorum(), writeBack: writeBack}
+}
+
+// ID implements register.Reader.
+func (r *WriteBackReader) ID() types.ProcID { return r.id }
+
+// ReadOp implements register.Reader.
+func (r *WriteBackReader) ReadOp() register.Operation {
+	if r.writeBack {
+		return NewReadWriteBack(r.id, r.need)
+	}
+	return NewReadNoWriteBack(r.id, r.need)
 }
 
 // ReadWriteBack is the two-round read of ABD/LS97: round 1 queries all
@@ -309,6 +381,33 @@ func (s *ReaderState) add(fresh []types.Value, floor types.Tag) {
 	}
 	slices.SortFunc(queue, types.Value.Compare)
 	s.setQueue(queue)
+}
+
+// FastReader is a reader whose reads are FastReadOps. Its valQueue
+// persists across its operations (Algorithm 1, lines 16–17).
+type FastReader struct {
+	id    types.ProcID
+	need  int
+	state *ReaderState
+	cfg   AdmissibleConfig
+}
+
+// NewFastReader builds the one-round reader id of shape cfg.
+func NewFastReader(id types.ProcID, cfg quorum.Config) *FastReader {
+	return &FastReader{
+		id:    id,
+		need:  cfg.ReplyQuorum(),
+		state: NewReaderState(),
+		cfg:   AdmissibleConfig{S: cfg.S, T: cfg.T, MaxDegree: cfg.MaxDegree()},
+	}
+}
+
+// ID implements register.Reader.
+func (r *FastReader) ID() types.ProcID { return r.id }
+
+// ReadOp implements register.Reader.
+func (r *FastReader) ReadOp() register.Operation {
+	return NewFastReadOp(r.id, r.state, r.cfg, r.need)
 }
 
 // FastReadOp is the one-round read of Algorithm 1 (lines 18–31), shared by

@@ -9,12 +9,11 @@ import (
 	"fastreg/internal/model"
 	"fastreg/internal/opkit"
 	"fastreg/internal/proto"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
 	"fastreg/internal/vclock"
-	"fastreg/internal/w1r1"
-	"fastreg/internal/w2r1"
 )
 
 // replicas swaps the replicas of a fast-read protocol; its clients stay the
@@ -142,7 +141,7 @@ func TestPruningMatchesAlgorithm2(t *testing.T) {
 		{S: 5, T: 1, R: 4, W: 2},
 		{S: 7, T: 2, R: 2, W: 2},
 	}
-	protocols := []register.Protocol{w2r1.New(), w1r1.New()}
+	protocols := []register.Protocol{protocols.Must("W2R1"), protocols.Must("W1R1")}
 	for _, cfg := range shapes {
 		for _, p := range protocols {
 			if p.WriteRounds() == 1 {

@@ -1,13 +1,15 @@
-// Package opkit provides the building blocks the protocol packages compose:
-// the two server state machines of the literature (max-value store and
-// valuevector store) and the client-side round state machines (two-phase
-// writes, read-with-write-back, and the fast read of Algorithm 1).
+// Package opkit provides the building blocks every protocol of Table 1 is
+// made of (internal/protocols): the two server state machines of the
+// literature (max-value store and valuevector store), the client-side
+// round state machines (the one-round and two-round writes, the read with
+// write-back and the fast read of Algorithm 1), and one client type per
+// kind of operation that issues them (CounterWriter, QueryWriter,
+// WriteBackReader, FastReader).
 //
-// Keeping these in one place makes each protocol package a thin, auditable
-// composition and guarantees that, e.g., the W2R1 and W1R1 readers share the
-// exact same admissibility machinery, as they do in the paper (the W2R1
-// algorithm is derived from the W1R1 single-writer algorithm of Dutta et
-// al.).
+// Keeping these in one place makes each protocol a row of parts and
+// guarantees that, e.g., the W2R1 and W1R1 readers share the exact same
+// admissibility machinery, as they do in the paper (the W2R1 algorithm is
+// derived from the W1R1 single-writer algorithm of Dutta et al.).
 //
 // # Who owns a value
 //

@@ -1,4 +1,4 @@
-package abd
+package protocols
 
 import (
 	"testing"
@@ -8,13 +8,6 @@ import (
 	"fastreg/internal/quorum"
 	"fastreg/internal/types"
 )
-
-func TestMetadata(t *testing.T) {
-	p := New()
-	if p.Name() != "ABD" || p.WriteRounds() != 1 || p.ReadRounds() != 2 {
-		t.Fatalf("metadata: %s W%d R%d", p.Name(), p.WriteRounds(), p.ReadRounds())
-	}
-}
 
 func TestImplementableSingleWriterMajority(t *testing.T) {
 	cases := []struct {
@@ -26,7 +19,7 @@ func TestImplementableSingleWriterMajority(t *testing.T) {
 		{quorum.Config{S: 2, T: 1, R: 2, W: 1}, false}, // no majority
 	}
 	for _, c := range cases {
-		if got := New().Implementable(c.cfg); got != c.want {
+		if got := Must("ABD").Implementable(c.cfg); got != c.want {
 			t.Errorf("Implementable(%v) = %v, want %v", c.cfg, got, c.want)
 		}
 	}
@@ -34,7 +27,7 @@ func TestImplementableSingleWriterMajority(t *testing.T) {
 
 func TestWriterTimestampsIncrease(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 1}
-	sim := model.MustNew(cfg, New(), model.WithSeed(1))
+	sim := model.MustNew(cfg, Must("ABD"), model.WithSeed(1))
 	var tags []types.Tag
 	var chainWrites func(n int)
 	chainWrites = func(n int) {
@@ -65,7 +58,7 @@ func TestWriterTimestampsIncrease(t *testing.T) {
 func TestSingleWriterHistoriesAtomic(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 2, R: 3, W: 1}
 	for seed := int64(1); seed <= 20; seed++ {
-		sim := model.MustNew(cfg, New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 100)))
+		sim := model.MustNew(cfg, Must("ABD"), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 100)))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -94,7 +87,7 @@ func TestSingleWriterHistoriesAtomic(t *testing.T) {
 
 func TestCrashWithinT(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 2, R: 2, W: 1}
-	sim := model.MustNew(cfg, New(), model.WithSeed(4))
+	sim := model.MustNew(cfg, Must("ABD"), model.WithSeed(4))
 	sim.CrashServer(types.Server(2), 0)
 	sim.CrashServer(types.Server(4), 50)
 	var got types.Value

@@ -1,4 +1,4 @@
-package w1r1
+package protocols
 
 import (
 	"testing"
@@ -8,13 +8,6 @@ import (
 	"fastreg/internal/quorum"
 	"fastreg/internal/types"
 )
-
-func TestMetadata(t *testing.T) {
-	p := New()
-	if p.Name() != "W1R1" || p.WriteRounds() != 1 || p.ReadRounds() != 1 {
-		t.Fatalf("metadata: %s W%d R%d", p.Name(), p.WriteRounds(), p.ReadRounds())
-	}
-}
 
 func TestImplementableBound(t *testing.T) {
 	cases := []struct {
@@ -27,7 +20,7 @@ func TestImplementableBound(t *testing.T) {
 		{quorum.Config{S: 4, T: 2, R: 1, W: 1}, false}, // no majority... R*t+2t=6 ≥ 4
 	}
 	for _, c := range cases {
-		if got := New().Implementable(c.cfg); got != c.want {
+		if got := Must("W1R1").Implementable(c.cfg); got != c.want {
 			t.Errorf("Implementable(%v) = %v, want %v", c.cfg, got, c.want)
 		}
 	}
@@ -38,7 +31,7 @@ func TestImplementableBound(t *testing.T) {
 func TestBothOperationsOneRound(t *testing.T) {
 	const d = 50
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 1}
-	sim := model.MustNew(cfg, New(), model.WithDelay(model.ConstDelay(d)))
+	sim := model.MustNew(cfg, Must("W1R1"), model.WithDelay(model.ConstDelay(d)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("x"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), nil)
 	})
@@ -58,7 +51,7 @@ func TestSingleWriterFeasibleAtomic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		delay := model.DelayFn(model.UniformDelay(1, 120))
 		delay = model.Skip(delay, types.Reader(1), types.Server(int(seed)%6+1))
-		sim := model.MustNew(cfg, New(), model.WithSeed(seed), model.WithDelay(delay))
+		sim := model.MustNew(cfg, Must("W1R1"), model.WithSeed(seed), model.WithDelay(delay))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -88,7 +81,7 @@ func TestSingleWriterFeasibleAtomic(t *testing.T) {
 // sequential cross-writer writes, exactly like naive W1R2 — Table 1 row 4.
 func TestMultiWriterViolation(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	sim := model.MustNew(cfg, New(), model.WithSeed(1))
+	sim := model.MustNew(cfg, Must("W1R1"), model.WithSeed(1))
 	sim.InvokeAt(0, sim.Writer(2).WriteOp("w2-first"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Writer(1).WriteOp("w1-second"), func(types.Value, error) {
 			sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), nil)

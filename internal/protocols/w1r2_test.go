@@ -1,4 +1,4 @@
-package w1r2
+package protocols
 
 import (
 	"testing"
@@ -10,25 +10,18 @@ import (
 	"fastreg/internal/types"
 )
 
-func TestMetadata(t *testing.T) {
-	p := New()
-	if p.Name() != "W1R2" || p.WriteRounds() != 1 || p.ReadRounds() != 2 {
-		t.Fatalf("metadata: %s W%d R%d", p.Name(), p.WriteRounds(), p.ReadRounds())
-	}
-}
-
 func TestImplementableOnlyDegenerate(t *testing.T) {
 	cases := []struct {
 		cfg  quorum.Config
 		want bool
 	}{
 		{quorum.Config{S: 3, T: 1, R: 2, W: 1}, true},  // single writer: ABD
-		{quorum.Config{S: 3, T: 0, R: 2, W: 2}, true},  // no crashes
+		{quorum.Config{S: 3, T: 0, R: 2, W: 2}, false}, // counters clash even without crashes
 		{quorum.Config{S: 3, T: 1, R: 2, W: 2}, false}, // Theorem 1
 		{quorum.Config{S: 5, T: 2, R: 3, W: 3}, false},
 	}
 	for _, c := range cases {
-		if got := New().Implementable(c.cfg); got != c.want {
+		if got := Must("W1R2").Implementable(c.cfg); got != c.want {
 			t.Errorf("Implementable(%v) = %v, want %v", c.cfg, got, c.want)
 		}
 	}
@@ -40,7 +33,7 @@ func TestImplementableOnlyDegenerate(t *testing.T) {
 // the naive protocol loses a completed write.
 func TestSequentialCrossWriterViolation(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
-	sim := model.MustNew(cfg, New(), model.WithSeed(1))
+	sim := model.MustNew(cfg, Must("W1R2"), model.WithSeed(1))
 	sim.InvokeAt(0, sim.Writer(2).WriteOp("from-w2"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Writer(1).WriteOp("from-w1"), func(types.Value, error) {
 			sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), nil)
@@ -65,7 +58,7 @@ func TestSequentialCrossWriterViolation(t *testing.T) {
 // violation without hand-crafting a schedule.
 func TestChainEngineDefeatsNaive(t *testing.T) {
 	for _, s := range []int{3, 5, 7} {
-		rep, err := chains.FindViolation(New(), s)
+		rep, err := chains.FindViolation(Must("W1R2"), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +73,7 @@ func TestChainEngineDefeatsNaive(t *testing.T) {
 func TestSingleWriterDegenerateIsAtomic(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 1}
 	for seed := int64(1); seed <= 10; seed++ {
-		sim := model.MustNew(cfg, New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 80)))
+		sim := model.MustNew(cfg, Must("W1R2"), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 80)))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -105,7 +98,7 @@ func TestSingleWriterDegenerateIsAtomic(t *testing.T) {
 func TestWriteIsOneRoundLatency(t *testing.T) {
 	const d = 50
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
-	sim := model.MustNew(cfg, New(), model.WithDelay(model.ConstDelay(d)))
+	sim := model.MustNew(cfg, Must("W1R2"), model.WithDelay(model.ConstDelay(d)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("x"), nil)
 	sim.Run()
 	ops := sim.History().Completed()

@@ -1,4 +1,4 @@
-package w2r1
+package protocols
 
 import (
 	"testing"
@@ -11,17 +11,8 @@ import (
 	"fastreg/internal/vclock"
 )
 
-func cfg(s, t, r, w int) quorum.Config { return quorum.Config{S: s, T: t, R: r, W: w} }
-
 // feasible is the reference configuration: S=5, t=1, R=2 < 5/1-2.
 func feasible() quorum.Config { return cfg(5, 1, 2, 2) }
-
-func TestMetadata(t *testing.T) {
-	p := New()
-	if p.Name() != "W2R1" || p.WriteRounds() != 2 || p.ReadRounds() != 1 {
-		t.Fatalf("metadata: %s W%d R%d", p.Name(), p.WriteRounds(), p.ReadRounds())
-	}
-}
 
 func TestImplementableIsTheFastReadBound(t *testing.T) {
 	cases := []struct {
@@ -36,7 +27,7 @@ func TestImplementableIsTheFastReadBound(t *testing.T) {
 		{4, 1, 2, false},
 	}
 	for _, c := range cases {
-		if got := New().Implementable(cfg(c.s, c.tt, c.r, 2)); got != c.want {
+		if got := Must("W2R1").Implementable(cfg(c.s, c.tt, c.r, 2)); got != c.want {
 			t.Errorf("Implementable(S=%d,t=%d,R=%d) = %v, want %v", c.s, c.tt, c.r, got, c.want)
 		}
 	}
@@ -87,7 +78,7 @@ func mwaScan(t *testing.T, h history.History) {
 }
 
 func TestSequentialSemantics(t *testing.T) {
-	sim := model.MustNew(feasible(), New(), model.WithSeed(2))
+	sim := model.MustNew(feasible(), Must("W2R1"), model.WithSeed(2))
 	var reads []types.Value
 	step3 := func(types.Value, error) {}
 	step2 := func(types.Value, error) {
@@ -127,7 +118,7 @@ func TestFastReadIsOneRound(t *testing.T) {
 	// With constant delay d, the fast read must take exactly 2d (one round
 	// trip) — half of the W2R2 read. This is the Fig 2 latency claim.
 	const d = 100
-	sim := model.MustNew(feasible(), New(), model.WithDelay(model.ConstDelay(d)))
+	sim := model.MustNew(feasible(), Must("W2R1"), model.WithDelay(model.ConstDelay(d)))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("x"), func(types.Value, error) {
 		sim.InvokeAt(sim.Now()+1, sim.Reader(1).ReadOp(), nil)
 	})
@@ -145,7 +136,7 @@ func TestFastReadIsOneRound(t *testing.T) {
 
 func TestRandomizedSchedulesStayAtomicWhenFeasible(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		sim := model.MustNew(feasible(), New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 150)))
+		sim := model.MustNew(feasible(), Must("W2R1"), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 150)))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -175,7 +166,7 @@ func TestRandomizedSchedulesStayAtomicWhenFeasible(t *testing.T) {
 
 func TestCrashToleranceWithinT(t *testing.T) {
 	c := cfg(9, 2, 2, 2) // 2 < 9/2-2 = 2.5 ✓ feasible
-	sim := model.MustNew(c, New(), model.WithSeed(3))
+	sim := model.MustNew(c, Must("W2R1"), model.WithSeed(3))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("durable"), nil)
 	sim.RunUntil(200)
 	sim.CrashServer(types.Server(1), sim.Now())
@@ -202,7 +193,7 @@ func TestSkipPatternsStayAtomicWhenFeasible(t *testing.T) {
 		delay = model.Skip(delay, types.Reader(1), types.Server(1))
 		delay = model.Skip(delay, types.Reader(2), types.Server(2))
 		delay = model.Skip(delay, types.Writer(1), types.Server(3))
-		sim := model.MustNew(c, New(), model.WithSeed(seed), model.WithDelay(delay))
+		sim := model.MustNew(c, Must("W2R1"), model.WithSeed(seed), model.WithDelay(delay))
 		var spawn func(c int, write bool, n int)
 		spawn = func(cl int, write bool, n int) {
 			if n == 0 {

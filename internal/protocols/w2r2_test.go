@@ -1,4 +1,4 @@
-package mwabd
+package protocols
 
 import (
 	"testing"
@@ -7,23 +7,9 @@ import (
 	"fastreg/internal/chains"
 	"fastreg/internal/model"
 	"fastreg/internal/proto"
-	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
 )
-
-func cfg(s, t, r, w int) quorum.Config { return quorum.Config{S: s, T: t, R: r, W: w} }
-
-func TestMetadata(t *testing.T) {
-	p := New()
-	if p.Name() != "W2R2" || p.WriteRounds() != 2 || p.ReadRounds() != 2 {
-		t.Fatalf("metadata: %s W%d R%d", p.Name(), p.WriteRounds(), p.ReadRounds())
-	}
-	nb := NewNoWriteBack()
-	if nb.Name() != "W2R1-nowb" || nb.ReadRounds() != 1 {
-		t.Fatalf("ablation metadata: %s R%d", nb.Name(), nb.ReadRounds())
-	}
-}
 
 func TestImplementableMatchesMajority(t *testing.T) {
 	cases := []struct {
@@ -33,18 +19,18 @@ func TestImplementableMatchesMajority(t *testing.T) {
 		{3, 1, true}, {5, 2, true}, {4, 2, false}, {2, 1, false},
 	}
 	for _, c := range cases {
-		if got := New().Implementable(cfg(c.s, c.tt, 2, 2)); got != c.want {
+		if got := Must("W2R2").Implementable(cfg(c.s, c.tt, 2, 2)); got != c.want {
 			t.Errorf("Implementable(S=%d,t=%d) = %v, want %v", c.s, c.tt, got, c.want)
 		}
 	}
-	if NewNoWriteBack().Implementable(cfg(5, 1, 2, 2)) {
+	if NoWriteBack().Implementable(cfg(5, 1, 2, 2)) {
 		t.Error("the no-write-back ablation must not claim atomicity")
 	}
 }
 
 func TestRandomizedSchedulesStayAtomic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		sim := model.MustNew(cfg(5, 2, 2, 2), New(), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 120)))
+		sim := model.MustNew(cfg(5, 2, 2, 2), Must("W2R2"), model.WithSeed(seed), model.WithDelay(model.UniformDelay(1, 120)))
 		var spawn func(c int, write bool, n int)
 		spawn = func(c int, write bool, n int) {
 			if n == 0 {
@@ -77,7 +63,7 @@ func TestRandomizedSchedulesStayAtomic(t *testing.T) {
 // interpreter.
 func TestNoWriteBackExhibitsInversion(t *testing.T) {
 	c := cfg(3, 1, 2, 2)
-	p := NewNoWriteBack()
+	p := NoWriteBack()
 	ops := []chains.OpMaker{
 		{Name: "W1", Rounds: 2, Make: func() register.Operation {
 			return p.NewWriter(types.Writer(1), c).WriteOp("v")
@@ -114,7 +100,7 @@ func TestNoWriteBackExhibitsInversion(t *testing.T) {
 // round propagates the value, so R2 cannot miss it.
 func TestWriteBackPreventsInversion(t *testing.T) {
 	c := cfg(3, 1, 2, 2)
-	p := New()
+	p := Must("W2R2")
 	ops := []chains.OpMaker{
 		{Name: "W1", Rounds: 2, Make: func() register.Operation {
 			return p.NewWriter(types.Writer(1), c).WriteOp("v")
@@ -149,7 +135,7 @@ func TestWriteBackPreventsInversion(t *testing.T) {
 }
 
 func TestCrashMidExecution(t *testing.T) {
-	sim := model.MustNew(cfg(5, 2, 2, 2), New(), model.WithSeed(7))
+	sim := model.MustNew(cfg(5, 2, 2, 2), Must("W2R2"), model.WithSeed(7))
 	sim.InvokeAt(0, sim.Writer(1).WriteOp("a"), nil)
 	sim.RunUntil(100)
 	sim.CrashServer(types.Server(1), sim.Now())
@@ -177,7 +163,7 @@ func TestCrashMidExecution(t *testing.T) {
 // remembers the timestamp it used, and B's tag is above it.
 func TestAbandonedWriteTagNotReused(t *testing.T) {
 	c := cfg(3, 1, 1, 1)
-	p := New()
+	p := Must("W2R2")
 	var servers []register.ServerLogic
 	for i := 1; i <= c.S; i++ {
 		servers = append(servers, p.NewServer(types.Server(i), c))

@@ -252,7 +252,7 @@ func (c *Collector) Result() (types.Value, error) { return c.result, c.err }
 // delivering every round to every server in ID order and counting the
 // replies in that order until the round is ready. It returns the number of
 // rounds the operation took and its result. It is a convenience for unit
-// tests of protocol packages (failure-free, sequential world); the model
+// tests of protocols (failure-free, sequential world); the model
 // and the round engine provide the real execution environments.
 func CountRounds(op Operation, servers []ServerLogic) (rounds int, result types.Value, err error) {
 	var c Collector

@@ -11,12 +11,11 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/crucialinfo"
-	"fastreg/internal/mwabd"
 	"fastreg/internal/proto"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
-	"fastreg/internal/w2r1"
 )
 
 // exerciseBatchConn sends mixed single and batched envelopes one way and
@@ -118,8 +117,8 @@ func TestTCPConnBatch(t *testing.T) {
 // checker. CI runs this under -race (the TestCluster prefix).
 func TestClusterSharedLinksBatching(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
-	_, addrs := startTCPCluster(t, cfg, mwabd.New())
-	c, err := NewClient(cfg, mwabd.New(), addrs, DialTCP)
+	_, addrs := startTCPCluster(t, cfg, protocols.Must("W2R2"))
+	c, err := NewClient(cfg, protocols.Must("W2R2"), addrs, DialTCP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,7 @@ func TestTimedOutWriteRecordsTag(t *testing.T) {
 			}
 		}()
 	}
-	c, err := NewClient(cfg, mwabd.New(), addrs, net.Dial)
+	c, err := NewClient(cfg, protocols.Must("W2R2"), addrs, net.Dial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +252,7 @@ func TestTimedOutWriteRecordsTag(t *testing.T) {
 // leaving every shorter op permanently open, and (b) keying on the
 // payload kind alone, leaving every FullInfo read's final Query open.
 func TestServerEvictionMixedRounds(t *testing.T) {
-	for _, p := range []register.Protocol{w2r1.New(), crucialinfo.New()} {
+	for _, p := range []register.Protocol{protocols.Must("W2R1"), crucialinfo.New()} {
 		t.Run(p.Name(), func(t *testing.T) {
 			cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
 			net := NewChanNetwork()
@@ -328,14 +327,14 @@ func TestServerEviction(t *testing.T) {
 		}
 		// Enormous TTL: the ticking sweeper never fires, the test drives
 		// Sweep() by hand.
-		srv, err := NewServer(cfg, mwabd.New(), i+1, lis, WithServerEviction(time.Hour))
+		srv, err := NewServer(cfg, protocols.Must("W2R2"), i+1, lis, WithServerEviction(time.Hour))
 		if err != nil {
 			t.Fatal(err)
 		}
 		servers[i] = srv
 		t.Cleanup(srv.Close)
 	}
-	c, err := NewClient(cfg, mwabd.New(), addrs, net.Dial)
+	c, err := NewClient(cfg, protocols.Must("W2R2"), addrs, net.Dial)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"fastreg/internal/atomicity"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
@@ -45,7 +45,7 @@ func startTCPCluster(t testing.TB, cfg quorum.Config, p register.Protocol, sopts
 func runClusterWorkload(t *testing.T, cfg quorum.Config, addrs []string, dial DialFunc, nClients, opsPerHalf int, atBarrier func(), copts ...ClientOption) *Registry {
 	t.Helper()
 	reg := NewRegistry(0)
-	p := mwabd.New()
+	p := protocols.Must("W2R2")
 	keys := []string{"alpha", "beta", "gamma"}
 	clients := make([]*Client, nClients)
 	for i := range clients {
@@ -128,7 +128,7 @@ func checkAtomic(t *testing.T, reg *Registry, wantOps int) {
 // atomicity checker.
 func TestClusterTCPAtomic(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
-	_, addrs := startTCPCluster(t, cfg, mwabd.New())
+	_, addrs := startTCPCluster(t, cfg, protocols.Must("W2R2"))
 	const nClients, opsPerHalf = 4, 10
 	reg := runClusterWorkload(t, cfg, addrs, DialTCP, nClients, opsPerHalf, nil)
 	checkAtomic(t, reg, nClients*2*opsPerHalf)
@@ -139,7 +139,7 @@ func TestClusterTCPAtomic(t *testing.T) {
 // combined history must stay atomic.
 func TestClusterTCPCrash(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
-	servers, addrs := startTCPCluster(t, cfg, mwabd.New())
+	servers, addrs := startTCPCluster(t, cfg, protocols.Must("W2R2"))
 	const nClients, opsPerHalf = 4, 10
 	reg := runClusterWorkload(t, cfg, addrs, DialTCP, nClients, opsPerHalf, func() {
 		servers[2].Close() // kill s3 mid-workload
@@ -159,7 +159,7 @@ func TestClusterChanAtomic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer(cfg, mwabd.New(), i+1, lis)
+		srv, err := NewServer(cfg, protocols.Must("W2R2"), i+1, lis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,8 +174,8 @@ func TestClusterChanAtomic(t *testing.T) {
 // the client's backoff dialer finds it again.
 func TestClientReconnect(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	servers, addrs := startTCPCluster(t, cfg, mwabd.New())
-	c, err := NewClient(cfg, mwabd.New(), addrs, DialTCP)
+	servers, addrs := startTCPCluster(t, cfg, protocols.Must("W2R2"))
+	c, err := NewClient(cfg, protocols.Must("W2R2"), addrs, DialTCP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestClientReconnect(t *testing.T) {
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addrs[0], err)
 	}
-	srv, err := NewServer(cfg, mwabd.New(), 1, lis)
+	srv, err := NewServer(cfg, protocols.Must("W2R2"), 1, lis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestClientTimeout(t *testing.T) {
 			}
 		}()
 	}
-	c, err := NewClient(cfg, mwabd.New(), addrs, DialTCP)
+	c, err := NewClient(cfg, protocols.Must("W2R2"), addrs, DialTCP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +284,8 @@ func TestClientTimeout(t *testing.T) {
 // with 0 reachable servers.
 func TestClientColdStartConcurrent(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
-	_, addrs := startTCPCluster(t, cfg, mwabd.New())
-	c, err := NewClient(cfg, mwabd.New(), addrs, DialTCP)
+	_, addrs := startTCPCluster(t, cfg, protocols.Must("W2R2"))
+	c, err := NewClient(cfg, protocols.Must("W2R2"), addrs, DialTCP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +317,8 @@ func TestClientColdStartConcurrent(t *testing.T) {
 // abandoned link leaves fewer than a quorum, when rounds fail fast.
 func TestClientAbandon(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	_, addrs := startTCPCluster(t, cfg, mwabd.New())
-	c, err := NewClient(cfg, mwabd.New(), addrs, DialTCP)
+	_, addrs := startTCPCluster(t, cfg, protocols.Must("W2R2"))
+	c, err := NewClient(cfg, protocols.Must("W2R2"), addrs, DialTCP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,11 @@ import (
 	"time"
 
 	"fastreg/internal/atomicity"
-	"fastreg/internal/mwabd"
 	"fastreg/internal/proto"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
-	"fastreg/internal/w2r1"
 )
 
 // connHooks intercept one client link's batches: send sees each outgoing
@@ -222,7 +221,7 @@ func TestRoundEngineCollector(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &nextRecorder{Protocol: mwabd.New()}
+			p := &nextRecorder{Protocol: protocols.Must("W2R2")}
 			c := hookedClient(t, cfg, p, func(srv int) connHooks { return connHooks{recv: tc.recv(srv)} })
 			ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 			defer cancel()
@@ -265,7 +264,7 @@ func TestRoundEngineCollector(t *testing.T) {
 // few.)
 func TestRoundEngineStress(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 4, W: 4}
-	c := hookedClient(t, cfg, mwabd.New(), nil)
+	c := hookedClient(t, cfg, protocols.Must("W2R2"), nil)
 	keys := []string{"a", "b", "c"}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -344,7 +343,7 @@ func TestRoundEngineResend(t *testing.T) {
 // timeDroppedWrite times one write on a fresh fleet whose links drop the
 // first k+1 batches each.
 func timeDroppedWrite(t *testing.T, cfg quorum.Config, k int) time.Duration {
-	c := hookedClient(t, cfg, mwabd.New(), func(int) connHooks {
+	c := hookedClient(t, cfg, protocols.Must("W2R2"), func(int) connHooks {
 		dropped := 0
 		return connHooks{send: func([]proto.Envelope) bool {
 			if dropped <= k {
@@ -369,7 +368,7 @@ func timeDroppedWrite(t *testing.T, cfg quorum.Config, k int) time.Duration {
 // never completes, even on a fleet that would answer at once.
 func TestRoundEngineExpiredCtx(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	c := hookedClient(t, cfg, mwabd.New(), nil)
+	c := hookedClient(t, cfg, protocols.Must("W2R2"), nil)
 	if _, err := c.Write(context.Background(), "k", 1, "v0"); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +405,7 @@ func TestRoundEngineCloseStopsResender(t *testing.T) {
 	for deadline := time.Now().Add(2 * time.Second); (r0 != 0 || s0 != 0) && time.Now().Before(deadline); r0, s0 = count() {
 		time.Sleep(time.Millisecond)
 	}
-	c := hookedClient(t, cfg, mwabd.New(), nil, WithClientEviction(time.Hour))
+	c := hookedClient(t, cfg, protocols.Must("W2R2"), nil, WithClientEviction(time.Hour))
 	if _, err := c.Write(context.Background(), "k", 1, "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +431,7 @@ func TestRoundEngineCloseStopsResender(t *testing.T) {
 // copy (and under -race, a write through one while a hook reads it is a
 // reported race).
 func TestSharedValuesStayFrozen(t *testing.T) {
-	for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
+	for _, p := range []register.Protocol{protocols.Must("W2R2"), protocols.Must("W2R1")} {
 		t.Run(p.Name(), func(t *testing.T) {
 			cfg := quorum.Config{S: 3, T: 1, R: 3, W: 3}
 			type seen struct {
@@ -554,7 +553,7 @@ func TestSharedValuesStayFrozen(t *testing.T) {
 // op must cost exactly one ready token; slower ones are not counted.
 func TestRoundEngineOneWake(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	for _, p := range []register.Protocol{mwabd.New(), w2r1.New()} {
+	for _, p := range []register.Protocol{protocols.Must("W2R2"), protocols.Must("W2R1")} {
 		c := hookedClient(t, cfg, p, nil)
 		if n := c.Connect(); n != cfg.S {
 			t.Fatalf("Connect() = %d", n)
@@ -602,7 +601,7 @@ func TestRoundEngineOneWake(t *testing.T) {
 func TestRoundEngineTurnoverRace(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 3, W: 2}
 	const checker = 3 // the reader the checker reads as; the others run the load
-	c := hookedClient(t, cfg, mwabd.New(), func(srv int) connHooks {
+	c := hookedClient(t, cfg, protocols.Must("W2R2"), func(srv int) connHooks {
 		switch srv {
 		case 2:
 			n := 0

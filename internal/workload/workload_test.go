@@ -5,16 +5,15 @@ import (
 
 	"fastreg/internal/atomicity"
 	"fastreg/internal/model"
-	"fastreg/internal/mwabd"
+	"fastreg/internal/protocols"
 	"fastreg/internal/quorum"
 	"fastreg/internal/register"
 	"fastreg/internal/types"
-	"fastreg/internal/w2r1"
 )
 
 func TestRunCompletesAllOps(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
-	sim := model.MustNew(cfg, mwabd.New(), model.WithSeed(3), model.WithDelay(model.UniformDelay(1, 60)))
+	sim := model.MustNew(cfg, protocols.Must("W2R2"), model.WithSeed(3), model.WithDelay(model.UniformDelay(1, 60)))
 	h := Run(sim, Mix{WritesPerWriter: 5, ReadsPerReader: 5})
 	want := cfg.W*5 + cfg.R*5
 	if got := len(h.Completed()); got != want {
@@ -31,7 +30,7 @@ func TestRunCompletesAllOps(t *testing.T) {
 func TestMeasureSeparatesKinds(t *testing.T) {
 	cfg := quorum.Config{S: 5, T: 1, R: 2, W: 2}
 	const d = 100
-	sim := model.MustNew(cfg, w2r1.New(), model.WithDelay(model.ConstDelay(d)))
+	sim := model.MustNew(cfg, protocols.Must("W2R1"), model.WithDelay(model.ConstDelay(d)))
 	h := Run(sim, Mix{WritesPerWriter: 3, ReadsPerReader: 3})
 	stats := Measure(h)
 	w, ok := stats[types.OpWrite]
@@ -60,7 +59,7 @@ func TestMeasureSeparatesKinds(t *testing.T) {
 
 func TestMeasureEmptyHistory(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 2, W: 2}
-	sim := model.MustNew(cfg, mwabd.New())
+	sim := model.MustNew(cfg, protocols.Must("W2R2"))
 	stats := Measure(sim.History())
 	if len(stats) != 0 {
 		t.Fatalf("stats of empty history: %v", stats)
@@ -88,8 +87,8 @@ func TestThroughputFastReadsWin(t *testing.T) {
 		h := Run(sim, Mix{WritesPerWriter: 2, ReadsPerReader: 10})
 		return Throughput(h)
 	}
-	slow := run(mwabd.New())
-	fast := run(w2r1.New())
+	slow := run(protocols.Must("W2R2"))
+	fast := run(protocols.Must("W2R1"))
 	if fast <= slow {
 		t.Fatalf("fast-read throughput %.2f not above slow-read %.2f", fast, slow)
 	}
@@ -97,7 +96,7 @@ func TestThroughputFastReadsWin(t *testing.T) {
 
 func TestThroughputEmpty(t *testing.T) {
 	cfg := quorum.Config{S: 3, T: 1, R: 1, W: 1}
-	sim := model.MustNew(cfg, mwabd.New())
+	sim := model.MustNew(cfg, protocols.Must("W2R2"))
 	if got := Throughput(sim.History()); got != 0 {
 		t.Fatalf("throughput of empty history = %f", got)
 	}
