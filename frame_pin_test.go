@@ -91,7 +91,7 @@ func TestReaderKeepsNoFrame(t *testing.T) {
 			// Reader j+1 read key i right after writer j+1 wrote it, so its
 			// valQueue for the key holds that value.
 			for m, rd := range kept.made {
-				queue, ok := rd.ReadOp().Begin().Payload.(proto.FastRead)
+				queue, ok := rd.ReadOp().Begin().Payload.(*proto.FastRead)
 				if !ok {
 					continue // a W2R2 reader keeps no valQueue
 				}
@@ -188,7 +188,8 @@ func (f *frameBlocks) add(envs []proto.Envelope) {
 			f.ptrs = append(f.ptrs, weakByte(m.Tag))
 		case proto.Update:
 			f.ptrs = append(f.ptrs, weakByte(m.Val))
-		case proto.FastRead:
+		case *proto.FastRead:
+			f.ptrs = append(f.ptrs, weakByte(m))
 			if len(m.ValQueue) > 0 {
 				f.ptrs = append(f.ptrs, weakByte(&m.ValQueue[0]))
 			}

@@ -130,7 +130,7 @@ func TestCrossCheckBottomServe(t *testing.T) {
 		w.Handle(env(1, types.Writer(1), proto.Update{Val: &v5}), proto.UpdateAck{}, 1)
 		w.Handle(env(2, types.Reader(1), proto.Query{}), proto.QueryAck{Val: &bottom}, 2)
 		w.Handle(env(3, types.Writer(1), proto.TagQuery{}), proto.TagAck{Tag: &bottom.Tag}, 3)
-		w.Handle(env(4, types.Reader(1), proto.FastRead{}), proto.FastReadAck{Vector: []proto.VectorEntry{{Val: bottom}}}, 4)
+		w.Handle(env(4, types.Reader(1), &proto.FastRead{}), proto.FastReadAck{Vector: []proto.VectorEntry{{Val: bottom}}}, 4)
 		w.Handle(env(5, types.Writer(1), proto.Update{Val: &bottom}), proto.UpdateAck{}, 5)
 		w.Handle(env(6, types.Writer(1), proto.Update{}), nil, 6)
 	})

@@ -162,7 +162,7 @@ func TestLyingServerLeavesTheHonestStateAlone(t *testing.T) {
 		_, ok := m.(proto.FastReadAck).Entry(liar.Forged())
 		return ok
 	}
-	req := proto.FastRead{ValQueue: []types.Value{types.InitialValue()}}
+	req := &proto.FastRead{ValQueue: []types.Value{types.InitialValue()}}
 	honestBefore := inner.Handle(types.Reader(1), req)
 	for i := 0; i < 3; i++ {
 		if !forgedIn(liar.Handle(types.Reader(1), req)) {
@@ -201,7 +201,7 @@ func TestLyingServerForgesTagAcks(t *testing.T) {
 // valQueue is what reader r would send next: the valQueue its next read's
 // request carries.
 func valQueue(r register.Reader) []types.Value {
-	return r.ReadOp().Begin().Payload.(proto.FastRead).ValQueue
+	return r.ReadOp().Begin().Payload.(*proto.FastRead).ValQueue
 }
 
 // TestVouchedReadersDropDeadValues: FilterUnvouched rebuilds every reply,

@@ -64,6 +64,8 @@ func (s *LogServer) Log() []proto.LogEvent {
 //   - FastRead → append a read marker (the blind effect of a reader's first
 //     round-trip), reply with the full log;
 //   - Query    → reply with the full log without appending (a pure query).
+//
+// A FastRead value (not a pointer, see proto.FastRead) is dropped.
 func (s *LogServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 	switch msg := m.(type) {
 	case proto.Update:
@@ -76,7 +78,7 @@ func (s *LogServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 		val.Data = strings.Clone(val.Data)
 		s.log = append(s.log, proto.LogEvent{Client: from, Val: val})
 		return proto.UpdateAck{}
-	case proto.FastRead:
+	case *proto.FastRead:
 		s.log = append(s.log, proto.LogEvent{Client: from})
 		return proto.LogAck{Events: s.Log()}
 	case proto.Query:
@@ -135,7 +137,7 @@ func (s *FlippingServer) Flipped() bool { return s.flipped }
 
 // Handle implements register.ServerLogic.
 func (s *FlippingServer) Handle(from types.ProcID, m proto.Message) proto.Message {
-	if _, isRead := m.(proto.FastRead); isRead && from == s.trigger && !s.flipped {
+	if _, isRead := m.(*proto.FastRead); isRead && from == s.trigger && !s.flipped {
 		s.flipWrites()
 		s.flipped = true
 	}

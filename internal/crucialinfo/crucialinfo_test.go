@@ -22,7 +22,7 @@ func TestLogServerAppendsEverything(t *testing.T) {
 	if _, ok := s.Handle(types.Writer(1), proto.Update{Val: &v}).(proto.UpdateAck); !ok {
 		t.Fatal("update not acked")
 	}
-	ack, ok := s.Handle(types.Reader(1), proto.FastRead{}).(proto.LogAck)
+	ack, ok := s.Handle(types.Reader(1), &proto.FastRead{}).(proto.LogAck)
 	if !ok {
 		t.Fatal("fast read must return the log")
 	}
@@ -90,19 +90,19 @@ func TestFlippingServerFlipsOnceOnTrigger(t *testing.T) {
 		t.Fatalf("before trigger: %q", got)
 	}
 	// A non-trigger reader does not flip.
-	s.Handle(types.Reader(1), proto.FastRead{})
+	s.Handle(types.Reader(1), &proto.FastRead{})
 	if got := Crucial(s.Log(), v1, v2); got != "12" {
 		t.Fatalf("non-trigger flipped: %q", got)
 	}
 	// The trigger flips, exactly once.
-	s.Handle(types.Reader(2), proto.FastRead{})
+	s.Handle(types.Reader(2), &proto.FastRead{})
 	if !s.Flipped() {
 		t.Fatal("not flipped")
 	}
 	if got := Crucial(s.Log(), v1, v2); got != "21" {
 		t.Fatalf("after trigger: %q", got)
 	}
-	s.Handle(types.Reader(2), proto.FastRead{})
+	s.Handle(types.Reader(2), &proto.FastRead{})
 	if got := Crucial(s.Log(), v1, v2); got != "21" {
 		t.Fatalf("second trigger changed info again: %q", got)
 	}
@@ -112,7 +112,7 @@ func TestFlippingServerWithOneWriteIsNoop(t *testing.T) {
 	v1 := val(1, 1, "1")
 	s := NewFlippingServer(types.Server(1), types.Reader(2))
 	s.Handle(types.Writer(1), proto.Update{Val: &v1})
-	s.Handle(types.Reader(2), proto.FastRead{})
+	s.Handle(types.Reader(2), &proto.FastRead{})
 	if got := Crucial(s.Log(), v1, val(1, 2, "2")); got != "1" {
 		t.Fatalf("crucial = %q", got)
 	}

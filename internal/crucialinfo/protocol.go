@@ -105,6 +105,11 @@ func (r *reader) ReadOp() register.Operation {
 	return &fullInfoRead{client: r.id, need: r.need, rounds: r.rounds}
 }
 
+// emptyRead is every full-info read's first round: the blind marker
+// carries no valQueue, so all reads share one request. Nobody writes
+// through it.
+var emptyRead = &proto.FastRead{}
+
 // fullInfoRead is the k-round full-info read (k ≥ 2): round 1 leaves a
 // marker and collects logs (the blind round whose effect Section 4.2
 // sieves); rounds 2…k query again and the decision uses the final round's
@@ -123,7 +128,7 @@ func (r *fullInfoRead) Arg() types.Value     { return types.Value{} }
 
 func (r *fullInfoRead) Begin() register.Round {
 	r.phase = 1
-	return register.Round{Payload: proto.FastRead{}, Need: r.need}
+	return register.Round{Payload: emptyRead, Need: r.need}
 }
 
 func (r *fullInfoRead) Next(replies []register.Reply) (*register.Round, types.Value, bool, error) {

@@ -37,12 +37,12 @@ type Violation struct {
 	Result    atomicity.Result
 }
 
-// Explore runs the skeleton's scripts through Script.Run and
-// atomicity.Check in order of deviation from the in-order baseline until one
-// violates atomicity, or every script through maxDeviation, or
-// maxExecutions of them, ran. A script orders the round trips globally
-// (each operation's rounds in order) and gives each block an arrival order
-// over a subset of them. Its deviation counts, per block, the round trips
+// Explore runs the skeleton's scripts as Script.Run does, without
+// collecting replies, and atomicity.Check in order of deviation from the
+// in-order baseline until one violates atomicity, or every script through
+// maxDeviation, or maxExecutions of them, ran. A script orders the round
+// trips globally (each operation's rounds in order) and gives each block
+// an arrival order over a subset of them. Its deviation counts, per block, the round trips
 // skipped and the pairs received out of global order (chains.Spec's SkipAt
 // and Swap): a skip that t servers share adds 1, not t. Blocks of one size
 // are symmetric, so each multiset of their arrival orders runs once.
@@ -53,7 +53,7 @@ func (sk Skeleton) Explore(maxDeviation, maxExecutions int) Exploration {
 			return ex
 		}
 		ex.Executions++
-		_, h, err := sc.Run()
+		_, h, err := sc.run(false)
 		if err != nil {
 			panic("model: explored a malformed script: " + err.Error())
 		}

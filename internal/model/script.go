@@ -55,17 +55,26 @@ type Result struct {
 // later rounds are never sent, and it stays pending. Run returns an error
 // only for a malformed script (unknown operations, rounds out of order or
 // started after the operation responded).
-func (sc Script) Run() ([]Result, history.History, error) {
+func (sc Script) Run() ([]Result, history.History, error) { return sc.run(true) }
+
+// run is Run. Without replies it leaves every Result's Replies and From
+// nil, for the explorer, which reads only the history.
+func (sc Script) run(replies bool) ([]Result, history.History, error) {
 	c := newCore(sc.Servers, &vclock.Clock{})
 	n := len(sc.Ops)
 	ids := make([]int, n)     // each operation's index in c, once invoked
 	started := make([]int, n) // rounds the script has started
 	stalled := make([]bool, n)
 	results := make([]Result, n)
-	for i := range results {
-		results[i].Replies, results[i].From = make(map[int][]proto.Message), make(map[int][]int)
+	if replies {
+		for i := range results {
+			results[i].Replies, results[i].From = make(map[int][]proto.Message), make(map[int][]int)
+		}
 	}
 	received := func(i, round int, reps ...register.Reply) {
+		if !replies {
+			return
+		}
 		for _, r := range reps {
 			results[i].Replies[round] = append(results[i].Replies[round], r.Msg)
 			results[i].From[round] = append(results[i].From[round], r.From.Index)

@@ -19,7 +19,7 @@ type maxFloorServer struct{ *VectorServer }
 // Handle raises every reader's record, and the floor, to the largest tag
 // any reader has sent, then lets the server handle the request.
 func (s maxFloorServer) Handle(from types.ProcID, m proto.Message) proto.Message {
-	if req, ok := m.(proto.FastRead); ok && s.seen != nil {
+	if req, ok := m.(*proto.FastRead); ok && s.seen != nil {
 		top := s.floor
 		for _, v := range req.ValQueue {
 			top = maxTag(top, v.Tag)

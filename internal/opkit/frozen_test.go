@@ -44,14 +44,14 @@ func repliesAreFrozen(t *testing.T, readers, want int) {
 		vec := m.(proto.FastReadAck).Vector
 		replies, copies = append(replies, vec), append(copies, cloneVector(vec))
 	}
-	capture(s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{types.InitialValue()}}))
-	capture(s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{types.InitialValue(), v1, v3}}))
+	capture(s.Handle(types.Reader(1), &proto.FastRead{ValQueue: []types.Value{types.InitialValue()}}))
+	capture(s.Handle(types.Reader(1), &proto.FastRead{ValQueue: []types.Value{types.InitialValue(), v1, v3}}))
 	// Other clients move the replica on: a value below the largest, a new
 	// largest, a second reader joining every entry, a writer joining one.
 	s.Handle(types.Writer(2), proto.Update{Val: &v2})
-	capture(s.Handle(types.Reader(2), proto.FastRead{ValQueue: []types.Value{val(9, 2, "z"), v2}}))
+	capture(s.Handle(types.Reader(2), &proto.FastRead{ValQueue: []types.Value{val(9, 2, "z"), v2}}))
 	s.Handle(types.Writer(1), proto.Update{Val: &v3})
-	capture(s.Handle(types.Reader(1), proto.FastRead{ValQueue: nil}))
+	capture(s.Handle(types.Reader(1), &proto.FastRead{ValQueue: nil}))
 	s.Handle(types.Writer(2), proto.Update{Val: ptr(val(10, 2, "y"))})
 
 	for i := range replies {
@@ -62,7 +62,7 @@ func repliesAreFrozen(t *testing.T, readers, want int) {
 			t.Errorf("reply %d has spare capacity (len %d cap %d): an append would write into the replica's array", i, n, cap(replies[i]))
 		}
 	}
-	if got := s.Handle(types.Reader(1), proto.FastRead{}).(proto.FastReadAck).Vector; len(got) != want {
+	if got := s.Handle(types.Reader(1), &proto.FastRead{}).(proto.FastReadAck).Vector; len(got) != want {
 		t.Fatalf("final vector has %d entries, want %d: %v", len(got), want, got)
 	}
 }
@@ -135,7 +135,7 @@ func TestFastReadSteadyStateAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { next = op.Begin().Payload }); got != 0 {
 		t.Errorf("FastReadOp.Begin on an unchanged valQueue: %v allocs, want 0", got)
 	}
-	if q := next.(proto.FastRead).ValQueue; &q[0] != &req.(proto.FastRead).ValQueue[0] {
+	if q := next.(*proto.FastRead).ValQueue; &q[0] != &req.(*proto.FastRead).ValQueue[0] {
 		t.Error("an unchanged valQueue boxed a new request")
 	}
 	replies := make([]register.Reply, len(servers))

@@ -311,9 +311,9 @@ type ReaderState struct {
 	// frozen: requests are this slice. Strictly ascending by Value.Compare;
 	// a merge that adds a value builds a new queue.
 	queue []types.Value
-	// req is FastRead{queue}, boxed by setQueue whenever queue changes:
+	// req is &FastRead{queue}, built by setQueue whenever queue changes:
 	// every read between two changes sends this one message.
-	req proto.Message
+	req *proto.FastRead
 }
 
 // NewReaderState initializes the valQueue with the initial value.
@@ -326,7 +326,7 @@ func NewReaderState() *ReaderState {
 // setQueue publishes queue as the valQueue, and the request that carries it.
 func (s *ReaderState) setQueue(queue []types.Value) {
 	s.queue = queue
-	s.req = proto.FastRead{ValQueue: s.Queue()}
+	s.req = &proto.FastRead{ValQueue: s.Queue()}
 }
 
 // Queue returns the valQueue, ascending. The slice is shared with the

@@ -230,7 +230,7 @@ func (s *oracleServer) Handle(from types.ProcID, m proto.Message) proto.Message 
 			s.update(*msg.Val, from)
 		}
 		return proto.UpdateAck{}
-	case proto.FastRead:
+	case *proto.FastRead:
 		var top types.Value
 		for _, v := range msg.ValQueue {
 			top = types.MaxValue(top, v)
@@ -380,7 +380,7 @@ func TestVectorServerMatchesMapOracle(t *testing.T) {
 				for i := range q {
 					q[i] = randVal()
 				}
-				m = proto.FastRead{ValQueue: q}
+				m = &proto.FastRead{ValQueue: q}
 			}
 			got, want := s.Handle(from, m), o.Handle(from, m)
 			if !sameReply(got, want) {

@@ -192,7 +192,7 @@ func TestResetReaderReadsAPrunedKey(t *testing.T) {
 		own := tagged(int64(i + 1))
 		var ack proto.FastReadAck
 		for _, r := range []types.ProcID{types.Reader(1), types.Reader(2)} {
-			ack = s.Handle(r, proto.FastRead{ValQueue: []types.Value{types.InitialValue(), own}}).(proto.FastReadAck)
+			ack = s.Handle(r, &proto.FastRead{ValQueue: []types.Value{types.InitialValue(), own}}).(proto.FastReadAck)
 		}
 		if ack.Floor != own.Tag || len(ack.Vector) != 1 {
 			t.Fatalf("replica %d: floor %v and vector %v, want floor %v and only %v", i+1, ack.Floor, ack.Vector, own.Tag, own)
@@ -215,7 +215,7 @@ func TestResetReaderReadsAPrunedKey(t *testing.T) {
 func TestUnknownReaderFreezesTheFloor(t *testing.T) {
 	s := opkit.NewVectorServer(types.Server(1), 2)
 	read := func(r types.ProcID, queue ...types.Value) proto.FastReadAck {
-		return s.Handle(r, proto.FastRead{ValQueue: queue}).(proto.FastReadAck)
+		return s.Handle(r, &proto.FastRead{ValQueue: queue}).(proto.FastReadAck)
 	}
 	read(types.Reader(1), tagged(2))
 	if ack := read(types.Reader(2), tagged(2)); ack.Floor != tagged(2).Tag {

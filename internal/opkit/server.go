@@ -15,10 +15,10 @@
 //
 // Values travel by reference and are frozen once published. The fast
 // read's data is sorted slices: a VectorServer's reply IS its vector and a
-// reader's request IS its valQueue. A two-round op's data is one value
-// behind a pointer: a QueryAck's Val IS the replica's current value, a
-// TagAck's Tag IS that value's tag, and an Update's Val IS the op's own
-// tagged value. An in-process backend hands
+// reader's request, a *proto.FastRead, holds its valQueue itself. A
+// two-round op's data is one value behind a pointer: a QueryAck's Val IS
+// the replica's current value, a TagAck's Tag IS that value's tag, and an
+// Update's Val IS the op's own tagged value. An in-process backend hands
 // that very slice or pointer to the other side, a network one encodes it,
 // neither copies. The rules that make this safe:
 //
@@ -36,16 +36,19 @@
 //     (QueryThenUpdateWrite.val, ReadWriteBack.maxV, DirectWrite.val) that
 //     it never writes after the round is returned. fastreglint's frozenslice
 //     analyzer holds the annotated fields to this. A reply and a request
-//     are boxed once per change, not once per message: a VectorServer boxes
+//     are built once per change, not once per message: a VectorServer boxes
 //     FastReadAck{vec, floor} whenever either changes (publish) and answers
 //     every FastRead until the next change with that one message, and a
-//     ReaderState boxes FastRead{queue} whenever its valQueue changes. A
-//     rebuild that adds a reader to several entries whose old updated sets
-//     are equal gives them one new set: sets are frozen, so sharing one is
-//     as safe as sharing a vector.
+//     ReaderState allocates &FastRead{queue} whenever its valQueue changes
+//     and sends that one pointer until the next (a FastRead travels by
+//     pointer; replicas drop a FastRead value). A rebuild that adds a
+//     reader to several entries whose old updated sets are equal gives
+//     them one new set: sets are frozen, so sharing one is as safe as
+//     sharing a vector.
 //   - Receive: whoever is handed a FastRead, a FastReadAck, a QueryAck, a
-//     TagAck or an Update reads it and nothing else. Code that wants a changed vector
-//     or value (byzantine.LyingServer, byzantine.FilterUnvouched) builds its
+//     TagAck or an Update reads it and nothing else, and keeps no
+//     *FastRead beyond the message. Code that wants a changed vector or
+//     value (byzantine.LyingServer, byzantine.FilterUnvouched) builds its
 //     own. What came over a wire is checked, not trusted: SelectAdmissible
 //     verifies that each vector and updated set is strictly ascending and
 //     sorts a private copy when it is not, a QueryAck or TagAck whose Val
@@ -68,11 +71,12 @@
 //     pointer keeps the frame's block alive: whoever keeps such a value
 //     copies *Val, never the pointer. A TagAck's Tag points into the same
 //     arena, and a writer keeps only the timestamp it reads from it. A
-//     FastRead's valQueue is carved from that same value arena, and a
-//     FastReadAck's vector and its updated sets from one arena each per
-//     frame, so keeping one valQueue, vector or set keeps the frame's
-//     block alive: a replica and a reader copy the values they keep out
-//     of it, and keep no slice of it.
+//     FastRead's valQueue is carved from that same value arena, its
+//     *FastRead header sits in the frame's block beside it, and a
+//     FastReadAck's vector and its updated sets are carved from one arena
+//     each per frame, so keeping one request, valQueue, vector or set
+//     keeps the frame's block alive: a replica and a reader copy the
+//     values they keep out of it, and keep no request or slice of it.
 //   - Return: an op may respond with a value cut from a reply (a
 //     two-round read with a QueryAck's, a full-info read with a LogAck's),
 //     which pins the reply's frame only while the op lives. The client
@@ -481,7 +485,8 @@ func (s *VectorServer) fastRead(queue []types.Value, c types.ProcID) {
 //   - FastRead    → update every valQueue entry for the reader, then reply
 //     with the valuevector and the floor (READACK)
 //
-// An Update without a value is dropped (nil reply).
+// An Update without a value and a FastRead value (not a pointer, see
+// proto.FastRead) are dropped (nil reply).
 func (s *VectorServer) Handle(from types.ProcID, m proto.Message) proto.Message {
 	switch msg := m.(type) {
 	case proto.TagQuery:
@@ -495,7 +500,7 @@ func (s *VectorServer) Handle(from types.ProcID, m proto.Message) proto.Message 
 		s.update(*msg.Val, from)
 		s.publish()
 		return proto.UpdateAck{}
-	case proto.FastRead:
+	case *proto.FastRead:
 		s.fastRead(msg.ValQueue, from)
 		s.publish()
 		return s.ack

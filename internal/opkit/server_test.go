@@ -54,7 +54,7 @@ func TestStoreServerUpdateMonotone(t *testing.T) {
 
 func TestStoreServerUnknownMessage(t *testing.T) {
 	s := NewStoreServer(types.Server(1))
-	if got := s.Handle(types.Reader(1), proto.FastRead{}); got != nil {
+	if got := s.Handle(types.Reader(1), &proto.FastRead{}); got != nil {
 		t.Errorf("unknown message reply = %v, want nil", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestVectorServerFastReadMergesQueueAndRecordsReader(t *testing.T) {
 	s := NewVectorServer(types.Server(1), 2)
 	v := val(3, 2, "x")
 	// Reader disseminates v via its valQueue; the server must learn it.
-	ackMsg := s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{types.InitialValue(), v}})
+	ackMsg := s.Handle(types.Reader(1), &proto.FastRead{ValQueue: []types.Value{types.InitialValue(), v}})
 	ack, ok := ackMsg.(proto.FastReadAck)
 	if !ok {
 		t.Fatalf("reply = %T", ackMsg)
@@ -128,7 +128,7 @@ func TestVectorServerReaderJoinsAllEntriesOnReply(t *testing.T) {
 	v1, v2 := val(1, 1, "a"), val(2, 2, "b")
 	s.Handle(types.Writer(1), proto.Update{Val: &v1})
 	s.Handle(types.Writer(2), proto.Update{Val: &v2})
-	ack := s.Handle(types.Reader(2), proto.FastRead{ValQueue: nil}).(proto.FastReadAck)
+	ack := s.Handle(types.Reader(2), &proto.FastRead{ValQueue: nil}).(proto.FastReadAck)
 	for _, want := range []types.Value{v1, v2} {
 		ent, ok := ack.Entry(want)
 		if !ok {
@@ -148,7 +148,7 @@ func TestVectorServerRebuildSharesEqualSets(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		s.Handle(types.Writer(1+i%2), proto.Update{Val: ptr(val(int64(i), 1+i%2, "v"))})
 	}
-	ack := s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{types.InitialValue()}}).(proto.FastReadAck)
+	ack := s.Handle(types.Reader(1), &proto.FastRead{ValQueue: []types.Value{types.InitialValue()}}).(proto.FastReadAck)
 	if len(ack.Vector) != 5 {
 		t.Fatalf("vector = %v, want five entries", ack.Vector)
 	}
@@ -169,8 +169,8 @@ func TestVectorServerRepeatedUpdateAccumulates(t *testing.T) {
 	s := NewVectorServer(types.Server(1), 2)
 	v := val(1, 1, "a")
 	s.Handle(types.Writer(1), proto.Update{Val: &v})
-	s.Handle(types.Reader(1), proto.FastRead{ValQueue: []types.Value{v}})
-	s.Handle(types.Reader(2), proto.FastRead{ValQueue: []types.Value{v}})
+	s.Handle(types.Reader(1), &proto.FastRead{ValQueue: []types.Value{v}})
+	s.Handle(types.Reader(2), &proto.FastRead{ValQueue: []types.Value{v}})
 	ent, _ := proto.FastReadAck{Vector: s.VectorSnapshot()}.Entry(v)
 	for _, p := range []types.ProcID{types.Writer(1), types.Reader(1), types.Reader(2)} {
 		if !ent.HasUpdated(p) {

@@ -121,10 +121,11 @@ func TestDecodeValueBatchAllocs(t *testing.T) {
 // A batch of fast-read envelopes decodes into a pooled slab with one
 // allocation for the frame's block, which holds its arenas and the text
 // every key and payload is cut from, and one per boxed message: 16
-// FastReads with two-value valQueues take 17, and so do 16 FastReadAcks
-// of two entries each. Before the block, the text and each arena were
-// allocations of their own: 18 for the FastReads (text and value arena)
-// and 19 for the FastReadAcks (text, vector arena and updated-set arena).
+// FastReads with two-value valQueues take 1, since each *FastRead's
+// header sits in the block, and 16 FastReadAcks of two entries each take
+// 17. Before the block, the text and each arena were allocations of
+// their own: 18 for the FastReads (text, value arena and 16 boxes) and
+// 19 for the FastReadAcks (text, vector arena and updated-set arena).
 func TestDecodeFastReadBatchAllocs(t *testing.T) {
 	skipUnderRace(t)
 	val := func(i int) types.Value {
@@ -135,7 +136,7 @@ func TestDecodeFastReadBatchAllocs(t *testing.T) {
 	for i := range reads {
 		key := fmt.Sprintf("key-%04d", i)
 		reads[i] = Envelope{From: types.Reader(1), To: types.Server(2), Key: key, OpID: uint64(i), Round: 1,
-			Payload: FastRead{ValQueue: []types.Value{val(i), val(i + 1)}}}
+			Payload: &FastRead{ValQueue: []types.Value{val(i), val(i + 1)}}}
 		acks[i] = Envelope{From: types.Server(2), To: types.Reader(1), Key: key, OpID: uint64(i), Round: 1, IsReply: true,
 			Payload: FastReadAck{Vector: []VectorEntry{
 				{Val: val(i), Updated: []types.ProcID{types.Reader(1), types.Writer(1)}},
@@ -147,7 +148,7 @@ func TestDecodeFastReadBatchAllocs(t *testing.T) {
 		envs []Envelope
 		want float64
 	}{
-		{"FastRead", reads, 17},
+		{"FastRead", reads, 1},
 		{"FastReadAck", acks, 17},
 	} {
 		frame, err := EncodeBatch(c.envs)

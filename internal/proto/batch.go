@@ -175,11 +175,12 @@ func DecodeBatch(buf []byte) ([]Envelope, int, error) {
 // value-carrying payload (a reply's, a FastRead's, an Update's) are
 // copied into ONE text for the whole frame and cut from it, every
 // QueryAck, Update and TagAck points into ONE value arena for the whole
-// frame, and every valQueue, vector and updated set is carved from the
-// frame's arenas; the text and the arenas are ONE block, a single
-// allocation (past the largest block class, one each), so a kept key,
-// value or slice pins all of them (Decode says who copies). Recycling buf
-// or the slab later can never alias this frame's data.
+// frame, every *FastRead points at a header in the frame's block, and
+// every valQueue, vector and updated set is carved from the frame's
+// arenas; the text and the arenas are ONE block, a single allocation
+// (past the largest block class, one each), so a kept key, value,
+// request or slice pins all of them (Decode says who copies). Recycling
+// buf or the slab later can never alias this frame's data.
 func DecodeBatchInto(dst []Envelope, buf []byte) ([]Envelope, int, error) {
 	if len(buf) < 4 {
 		return dst, 0, ErrTruncated
@@ -276,9 +277,9 @@ func ReadFrames(r io.Reader) ([]Envelope, error) {
 // pooled dst — the envelope storage are recycled, so a steady stream
 // allocates only the frame's one block (its text, which its keys and
 // values' Data are cut from, and its arenas, which hold its values, tags,
-// valQueues, vectors and updated sets) and what the payloads own (the
-// boxes of fast-read and log payloads and a log's events). On error dst's
-// length is unchanged.
+// FastRead headers, valQueues, vectors and updated sets) and what the
+// payloads own (the boxes of FastReadAck and LogAck payloads and a log's
+// events). On error dst's length is unchanged.
 func ReadFramesInto(r io.Reader, dst []Envelope) ([]Envelope, error) {
 	// The header is read into the pooled buffer too: a local array handed
 	// to an io.Reader would escape, one allocation per frame.

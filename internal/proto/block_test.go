@@ -38,15 +38,22 @@ func TestBlockClasses(t *testing.T) {
 // The counts that size a frame's block come from untrusted bytes, so the
 // block types decoding builds are keyed by class, never by shape: frames
 // of thousands of distinct declared shapes build exactly one type per
-// class they fall in (powers of two of values and of entries, a quarter
-// step of the object's bytes), at most len(blocks), and each fills no
-// more than its class.
+// class they fall in (powers of two of values and of entries, whether
+// the frame holds a FastRead, a quarter step of the object's bytes), at
+// most len(blocks), and each fills no more than its class. The bound is
+// 9 value classes (none, 1 to 128) × 7 entry classes (none, 1 to 32) ×
+// 41 size classes (16 B to 16 KiB in quarter steps) = 2583 types
+// without FastRead headers, and as many again with them.
 func TestBlockTypesBounded(t *testing.T) {
+	const bound = 2 * 9 * 7 * 41
+	if len(blocks) != bound {
+		t.Fatalf("%d block slots, want %d", len(blocks), bound)
+	}
 	for i := range blocks {
 		blocks[i].Store(nil)
 	}
-	shapes := map[[4]int]bool{}
-	classes := map[[3]int]bool{}
+	shapes := map[[5]int]bool{}
+	classes := map[[4]int]bool{}
 	decodeShape := func(envs []Envelope) {
 		t.Helper()
 		frame, err := EncodeBatch(envs)
@@ -57,14 +64,15 @@ func TestBlockTypesBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var s [4]int // values, entries, updated-set members, text bytes
+		var s [5]int // values, entries, updated-set members, text bytes, FastReads
 		for _, e := range out {
 			s[3] += len(e.Key)
 			switch m := e.Payload.(type) {
 			case TagAck, QueryAck, Update:
 				s[0]++
-			case FastRead:
+			case *FastRead:
 				s[0] += len(m.ValQueue)
+				s[4]++
 			case FastReadAck:
 				s[1] += len(m.Vector)
 				for _, ent := range m.Vector {
@@ -109,7 +117,20 @@ func TestBlockTypesBounded(t *testing.T) {
 			for i := range queue {
 				queue[i] = val(i+1, size)
 			}
-			decodeShape([]Envelope{{From: types.Reader(1), To: types.Server(1), Key: strings.Repeat("q", n%5), Round: 1, Payload: FastRead{ValQueue: queue}}})
+			decodeShape([]Envelope{{From: types.Reader(1), To: types.Server(1), Key: strings.Repeat("q", n%5), Round: 1, Payload: &FastRead{ValQueue: queue}}})
+		}
+	}
+	for n := 1; n <= 40; n++ {
+		for _, size := range []int{1, 30, 120} {
+			var reads []Envelope
+			for i := range n {
+				queue := make([]types.Value, 1+i%3)
+				for j := range queue {
+					queue[j] = val(j+1, size)
+				}
+				reads = append(reads, Envelope{From: types.Reader(1 + i), To: types.Server(1), Key: fmt.Sprintf("r%d", i), Round: 1, Payload: &FastRead{ValQueue: queue}})
+			}
+			decodeShape(reads)
 		}
 	}
 	for n := 1; n <= 150; n++ {
@@ -148,17 +169,19 @@ func TestBlockTypesBounded(t *testing.T) {
 		}
 	}
 	t.Logf("%d shapes, %d classes, %d block types", len(shapes), len(classes), built)
-	if built != len(classes) || built > len(blocks) {
-		t.Errorf("%d shapes in %d classes built %d block types, want one per class (at most %d)", len(shapes), len(classes), built, len(blocks))
+	if built != len(classes) || built > bound {
+		t.Errorf("%d shapes in %d classes built %d block types, want one per class (at most %d)", len(shapes), len(classes), built, bound)
 	}
 }
 
 // wantClass is the class of a frame's block: the values and the vector
-// entries rounded up to powers of two, and the object's bytes (the
-// arenas, a tail of updated-set members and text, and the allocator's
-// header) to the next quarter step of a power of two. ok is false for a
-// frame with no arena or one past the largest class, which gets no block.
-func wantClass(s [4]int) (c [3]int, ok bool) {
+// entries rounded up to powers of two, whether it holds FastReads and
+// values (then one 24-byte header per value slot), and the object's
+// bytes (the arenas, a tail of updated-set members and text, and the
+// allocator's header) to the next quarter step of a power of two. ok is
+// false for a frame with no arena or one past the largest class, which
+// gets no block.
+func wantClass(s [5]int) (c [4]int, ok bool) {
 	if s[0] == 0 && s[1] == 0 {
 		return c, false
 	}
@@ -176,14 +199,18 @@ func wantClass(s [4]int) (c [3]int, ok bool) {
 	if vals > 128 || vec > 32 {
 		return c, false
 	}
-	size := vals*40 + vec*64 + s[2]*16 + s[3]
+	reads := 0
+	if s[4] > 0 && vals > 0 {
+		reads = 1
+	}
+	size := vals*40 + vec*64 + reads*vals*24 + s[2]*16 + s[3]
 	if size > 512 {
 		size += 8
 	}
 	for p := 16; p <= 16<<10; p *= 2 {
 		for q := 4; q < 8; q++ {
 			if step := p * q / 4; step >= size && step <= 16<<10 {
-				return [3]int{vals, vec, step}, true
+				return [4]int{reads, vals, vec, step}, true
 			}
 		}
 	}
@@ -199,8 +226,8 @@ func TestBlockAppendAliasing(t *testing.T) {
 	}
 	tag, got := val(7), val(8)
 	envs := []Envelope{
-		{From: types.Reader(1), To: types.Server(1), Key: "a", Round: 1, Payload: FastRead{ValQueue: []types.Value{val(1), val(2)}}},
-		{From: types.Reader(2), To: types.Server(1), Key: "b", Round: 1, Payload: FastRead{ValQueue: []types.Value{val(3)}}},
+		{From: types.Reader(1), To: types.Server(1), Key: "a", Round: 1, Payload: &FastRead{ValQueue: []types.Value{val(1), val(2)}}},
+		{From: types.Reader(2), To: types.Server(1), Key: "b", Round: 1, Payload: &FastRead{ValQueue: []types.Value{val(3)}}},
 		{From: types.Server(1), To: types.Reader(1), Key: "a", IsReply: true, Round: 1, Payload: FastReadAck{Vector: []VectorEntry{
 			{Val: val(4), Updated: []types.ProcID{types.Reader(1), types.Writer(1)}},
 			{Val: val(5), Updated: []types.ProcID{types.Reader(2)}},
@@ -222,7 +249,7 @@ func TestBlockAppendAliasing(t *testing.T) {
 	extra := val(99)
 	for _, e := range out {
 		switch m := e.Payload.(type) {
-		case FastRead:
+		case *FastRead:
 			_ = append(m.ValQueue, extra)
 		case FastReadAck:
 			_ = append(m.Vector, VectorEntry{Val: extra, Updated: []types.ProcID{types.Server(9)}})

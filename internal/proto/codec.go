@@ -130,31 +130,35 @@ func inArena(k Kind) bool { return k == KindQueryAck || k == KindUpdate || k == 
 // keys and cut payloads (cutsPayload) are cut from, and the arenas their
 // payloads' elements live in. vals holds every QueryAck's and Update's
 // value, every TagAck's tag (in a slot's Tag) and every FastRead's
-// valQueue, vec every FastReadAck's vector and ups those vectors' updated
-// sets. Decoding an envelope consumes the prefix of each that belongs to
-// it. All four are one block (newCuts), so a key, a value or a slice kept
-// from any envelope of the frame keeps the whole block alive.
+// valQueue, vec every FastReadAck's vector, ups those vectors' updated
+// sets and reads every FastRead itself, the header a *FastRead payload
+// points at. Decoding an envelope consumes the prefix of each that
+// belongs to it. All five are one block (newCuts), so a key, a value, a
+// request or a slice kept from any envelope of the frame keeps the whole
+// block alive.
 type frameCuts struct {
-	text string
-	vals []types.Value
-	vec  []VectorEntry
-	ups  []types.ProcID
+	text  string
+	vals  []types.Value
+	vec   []VectorEntry
+	ups   []types.ProcID
+	reads []FastRead
 }
 
 // cutFrames prepares the frameCuts of the count envelope frames at the
 // start of b in two passes over their headers: the first sizes the text
 // decoding cuts rather than copies (each one's key and, for a kind
-// cutsPayload names, its payload, in frame order) and as many arena slots
-// as the frames' payloads declare, and the second writes the text into the
-// frame's one block (newCuts) before the string over it exists. A
-// fast-read payload's counts come from untrusted bytes, so each is taken
-// only when that many elements of the smallest encoding fit in the
-// payload (fastCounts); a count that does not fit adds nothing, and the
-// decode rejects its frame. The block is thus bounded by the frame's
-// bytes, not by what it claims. It stops at the first frame too short to
-// hold a key and a kind; the decode rejects it.
+// cutsPayload names, its payload, in frame order), as many arena slots
+// as the frames' payloads declare and one FastRead header per FastRead
+// frame, and the second writes the text into the frame's one block
+// (newCuts) before the string over it exists. A fast-read payload's
+// counts come from untrusted bytes, so each is taken only when that many
+// elements of the smallest encoding fit in the payload (fastCounts); a
+// count that does not fit adds nothing, and the decode rejects its frame.
+// The block is thus bounded by the frame's bytes, not by what it claims.
+// It stops at the first frame too short to hold a key and a kind; the
+// decode rejects it.
 func cutFrames(b []byte, count int) frameCuts {
-	frames, nvals, nvec, nups, ntext := 0, 0, 0, 0, 0
+	frames, nvals, nvec, nups, nreads, ntext := 0, 0, 0, 0, 0, 0
 	for rest := b; frames < count; frames++ {
 		key, payload, kind, next, ok := splitFrame(rest)
 		if !ok {
@@ -168,12 +172,15 @@ func cutFrames(b []byte, count int) frameCuts {
 		case kind == KindFastRead || kind == KindFastReadAck:
 			v, e, u := fastCounts(kind, payload)
 			nvals, nvec, nups = nvals+v, nvec+e, nups+u
+			if kind == KindFastRead {
+				nreads++
+			}
 		case inArena(kind):
 			nvals++
 		}
 		rest = next
 	}
-	fc, text := newCuts(nvals, nvec, nups, ntext)
+	fc, text := newCuts(nvals, nvec, nups, nreads, ntext)
 	t := text
 	for rest := b; frames > 0; frames-- {
 		key, payload, kind, next, _ := splitFrame(rest)
@@ -211,13 +218,17 @@ func splitFrame(b []byte) (key, payload []byte, kind Kind, rest []byte, ok bool)
 
 // newCuts allocates a frame's arenas and the bytes its text is written
 // into. A frame with an arena whose counts fit a block class (blockFor)
-// gets them all in one block: its value arena and vector arena first, the
-// only part the GC scans, then a pointer-free tail holding the updated
-// sets (a ProcID holds no pointer) and the text. A frame of text alone
-// is one allocation as it is, and one past the largest class gets one
-// allocation per part.
-func newCuts(nvals, nvec, nups, ntext int) (fc frameCuts, text []byte) {
-	blk := blockFor(nvals, nvec, nups*procBytes+ntext)
+// gets them all in one block: its value arena, vector arena and FastRead
+// headers first, the only part the GC scans, then a pointer-free tail
+// holding the updated sets (a ProcID holds no pointer) and the text. The
+// block holds as many headers as values (an honest valQueue is never
+// empty), so a frame with more FastReads than that makes its extra
+// headers one by one (carve). A frame with neither a value nor a vector
+// entry has no block: its text is one allocation, and its headers, if
+// any, one more; and one past the largest class gets one allocation per
+// part.
+func newCuts(nvals, nvec, nups, nreads, ntext int) (fc frameCuts, text []byte) {
+	blk := blockFor(nvals, nvec, nreads > 0, nups*procBytes+ntext)
 	if blk == nil {
 		if nvals > 0 {
 			fc.vals = make([]types.Value, nvals)
@@ -228,6 +239,9 @@ func newCuts(nvals, nvec, nups, ntext int) (fc frameCuts, text []byte) {
 		if nups > 0 {
 			fc.ups = make([]types.ProcID, nups)
 		}
+		if nreads > 0 {
+			fc.reads = make([]FastRead, nreads)
+		}
 		return fc, make([]byte, ntext)
 	}
 	p := reflect.New(blk.typ).UnsafePointer()
@@ -236,6 +250,9 @@ func newCuts(nvals, nvec, nups, ntext int) (fc frameCuts, text []byte) {
 	}
 	if nvec > 0 {
 		fc.vec = unsafe.Slice((*VectorEntry)(unsafe.Add(p, blk.vecAt)), nvec)
+	}
+	if blk.reads > 0 {
+		fc.reads = unsafe.Slice((*FastRead)(unsafe.Add(p, blk.readsAt)), min(nreads, blk.reads))
 	}
 	if n := nups*procBytes + ntext; n > 0 {
 		tail := unsafe.Slice((*byte)(unsafe.Add(p, blk.tailAt)), n)
@@ -251,33 +268,38 @@ func newCuts(nvals, nvec, nups, ntext int) (fc frameCuts, text []byte) {
 const procBytes = int(unsafe.Sizeof(types.ProcID{}))
 
 // Block classes. A block type holds a power of two of values, a power of
-// two of vector entries and a tail that fills the object to a quarter
-// step of its power of two bytes: valClasses counts 0 and 1 to 128
-// values, vecClasses 0 and 1 to 32 entries, sizeClasses objects of 16 B
-// to 16 KiB. Each class has one slot in blocks, so however many shapes
-// untrusted frames declare, decoding builds at most len(blocks) types.
+// two of vector entries, either no FastRead header or one per value slot,
+// and a tail that fills the object to a quarter step of its power of two
+// bytes: valClasses counts 0 and 1 to 128 values, vecClasses 0 and 1 to
+// 32 entries, readClasses the two header arenas and sizeClasses objects
+// of 16 B to 16 KiB. Each class has one slot in blocks, so however many
+// shapes untrusted frames declare, decoding builds at most len(blocks)
+// types.
 const (
 	valClasses  = 9
 	vecClasses  = 7
+	readClasses = 2
 	sizeClasses = 41
 )
 
-// block is one class's block type and the offsets of its vector arena
-// and its tail.
+// block is one class's block type, the offsets of its vector arena, its
+// FastRead headers and its tail, and how many headers it holds.
 type block struct {
-	typ           reflect.Type
-	vecAt, tailAt uintptr
+	typ                    reflect.Type
+	vecAt, readsAt, tailAt uintptr
+	reads                  int
 }
 
 // blocks holds each class's block type, built on first use. A lookup is
 // one atomic load: two decoders that build a class at once build the
 // same type (reflect caches it), and either store wins.
-var blocks [valClasses * vecClasses * sizeClasses]atomic.Pointer[block]
+var blocks [readClasses * valClasses * vecClasses * sizeClasses]atomic.Pointer[block]
 
-// blockFor returns the block type for nvals values, nvec vector entries
-// and a tail of ntail bytes, or nil for a frame with neither arena or one
-// past the largest class.
-func blockFor(nvals, nvec, ntail int) *block {
+// blockFor returns the block type for nvals values, nvec vector entries,
+// a FastRead header per value slot if reads (and there are values to
+// size them by) and a tail of ntail bytes, or nil for a frame with
+// neither arena or one past the largest class.
+func blockFor(nvals, nvec int, reads bool, ntail int) *block {
 	if nvals == 0 && nvec == 0 {
 		return nil
 	}
@@ -285,13 +307,17 @@ func blockFor(nvals, nvec, ntail int) *block {
 	if v >= valClasses || e >= vecClasses {
 		return nil
 	}
-	arenas := classCount(v)*int(unsafe.Sizeof(types.Value{})) + classCount(e)*int(unsafe.Sizeof(VectorEntry{}))
+	h, nreads := 0, 0
+	if reads && v > 0 {
+		h, nreads = 1, classCount(v)
+	}
+	arenas := classCount(v)*int(unsafe.Sizeof(types.Value{})) + classCount(e)*int(unsafe.Sizeof(VectorEntry{})) + nreads*int(unsafe.Sizeof(FastRead{}))
 	need := arenas + ntail
 	c := sizeClass(need + header(need))
 	if c >= sizeClasses {
 		return nil
 	}
-	slot := &blocks[(v*vecClasses+e)*sizeClasses+c]
+	slot := &blocks[((h*valClasses+v)*vecClasses+e)*sizeClasses+c]
 	if blk := slot.Load(); blk != nil {
 		return blk
 	}
@@ -299,9 +325,10 @@ func blockFor(nvals, nvec, ntail int) *block {
 	typ := reflect.StructOf([]reflect.StructField{
 		{Name: "Vals", Type: reflect.ArrayOf(classCount(v), reflect.TypeFor[types.Value]())},
 		{Name: "Vec", Type: reflect.ArrayOf(classCount(e), reflect.TypeFor[VectorEntry]())},
+		{Name: "Reads", Type: reflect.ArrayOf(nreads, reflect.TypeFor[FastRead]())},
 		{Name: "Tail", Type: reflect.ArrayOf(size-header(size)-arenas, reflect.TypeFor[byte]())},
 	})
-	blk := &block{typ: typ, vecAt: typ.Field(1).Offset, tailAt: typ.Field(2).Offset}
+	blk := &block{typ: typ, vecAt: typ.Field(1).Offset, readsAt: typ.Field(2).Offset, tailAt: typ.Field(3).Offset, reads: nreads}
 	slot.Store(blk)
 	return blk
 }
@@ -583,7 +610,7 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 		w.value(*m.Val)
 	case UpdateAck:
 		// no body
-	case FastRead:
+	case *FastRead:
 		w.u32(uint32(len(m.ValQueue)))
 		for _, v := range m.ValQueue {
 			w.value(v)
@@ -625,17 +652,21 @@ func AppendEnvelope(dst []byte, e Envelope) ([]byte, error) {
 // or an Update's Val and a TagAck's Tag point into a value arena the
 // frame's envelopes share; a FastRead's valQueue is carved from that
 // value arena too, and a FastReadAck's vector and its Updated sets from
-// two arenas of their own, each slice clipped to its length. The text and
-// the arenas are ONE block (cutFrames): however many envelopes and
-// entries a frame holds, it decodes into one allocation, and past the
-// largest block class into one text and at most three arenas. Any key,
+// two arenas of their own, each slice clipped to its length. A FastRead
+// decodes as a *FastRead whose header sits in an arena of its own, so
+// the Payload interface boxes nothing for it. The text and the arenas
+// are ONE block (cutFrames): however many envelopes and entries a frame
+// holds, it decodes into one allocation, and past the largest block
+// class into one text and at most four arenas (a frame with more
+// FastReads than values makes its extra headers one by one). Any key,
 // Data, pointer or slice a frame decodes into therefore keeps the whole
-// block alive: code that stores a key or a value beyond the message's
-// life stores a copy of its own (keyreg clones keys, a replica adopts a
-// value in one allocation with its payload, a reader's valQueue clones
-// the payloads it adds, the history recorder clones the value a read
-// returns, whoever keeps a QueryAck's or an Update's value copies *Val;
-// see opkit's package doc and its Keep rule).
+// block alive: code that stores a key, a value or a request beyond the
+// message's life stores a copy of its own (keyreg clones keys, a replica
+// adopts a value in one allocation with its payload, a reader's valQueue
+// clones the payloads it adds, the history recorder clones the value a
+// read returns, whoever keeps a QueryAck's or an Update's value copies
+// *Val; see opkit's package doc and its Keep rule). The Payload
+// interface still boxes a FastReadAck, a LogAck and a log's events.
 func Decode(buf []byte) (Envelope, int, error) {
 	var e Envelope
 	fc := cutFrames(buf, 1)
@@ -648,10 +679,11 @@ func Decode(buf []byte) (Envelope, int, error) {
 
 // decode is Decode into *e, which it fills in place, cutting the
 // envelope's key and cut payload from the start of fc.text and taking its
-// QueryAck or Update value, TagAck tag, valQueue, vector and updated sets
-// from the front of fc's arenas; fc comes from a cutFrames of a run of
-// frames starting with this one. On success it advances fc past what the
-// envelope used, for the next frame of the run. On error *e holds garbage.
+// QueryAck or Update value, TagAck tag, FastRead header, valQueue, vector
+// and updated sets from the front of fc's arenas; fc comes from a
+// cutFrames of a run of frames starting with this one. On success it
+// advances fc past what the envelope used, for the next frame of the run.
+// On error *e holds garbage.
 func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 	if len(buf) < 4 {
 		return 0, ErrTruncated
@@ -707,7 +739,7 @@ func decode(e *Envelope, buf []byte, fc *frameCuts) (int, error) {
 	case KindUpdateAck:
 		e.Payload = UpdateAck{}
 	case KindFastRead:
-		m := FastRead{}
+		m := &carve(&fc.reads, 1)[0]
 		if n := r.count(minValueSize); n > 0 {
 			m.ValQueue = carve(&fc.vals, n)
 			for i := 0; i < n && r.err == nil; i++ {

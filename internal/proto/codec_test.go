@@ -21,12 +21,12 @@ func sampleEnvelopes() []Envelope {
 		{From: types.Server(1), To: types.Writer(1), OpID: 1, Round: 1, IsReply: true, Payload: QueryAck{Val: &v1}},
 		{From: types.Writer(1), To: types.Server(3), OpID: 1, Round: 2, Payload: Update{Val: &v2}},
 		{From: types.Server(3), To: types.Writer(1), OpID: 1, Round: 2, IsReply: true, Payload: UpdateAck{}},
-		{From: types.Reader(2), To: types.Server(2), OpID: 9, Round: 1, Payload: FastRead{ValQueue: []types.Value{v1, v2, types.InitialValue()}}},
+		{From: types.Reader(2), To: types.Server(2), OpID: 9, Round: 1, Payload: &FastRead{ValQueue: []types.Value{v1, v2, types.InitialValue()}}},
 		{From: types.Server(2), To: types.Reader(2), OpID: 9, Round: 1, IsReply: true, Payload: FastReadAck{Vector: []VectorEntry{
 			{Val: v1, Updated: []types.ProcID{types.Writer(1), types.Reader(2)}},
 			{Val: v2, Updated: nil},
 		}, Floor: v1.Tag}},
-		{From: types.Reader(1), To: types.Server(1), OpID: 0, Round: 1, Payload: FastRead{}},
+		{From: types.Reader(1), To: types.Server(1), OpID: 0, Round: 1, Payload: &FastRead{}},
 		{From: types.Server(1), To: types.Reader(1), OpID: 0, Round: 1, IsReply: true, Payload: FastReadAck{}},
 		{From: types.Writer(2), To: types.Server(4), Key: "users:alice", OpID: 7, Round: 1, Payload: Query{}},
 		{From: types.Server(4), To: types.Writer(2), Key: "users:alice", OpID: 7, Round: 2, IsReply: true, Payload: UpdateAck{}},
@@ -40,10 +40,9 @@ func sampleEnvelopes() []Envelope {
 func envEqual(a, b Envelope) bool {
 	norm := func(e *Envelope) {
 		switch m := e.Payload.(type) {
-		case FastRead:
+		case *FastRead:
 			if len(m.ValQueue) == 0 {
-				m.ValQueue = nil
-				e.Payload = m
+				e.Payload = &FastRead{}
 			}
 		case FastReadAck:
 			if len(m.Vector) == 0 {
@@ -218,7 +217,7 @@ func randEnvelope(r *rand.Rand) Envelope {
 	case 3:
 		e.Payload = UpdateAck{}
 	case 4:
-		m := FastRead{}
+		m := &FastRead{}
 		for i := 0; i < r.Intn(5); i++ {
 			m.ValQueue = append(m.ValQueue, randValue(r))
 		}

@@ -22,7 +22,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		{From: types.Server(1), To: types.Writer(1), OpID: 9, Round: 2, IsReply: true, Payload: UpdateAck{}},
 		{From: types.Writer(1), To: types.Server(2), Key: "k", OpID: 10, Round: 1, Payload: TagQuery{}},
 		{From: types.Server(2), To: types.Writer(1), Key: "k", OpID: 10, Round: 1, IsReply: true, Payload: TagAck{Tag: &val.Tag}},
-		{From: types.Reader(2), To: types.Server(2), Key: "multi/key", OpID: 1, Round: 1, Payload: FastRead{ValQueue: []types.Value{val, types.InitialValue()}}},
+		{From: types.Reader(2), To: types.Server(2), Key: "multi/key", OpID: 1, Round: 1, Payload: &FastRead{ValQueue: []types.Value{val, types.InitialValue()}}},
 		{From: types.Server(2), To: types.Reader(2), Key: "multi/key", OpID: 1, Round: 1, IsReply: true, Payload: FastReadAck{Vector: []VectorEntry{
 			{Val: val, Updated: []types.ProcID{types.Reader(1), types.Writer(2)}},
 			{Val: types.InitialValue()},

@@ -174,6 +174,13 @@ func (UpdateAck) String() string { return "WRITEACK" }
 // "send(read, valQueue) to all servers". The queue carries every value the
 // reader has previously seen, so the single round both disseminates values
 // (the server updates its valuevector) and queries.
+//
+// A FastRead travels by pointer: a Message holding one is a *FastRead,
+// which a reader builds once per valQueue change and Decode places in
+// its frame's block, so no message is boxed into an interface. Encode
+// rejects a FastRead value with ErrBadKind, and replicas drop it. Its
+// methods keep value receivers only because the benchmark module still
+// builds and type-switches on the value type.
 type FastRead struct {
 	ValQueue []types.Value
 }

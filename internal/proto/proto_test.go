@@ -33,7 +33,7 @@ func TestMessageKinds(t *testing.T) {
 		{QueryAck{}, KindQueryAck},
 		{Update{}, KindUpdate},
 		{UpdateAck{}, KindUpdateAck},
-		{FastRead{}, KindFastRead},
+		{&FastRead{}, KindFastRead},
 		{FastReadAck{}, KindFastReadAck},
 	}
 	for _, c := range cases {
